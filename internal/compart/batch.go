@@ -16,9 +16,13 @@ import (
 //	[uint32 count] ([uint32 len][message frame])*
 //
 // so it travels through writeFrame/readFrame/DecodeMessage unchanged.
-// Batches never nest: senders only pack non-batch frames, and receivers
-// (Server.serveConn) unpack the envelope and inject the inner messages, so
-// application handlers never see KindBatch.
+// Envelopes are built in two places: the coalescing writer packs the plain
+// frames of one drained run (writeCoalesced), and a sender that already holds
+// a delivery group packs it itself (PackBatch) and hands the envelope to any
+// single-message carrier. Batches never nest: both pack only non-batch
+// frames, the writer sends a pre-built envelope standalone, and receivers
+// (Server.serveConn, Network.Send) unpack the envelope and inject the inner
+// messages, so application handlers never see KindBatch.
 
 // batchEnvelopeOverhead is the encoded size of the KindBatch envelope around
 // its payload: kind, flag, three empty length-prefixed strings, and the
@@ -59,20 +63,92 @@ func appendBatchEnvelope(dst []byte, bodies [][]byte) []byte {
 	return dst
 }
 
+// PackBatch builds the KindBatch envelope carrying msgs in order, encoding
+// every message straight into the envelope's payload buffer. It fails with
+// ErrFrameTooLarge when the envelope would not fit one frame, and with the
+// codec's error when a member cannot be framed or is itself an envelope.
+func PackBatch(msgs []Message) (Message, error) {
+	payload := 4
+	for _, m := range msgs {
+		if m.Kind == KindBatch {
+			return Message{}, fmt.Errorf("compart: nested batch")
+		}
+		payload += 4 + frameSize(m)
+	}
+	if batchEnvelopeOverhead+payload > maxFrame {
+		return Message{}, fmt.Errorf("%w: batch of %d bytes", ErrFrameTooLarge, payload)
+	}
+	buf := make([]byte, 4, payload)
+	binary.BigEndian.PutUint32(buf, uint32(len(msgs)))
+	for _, m := range msgs {
+		at := len(buf)
+		var err error
+		if buf, err = AppendMessage(append(buf, 0, 0, 0, 0), m); err != nil {
+			return Message{}, err
+		}
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return Message{Kind: KindBatch, Payload: buf}, nil
+}
+
+// SendGroup carries a delivery group through a single-message carrier (a
+// transport client's Send, a deployment uplink): several messages travel as
+// one KindBatch envelope, which the far side unpacks back into one group. A
+// group no envelope can hold goes message by message; the first carrier error
+// is returned.
+func SendGroup(send func(Message) error, msgs []Message) error {
+	if len(msgs) > 1 {
+		if env, err := PackBatch(msgs); err == nil {
+			return send(env)
+		}
+	}
+	var first error
+	for _, m := range msgs {
+		if err := send(m); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// batchBodyCount reports whether an encoded frame body is a KindBatch
+// envelope and, if so, how many messages it declares.
+func batchBodyCount(body []byte) (int, bool) {
+	if len(body) < 2 || MessageKind(body[0]) != KindBatch {
+		return 0, false
+	}
+	rest := body[2:]
+	for i := 0; i < 3; i++ { // From, To, Key
+		if len(rest) < 2 {
+			return 0, true
+		}
+		n := int(binary.BigEndian.Uint16(rest))
+		if len(rest) < 2+n {
+			return 0, true
+		}
+		rest = rest[2+n:]
+	}
+	if len(rest) < 8 {
+		return 0, true
+	}
+	return int(binary.BigEndian.Uint32(rest[4:])), true
+}
+
 // DecodeBatch unpacks the payload of a KindBatch message into its inner
 // messages. The payload must be consumed exactly; any framing inconsistency
 // fails the whole batch (the server counts it as one decode error). Every
 // inner message owns its memory (payloads are copied out of the envelope).
 func DecodeBatch(payload []byte) ([]Message, error) {
-	return decodeBatch(payload, nil)
+	return decodeBatch(payload, nil, false)
 }
 
-// decodeBatch is DecodeBatch with an optional intern cache. With si non-nil
-// the inner messages intern their From/To/Key strings through it AND alias
-// their payloads into the envelope buffer — only valid when the caller owns
-// the envelope and never reuses its memory (Server.serveConn reads each
-// frame into a fresh buffer).
-func decodeBatch(payload []byte, si strIntern) ([]Message, error) {
+// decodeBatch is DecodeBatch with an optional intern cache for the inner
+// messages' From/To/Key strings. With alias set the inner payloads point into
+// the envelope buffer instead of being copied out — only valid when the
+// caller owns the envelope and never rewrites its memory (Server.serveConn
+// reads each frame into a fresh buffer; Network.Send holds a message its
+// caller handed over).
+func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("compart: truncated batch count")
 	}
@@ -91,7 +167,7 @@ func decodeBatch(payload []byte, si strIntern) ([]Message, error) {
 		if uint64(n) > uint64(len(rest)) {
 			return nil, fmt.Errorf("compart: batch entry %d of %d bytes but %d remain", i, n, len(rest))
 		}
-		m, err := decodeMessageIn(rest[:n], si, si != nil)
+		m, err := decodeMessageIn(rest[:n], si, alias)
 		if err != nil {
 			return nil, fmt.Errorf("compart: batch entry %d: %w", i, err)
 		}
@@ -108,30 +184,38 @@ func decodeBatch(payload []byte, si strIntern) ([]Message, error) {
 }
 
 // writeCoalesced writes pre-encoded message frames to w, packing runs of two
-// or more into KindBatch envelopes so the buffered writer sees one frame per
-// drained run. A run whose envelope would exceed maxFrame is split across
-// several envelopes; a frame too large to share an envelope goes out plain.
-// With noBatch set every frame is written individually (the ablation path —
-// still one flush per drained run, but one frame per message on the wire).
+// or more plain frames into KindBatch envelopes so the buffered writer sees
+// one frame per drained run. A run whose envelope would exceed maxFrame is
+// split across several envelopes; a frame too large to share an envelope goes
+// out plain. A body that already is an envelope (PackBatch, built above the
+// client) ends the run before it and goes out standalone, because batches
+// never nest; onBatch sees it like an envelope packed here. With noBatch set
+// every frame is written individually (the ablation path — still one flush
+// per drained run, but nothing packed here).
 //
 // It returns how many of the input bodies were handed to w before any error:
 // callers account those as sent and the remainder as dropped, keeping the
 // conservation invariant exact across connection deaths.
 func writeCoalesced(w io.Writer, bodies [][]byte, noBatch bool, onBatch func(msgs int)) (written int, err error) {
-	if noBatch || len(bodies) == 1 {
-		for _, b := range bodies {
-			if err := writeFrame(w, b); err != nil {
-				return written, err
-			}
-			written++
-		}
-		return written, nil
-	}
 	var scratch []byte
 	for start := 0; start < len(bodies); {
+		if n, env := batchBodyCount(bodies[start]); env {
+			if err := writeFrame(w, bodies[start]); err != nil {
+				return written, err
+			}
+			if onBatch != nil {
+				onBatch(n)
+			}
+			written++
+			start++
+			continue
+		}
 		size := batchEnvelopeOverhead + 4
 		end := start
 		for end < len(bodies) {
+			if _, env := batchBodyCount(bodies[end]); env || (noBatch && end > start) {
+				break
+			}
 			fs := 4 + len(bodies[end])
 			if end > start && size+fs > maxFrame {
 				break
@@ -139,21 +223,19 @@ func writeCoalesced(w io.Writer, bodies [][]byte, noBatch bool, onBatch func(msg
 			size += fs
 			end++
 		}
-		if end == start+1 && size > maxFrame {
-			// A single near-maxFrame body: no envelope fits around it.
+		if end == start+1 {
+			// A lone plain frame (or one no envelope fits around).
 			if err := writeFrame(w, bodies[start]); err != nil {
 				return written, err
 			}
-			written++
-			start = end
-			continue
-		}
-		scratch = appendBatchEnvelope(scratch[:0], bodies[start:end])
-		if err := writeFrame(w, scratch); err != nil {
-			return written, err
-		}
-		if onBatch != nil {
-			onBatch(end - start)
+		} else {
+			scratch = appendBatchEnvelope(scratch[:0], bodies[start:end])
+			if err := writeFrame(w, scratch); err != nil {
+				return written, err
+			}
+			if onBatch != nil {
+				onBatch(end - start)
+			}
 		}
 		written += end - start
 		start = end

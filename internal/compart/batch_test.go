@@ -163,7 +163,7 @@ func TestInternDecodeAliasesAndDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := make(strIntern)
-	inner, err := decodeBatch(outer.Payload, si)
+	inner, err := decodeBatch(outer.Payload, si, true)
 	if err != nil {
 		t.Fatal(err)
 	}

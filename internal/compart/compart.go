@@ -46,7 +46,8 @@ const (
 	KindControl
 	// KindBatch is a transport-level envelope packing several encoded
 	// messages into one frame (batch.go). It never reaches application
-	// handlers: the TCP server unpacks it and injects the inner messages.
+	// handlers: the TCP server and Network.Send unpack it and inject the
+	// inner messages as one delivery group.
 	KindBatch MessageKind = 63
 	// KindUser is the first kind available to applications.
 	KindUser MessageKind = 64
@@ -259,7 +260,19 @@ func (n *Network) Stats() Stats {
 // Dropped messages return nil — loss is silent, as on a real network, but
 // every loss is counted: Dropped for link loss at send time, LostInFlight
 // for delayed deliveries that died in flight.
+//
+// A KindBatch envelope is unpacked and injected as a delivery group
+// (SendBatch), so a carrier that ends in a Network — a deployment's
+// in-process uplink — accepts what a TCP server accepts. The inner payloads
+// keep pointing into the envelope's buffer.
 func (n *Network) Send(msg Message) error {
+	if msg.Kind == KindBatch {
+		inner, err := decodeBatch(msg.Payload, nil, true)
+		if err != nil {
+			return err
+		}
+		return n.SendBatch(inner)
+	}
 	start := time.Now()
 	key := linkKey{msg.From, msg.To}
 	n.mu.Lock()
@@ -352,19 +365,38 @@ type batchGroup struct {
 // subject to its link's partition/drop configuration, preserving the
 // conservation invariant exactly as N Send calls would; latency and jitter
 // are sampled once per directed link per batch, so a group crosses a lossy
-// link as one unit rather than fanning out into per-message timers. Errors
-// (down endpoints, partitions) are silent, as for a server-injected message.
-func (n *Network) SendBatch(msgs []Message) {
+// link as one unit rather than fanning out into per-message timers.
+//
+// The network takes ownership of msgs: the common group — every message
+// surviving to one endpoint under one delay — is delivered as the slice
+// itself, without regrouping. The returned error is the first condition
+// known at send time (closure, down endpoint, partition), as Send would
+// report it; the rest of the group is still sent.
+func (n *Network) SendBatch(msgs []Message) error {
 	if len(msgs) == 0 {
-		return
+		return nil
 	}
 	start := time.Now()
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return
+		return ErrNetworkClosed
 	}
+	var firstErr error
+	// While uniform, msgs[:i] all survived into the one group (uTo, uDelay)
+	// and nothing has been copied; the first message that breaks the pattern
+	// spills that prefix into groups and the general regrouping takes over.
+	uniform := true
+	var uTo string
+	var uDelay time.Duration
 	var groups []*batchGroup
+	spill := func(i int) {
+		uniform = false
+		if i > 0 {
+			prefix := append(make([]Message, 0, len(msgs)), msgs[:i]...)
+			groups = append(groups, &batchGroup{to: uTo, delay: uDelay, msgs: prefix})
+		}
+	}
 	// Delay memo per link: a slice beats a map at the 1-2 distinct links a
 	// typical delivery group spans, and allocates nothing.
 	type linkDelay struct {
@@ -373,30 +405,46 @@ func (n *Network) SendBatch(msgs []Message) {
 	}
 	var delayMemo [4]linkDelay
 	delays := delayMemo[:0]
-	for _, msg := range msgs {
-		key := linkKey{msg.From, msg.To}
-		ls := n.linkStatsLocked(key)
+	// Link state is looked up once per run of messages on the same link.
+	var (
+		key linkKey
+		ls  *LinkStats
+		ep  *endpoint
+		ok  bool
+		cfg LinkConfig
+	)
+	for i, msg := range msgs {
+		if k := (linkKey{msg.From, msg.To}); i == 0 || k != key {
+			key = k
+			ls = n.linkStatsLocked(key)
+			ep, ok = n.endpoints[msg.To]
+			cfg = n.linkLocked(key)
+		}
 		n.stats.Sent++
 		ls.Sent++
-		ep, ok := n.endpoints[msg.To]
-		if !ok || !ep.up {
+		lost := true
+		switch down := !ok || !ep.up; {
+		case down || cfg.Partitioned:
 			n.stats.Rejected++
 			ls.Rejected++
 			if ok {
 				ep.stats.Rejected++
 			}
-			continue
-		}
-		cfg := n.linkLocked(key)
-		if cfg.Partitioned {
-			n.stats.Rejected++
-			ls.Rejected++
-			ep.stats.Rejected++
-			continue
-		}
-		if cfg.DropProb > 0 && n.rng.Float64() < cfg.DropProb {
+			if firstErr == nil && down {
+				firstErr = fmt.Errorf("%w: %q", ErrEndpointDown, msg.To)
+			} else if firstErr == nil {
+				firstErr = fmt.Errorf("%w: %s→%s", ErrPartitioned, msg.From, msg.To)
+			}
+		case cfg.DropProb > 0 && n.rng.Float64() < cfg.DropProb:
 			n.stats.Dropped++
 			ls.Dropped++
+		default:
+			lost = false
+		}
+		if lost {
+			if uniform {
+				spill(i)
+			}
 			continue
 		}
 		var delay time.Duration
@@ -414,6 +462,15 @@ func (n *Network) SendBatch(msgs []Message) {
 			}
 			delays = append(delays, linkDelay{key, delay})
 		}
+		if uniform {
+			if i == 0 {
+				uTo, uDelay = msg.To, delay
+			}
+			if msg.To == uTo && delay == uDelay {
+				continue
+			}
+			spill(i)
+		}
 		var g *batchGroup
 		for _, c := range groups {
 			if c.to == msg.To && c.delay == delay {
@@ -423,14 +480,12 @@ func (n *Network) SendBatch(msgs []Message) {
 		}
 		if g == nil {
 			g = &batchGroup{to: msg.To, delay: delay}
-			if len(groups) == 0 {
-				// Most delivery groups have a single destination: presize
-				// the first group for the whole batch.
-				g.msgs = make([]Message, 0, len(msgs))
-			}
 			groups = append(groups, g)
 		}
 		g.msgs = append(g.msgs, msg)
+	}
+	if uniform {
+		groups = []*batchGroup{{to: uTo, delay: uDelay, msgs: msgs}}
 	}
 	// Immediate groups are counted Delivered and their handlers captured
 	// under the lock, exactly like Send's synchronous path.
@@ -446,13 +501,7 @@ func (n *Network) SendBatch(msgs []Message) {
 			continue
 		}
 		ep := n.endpoints[g.to]
-		for _, m := range g.msgs {
-			n.stats.Delivered++
-			ep.stats.Delivered++
-			ls := n.linkStatsLocked(linkKey{m.From, m.To})
-			ls.Delivered++
-			ls.Latency.observe(time.Since(start))
-		}
+		n.deliveredLocked(ep, g.msgs, start)
 		run = append(run, ready{h: ep.handler, bh: ep.batch, msgs: g.msgs})
 	}
 	n.mu.Unlock()
@@ -463,9 +512,9 @@ func (n *Network) SendBatch(msgs []Message) {
 		if g.delay <= 0 {
 			continue
 		}
-		g := g
 		time.AfterFunc(g.delay, func() { n.deliverDelayedGroup(start, g) })
 	}
+	return firstErr
 }
 
 // deliverDelayedGroup finishes a delayed SendBatch group: liveness is
@@ -487,15 +536,28 @@ func (n *Network) deliverDelayedGroup(start time.Time, g *batchGroup) {
 		return
 	}
 	h, bh := ep.handler, ep.batch
-	for _, m := range g.msgs {
-		n.stats.Delivered++
-		ep.stats.Delivered++
-		ls := n.linkStatsLocked(linkKey{m.From, m.To})
-		ls.Delivered++
-		ls.Latency.observe(time.Since(start))
-	}
+	n.deliveredLocked(ep, g.msgs, start)
 	n.mu.Unlock()
 	deliverGroup(h, bh, g.msgs)
+}
+
+// deliveredLocked counts a delivery group Delivered at ep, one latency
+// sample per message at the moment the group is handed over; callers hold
+// n.mu.
+func (n *Network) deliveredLocked(ep *endpoint, msgs []Message, start time.Time) {
+	lat := time.Since(start)
+	var key linkKey
+	var ls *LinkStats
+	for i, m := range msgs {
+		if k := (linkKey{m.From, m.To}); i == 0 || k != key {
+			key = k
+			ls = n.linkStatsLocked(key)
+		}
+		ls.Delivered++
+		ls.Latency.observe(lat)
+	}
+	n.stats.Delivered += uint64(len(msgs))
+	ep.stats.Delivered += uint64(len(msgs))
 }
 
 func deliverGroup(h Handler, bh BatchHandler, msgs []Message) {

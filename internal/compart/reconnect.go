@@ -114,11 +114,15 @@ type ClientStats struct {
 	// Dropped counts messages rejected on a full queue, lost to a write
 	// error, or abandoned in the queue at Close.
 	Dropped uint64
-	// BatchesSent counts KindBatch envelope frames written; the messages
-	// inside count individually in Sent, so batching never perturbs the
+	// BatchesSent counts KindBatch envelope frames written, whether the
+	// writer packed them from a drained run or a sender handed them in
+	// pre-built (SendGroup). Enqueued, Sent and Dropped count what was handed
+	// to the client — a pre-built envelope is one of those, the members of an
+	// envelope packed here are several — so batching never perturbs the
 	// Enqueued == Sent + Dropped conservation invariant.
 	BatchesSent uint64
-	// MsgsPerBatch summarizes batch sizes (messages per envelope written).
+	// MsgsPerBatch summarizes batch sizes (messages per envelope written,
+	// of either origin).
 	MsgsPerBatch SizeHist
 	// Dials counts dial attempts; Connects counts the successful ones, so
 	// Connects-1 is the number of reconnections and Dials-Connects the
@@ -450,9 +454,7 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 // after reconnection. Use BridgeLive instead when local senders should
 // observe remote liveness.
 func BridgeReconnect(local *Network, remoteEndpoint string, c *ReconnectClient) {
-	local.Register(remoteEndpoint, func(m Message) {
-		_ = c.Send(m)
-	})
+	bridge(local, remoteEndpoint, c.Send)
 }
 
 // BridgeLive registers a local proxy endpoint whose liveness tracks the
@@ -461,9 +463,7 @@ func BridgeReconnect(local *Network, remoteEndpoint string, c *ReconnectClient) 
 // remote as down and local sends fail fast with ErrEndpointDown instead of
 // queueing — the failure-awareness the runtime's otherwise[t] builds on.
 func BridgeLive(local *Network, remoteEndpoint string, c *ReconnectClient) {
-	local.Register(remoteEndpoint, func(m Message) {
-		_ = c.Send(m)
-	})
+	bridge(local, remoteEndpoint, c.Send)
 	c.Notify(func(up bool) {
 		if up {
 			local.Revive(remoteEndpoint)

@@ -64,9 +64,7 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 			return dst, fmt.Errorf("%w: %s is %d bytes", ErrFieldTooLong, f.name, len(f.val))
 		}
 	}
-	size := 1 + 1 + // kind, flag
-		varStrLen(m.From) + varStrLen(m.To) + varStrLen(m.Key) +
-		4 + len(m.Payload)
+	size := frameSize(m)
 	if size > maxFrame {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
@@ -87,6 +85,12 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
 	buf = append(buf, m.Payload...)
 	return buf, nil
+}
+
+// frameSize is the encoded size of m: kind, flag, three length-prefixed
+// strings and the length-prefixed payload.
+func frameSize(m Message) int {
+	return 1 + 1 + varStrLen(m.From) + varStrLen(m.To) + varStrLen(m.Key) + 4 + len(m.Payload)
 }
 
 // DecodeMessage parses a frame produced by EncodeMessage.
@@ -317,7 +321,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Framing/IO error: the stream is unrecoverable.
 			return
 		}
-		msg, err := DecodeMessage(body)
+		// body is this frame's own buffer, so the payload (an envelope's whole
+		// interior) stays in place instead of being copied out.
+		msg, err := decodeMessageIn(body, nil, true)
 		if err != nil {
 			// The frame body is garbage but the outer length prefix kept
 			// the stream in sync: count it and keep draining.
@@ -334,7 +340,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if msg.Kind == KindBatch {
-			inner, err := decodeBatch(msg.Payload, si)
+			inner, err := decodeBatch(msg.Payload, si, true)
 			if err != nil {
 				// A corrupt envelope drops as one unit; the outer length
 				// prefix kept the stream in sync.
@@ -639,7 +645,14 @@ func (c *Client) Close() error {
 // over a client connection, so local senders can address remote junctions
 // transparently.
 func Bridge(local *Network, remoteEndpoint string, c *Client) {
-	local.Register(remoteEndpoint, func(m Message) {
-		_ = c.Send(m)
-	})
+	bridge(local, remoteEndpoint, c.Send)
+}
+
+// bridge registers the proxy endpoint of a Bridge: single messages go to the
+// carrier as they are, delivery groups as one envelope (SendGroup). Carrier
+// errors are lost frames, which the sender's ack machinery notices.
+func bridge(local *Network, name string, send func(Message) error) {
+	local.RegisterBatch(name,
+		func(m Message) { _ = send(m) },
+		func(ms []Message) { _ = SendGroup(send, ms) })
 }

@@ -178,7 +178,10 @@ func TestWatchdogFailsStalledWindow(t *testing.T) {
 // table on machine B over a real TCP bridge with batching on. §6's
 // per-channel FIFO guarantee must survive coalescing, batch envelopes and
 // cumulative acks: in the sink's trace, the remote.queued sequence numbers
-// must be strictly increasing per source junction.
+// must be strictly increasing per source junction. And the par must cross
+// as a group decided at compile time, not as whatever the pump happened to
+// find queued: at most two frames per invocation reach either client (one
+// envelope out, one cumulative ack back; the slack allows a split ack).
 func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	const (
 		nSrc   = 8
@@ -307,5 +310,10 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	}
 	if !netA.Stats().Conserved() || !netB.Stats().Conserved() {
 		t.Fatalf("transport counters not conserved: A %+v B %+v", netA.Stats(), netB.Stats())
+	}
+	for dir, c := range map[string]*compart.Client{"A->B": toB, "B->A": toA} {
+		if st := c.Stats(); st.Enqueued == 0 || st.Enqueued > 2*nSrc*rounds {
+			t.Fatalf("%s carried %d frames for %d invocations of %d arms, want at most 2 each", dir, st.Enqueued, nSrc*rounds, width)
+		}
 	}
 }

@@ -210,27 +210,7 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 		}
 
 	case dsl.Write:
-		resolveTo := j.compileTarget(n.To)
-		return func(ctx context.Context) (signal, error) {
-			// The table's internal slice is safe here: sendUpdate copies the
-			// payload into the framed message body before handing it off.
-			payload, err := j.table.DataRef(n.Data)
-			if err != nil {
-				return sigNone, fmt.Errorf("write %s: %w", n.Data, err)
-			}
-			to, err := resolveTo()
-			if err != nil {
-				return sigNone, err
-			}
-			if to == j.FQName {
-				return sigNone, fmt.Errorf("runtime: %s: write to self", j.FQName)
-			}
-			if err := j.sys.sendUpdate(ctx, j, to, compart.KindData, n.Data, false, payload); err != nil {
-				return sigNone, err
-			}
-			return sigNone, nil
-		}
-
+		return j.updateStep(j.compileWrite(n))
 	case dsl.Assert:
 		return j.compilePropUpdate(n.Target, n.Prop, true)
 	case dsl.Retract:
@@ -298,31 +278,114 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 	}
 }
 
+// flattenPar splices nested Par branches (the right-nested chain
+// ForExpr(OpPar) emits) into one branch list. Par is a barrier over its
+// branches whose outcome is decided in branch order — first failure, then
+// first non-none signal — so nesting only groups branches and splicing
+// changes nothing observable.
+func flattenPar(branches dsl.Par) dsl.Par {
+	var flat dsl.Par
+	for _, b := range branches {
+		if p, ok := b.(dsl.Par); ok {
+			flat = append(flat, flattenPar(p)...)
+		} else {
+			flat = append(flat, b)
+		}
+	}
+	return flat
+}
+
 // compilePar lowers parallel composition with the interpreter's barrier
 // semantics: all branches run, every failure is awaited, the first failure
 // (by branch order) wins, then the first non-none signal propagates.
+//
+// An arm that completes at a delivery ack may be sent whenever the schedule
+// likes, and sending the plain remote assert/retract/write arms in branch
+// order is one legal interleaving of §6's par. The compiler picks that one:
+// those arms get no goroutine of their own and become one step that applies
+// their local halves in branch order, groups them by destination (first use
+// first) and hands each group to sendUpdates — one sequence range, one
+// delivery group and one ack wait per destination, with seq order = branch
+// order = wire order. Every other arm still runs on its own goroutine beside
+// it.
 func (j *Junction) compilePar(branches dsl.Par) step {
+	branches = flattenPar(branches)
 	if len(branches) == 0 {
 		return func(context.Context) (signal, error) { return sigNone, nil }
 	}
-	steps := make([]step, len(branches))
-	for i, b := range branches {
-		steps[i] = j.compileExpr(b)
+	if len(branches) == 1 {
+		return j.compileExpr(branches[0])
 	}
-	if len(steps) == 1 {
-		return steps[0]
+	// idx is an arm's position among the par's branches.
+	type updateBranch struct {
+		idx int
+		run updateArm
+	}
+	type otherBranch struct {
+		idx int
+		run step
+	}
+	var updates []updateBranch
+	var others []otherBranch
+	for i, b := range branches {
+		// The seed plane (DisableBatching) has no group send to feed.
+		if arm := j.remoteUpdateArm(b); arm != nil && !j.sys.opts.DisableBatching {
+			updates = append(updates, updateBranch{i, arm})
+		} else {
+			others = append(others, otherBranch{i, j.compileExpr(b)})
+		}
+	}
+	// destGroup is the updates one firing sends to one destination; a failed
+	// send fails all of them alike, so the first arm's position stands for
+	// the group when errors are ranked by branch order.
+	type destGroup struct {
+		to    string
+		first int
+		ups   []remoteUpdate
 	}
 	return func(ctx context.Context) (signal, error) {
-		sigs := make([]signal, len(steps))
-		errs := make([]error, len(steps))
+		sigs := make([]signal, len(branches))
+		errs := make([]error, len(branches))
 		var wg sync.WaitGroup
-		for i, st := range steps {
+		for _, o := range others {
 			wg.Add(1)
-			i, st := i, st
-			goPar(func() {
+			go func() {
 				defer wg.Done()
-				sigs[i], errs[i] = st(ctx)
-			})
+				sigs[o.idx], errs[o.idx] = o.run(ctx)
+			}()
+		}
+		var groups []destGroup
+		for _, u := range updates {
+			to, up, err := u.run()
+			if err != nil {
+				errs[u.idx] = err
+				continue
+			}
+			g := 0
+			for g < len(groups) && groups[g].to != to {
+				g++
+			}
+			if g == len(groups) {
+				groups = append(groups, destGroup{to: to, first: u.idx})
+				if g == 0 {
+					// Most pars update one destination: size the first
+					// group for all of them.
+					groups[0].ups = make([]remoteUpdate, 0, len(updates))
+				}
+			}
+			groups[g].ups = append(groups[g].ups, up)
+		}
+		send := func(g destGroup) { errs[g.first] = j.sys.sendUpdates(ctx, j, g.to, g.ups) }
+		for i, g := range groups {
+			if i == len(groups)-1 {
+				send(g) // the last group waits on this goroutine
+				break
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				send(g)
+			}()
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -389,41 +452,101 @@ func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 	}
 }
 
+// updateArm is the lowered sender half of a remote assert/retract/write: it
+// applies the statement's local effect and resolves what to send where. The
+// delivery itself is sendUpdates', alone (updateStep) or grouped with the
+// other update arms of a par (compilePar).
+type updateArm func() (to string, up remoteUpdate, err error)
+
+// remoteUpdateArm lowers e when it is a plain assert/retract/write aimed at
+// another junction, and returns nil for everything else.
+func (j *Junction) remoteUpdateArm(e dsl.Expr) updateArm {
+	switch n := e.(type) {
+	case dsl.Write:
+		return j.compileWrite(n)
+	case dsl.Assert:
+		if !n.Target.IsLocal() {
+			return j.compileRemoteProp(n.Target, n.Prop, true)
+		}
+	case dsl.Retract:
+		if !n.Target.IsLocal() {
+			return j.compileRemoteProp(n.Target, n.Prop, false)
+		}
+	}
+	return nil
+}
+
+// updateStep is a remote update as a statement of its own: the group of one.
+func (j *Junction) updateStep(arm updateArm) step {
+	return func(ctx context.Context) (signal, error) {
+		to, up, err := arm()
+		if err != nil {
+			return sigNone, err
+		}
+		return sigNone, j.sys.sendUpdates(ctx, j, to, []remoteUpdate{up})
+	}
+}
+
+func (j *Junction) compileWrite(n dsl.Write) updateArm {
+	resolveTo := j.compileTarget(n.To)
+	return func() (string, remoteUpdate, error) {
+		// The table's internal slice is safe here: sendUpdates copies the
+		// payload into the framed message body before handing it off.
+		payload, err := j.table.DataRef(n.Data)
+		if err != nil {
+			return "", remoteUpdate{}, fmt.Errorf("write %s: %w", n.Data, err)
+		}
+		to, err := resolveTo()
+		if err != nil {
+			return "", remoteUpdate{}, err
+		}
+		if to == j.FQName {
+			return "", remoteUpdate{}, fmt.Errorf("runtime: %s: write to self", j.FQName)
+		}
+		return to, remoteUpdate{kind: compart.KindData, key: n.Data, payload: payload}, nil
+	}
+}
+
 // compilePropUpdate lowers assert/retract: local-first table update, then the
 // push to a non-local target, mirroring execPropUpdate.
 func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, value bool) step {
-	resolveName := j.compilePropName(pr)
-	local := target.IsLocal()
-	var resolveTo func() (string, error)
-	if !local {
-		resolveTo = j.compileTarget(target)
+	if !target.IsLocal() {
+		return j.updateStep(j.compileRemoteProp(target, pr, value))
 	}
-	return func(ctx context.Context) (signal, error) {
+	resolveName := j.compilePropName(pr)
+	return func(context.Context) (signal, error) {
 		name, err := resolveName()
 		if err != nil {
 			return sigNone, err
 		}
-		if j.table.HasProp(name) {
-			if err := j.table.SetProp(name, value); err != nil {
-				return sigNone, err
-			}
-		} else if local {
+		if !j.table.HasProp(name) {
 			return sigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, name)
 		}
-		if local {
-			return sigNone, nil
+		return sigNone, j.table.SetProp(name, value)
+	}
+}
+
+func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, value bool) updateArm {
+	resolveName := j.compilePropName(pr)
+	resolveTo := j.compileTarget(target)
+	return func() (string, remoteUpdate, error) {
+		name, err := resolveName()
+		if err != nil {
+			return "", remoteUpdate{}, err
+		}
+		if j.table.HasProp(name) {
+			if err := j.table.SetProp(name, value); err != nil {
+				return "", remoteUpdate{}, err
+			}
 		}
 		to, err := resolveTo()
 		if err != nil {
-			return sigNone, err
+			return "", remoteUpdate{}, err
 		}
 		if to == j.FQName {
-			return sigNone, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
+			return "", remoteUpdate{}, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 		}
-		if err := j.sys.sendUpdate(ctx, j, to, compart.KindProp, name, value, nil); err != nil {
-			return sigNone, err
-		}
-		return sigNone, nil
+		return to, remoteUpdate{kind: compart.KindProp, key: name, flag: value}, nil
 	}
 }
 

@@ -26,9 +26,12 @@ import (
 
 // Uplink carries substrate frames from one location of a deployment to
 // another: in-process deployments forward straight into the destination
-// network, TCP deployments pass a transport client's Send. Errors are
-// advisory — a failed forward is a lost frame, exactly like a lossy link,
-// and the sender's ack machinery handles it.
+// network, TCP deployments pass a transport client's Send. A frame is either
+// one junction-addressed message or a compart.KindBatch envelope holding a
+// delivery group for one junction, which a transport server or a
+// compart.Network's Send unpacks on arrival. Errors are advisory — a failed
+// forward is a lost frame, exactly like a lossy link, and the sender's ack
+// machinery handles it.
 type Uplink func(compart.Message) error
 
 type location struct {
@@ -270,14 +273,14 @@ func (d *Deployment) uplink(from, to string) Uplink {
 	return dst.net.Send
 }
 
-// forward carries a junction-addressed frame from srcLoc toward the
-// destination junction's current location. Called from proxy endpoint
-// handlers; errors are dropped frames (the sender's ack machinery notices),
-// matching the fire-and-forget semantics of a transport bridge.
-func (d *Deployment) forward(srcLoc string, m compart.Message) error {
-	inst, _, ok := strings.Cut(m.To, "::")
+// route resolves the carrier for a frame a proxy endpoint at srcLoc received
+// for junction to: the uplink toward the junction's current location.
+func (d *Deployment) route(srcLoc, to string) Uplink {
+	inst, _, ok := strings.Cut(to, "::")
 	if !ok {
-		return fmt.Errorf("runtime: unroutable frame to %q", m.To)
+		return func(compart.Message) error {
+			return fmt.Errorf("runtime: unroutable frame to %q", to)
+		}
 	}
 	dest := d.LocationOf(inst)
 	if dest == srcLoc {
@@ -285,20 +288,19 @@ func (d *Deployment) forward(srcLoc string, m compart.Message) error {
 		// location is the real junction (cutover registers the destination
 		// handlers before flipping the map), so a stale proxy route just
 		// delivers locally.
-		return d.loc(srcLoc).net.Send(m)
+		return d.loc(srcLoc).net.Send
 	}
-	return d.uplink(srcLoc, dest)(m)
+	return d.uplink(srcLoc, dest)
 }
 
 // proxyHandlers builds the forwarding handler pair a non-owner location
-// registers under a junction's name.
+// registers under a junction's name: a single message crosses the uplink as
+// it is, a delivery group as one envelope (compart.SendGroup). Errors are
+// dropped frames (the sender's ack machinery notices), matching the
+// fire-and-forget semantics of a transport bridge.
 func (d *Deployment) proxyHandlers(srcLoc string) (compart.Handler, compart.BatchHandler) {
-	h := func(m compart.Message) { _ = d.forward(srcLoc, m) }
-	bh := func(ms []compart.Message) {
-		for _, m := range ms {
-			_ = d.forward(srcLoc, m)
-		}
-	}
+	h := func(m compart.Message) { _ = d.route(srcLoc, m.To)(m) }
+	bh := func(ms []compart.Message) { _ = compart.SendGroup(d.route(srcLoc, ms[0].To), ms) }
 	return h, bh
 }
 

@@ -152,10 +152,7 @@ func (j *Junction) exec(ctx context.Context, e dsl.Expr) (signal, error) {
 		if to == j.FQName {
 			return sigNone, fmt.Errorf("runtime: %s: write to self", j.FQName)
 		}
-		if err := j.sys.sendUpdate(ctx, j, to, compart.KindData, n.Data, false, payload); err != nil {
-			return sigNone, err
-		}
-		return sigNone, nil
+		return sigNone, j.sys.sendUpdates(ctx, j, to, []remoteUpdate{{kind: compart.KindData, key: n.Data, payload: payload}})
 
 	case dsl.Assert:
 		return j.execPropUpdate(ctx, n.Target, n.Prop, true)
@@ -224,10 +221,10 @@ func (j *Junction) execPar(ctx context.Context, branches dsl.Par) (signal, error
 	for i, b := range branches {
 		wg.Add(1)
 		i, b := i, b
-		goPar(func() {
+		go func() {
 			defer wg.Done()
 			sigs[i], errs[i] = j.exec(ctx, b)
-		})
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -269,10 +266,7 @@ func (j *Junction) execPropUpdate(ctx context.Context, target dsl.JunctionRef, p
 	if to == j.FQName {
 		return sigNone, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 	}
-	if err := j.sys.sendUpdate(ctx, j, to, compart.KindProp, name, value, nil); err != nil {
-		return sigNone, err
-	}
-	return sigNone, nil
+	return sigNone, j.sys.sendUpdates(ctx, j, to, []remoteUpdate{{kind: compart.KindProp, key: name, flag: value}})
 }
 
 // execWait blocks until the formula is true, admitting remote updates to the

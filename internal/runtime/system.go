@@ -639,13 +639,13 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 // granted and awaited:
 //
 //   - The pipelined default: each directed (sender,receiver) junction pair
-//     owns an ackWindow carrying its own sequence space. Concurrent
-//     junctions and par arms assign consecutive per-pair seqs and wait on
-//     their own channel, so many updates ride the link at once. The receiver
-//     tracks the contiguous delivery frontier per sender and answers with
-//     cumulative acks — one ack frame (payload: 8-byte cum frontier plus
-//     optional 8-byte out-of-order extras) completes every waiter at or
-//     below the frontier. One batch of N updates costs one ack frame, not N.
+//     owns an ackWindow carrying its own sequence space. A send is a group:
+//     the updates one par fires at one destination (or a single sequential
+//     update, the n = 1 case) take consecutive per-pair seqs, leave as one
+//     delivery group and wait on one range waiter. The receiver tracks the
+//     contiguous delivery frontier per sender and answers with cumulative
+//     acks — one ack frame (payload: 8-byte cum frontier plus optional 8-byte
+//     out-of-order extras) completes every range at or below the frontier.
 //   - The seed ablation (Options.DisableBatching): a global sequence, one
 //     channel per update in ackWait, one ack frame echoing each update's
 //     seq. Kept verbatim so BENCH_net.json's ablation measures the seed path.
@@ -655,6 +655,79 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 
 // pairKey identifies a directed (sender,receiver) junction pair.
 type pairKey struct{ from, to string }
+
+// remoteUpdate is one assert/retract/write bound for a remote junction.
+type remoteUpdate struct {
+	key     string
+	payload []byte
+	kind    compart.MessageKind
+	flag    bool
+}
+
+// rangeWaiter is one group send awaiting its delivery acks: the consecutive
+// per-pair sequences [lo,hi], complete when every one is acknowledged.
+type rangeWaiter struct {
+	lo, hi uint64
+	// base is the highest seq the cumulative frontier has covered inside the
+	// range (lo-1 at first); remaining counts the updates not yet acked.
+	base      uint64
+	remaining int
+	// extra marks, by offset from lo, the seqs above base acknowledged out of
+	// order, so a cumulative ack passing over them later does not count them
+	// twice. Allocated on the first vectored extra into a multi-update range,
+	// which only jittered or lossy in-process links produce.
+	extra []uint64
+	// ch receives the outcome exactly once, from whoever unlinks the waiter.
+	ch chan error
+	// Window queue links; linked is false once the waiter has been completed,
+	// failed or forgotten.
+	prev, next *rangeWaiter
+	linked     bool
+}
+
+// waiterPool recycles range waiters with their channel: every send needs one,
+// and every code path ends with the channel quiescent — either its single
+// send was received, or the waiter was forgotten before any send.
+var waiterPool = sync.Pool{New: func() any { return &rangeWaiter{ch: make(chan error, 1)} }}
+
+// coverTo advances the range's cumulative coverage to c (lo <= c < hi) and
+// returns how many updates that newly acknowledges.
+func (wt *rangeWaiter) coverTo(c uint64) int {
+	if c <= wt.base {
+		return 0
+	}
+	newly := int(c - wt.base)
+	if wt.extra != nil {
+		for seq := wt.base + 1; seq <= c; seq++ {
+			if i := seq - wt.lo; wt.extra[i/64]&(1<<(i%64)) != 0 {
+				newly--
+			}
+		}
+	}
+	wt.base = c
+	wt.remaining -= newly
+	return newly
+}
+
+// markExtra records the out-of-order acknowledgment of seq (lo <= seq <= hi),
+// reporting whether it was news.
+func (wt *rangeWaiter) markExtra(seq uint64) bool {
+	if seq <= wt.base {
+		return false
+	}
+	if wt.lo != wt.hi {
+		if wt.extra == nil {
+			wt.extra = make([]uint64, (wt.hi-wt.lo)/64+1)
+		}
+		i := seq - wt.lo
+		if wt.extra[i/64]&(1<<(i%64)) != 0 {
+			return false
+		}
+		wt.extra[i/64] |= 1 << (i % 64)
+	}
+	wt.remaining--
+	return true
+}
 
 // ackWindow is the per-pair pipelining state on the sender side.
 type ackWindow struct {
@@ -671,18 +744,68 @@ type ackWindow struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	cum     uint64 // highest cumulatively acknowledged sequence
-	waiters map[uint64]chan error
+	// head..tail queue the pending range waiters in sequence order (ranges
+	// are assigned and linked under mu), so a cumulative ack completes from
+	// the head without looking at anything it does not complete.
+	head, tail *rangeWaiter
 	// Watchdog state: instead of one timer per in-flight update, the window
 	// runs a single progress watchdog while waiters exist. acked counts
 	// completions; if a full AckTimeout passes with waiters pending and no
 	// completions, the frontier is stuck and the whole window fails. This
 	// bounds the oldest unacked update by at most 2x AckTimeout while
-	// keeping the per-update cost to a map insert (statement-level deadlines
+	// keeping the per-send cost to a queue link (statement-level deadlines
 	// remain the job of otherwise[t]'s context).
 	timer     *time.Timer
 	armed     bool
 	acked     uint64
 	lastAcked uint64
+}
+
+// pushLocked links a waiter at the tail; callers hold w.mu.
+func (w *ackWindow) pushLocked(wt *rangeWaiter) {
+	wt.prev, wt.next, wt.linked = w.tail, nil, true
+	if w.tail != nil {
+		w.tail.next = wt
+	} else {
+		w.head = wt
+	}
+	w.tail = wt
+}
+
+// unlinkLocked removes a waiter from the queue; callers hold w.mu and become
+// the waiter's sole completer.
+func (w *ackWindow) unlinkLocked(wt *rangeWaiter) {
+	if wt.prev != nil {
+		wt.prev.next = wt.next
+	} else {
+		w.head = wt.next
+	}
+	if wt.next != nil {
+		wt.next.prev = wt.prev
+	} else {
+		w.tail = wt.prev
+	}
+	wt.prev, wt.next, wt.linked = nil, nil, false
+}
+
+// takeAllLocked empties the queue and returns the former head, still chained
+// through next; callers hold w.mu.
+func (w *ackWindow) takeAllLocked() *rangeWaiter {
+	head := w.head
+	for wt := head; wt != nil; wt = wt.next {
+		wt.linked = false
+	}
+	w.head, w.tail = nil, nil
+	return head
+}
+
+// completeAll sends err to every waiter of a chain returned by takeAllLocked.
+func completeAll(head *rangeWaiter, err error) {
+	for wt := head; wt != nil; {
+		next := wt.next // the receiver may recycle wt as soon as ch fires
+		wt.ch <- err
+		wt = next
+	}
 }
 
 // armLocked (re)arms the watchdog; callers hold w.mu and have just added a
@@ -705,7 +828,7 @@ func (w *ackWindow) armLocked() {
 // frontier fails every pipelined update at once.
 func (w *ackWindow) watchdog() {
 	w.mu.Lock()
-	if len(w.waiters) == 0 {
+	if w.head == nil {
 		w.armed = false
 		w.mu.Unlock()
 		return
@@ -716,27 +839,22 @@ func (w *ackWindow) watchdog() {
 		w.mu.Unlock()
 		return
 	}
-	chs := make([]chan error, 0, len(w.waiters))
-	for seq, ch := range w.waiters {
-		delete(w.waiters, seq)
-		chs = append(chs, ch)
-	}
+	stalled := w.takeAllLocked()
 	w.armed = false
 	w.mu.Unlock()
-	err := fmt.Errorf("%w: no ack from %s within %s", ErrSendFailed, w.to, w.timeout)
-	for _, ch := range chs {
-		ch <- err
-	}
+	completeAll(stalled, fmt.Errorf("%w: no ack from %s within %s", ErrSendFailed, w.to, w.timeout))
 }
 
-// forget removes seq's waiter, reporting whether it was still pending (false
+// forget unlinks a waiter, reporting whether it was still pending (false
 // means an ack or window failure already completed it).
-func (w *ackWindow) forget(seq uint64) bool {
+func (w *ackWindow) forget(wt *rangeWaiter) bool {
 	w.mu.Lock()
-	_, ok := w.waiters[seq]
-	delete(w.waiters, seq)
-	w.mu.Unlock()
-	return ok
+	defer w.mu.Unlock()
+	if !wt.linked {
+		return false
+	}
+	w.unlinkLocked(wt)
+	return true
 }
 
 // fail completes every pending waiter on the window with err: a peer known
@@ -745,15 +863,9 @@ func (w *ackWindow) forget(seq uint64) bool {
 // revived peer opens where the sequence space left off.
 func (w *ackWindow) fail(err error) {
 	w.mu.Lock()
-	chs := make([]chan error, 0, len(w.waiters))
-	for seq, ch := range w.waiters {
-		delete(w.waiters, seq)
-		chs = append(chs, ch)
-	}
+	failed := w.takeAllLocked()
 	w.mu.Unlock()
-	for _, ch := range chs {
-		ch <- err // cap-1 channels; sole completer after removal from the map
-	}
+	completeAll(failed, err)
 }
 
 // window returns (creating on first use) the ack window for a directed pair.
@@ -762,7 +874,7 @@ func (s *System) window(from, to string) *ackWindow {
 	s.winMu.Lock()
 	w := s.windows[k]
 	if w == nil {
-		w = &ackWindow{to: to, timeout: s.opts.AckTimeout, waiters: map[uint64]chan error{}}
+		w = &ackWindow{to: to, timeout: s.opts.AckTimeout}
 		s.windows[k] = w
 	}
 	s.winMu.Unlock()
@@ -793,12 +905,17 @@ func (s *System) pendingAcks(from, to string) int {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.waiters)
+	n := 0
+	for wt := w.head; wt != nil; wt = wt.next {
+		n += wt.remaining
+	}
+	return n
 }
 
 // ackPair processes one cumulative/vectored ack frame on the sender side:
-// every waiter with seq <= cum completes, plus the explicitly listed
-// out-of-order extras.
+// every range at or below cum completes from the head of the queue, a range
+// the frontier cuts through is credited up to it, and each listed
+// out-of-order extra is credited to the range holding it.
 func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 	s.winMu.Lock()
 	w := s.windows[pairKey{from, to}]
@@ -806,68 +923,124 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 	if w == nil {
 		return
 	}
-	var done []chan error
+	var doneBuf [4]*rangeWaiter
+	done := doneBuf[:0]
+	acked := 0
 	w.mu.Lock()
 	if cum > w.cum {
 		w.cum = cum
-	}
-	for seq, ch := range w.waiters {
-		if seq <= w.cum {
-			delete(w.waiters, seq)
-			done = append(done, ch)
+		for wt := w.head; wt != nil && wt.lo <= cum; {
+			next := wt.next
+			if cum >= wt.hi {
+				acked += wt.remaining
+				wt.remaining = 0
+			} else {
+				acked += wt.coverTo(cum)
+			}
+			if wt.remaining == 0 {
+				w.unlinkLocked(wt)
+				done = append(done, wt)
+			}
+			wt = next
 		}
 	}
 	for _, e := range extras {
-		if ch, ok := w.waiters[e]; ok {
-			delete(w.waiters, e)
-			done = append(done, ch)
+		for wt := w.head; wt != nil && wt.lo <= e; wt = wt.next {
+			if e > wt.hi {
+				continue
+			}
+			if wt.markExtra(e) {
+				acked++
+				if wt.remaining == 0 {
+					w.unlinkLocked(wt)
+					done = append(done, wt)
+				}
+			}
+			break
 		}
 	}
-	w.acked += uint64(len(done)) // progress, as seen by the watchdog
+	w.acked += uint64(acked) // progress, as seen by the watchdog
 	w.mu.Unlock()
-	for _, ch := range done {
-		ch <- nil
+	for _, wt := range done {
+		wt.ch <- nil
 	}
 }
 
-// sendUpdate ships one assert/retract/write from a junction to a remote
-// junction and waits for its delivery acknowledgment. The wait respects
-// ctx's deadline; the per-window progress watchdog bounds how long a stuck
-// frontier can hold waiters (see ackWindow).
-func (s *System) sendUpdate(ctx context.Context, j *Junction, to string, kind compart.MessageKind, key string, flag bool, payload []byte) error {
+// sendUpdates ships a group of assert/retract/write updates from a junction
+// to one remote junction and waits until every one is acknowledged as
+// delivered. The group takes consecutive sequences on the pair's window in
+// slice order, crosses the substrate as one delivery group (one envelope on
+// a wire, one KV batch and one cumulative ack at the receiver) and waits on
+// one range waiter, so a par's updates to one destination cost what one
+// update costs in round trips; a sequential statement is the group of one.
+// The wait respects ctx's deadline; the per-window progress watchdog bounds
+// how long a stuck frontier can hold waiters (see ackWindow).
+func (s *System) sendUpdates(ctx context.Context, j *Junction, to string, ups []remoteUpdate) error {
 	if s.opts.DisableBatching {
-		return s.sendUpdateUnbatched(ctx, j, to, kind, key, flag, payload)
+		// The seed plane has no group form (compilePar builds none under it).
+		var first error
+		for _, u := range ups {
+			if err := s.sendUpdateUnbatched(ctx, j, to, u.kind, u.key, u.flag, u.payload); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	}
+	n := len(ups)
 	from := j.FQName
 	w := s.junctionWindow(j, to)
-	ch := ackChPool.Get().(chan error)
+	wt := waiterPool.Get().(*rangeWaiter)
 	tracing := s.obs.Tracing()
+
+	// One buffer carries every seq-prefixed body of the group.
+	size := 8 * n
+	for _, u := range ups {
+		size += len(u.payload)
+	}
+	buf := make([]byte, size)
+	frame := func(i int, seq uint64) compart.Message {
+		u := ups[i]
+		body := buf[: 8+len(u.payload) : 8+len(u.payload)]
+		buf = buf[len(body):]
+		binary.BigEndian.PutUint64(body, seq)
+		copy(body[8:], u.payload)
+		return compart.Message{From: from, To: to, Kind: u.kind, Key: u.key, Flag: u.flag, Payload: body}
+	}
 
 	w.sendMu.Lock()
 	w.mu.Lock()
-	w.nextSeq++
-	seq := w.nextSeq
-	w.waiters[seq] = ch
+	lo := w.nextSeq + 1
+	w.nextSeq += uint64(n)
+	hi := w.nextSeq
+	wt.lo, wt.hi, wt.base, wt.remaining, wt.extra = lo, hi, lo-1, n, nil
+	w.pushLocked(wt)
 	w.armLocked()
 	w.mu.Unlock()
-	// Ack latency is sampled 1-in-8 (the histogram is a sample, not a
-	// census): at pipelined rates two time.Now calls per update are a
-	// measurable share of the send path. Tracing still times every update —
-	// trace events carry their own Dur.
+	// Ack latency is sampled for the groups holding every 8th sequence (the
+	// histogram is a sample, not a census): at pipelined rates two time.Now
+	// calls per send are a measurable share of the send path. Tracing still
+	// times every group — trace events carry their own Dur.
 	var start time.Time
-	timing := s.obs.Timing() && (tracing || seq&7 == 0)
+	timing := s.obs.Timing() && (tracing || hi>>3 != (lo-1)>>3)
 	if timing {
 		start = time.Now()
 	}
-	body := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint64(body, seq)
-	copy(body[8:], payload)
-	err := j.net.Send(compart.Message{From: from, To: to, Kind: kind, Key: key, Flag: flag, Payload: body})
+	var err error
+	if n == 1 {
+		err = j.net.Send(frame(0, lo))
+	} else {
+		msgs := make([]compart.Message, n)
+		for i := range msgs {
+			msgs[i] = frame(i, lo+uint64(i))
+		}
+		err = j.net.SendBatch(msgs)
+	}
 	w.sendMu.Unlock()
 	if err != nil {
-		if w.forget(seq) {
-			ackChPool.Put(ch)
+		if !w.forget(wt) {
+			<-wt.ch // a window failure completed it meanwhile: drain before reuse
 		}
+		waiterPool.Put(wt)
 		if errors.Is(err, compart.ErrEndpointDown) {
 			// Transport-level liveness (crash, or a BridgeLive whose
 			// heartbeats went unanswered) already knows the peer is gone:
@@ -880,43 +1053,38 @@ func (s *System) sendUpdate(ctx context.Context, j *Junction, to string, kind co
 		return fmt.Errorf("%w: %v", ErrSendFailed, err)
 	}
 
-	finish := func(werr error) error {
-		// The channel saw its one send and one receive; it is quiescent and
-		// can be recycled.
-		ackChPool.Put(ch)
-		if werr != nil {
-			return werr
+	var werr error
+	select {
+	case werr = <-wt.ch:
+	case <-ctx.Done():
+		if w.forget(wt) {
+			// otherwise[t] expired with the range still pending: the whole
+			// range is forgotten, and no completer holds the waiter.
+			waiterPool.Put(wt)
+			return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
 		}
-		j.met.RemoteAcked.Add(1)
-		var d time.Duration
-		if timing {
-			d = time.Since(start)
-			j.met.Ack.Observe(d)
-		}
-		if tracing {
+		// An ack raced the cancellation: the group was delivered, the
+		// statement completes normally.
+		werr = <-wt.ch
+	}
+	// The channel saw its one send and one receive; the waiter is quiescent.
+	waiterPool.Put(wt)
+	if werr != nil {
+		return werr
+	}
+	j.met.RemoteAcked.Add(uint64(n))
+	var d time.Duration
+	if timing {
+		d = time.Since(start)
+		j.met.Ack.Observe(d)
+	}
+	if tracing {
+		for seq := lo; seq <= hi; seq++ {
 			s.obs.Emit(obsv.Event{Kind: obsv.EvRemoteAcked, Junction: from, Key: to, Peer: to, N: int64(seq), Dur: d})
 		}
-		return nil
 	}
-
-	select {
-	case werr := <-ch:
-		return finish(werr)
-	case <-ctx.Done():
-		if !w.forget(seq) {
-			// An ack raced the cancellation: the update was delivered, the
-			// statement completes normally.
-			return finish(<-ch)
-		}
-		ackChPool.Put(ch) // forgotten before any send: quiescent
-		return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
-	}
+	return nil
 }
-
-// ackChPool recycles waiter channels: the pipelined path allocates one per
-// in-flight update, and every code path ends with the channel quiescent —
-// either its single send was received, or it was forgotten before any send.
-var ackChPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // sendUpdateUnbatched is the seed remote-update path, selected by
 // Options.DisableBatching: one global sequence number, one ack channel and
