@@ -134,6 +134,18 @@ func (ji *JunctionInfo) HasProp(name string) bool { return ji.decls.props[name] 
 // HasData reports whether the data name is declared here.
 func (ji *JunctionInfo) HasData(name string) bool { return ji.decls.data[name] }
 
+// ReadRemotely reports whether a formula of another junction (a guard, wait,
+// verify, if or case condition with a junction-qualified proposition) reads
+// the proposition key from this junction's table.
+func (ji *JunctionInfo) ReadRemotely(key string) bool {
+	for _, a := range ji.Reads["p:"+key] {
+		if a.From != "" && a.From != ji.FQ {
+			return true
+		}
+	}
+	return false
+}
+
 // IdxUniverse returns the static element universe an idx declaration ranges
 // over (the elements of its set, or of a subset's parent set). ok is false
 // when the idx is not declared or its universe cannot be resolved statically.

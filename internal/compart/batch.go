@@ -94,21 +94,24 @@ func PackBatch(msgs []Message) (Message, error) {
 // SendGroup carries a delivery group through a single-message carrier (a
 // transport client's Send, a deployment uplink): several messages travel as
 // one KindBatch envelope, which the far side unpacks back into one group. A
-// group no envelope can hold goes message by message; the first carrier error
-// is returned.
+// group no envelope can hold (over the 16 MiB frame limit) goes message by
+// message, in order, over the same carrier, and stops at the first carrier
+// error. Either way the far side sees a prefix of the group at worst: an
+// envelope arrives whole or not at all, and the per-message fallback rides
+// one FIFO connection, so a later member never arrives without the earlier
+// ones — the property Network.SendBatch keeps for in-process links.
 func SendGroup(send func(Message) error, msgs []Message) error {
 	if len(msgs) > 1 {
 		if env, err := PackBatch(msgs); err == nil {
 			return send(env)
 		}
 	}
-	var first error
 	for _, m := range msgs {
-		if err := send(m); err != nil && first == nil {
-			first = err
+		if err := send(m); err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // batchBodyCount reports whether an encoded frame body is a KindBatch

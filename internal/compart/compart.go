@@ -70,8 +70,10 @@ type Handler func(Message)
 // BatchHandler receives a delivery group: several messages for the same
 // endpoint that crossed the network together (one decoded KindBatch
 // envelope, grouped by destination). Like Handler it runs on the delivering
-// goroutine. Endpoints registered without one (Register) receive group
-// members individually through their Handler.
+// goroutine. The slice belongs to the sender and is valid only during the
+// call: a handler that keeps messages copies them out. Endpoints registered
+// without one (Register) receive group members individually through their
+// Handler.
 type BatchHandler func([]Message)
 
 // LinkConfig describes the behaviour of a directed link.
@@ -358,20 +360,40 @@ type batchGroup struct {
 	msgs  []Message
 }
 
+// batchLink is what SendBatch remembers about one directed link for the
+// length of a call: the delay sampled for it, and whether it has already lost
+// a member.
+type batchLink struct {
+	key   linkKey
+	delay time.Duration
+	// sampled is false until the first surviving member draws the delay.
+	sampled bool
+	// cut is set by the first member the link drops or rejects; every later
+	// member on the link is lost with it.
+	cut bool
+}
+
 // SendBatch delivers a group of messages with per-message link accounting
 // but grouped delivery: surviving messages for the same destination are
 // handed to the endpoint's BatchHandler in one call (falling back to the
-// per-message Handler when none is registered). Each message is individually
-// subject to its link's partition/drop configuration, preserving the
-// conservation invariant exactly as N Send calls would; latency and jitter
-// are sampled once per directed link per batch, so a group crosses a lossy
-// link as one unit rather than fanning out into per-message timers.
+// per-message Handler when none is registered). Every message is counted on
+// its link exactly as a Send would count it, so the conservation invariant
+// holds as for N Send calls; latency and jitter are sampled once per directed
+// link per batch, so a group crosses a link as one unit rather than fanning
+// out into per-message timers.
 //
-// The network takes ownership of msgs: the common group — every message
-// surviving to one endpoint under one delay — is delivered as the slice
-// itself, without regrouping. The returned error is the first condition
-// known at send time (closure, down endpoint, partition), as Send would
-// report it; the rest of the group is still sent.
+// Loss is prefix-closed per directed link within one call: once a link drops
+// or rejects a member, every later member on that link is lost too (still
+// counted one by one, Dropped after a drop and Rejected after a rejection). A
+// group models one frame on one FIFO connection — a receiver may get a prefix
+// of what a sender grouped, never a later member without the earlier ones, so
+// a sender may group statements whose order matters.
+//
+// msgs is the caller's: a group delivered at once reaches its handler as a
+// sub-slice of msgs before SendBatch returns, a delayed group is copied, and
+// handlers do not keep the slice (BatchHandler). The returned error is the
+// first condition known at send time (closure, down endpoint, partition), as
+// Send would report it; members on other links are still sent.
 func (n *Network) SendBatch(msgs []Message) error {
 	if len(msgs) == 0 {
 		return nil
@@ -383,31 +405,28 @@ func (n *Network) SendBatch(msgs []Message) error {
 		return ErrNetworkClosed
 	}
 	var firstErr error
-	// While uniform, msgs[:i] all survived into the one group (uTo, uDelay)
-	// and nothing has been copied; the first message that breaks the pattern
+	// While uniform, msgs[:kept] all survived into the one group (uTo, uDelay)
+	// and nothing has been copied; the first survivor that breaks the pattern
 	// spills that prefix into groups and the general regrouping takes over.
 	uniform := true
+	kept := 0
 	var uTo string
 	var uDelay time.Duration
 	var groups []*batchGroup
-	spill := func(i int) {
+	spill := func() {
 		uniform = false
-		if i > 0 {
-			prefix := append(make([]Message, 0, len(msgs)), msgs[:i]...)
-			groups = append(groups, &batchGroup{to: uTo, delay: uDelay, msgs: prefix})
+		if kept > 0 {
+			groups = append(groups, &batchGroup{to: uTo, delay: uDelay, msgs: append([]Message(nil), msgs[:kept]...)})
 		}
 	}
-	// Delay memo per link: a slice beats a map at the 1-2 distinct links a
-	// typical delivery group spans, and allocates nothing.
-	type linkDelay struct {
-		key linkKey
-		d   time.Duration
-	}
-	var delayMemo [4]linkDelay
-	delays := delayMemo[:0]
+	// Per-link memo: a slice beats a map at the 1-2 distinct links a typical
+	// delivery group spans, and allocates nothing.
+	var linkMemo [4]batchLink
+	links := linkMemo[:0]
 	// Link state is looked up once per run of messages on the same link.
 	var (
 		key linkKey
+		bl  *batchLink
 		ls  *LinkStats
 		ep  *endpoint
 		ok  bool
@@ -419,10 +438,20 @@ func (n *Network) SendBatch(msgs []Message) error {
 			ls = n.linkStatsLocked(key)
 			ep, ok = n.endpoints[msg.To]
 			cfg = n.linkLocked(key)
+			bl = nil
+			for l := range links {
+				if links[l].key == key {
+					bl = &links[l]
+					break
+				}
+			}
+			if bl == nil {
+				links = append(links, batchLink{key: key})
+				bl = &links[len(links)-1]
+			}
 		}
 		n.stats.Sent++
 		ls.Sent++
-		lost := true
 		switch down := !ok || !ep.up; {
 		case down || cfg.Partitioned:
 			n.stats.Rejected++
@@ -435,60 +464,67 @@ func (n *Network) SendBatch(msgs []Message) error {
 			} else if firstErr == nil {
 				firstErr = fmt.Errorf("%w: %s→%s", ErrPartitioned, msg.From, msg.To)
 			}
-		case cfg.DropProb > 0 && n.rng.Float64() < cfg.DropProb:
+			bl.cut = true
+		case bl.cut || (cfg.DropProb > 0 && n.rng.Float64() < cfg.DropProb):
 			n.stats.Dropped++
 			ls.Dropped++
-		default:
-			lost = false
+			bl.cut = true
 		}
-		if lost {
-			if uniform {
-				spill(i)
-			}
+		if bl.cut {
 			continue
 		}
-		var delay time.Duration
-		sampled := false
-		for _, ld := range delays {
-			if ld.key == key {
-				delay, sampled = ld.d, true
-				break
-			}
-		}
-		if !sampled {
-			delay = cfg.Latency
+		if !bl.sampled {
+			bl.sampled = true
+			bl.delay = cfg.Latency
 			if cfg.Jitter > 0 {
-				delay += time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
+				bl.delay += time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
 			}
-			delays = append(delays, linkDelay{key, delay})
 		}
 		if uniform {
-			if i == 0 {
-				uTo, uDelay = msg.To, delay
+			if kept == 0 {
+				uTo, uDelay = msg.To, bl.delay
 			}
-			if msg.To == uTo && delay == uDelay {
+			// Only a survivor directly behind the kept prefix extends it in
+			// place: one behind a lost member would leave a hole in msgs[:kept].
+			if kept == i && msg.To == uTo && bl.delay == uDelay {
+				kept++
 				continue
 			}
-			spill(i)
+			spill()
 		}
 		var g *batchGroup
 		for _, c := range groups {
-			if c.to == msg.To && c.delay == delay {
+			if c.to == msg.To && c.delay == bl.delay {
 				g = c
 				break
 			}
 		}
 		if g == nil {
-			g = &batchGroup{to: msg.To, delay: delay}
+			g = &batchGroup{to: msg.To, delay: bl.delay}
 			groups = append(groups, g)
 		}
 		g.msgs = append(g.msgs, msg)
 	}
 	if uniform {
-		groups = []*batchGroup{{to: uTo, delay: uDelay, msgs: msgs}}
+		// The usual group — one destination, one delay, at most a lost tail —
+		// needs no regrouping: delivered now it is a sub-slice of msgs, counted
+		// and handed over exactly like Send's synchronous path.
+		if kept == 0 {
+			n.mu.Unlock()
+			return firstErr
+		}
+		if uDelay <= 0 {
+			ep := n.endpoints[uTo]
+			h, bh := ep.handler, ep.batch
+			n.deliveredLocked(ep, msgs[:kept], start)
+			n.mu.Unlock()
+			deliverGroup(h, bh, msgs[:kept])
+			return firstErr
+		}
+		spill()
 	}
 	// Immediate groups are counted Delivered and their handlers captured
-	// under the lock, exactly like Send's synchronous path.
+	// under the lock.
 	type ready struct {
 		h    Handler
 		bh   BatchHandler

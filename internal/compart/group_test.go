@@ -299,6 +299,64 @@ func TestSendBatchGrouping(t *testing.T) {
 	}
 }
 
+// TestSendBatchLossIsPrefixClosed: on a lossy link a group may lose its tail
+// but never a member from the middle — once the link drops one member of a
+// call, the members behind it on that link go with it, each still counted —
+// so no receiver ever holds member s+1 of a group without member s. A second
+// link in the same call is cut (or not) on its own.
+func TestSendBatchLossIsPrefixClosed(t *testing.T) {
+	n := newTestNetwork(t, 20230517)
+	n.SetLink("src", "sink", LinkConfig{DropProb: 0.2})
+	n.SetLink("src", "other", LinkConfig{DropProb: 0.2})
+	// Per endpoint, the members (by index within their group) the last call
+	// delivered, in arrival order.
+	got := map[string][]int{}
+	for _, name := range []string{"sink", "other"} {
+		n.RegisterBatch(name, func(m Message) { got[name] = append(got[name], int(m.Payload[0])) },
+			func(ms []Message) {
+				for _, m := range ms {
+					got[name] = append(got[name], int(m.Payload[0]))
+				}
+			})
+	}
+	const groups, width = 400, 6
+	cutShort, whole := 0, 0
+	for g := 0; g < groups; g++ {
+		// Members alternate between the two links; Payload[0] is the member's
+		// index among those bound for its endpoint.
+		msgs := make([]Message, 0, 2*width)
+		for i := 0; i < width; i++ {
+			msgs = append(msgs,
+				Message{From: "src", To: "sink", Kind: KindProp, Key: "k", Payload: []byte{byte(i)}},
+				Message{From: "src", To: "other", Kind: KindProp, Key: "k", Payload: []byte{byte(i)}})
+		}
+		got["sink"], got["other"] = nil, nil
+		if err := n.SendBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+		for name, members := range got {
+			for i, m := range members {
+				if m != i {
+					t.Fatalf("group %d at %s: received members %v — member %d arrived without member %d", g, name, members, m, i)
+				}
+			}
+			switch len(members) {
+			case width:
+				whole++
+			default:
+				cutShort++
+			}
+		}
+	}
+	if cutShort == 0 || whole == 0 {
+		t.Fatalf("%d groups cut short, %d whole: the seed exercises only one side", cutShort, whole)
+	}
+	st := n.Stats()
+	if st.Sent != 2*groups*width || st.Dropped == 0 || !st.Conserved() {
+		t.Fatalf("counters not per message or not conserved: %+v", st)
+	}
+}
+
 // TestGroupStatsConservationUnderChurn is TestBatchingStatsConservationUnderChurn
 // for envelopes built above the client: groups go through SendGroup at a sink
 // that crashes and revives mid-stream. The client counts every envelope it

@@ -2,7 +2,8 @@
 // programs: from the plan-level read/write sets and the §8.7 topology it
 // predicts, per junction, how a firing prices out on the remote-update plane
 // — updates sent (each one message plus a delivery ack), wire frames after
-// par-arm batch coalescing, sequential ack round trips — and propagates
+// the compiler's grouping of par arms and straight-line runs (wire.go),
+// sequential ack round trips — and propagates
 // guard-triggering updates into per-drive activations, yielding a
 // whole-architecture cross-junction traffic matrix that can be priced under
 // an instance→location placement.
@@ -73,7 +74,8 @@ type Junction struct {
 	// round of the root junctions).
 	Activation float64
 	// Updates / Frames / Rounds are per firing: remote updates sent, wire
-	// frames after par coalescing, and the sequential acked-round-trip depth.
+	// frames after group sends, and the sequential acked-round-trip depth
+	// (one round per group awaited in sequence).
 	Updates float64
 	Frames  float64
 	Rounds  int
@@ -84,8 +86,7 @@ type Junction struct {
 	// if/case conditions), which evaluate Unknown across a bridge.
 	BodyReads []GuardRead
 
-	out       map[string]*Edge
-	coalesced float64
+	out map[string]*Edge
 }
 
 // GuardRead is one remote-qualified read of a guard or body formula.
@@ -218,8 +219,9 @@ type update struct {
 	guardKey float64 // portion of weight landing in to's guard read-set
 }
 
-// walkBody charges a junction's body: per-firing updates/frames/rounds, the
-// update edges, fan-out sites, ping-pong segments, and remote body reads.
+// walkBody charges a junction's body: per-firing updates, the update edges,
+// fan-out sites, ping-pong segments, and remote body reads; frames and rounds
+// come from the wire walk.
 func (m *Model) walkBody(j *Junction) {
 	ji := j.Info
 	var ops []interface{} // update | waitMark, in program order
@@ -274,23 +276,19 @@ func (m *Model) walkBody(j *Junction) {
 		}
 	}
 
-	var walk func(e dsl.Expr, pos string, w float64) ([]update, int)
-	// walk returns the updates emitted in e's subtree and the sequential
-	// acked-round-trip depth of e.
-	walkSeq := func(body []dsl.Expr, pos, seg string, w float64) ([]update, int) {
+	// walk returns the updates emitted in e's subtree.
+	var walk func(e dsl.Expr, pos string, w float64) []update
+	walkSeq := func(body []dsl.Expr, pos, seg string, w float64) []update {
 		var all []update
-		depth := 0
 		for i, child := range body {
-			us, d := walk(child, fmt.Sprintf("%s%s[%d]", pos, seg, i), w)
-			all = append(all, us...)
-			depth += d
+			all = append(all, walk(child, fmt.Sprintf("%s%s[%d]", pos, seg, i), w)...)
 		}
-		return all, depth
+		return all
 	}
-	walk = func(e dsl.Expr, pos string, w float64) ([]update, int) {
+	walk = func(e dsl.Expr, pos string, w float64) []update {
 		switch n := e.(type) {
 		case nil:
-			return nil, 0
+			return nil
 		case dsl.Seq:
 			return walkSeq(n, pos, "", w)
 		case dsl.Scope:
@@ -299,98 +297,73 @@ func (m *Model) walkBody(j *Junction) {
 			return walkSeq(n.Body, pos, "/txn", w)
 		case dsl.Par:
 			var all []update
-			depth := 0
-			armPeers := make([]map[string]float64, len(n))
+			armPeers := make([]map[string]bool, len(n))
 			for i, child := range n {
-				us, d := walk(child, fmt.Sprintf("%s/par[%d]", pos, i), w)
+				us := walk(child, fmt.Sprintf("%s/par[%d]", pos, i), w)
 				all = append(all, us...)
-				if d > depth {
-					depth = d // arms pipeline concurrently
-				}
-				armPeers[i] = map[string]float64{}
+				armPeers[i] = map[string]bool{}
 				for _, u := range us {
-					armPeers[i][u.to.FQ] += u.weight
+					armPeers[i][u.to.FQ] = true
 				}
 			}
-			m.parShape(j, pos, armPeers)
-			return all, depth
+			m.fanout(j, pos, armPeers)
+			return all
 		case dsl.ParN:
-			us, d := walkSeq(n.Body, pos, "/parn", w*float64(n.N))
+			us := walkSeq(n.Body, pos, "/parn", w*float64(n.N))
 			if n.N > 1 && len(us) > 0 {
-				// n identical replicas to the same peers coalesce like par
-				// arms: one envelope per destination per wave.
-				peers := map[string]float64{}
+				// n identical replicas reach the same peers.
+				peers := map[string]bool{}
 				for _, u := range us {
-					peers[u.to.FQ] += u.weight / float64(n.N)
+					peers[u.to.FQ] = true
 				}
-				arms := make([]map[string]float64, n.N)
+				arms := make([]map[string]bool, n.N)
 				for i := range arms {
 					arms[i] = peers
 				}
-				m.parShape(j, pos, arms)
+				m.fanout(j, pos, arms)
 			}
-			return us, d
+			return us
 		case dsl.Otherwise:
 			// Failure handlers are off the steady-state path.
 			return walk(n.Try, pos+"/try", w)
 		case dsl.If:
 			m.bodyReads(j, pos, n.Cond)
-			us1, d1 := walk(n.Then, pos+"/then", w)
-			us2, d2 := walk(n.Else, pos+"/else", w)
-			if d2 > d1 {
-				d1 = d2
-			}
-			return append(us1, us2...), d1
+			return append(walk(n.Then, pos+"/then", w), walk(n.Else, pos+"/else", w)...)
 		case dsl.Case:
 			var all []update
-			depth := 0
 			for i, a := range n.Arms {
 				m.bodyReads(j, fmt.Sprintf("%s/arm[%d]", pos, i), a.Cond)
-				us, d := walkSeq(a.Body, pos, fmt.Sprintf("/arm[%d]", i), w)
-				all = append(all, us...)
-				if d > depth {
-					depth = d
-				}
+				all = append(all, walkSeq(a.Body, pos, fmt.Sprintf("/arm[%d]", i), w)...)
 			}
-			us, d := walkSeq(n.Otherwise, pos, "/otherwise", w)
-			all = append(all, us...)
-			if d > depth {
-				depth = d
-			}
-			return all, depth
+			return append(all, walkSeq(n.Otherwise, pos, "/otherwise", w)...)
 		case dsl.Assert:
 			keys, _ := ji.PropKeys(n.Prop)
 			us := emit(pos, n.Target, keys, w, false)
 			record(us)
-			return us, roundDepth(us)
+			return us
 		case dsl.Retract:
 			keys, _ := ji.PropKeys(n.Prop)
 			us := emit(pos, n.Target, keys, w, false)
 			record(us)
-			return us, roundDepth(us)
+			return us
 		case dsl.Write:
 			us := emit(pos, n.To, nil, w, true)
 			record(us)
-			return us, roundDepth(us)
+			return us
 		case dsl.Wait:
 			m.bodyReads(j, pos, n.Cond)
 			ops = append(ops, waitMark{})
-			return nil, 0
+			return nil
 		case dsl.Verify:
 			m.bodyReads(j, pos, n.Cond)
-			return nil, 0
+			return nil
 		default:
-			return nil, 0
+			return nil
 		}
 	}
 
-	_, j.Rounds = walkSeq(ji.Def.Body, ji.FQ+"/body", "", 1)
-
-	// Frames: updates minus what par-arm coalescing saves.
-	j.Frames = j.Updates - j.coalesced
-	if j.Frames < 0 {
-		j.Frames = 0
-	}
+	walkSeq(ji.Def.Body, ji.FQ+"/body", "", 1)
+	j.Frames, j.Rounds = wire{m, ji}.seq(ji.Def.Body, 1)
 
 	// Ping-pong: split the in-order op stream on waits; a peer updated in
 	// ≥2 segments pays ≥2 wait-separated cross-instance exchanges per firing.
@@ -430,41 +403,24 @@ func (m *Model) walkBody(j *Junction) {
 	}
 }
 
-// roundDepth is the acked-round-trip depth of one statement's updates: a
-// statement completes at its delivery ack, so any update costs one round.
-func roundDepth(us []update) int {
-	if len(us) == 0 {
-		return 0
-	}
-	return 1
-}
-
-// parShape accounts one par statement: coalescing savings (arms updating the
-// same peer pack into per-destination envelopes) and fan-out sites (arms
-// updating distinct peers cannot).
-func (m *Model) parShape(j *Junction, pos string, armPeers []map[string]float64) {
-	perPeerArms := map[string]int{}
-	perPeerMin := map[string]float64{}
+// fanout records a par statement whose arms update several distinct peers:
+// a group send packs one destination's updates, never across destinations.
+func (m *Model) fanout(j *Junction, pos string, armPeers []map[string]bool) {
+	distinctSet := map[string]bool{}
 	armsSending := 0
 	for _, peers := range armPeers {
 		if len(peers) > 0 {
 			armsSending++
 		}
-		for fq, w := range peers {
-			perPeerArms[fq]++
-			if cur, ok := perPeerMin[fq]; !ok || w < cur {
-				perPeerMin[fq] = w
-			}
+		for fq := range peers {
+			distinctSet[fq] = true
 		}
 	}
-	var distinct []string
-	for fq := range perPeerArms {
-		distinct = append(distinct, fq)
-		if k := perPeerArms[fq]; k > 1 {
-			j.coalesced += float64(k-1) * perPeerMin[fq]
+	if armsSending >= 2 && len(distinctSet) >= 2 {
+		distinct := make([]string, 0, len(distinctSet))
+		for fq := range distinctSet {
+			distinct = append(distinct, fq)
 		}
-	}
-	if armsSending >= 2 && len(distinct) >= 2 {
 		sort.Strings(distinct)
 		j.Fanouts = append(j.Fanouts, Fanout{Pos: pos, Arms: armsSending, Peers: distinct})
 	}

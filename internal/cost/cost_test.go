@@ -54,12 +54,10 @@ func TestSnapshotModel(t *testing.T) {
 	if act.Guard != GuardInvoked {
 		t.Fatalf("Act guard = %q, want invoked", act.Guard)
 	}
-	if act.Activation != 1 || act.Updates != 2 || act.Rounds != 2 {
-		t.Fatalf("Act activation/updates/rounds = %v/%v/%v, want 1/2/2", act.Activation, act.Updates, act.Rounds)
-	}
-	// No par in the body: nothing coalesces, frames == updates.
-	if act.Frames != act.Updates {
-		t.Fatalf("Act frames = %v, want %v", act.Frames, act.Updates)
+	// write(n, Aud); assert [Aud] Work are adjacent and share a destination:
+	// two updates, one frame, one ack round.
+	if act.Activation != 1 || act.Updates != 2 || act.Frames != 1 || act.Rounds != 1 {
+		t.Fatalf("Act activation/updates/frames/rounds = %v/%v/%v/%v, want 1/2/1/1", act.Activation, act.Updates, act.Frames, act.Rounds)
 	}
 
 	aud := m.Junctions["Aud::junction"]
@@ -152,7 +150,7 @@ func TestParallelShardingModel(t *testing.T) {
 		}
 	}
 	// ForExpr nests Par{b1, Par{b2, b3}}: both levels fan out across
-	// distinct peers, and nothing coalesces.
+	// distinct peers, and nothing coalesces across arms.
 	fnt := m.Junctions["Fnt::junction"]
 	if len(fnt.Fanouts) != 2 {
 		t.Fatalf("fanouts = %+v, want 2 sites", fnt.Fanouts)
@@ -160,8 +158,10 @@ func TestParallelShardingModel(t *testing.T) {
 	if got := len(fnt.Fanouts[0].Peers) + len(fnt.Fanouts[1].Peers); got != 5 {
 		t.Fatalf("fanout peers = %+v, want 3 outer + 2 inner", fnt.Fanouts)
 	}
-	if fnt.Frames != fnt.Updates {
-		t.Fatalf("frames = %v, want %v (distinct peers cannot coalesce)", fnt.Frames, fnt.Updates)
+	// Inside each arm write(n, b); assert [b] Work[b] are adjacent: one frame
+	// per engaged back-end, and the arms overlap, so one round.
+	if fnt.Updates != 6 || fnt.Frames != 3 || fnt.Rounds != 1 {
+		t.Fatalf("updates/frames/rounds = %v/%v/%v, want 6/3/1", fnt.Updates, fnt.Frames, fnt.Rounds)
 	}
 }
 

@@ -15,16 +15,18 @@ import (
 	"csaw/internal/cost"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/obsv"
 	"csaw/internal/patterns"
 	"csaw/internal/runtime"
 )
 
 // The model's FramesPerFiring says a par's updates to one peer cross as one
-// frame. The runtime decides that grouping when it compiles the par, so what
-// reaches an uplink per firing is a property of the program, not of which
-// senders the scheduler happened to run before the transport pump: these
-// tests count frames where a deployment hands them to its uplink and require
-// the prediction exactly, at one P and at the default.
+// frame, and so do adjacent updates of a sequence to one peer. The runtime
+// decides both groupings when it compiles the body (by the same two rules in
+// internal/plan), so what reaches an uplink per firing is a property of the
+// program, not of which senders the scheduler happened to run before the
+// transport pump: these tests count frames where a deployment hands them to
+// its uplink and require the prediction exactly, at one P and at the default.
 
 // frameTally counts the update-carrying frames each junction hands to an
 // uplink: a plain update is one frame, an envelope is one frame however many
@@ -60,7 +62,8 @@ func (ft *frameTally) wrap(send runtime.Uplink) runtime.Uplink {
 
 // runOverTCP deploys prog on the placement's locations, each a network behind
 // a loopback TCP server with a reconnecting client per directed pair, fires
-// the root junction rounds times, and returns frames per firing per junction.
+// the root junction rounds times, and returns frames per firing for every
+// junction that fired.
 func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, rootInst, rootJn string, rounds int) map[string]float64 {
 	t.Helper()
 	locSet := map[string]bool{}
@@ -140,8 +143,10 @@ func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, ro
 	perFiring := map[string]float64{}
 	tally.mu.Lock()
 	defer tally.mu.Unlock()
-	for fq, n := range tally.frames {
-		perFiring[fq] = float64(n) / float64(fires[fq])
+	for fq, n := range fires {
+		if n > 0 {
+			perFiring[fq] = float64(tally.frames[fq]) / float64(n)
+		}
 	}
 	return perFiring
 }
@@ -195,14 +200,29 @@ func TestMeasuredFramesEqualFramesPerFiring(t *testing.T) {
 		mk("for + over a set", 1, dsl.ForExpr(dsl.OpPar, elems, 0, func(string) dsl.Expr { return to(0) })),
 		mk("parN", 1, dsl.ParN{N: 8, Body: []dsl.Expr{to(0)}}),
 	}
-	// The catalogue's pars of remote updates. parallel-sharding engages its
-	// back-ends in parallel arms that each run a sequential exchange, so
-	// nothing coalesces, in the model or on the wire. The failover entries'
-	// pars sit behind registration handshakes whose drives depend on crash
-	// timing (the reason the migration equivalence suite leaves them out too).
+	// A par whose arms are sequences: the plain arms leave as one group per
+	// sink, each sequence arm sends its own straight-line run — two to one sink
+	// as one frame, then a change of sink mid-run as two.
+	shapes = append(shapes, mk("par with Seq arms", 2, dsl.Par{
+		dsl.Seq{to(0), to(0)}, to(0), to(1), dsl.Seq{to(1), to(0), to(0)},
+	}))
+	// The catalogue's request/response entries under their recorded
+	// placements: every hop is write(n, tgt); assert [tgt] Work out and
+	// write(m, front); retract [front] Work back, one frame each way.
+	// parallel-sharding runs that exchange inside parallel arms, one frame per
+	// engaged back-end. The failover entries sit behind registration
+	// handshakes whose drives depend on crash timing (the reason the migration
+	// equivalence suite leaves them out too); watched-failover, pinned to one
+	// site, is measured in process below.
+	roots := map[string][2]string{
+		"snapshot":          {patterns.ActInstance, patterns.SnapshotJunction},
+		"sharding":          {patterns.FrontInstance, patterns.ShardJunction},
+		"parallel-sharding": {patterns.FrontInstance, patterns.ShardJunction},
+		"caching":           {patterns.CacheInstance, patterns.CacheJunction},
+	}
 	for _, e := range patterns.Catalogue() {
-		if e.Name == "parallel-sharding" {
-			shapes = append(shapes, shape{e.Name, e.Build(), e.CostPlacement, patterns.FrontInstance, patterns.ShardJunction})
+		if root, ok := roots[e.Name]; ok {
+			shapes = append(shapes, shape{e.Name, e.Build(), e.CostPlacement, root[0], root[1]})
 		}
 	}
 	for _, procs := range []int{1, goruntime.GOMAXPROCS(0)} {
@@ -214,11 +234,12 @@ func TestMeasuredFramesEqualFramesPerFiring(t *testing.T) {
 				checked := 0
 				for _, fq := range model.Order {
 					j := model.Junctions[fq]
-					if j.Frames == 0 && measured[fq] == 0 {
-						continue
+					got, fired := measured[fq]
+					if !fired || (j.Frames == 0 && got == 0) {
+						continue // e.g. the shards this drive never routes to
 					}
 					checked++
-					if measured[fq] != j.Frames {
+					if got != j.Frames {
 						t.Errorf("%s: %v frames per firing on the uplink, model predicts %v (%v updates)", fq, measured[fq], j.Frames, j.Updates)
 					}
 				}
@@ -227,5 +248,83 @@ func TestMeasuredFramesEqualFramesPerFiring(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMeasuredFramesWatchedFailover: the watched fail-over's placement pins
+// all four instances to one site (the arbiter reads liveness in process), so
+// its frames are counted from the trace instead of an uplink: an update
+// delivered alone is a frame, a delivery group is one frame however many
+// updates it holds. The primary's reply — write(m, f); assert [f] Reply — is
+// the catalogue's one run that must NOT group: the standby reads o@Reply, so
+// the assert's local half may not be applied ahead of the write's ack
+// (plan.UpdateRun), and model and runtime have to agree on that too. The
+// model charges every case alternative of a firing, so junctions that take one
+// alternative per firing (f, the standby) are bounded by it, not equal to it.
+func TestMeasuredFramesWatchedFailover(t *testing.T) {
+	e, ok := patterns.CatalogueEntryByName("watched-failover")
+	if !ok {
+		t.Fatal("watched-failover entry missing")
+	}
+	prog := e.Build()
+	model := cost.Build(analysis.NewContext(prog, 0))
+	ring := obsv.NewRingSink(1 << 14)
+	sys, err := runtime.New(prog, runtime.Options{Trace: ring, AckTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sys.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 5
+	front, err := sys.Junction(patterns.WatchedFront, patterns.WatchedJunction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if err := sys.InvokeWhenReady(ctx, patterns.WatchedFront, patterns.WatchedJunction); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		// The standby clears Run[s] at f a moment after the primary's reply
+		// completed the round; the next round verifies both are clear.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			front.Table().ApplyPending()
+			o, _ := front.Table().Prop(dsl.IndexedName("Run", patterns.PrimaryBackend))
+			s, _ := front.Table().Prop(dsl.IndexedName("Run", patterns.StandbyBackend))
+			if !o && !s {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: back-ends never cleared Run at f", i)
+			}
+		}
+	}
+	frames := map[string]float64{}
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case obsv.EvRemoteQueued:
+			frames[ev.Peer]++
+		case obsv.EvRemoteBatch:
+			frames[ev.Peer] -= float64(ev.N - 1)
+		}
+	}
+	fires := map[string]float64{}
+	for _, js := range sys.Metrics().Junctions {
+		fires[js.Junction] = float64(js.Fires)
+	}
+	for fq, exact := range map[string]bool{"o::junction": true, "f::junction": false, "s::junction": false} {
+		measured, predicted := frames[fq]/fires[fq], model.Junctions[fq].Frames
+		if fires[fq] != rounds {
+			t.Errorf("%s fired %v times, want %d", fq, fires[fq], rounds)
+		}
+		if measured > predicted || (exact && measured != predicted) {
+			t.Errorf("%s: %v frames per firing, model predicts %v (exact: %v)", fq, measured, predicted, exact)
+		}
+	}
+	if got := model.Junctions["o::junction"].Frames; got != 3 {
+		t.Errorf("o::junction predicted %v frames, want 3: retract Run, then write(m) and assert Reply apart", got)
 	}
 }

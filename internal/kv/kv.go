@@ -323,9 +323,65 @@ func (t *Table) SetProp(name string, v bool) error {
 		return fmt.Errorf("%w: prop %q", ErrUndeclared, name)
 	}
 	t.props[name] = v
-	t.dropPendingLocked(UpdateProp, name)
+	t.dropPendingLocked(UpdateProp, name, nil)
 	t.wakeKeyLocked(UpdateProp, name)
 	return nil
+}
+
+// PropUndo is what taking back one local assert/retract needs: the value the
+// proposition held before it and the pending remote updates the
+// local-priority rule discarded on its behalf. The zero value undoes nothing.
+type PropUndo struct {
+	name    string
+	prev    bool
+	dropped []Update
+	applied bool
+}
+
+// SwapProp is SetProp that can be taken back, and that leaves an undeclared
+// name alone (declared false, nothing to undo) instead of failing: the
+// runtime applies the local half of a remote assert/retract only when the
+// sender declares the proposition too, and, in a group, before the statements
+// ahead of it are known to have succeeded — it must leave no mark when one of
+// them fails.
+func (t *Table) SwapProp(name string, v bool) (u PropUndo, declared bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	prev, ok := t.props[name]
+	if !ok {
+		return PropUndo{}, false
+	}
+	u = PropUndo{name: name, prev: prev, applied: true}
+	t.props[name] = v
+	t.dropPendingLocked(UpdateProp, name, &u.dropped)
+	t.wakeKeyLocked(UpdateProp, name)
+	return u, true
+}
+
+// UndoProp takes a SwapProp back as if it had never run: the previous value
+// returns, the pending updates it discarded rejoin the queue at their arrival
+// positions, and updates that arrived since stay queued (an undo is not a
+// local write, so it discards nothing).
+func (t *Table) UndoProp(u PropUndo) {
+	if !u.applied {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.props[u.name] = u.prev
+	if len(u.dropped) > 0 {
+		merged := make([]Update, 0, len(t.pending)+len(u.dropped))
+		d := u.dropped
+		for _, p := range t.pending {
+			for len(d) > 0 && d[0].seq < p.seq {
+				merged = append(merged, d[0])
+				d = d[1:]
+			}
+			merged = append(merged, p)
+		}
+		t.pending = append(merged, d...)
+	}
+	t.wakeKeyLocked(UpdateProp, u.name)
 }
 
 // Data returns a copy of the current value of a declared, defined data
@@ -374,15 +430,20 @@ func (t *Table) SetData(name string, data []byte) error {
 		return fmt.Errorf("%w: data %q", ErrUndeclared, name)
 	}
 	t.data[name] = Value{Defined: true, Data: data}
-	t.dropPendingLocked(UpdateData, name)
+	t.dropPendingLocked(UpdateData, name, nil)
 	t.wakeKeyLocked(UpdateData, name)
 	return nil
 }
 
-func (t *Table) dropPendingLocked(kind UpdateKind, key string) {
+// dropPendingLocked discards the queued updates to one key, appending them to
+// *dropped when the caller wants them back later.
+func (t *Table) dropPendingLocked(kind UpdateKind, key string, dropped *[]Update) {
 	kept := t.pending[:0]
 	for _, u := range t.pending {
 		if u.Kind == kind && u.Key == key {
+			if dropped != nil {
+				*dropped = append(*dropped, u)
+			}
 			continue
 		}
 		kept = append(kept, u)
@@ -428,7 +489,13 @@ func (t *Table) EnqueueBatch(us []Update) {
 		kind UpdateKind
 		key  string
 	}
-	seen := make(map[keyOf]struct{}, len(us))
+	// Distinct keys in first-appearance order. A group rarely names more than
+	// a few (a request's data and its proposition; one proposition 96 times),
+	// so they are found by scanning a small array; only a group with more
+	// distinct keys than that pays for a set.
+	var few [8]keyOf
+	distinct := few[:0]
+	var seen map[keyOf]struct{}
 	t.mu.Lock()
 	for _, u := range us {
 		u.seq = t.nextSeq
@@ -438,9 +505,32 @@ func (t *Table) EnqueueBatch(us []Update) {
 		} else {
 			t.pending = append(t.pending, u)
 		}
-		seen[keyOf{u.Kind, u.Key}] = struct{}{}
+		k := keyOf{u.Kind, u.Key}
+		known := false
+		if seen != nil {
+			_, known = seen[k]
+		} else {
+			for _, d := range distinct {
+				if d == k {
+					known = true
+					break
+				}
+			}
+		}
+		if known {
+			continue
+		}
+		distinct = append(distinct, k)
+		if seen != nil {
+			seen[k] = struct{}{}
+		} else if len(distinct) > len(few) {
+			seen = make(map[keyOf]struct{}, 2*len(distinct))
+			for _, d := range distinct {
+				seen[d] = struct{}{}
+			}
+		}
 	}
-	for k := range seen {
+	for _, k := range distinct {
 		t.wakeKeyLocked(k.kind, k.key)
 	}
 	t.mu.Unlock()
@@ -472,9 +562,24 @@ func (t *Table) ApplyPending() int {
 		t.applyLocked(u)
 		t.wakeKeyLocked(u.Kind, u.Key)
 	}
-	t.pending = nil
+	// The queue keeps its backing array (emptied, so no payload stays
+	// reachable through it): a junction that absorbs a few updates per
+	// scheduling would otherwise regrow it from nothing every time. An array
+	// that grew past keepPending is given back — it is the high-water mark of
+	// a junction that went unscheduled for a long stretch, and keeping it
+	// would charge every quiet period after for that one backlog.
+	if cap(t.pending) > keepPending {
+		t.pending = nil
+		return n
+	}
+	clear(t.pending)
+	t.pending = t.pending[:0]
 	return n
 }
+
+// keepPending is the largest pending-queue array ApplyPending holds on to: a
+// few delivery groups' worth of updates.
+const keepPending = 256
 
 // PendingLen reports how many updates are queued.
 func (t *Table) PendingLen() int {
@@ -490,10 +595,10 @@ func (t *Table) Keep(propNames, dataNames []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, n := range propNames {
-		t.dropPendingLocked(UpdateProp, n)
+		t.dropPendingLocked(UpdateProp, n, nil)
 	}
 	for _, n := range dataNames {
-		t.dropPendingLocked(UpdateData, n)
+		t.dropPendingLocked(UpdateData, n, nil)
 	}
 }
 
@@ -593,6 +698,27 @@ func copyValue(v Value) Value {
 		cp.Data = append([]byte(nil), v.Data...)
 	}
 	return cp
+}
+
+// RestoreKeys rolls back only the listed keys to the values a snapshot
+// captured for them (keys the snapshot does not hold are left alone), waking
+// their subscribers. A transaction that failed part-way uses it to take back
+// what its own statements wrote and nothing a concurrent par arm committed.
+func (t *Table) RestoreKeys(s Snapshot, props, data []string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, k := range props {
+		if v, ok := s.props[k]; ok {
+			t.props[k] = v
+			t.wakeKeyLocked(UpdateProp, k)
+		}
+	}
+	for _, k := range data {
+		if v, ok := s.data[k]; ok {
+			t.data[k] = copyValue(v)
+			t.wakeKeyLocked(UpdateData, k)
+		}
+	}
 }
 
 // Restore rolls table contents back to a snapshot: every key for a full

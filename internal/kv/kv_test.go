@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -543,5 +544,141 @@ func TestEnqueueBatchDegenerateSizes(t *testing.T) {
 	tb.ApplyPending()
 	if v, _ := tb.Prop("P"); !v {
 		t.Fatal("single-element batch lost")
+	}
+}
+
+// TestEnqueueBatchManyDistinctKeys: a batch naming more distinct keys than
+// the scan array holds still wakes every key's subscribers exactly once and
+// counts one wake per subscriber.
+func TestEnqueueBatchManyDistinctKeys(t *testing.T) {
+	tb := NewTable()
+	const keys = 20
+	subs := make([]*Subscription, keys)
+	var us []Update
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("P%d", i)
+		tb.DeclareProp(k, false)
+		subs[i] = tb.Subscribe([]string{k}, nil)
+		// Every key three times, interleaved with the others.
+		us = append(us, Update{Kind: UpdateProp, Key: k, Bool: true})
+	}
+	us = append(append(append([]Update(nil), us...), us...), us...)
+	before := tb.WakeCount()
+	tb.EnqueueBatch(us)
+	if got := tb.WakeCount() - before; got != keys {
+		t.Fatalf("%d wakes for %d distinct keys", got, keys)
+	}
+	for i, s := range subs {
+		if !woken(t, s) {
+			t.Fatalf("subscriber of key %d not woken", i)
+		}
+	}
+	if tb.PendingLen() != 3*keys {
+		t.Fatalf("PendingLen = %d, want %d", tb.PendingLen(), 3*keys)
+	}
+}
+
+// TestApplyPendingKeepsQueueStorage: draining the queue empties it without
+// giving its backing array away, and leaves no payload reachable through it;
+// only the array of a long backlog is released.
+func TestApplyPendingKeepsQueueStorage(t *testing.T) {
+	tb := NewTable()
+	tb.DeclareData("n")
+	for i := 0; i < 64; i++ {
+		tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte{byte(i)}})
+	}
+	if n := tb.ApplyPending(); n != 64 {
+		t.Fatalf("applied %d, want 64", n)
+	}
+	if tb.PendingLen() != 0 || cap(tb.pending) < 64 {
+		t.Fatalf("after draining: len %d cap %d, want 0 and the old array", tb.PendingLen(), cap(tb.pending))
+	}
+	for _, u := range tb.pending[:cap(tb.pending)] {
+		if u.Data != nil {
+			t.Fatal("a drained slot still holds its payload")
+		}
+	}
+	if d, _ := tb.Data("n"); len(d) != 1 || d[0] != 63 {
+		t.Fatalf("n = %v, want the last enqueued value", d)
+	}
+	for i := 0; i < 4*keepPending; i++ {
+		tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte{byte(i)}})
+	}
+	tb.ApplyPending()
+	if cap(tb.pending) != 0 {
+		t.Fatalf("a backlog's array of %d slots was kept", cap(tb.pending))
+	}
+}
+
+// TestSwapPropUndo: undoing a local assert restores the value, puts back the
+// pending updates the local-priority rule discarded for it at their arrival
+// positions, and keeps what arrived in between.
+func TestSwapPropUndo(t *testing.T) {
+	tb := NewTable()
+	tb.DeclareProp("P", false)
+	tb.DeclareProp("Q", false)
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "P", Bool: true, From: "early"})
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "Q", Bool: true, From: "q"})
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "P", Bool: false, From: "mid"})
+	sub := tb.Subscribe([]string{"P"}, nil)
+	defer tb.Unsubscribe(sub)
+
+	undo, declared := tb.SwapProp("P", true)
+	if !declared {
+		t.Fatal("P reported undeclared")
+	}
+	if v, _ := tb.Prop("P"); !v || tb.PendingLen() != 1 {
+		t.Fatalf("after the swap: P=%v, %d pending (want true, only Q's update)", v, tb.PendingLen())
+	}
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "P", Bool: true, From: "late"})
+	woken(t, sub)
+	tb.UndoProp(undo)
+	if v, _ := tb.Prop("P"); v {
+		t.Fatal("undo did not restore the previous value")
+	}
+	if !woken(t, sub) {
+		t.Fatal("undo changed P without waking its subscriber")
+	}
+	var order []string
+	for _, u := range tb.pending {
+		order = append(order, u.From)
+	}
+	if fmt.Sprint(order) != "[early q mid late]" {
+		t.Fatalf("pending after undo = %v, want arrival order [early q mid late]", order)
+	}
+	if undo, declared := tb.SwapProp("nope", true); declared {
+		t.Fatal("swap of an undeclared prop reported it declared")
+	} else {
+		tb.UndoProp(undo) // nothing was applied: a no-op
+	}
+	if tb.HasProp("nope") {
+		t.Fatal("swap declared a proposition")
+	}
+}
+
+// TestRestoreKeysRestoresOnlyTheListedKeys: a partial rollback leaves keys it
+// is not told about — a sibling's commit — alone.
+func TestRestoreKeysRestoresOnlyTheListedKeys(t *testing.T) {
+	tb := NewTable()
+	tb.DeclareProp("Mine", false)
+	tb.DeclareProp("Shared", false)
+	tb.DeclareData("d")
+	snap := tb.SnapshotKeys([]string{"Mine", "Shared"}, []string{"d"})
+	_ = tb.SetProp("Mine", true)
+	_ = tb.SetProp("Shared", true)
+	_ = tb.SetData("d", []byte("x"))
+	tb.RestoreKeys(snap, []string{"Mine", "absent"}, nil)
+	if v, _ := tb.Prop("Mine"); v {
+		t.Fatal("listed key not restored")
+	}
+	if v, _ := tb.Prop("Shared"); !v {
+		t.Fatal("unlisted key restored")
+	}
+	if !tb.Defined("d") {
+		t.Fatal("unlisted data key restored")
+	}
+	tb.RestoreKeys(snap, nil, []string{"d"})
+	if tb.Defined("d") {
+		t.Fatal("listed data key not restored to undef")
 	}
 }

@@ -66,30 +66,65 @@ func (j *Junction) guardTruth() formula.Truth {
 // control-flow contract: the first failure or non-none signal stops the
 // sequence, and an expired deadline surfaces as ErrTimeout.
 func runSteps(ctx context.Context, steps []step) (signal, error) {
-	for _, st := range steps {
+	_, sig, err := runStepsAt(ctx, steps)
+	return sig, err
+}
+
+// runStepsAt is runSteps that also reports the index of the step that ended
+// the sequence (len(steps) when it ran to the end).
+func runStepsAt(ctx context.Context, steps []step) (int, signal, error) {
+	for i, st := range steps {
 		if err := ctx.Err(); err != nil {
-			return sigNone, fmt.Errorf("%w: %v", ErrTimeout, err)
+			return i, sigNone, fmt.Errorf("%w: %v", ErrTimeout, err)
 		}
 		sig, err := st(ctx)
 		if err != nil || sig != sigNone {
-			return sig, err
+			return i, sig, err
 		}
 	}
-	return sigNone, nil
+	return len(steps), sigNone, nil
 }
 
-// compileBody lowers a statement list, flattening nested Seq levels into one
-// step slice.
+// compileBody lowers a statement list — a junction body, a scope, a
+// transaction, a case arm, a par arm that is a sequence — flattening nested
+// Seq levels into one step slice.
 func (j *Junction) compileBody(body []dsl.Expr) []step {
-	var out []step
-	for _, e := range body {
-		if s, ok := e.(dsl.Seq); ok {
-			out = append(out, j.compileBody(s)...)
-			continue
+	steps, _ := j.compileStatements(plan.FlattenSeq(body))
+	return steps
+}
+
+// compileStatements lowers a flattened statement list; ends[i] is the index
+// in flat one past the last statement step i covers.
+//
+// Every maximal run of adjacent plain remote updates (plan.UpdateRun) becomes
+// one step that sends consecutive members with the same destination as one
+// group. Adjacency is the whole legality test: any other statement between
+// two updates — a local update, a wait, a host block, an if — ends the run,
+// because it could observe that the first was acknowledged. What makes a
+// group legal for a sequence, which unlike a par has a failure order, is in
+// updateStep (the sender's fate), compart.Network.SendBatch and SendGroup (a
+// receiver sees a prefix) and plan.UpdateRun (no early remote visibility).
+func (j *Junction) compileStatements(flat []dsl.Expr) (steps []step, ends []int) {
+	for i := 0; i < len(flat); {
+		n := 1
+		// The seed plane (DisableBatching) has no group send to feed.
+		if !j.sys.opts.DisableBatching {
+			n = plan.UpdateRun(j.pj.Info, flat[i:])
 		}
-		out = append(out, j.compileExpr(e))
+		if n < 2 {
+			steps = append(steps, j.compileExpr(flat[i]))
+			i++
+		} else {
+			arms := make([]updateArm, n)
+			for k := range arms {
+				arms[k] = j.remoteUpdateArm(flat[i+k])
+			}
+			steps = append(steps, j.updateStep(arms...))
+			i += n
+		}
+		ends = append(ends, i)
 	}
-	return out
+	return steps, ends
 }
 
 func (j *Junction) compileExpr(e dsl.Expr) step {
@@ -132,19 +167,32 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 		}
 
 	case dsl.Txn:
-		steps := j.compileBody(n.Body)
-		ws := plan.CompileTxn(j.pj.Info, n.Body)
+		flat := plan.FlattenSeq(n.Body)
+		steps, ends := j.compileStatements(flat)
+		ws := plan.CompileTxn(j.pj.Info, flat)
 		snap := j.table.Snapshot
 		if !ws.Full {
 			props, data := ws.Props, ws.Data
 			snap = func() kv.Snapshot { return j.table.SnapshotKeys(props, data) }
 		}
+		// wrote[i] is what the transaction can have written once step i has
+		// started. A rollback restores that and no more: the keys of steps
+		// never reached are still as the snapshot found them unless a sibling
+		// par arm committed to them meanwhile, which must stand.
+		wrote := make([]plan.WriteSet, len(steps))
+		for i, end := range ends {
+			wrote[i] = plan.CompileTxn(j.pj.Info, flat[:end])
+		}
 		return func(ctx context.Context) (signal, error) {
 			s := snap()
 			j.noteTxn(obsv.EvTxnBegin)
-			sig, err := runSteps(ctx, steps)
+			at, sig, err := runStepsAt(ctx, steps)
 			if err != nil {
-				j.table.Restore(s)
+				if w := wrote[at]; w.Full {
+					j.table.Restore(s)
+				} else {
+					j.table.RestoreKeys(s, w.Props, w.Data)
+				}
 				j.noteTxn(obsv.EvTxnRollback)
 				return sigNone, err
 			}
@@ -278,23 +326,6 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 	}
 }
 
-// flattenPar splices nested Par branches (the right-nested chain
-// ForExpr(OpPar) emits) into one branch list. Par is a barrier over its
-// branches whose outcome is decided in branch order — first failure, then
-// first non-none signal — so nesting only groups branches and splicing
-// changes nothing observable.
-func flattenPar(branches dsl.Par) dsl.Par {
-	var flat dsl.Par
-	for _, b := range branches {
-		if p, ok := b.(dsl.Par); ok {
-			flat = append(flat, flattenPar(p)...)
-		} else {
-			flat = append(flat, b)
-		}
-	}
-	return flat
-}
-
 // compilePar lowers parallel composition with the interpreter's barrier
 // semantics: all branches run, every failure is awaited, the first failure
 // (by branch order) wins, then the first non-none signal propagates.
@@ -309,7 +340,7 @@ func flattenPar(branches dsl.Par) dsl.Par {
 // order = wire order. Every other arm still runs on its own goroutine beside
 // it.
 func (j *Junction) compilePar(branches dsl.Par) step {
-	branches = flattenPar(branches)
+	branches = plan.FlattenPar(branches)
 	if len(branches) == 0 {
 		return func(context.Context) (signal, error) { return sigNone, nil }
 	}
@@ -356,24 +387,24 @@ func (j *Junction) compilePar(branches dsl.Par) step {
 		}
 		var groups []destGroup
 		for _, u := range updates {
-			to, up, err := u.run()
+			m, err := u.run()
 			if err != nil {
 				errs[u.idx] = err
 				continue
 			}
 			g := 0
-			for g < len(groups) && groups[g].to != to {
+			for g < len(groups) && groups[g].to != m.to {
 				g++
 			}
 			if g == len(groups) {
-				groups = append(groups, destGroup{to: to, first: u.idx})
+				groups = append(groups, destGroup{to: m.to, first: u.idx})
 				if g == 0 {
 					// Most pars update one destination: size the first
 					// group for all of them.
 					groups[0].ups = make([]remoteUpdate, 0, len(updates))
 				}
 			}
-			groups[g].ups = append(groups[g].ups, up)
+			groups[g].ups = append(groups[g].ups, m.up)
 		}
 		send := func(g destGroup) { errs[g.first] = j.sys.sendUpdates(ctx, j, g.to, g.ups) }
 		for i, g := range groups {
@@ -452,58 +483,116 @@ func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 	}
 }
 
+// armedUpdate is what running an updateArm yields: where to send what, and
+// how to take the arm's local effect back.
+type armedUpdate struct {
+	to   string
+	up   remoteUpdate
+	undo kv.PropUndo
+}
+
 // updateArm is the lowered sender half of a remote assert/retract/write: it
 // applies the statement's local effect and resolves what to send where. The
-// delivery itself is sendUpdates', alone (updateStep) or grouped with the
-// other update arms of a par (compilePar).
-type updateArm func() (to string, up remoteUpdate, err error)
+// delivery itself is sendGroup's, for a straight-line run of arms
+// (updateStep) or the update arms of a par (compilePar). When an arm fails
+// after its local effect, the effect's undo comes back with the error.
+type updateArm func() (armedUpdate, error)
 
 // remoteUpdateArm lowers e when it is a plain assert/retract/write aimed at
-// another junction, and returns nil for everything else.
+// another junction (plan.RemoteUpdate), and returns nil for everything else.
 func (j *Junction) remoteUpdateArm(e dsl.Expr) updateArm {
+	if _, ok := plan.RemoteUpdate(e); !ok {
+		return nil
+	}
 	switch n := e.(type) {
 	case dsl.Write:
 		return j.compileWrite(n)
 	case dsl.Assert:
-		if !n.Target.IsLocal() {
-			return j.compileRemoteProp(n.Target, n.Prop, true)
-		}
+		return j.compileRemoteProp(n.Target, n.Prop, true)
 	case dsl.Retract:
-		if !n.Target.IsLocal() {
-			return j.compileRemoteProp(n.Target, n.Prop, false)
-		}
+		return j.compileRemoteProp(n.Target, n.Prop, false)
 	}
 	return nil
 }
 
-// updateStep is a remote update as a statement of its own: the group of one.
-func (j *Junction) updateStep(arm updateArm) step {
+// updateStep lowers a straight-line run of remote updates — one statement, or
+// the adjacent ones compileStatements found — to one step. The arms run in
+// statement order; consecutive members with the same resolved destination
+// leave as one group (sendGroup), and a change of destination closes the open
+// group and awaits it before the next one opens.
+//
+// The step's fate is the fate the statements would have had one at a time. A
+// group that fails fails at its first unacknowledged member p: the error is
+// the one statement p would have returned, members before p were delivered
+// and acknowledged, and the local halves of the members after p — applied
+// when their arms ran, ahead of p's outcome — are taken back, so the table
+// reads as if they had never started. An arm that fails to resolve first
+// sends and awaits the members before it, and then fails as its statement
+// would have, its local half standing. The one thing a group widens: when
+// acknowledgments (not updates) are lost, members after p may have reached
+// the receiver although the sender reports p failed — every such receiver
+// state is one the statements reach one at a time when a later ack is lost.
+func (j *Junction) updateStep(arms ...updateArm) step {
 	return func(ctx context.Context) (signal, error) {
-		to, up, err := arm()
-		if err != nil {
-			return sigNone, err
+		var (
+			upBuf   [4]remoteUpdate
+			undoBuf [4]kv.PropUndo
+		)
+		ups := upBuf[:0]     // the open group
+		undos := undoBuf[:0] // one per arm run so far
+		to, first := "", 0   // the open group's destination and first member
+		for k := 0; ; k++ {
+			var m armedUpdate
+			var err error
+			last := k == len(arms)
+			if !last {
+				m, err = arms[k]()
+				undos = append(undos, m.undo)
+			}
+			if len(ups) > 0 && (last || err != nil || m.to != to) {
+				acked, serr := j.sys.sendGroup(ctx, j, to, ups)
+				if serr != nil {
+					for u := len(undos) - 1; u > first+acked; u-- {
+						j.table.UndoProp(undos[u])
+					}
+					return sigNone, serr
+				}
+				ups = ups[:0]
+				if cerr := ctx.Err(); cerr != nil && !last {
+					// The deadline passed between two groups, where it would
+					// have stopped the sequence before statement k began.
+					j.table.UndoProp(m.undo)
+					return sigNone, fmt.Errorf("%w: %v", ErrTimeout, cerr)
+				}
+			}
+			if last || err != nil {
+				return sigNone, err
+			}
+			if len(ups) == 0 {
+				to, first = m.to, k
+			}
+			ups = append(ups, m.up)
 		}
-		return sigNone, j.sys.sendUpdates(ctx, j, to, []remoteUpdate{up})
 	}
 }
 
 func (j *Junction) compileWrite(n dsl.Write) updateArm {
 	resolveTo := j.compileTarget(n.To)
-	return func() (string, remoteUpdate, error) {
-		// The table's internal slice is safe here: sendUpdates copies the
+	return func() (armedUpdate, error) {
+		// The table's internal slice is safe here: sendGroup copies the
 		// payload into the framed message body before handing it off.
 		payload, err := j.table.DataRef(n.Data)
 		if err != nil {
-			return "", remoteUpdate{}, fmt.Errorf("write %s: %w", n.Data, err)
+			return armedUpdate{}, fmt.Errorf("write %s: %w", n.Data, err)
 		}
 		to, err := resolveTo()
 		if err != nil {
-			return "", remoteUpdate{}, err
+			return armedUpdate{}, err
 		}
 		if to == j.FQName {
-			return "", remoteUpdate{}, fmt.Errorf("runtime: %s: write to self", j.FQName)
+			return armedUpdate{}, fmt.Errorf("runtime: %s: write to self", j.FQName)
 		}
-		return to, remoteUpdate{kind: compart.KindData, key: n.Data, payload: payload}, nil
+		return armedUpdate{to: to, up: remoteUpdate{kind: compart.KindData, key: n.Data, payload: payload}}, nil
 	}
 }
 
@@ -529,24 +618,21 @@ func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, val
 func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, value bool) updateArm {
 	resolveName := j.compilePropName(pr)
 	resolveTo := j.compileTarget(target)
-	return func() (string, remoteUpdate, error) {
+	return func() (armedUpdate, error) {
 		name, err := resolveName()
 		if err != nil {
-			return "", remoteUpdate{}, err
+			return armedUpdate{}, err
 		}
-		if j.table.HasProp(name) {
-			if err := j.table.SetProp(name, value); err != nil {
-				return "", remoteUpdate{}, err
-			}
-		}
+		// The local half, when the sender declares the proposition too.
+		undo, _ := j.table.SwapProp(name, value)
 		to, err := resolveTo()
 		if err != nil {
-			return "", remoteUpdate{}, err
+			return armedUpdate{undo: undo}, err
 		}
 		if to == j.FQName {
-			return "", remoteUpdate{}, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
+			return armedUpdate{undo: undo}, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 		}
-		return to, remoteUpdate{kind: compart.KindProp, key: name, flag: value}, nil
+		return armedUpdate{to: to, up: remoteUpdate{kind: compart.KindProp, key: name, flag: value}, undo: undo}, nil
 	}
 }
 

@@ -25,16 +25,21 @@ import (
 // sinks g1::j, g2::j whose guard never holds, so arriving updates only queue
 // until the test schedules the sink by hand.
 func groupProgram(decls []dsl.Decl, body ...dsl.Expr) *dsl.Program {
+	return groupProgramGuarded(formula.P("Go"), decls, body...)
+}
+
+// groupProgramGuarded is groupProgram with the sinks' guard given.
+func groupProgramGuarded(sinkGuard formula.Formula, decls []dsl.Decl, body ...dsl.Expr) *dsl.Program {
 	p := dsl.NewProgram()
 	p.Type("srcT").Junction("j", dsl.Def(decls, body...))
 	p.Type("sinkT").Junction("j", dsl.Def(
 		dsl.Decls(
 			dsl.InitProp{Name: "U", Init: false}, dsl.InitProp{Name: "V", Init: true},
 			dsl.InitProp{Name: "W", Init: false}, dsl.InitProp{Name: "Go", Init: false},
-			dsl.InitData{Name: "d"},
+			dsl.InitProp{Name: "Flag", Init: false}, dsl.InitData{Name: "d"},
 		),
 		dsl.Skip{},
-	).Guarded(formula.P("Go")))
+	).Guarded(sinkGuard))
 	p.Instance("f", "srcT").Instance("g1", "sinkT").Instance("g2", "sinkT")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g1"}, dsl.Start{Instance: "g2"}})
 	return p
@@ -400,20 +405,7 @@ func TestMigrateSinkBetweenGroups(t *testing.T) {
 	defer netB.Close()
 	var frames []int // members per frame on the A->B uplink
 	dep := NewDeployment().AddLocation("A", netA).AddLocation("B", netB)
-	dep.Connect("A", "B", func(m compart.Message) error {
-		n := 1
-		if m.Kind == compart.KindBatch {
-			inner, err := compart.DecodeBatch(m.Payload)
-			if err != nil {
-				return err
-			}
-			n = len(inner)
-		}
-		if !strings.HasPrefix(m.To, "\x00") { // not the migration's own control frames
-			frames = append(frames, n)
-		}
-		return netB.Send(m)
-	})
+	dep.Connect("A", "B", countingUplink(netB, &frames))
 	ring := obsv.NewRingSink(4096)
 	s := mustSystem(t, groupProgram(nil, arms), Options{Deploy: dep, AckTimeout: 5 * time.Second, Trace: ring, DisableDrivers: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -449,6 +441,26 @@ func TestMigrateSinkBetweenGroups(t *testing.T) {
 	}
 	if len(seqs) != 2*width || s.pendingAcks("f::j", "g1::j") != 0 {
 		t.Fatalf("%d updates queued, %d awaiting acks", len(seqs), s.pendingAcks("f::j", "g1::j"))
+	}
+}
+
+// countingUplink forwards into dst and appends to *frames how many updates each
+// frame carried (1 for a plain update, the member count for an envelope),
+// leaving out the migration's own control frames.
+func countingUplink(dst *compart.Network, frames *[]int) Uplink {
+	return func(m compart.Message) error {
+		n := 1
+		if m.Kind == compart.KindBatch {
+			inner, err := compart.DecodeBatch(m.Payload)
+			if err != nil {
+				return err
+			}
+			n = len(inner)
+		}
+		if !strings.HasPrefix(m.To, "\x00") {
+			*frames = append(*frames, n)
+		}
+		return dst.Send(m)
 	}
 }
 

@@ -640,15 +640,17 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 //
 //   - The pipelined default: each directed (sender,receiver) junction pair
 //     owns an ackWindow carrying its own sequence space. A send is a group:
-//     the updates one par fires at one destination (or a single sequential
-//     update, the n = 1 case) take consecutive per-pair seqs, leave as one
-//     delivery group and wait on one range waiter. The receiver tracks the
-//     contiguous delivery frontier per sender and answers with cumulative
-//     acks — one ack frame (payload: 8-byte cum frontier plus optional 8-byte
-//     out-of-order extras) completes every range at or below the frontier.
+//     the updates one par fires at one destination, or adjacent statements of
+//     a sequence send to it (or a lone update, the n = 1 case), take
+//     consecutive per-pair seqs, leave as one delivery group and wait on one
+//     range waiter. The receiver tracks the contiguous delivery frontier per
+//     sender and answers with cumulative acks — one ack frame (payload: 8-byte
+//     cum frontier plus optional 8-byte out-of-order extras) completes every
+//     range at or below the frontier.
 //   - The seed ablation (Options.DisableBatching): a global sequence, one
 //     channel per update in ackWait, one ack frame echoing each update's
-//     seq. Kept verbatim so BENCH_net.json's ablation measures the seed path.
+//     seq. Kept verbatim so the Net-batching experiment (csaw-bench -run
+//     Net-batching; EXPERIMENTS.md) measures the seed path.
 //
 // Either way a statement completes only at its delivery acknowledgment —
 // the §6 contract `otherwise[t]` builds on.
@@ -679,6 +681,11 @@ type rangeWaiter struct {
 	extra []uint64
 	// ch receives the outcome exactly once, from whoever unlinks the waiter.
 	ch chan error
+	// msgs is the group's frame slice, kept with the pooled waiter so a group
+	// send allocates no more than a single send does. It is in use only while
+	// the group is handed to the substrate, which does not keep it
+	// (compart.Network.SendBatch).
+	msgs []compart.Message
 	// Window queue links; linked is false once the waiter has been completed,
 	// failed or forgotten.
 	prev, next *rangeWaiter
@@ -968,23 +975,39 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 
 // sendUpdates ships a group of assert/retract/write updates from a junction
 // to one remote junction and waits until every one is acknowledged as
-// delivered. The group takes consecutive sequences on the pair's window in
-// slice order, crosses the substrate as one delivery group (one envelope on
-// a wire, one KV batch and one cumulative ack at the receiver) and waits on
-// one range waiter, so a par's updates to one destination cost what one
-// update costs in round trips; a sequential statement is the group of one.
-// The wait respects ctx's deadline; the per-window progress watchdog bounds
-// how long a stuck frontier can hold waiters (see ackWindow).
+// delivered: sendGroup for callers whose group stands or falls as one
+// statement (a single update, a par's updates to one destination).
 func (s *System) sendUpdates(ctx context.Context, j *Junction, to string, ups []remoteUpdate) error {
+	_, err := s.sendGroup(ctx, j, to, ups)
+	return err
+}
+
+// sendGroup is the one remote-update send of the pipelined plane. The group
+// takes consecutive sequences on the pair's window in slice order, crosses
+// the substrate as one delivery group (one envelope on a wire, one KV batch
+// and one cumulative ack at the receiver) and waits on one range waiter, so a
+// par's updates to one destination, or a straight-line run of them, cost what
+// one update costs in round trips; a lone statement is the group of one. The
+// wait respects ctx's deadline; the per-window progress watchdog bounds how
+// long a stuck frontier can hold waiters (see ackWindow).
+//
+// acked is how many leading updates of the group were acknowledged: all of
+// them on success, and on failure the position of the first unacknowledged
+// one — where a sequence of single statements would have failed.
+func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []remoteUpdate) (acked int, err error) {
 	if s.opts.DisableBatching {
-		// The seed plane has no group form (compilePar builds none under it).
-		var first error
+		// The seed plane has no group form (the compiler builds none under it).
 		for _, u := range ups {
-			if err := s.sendUpdateUnbatched(ctx, j, to, u.kind, u.key, u.flag, u.payload); err != nil && first == nil {
-				first = err
+			uerr := s.sendUpdateUnbatched(ctx, j, to, u.kind, u.key, u.flag, u.payload)
+			switch {
+			case err != nil: // past the first failure nothing counts
+			case uerr != nil:
+				err = uerr
+			default:
+				acked++
 			}
 		}
-		return first
+		return acked, err
 	}
 	n := len(ups)
 	from := j.FQName
@@ -1025,65 +1048,72 @@ func (s *System) sendUpdates(ctx context.Context, j *Junction, to string, ups []
 	if timing {
 		start = time.Now()
 	}
-	var err error
+	var serr error
 	if n == 1 {
-		err = j.net.Send(frame(0, lo))
+		serr = j.net.Send(frame(0, lo))
 	} else {
-		msgs := make([]compart.Message, n)
-		for i := range msgs {
-			msgs[i] = frame(i, lo+uint64(i))
+		msgs := wt.msgs[:0]
+		for i := 0; i < n; i++ {
+			msgs = append(msgs, frame(i, lo+uint64(i)))
 		}
-		err = j.net.SendBatch(msgs)
+		serr = j.net.SendBatch(msgs)
+		// Kept for the next group, without the frames it pointed at.
+		clear(msgs)
+		wt.msgs = msgs
 	}
 	w.sendMu.Unlock()
-	if err != nil {
+
+	var werr error
+	switch {
+	case serr != nil:
 		if !w.forget(wt) {
 			<-wt.ch // a window failure completed it meanwhile: drain before reuse
 		}
-		waiterPool.Put(wt)
-		if errors.Is(err, compart.ErrEndpointDown) {
+		if errors.Is(serr, compart.ErrEndpointDown) {
 			// Transport-level liveness (crash, or a BridgeLive whose
 			// heartbeats went unanswered) already knows the peer is gone:
 			// fail every pipelined update on this pair fast instead of
 			// waiting out one ack timeout per update.
-			werr := fmt.Errorf("%w (%s)", ErrPeerDown, to)
+			werr = fmt.Errorf("%w (%s)", ErrPeerDown, to)
 			w.fail(werr)
-			return werr
+		} else {
+			werr = fmt.Errorf("%w: %v", ErrSendFailed, serr)
 		}
-		return fmt.Errorf("%w: %v", ErrSendFailed, err)
-	}
-
-	var werr error
-	select {
-	case werr = <-wt.ch:
-	case <-ctx.Done():
-		if w.forget(wt) {
-			// otherwise[t] expired with the range still pending: the whole
-			// range is forgotten, and no completer holds the waiter.
-			waiterPool.Put(wt)
-			return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
+	default:
+		select {
+		case werr = <-wt.ch:
+		case <-ctx.Done():
+			if w.forget(wt) {
+				// otherwise[t] expired with the range still pending: what is
+				// left of it is forgotten, and no completer holds the waiter.
+				werr = fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
+			} else {
+				// An ack raced the cancellation: the group was delivered, the
+				// statement completes normally.
+				werr = <-wt.ch
+			}
 		}
-		// An ack raced the cancellation: the group was delivered, the
-		// statement completes normally.
-		werr = <-wt.ch
 	}
-	// The channel saw its one send and one receive; the waiter is quiescent.
-	waiterPool.Put(wt)
+	// The waiter is unlinked and its channel quiescent (its one send, if any,
+	// was received), so nothing else touches it: base is final. Members the
+	// cumulative frontier passed were acknowledged even when the group failed.
+	acked = n
 	if werr != nil {
-		return werr
+		acked = int(wt.base - (lo - 1))
 	}
-	j.met.RemoteAcked.Add(uint64(n))
+	waiterPool.Put(wt)
+	j.met.RemoteAcked.Add(uint64(acked))
 	var d time.Duration
-	if timing {
+	if timing && werr == nil {
 		d = time.Since(start)
 		j.met.Ack.Observe(d)
 	}
 	if tracing {
-		for seq := lo; seq <= hi; seq++ {
+		for seq := lo; seq < lo+uint64(acked); seq++ {
 			s.obs.Emit(obsv.Event{Kind: obsv.EvRemoteAcked, Junction: from, Key: to, Peer: to, N: int64(seq), Dur: d})
 		}
 	}
-	return nil
+	return acked, werr
 }
 
 // sendUpdateUnbatched is the seed remote-update path, selected by
@@ -1301,22 +1331,31 @@ func (j *Junction) handleMessage(m compart.Message) {
 	}
 }
 
+// pairAck is the cumulative ack one delivery group owes one sender.
+type pairAck struct {
+	from   string
+	cum    uint64
+	extras []uint64
+}
+
 // handleBatch absorbs a delivery group — the messages of one decoded
 // KindBatch envelope addressed to this junction — with one KV lock
 // acquisition (kv.EnqueueBatch) and one ack frame per sender: the batched
-// receive path the per-destination coalescing senders feed.
+// receive path the per-destination coalescing senders feed. The slice is the
+// sender's and is not kept.
 func (j *Junction) handleBatch(msgs []compart.Message) {
 	tracing := j.sys.obs.Tracing()
-	updates := make([]kv.Update, 0, len(msgs))
-	// Per-sender ack accumulation. Delivery groups usually have a single
-	// origin (one coalescing sender), so first-appearance order with a
-	// linear scan is cheap and keeps ack emission deterministic.
-	type pairAck struct {
-		from   string
-		cum    uint64
-		extras []uint64
+	// A request hop is a group of two and has one sender: both collections
+	// start on the stack and only a wide fan-out grows them.
+	var updateBuf [4]kv.Update
+	updates := updateBuf[:0]
+	if len(msgs) > len(updateBuf) {
+		updates = make([]kv.Update, 0, len(msgs))
 	}
-	var acks []*pairAck
+	// Per-sender ack accumulation, in first-appearance order so ack emission
+	// is deterministic.
+	var ackBuf [2]pairAck
+	acks := ackBuf[:0]
 	for _, m := range msgs {
 		switch m.Kind {
 		case compart.KindProp, compart.KindData:
@@ -1326,20 +1365,16 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 			}
 			updates = append(updates, u)
 			cum, extra := j.noteDelivered(m.From, seq)
-			var pa *pairAck
-			for _, a := range acks {
-				if a.from == m.From {
-					pa = a
-					break
-				}
+			a := 0
+			for a < len(acks) && acks[a].from != m.From {
+				a++
 			}
-			if pa == nil {
-				pa = &pairAck{from: m.From}
-				acks = append(acks, pa)
+			if a == len(acks) {
+				acks = append(acks, pairAck{from: m.From})
 			}
-			pa.cum = cum
+			acks[a].cum = cum
 			if extra {
-				pa.extras = append(pa.extras, seq)
+				acks[a].extras = append(acks[a].extras, seq)
 			}
 			if tracing {
 				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
