@@ -14,6 +14,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,124 @@ type Value struct {
 	Data    []byte
 }
 
+// cell is one declared name: what the table's bookkeeping — local priority,
+// wait admission, subscriptions — knows it by, and its value. The table
+// creates it at declaration and never replaces it, so two references to the
+// same name are the same pointer.
+type cell struct {
+	t    *Table
+	kind UpdateKind
+	name string
+	b    atomic.Bool // the value of a proposition
+	d    Value       // the slot of a data variable; guarded by t.mu
+}
+
+// storeLocked gives the cell the value a remote update carries.
+func (c *cell) storeLocked(u Update) {
+	if c.kind == UpdateProp {
+		c.b.Store(u.Bool)
+	} else {
+		c.d = Value{Defined: true, Data: u.Data}
+	}
+}
+
+// PropCell is a declared proposition's cell, as Table.PropCell hands it to a
+// caller that runs the same statement many times: rollbacks and migration
+// installs store into the cell, so whoever binds it once reads and writes the
+// proposition from then on without resolving the name.
+type PropCell cell
+
+// Get returns the current value. It takes no lock: the value is one atomic
+// word, and a reader could never tell a locked read from this one — a write
+// that lands "during" either is ordered before or after it.
+func (c *PropCell) Get() bool { return c.b.Load() }
+
+// Set is Table.SetProp on the bound proposition.
+func (c *PropCell) Set(v bool) {
+	t := c.t
+	t.mu.Lock()
+	t.setPropLocked((*cell)(c), v, nil)
+	t.mu.Unlock()
+}
+
+// Swap is Table.SwapProp on the bound proposition.
+func (c *PropCell) Swap(v bool) PropUndo {
+	t := c.t
+	t.mu.Lock()
+	u := PropUndo{c: (*cell)(c), prev: c.b.Load()}
+	t.setPropLocked(u.c, v, &u.dropped)
+	t.mu.Unlock()
+	return u
+}
+
+// DataCell is a declared data variable's cell, bound like a PropCell. Its
+// value is wider than a word, so reads take the table lock too.
+type DataCell cell
+
+// Ref is Table.DataRef on the bound variable.
+func (c *DataCell) Ref() ([]byte, error) {
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
+	return (*cell)(c).refLocked()
+}
+
+func (c *cell) refLocked() ([]byte, error) {
+	if !c.d.Defined {
+		return nil, fmt.Errorf("%w: data %q", ErrUndef, c.name)
+	}
+	return c.d.Data, nil
+}
+
+// Get is Table.Data on the bound variable.
+func (c *DataCell) Get() ([]byte, error) { return owned(c.Ref()) }
+
+// owned turns a DataRef result into a Data result: a copy the caller owns.
+func owned(b []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	cp := make([]byte, len(b))
+	copy(cp, b)
+	return cp, nil
+}
+
+// Set is Table.SetData on the bound variable.
+func (c *DataCell) Set(data []byte) {
+	t := c.t
+	t.mu.Lock()
+	t.setDataLocked((*cell)(c), data)
+	t.mu.Unlock()
+}
+
+// Keys is a set of one table's declared names, resolved to their cells once
+// (Bind) so that a wait or a subscription armed on every execution of a
+// statement is matched by pointer and builds no set of its own.
+type Keys struct {
+	cells []*cell
+}
+
+func (ks *Keys) has(c *cell) bool { return slices.Contains(ks.cells, c) }
+
+// Bind resolves proposition and data names to a key set. Names the table does
+// not declare are left out: nothing can change them.
+func (t *Table) Bind(props, data []string) *Keys {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ks := &Keys{cells: make([]*cell, 0, len(props)+len(data))}
+	add := func(c *cell) {
+		if c != nil && !ks.has(c) {
+			ks.cells = append(ks.cells, c)
+		}
+	}
+	for _, n := range props {
+		add(t.props[n])
+	}
+	for _, n := range data {
+		add(t.data[n])
+	}
+	return ks
+}
+
 // WaitSet describes which pending updates a blocked wait statement lets
 // through: updates to any proposition appearing in the wait formula and to
 // any data key listed in the wait's n⃗ vector (paper §6 "Junction state").
@@ -83,31 +202,53 @@ func NewWaitSet(f formula.Formula, dataKeys []string) WaitSet {
 	return ws
 }
 
-// admits reports whether the wait set lets the update through.
-func (ws WaitSet) admits(u Update) bool {
-	switch u.Kind {
-	case UpdateProp:
-		return ws.Props[u.Key]
-	case UpdateData:
-		return ws.Data[u.Key]
+// Bind resolves the admission set against t.
+func (ws WaitSet) Bind(t *Table) *Keys {
+	names := func(set map[string]bool) []string {
+		out := make([]string, 0, len(set))
+		for n, in := range set {
+			if in {
+				out = append(out, n)
+			}
+		}
+		return out
 	}
-	return false
+	return t.Bind(names(ws.Props), names(ws.Data))
 }
 
 // Table is one junction's KV table. It is safe for concurrent use: the
 // owning junction's interpreter goroutine performs local reads/writes and
 // scheduling-time pending application, while any other junction may Enqueue
 // updates at any time.
+//
+// The paper fixes a junction's key set at its init prop / init data
+// declarations (§6), so the table stores one cell per declared name and the
+// cells are the only value store. Everything reaches a value through its
+// cell: callers that name the key on every call (Prop, SetProp, Data, …, and
+// remote updates, keyed by wire name) resolve it under the lock first; callers
+// that run the same statement many times resolve it once (PropCell, DataCell,
+// Bind) and keep the cell. A held cell stays the name's cell for the table's
+// lifetime — Restore, RestoreKeys, UndoProp and RestoreAll store into cells,
+// never replace them — so a binding taken before a rollback or a migration
+// install reads the restored value after it.
+//
+// Every write takes the lock, bound or not: discarding the pending updates to
+// the key (local priority), admitting an update into a blocked wait and
+// waking the key's subscribers must be atomic with the store. Reading a bound
+// proposition does not (PropCell.Get).
 type Table struct {
-	mu      sync.Mutex
-	props   map[string]bool
-	data    map[string]Value
+	mu sync.Mutex
+	// props and data index the cells by name. They gain entries at
+	// declaration (and when RestoreAll installs a name the table lacks) and
+	// never lose one.
+	props   map[string]*cell
+	data    map[string]*cell
 	pending []Update
 	nextSeq uint64
 
 	// waiters holds the admission sets of all currently-blocked wait
 	// statements (parallel composition can block several waits at once).
-	waiters map[int]*WaitSet
+	waiters []waiter
 	nextWid int
 
 	// notify is pinged whenever an update is enqueued or admitted, waking a
@@ -117,8 +258,7 @@ type Table struct {
 	// subs holds the keyed subscriptions of event-driven waiters and
 	// schedulers. Unlike notify (one coalesced channel for the whole table),
 	// a subscription is woken only when one of its registered keys changes.
-	subs    map[int]*Subscription
-	nextSid int
+	subs []*Subscription
 
 	// wakes counts keyed subscription wake deliveries (tokens placed on
 	// subscription channels), for the observability layer.
@@ -130,14 +270,18 @@ type Table struct {
 	wakeHook func(kind UpdateKind, key string, woken int)
 }
 
+// waiter is one blocked wait statement's admission set.
+type waiter struct {
+	id   int
+	keys *Keys
+}
+
 // NewTable returns an empty table with no declared names.
 func NewTable() *Table {
 	return &Table{
-		props:   map[string]bool{},
-		data:    map[string]Value{},
-		waiters: map[int]*WaitSet{},
-		notify:  make(chan struct{}, 1),
-		subs:    map[int]*Subscription{},
+		props:  map[string]*cell{},
+		data:   map[string]*cell{},
+		notify: make(chan struct{}, 1),
 	}
 }
 
@@ -159,11 +303,8 @@ func (t *Table) ping() {
 // The channel has capacity one, so wakes that race ahead of the holder's
 // re-evaluation are retained, never lost.
 type Subscription struct {
-	id    int
-	ch    chan struct{}
-	props map[string]bool
-	data  map[string]bool
-	all   bool
+	ch   chan struct{}
+	keys *Keys // nil: every key
 }
 
 // Ch returns the wake channel. A received token means "one of your keys may
@@ -171,18 +312,7 @@ type Subscription struct {
 // wakes are not.
 func (s *Subscription) Ch() <-chan struct{} { return s.ch }
 
-func (s *Subscription) wants(kind UpdateKind, key string) bool {
-	if s.all {
-		return true
-	}
-	switch kind {
-	case UpdateProp:
-		return s.props[key]
-	case UpdateData:
-		return s.data[key]
-	}
-	return false
-}
+func (s *Subscription) wants(c *cell) bool { return s.keys == nil || s.keys.has(c) }
 
 func (s *Subscription) wake() {
 	select {
@@ -194,45 +324,40 @@ func (s *Subscription) wake() {
 // Subscribe registers interest in the given proposition and data keys.
 // The caller must Unsubscribe when done.
 func (t *Table) Subscribe(props, data []string) *Subscription {
-	s := &Subscription{ch: make(chan struct{}, 1), props: map[string]bool{}, data: map[string]bool{}}
-	for _, k := range props {
-		s.props[k] = true
-	}
-	for _, k := range data {
-		s.data[k] = true
-	}
-	t.addSub(s)
+	return t.SubscribeKeys(t.Bind(props, data))
+}
+
+// SubscribeKeys is Subscribe over a key set bound earlier; the set is shared,
+// not copied.
+func (t *Table) SubscribeKeys(ks *Keys) *Subscription {
+	s := &Subscription{ch: make(chan struct{}, 1), keys: ks}
+	t.mu.Lock()
+	t.subs = append(t.subs, s)
+	t.mu.Unlock()
 	return s
 }
 
 // SubscribeAll registers interest in every key of the table.
-func (t *Table) SubscribeAll() *Subscription {
-	s := &Subscription{ch: make(chan struct{}, 1), all: true}
-	t.addSub(s)
-	return s
-}
-
-func (t *Table) addSub(s *Subscription) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.id = t.nextSid
-	t.nextSid++
-	t.subs[s.id] = s
-}
+func (t *Table) SubscribeAll() *Subscription { return t.SubscribeKeys(nil) }
 
 // Unsubscribe removes a subscription; its channel is never signalled again.
 func (t *Table) Unsubscribe(s *Subscription) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.subs, s.id)
+	if i := slices.Index(t.subs, s); i >= 0 {
+		last := len(t.subs) - 1
+		t.subs[i] = t.subs[last]
+		t.subs[last] = nil
+		t.subs = t.subs[:last]
+	}
 }
 
-// wakeKeyLocked wakes every subscription registered for the key. Sends are
+// wakeLocked wakes every subscription registered for the key. Sends are
 // non-blocking (capacity-one channels), so calling under t.mu is safe.
-func (t *Table) wakeKeyLocked(kind UpdateKind, key string) {
+func (t *Table) wakeLocked(c *cell) {
 	woken := 0
 	for _, s := range t.subs {
-		if s.wants(kind, key) {
+		if s.wants(c) {
 			s.wake()
 			woken++
 		}
@@ -240,9 +365,17 @@ func (t *Table) wakeKeyLocked(kind UpdateKind, key string) {
 	if woken > 0 {
 		t.wakes.Add(uint64(woken))
 		if t.wakeHook != nil {
-			t.wakeHook(kind, key, woken)
+			t.wakeHook(c.kind, c.name, woken)
 		}
 	}
+}
+
+// wakeEveryLocked wakes every subscription, whatever its keys.
+func (t *Table) wakeEveryLocked() {
+	for _, s := range t.subs {
+		s.wake()
+	}
+	t.wakes.Add(uint64(len(t.subs)))
 }
 
 // WakeAll wakes every subscription and pings the coalesced notify channel.
@@ -251,10 +384,7 @@ func (t *Table) wakeKeyLocked(kind UpdateKind, key string) {
 // key an indexed proposition resolves to).
 func (t *Table) WakeAll() {
 	t.mu.Lock()
-	for _, s := range t.subs {
-		s.wake()
-	}
-	t.wakes.Add(uint64(len(t.subs)))
+	t.wakeEveryLocked()
 	t.mu.Unlock()
 	t.ping()
 }
@@ -277,41 +407,67 @@ func (t *Table) SetWakeHook(h func(kind UpdateKind, key string, woken int)) {
 func (t *Table) DeclareProp(name string, init bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.props[name] = init
+	t.declareLocked(UpdateProp, name).b.Store(init)
 }
 
 // DeclareData declares a data variable initialized to undef.
 func (t *Table) DeclareData(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.data[name] = Value{}
+	t.declareLocked(UpdateData, name).d = Value{}
+}
+
+// index returns the name→cell map of one kind (nil, which resolves no name,
+// for a kind no update should carry).
+func (t *Table) index(kind UpdateKind) map[string]*cell {
+	switch kind {
+	case UpdateProp:
+		return t.props
+	case UpdateData:
+		return t.data
+	}
+	return nil
+}
+
+// declareLocked returns the name's cell, creating it when missing.
+func (t *Table) declareLocked(kind UpdateKind, name string) *cell {
+	idx := t.index(kind)
+	c := idx[name]
+	if c == nil {
+		c = &cell{t: t, kind: kind, name: name}
+		idx[name] = c
+	}
+	return c
+}
+
+// PropCell binds a declared proposition: the returned cell is the name's
+// storage for the table's lifetime. Nil when the name was never declared.
+func (t *Table) PropCell(name string) *PropCell {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return (*PropCell)(t.props[name])
+}
+
+// DataCell binds a declared data variable; nil when it was never declared.
+func (t *Table) DataCell(name string) *DataCell {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return (*DataCell)(t.data[name])
 }
 
 // HasProp reports whether the proposition was declared.
-func (t *Table) HasProp(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.props[name]
-	return ok
-}
+func (t *Table) HasProp(name string) bool { return t.PropCell(name) != nil }
 
 // HasData reports whether the data variable was declared.
-func (t *Table) HasData(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.data[name]
-	return ok
-}
+func (t *Table) HasData(name string) bool { return t.DataCell(name) != nil }
 
 // Prop returns the current value of a declared proposition.
 func (t *Table) Prop(name string) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.props[name]
-	if !ok {
+	c := t.PropCell(name)
+	if c == nil {
 		return false, fmt.Errorf("%w: prop %q", ErrUndeclared, name)
 	}
-	return v, nil
+	return c.Get(), nil
 }
 
 // SetProp performs a *local* assert/retract. Per the local-priority rule it
@@ -319,23 +475,39 @@ func (t *Table) Prop(name string) (bool, error) {
 func (t *Table) SetProp(name string, v bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.props[name]; !ok {
+	c := t.props[name]
+	if c == nil {
 		return fmt.Errorf("%w: prop %q", ErrUndeclared, name)
 	}
-	t.props[name] = v
-	t.dropPendingLocked(UpdateProp, name, nil)
-	t.wakeKeyLocked(UpdateProp, name)
+	t.setPropLocked(c, v, nil)
 	return nil
+}
+
+func (t *Table) setPropLocked(c *cell, v bool, dropped *[]Update) {
+	c.b.Store(v)
+	t.afterLocalWriteLocked(c, dropped)
+}
+
+// afterLocalWriteLocked is what makes a store a local write: the pending
+// remote updates to the key are discarded (local priority) and its
+// subscribers woken. A junction between requests has neither, and the write
+// is on every scheduling's path, so both are looked at before being called.
+func (t *Table) afterLocalWriteLocked(c *cell, dropped *[]Update) {
+	if len(t.pending) > 0 {
+		t.dropPendingLocked(c.kind, c.name, dropped)
+	}
+	if len(t.subs) > 0 {
+		t.wakeLocked(c)
+	}
 }
 
 // PropUndo is what taking back one local assert/retract needs: the value the
 // proposition held before it and the pending remote updates the
 // local-priority rule discarded on its behalf. The zero value undoes nothing.
 type PropUndo struct {
-	name    string
+	c       *cell
 	prev    bool
 	dropped []Update
-	applied bool
 }
 
 // SwapProp is SetProp that can be taken back, and that leaves an undeclared
@@ -345,17 +517,11 @@ type PropUndo struct {
 // ahead of it are known to have succeeded — it must leave no mark when one of
 // them fails.
 func (t *Table) SwapProp(name string, v bool) (u PropUndo, declared bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	prev, ok := t.props[name]
-	if !ok {
+	c := t.PropCell(name)
+	if c == nil {
 		return PropUndo{}, false
 	}
-	u = PropUndo{name: name, prev: prev, applied: true}
-	t.props[name] = v
-	t.dropPendingLocked(UpdateProp, name, &u.dropped)
-	t.wakeKeyLocked(UpdateProp, name)
-	return u, true
+	return c.Swap(v), true
 }
 
 // UndoProp takes a SwapProp back as if it had never run: the previous value
@@ -363,12 +529,12 @@ func (t *Table) SwapProp(name string, v bool) (u PropUndo, declared bool) {
 // positions, and updates that arrived since stay queued (an undo is not a
 // local write, so it discards nothing).
 func (t *Table) UndoProp(u PropUndo) {
-	if !u.applied {
+	if u.c == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.props[u.name] = u.prev
+	u.c.b.Store(u.prev)
 	if len(u.dropped) > 0 {
 		merged := make([]Update, 0, len(t.pending)+len(u.dropped))
 		d := u.dropped
@@ -381,7 +547,7 @@ func (t *Table) UndoProp(u PropUndo) {
 		}
 		t.pending = append(merged, d...)
 	}
-	t.wakeKeyLocked(UpdateProp, u.name)
+	t.wakeLocked(u.c)
 }
 
 // Data returns a copy of the current value of a declared, defined data
@@ -389,13 +555,7 @@ func (t *Table) UndoProp(u PropUndo) {
 // state behind the lock. Runtime paths that only forward the bytes and never
 // mutate them can use DataRef to skip the copy.
 func (t *Table) Data(name string) ([]byte, error) {
-	b, err := t.DataRef(name)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp, nil
+	return owned(t.DataRef(name))
 }
 
 // DataRef is the zero-copy variant of Data: it returns the table's internal
@@ -404,21 +564,19 @@ func (t *Table) Data(name string) ([]byte, error) {
 func (t *Table) DataRef(name string) ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v, ok := t.data[name]
-	if !ok {
+	c := t.data[name]
+	if c == nil {
 		return nil, fmt.Errorf("%w: data %q", ErrUndeclared, name)
 	}
-	if !v.Defined {
-		return nil, fmt.Errorf("%w: data %q", ErrUndef, name)
-	}
-	return v.Data, nil
+	return c.refLocked()
 }
 
 // Defined reports whether the data variable holds a valid (non-undef) value.
 func (t *Table) Defined(name string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.data[name].Defined
+	c := t.data[name]
+	return c != nil && c.d.Defined
 }
 
 // SetData performs a *local* save. Per the local-priority rule it discards
@@ -426,21 +584,25 @@ func (t *Table) Defined(name string) bool {
 func (t *Table) SetData(name string, data []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.data[name]; !ok {
+	c := t.data[name]
+	if c == nil {
 		return fmt.Errorf("%w: data %q", ErrUndeclared, name)
 	}
-	t.data[name] = Value{Defined: true, Data: data}
-	t.dropPendingLocked(UpdateData, name, nil)
-	t.wakeKeyLocked(UpdateData, name)
+	t.setDataLocked(c, data)
 	return nil
+}
+
+func (t *Table) setDataLocked(c *cell, data []byte) {
+	c.d = Value{Defined: true, Data: data}
+	t.afterLocalWriteLocked(c, nil)
 }
 
 // dropPendingLocked discards the queued updates to one key, appending them to
 // *dropped when the caller wants them back later.
-func (t *Table) dropPendingLocked(kind UpdateKind, key string, dropped *[]Update) {
+func (t *Table) dropPendingLocked(kind UpdateKind, name string, dropped *[]Update) {
 	kept := t.pending[:0]
 	for _, u := range t.pending {
-		if u.Kind == kind && u.Key == key {
+		if u.Kind == kind && u.Key == name {
 			if dropped != nil {
 				*dropped = append(*dropped, u)
 			}
@@ -451,6 +613,21 @@ func (t *Table) dropPendingLocked(kind UpdateKind, key string, dropped *[]Update
 	t.pending = kept
 }
 
+// deliverLocked gives one remote update its arrival number and applies it, if
+// a blocked wait admits its key, or queues it. It returns the cell to wake;
+// nil for a name the table does not declare, which nobody can be waiting on.
+func (t *Table) deliverLocked(u Update) *cell {
+	u.seq = t.nextSeq
+	t.nextSeq++
+	c := t.index(u.Kind)[u.Key]
+	if c != nil && t.admittedLocked(c) {
+		c.storeLocked(u)
+	} else {
+		t.pending = append(t.pending, u)
+	}
+	return c
+}
+
 // Enqueue delivers a remote update. If the junction is currently blocked in
 // a wait whose admission set covers the update, the update is applied
 // immediately; otherwise it queues until the next scheduling. Keyed
@@ -459,14 +636,9 @@ func (t *Table) dropPendingLocked(kind UpdateKind, key string, dropped *[]Update
 // re-evaluate (which is what triggers that scheduling).
 func (t *Table) Enqueue(u Update) {
 	t.mu.Lock()
-	u.seq = t.nextSeq
-	t.nextSeq++
-	if t.admittedLocked(u) {
-		t.applyLocked(u)
-	} else {
-		t.pending = append(t.pending, u)
+	if c := t.deliverLocked(u); c != nil {
+		t.wakeLocked(c)
 	}
-	t.wakeKeyLocked(u.Kind, u.Key)
 	t.mu.Unlock()
 	t.ping()
 }
@@ -485,68 +657,48 @@ func (t *Table) EnqueueBatch(us []Update) {
 		t.Enqueue(us[0])
 		return
 	}
-	type keyOf struct {
-		kind UpdateKind
-		key  string
-	}
 	// Distinct keys in first-appearance order. A group rarely names more than
 	// a few (a request's data and its proposition; one proposition 96 times),
 	// so they are found by scanning a small array; only a group with more
 	// distinct keys than that pays for a set.
-	var few [8]keyOf
+	var few [8]*cell
 	distinct := few[:0]
-	var seen map[keyOf]struct{}
+	var seen map[*cell]struct{}
 	t.mu.Lock()
 	for _, u := range us {
-		u.seq = t.nextSeq
-		t.nextSeq++
-		if t.admittedLocked(u) {
-			t.applyLocked(u)
-		} else {
-			t.pending = append(t.pending, u)
+		k := t.deliverLocked(u)
+		if k == nil {
+			continue
 		}
-		k := keyOf{u.Kind, u.Key}
-		known := false
 		if seen != nil {
-			_, known = seen[k]
-		} else {
-			for _, d := range distinct {
-				if d == k {
-					known = true
-					break
-				}
+			if _, known := seen[k]; known {
+				continue
 			}
-		}
-		if known {
+			seen[k] = struct{}{}
+		} else if slices.Contains(distinct, k) {
 			continue
 		}
 		distinct = append(distinct, k)
-		if seen != nil {
-			seen[k] = struct{}{}
-		} else if len(distinct) > len(few) {
-			seen = make(map[keyOf]struct{}, 2*len(distinct))
+		if seen == nil && len(distinct) > len(few) {
+			seen = make(map[*cell]struct{}, 2*len(distinct))
 			for _, d := range distinct {
 				seen[d] = struct{}{}
 			}
 		}
 	}
 	for _, k := range distinct {
-		t.wakeKeyLocked(k.kind, k.key)
+		t.wakeLocked(k)
 	}
 	t.mu.Unlock()
 	t.ping()
 }
 
+// applyLocked stores a queued update's value and wakes its key's subscribers;
+// an update to an undeclared name changes nothing.
 func (t *Table) applyLocked(u Update) {
-	switch u.Kind {
-	case UpdateProp:
-		if _, ok := t.props[u.Key]; ok {
-			t.props[u.Key] = u.Bool
-		}
-	case UpdateData:
-		if _, ok := t.data[u.Key]; ok {
-			t.data[u.Key] = Value{Defined: true, Data: u.Data}
-		}
+	if c := t.index(u.Kind)[u.Key]; c != nil {
+		c.storeLocked(u)
+		t.wakeLocked(c)
 	}
 }
 
@@ -558,9 +710,11 @@ func (t *Table) ApplyPending() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := len(t.pending)
+	if n == 0 {
+		return 0
+	}
 	for _, u := range t.pending {
 		t.applyLocked(u)
-		t.wakeKeyLocked(u.Kind, u.Key)
 	}
 	// The queue keeps its backing array (emptied, so no payload stays
 	// reachable through it): a junction that absorbs a few updates per
@@ -602,10 +756,10 @@ func (t *Table) Keep(propNames, dataNames []string) {
 	}
 }
 
-// admittedLocked reports whether any active waiter admits the update.
-func (t *Table) admittedLocked(u Update) bool {
-	for _, ws := range t.waiters {
-		if ws.admits(u) {
+// admittedLocked reports whether any active waiter admits updates to the key.
+func (t *Table) admittedLocked(c *cell) bool {
+	for _, w := range t.waiters {
+		if w.keys.has(c) {
 			return true
 		}
 	}
@@ -616,17 +770,19 @@ func (t *Table) admittedLocked(u Update) bool {
 // that it admits (a wait observes updates that raced ahead of it). Several
 // waits may be active at once (parallel composition); the returned handle
 // identifies this one for EndWait.
-func (t *Table) BeginWait(ws WaitSet) (handle int) {
+func (t *Table) BeginWait(ws WaitSet) (handle int) { return t.BeginWaitKeys(ws.Bind(t)) }
+
+// BeginWaitKeys is BeginWait over an admission set bound earlier.
+func (t *Table) BeginWaitKeys(ks *Keys) (handle int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	handle = t.nextWid
 	t.nextWid++
-	t.waiters[handle] = &ws
+	t.waiters = append(t.waiters, waiter{id: handle, keys: ks})
 	kept := t.pending[:0]
 	for _, u := range t.pending {
-		if ws.admits(u) {
+		if ks.has(t.index(u.Kind)[u.Key]) {
 			t.applyLocked(u)
-			t.wakeKeyLocked(u.Kind, u.Key)
 			continue
 		}
 		kept = append(kept, u)
@@ -639,17 +795,16 @@ func (t *Table) BeginWait(ws WaitSet) (handle int) {
 func (t *Table) EndWait(handle int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.waiters, handle)
+	t.waiters = slices.DeleteFunc(t.waiters, func(w waiter) bool { return w.id == handle })
 }
 
 // Snapshot captures table contents for transactional rollback (the ⟨|E|⟩
 // block). The pending queue is NOT captured: queued communication from other
-// junctions survives a rollback. A snapshot is either full (every key) or
-// partial (only the keys a compiled transaction's write-set can touch).
+// junctions survives a rollback. A snapshot holds every key (Snapshot) or only
+// the keys a compiled transaction's write-set can touch (SnapshotKeys).
 type Snapshot struct {
-	props   map[string]bool
-	data    map[string]Value
-	partial bool
+	props map[string]bool
+	data  map[string]Value
 }
 
 // Snapshot returns a deep copy of the current table contents.
@@ -657,11 +812,11 @@ func (t *Table) Snapshot() Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := Snapshot{props: make(map[string]bool, len(t.props)), data: make(map[string]Value, len(t.data))}
-	for k, v := range t.props {
-		s.props[k] = v
+	for k, c := range t.props {
+		s.props[k] = c.b.Load()
 	}
-	for k, v := range t.data {
-		s.data[k] = copyValue(v)
+	for k, c := range t.data {
+		s.data[k] = copyValue(c.d)
 	}
 	return s
 }
@@ -675,18 +830,17 @@ func (t *Table) SnapshotKeys(props, data []string) Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := Snapshot{
-		props:   make(map[string]bool, len(props)),
-		data:    make(map[string]Value, len(data)),
-		partial: true,
+		props: make(map[string]bool, len(props)),
+		data:  make(map[string]Value, len(data)),
 	}
 	for _, k := range props {
-		if v, ok := t.props[k]; ok {
-			s.props[k] = v
+		if c := t.props[k]; c != nil {
+			s.props[k] = c.b.Load()
 		}
 	}
 	for _, k := range data {
-		if v, ok := t.data[k]; ok {
-			s.data[k] = copyValue(v)
+		if c := t.data[k]; c != nil {
+			s.data[k] = copyValue(c.d)
 		}
 	}
 	return s
@@ -700,6 +854,23 @@ func copyValue(v Value) Value {
 	return cp
 }
 
+// restorePropLocked and restoreDataLocked put one captured value back into
+// the name's cell and wake its subscribers — a rollback changes visible
+// values just like a write does. A name the table does not declare is skipped.
+func (t *Table) restorePropLocked(name string, v bool) {
+	if c := t.props[name]; c != nil {
+		c.b.Store(v)
+		t.wakeLocked(c)
+	}
+}
+
+func (t *Table) restoreDataLocked(name string, v Value) {
+	if c := t.data[name]; c != nil {
+		c.d = copyValue(v)
+		t.wakeLocked(c)
+	}
+}
+
 // RestoreKeys rolls back only the listed keys to the values a snapshot
 // captured for them (keys the snapshot does not hold are left alone), waking
 // their subscribers. A transaction that failed part-way uses it to take back
@@ -709,36 +880,27 @@ func (t *Table) RestoreKeys(s Snapshot, props, data []string) {
 	defer t.mu.Unlock()
 	for _, k := range props {
 		if v, ok := s.props[k]; ok {
-			t.props[k] = v
-			t.wakeKeyLocked(UpdateProp, k)
+			t.restorePropLocked(k, v)
 		}
 	}
 	for _, k := range data {
 		if v, ok := s.data[k]; ok {
-			t.data[k] = copyValue(v)
-			t.wakeKeyLocked(UpdateData, k)
+			t.restoreDataLocked(k, v)
 		}
 	}
 }
 
-// Restore rolls table contents back to a snapshot: every key for a full
-// snapshot, only the captured keys for a partial one. Subscribers of the
-// restored keys are woken — a rollback changes visible values just like a
-// write does.
+// Restore rolls every key the snapshot captured back to its captured value,
+// in place: the cells stay, so bindings taken before the rollback read the
+// restored values. Subscribers of the restored keys are woken.
 func (t *Table) Restore(s Snapshot) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !s.partial {
-		t.props = make(map[string]bool, len(s.props))
-		t.data = make(map[string]Value, len(s.data))
-	}
 	for k, v := range s.props {
-		t.props[k] = v
-		t.wakeKeyLocked(UpdateProp, k)
+		t.restorePropLocked(k, v)
 	}
 	for k, v := range s.data {
-		t.data[k] = copyValue(v)
-		t.wakeKeyLocked(UpdateData, k)
+		t.restoreDataLocked(k, v)
 	}
 }
 
@@ -771,10 +933,8 @@ func (t *Table) DataNames() []string {
 // local-priority rule; normal delivery goes through Enqueue.
 func (t *Table) ApplyNow(u Update) {
 	t.mu.Lock()
-	u.seq = t.nextSeq
 	t.nextSeq++
 	t.applyLocked(u)
-	t.wakeKeyLocked(u.Kind, u.Key)
 	t.mu.Unlock()
 	t.ping()
 }

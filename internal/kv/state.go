@@ -26,11 +26,11 @@ func (t *Table) SnapshotAll() TableState {
 		Data:    make(map[string]Value, len(t.data)),
 		Pending: make([]Update, 0, len(t.pending)),
 	}
-	for k, v := range t.props {
-		st.Props[k] = v
+	for k, c := range t.props {
+		st.Props[k] = c.b.Load()
 	}
-	for k, v := range t.data {
-		st.Data[k] = copyValue(v)
+	for k, c := range t.data {
+		st.Data[k] = copyValue(c.d)
 	}
 	for _, u := range t.pending {
 		if u.Data != nil {
@@ -42,21 +42,23 @@ func (t *Table) SnapshotAll() TableState {
 	return st
 }
 
-// RestoreAll replaces the table's contents wholesale with an exported state:
-// declarations, values and the pending queue all come from st. It is meant
-// for a freshly built table on the migration destination — installed state
-// replaces the declaration-time initial values before the junction processes
-// anything — but works on any table: waiters and subscriptions survive, and
-// every subscriber is woken since any key may have changed.
+// RestoreAll installs an exported state: every value st carries and the
+// pending queue come from st. It is meant for a freshly built table on the
+// migration destination — installed state replaces the declaration-time
+// initial values before the junction processes anything — but works on any
+// table. Values are stored into the cells the table already has, so cells
+// bound before the install (the destination junction is compiled first) read
+// the installed values; a name st carries and the table lacks is declared; a
+// declared name st does not carry keeps its value, the key set being fixed by
+// the declarations. Waiters and subscriptions survive, and every subscriber is
+// woken since any key may have changed.
 func (t *Table) RestoreAll(st TableState) {
 	t.mu.Lock()
-	t.props = make(map[string]bool, len(st.Props))
 	for k, v := range st.Props {
-		t.props[k] = v
+		t.declareLocked(UpdateProp, k).b.Store(v)
 	}
-	t.data = make(map[string]Value, len(st.Data))
 	for k, v := range st.Data {
-		t.data[k] = copyValue(v)
+		t.declareLocked(UpdateData, k).d = copyValue(v)
 	}
 	t.pending = t.pending[:0]
 	for _, u := range st.Pending {
@@ -67,10 +69,7 @@ func (t *Table) RestoreAll(st TableState) {
 		t.nextSeq++
 		t.pending = append(t.pending, u)
 	}
-	for _, s := range t.subs {
-		s.wake()
-	}
-	t.wakes.Add(uint64(len(t.subs)))
+	t.wakeEveryLocked()
 	t.mu.Unlock()
 	t.ping()
 }

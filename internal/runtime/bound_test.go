@@ -1,0 +1,182 @@
+package runtime
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"csaw/internal/dsl"
+	"csaw/internal/formula"
+	"csaw/internal/kv"
+)
+
+// TestNotSchedulableErrorIsBuiltOnce: a refused scheduling answers with the
+// junction's one prebuilt error — same text as ever, same value every time —
+// because a driver is refused on every pass that finds nothing to do.
+func TestNotSchedulableErrorIsBuiltOnce(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("t").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitProp{Name: "Busy", Init: false}),
+		dsl.Skip{},
+	).Guarded(formula.And(formula.P("Work"), formula.Not(formula.P("Busy")))).ManuallyScheduled())
+	p.Instance("i", "t")
+	p.SetMain(dsl.Start{Instance: "i"})
+	s := mustSystem(t, p, Options{})
+	ctx := context.Background()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Junction("i", "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := j.Schedule(ctx)
+	if !errors.Is(first, ErrNotSchedulable) || !isNotSchedulable(first) {
+		t.Fatalf("refusal = %v, want ErrNotSchedulable", first)
+	}
+	want := fmt.Sprintf("%v: i::j guard %s", ErrNotSchedulable, j.Def().Guard)
+	if first.Error() != want {
+		t.Fatalf("refusal text = %q, want %q", first, want)
+	}
+	if again := j.Schedule(ctx); again != first {
+		t.Fatalf("second refusal is a new error value: %v", again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = j.Schedule(ctx) }); allocs != 0 {
+		t.Fatalf("a refused scheduling allocates %v objects, want 0", allocs)
+	}
+	if err := j.Table().SetProp("Work", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Schedule(ctx); err != nil {
+		t.Fatalf("guard true, scheduling refused: %v", err)
+	}
+}
+
+// TestCompiledConnectivesMatchEval: the lowered ∧, ∨ and → stop at a left
+// operand that decides them, which must not change a single entry of
+// Kleene's tables. Every pair of operand values, with Unknown produced both
+// ways the runtime produces it — a name the junction does not declare and a
+// proposition of a peer that is not running — evaluates as formula.Eval does
+// on the same environment, and as the tables say.
+func TestCompiledConnectivesMatchEval(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("t").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "T", Init: true}, dsl.InitProp{Name: "F", Init: false}),
+		dsl.Skip{},
+	))
+	p.Type("u").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "P", Init: true}),
+		dsl.Skip{},
+	))
+	p.Instance("i", "t").Instance("peer", "u")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "i"}, dsl.Start{Instance: "peer"}})
+	s := mustSystem(t, p, Options{})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StopInstance("peer"); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Junction("i", "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type operand struct {
+		f    formula.Formula
+		want formula.Truth
+	}
+	operands := []operand{
+		{formula.P("T"), formula.True},
+		{formula.P("F"), formula.False},
+		{formula.P("Undeclared"), formula.Unknown},
+		{formula.At("peer::j", "P"), formula.Unknown},
+	}
+	connectives := []struct {
+		name  string
+		build func(l, r formula.Formula) formula.Formula
+		table func(l, r formula.Truth) formula.Truth
+	}{
+		{"and", func(l, r formula.Formula) formula.Formula { return formula.And(l, r) }, formula.Truth.And},
+		{"or", func(l, r formula.Formula) formula.Formula { return formula.Or(l, r) }, formula.Truth.Or},
+		{"implies", formula.Implies, func(l, r formula.Truth) formula.Truth { return l.Not().Or(r) }},
+	}
+	for _, o := range operands {
+		if got := j.compileFormula(o.f)(); got != o.want {
+			t.Fatalf("operand %s = %v, want %v", o.f, got, o.want)
+		}
+	}
+	for _, c := range connectives {
+		for _, l := range operands {
+			for _, r := range operands {
+				f := c.build(l.f, r.f)
+				got, ref, want := j.compileFormula(f)(), f.Eval(j.env()), c.table(l.want, r.want)
+				if got != want || ref != want {
+					t.Errorf("%s: %s: compiled %v, Eval %v, Kleene %v", c.name, f, got, ref, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHostWritesThroughBoundCellsKeepTheirErrors: a host block's context is
+// built once with V⃗ resolved to cells. What it refuses and how it says so
+// must not have moved: a name outside V⃗ is ErrWriteDenied, a name inside V⃗
+// that is no proposition (here an idx) is kv.ErrUndeclared, and both paths
+// agree with the interpreter.
+func TestHostWritesThroughBoundCellsKeepTheirErrors(t *testing.T) {
+	for _, interp := range []bool{false, true} {
+		var denied, undeclared, deniedData error
+		p := dsl.NewProgram()
+		p.Type("t").Junction("j", dsl.Def(
+			dsl.Decls(
+				dsl.InitProp{Name: "P", Init: false}, dsl.InitProp{Name: "Q", Init: false}, dsl.InitData{Name: "n"},
+				dsl.DeclSet{Name: "S", Elems: []string{"a"}}, dsl.DeclIdx{Name: "tgt", Of: "S"},
+			),
+			dsl.Host{Label: "h", Writes: []string{"P", "tgt"}, Fn: func(ctx dsl.HostCtx) error {
+				denied = ctx.SetProp("Q", true)
+				undeclared = ctx.SetProp("tgt", true)
+				deniedData = ctx.Save("n", []byte("x"))
+				if v, err := ctx.Prop("P"); err != nil || v {
+					return fmt.Errorf("Prop(P) = %v, %v before the write", v, err)
+				}
+				if err := ctx.SetProp("P", true); err != nil {
+					return err
+				}
+				if v, err := ctx.Prop("P"); err != nil || !v {
+					return fmt.Errorf("Prop(P) = %v, %v after the write", v, err)
+				}
+				return ctx.SetProp("P", false)
+			}},
+		))
+		p.Instance("i", "t")
+		p.SetMain(dsl.Start{Instance: "i"})
+		s := mustSystem(t, p, Options{DisableCompiledPlan: interp})
+		ctx := context.Background()
+		if err := s.RunMain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// Twice: the compiled path reuses one context.
+		for run := 0; run < 2; run++ {
+			if err := s.Invoke(ctx, "i", "j"); err != nil {
+				t.Fatalf("interp=%v run %d: %v", interp, run, err)
+			}
+		}
+		wantDenied := fmt.Sprintf("%v: prop %q (V⃗=[P tgt])", ErrWriteDenied, "Q")
+		if !errors.Is(denied, ErrWriteDenied) || denied.Error() != wantDenied {
+			t.Errorf("interp=%v: write outside V⃗: %v, want %q", interp, denied, wantDenied)
+		}
+		wantData := fmt.Sprintf("%v: data %q (V⃗=[P tgt])", ErrWriteDenied, "n")
+		if !errors.Is(deniedData, ErrWriteDenied) || deniedData.Error() != wantData {
+			t.Errorf("interp=%v: save outside V⃗: %v, want %q", interp, deniedData, wantData)
+		}
+		wantUndeclared := fmt.Sprintf("%v: prop %q", kv.ErrUndeclared, "tgt")
+		if !errors.Is(undeclared, kv.ErrUndeclared) || undeclared.Error() != wantUndeclared {
+			t.Errorf("interp=%v: write to an undeclared name: %v, want %q", interp, undeclared, wantUndeclared)
+		}
+		j, _ := s.Junction("i", "j")
+		if v, _ := j.Table().Prop("Q"); v {
+			t.Errorf("interp=%v: the denied write landed", interp)
+		}
+	}
+}

@@ -31,9 +31,10 @@ type step func(ctx context.Context) (signal, error)
 
 // compiledJunction is a junction's lowered guard and body.
 type compiledJunction struct {
-	guard   func() formula.Truth // nil when unguarded
-	guardRS *plan.ReadSet        // nil when unguarded
-	body    []step
+	guard     func() formula.Truth // nil when unguarded
+	guardRS   *plan.ReadSet        // nil when unguarded
+	guardKeys *kv.Keys             // guardRS's local keys, bound: what a guard watcher subscribes to
+	body      []step
 }
 
 func (j *Junction) compile(pj *plan.Junction) *compiledJunction {
@@ -41,6 +42,7 @@ func (j *Junction) compile(pj *plan.Junction) *compiledJunction {
 	if j.def.Guard != nil {
 		c.guard = j.compileFormula(j.def.Guard)
 		c.guardRS = pj.Guard
+		c.guardKeys = j.table.Bind(pj.Guard.Props, nil)
 	}
 	return c
 }
@@ -225,8 +227,8 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 		}
 
 	case dsl.Host:
+		hc := j.newHostCtx(n.Writes)
 		return func(context.Context) (signal, error) {
-			hc := &hostCtx{j: j, writes: n.Writes}
 			if err := n.Fn(hc); err != nil {
 				return sigNone, fmt.Errorf("host %s: %w", n.Label, err)
 			}
@@ -234,24 +236,33 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 		}
 
 	case dsl.Save:
+		hc := j.newHostCtx([]string{n.Data})
 		return func(context.Context) (signal, error) {
-			payload, err := n.From(&hostCtx{j: j, writes: []string{n.Data}})
+			payload, err := n.From(hc)
 			if err != nil {
 				return sigNone, fmt.Errorf("save %s: %w", n.Data, err)
 			}
-			return sigNone, j.table.SetData(n.Data, payload)
+			return sigNone, hc.Save(n.Data, payload)
 		}
 
 	case dsl.Restore:
+		hc := j.newHostCtx(n.Writes)
+		cell := j.table.DataCell(n.Data)
 		return func(context.Context) (signal, error) {
-			payload, err := j.table.Data(n.Data)
+			var payload []byte
+			var err error
+			if cell != nil {
+				payload, err = cell.Get()
+			} else {
+				payload, err = j.table.Data(n.Data)
+			}
 			if err != nil {
 				return sigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 			}
 			if n.Into == nil {
 				return sigNone, nil
 			}
-			if err := n.Into(&hostCtx{j: j, writes: n.Writes}, payload); err != nil {
+			if err := n.Into(hc, payload); err != nil {
 				return sigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 			}
 			return sigNone, nil
@@ -578,10 +589,17 @@ func (j *Junction) updateStep(arms ...updateArm) step {
 
 func (j *Junction) compileWrite(n dsl.Write) updateArm {
 	resolveTo := j.compileTarget(n.To)
+	cell := j.table.DataCell(n.Data)
 	return func() (armedUpdate, error) {
 		// The table's internal slice is safe here: sendGroup copies the
 		// payload into the framed message body before handing it off.
-		payload, err := j.table.DataRef(n.Data)
+		var payload []byte
+		var err error
+		if cell != nil {
+			payload, err = cell.Ref()
+		} else {
+			payload, err = j.table.DataRef(n.Data)
+		}
 		if err != nil {
 			return armedUpdate{}, fmt.Errorf("write %s: %w", n.Data, err)
 		}
@@ -602,29 +620,38 @@ func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, val
 	if !target.IsLocal() {
 		return j.updateStep(j.compileRemoteProp(target, pr, value))
 	}
-	resolveName := j.compilePropName(pr)
+	resolve := j.compilePropRef(pr)
 	return func(context.Context) (signal, error) {
-		name, err := resolveName()
+		p, err := resolve()
 		if err != nil {
 			return sigNone, err
 		}
-		if !j.table.HasProp(name) {
-			return sigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, name)
+		if p.cell != nil {
+			p.cell.Set(value)
+			return sigNone, nil
 		}
-		return sigNone, j.table.SetProp(name, value)
+		if !j.table.HasProp(p.name) {
+			return sigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, p.name)
+		}
+		return sigNone, j.table.SetProp(p.name, value)
 	}
 }
 
 func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, value bool) updateArm {
-	resolveName := j.compilePropName(pr)
+	resolve := j.compilePropRef(pr)
 	resolveTo := j.compileTarget(target)
 	return func() (armedUpdate, error) {
-		name, err := resolveName()
+		p, err := resolve()
 		if err != nil {
 			return armedUpdate{}, err
 		}
 		// The local half, when the sender declares the proposition too.
-		undo, _ := j.table.SwapProp(name, value)
+		var undo kv.PropUndo
+		if p.cell != nil {
+			undo = p.cell.Swap(value)
+		} else {
+			undo, _ = j.table.SwapProp(p.name, value)
+		}
 		to, err := resolveTo()
 		if err != nil {
 			return armedUpdate{undo: undo}, err
@@ -632,71 +659,102 @@ func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, val
 		if to == j.FQName {
 			return armedUpdate{undo: undo}, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 		}
-		return armedUpdate{to: to, up: remoteUpdate{kind: compart.KindProp, key: name, flag: value}, undo: undo}, nil
+		return armedUpdate{to: to, up: remoteUpdate{kind: compart.KindProp, key: p.name, flag: value}, undo: undo}, nil
 	}
 }
 
-// compilePropName lowers a PropRef to a key resolver; everything but
-// idx-variable indices resolves at compile time.
-func (j *Junction) compilePropName(pr dsl.PropRef) func() (string, error) {
+// boundProp is a local proposition resolved as far as compile time can take
+// it: the table key and, when the junction declares it, its cell. A nil cell
+// sends the access through the table by name, which reports the undeclared
+// name exactly as the interpreter does.
+type boundProp struct {
+	name string
+	cell *kv.PropCell
+}
+
+func (j *Junction) bindProp(name string) boundProp {
+	return boundProp{name: name, cell: j.table.PropCell(name)}
+}
+
+// read is the proposition's truth value; Unknown when it is not declared.
+func (p boundProp) read(t *kv.Table) formula.Truth {
+	if p.cell != nil {
+		return formula.FromBool(p.cell.Get())
+	}
+	v, err := t.Prop(p.name)
+	if err != nil {
+		return formula.Unknown
+	}
+	return formula.FromBool(v)
+}
+
+// compilePropRef lowers a PropRef to a resolver; everything but idx-variable
+// indices resolves at compile time.
+func (j *Junction) compilePropRef(pr dsl.PropRef) func() (boundProp, error) {
+	constant := func(name string) func() (boundProp, error) {
+		p := j.bindProp(name)
+		return func() (boundProp, error) { return p, nil }
+	}
 	if pr.Index == "" {
-		name := j.resolveSelfName(pr.Base)
-		return func() (string, error) { return name, nil }
+		return constant(j.resolveSelfName(pr.Base))
 	}
 	if !pr.IndexIsVar {
-		name := dsl.IndexedName(pr.Base, j.resolveSelfName(pr.Index))
-		return func() (string, error) { return name, nil }
+		return constant(dsl.IndexedName(pr.Base, j.resolveSelfName(pr.Index)))
 	}
-	byElem := j.idxKeyMap(pr.Base, pr.Index)
+	byElem := j.idxProps(pr.Base, pr.Index)
 	base, idx := pr.Base, pr.Index
-	return func() (string, error) {
+	return func() (boundProp, error) {
 		elem, err := j.Idx(idx)
 		if err != nil {
-			return "", err
+			return boundProp{}, err
 		}
-		if k, ok := byElem[elem]; ok {
-			return k, nil
+		if p, ok := byElem[elem]; ok {
+			return p, nil
 		}
-		return dsl.IndexedName(base, elem), nil
+		return boundProp{name: dsl.IndexedName(base, elem)}, nil
 	}
 }
 
-// idxKeyMap precomputes element→"base[element]" keys over an idx's universe,
-// so per-evaluation resolution is a map lookup instead of a concatenation.
-func (j *Junction) idxKeyMap(base, idx string) map[string]string {
-	byElem := map[string]string{}
+// idxProps precomputes element→"base[element]" over an idx's universe, key
+// and cell, so per-evaluation resolution is one map lookup instead of a
+// concatenation and a table lookup.
+func (j *Junction) idxProps(base, idx string) map[string]boundProp {
+	byElem := map[string]boundProp{}
 	if universe, ok := j.pj.Info.IdxUniverse(idx); ok {
 		for _, e := range universe {
 			re := j.resolveSelfName(e)
-			byElem[re] = dsl.IndexedName(base, re)
+			byElem[re] = j.bindProp(dsl.IndexedName(base, re))
 		}
 	}
 	return byElem
 }
 
-// compileWait lowers a wait statement. The admission set is prebuilt and
-// shared when the formula reads no idx variables; the subscription covers the
-// formula's read-set and the waited data keys, so a local-only wait blocks
-// without polling. Idx bindings are captured at wait entry, exactly like the
-// interpreter's substituteIdx.
+// compileWait lowers a wait statement. The admission set is bound once and
+// shared when the formula reads no idx variables; the subscription, bound once
+// too, covers the formula's read-set and the waited data keys, so a local-only
+// wait blocks without polling. Idx bindings are captured at wait entry,
+// exactly like the interpreter's substituteIdx.
 func (j *Junction) compileWait(n dsl.Wait) step {
 	wp := plan.CompileWait(j.pj.Info, n)
 	condText := n.Cond.String()
 	var eval func() formula.Truth
+	var admit *kv.Keys
 	if wp.Static {
 		eval = j.compileFormula(n.Cond)
+		admit = wp.WS.Bind(j.table)
 	}
+	watch := j.table.Bind(wp.Reads.Props, wp.Reads.Data)
 	return func(ctx context.Context) (signal, error) {
-		ws := wp.WS
+		ws := admit
 		ev := eval
 		if !wp.Static {
 			cond := j.substituteIdx(n.Cond)
-			ws = kv.NewWaitSet(cond, n.Data)
+			ws = kv.NewWaitSet(cond, n.Data).Bind(j.table)
 			ev = func() formula.Truth { return cond.Eval(j.env()) }
 		}
-		handle := j.table.BeginWait(ws)
+		handle := j.table.BeginWaitKeys(ws)
 		defer j.table.EndWait(handle)
-		sub := j.table.Subscribe(wp.Reads.Props, wp.Reads.Data)
+		sub := j.table.SubscribeKeys(watch)
 		defer j.table.Unsubscribe(sub)
 		armed := j.noteWaitArmed(condText)
 		for {
@@ -736,15 +794,32 @@ func (j *Junction) compileFormula(f formula.Formula) func() formula.Truth {
 	case formula.NotF:
 		sub := j.compileFormula(n.F)
 		return func() formula.Truth { return sub().Not() }
+	// The binary connectives stop at a left operand that decides them:
+	// False ∧ x = False and True ∨ x = True for every x in Kleene's tables.
 	case formula.AndF:
 		l, r := j.compileFormula(n.L), j.compileFormula(n.R)
-		return func() formula.Truth { return l().And(r()) }
+		return func() formula.Truth {
+			if a := l(); a != formula.False {
+				return a.And(r())
+			}
+			return formula.False
+		}
 	case formula.OrF:
 		l, r := j.compileFormula(n.L), j.compileFormula(n.R)
-		return func() formula.Truth { return l().Or(r()) }
+		return func() formula.Truth {
+			if a := l(); a != formula.True {
+				return a.Or(r())
+			}
+			return formula.True
+		}
 	case formula.ImpliesF:
 		l, r := j.compileFormula(n.L), j.compileFormula(n.R)
-		return func() formula.Truth { return l().Not().Or(r()) }
+		return func() formula.Truth {
+			if a := l().Not(); a != formula.True {
+				return a.Or(r())
+			}
+			return formula.True
+		}
 	default:
 		// A formula kind this compiler does not know: fall back to the
 		// reference evaluator.
@@ -755,31 +830,21 @@ func (j *Junction) compileFormula(f formula.Formula) func() formula.Truth {
 func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 	if p.Junction == "" {
 		if base, idxVar, ok := dsl.SplitIdxProp(p.Name); ok {
-			byElem := j.idxKeyMap(base, idxVar)
+			byElem := j.idxProps(base, idxVar)
 			return func() formula.Truth {
 				elem, err := j.Idx(idxVar)
 				if err != nil {
 					return formula.Unknown
 				}
-				key, ok := byElem[elem]
+				bp, ok := byElem[elem]
 				if !ok {
-					key = dsl.IndexedName(base, elem)
+					bp.name = dsl.IndexedName(base, elem)
 				}
-				v, err := j.table.Prop(key)
-				if err != nil {
-					return formula.Unknown
-				}
-				return formula.FromBool(v)
+				return bp.read(j.table)
 			}
 		}
-		name := j.resolveSelfName(p.Name)
-		return func() formula.Truth {
-			v, err := j.table.Prop(name)
-			if err != nil {
-				return formula.Unknown
-			}
-			return formula.FromBool(v)
-		}
+		bp := j.bindProp(j.resolveSelfName(p.Name))
+		return func() formula.Truth { return bp.read(j.table) }
 	}
 	// Junction-qualified proposition: the endpoint is static.
 	unknown := func() formula.Truth { return formula.Unknown }
@@ -794,14 +859,17 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 	isRunning := p.Name == RunningProp
 	var resolveName func() (string, bool)
 	if base, idxVar, idxed := dsl.SplitIdxProp(p.Name); idxed {
-		byElem := j.idxKeyMap(base, idxVar)
+		// Only the precomputed keys are used: the cells belong to the other
+		// junction, and which incarnation of it answers can change between
+		// evaluations (migration), so that read stays by name.
+		byElem := j.idxProps(base, idxVar)
 		resolveName = func() (string, bool) {
 			elem, err := j.Idx(idxVar)
 			if err != nil {
 				return "", false
 			}
-			if k, ok := byElem[elem]; ok {
-				return k, true
+			if p, ok := byElem[elem]; ok {
+				return p.name, true
 			}
 			return dsl.IndexedName(base, elem), true
 		}

@@ -114,14 +114,13 @@ func (j *Junction) exec(ctx context.Context, e dsl.Expr) (signal, error) {
 		return j.exec(ctx, n.Handler)
 
 	case dsl.Host:
-		hc := &hostCtx{j: j, writes: n.Writes}
-		if err := n.Fn(hc); err != nil {
+		if err := n.Fn(j.newHostCtx(n.Writes)); err != nil {
 			return sigNone, fmt.Errorf("host %s: %w", n.Label, err)
 		}
 		return sigNone, nil
 
 	case dsl.Save:
-		payload, err := n.From(&hostCtx{j: j, writes: []string{n.Data}})
+		payload, err := n.From(j.newHostCtx([]string{n.Data}))
 		if err != nil {
 			return sigNone, fmt.Errorf("save %s: %w", n.Data, err)
 		}
@@ -135,7 +134,7 @@ func (j *Junction) exec(ctx context.Context, e dsl.Expr) (signal, error) {
 		if n.Into == nil {
 			return sigNone, nil
 		}
-		if err := n.Into(&hostCtx{j: j, writes: n.Writes}, payload); err != nil {
+		if err := n.Into(j.newHostCtx(n.Writes), payload); err != nil {
 			return sigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 		}
 		return sigNone, nil
@@ -470,70 +469,3 @@ func (j *Junction) reconsider(ctx context.Context, c dsl.Case, currentArm int) (
 	}
 	return sigNone, nil
 }
-
-// --- host context -------------------------------------------------------------
-
-// hostCtx implements dsl.HostCtx for one host block invocation, enforcing
-// the V⃗ write-set.
-type hostCtx struct {
-	j      *Junction
-	writes []string
-}
-
-func (h *hostCtx) allowed(name string) bool {
-	for _, w := range h.writes {
-		if w == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Data implements dsl.HostCtx.
-func (h *hostCtx) Data(name string) ([]byte, error) { return h.j.table.Data(name) }
-
-// Prop implements dsl.HostCtx.
-func (h *hostCtx) Prop(name string) (bool, error) {
-	return h.j.table.Prop(h.j.resolveSelfName(name))
-}
-
-// Save implements dsl.HostCtx.
-func (h *hostCtx) Save(name string, payload []byte) error {
-	if !h.allowed(name) {
-		return fmt.Errorf("%w: data %q (V⃗=%v)", ErrWriteDenied, name, h.writes)
-	}
-	return h.j.table.SetData(name, payload)
-}
-
-// SetProp implements dsl.HostCtx.
-func (h *hostCtx) SetProp(name string, v bool) error {
-	if !h.allowed(name) {
-		return fmt.Errorf("%w: prop %q (V⃗=%v)", ErrWriteDenied, name, h.writes)
-	}
-	return h.j.table.SetProp(h.j.resolveSelfName(name), v)
-}
-
-// SetIdx implements dsl.HostCtx.
-func (h *hostCtx) SetIdx(name, elem string) error {
-	if !h.allowed(name) {
-		return fmt.Errorf("%w: idx %q (V⃗=%v)", ErrWriteDenied, name, h.writes)
-	}
-	return h.j.SetIdx(name, elem)
-}
-
-// SetSubset implements dsl.HostCtx.
-func (h *hostCtx) SetSubset(name string, elems []string) error {
-	if !h.allowed(name) {
-		return fmt.Errorf("%w: subset %q (V⃗=%v)", ErrWriteDenied, name, h.writes)
-	}
-	return h.j.SetSubset(name, elems)
-}
-
-// App implements dsl.HostCtx.
-func (h *hostCtx) App() any { return h.j.inst.app }
-
-// Instance implements dsl.HostCtx.
-func (h *hostCtx) Instance() string { return h.j.inst.Name }
-
-// Junction implements dsl.HostCtx.
-func (h *hostCtx) Junction() string { return h.j.FQName }

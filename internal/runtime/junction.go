@@ -50,6 +50,11 @@ type Junction struct {
 
 	schedMu sync.Mutex // one scheduling at a time
 
+	// errGuard is what Schedule answers when the guard is not definitely
+	// true. A driver gets that answer on every pass that finds nothing to do,
+	// so it is built once, here, and not formatted per refusal.
+	errGuard error
+
 	// recvMu guards recvFrom: the per-sender delivery tracking behind
 	// cumulative acks (system.go). Reset naturally on restart — a restarted
 	// instance gets fresh Junction objects, opening a new receive epoch.
@@ -88,6 +93,9 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 		sets:    map[string][]string{},
 		subsets: map[string][]string{},
 		idxs:    map[string]string{},
+	}
+	if def.Guard != nil {
+		j.errGuard = fmt.Errorf("%w: %s guard %s", ErrNotSchedulable, j.FQName, def.Guard)
 	}
 	j.met = s.obs.Junction(j.FQName)
 	j.table.SetWakeHook(func(kind kv.UpdateKind, key string, woken int) {
@@ -200,7 +208,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 			if tracing {
 				obs.Emit(obsv.Event{Kind: obsv.EvSchedNotSchedulable, Junction: j.FQName})
 			}
-			return fmt.Errorf("%w: %s guard %s", ErrNotSchedulable, j.FQName, j.def.Guard)
+			return j.errGuard
 		}
 	}
 	j.met.Schedulings.Add(1)
@@ -282,7 +290,7 @@ func (j *Junction) startDriver() {
 func (j *Junction) runDriverEvent(stop <-chan struct{}) {
 	defer j.driverWG.Done()
 	rs := j.comp.guardRS
-	sub := j.table.Subscribe(rs.Props, nil)
+	sub := j.table.SubscribeKeys(j.comp.guardKeys)
 	defer j.table.Unsubscribe(sub)
 	timer := time.NewTimer(j.sys.opts.Poll)
 	defer timer.Stop()

@@ -552,7 +552,7 @@ func (s *System) invokeWhenReadyOnce(ctx context.Context, instance, junction str
 	if j.comp != nil && j.comp.guardRS != nil {
 		// Subscribe before the first guard check so a wake racing the check
 		// is retained in the subscription's buffer, never lost.
-		sub = j.Table().Subscribe(j.comp.guardRS.Props, nil)
+		sub = j.Table().SubscribeKeys(j.comp.guardKeys)
 		defer j.Table().Unsubscribe(sub)
 	}
 	for {
