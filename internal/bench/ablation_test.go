@@ -1,9 +1,9 @@
 package bench
 
 // Ablation benchmarks for the design decisions DESIGN.md calls out: the
-// cost of the DSL runtime relative to a hand-written equivalent, the
-// local-priority queueing rule, transactional rollback, and the
-// serialization framework versus hand-rolled wire encoding.
+// cost of the DSL runtime relative to a hand-written equivalent,
+// transactional rollback, and the serialization framework versus hand-rolled
+// wire encoding.
 
 import (
 	"context"
@@ -84,23 +84,6 @@ func buildPingPong(opts runtime.Options) (*runtime.System, error) {
 // coordination round between two junctions (the Fig. 3 core).
 func BenchmarkAblationJunctionRoundTrip(b *testing.B) {
 	sys, err := buildPingPong(runtime.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Invoke(ctx, "ping", "j"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationLocalPriorityOff measures the same round with the
-// local-priority rule disabled (remote updates bypass the pending queue).
-func BenchmarkAblationLocalPriorityOff(b *testing.B) {
-	sys, err := buildPingPong(runtime.Options{DisableLocalPriority: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -269,16 +269,10 @@ func costDeployment(cfg Config, e costEntry, sink obsv.Sink) (*runtime.System, *
 	srvB := compart.ServeTCP(netB, lB)
 	closers = append(closers, func() { srvB.Close() })
 
-	ccfg := compart.ClientConfig{QueueSize: 4096}
-	toB, err := compart.DialTCPConfig(srvB.Addr().String(), ccfg)
-	if err != nil {
-		return fail(err)
-	}
+	ccfg := compart.ReconnectConfig{QueueSize: 4096}
+	toB := compart.DialReconnect(srvB.Addr().String(), ccfg)
 	closers = append(closers, func() { toB.Close() })
-	toA, err := compart.DialTCPConfig(srvA.Addr().String(), ccfg)
-	if err != nil {
-		return fail(err)
-	}
+	toA := compart.DialReconnect(srvA.Addr().String(), ccfg)
 	closers = append(closers, func() { toA.Close() })
 
 	// Group instances onto the two machines: the root's location is machine

@@ -67,7 +67,6 @@ func All() []Experiment {
 		{"Table2", Table2},
 		{"Suricata-sharding-overhead", SuricataShardingOverhead},
 		{"Transport-recovery", TransportRecovery},
-		{"Net-batching", NetBatching},
 		{"Cost-validation", CostValidation},
 		{"Migration", Migration},
 	}

@@ -42,7 +42,7 @@ func newSystem(prog *dsl.Program) (*runtime.System, error) {
 }
 
 // newSystemWith is newSystem with an options hook: the experiment adjusts
-// the defaulted options (substrate network, ack timeout, ablation flags)
+// the defaulted options (substrate network or deployment, ack timeout)
 // before the system is built.
 func newSystemWith(prog *dsl.Program, tweak func(*runtime.Options)) (*runtime.System, error) {
 	obsMu.Lock()

@@ -192,14 +192,12 @@ func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
 // split across several envelopes; a frame too large to share an envelope goes
 // out plain. A body that already is an envelope (PackBatch, built above the
 // client) ends the run before it and goes out standalone, because batches
-// never nest; onBatch sees it like an envelope packed here. With noBatch set
-// every frame is written individually (the ablation path — still one flush
-// per drained run, but nothing packed here).
+// never nest; onBatch sees it like an envelope packed here.
 //
 // It returns how many of the input bodies were handed to w before any error:
 // callers account those as sent and the remainder as dropped, keeping the
 // conservation invariant exact across connection deaths.
-func writeCoalesced(w io.Writer, bodies [][]byte, noBatch bool, onBatch func(msgs int)) (written int, err error) {
+func writeCoalesced(w io.Writer, bodies [][]byte, onBatch func(msgs int)) (written int, err error) {
 	var scratch []byte
 	for start := 0; start < len(bodies); {
 		if n, env := batchBodyCount(bodies[start]); env {
@@ -216,7 +214,7 @@ func writeCoalesced(w io.Writer, bodies [][]byte, noBatch bool, onBatch func(msg
 		size := batchEnvelopeOverhead + 4
 		end := start
 		for end < len(bodies) {
-			if _, env := batchBodyCount(bodies[end]); env || (noBatch && end > start) {
+			if _, env := batchBodyCount(bodies[end]); env {
 				break
 			}
 			fs := 4 + len(bodies[end])

@@ -110,7 +110,7 @@ func TestBatchOversizeRunSplits(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	batches := 0
-	written, err := writeCoalesced(&buf, bodies, false, func(int) { batches++ })
+	written, err := writeCoalesced(&buf, bodies, func(int) { batches++ })
 	if err != nil || written != len(bodies) {
 		t.Fatalf("written %d/%d: %v", written, len(bodies), err)
 	}
@@ -216,12 +216,14 @@ func TestInternDecodeAliasesAndDedups(t *testing.T) {
 
 // TestClientCoalescesBursts pins the coalescing writer end to end,
 // deterministically: the client writes into an unbuffered net.Pipe that
-// nobody reads until the whole burst is enqueued, so once the pump's
-// buffered writer fills, the backlog must drain as KindBatch envelopes. The
-// reader then decodes the stream and checks order and conservation.
+// nobody reads until the whole burst is enqueued (the queue holds all of it:
+// Send never blocks), so once the pump's buffered writer fills, the backlog
+// must drain as KindBatch envelopes. The reader then decodes the stream and
+// checks order and conservation.
 func TestClientCoalescesBursts(t *testing.T) {
 	ours, theirs := net.Pipe()
-	client := NewClient(theirs, ClientConfig{QueueSize: 2048})
+	defer ours.Close()
+	client := DialReconnect("pipe", ReconnectConfig{QueueSize: 2048, BackoffMin: time.Hour, Dial: dialConn(theirs)})
 
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -229,7 +231,7 @@ func TestClientCoalescesBursts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Read the stream concurrently with Close's final flush.
+	// Read the stream while the pump drains the backlog.
 	type result struct {
 		msgs      int
 		envelopes int
@@ -274,7 +276,7 @@ func TestClientCoalescesBursts(t *testing.T) {
 		}
 		done <- res
 	}()
-	client.Close()
+	closeDrained(t, client)
 	res := <-done
 	if res.err != nil {
 		t.Fatal(res.err)
@@ -299,49 +301,6 @@ func TestClientCoalescesBursts(t *testing.T) {
 	}
 }
 
-// TestNoBatchClientNeverPacks pins the ablation: with ClientConfig.NoBatch
-// the wire carries one plain frame per message — no KindBatch envelopes —
-// which is the seed client's shape.
-func TestNoBatchClientNeverPacks(t *testing.T) {
-	remote := newTestNetwork(t, 1)
-	var mu sync.Mutex
-	var got int
-	remote.Register("sink", func(m Message) { mu.Lock(); got++; mu.Unlock() })
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(remote, l)
-	defer srv.Close()
-	client, err := DialTCPConfig(srv.Addr().String(), ClientConfig{QueueSize: 1024, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := client.Send(Message{To: "sink", Key: "k"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	client.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		g := got
-		mu.Unlock()
-		if g == n || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if cs := client.Stats(); cs.BatchesSent != 0 {
-		t.Fatalf("NoBatch client wrote %d envelopes", cs.BatchesSent)
-	}
-	if ss := srv.Stats(); ss.Batches != 0 || ss.Frames != n {
-		t.Fatalf("server saw envelopes from a NoBatch client: %+v", ss)
-	}
-}
-
 // TestBatchingStatsConservationUnderChurn is the transport-conservation
 // property test: a sender bursting through the coalescing writer at a sink
 // that crashes and revives repeatedly must keep every counter ledger exact —
@@ -359,12 +318,10 @@ func TestBatchingStatsConservationUnderChurn(t *testing.T) {
 	}
 	srv := ServeTCP(remote, l)
 	defer srv.Close()
-	client, err := DialTCPConfig(srv.Addr().String(), ClientConfig{QueueSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const rounds, perRound = 8, 200
+	// Send never blocks, so the queue holds the whole burst: a full queue
+	// would be a counted drop, not back-pressure.
+	client := DialReconnect(srv.Addr().String(), ReconnectConfig{QueueSize: rounds * perRound})
 	sent := 0
 	injected := func() uint64 {
 		ss := srv.Stats()
@@ -391,7 +348,7 @@ func TestBatchingStatsConservationUnderChurn(t *testing.T) {
 			remote.Revive("sink")
 		}
 	}
-	client.Close()
+	closeDrained(t, client)
 
 	// Wait for the server to drain everything the client flushed.
 	deadline := time.Now().Add(5 * time.Second)

@@ -26,6 +26,34 @@ func newTestNetwork(t *testing.T, seed int64) *Network {
 	return n
 }
 
+// dialConn is a ReconnectConfig.Dial that hands out one established
+// connection (unix socket, net.Pipe) and fails every later dial, so the
+// client under test lives and dies with that connection. Pair it with a long
+// BackoffMin. Only the client's connection goroutine calls it.
+func dialConn(conn net.Conn) func() (net.Conn, error) {
+	used := false
+	return func() (net.Conn, error) {
+		if used {
+			return nil, errors.New("connection already used")
+		}
+		used = true
+		return conn, nil
+	}
+}
+
+// closeDrained closes the client once everything it accepted has been handed
+// to the socket writer or dropped. ReconnectClient.Close abandons what is
+// still queued but waits for the pump, which flushes the run it holds before
+// it looks at done, so after this wait Close loses no accepted frame.
+func closeDrained(t *testing.T, c *ReconnectClient) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "the client to drain", func() bool {
+		cs := c.Stats()
+		return cs.QueueLen == 0 && cs.Sent+cs.Dropped >= cs.Enqueued
+	})
+	c.Close()
+}
+
 func TestSendDelivers(t *testing.T) {
 	n := newTestNetwork(t, 1)
 	got := make(chan Message, 1)
@@ -281,12 +309,9 @@ func TestTCPTransport(t *testing.T) {
 
 	// Local network bridges to the remote endpoint.
 	local := newTestNetwork(t, 2)
-	client, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := DialReconnect(srv.Addr().String(), ReconnectConfig{})
 	defer client.Close()
-	Bridge(local, "g::junction", client)
+	BridgeReconnect(local, "g::junction", client)
 
 	msg := Message{From: "f::junction", To: "g::junction", Kind: KindData, Key: "n", Payload: []byte("over tcp")}
 	if err := local.Send(msg); err != nil {
@@ -321,10 +346,7 @@ func TestTCPManyMessagesInOrder(t *testing.T) {
 	}
 	srv := ServeTCP(remote, l)
 	defer srv.Close()
-	client, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := DialReconnect(srv.Addr().String(), ReconnectConfig{})
 	defer client.Close()
 	for i := 0; i < 100; i++ {
 		if err := client.Send(Message{To: "sink", Key: string(rune('A' + i%26))}); err != nil {
@@ -422,12 +444,10 @@ func TestUnixSocketTransport(t *testing.T) {
 	srv := ServeTCP(remote, l)
 	defer srv.Close()
 
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reuse the client framing over the unix connection.
-	c := NewClient(conn, ClientConfig{})
+	// Reuse the client framing over unix connections.
+	c := DialReconnect(sock, ReconnectConfig{
+		Dial: func() (net.Conn, error) { return net.Dial("unix", sock) },
+	})
 	defer c.Close()
 	if err := c.Send(Message{From: "f::junction", To: "g::junction", Kind: KindData, Key: "n", Payload: []byte("over a pipe")}); err != nil {
 		t.Fatal(err)
@@ -460,7 +480,8 @@ func TestNetPipeTransport(t *testing.T) {
 	}()
 	defer client.Close()
 
-	c := NewClient(client, ClientConfig{})
+	c := DialReconnect("pipe", ReconnectConfig{BackoffMin: time.Hour, Dial: dialConn(client)})
+	defer c.Close()
 	if err := c.Send(Message{To: "sink", Key: "k", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}

@@ -96,30 +96,25 @@ func TestWriteCoalescedNeverNests(t *testing.T) {
 	add(b, g2)
 	add(c, nil)
 
-	for _, noBatch := range []bool{false, true} {
-		var buf bytes.Buffer
-		var sizes []int
-		written, err := writeCoalesced(&buf, bodies, noBatch, func(n int) { sizes = append(sizes, n) })
-		if err != nil || written != len(bodies) {
-			t.Fatalf("noBatch=%v: written %d/%d: %v", noBatch, written, len(bodies), err)
-		}
-		keys, envelopes, err := readKeys(&buf, 10)
-		if err != nil {
-			t.Fatalf("noBatch=%v: %v", noBatch, err)
-		}
-		wantKeys(t, keys, a, g1, b, g2, c)
-		// Packed here: a0+a1 and c0+c1 (unless noBatch); built above: g, h;
-		// b0 is alone between two envelopes and stays plain.
-		want := []int{2, 3, 2, 2}
-		if noBatch {
-			want = []int{3, 2}
-		}
-		if fmt.Sprint(sizes) != fmt.Sprint(want) || envelopes != len(want) {
-			t.Fatalf("noBatch=%v: batches %v (%d envelopes on the wire), want %v", noBatch, sizes, envelopes, want)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("noBatch=%v: %d trailing bytes", noBatch, buf.Len())
-		}
+	var buf bytes.Buffer
+	var sizes []int
+	written, err := writeCoalesced(&buf, bodies, func(n int) { sizes = append(sizes, n) })
+	if err != nil || written != len(bodies) {
+		t.Fatalf("written %d/%d: %v", written, len(bodies), err)
+	}
+	keys, envelopes, err := readKeys(&buf, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys(t, keys, a, g1, b, g2, c)
+	// Packed here: a0+a1 and c0+c1; built above: g, h; b0 is alone between two
+	// envelopes and stays plain.
+	want := []int{2, 3, 2, 2}
+	if fmt.Sprint(sizes) != fmt.Sprint(want) || envelopes != len(want) {
+		t.Fatalf("batches %v (%d envelopes on the wire), want %v", sizes, envelopes, want)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d trailing bytes", buf.Len())
 	}
 }
 
@@ -132,17 +127,7 @@ func TestWriteCoalescedNeverNests(t *testing.T) {
 func TestPumpDrainsEnvelopeBesidePlainFrames(t *testing.T) {
 	ours, theirs := net.Pipe()
 	defer ours.Close()
-	dialed := false
-	client := DialReconnect("pipe", ReconnectConfig{
-		BackoffMin: time.Hour, // one connection only
-		Dial: func() (net.Conn, error) {
-			if dialed {
-				return nil, errors.New("pipe already used")
-			}
-			dialed = true
-			return theirs, nil
-		},
-	})
+	client := DialReconnect("pipe", ReconnectConfig{BackoffMin: time.Hour, Dial: dialConn(theirs)})
 	first, a, g1, b, g2, c := keyed("first", 1), keyed("a", 2), keyed("g", 3), keyed("b", 1), keyed("h", 4), keyed("c", 2)
 	if err := client.Send(first[0]); err != nil {
 		t.Fatal(err)
@@ -374,12 +359,9 @@ func TestGroupStatsConservationUnderChurn(t *testing.T) {
 	}
 	srv := ServeTCP(remote, l)
 	defer srv.Close()
-	client, err := DialTCPConfig(srv.Addr().String(), ClientConfig{QueueSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const rounds, perRound = 8, 40
+	// The queue holds every envelope of the run: Send never blocks.
+	client := DialReconnect(srv.Addr().String(), ReconnectConfig{QueueSize: rounds * perRound})
 	groups, msgs := 0, 0
 	injected := func() uint64 {
 		ss := srv.Stats()
@@ -407,7 +389,7 @@ func TestGroupStatsConservationUnderChurn(t *testing.T) {
 			remote.Revive("sink")
 		}
 	}
-	client.Close()
+	closeDrained(t, client)
 	deadline := time.Now().Add(5 * time.Second)
 	for injected() < uint64(msgs) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -45,10 +45,6 @@ type ReconnectConfig struct {
 	// BackoffJitter adds a uniformly random fraction of the delay in
 	// [0, BackoffJitter) to desynchronize reconnect storms (default 0.2).
 	BackoffJitter float64
-	// NoBatch disables KindBatch coalescing (ablation): drained frames are
-	// written individually, reproducing the seed's one-frame-per-message
-	// wire shape (still one flush per drained run).
-	NoBatch bool
 	// Heartbeat enables transport-level pings at this interval; 0 disables.
 	// Missing HeartbeatMiss consecutive pongs tears the connection down so
 	// half-open connections are detected and redialed.
@@ -384,7 +380,7 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 	// rest of the run counts Dropped — they were dequeued and will not be
 	// retried on the next connection.
 	writeRun := func() bool {
-		written, err := writeCoalesced(w, bodies, c.cfg.NoBatch, onBatch)
+		written, err := writeCoalesced(w, bodies, onBatch)
 		c.sent.Add(uint64(written))
 		c.mu.Lock()
 		for _, at := range ats[:written] {

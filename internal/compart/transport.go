@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -53,9 +52,9 @@ func EncodeMessage(m Message) ([]byte, error) { return AppendMessage(nil, m) }
 
 // AppendMessage appends the frame encoding of m to dst and returns the
 // extended buffer, growing dst at most once. Senders that own a buffer whose
-// previous frame has already hit the socket (Client.Send) reuse it across
-// calls; queueing senders (ReconnectClient) must not, since queued frames
-// alias their buffer until written. On error dst is returned unchanged.
+// previous frame has already hit the socket may reuse it across calls;
+// queueing senders (ReconnectClient) must not, since queued frames alias
+// their buffer until written. On error dst is returned unchanged.
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	for _, f := range [...]struct{ name, val string }{
 		{"From", m.From}, {"To", m.To}, {"Key", m.Key},
@@ -389,266 +388,7 @@ func setNoDelay(conn net.Conn) {
 	}
 }
 
-// ClientConfig tunes DialTCP's coalescing writer. The zero value gives
-// usable defaults.
-type ClientConfig struct {
-	// QueueSize bounds the outbound queue (default 1024). Unlike the
-	// reconnecting client, a full queue blocks Send (backpressure) rather
-	// than dropping: the plain client is a reliable pipe whose only failure
-	// mode is the connection dying.
-	QueueSize int
-	// NoBatch reverts the writer to the seed client's behaviour (ablation):
-	// no KindBatch envelopes and one write+flush per frame, so the wire
-	// carries the seed's one-frame-per-message, one-syscall-per-frame shape.
-	NoBatch bool
-}
-
-func (c *ClientConfig) fill() {
-	if c.QueueSize <= 0 {
-		c.QueueSize = 1024
-	}
-}
-
-// Client is a single-connection sender to a remote Network's TCP server.
-// Send encodes synchronously (so framing errors surface to the caller) and
-// enqueues the frame; a background writer drains the queue, packing
-// back-to-back frames into KindBatch envelopes and flushing once per drained
-// run instead of once per message. A connection error is fatal: it surfaces
-// on the next Send. For a self-healing connection use DialReconnect
-// (reconnect.go).
-type Client struct {
-	cfg   ClientConfig
-	conn  net.Conn
-	queue chan []byte
-	done  chan struct{} // closed by Close
-	dead  chan struct{} // closed by the pump on a write error
-	wg    sync.WaitGroup
-	once  sync.Once
-
-	// sendMu excludes Send during Close's final accounting drain, so no
-	// frame can slip into the queue after Close counted the leftovers.
-	sendMu sync.RWMutex
-
-	enqueued, sent, dropped atomic.Uint64
-	batchesSent             atomic.Uint64
-
-	mu         sync.Mutex
-	err        error // sticky first write error
-	batchSizes SizeHist
-}
-
-// DialTCP connects to a remote compart server with default coalescing.
-func DialTCP(addr string) (*Client, error) {
-	return DialTCPConfig(addr, ClientConfig{})
-}
-
-// DialTCPConfig connects to a remote compart server with explicit writer
-// configuration (csaw-bench uses NoBatch for the batching ablation).
-func DialTCPConfig(addr string, cfg ClientConfig) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	setNoDelay(conn)
-	return NewClient(conn, cfg), nil
-}
-
-// NewClient wraps an already-established connection (TCP, unix socket,
-// net.Pipe) in the client framing and coalescing writer. The client owns the
-// connection.
-func NewClient(conn net.Conn, cfg ClientConfig) *Client {
-	cfg.fill()
-	c := &Client{
-		cfg:   cfg,
-		conn:  conn,
-		queue: make(chan []byte, cfg.QueueSize),
-		done:  make(chan struct{}),
-		dead:  make(chan struct{}),
-	}
-	c.wg.Add(1)
-	go c.pump()
-	return c
-}
-
-// Send frames the message and enqueues it for transmission. Messages that
-// cannot be framed losslessly fail with ErrFieldTooLong or ErrFrameTooLarge
-// before any bytes hit the socket. A full queue blocks until the writer
-// catches up. A nil error means the frame was accepted for transmission; a
-// connection that has since died surfaces its write error here.
-func (c *Client) Send(msg Message) error {
-	// Queued frames alias their buffer until the pump writes them, so each
-	// Send encodes into a fresh buffer.
-	body, err := EncodeMessage(msg)
-	if err != nil {
-		return err
-	}
-	c.sendMu.RLock()
-	defer c.sendMu.RUnlock()
-	select {
-	case <-c.done:
-		return ErrClientClosed
-	case <-c.dead:
-		return c.deadErr()
-	default:
-	}
-	select {
-	case c.queue <- body:
-		c.enqueued.Add(1)
-		return nil
-	case <-c.done:
-		return ErrClientClosed
-	case <-c.dead:
-		return c.deadErr()
-	}
-}
-
-func (c *Client) deadErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Stats returns a snapshot of the client's counters: Enqueued frames are
-// eventually Sent (handed to the socket, solo or inside a batch envelope) or
-// Dropped (lost to a write error or abandoned at Close); BatchesSent counts
-// envelope frames and MsgsPerBatch summarizes their sizes.
-func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	sizes := c.batchSizes
-	c.mu.Unlock()
-	return ClientStats{
-		Enqueued:     c.enqueued.Load(),
-		Sent:         c.sent.Load(),
-		Dropped:      c.dropped.Load(),
-		BatchesSent:  c.batchesSent.Load(),
-		MsgsPerBatch: sizes,
-		QueueLen:     len(c.queue),
-		Connected:    c.alive(),
-	}
-}
-
-func (c *Client) alive() bool {
-	select {
-	case <-c.dead:
-		return false
-	case <-c.done:
-		return false
-	default:
-		return true
-	}
-}
-
-// pump is the coalescing writer: it drains the queue, writes each drained
-// run through writeCoalesced, and flushes once per run.
-func (c *Client) pump() {
-	defer c.wg.Done()
-	w := bufio.NewWriter(c.conn)
-	onBatch := func(msgs int) {
-		c.batchesSent.Add(1)
-		c.mu.Lock()
-		c.batchSizes.observe(msgs)
-		c.mu.Unlock()
-	}
-	fail := func(err error) {
-		c.mu.Lock()
-		if c.err == nil {
-			c.err = err
-		}
-		c.mu.Unlock()
-		close(c.dead)
-	}
-	bodies := make([][]byte, 0, maxCoalesce)
-	writeRun := func() bool {
-		written, err := writeCoalesced(w, bodies, c.cfg.NoBatch, onBatch)
-		c.sent.Add(uint64(written))
-		if err == nil {
-			err = w.Flush()
-		}
-		if err != nil {
-			c.dropped.Add(uint64(len(bodies) - written))
-			fail(err)
-			return false
-		}
-		return true
-	}
-	drain := func() {
-		if c.cfg.NoBatch {
-			return
-		}
-		for len(bodies) < maxCoalesce {
-			select {
-			case b := <-c.queue:
-				bodies = append(bodies, b)
-			default:
-				return
-			}
-		}
-	}
-	for {
-		var first []byte
-		select {
-		case first = <-c.queue:
-		case <-c.done:
-			// Final drain: everything enqueued before Close still goes out,
-			// packed the same way the live path packs it.
-			for {
-				select {
-				case b := <-c.queue:
-					bodies = append(bodies[:0], b)
-					drain()
-					if !writeRun() {
-						return
-					}
-				default:
-					_ = w.Flush()
-					return
-				}
-			}
-		}
-		bodies = append(bodies[:0], first)
-		drain()
-		if len(bodies) < maxCoalesce && !c.cfg.NoBatch {
-			// The queue ran dry mid-run. Producers are usually mid-burst
-			// on another goroutine, so yield one scheduler pass and drain
-			// again: a short pause here regularly turns a solo
-			// write-and-flush into a full envelope.
-			runtime.Gosched()
-			drain()
-		}
-		if !writeRun() {
-			return
-		}
-	}
-}
-
-// Close flushes queued frames (when the connection is still healthy) and
-// closes the connection. Frames that could not be written are counted
-// Dropped, keeping Enqueued == Sent + Dropped at quiescence.
-func (c *Client) Close() error {
-	c.once.Do(func() { close(c.done) })
-	c.wg.Wait()
-	// Excluding concurrent Sends during the drain guarantees every frame a
-	// racing Send managed to enqueue is still counted here.
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	for {
-		select {
-		case <-c.queue:
-			c.dropped.Add(1)
-		default:
-			return c.conn.Close()
-		}
-	}
-}
-
-// Bridge registers a local proxy endpoint that forwards to a remote network
-// over a client connection, so local senders can address remote junctions
-// transparently.
-func Bridge(local *Network, remoteEndpoint string, c *Client) {
-	bridge(local, remoteEndpoint, c.Send)
-}
-
-// bridge registers the proxy endpoint of a Bridge: single messages go to the
+// bridge registers the proxy endpoint of BridgeReconnect and BridgeLive: single messages go to the
 // carrier as they are, delivery groups as one envelope (SendGroup). Carrier
 // errors are lost frames, which the sender's ack machinery notices.
 func bridge(local *Network, name string, send func(Message) error) {

@@ -52,10 +52,7 @@ func TestSendRejectsOversizedFrame(t *testing.T) {
 	}
 	srv := ServeTCP(remote, l)
 	defer srv.Close()
-	client, err := DialTCP(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := DialReconnect(srv.Addr().String(), ReconnectConfig{})
 	defer client.Close()
 
 	if err := client.Send(Message{To: "sink", Payload: make([]byte, maxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
@@ -72,6 +69,9 @@ func TestSendRejectsOversizedFrame(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("connection did not survive rejected oversized send")
+	}
+	if cs := client.Stats(); cs.Connects != 1 || cs.Enqueued != 1 || cs.Dropped != 0 {
+		t.Fatalf("rejected send touched the connection or the ledger: %+v", cs)
 	}
 }
 

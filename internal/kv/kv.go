@@ -927,14 +927,3 @@ func (t *Table) DataNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ApplyNow applies an update immediately, bypassing the pending queue, and
-// wakes any blocked wait. This is the ablation path for disabling the
-// local-priority rule; normal delivery goes through Enqueue.
-func (t *Table) ApplyNow(u Update) {
-	t.mu.Lock()
-	t.nextSeq++
-	t.applyLocked(u)
-	t.mu.Unlock()
-	t.ping()
-}

@@ -384,29 +384,6 @@ func TestRandomizedLocalPriorityProperty(t *testing.T) {
 	}
 }
 
-func TestApplyNowBypassesQueueAndPings(t *testing.T) {
-	tb := NewTable()
-	tb.DeclareProp("P", false)
-	tb.ApplyNow(Update{Kind: UpdateProp, Key: "P", Bool: true})
-	if v, _ := tb.Prop("P"); !v {
-		t.Fatal("ApplyNow did not apply immediately")
-	}
-	if tb.PendingLen() != 0 {
-		t.Fatal("ApplyNow queued instead of applying")
-	}
-	select {
-	case <-tb.Notify():
-	default:
-		t.Fatal("ApplyNow did not ping waiters")
-	}
-	// Data path too.
-	tb.DeclareData("n")
-	tb.ApplyNow(Update{Kind: UpdateData, Key: "n", Data: []byte("x")})
-	if d, _ := tb.Data("n"); string(d) != "x" {
-		t.Fatal("ApplyNow data not applied")
-	}
-}
-
 // TestEnqueueBatchOrderPreserved checks that a delivered transport batch is
 // absorbed in slice order and sequenced against surrounding single Enqueues:
 // at ApplyPending the last write in arrival order wins.

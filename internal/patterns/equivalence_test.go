@@ -238,33 +238,6 @@ func TestInterpreterPlanEquivalence(t *testing.T) {
 	}
 }
 
-// TestEquivalenceUnderLocalPriorityAblation re-runs the equivalence check
-// with the local-priority rule disabled, pinning down that the keyed
-// subscription machinery and the ApplyNow delivery path compose: the two
-// ablation axes are independent.
-func TestEquivalenceUnderLocalPriorityAblation(t *testing.T) {
-	entry, ok := CatalogueEntryByName("sharding")
-	if !ok {
-		t.Fatal("sharding entry missing")
-	}
-	run := func(interpreted bool) string {
-		sys := startSystem(t, entry.Build(), runtime.Options{
-			DisableCompiledPlan:  interpreted,
-			DisableLocalPriority: true,
-		})
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := sys.RunMain(ctx); err != nil {
-			t.Fatal(err)
-		}
-		driveEntry(ctx, t, entry.Name, sys)
-		return quiesce(t, sys)
-	}
-	if c, i := run(false), run(true); c != i {
-		t.Errorf("ablated equivalence diverges:\n--- compiled ---\n%s--- interpreter ---\n%s", c, i)
-	}
-}
-
 // TestKitchenSinkEquivalence drives a synthetic program that concentrates
 // the statement forms whose compiled closures were hand-mirrored from
 // exec.go — case with break/next/reconsider, nested scope/txn rollback,

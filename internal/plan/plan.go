@@ -266,8 +266,8 @@ func CompileWait(ji *analysis.JunctionInfo, w dsl.Wait) WaitPlan {
 // every local table key an assert/retract/save/restore/host-sink statement
 // can modify, plus every key a nested wait can admit a remote update for
 // (admitted updates apply mid-transaction, and a rollback must put them
-// back too, exactly as the interpreter's full-table snapshot does). A body
-// containing anything unboundable degrades to Full.
+// back too). Both execution paths roll back by it. A body containing
+// anything unboundable degrades to Full.
 func CompileTxn(ji *analysis.JunctionInfo, body []dsl.Expr) WriteSet {
 	var ws WriteSet
 	seenP := map[string]bool{}

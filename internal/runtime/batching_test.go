@@ -37,54 +37,37 @@ func blackholeProgram(width int) *dsl.Program {
 }
 
 // TestSendUpdateCtxCancelLeavesNoWaiters is the regression test for the
-// ctx-done paths of both remote-update planes: cancelling the invocation
-// mid-flight must return promptly and leave no waiter behind in the ack
-// window (pipelined path) or the global ack table (seed path). The seed
-// path's ctx-done exit used to leak its per-update ack timer until Stop was
-// deferred; the waiter-table checks here pin the bookkeeping that fix
-// relies on.
+// remote-update plane's ctx-done path: cancelling the invocation mid-flight
+// must return promptly and leave no waiter behind in the ack window.
 func TestSendUpdateCtxCancelLeavesNoWaiters(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "pipelined"
-		if disable {
-			name = "seed-unbatched"
-		}
-		t.Run(name, func(t *testing.T) {
-			netA := compart.NewNetwork(1)
-			defer netA.Close()
-			s := mustSystem(t, blackholeProgram(1), Options{
-				Net:             netA,
-				AckTimeout:      30 * time.Second, // only ctx can end the wait
-				DisableBatching: disable,
-			})
-			defer s.Close()
-			if err := s.StartInstance("f", nil); err != nil {
-				t.Fatal(err)
-			}
-			// g's endpoint swallows every update: no ack will ever arrive.
-			netA.Register("g::junction", func(compart.Message) {})
-
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			err := s.Invoke(ctx, "f", "junction")
-			if err == nil {
-				t.Fatal("invoke succeeded against a black-hole peer")
-			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Fatalf("ctx-cancelled update took %v to return", elapsed)
-			}
-			if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
-				t.Fatalf("%d waiters leaked in the ack window after cancellation", n)
-			}
-			s.ackMu.Lock()
-			leaked := len(s.ackWait)
-			s.ackMu.Unlock()
-			if leaked != 0 {
-				t.Fatalf("%d entries leaked in the seed ack table after cancellation", leaked)
-			}
+	t.Run("pipelined", func(t *testing.T) {
+		netA := compart.NewNetwork(1)
+		defer netA.Close()
+		s := mustSystem(t, blackholeProgram(1), Options{
+			Net:        netA,
+			AckTimeout: 30 * time.Second, // only ctx can end the wait
 		})
-	}
+		defer s.Close()
+		if err := s.StartInstance("f", nil); err != nil {
+			t.Fatal(err)
+		}
+		// g's endpoint swallows every update: no ack will ever arrive.
+		netA.Register("g::junction", func(compart.Message) {})
+
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		err := s.Invoke(ctx, "f", "junction")
+		if err == nil {
+			t.Fatal("invoke succeeded against a black-hole peer")
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("ctx-cancelled update took %v to return", elapsed)
+		}
+		if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
+			t.Fatalf("%d waiters leaked in the ack window after cancellation", n)
+		}
+	})
 }
 
 // TestCumulativeAckPipelining drives a wide par of remote asserts through
@@ -173,6 +156,72 @@ func TestWatchdogFailsStalledWindow(t *testing.T) {
 	}
 }
 
+// TestMalformedAckFrames feeds the sender side of the ack plane what a socket
+// can hand it: short and ragged payloads, an ack for a pair that has no
+// window, a frontier behind the window's and extras outside every waiting
+// range. One par of four asserts is in flight at a peer that never acks, so
+// the pair's window holds one range waiter [1,4]; after each frame
+// pendingAcks says exactly what was covered — a completed waiter would drop
+// it to zero — and the legitimate ack at the end still completes the par.
+func TestMalformedAckFrames(t *testing.T) {
+	const width = 4
+	netA := compart.NewNetwork(1)
+	defer netA.Close()
+	s := mustSystem(t, blackholeProgram(width), Options{
+		Net:        netA,
+		AckTimeout: 30 * time.Second, // the watchdog must not end the wait
+	})
+	defer s.Close()
+	if err := s.StartInstance("f", nil); err != nil {
+		t.Fatal(err)
+	}
+	netA.Register("g::junction", func(compart.Message) {})
+	const from, to = "f::junction", "g::junction"
+	done := make(chan error, 1)
+	go func() { done <- s.Invoke(context.Background(), "f", "junction") }()
+	waitUntil(t, 5*time.Second, "the par to reach its ack wait", func() bool {
+		return s.pendingAcks(from, to) == width
+	})
+
+	f := s.junctionQuiet("f", "junction")
+	for _, c := range []struct {
+		name    string
+		peer    string
+		payload []byte
+		pending int // on the (from, to) pair once the frame is handled
+	}{
+		{"0 bytes", to, nil, 4},
+		{"7 bytes: no whole frontier", to, appendAck(4, nil)[:7], 4},
+		{"pair with no window", "h::junction", appendAck(4, nil), 4},
+		{"8 bytes: frontier where the window's already is", to, appendAck(0, nil), 4},
+		{"12 bytes: frontier, then half an extra", to, append(appendAck(2, nil), 0xde, 0xad, 0xbe, 0xef), 2},
+		{"frontier below the window's", to, appendAck(1, nil), 2},
+		{"16 bytes: extra above every waiting range", to, appendAck(2, []uint64{99}), 2},
+		{"extra the frontier already covered", to, appendAck(2, []uint64{1}), 2},
+		{"extra inside the range, twice", to, appendAck(2, []uint64{4, 4}), 1},
+	} {
+		f.handleMessage(compart.Message{From: c.peer, To: from, Kind: compart.KindControl, Key: "ack", Payload: c.payload})
+		if n := s.pendingAcks(from, to); n != c.pending {
+			t.Fatalf("%s: %d acks pending, want %d", c.name, n, c.pending)
+		}
+		if n := s.pendingAcks(from, "h::junction"); n != 0 {
+			t.Fatalf("%s: a window for an unknown pair holds %d waiters", c.name, n)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("par completed with seq 3 never acknowledged: %v", err)
+	default:
+	}
+	f.handleMessage(compart.Message{From: to, To: from, Kind: compart.KindControl, Key: "ack", Payload: appendAck(4, nil)})
+	if err := <-done; err != nil {
+		t.Fatalf("par failed after its last ack: %v", err)
+	}
+	if n := s.pendingAcks(from, to); n != 0 {
+		t.Fatalf("%d acks pending after the par completed", n)
+	}
+}
+
 // TestParArmFIFOTortureOverTCP is the ordering torture test: eight source
 // junctions on machine A each fire rounds of parallel asserts at one sink
 // table on machine B over a real TCP bridge with batching on. §6's
@@ -239,15 +288,9 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	}
 	srvB := compart.ServeTCP(netB, lB)
 	defer srvB.Close()
-	toB, err := compart.DialTCP(srvB.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	toB := compart.DialReconnect(srvB.Addr().String(), compart.ReconnectConfig{})
 	defer toB.Close()
-	toA, err := compart.DialTCP(srvA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	toA := compart.DialReconnect(srvA.Addr().String(), compart.ReconnectConfig{})
 	defer toA.Close()
 
 	for i := 0; i < nSrc; i++ {
@@ -258,9 +301,9 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	if err := sysB.StartInstance("sink", nil); err != nil {
 		t.Fatal(err)
 	}
-	compart.Bridge(netA, "sink::main", toB)
+	compart.BridgeReconnect(netA, "sink::main", toB)
 	for i := 0; i < nSrc; i++ {
-		compart.Bridge(netB, fmt.Sprintf("s%d::push", i), toA)
+		compart.BridgeReconnect(netB, fmt.Sprintf("s%d::push", i), toA)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -311,7 +354,7 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	if !netA.Stats().Conserved() || !netB.Stats().Conserved() {
 		t.Fatalf("transport counters not conserved: A %+v B %+v", netA.Stats(), netB.Stats())
 	}
-	for dir, c := range map[string]*compart.Client{"A->B": toB, "B->A": toA} {
+	for dir, c := range map[string]*compart.ReconnectClient{"A->B": toB, "B->A": toA} {
 		if st := c.Stats(); st.Enqueued == 0 || st.Enqueued > 2*nSrc*rounds {
 			t.Fatalf("%s carried %d frames for %d invocations of %d arms, want at most 2 each", dir, st.Enqueued, nSrc*rounds, width)
 		}

@@ -108,11 +108,7 @@ func (j *Junction) compileBody(body []dsl.Expr) []step {
 // receiver sees a prefix) and plan.UpdateRun (no early remote visibility).
 func (j *Junction) compileStatements(flat []dsl.Expr) (steps []step, ends []int) {
 	for i := 0; i < len(flat); {
-		n := 1
-		// The seed plane (DisableBatching) has no group send to feed.
-		if !j.sys.opts.DisableBatching {
-			n = plan.UpdateRun(j.pj.Info, flat[i:])
-		}
+		n := plan.UpdateRun(j.pj.Info, flat[i:])
 		if n < 2 {
 			steps = append(steps, j.compileExpr(flat[i]))
 			i++
@@ -370,8 +366,7 @@ func (j *Junction) compilePar(branches dsl.Par) step {
 	var updates []updateBranch
 	var others []otherBranch
 	for i, b := range branches {
-		// The seed plane (DisableBatching) has no group send to feed.
-		if arm := j.remoteUpdateArm(b); arm != nil && !j.sys.opts.DisableBatching {
+		if arm := j.remoteUpdateArm(b); arm != nil {
 			updates = append(updates, updateBranch{i, arm})
 		} else {
 			others = append(others, otherBranch{i, j.compileExpr(b)})

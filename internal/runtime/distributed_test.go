@@ -70,15 +70,9 @@ func TestDistributedFig3OverTCP(t *testing.T) {
 	srvB := compart.ServeTCP(netB, lB)
 	defer srvB.Close()
 
-	toB, err := compart.DialTCP(srvB.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	toB := compart.DialReconnect(srvB.Addr().String(), compart.ReconnectConfig{})
 	defer toB.Close()
-	toA, err := compart.DialTCP(srvA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	toA := compart.DialReconnect(srvA.Addr().String(), compart.ReconnectConfig{})
 	defer toA.Close()
 
 	// Machine A hosts f and proxies g; machine B hosts g and proxies f.
@@ -88,8 +82,8 @@ func TestDistributedFig3OverTCP(t *testing.T) {
 	if err := sysB.StartInstance("g", nil); err != nil {
 		t.Fatal(err)
 	}
-	compart.Bridge(netA, "g::junction", toB)
-	compart.Bridge(netB, "f::junction", toA)
+	compart.BridgeReconnect(netA, "g::junction", toB)
+	compart.BridgeReconnect(netB, "f::junction", toA)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -326,12 +320,9 @@ func TestDistributedTimeoutAcrossTCP(t *testing.T) {
 			}()
 		}
 	}()
-	client, err := compart.DialTCP(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := compart.DialReconnect(l.Addr().String(), compart.ReconnectConfig{})
 	defer client.Close()
-	compart.Bridge(netA, "g::junction", client)
+	compart.BridgeReconnect(netA, "g::junction", client)
 
 	if err := sysA.Invoke(context.Background(), "f", "junction"); err != nil {
 		t.Fatal(err)

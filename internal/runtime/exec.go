@@ -19,6 +19,7 @@ import (
 	"csaw/internal/formula"
 	"csaw/internal/kv"
 	"csaw/internal/obsv"
+	"csaw/internal/plan"
 )
 
 // signal is the control-flow outcome of executing an expression; failures
@@ -82,13 +83,24 @@ func (j *Junction) exec(ctx context.Context, e dsl.Expr) (signal, error) {
 		return sig, err
 
 	case dsl.Txn:
+		// The compiled path's rollback rule (compileExpr): a failure at
+		// statement i takes back what statements 0..i can have written and no
+		// more, so a sibling par arm's commit to a key never reached stands.
+		flat := plan.FlattenSeq(n.Body)
 		snap := j.table.Snapshot()
 		j.noteTxn(obsv.EvTxnBegin)
-		sig, err := j.exec(ctx, dsl.Seq(n.Body))
-		if err != nil {
-			j.table.Restore(snap)
-			j.noteTxn(obsv.EvTxnRollback)
-			return sigNone, err
+		sig := sigNone
+		for i := 0; i < len(flat) && sig == sigNone; i++ {
+			var err error
+			if sig, err = j.exec(ctx, flat[i]); err != nil {
+				if ws := plan.CompileTxn(j.pj.Info, flat[:i+1]); ws.Full {
+					j.table.Restore(snap)
+				} else {
+					j.table.RestoreKeys(snap, ws.Props, ws.Data)
+				}
+				j.noteTxn(obsv.EvTxnRollback)
+				return sigNone, err
+			}
 		}
 		j.noteTxn(obsv.EvTxnCommit)
 		if sig == sigReturn {

@@ -129,16 +129,6 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 	return j
 }
 
-// endpointHandlers returns the handler pair the junction registers on the
-// substrate, respecting the batching ablation (nil batch handler there, so
-// envelopes decode to per-message deliveries).
-func (j *Junction) endpointHandlers() (compart.Handler, compart.BatchHandler) {
-	if j.sys.opts.DisableBatching {
-		return j.handleMessage, nil
-	}
-	return j.handleMessage, j.handleBatch
-}
-
 // resolveSelfName substitutes the me::instance / me::junction tokens with
 // the concrete instance name, so declarations like
 // "InitBackend[me::instance::serve]" resolve per instance (paper Fig. 14).
@@ -157,17 +147,10 @@ func (j *Junction) Def() *dsl.JunctionDef { return j.def }
 // Instance returns the owning instance name.
 func (j *Junction) Instance() string { return j.inst.Name }
 
-// applyImmediately is the ablation path bypassing the pending queue.
-func (j *Junction) applyImmediately(u kv.Update) {
-	j.table.ApplyNow(u)
-}
-
 // GuardTrue applies pending updates and evaluates the guard (true when the
 // junction has no guard).
 func (j *Junction) GuardTrue() bool {
-	if !j.sys.opts.DisableLocalPriority {
-		j.table.ApplyPending()
-	}
+	j.table.ApplyPending()
 	if j.def.Guard == nil {
 		return true
 	}
@@ -190,12 +173,10 @@ func (j *Junction) Schedule(ctx context.Context) error {
 	}
 	obs := j.sys.obs
 	tracing := obs.Tracing()
-	if !j.sys.opts.DisableLocalPriority {
-		if applied := j.table.ApplyPending(); applied > 0 {
-			j.met.RemoteApplied.Add(uint64(applied))
-			if tracing {
-				obs.Emit(obsv.Event{Kind: obsv.EvRemoteApplied, Junction: j.FQName, N: int64(applied)})
-			}
+	if applied := j.table.ApplyPending(); applied > 0 {
+		j.met.RemoteApplied.Add(uint64(applied))
+		if tracing {
+			obs.Emit(obsv.Event{Kind: obsv.EvRemoteApplied, Junction: j.FQName, N: int64(applied)})
 		}
 	}
 	if j.def.Guard != nil {

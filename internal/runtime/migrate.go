@@ -277,8 +277,7 @@ func (s *System) MigrateInstance(name, dest string) error {
 		// into the old junction handlers (buffered frames replay in order),
 		// schedulings unblock, drivers restart.
 		for i, j := range js {
-			h, bh := j.endpointHandlers()
-			parked[i].Release(h, bh)
+			parked[i].Release(j.handleMessage, j.handleBatch)
 		}
 		s.stageMu.Lock()
 		for _, j := range js {
@@ -375,8 +374,7 @@ drain:
 	// buffer until Release installs the forwarding proxy, so no frame can
 	// overtake the buffered ones.
 	for _, nj := range newJs {
-		h, bh := nj.endpointHandlers()
-		destLoc.net.RegisterBatch(nj.FQName, h, bh)
+		destLoc.net.RegisterBatch(nj.FQName, nj.handleMessage, nj.handleBatch)
 		d.registerProxiesExcept(dest, src, nj.FQName)
 		s.obs.ResetJunction(nj.FQName)
 		if tracing {

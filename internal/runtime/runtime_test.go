@@ -838,49 +838,39 @@ func TestStartStopFromDSL(t *testing.T) {
 	}
 }
 
-func TestLocalPriorityAblation(t *testing.T) {
-	// With the ablation flag, remote updates bypass the pending queue and
-	// apply immediately — demonstrating the race window the paper's local
-	// priority rule closes.
-	build := func() *dsl.Program {
-		p := dsl.NewProgram()
-		p.Type("t").Junction("j", dsl.Def(dsl.Decls(dsl.InitProp{Name: "P", Init: false})))
-		p.Type("u").Junction("j", dsl.Def(
-			dsl.Decls(dsl.InitProp{Name: "P", Init: false}),
-			dsl.Assert{Target: dsl.J("a", "j"), Prop: dsl.PR("P")},
-		))
-		p.Instance("a", "t").Instance("b", "u")
-		p.SetMain(dsl.Par{dsl.Start{Instance: "a"}, dsl.Start{Instance: "b"}})
-		return p
-	}
+// TestRemoteUpdateQueuesUntilReceiverScheduled pins the paper's local-priority
+// rule: a delivered (and acknowledged) remote update stays in the receiver's
+// pending queue, invisible to its table, until the receiving junction is next
+// scheduled.
+func TestRemoteUpdateQueuesUntilReceiverScheduled(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("t").Junction("j", dsl.Def(dsl.Decls(dsl.InitProp{Name: "P", Init: false})))
+	p.Type("u").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "P", Init: false}),
+		dsl.Assert{Target: dsl.J("a", "j"), Prop: dsl.PR("P")},
+	))
+	p.Instance("a", "t").Instance("b", "u")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "a"}, dsl.Start{Instance: "b"}})
 
-	// Default: the update queues until a's junction is scheduled.
-	s1 := mustSystem(t, build(), Options{})
-	if err := s1.RunMain(context.Background()); err != nil {
+	s := mustSystem(t, p, Options{})
+	if err := s.RunMain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Invoke(context.Background(), "b", "j"); err != nil {
+	if err := s.Invoke(context.Background(), "b", "j"); err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := s1.Junction("a", "j")
-	if v, _ := a1.Table().Prop("P"); v {
+	a, _ := s.Junction("a", "j")
+	if v, _ := a.Table().Prop("P"); v {
 		t.Fatal("update applied before scheduling despite local-priority rule")
 	}
-	if a1.Table().PendingLen() != 1 {
-		t.Fatalf("pending = %d", a1.Table().PendingLen())
+	if a.Table().PendingLen() != 1 {
+		t.Fatalf("pending = %d", a.Table().PendingLen())
 	}
-
-	// Ablation: applies immediately.
-	s2 := mustSystem(t, build(), Options{DisableLocalPriority: true})
-	if err := s2.RunMain(context.Background()); err != nil {
+	if err := s.Invoke(context.Background(), "a", "j"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Invoke(context.Background(), "b", "j"); err != nil {
-		t.Fatal(err)
-	}
-	a2, _ := s2.Junction("a", "j")
-	if v, _ := a2.Table().Prop("P"); !v {
-		t.Fatal("ablation mode did not apply immediately")
+	if v, _ := a.Table().Prop("P"); !v || a.Table().PendingLen() != 0 {
+		t.Fatalf("scheduling did not apply the queued update: P=%v pending=%d", v, a.Table().PendingLen())
 	}
 }
 

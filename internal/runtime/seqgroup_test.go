@@ -321,8 +321,17 @@ func TestMigrateSinkBetweenSeqGroups(t *testing.T) {
 // until the failing one has taken its snapshot (Mine is its first write), lets
 // the sibling commit Shared, and only then releases the failing one, which
 // fails before its own statement on Shared is reached: its rollback must take
-// back what it wrote (Mine) and leave the sibling's commit alone.
+// back what it wrote (Mine) and leave the sibling's commit alone — under the
+// compiled plan and under the interpreter it is compared against.
 func TestTxnRollbackSparesSiblingCommit(t *testing.T) {
+	for name, interpreted := range map[string]bool{"compiled": false, "interpreter": true} {
+		t.Run(name, func(t *testing.T) {
+			txnRollbackSparesSiblingCommit(t, interpreted)
+		})
+	}
+}
+
+func txnRollbackSparesSiblingCommit(t *testing.T, interpreted bool) {
 	p := dsl.NewProgram()
 	p.Type("T").Junction("j", dsl.Def(
 		dsl.Decls(dsl.InitProp{Name: "Shared", Init: false}, dsl.InitProp{Name: "Mine", Init: false},
@@ -343,7 +352,7 @@ func TestTxnRollbackSparesSiblingCommit(t *testing.T) {
 	))
 	p.Instance("i", "T")
 	p.SetMain(dsl.Start{Instance: "i"})
-	s := mustSystem(t, p, Options{})
+	s := mustSystem(t, p, Options{DisableCompiledPlan: interpreted})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.RunMain(ctx); err != nil {

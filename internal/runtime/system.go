@@ -49,23 +49,12 @@ type Options struct {
 	// ReconsiderLimit bounds how many times a single case expression may be
 	// re-entered through reconsider within one scheduling.
 	ReconsiderLimit int
-	// DisableLocalPriority turns off the paper's local-priority rule
-	// (ablation only: remote updates then apply immediately on arrival).
-	DisableLocalPriority bool
 	// DisableCompiledPlan turns off the compiled execution path (ablation
 	// only): junction bodies are tree-interpreted by exec.go and drivers fall
 	// back to the coalesced-notify + poll scheduling loop, reproducing the
 	// pre-plan runtime. The equivalence suite runs every pattern under both
 	// modes.
 	DisableCompiledPlan bool
-	// DisableBatching reverts the remote-update plane to the seed's
-	// one-round-trip-per-update path (ablation only): a global per-update
-	// ack channel map, one ack frame per update, per-message KV enqueue.
-	// The default path pipelines updates through per-(sender,receiver)
-	// windows with cumulative acks and applies delivered batches in one KV
-	// lock acquisition. The two modes speak different ack wire formats, so
-	// every system bridged into one deployment must agree on this setting.
-	DisableBatching bool
 	// Trace installs a structured trace sink (internal/obsv): every
 	// scheduling decision, guard evaluation, transaction outcome, wait
 	// transition, remote-update hop and instance lifecycle event is emitted
@@ -126,14 +115,8 @@ type System struct {
 	instances map[string]*Instance
 	apps      map[string]any
 
-	// Seed ack plumbing (Options.DisableBatching): one channel per in-flight
-	// update, resolved by an ack frame echoing its global sequence number.
-	ackSeq  atomic.Uint64
-	ackMu   sync.Mutex
-	ackWait map[uint64]chan struct{}
-
-	// Pipelined ack plumbing (the default): one window per directed
-	// (sender,receiver) junction pair, acknowledged cumulatively.
+	// Ack plumbing: one window per directed (sender,receiver) junction pair,
+	// acknowledged cumulatively.
 	winMu   sync.Mutex
 	windows map[pairKey]*ackWindow
 
@@ -204,7 +187,6 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		obs:       obsv.NewObserver(),
 		instances: map[string]*Instance{},
 		apps:      map[string]any{},
-		ackWait:   map[uint64]chan struct{}{},
 		windows:   map[pairKey]*ackWindow{},
 		staged:    map[string][]byte{},
 		migAcks:   make(chan string, 64),
@@ -622,11 +604,7 @@ func (s *System) Close() {
 // network and forwarding proxies under the same name on every other
 // location, so senders always address their local network.
 func (s *System) registerEndpoints(j *Junction, loc *location) {
-	if s.opts.DisableBatching {
-		loc.net.Register(j.FQName, j.handleMessage)
-	} else {
-		loc.net.RegisterBatch(j.FQName, j.handleMessage, j.handleBatch)
-	}
+	loc.net.RegisterBatch(j.FQName, j.handleMessage, j.handleBatch)
 	if !s.deploy.single() {
 		s.deploy.registerProxies(loc.name, j.FQName)
 	}
@@ -634,26 +612,19 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 
 // --- remote update plumbing -------------------------------------------------
 //
-// Two wire-compatible halves share the same message shapes (seq-prefixed
-// prop/data payloads, KindControl "ack" frames) but differ in how acks are
-// granted and awaited:
+// There is one ack plane and one wire format: seq-prefixed prop/data
+// payloads one way, KindControl "ack" frames the other. Each directed
+// (sender,receiver) junction pair owns an ackWindow carrying its own sequence
+// space. A send is a group: the updates one par fires at one destination, or
+// adjacent statements of a sequence send to it (or a lone update, the n = 1
+// case), take consecutive per-pair seqs, leave as one delivery group and wait
+// on one range waiter. The receiver tracks the contiguous delivery frontier
+// per sender and answers with cumulative acks — one ack frame (payload: 8-byte
+// cum frontier plus optional 8-byte out-of-order extras) completes every range
+// at or below the frontier.
 //
-//   - The pipelined default: each directed (sender,receiver) junction pair
-//     owns an ackWindow carrying its own sequence space. A send is a group:
-//     the updates one par fires at one destination, or adjacent statements of
-//     a sequence send to it (or a lone update, the n = 1 case), take
-//     consecutive per-pair seqs, leave as one delivery group and wait on one
-//     range waiter. The receiver tracks the contiguous delivery frontier per
-//     sender and answers with cumulative acks — one ack frame (payload: 8-byte
-//     cum frontier plus optional 8-byte out-of-order extras) completes every
-//     range at or below the frontier.
-//   - The seed ablation (Options.DisableBatching): a global sequence, one
-//     channel per update in ackWait, one ack frame echoing each update's
-//     seq. Kept verbatim so the Net-batching experiment (csaw-bench -run
-//     Net-batching; EXPERIMENTS.md) measures the seed path.
-//
-// Either way a statement completes only at its delivery acknowledgment —
-// the §6 contract `otherwise[t]` builds on.
+// A statement completes only at its delivery acknowledgment — the §6 contract
+// `otherwise[t]` builds on.
 
 // pairKey identifies a directed (sender,receiver) junction pair.
 type pairKey struct{ from, to string }
@@ -995,20 +966,6 @@ func (s *System) sendUpdates(ctx context.Context, j *Junction, to string, ups []
 // them on success, and on failure the position of the first unacknowledged
 // one — where a sequence of single statements would have failed.
 func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []remoteUpdate) (acked int, err error) {
-	if s.opts.DisableBatching {
-		// The seed plane has no group form (the compiler builds none under it).
-		for _, u := range ups {
-			uerr := s.sendUpdateUnbatched(ctx, j, to, u.kind, u.key, u.flag, u.payload)
-			switch {
-			case err != nil: // past the first failure nothing counts
-			case uerr != nil:
-				err = uerr
-			default:
-				acked++
-			}
-		}
-		return acked, err
-	}
 	n := len(ups)
 	from := j.FQName
 	w := s.junctionWindow(j, to)
@@ -1116,72 +1073,6 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	return acked, werr
 }
 
-// sendUpdateUnbatched is the seed remote-update path, selected by
-// Options.DisableBatching: one global sequence number, one ack channel and
-// one round trip per update. The stop is called on every exit so no timer
-// outlives its statement (the ctx-done path used to leak one until Stop was
-// deferred).
-func (s *System) sendUpdateUnbatched(ctx context.Context, j *Junction, to string, kind compart.MessageKind, key string, flag bool, payload []byte) error {
-	from := j.FQName
-	seq := s.ackSeq.Add(1)
-	ch := make(chan struct{}, 1)
-	var start time.Time
-	// Same 1-in-8 ack-latency sampling as the pipelined path, so the
-	// batching ablation compares like for like.
-	timing := s.obs.Timing() && (s.obs.Tracing() || seq&7 == 0)
-	if timing {
-		start = time.Now()
-	}
-	s.ackMu.Lock()
-	s.ackWait[seq] = ch
-	s.ackMu.Unlock()
-	defer func() {
-		s.ackMu.Lock()
-		delete(s.ackWait, seq)
-		s.ackMu.Unlock()
-	}()
-
-	body := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint64(body, seq)
-	copy(body[8:], payload)
-	if err := j.net.Send(compart.Message{From: from, To: to, Kind: kind, Key: key, Flag: flag, Payload: body}); err != nil {
-		if errors.Is(err, compart.ErrEndpointDown) {
-			return fmt.Errorf("%w (%s)", ErrPeerDown, to)
-		}
-		return fmt.Errorf("%w: %v", ErrSendFailed, err)
-	}
-	timer := time.NewTimer(s.opts.AckTimeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		j.met.RemoteAcked.Add(1)
-		if timing {
-			j.met.Ack.Observe(time.Since(start))
-		}
-		if s.obs.Tracing() {
-			s.obs.Emit(obsv.Event{Kind: obsv.EvRemoteAcked, Junction: from, Key: to})
-		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
-	case <-timer.C:
-		return fmt.Errorf("%w: no ack from %s within %s", ErrSendFailed, to, s.opts.AckTimeout)
-	}
-}
-
-// ack resolves a pending seed-path acknowledgment.
-func (s *System) ack(seq uint64) {
-	s.ackMu.Lock()
-	ch, ok := s.ackWait[seq]
-	s.ackMu.Unlock()
-	if ok {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // recvTrack is the receiver-side delivery tracking for one sending junction:
 // contig is the contiguous frontier (every seq <= contig delivered), oo the
 // delivered seqs above contig+1 that arrived out of order (reordering on
@@ -1281,10 +1172,6 @@ func (j *Junction) handleMessage(m compart.Message) {
 		if m.Key != "ack" || len(m.Payload) < 8 {
 			return
 		}
-		if j.sys.opts.DisableBatching {
-			j.sys.ack(binary.BigEndian.Uint64(m.Payload))
-			return
-		}
 		// Cumulative frontier first, then vectored extras; the window is
 		// keyed by (this junction, acking peer).
 		cum := binary.BigEndian.Uint64(m.Payload)
@@ -1298,25 +1185,8 @@ func (j *Junction) handleMessage(m compart.Message) {
 		if !ok {
 			return
 		}
-		if j.sys.opts.DisableLocalPriority {
-			// Ablation mode: apply immediately, bypassing the pending queue.
-			j.applyImmediately(u)
-		} else {
-			j.table.Enqueue(u)
-		}
+		j.table.Enqueue(u)
 		j.met.RemoteQueued.Add(1)
-		if j.sys.opts.DisableBatching {
-			if j.sys.obs.Tracing() {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key})
-			}
-			// Seed path: echo the update's own sequence number.
-			var ackBody [8]byte
-			binary.BigEndian.PutUint64(ackBody[:], seq)
-			_ = j.net.Send(compart.Message{
-				From: j.FQName, To: m.From, Kind: compart.KindControl, Key: "ack", Payload: ackBody[:],
-			})
-			return
-		}
 		cum, extra := j.noteDelivered(m.From, seq)
 		if j.sys.obs.Tracing() {
 			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
@@ -1386,13 +1256,7 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 		}
 	}
 	if len(updates) > 0 {
-		if j.sys.opts.DisableLocalPriority {
-			for _, u := range updates {
-				j.applyImmediately(u)
-			}
-		} else {
-			j.table.EnqueueBatch(updates)
-		}
+		j.table.EnqueueBatch(updates)
 		j.met.RemoteQueued.Add(uint64(len(updates)))
 		j.met.RemoteBatches.Add(1)
 		if tracing {

@@ -1,10 +1,11 @@
 package serial
 
-// BenchmarkSerial* is the serializer micro-suite backing BENCH_serial.json:
-// the same fixtures are measured against the seed reflect-walk codec (the
-// baseline recorded before the compiled-plan rewrite) and against the
-// plan-cached codec, so the ablation is apples-to-apples on identical wire
-// bytes.
+// BenchmarkSerial* is the serializer micro-suite: the same fixtures are
+// measured against the seed reflect-walk codec (the baseline recorded before
+// the compiled-plan rewrite) and against the plan-cached codec, so the
+// ablation is apples-to-apples on identical wire bytes. Recorded figures are
+// in EXPERIMENTS.md ("historical figures"); per request the ledger prices the
+// codec as its serial.* metrics.
 
 import (
 	"fmt"
@@ -180,7 +181,8 @@ func BenchmarkSerialAppendMarshal(b *testing.B) {
 
 // BenchmarkSerialAblation pits the plan-cached codec against the retained
 // seed reflect-walk codec on identical fixtures and identical wire bytes —
-// the plan-cached vs reflect-walk ablation recorded in BENCH_serial.json.
+// the plan-cached vs reflect-walk ablation recorded in EXPERIMENTS.md
+// ("historical figures").
 func BenchmarkSerialAblation(b *testing.B) {
 	fixtures := benchFixtures()
 	for _, name := range benchOrder {
