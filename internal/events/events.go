@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"csaw/internal/dsl"
 )
 
 // EventID identifies an event within one Structure.
@@ -91,7 +93,19 @@ type Event struct {
 	ID      EventID
 	Label   Label
 	Outward bool
+	// jumps marks the last event of a spliced continuation (break, next,
+	// reconsider, return, retry): control has left the statement sequence, so
+	// sequential composition adds no edge from it (semantics.go, seq).
+	jumps bool
+	// handler is set on the first events of a copy of an otherwise's handler
+	// (semantics.go, denoteOtherwise), zero elsewhere.
+	handler handlerCopy
 }
+
+// handlerCopy identifies one copy of one otherwise's handler: group numbers
+// the otherwise within a denotation, copy the try event the copy is attached
+// to; both start at one.
+type handlerCopy struct{ group, copy int }
 
 // Structure is an event structure: events with immediate-causality edges and
 // minimal-conflict pairs. The full ≤ is the reflexive-transitive closure of
@@ -104,6 +118,11 @@ type Structure struct {
 	Conflicts map[EventID]map[EventID]bool
 
 	nextID EventID
+
+	// junction and def are what DenoteJunction denoted, kept for Conforms:
+	// the names a run reports are resolved against them.
+	junction string
+	def      *dsl.JunctionDef
 
 	// m caches derived relations (reverse adjacency, causes sets, consistency
 	// verdicts). The model checker asks Consistent the same joint-history
@@ -280,7 +299,7 @@ func (s *Structure) Merge(other *Structure) map[EventID]EventID {
 	for _, id := range other.IDs() {
 		e := other.Events[id]
 		ne := s.Add(e.Label)
-		ne.Outward = e.Outward
+		ne.Outward, ne.jumps, ne.handler = e.Outward, e.jumps, e.handler
 		tr[id] = ne.ID
 	}
 	for from, tos := range other.Enables {

@@ -55,6 +55,7 @@ type denoter struct {
 	junction string
 	body     dsl.Expr // the junction body, for retry
 	budget   int
+	handlers int // otherwise expressions denoted so far (handlerCopy.group)
 }
 
 // DenoteExpr maps a single expression (evaluated in junction j) to an event
@@ -72,6 +73,7 @@ func DenoteJunction(j string, def *dsl.JunctionDef, b Budget) *Structure {
 	body := dsl.Seq(def.Body)
 	d := &denoter{junction: j, body: body, budget: b.Unfold}
 	s := NewStructure()
+	s.junction, s.def = j, def
 	sched := s.Add(Label{Kind: KindSched, Junction: j})
 	bodyS := d.denote(body, initialEnv(), b.Unfold)
 	tr := s.Merge(bodyS)
@@ -109,6 +111,11 @@ func rightmostOf(sub *Structure, tr map[EventID]EventID) []EventID {
 
 // seq composes s1 ; s2 into a fresh structure per the E1;E2 rule: union plus
 // edges from the rightmost periphery of s1 to the leftmost periphery of s2.
+//
+// A path of s1 that ended in a control transfer already carries its own copy
+// of what follows (jump), so it gets no edge: the copy of s2 after it would be
+// the redundant behaviour §8.5 says is eliminated "by construction". When
+// every path of s1 ends that way, s2 is unreachable and dropped.
 func seq(s1, s2 *Structure) *Structure {
 	if s1.Len() == 0 {
 		return s2
@@ -116,15 +123,35 @@ func seq(s1, s2 *Structure) *Structure {
 	if s2.Len() == 0 {
 		return s1
 	}
+	var exits []EventID
+	for _, id := range s1.Rightmost() {
+		if !s1.Events[id].jumps {
+			exits = append(exits, id)
+		}
+	}
+	if len(exits) == 0 {
+		return s1
+	}
 	out := NewStructure()
 	tr1 := out.Merge(s1)
 	tr2 := out.Merge(s2)
-	for _, from := range rightmostOf(s1, tr1) {
+	for _, from := range exits {
 		for _, to := range leftmostOf(s2, tr2) {
-			out.Enable(from, to)
+			out.Enable(tr1[from], to)
 		}
 	}
 	return out
+}
+
+// jump denotes a control transfer to the statements cont stands for: their
+// structure, with its last events marked as not falling through to whatever
+// is sequenced after the transferring statement.
+func (d *denoter) jump(cont any, η env, budget int) *Structure {
+	s := d.denote(cont, η, budget)
+	for _, id := range s.Rightmost() {
+		s.Events[id].jumps = true
+	}
+	return s
 }
 
 // union composes structures without any ordering (parallel composition).
@@ -147,19 +174,16 @@ func (d *denoter) denote(e any, η env, budget int) *Structure {
 	case dsl.Skip:
 		return NewStructure()
 	case dsl.Restore:
-		// [[restore(n, ...)]] = (∅, ∅, ∅) — a local read with no event.
-		return NewStructure()
+		// [[restore(n, ...)]] = (∅, ∅, ∅) — a local read with no event. A
+		// restore whose host function declares a write-set is a host block as
+		// well, and denotes that block's writes.
+		return hostWrites(J, n.Writes)
 	case dsl.Keep, dsl.IdxAssign:
 		// Local bookkeeping on the table; no communication events.
 		return NewStructure()
 
 	case dsl.Host:
-		// [[⌊H⌉{V⃗}]] = ⋃_{v∈V⃗} {Wr_J(v,*)}.
-		s := NewStructure()
-		for _, v := range n.Writes {
-			s.Add(Label{Kind: KindWr, Junction: J, Key: v, Value: "*"})
-		}
-		return s
+		return hostWrites(J, n.Writes)
 
 	case dsl.Save:
 		s := NewStructure()
@@ -208,29 +232,29 @@ func (d *denoter) denote(e any, η env, budget int) *Structure {
 		if budget <= 0 {
 			return NewStructure()
 		}
-		return d.denote(η.ret, η, budget-1)
+		return d.jump(η.ret, η, budget-1)
 	case dsl.Break:
 		if budget <= 0 {
 			return NewStructure()
 		}
-		return d.denote(η.brk, η, budget-1)
+		return d.jump(η.brk, η, budget-1)
 	case dsl.Next:
 		if budget <= 0 {
 			return NewStructure()
 		}
-		return d.denote(η.next, η, budget-1)
+		return d.jump(η.next, η, budget-1)
 	case dsl.Reconsider:
 		if budget <= 0 {
 			return NewStructure()
 		}
-		return d.denote(η.reconsider, η, budget-1)
+		return d.jump(η.reconsider, η, budget-1)
 	case dsl.Retry:
 		// [[retry]] = [[J]]: the junction body again. The budget counts
 		// total body instances, so a budget of 1 leaves no unfoldings.
 		if budget <= 1 {
 			return bottom(J)
 		}
-		return d.denote(d.body, initialEnv(), budget-1)
+		return d.jump(d.body, initialEnv(), budget-1)
 
 	case dsl.Seq:
 		if len(n) == 0 {
@@ -244,18 +268,23 @@ func (d *denoter) denote(e any, η env, budget int) *Structure {
 		tail := d.denote(rest, η, budget)
 		return seq(head, tail)
 
+	// Nothing follows a branch of a parallel composition but the join: what
+	// comes after the composition is sequenced after all of it, not spliced
+	// into each branch by the first break or return a branch contains.
 	case dsl.Par:
+		ηb := envWith(η, func(e *env) { e.sub = dsl.Skip{} })
 		ss := make([]*Structure, len(n))
 		for i, c := range n {
-			ss[i] = d.denote(c, η, budget)
+			ss[i] = d.denote(c, ηb, budget)
 		}
 		return union(ss...)
 
 	case dsl.ParN:
+		ηb := envWith(η, func(e *env) { e.sub = dsl.Skip{} })
 		var ss []*Structure
 		for i := 0; i < n.N; i++ {
 			for _, c := range n.Body {
-				ss = append(ss, d.denote(c, η, budget))
+				ss = append(ss, d.denote(c, ηb, budget))
 			}
 		}
 		return union(ss...)
@@ -299,6 +328,15 @@ func (d *denoter) denote(e any, η env, budget int) *Structure {
 	}
 }
 
+// hostWrites is [[⌊H⌉{V⃗}]] = ⋃_{v∈V⃗} {Wr_J(v,*)}.
+func hostWrites(j string, writes []string) *Structure {
+	s := NewStructure()
+	for _, v := range writes {
+		s.Add(Label{Kind: KindWr, Junction: j, Key: v, Value: "*"})
+	}
+	return s
+}
+
 func envWith(η env, f func(*env)) env {
 	f(&η)
 	return η
@@ -333,6 +371,13 @@ func (d *denoter) denoteOtherwise(n dsl.Otherwise, η env, budget int) *Structur
 		// Nothing can fail; the handler is unreachable.
 		return s1
 	}
+	if s2.Len() == 0 {
+		// "Either e occurs or its failure handler runs" needs an event to be in
+		// conflict with e even when the handler does nothing: without one, a
+		// configuration in which e failed and what follows the otherwise went
+		// on would not be downward-closed.
+		s2.Add(Label{Kind: KindAdHoc, Junction: d.junction, Key: "ε"})
+	}
 	out := NewStructure()
 	tr1 := out.Merge(s1)
 	// Record predecessor sets before adding handler copies.
@@ -342,14 +387,15 @@ func (d *denoter) denoteOtherwise(n dsl.Otherwise, η env, budget int) *Structur
 			preds[tr1[to]] = append(preds[tr1[to]], tr1[from])
 		}
 	}
-	for _, origID := range s1.IDs() {
+	d.handlers++
+	for k, origID := range s1.IDs() {
 		e := tr1[origID]
 		out.Events[e].Outward = false // isolate(S[[E1]])
-		if s2.Len() == 0 {
-			continue
-		}
 		trC := out.Copy(s2)
 		entry := leftmostOf(s2, trC)
+		for _, en := range entry {
+			out.Events[en].handler = handlerCopy{group: d.handlers, copy: k + 1}
+		}
 		for _, p := range preds[e] {
 			for _, en := range entry {
 				out.Enable(p, en)

@@ -116,6 +116,13 @@ const (
 	EvMigrateCutover
 	EvMigrateResume
 	EvMigrateAbort
+
+	// EvLocalWrite: a junction's body wrote its own table and the write stands
+	// (Key = the table key, Truth = "tt", "ff", or "*" for data) — an
+	// assert/retract, local or the sender's half of a remote one, a save, a
+	// host block's write. Emitted on the traced path only; it is what lets
+	// events.Conforms see the Wr_J events of the §8 denotation.
+	EvLocalWrite
 )
 
 var kindNames = map[Kind]string{
@@ -152,6 +159,7 @@ var kindNames = map[Kind]string{
 	EvMigrateCutover:      "migrate.cutover",
 	EvMigrateResume:       "migrate.resume",
 	EvMigrateAbort:        "migrate.abort",
+	EvLocalWrite:          "local.write",
 }
 
 // String returns the dotted event name used in JSONL output.
@@ -179,7 +187,8 @@ type Event struct {
 	// Key names what the event touched: a table key, a destination
 	// endpoint, a wait formula rendering.
 	Key string
-	// Truth carries a ternary guard result for EvGuardEval.
+	// Truth carries a ternary guard result for EvGuardEval, and the value
+	// written ("tt", "ff", "*" for data) for EvRemoteQueued and EvLocalWrite.
 	Truth string
 	// Peer is the remote junction on the other side of the event, for kinds
 	// that have one (the origin of a remote.queued / remote.batch delivery).

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"csaw/internal/obsv"
 	"csaw/internal/runtime"
 )
 
@@ -80,9 +81,12 @@ func TestMigrationEquivalence(t *testing.T) {
 
 			run := func(migrate bool) string {
 				dep, insts := deployEntry(entry)
-				sys := startSystem(t, entry.Build(), runtime.Options{
+				ring := obsv.NewRingSink(1 << 16)
+				prog := entry.Build()
+				sys := startSystem(t, prog, runtime.Options{
 					Deploy:     dep,
 					AckTimeout: 10 * time.Second,
+					Trace:      ring,
 				})
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
@@ -123,6 +127,9 @@ func TestMigrationEquivalence(t *testing.T) {
 					}
 				}
 				state := quiesce(t, sys)
+				// A migration moves tables between schedulings, never inside one:
+				// each scheduling is still a run of its junction's denotation.
+				conforms(t, prog, ring)
 				for _, loc := range dep.Locations() {
 					if st := dep.Net(loc).Stats(); !st.Conserved() {
 						t.Fatalf("location %s transport counters not conserved: %+v", loc, st)

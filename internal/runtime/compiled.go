@@ -394,6 +394,9 @@ func (j *Junction) compilePar(branches dsl.Par) step {
 		var groups []destGroup
 		for _, u := range updates {
 			m, err := u.run()
+			if m.local {
+				j.noteLocalWrite(m.up.key, wrote(m.up.flag))
+			}
 			if err != nil {
 				errs[u.idx] = err
 				continue
@@ -495,6 +498,9 @@ type armedUpdate struct {
 	to   string
 	up   remoteUpdate
 	undo kv.PropUndo
+	// local is set when the sender declares the proposition too, so the arm
+	// wrote its own table.
+	local bool
 }
 
 // updateArm is the lowered sender half of a remote assert/retract/write: it
@@ -541,28 +547,30 @@ func (j *Junction) remoteUpdateArm(e dsl.Expr) updateArm {
 func (j *Junction) updateStep(arms ...updateArm) step {
 	return func(ctx context.Context) (signal, error) {
 		var (
-			upBuf   [4]remoteUpdate
-			undoBuf [4]kv.PropUndo
+			upBuf  [4]remoteUpdate
+			ranBuf [4]armedUpdate
 		)
-		ups := upBuf[:0]     // the open group
-		undos := undoBuf[:0] // one per arm run so far
-		to, first := "", 0   // the open group's destination and first member
+		ups := upBuf[:0]   // the open group
+		ran := ranBuf[:0]  // one per arm run so far
+		to, first := "", 0 // the open group's destination and first member
 		for k := 0; ; k++ {
 			var m armedUpdate
 			var err error
 			last := k == len(arms)
 			if !last {
 				m, err = arms[k]()
-				undos = append(undos, m.undo)
+				ran = append(ran, m)
 			}
 			if len(ups) > 0 && (last || err != nil || m.to != to) {
 				acked, serr := j.sys.sendGroup(ctx, j, to, ups)
 				if serr != nil {
-					for u := len(undos) - 1; u > first+acked; u-- {
-						j.table.UndoProp(undos[u])
+					for u := len(ran) - 1; u > first+acked; u-- {
+						j.table.UndoProp(ran[u].undo)
 					}
+					j.noteLocalHalves(ran[first : first+acked+1])
 					return sigNone, serr
 				}
+				j.noteLocalHalves(ran[first : first+len(ups)])
 				ups = ups[:0]
 				if cerr := ctx.Err(); cerr != nil && !last {
 					// The deadline passed between two groups, where it would
@@ -571,6 +579,9 @@ func (j *Junction) updateStep(arms ...updateArm) step {
 					return sigNone, fmt.Errorf("%w: %v", ErrTimeout, cerr)
 				}
 			}
+			if err != nil {
+				j.noteLocalHalves(ran[k:])
+			}
 			if last || err != nil {
 				return sigNone, err
 			}
@@ -578,6 +589,17 @@ func (j *Junction) updateStep(arms ...updateArm) step {
 				to, first = m.to, k
 			}
 			ups = append(ups, m.up)
+		}
+	}
+}
+
+// noteLocalHalves reports the local halves of arms whose fate is settled and
+// left them standing: a traced run shows a local write when it can no longer
+// be taken back (obsv.EvLocalWrite).
+func (j *Junction) noteLocalHalves(ran []armedUpdate) {
+	for _, m := range ran {
+		if m.local {
+			j.noteLocalWrite(m.up.key, wrote(m.up.flag))
 		}
 	}
 }
@@ -623,12 +645,13 @@ func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, val
 		}
 		if p.cell != nil {
 			p.cell.Set(value)
-			return sigNone, nil
-		}
-		if !j.table.HasProp(p.name) {
+		} else if !j.table.HasProp(p.name) {
 			return sigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, p.name)
+		} else if err := j.table.SetProp(p.name, value); err != nil {
+			return sigNone, err
 		}
-		return sigNone, j.table.SetProp(p.name, value)
+		j.noteLocalWrite(p.name, wrote(value))
+		return sigNone, nil
 	}
 }
 
@@ -641,20 +664,19 @@ func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, val
 			return armedUpdate{}, err
 		}
 		// The local half, when the sender declares the proposition too.
-		var undo kv.PropUndo
-		if p.cell != nil {
-			undo = p.cell.Swap(value)
+		m := armedUpdate{up: remoteUpdate{kind: compart.KindProp, key: p.name, flag: value}, local: p.cell != nil}
+		if m.local {
+			m.undo = p.cell.Swap(value)
 		} else {
-			undo, _ = j.table.SwapProp(p.name, value)
+			m.undo, m.local = j.table.SwapProp(p.name, value)
 		}
-		to, err := resolveTo()
-		if err != nil {
-			return armedUpdate{undo: undo}, err
+		if m.to, err = resolveTo(); err != nil {
+			return m, err
 		}
-		if to == j.FQName {
-			return armedUpdate{undo: undo}, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
+		if m.to == j.FQName {
+			return m, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 		}
-		return armedUpdate{to: to, up: remoteUpdate{kind: compart.KindProp, key: p.name, flag: value}, undo: undo}, nil
+		return m, nil
 	}
 }
 

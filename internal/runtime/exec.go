@@ -136,7 +136,11 @@ func (j *Junction) exec(ctx context.Context, e dsl.Expr) (signal, error) {
 		if err != nil {
 			return sigNone, fmt.Errorf("save %s: %w", n.Data, err)
 		}
-		return sigNone, j.table.SetData(n.Data, payload)
+		if err := j.table.SetData(n.Data, payload); err != nil {
+			return sigNone, err
+		}
+		j.noteLocalWrite(n.Data, "*")
+		return sigNone, nil
 
 	case dsl.Restore:
 		payload, err := j.table.Data(n.Data)
@@ -264,6 +268,7 @@ func (j *Junction) execPropUpdate(ctx context.Context, target dsl.JunctionRef, p
 		if err := j.table.SetProp(name, value); err != nil {
 			return sigNone, err
 		}
+		j.noteLocalWrite(name, wrote(value))
 	} else if target.IsLocal() {
 		return sigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, name)
 	}

@@ -65,9 +65,11 @@ func (h *hostCtx) Save(name string, payload []byte) error {
 	}
 	if c := h.bound[i].data; c != nil {
 		c.Set(payload)
-		return nil
+	} else if err := h.j.table.SetData(name, payload); err != nil {
+		return err
 	}
-	return h.j.table.SetData(name, payload)
+	h.j.noteLocalWrite(name, "*")
+	return nil
 }
 
 // SetProp implements dsl.HostCtx.
@@ -78,9 +80,13 @@ func (h *hostCtx) SetProp(name string, v bool) error {
 	}
 	if c := h.bound[i].prop; c != nil {
 		c.Set(v)
-		return nil
+	} else if err := h.j.table.SetProp(h.j.resolveSelfName(name), v); err != nil {
+		return err
 	}
-	return h.j.table.SetProp(h.j.resolveSelfName(name), v)
+	if h.j.sys.obs.Tracing() {
+		h.j.noteLocalWrite(h.j.resolveSelfName(name), wrote(v))
+	}
+	return nil
 }
 
 // SetIdx implements dsl.HostCtx.

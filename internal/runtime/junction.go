@@ -356,6 +356,22 @@ func (j *Junction) noteTxn(k obsv.Kind) {
 	}
 }
 
+// noteLocalWrite reports, on the traced path, a write of the body to the
+// junction's own table; value is how §8 labels it (wrote, or "*" for data).
+func (j *Junction) noteLocalWrite(key, value string) {
+	if j.sys.obs.Tracing() {
+		j.sys.obs.Emit(obsv.Event{Kind: obsv.EvLocalWrite, Junction: j.FQName, Key: key, Truth: value})
+	}
+}
+
+// wrote is the §8 label value of a proposition write.
+func wrote(v bool) string {
+	if v {
+		return "tt"
+	}
+	return "ff"
+}
+
 // noteWaitArmed records a wait arming and returns the blocked-time start
 // (zero when timing is off).
 func (j *Junction) noteWaitArmed(cond string) time.Time {

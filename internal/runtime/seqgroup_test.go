@@ -14,11 +14,13 @@ import (
 	"csaw/internal/obsv"
 )
 
-// A straight-line run of remote updates is sent as groups (updateStep); the
-// reference interpreter sends the same statements one at a time, each waiting
-// out its own ack. The two must be indistinguishable in everything but
-// timing: the sender's table and error on every failure path, what each
-// receiver holds, and the sequences it saw them arrive under.
+// A straight-line run of remote updates is sent as groups (updateStep), and
+// must be indistinguishable, in everything but timing, from the same
+// statements sent one at a time, each waiting out its own ack: the sender's
+// table and error on every failure path, what each receiver holds, and the
+// sequences it saw them arrive under. The per-statement outcomes are frozen
+// under testdata/seq (generated once from the reference interpreter, see
+// group_test.go), and every run's trace must conform to the §8 denotation.
 
 // seqOutcome is parOutcome plus what a sequence can additionally tell apart:
 // the sender's own table (local halves applied, taken back or rolled back)
@@ -174,14 +176,13 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 	}}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			var outcomes [2]seqOutcome
-			for i, perStatement := range []bool{false, true} {
+			for _, interpreted := range []bool{true, false} {
 				ring := obsv.NewRingSink(4096)
 				opts := Options{AckTimeout: 5 * time.Second}
 				if sc.opts != nil {
 					opts = sc.opts()
 				}
-				opts.Trace, opts.DisableCompiledPlan = ring, perStatement
+				opts.Trace, opts.DisableCompiledPlan = ring, interpreted
 				s := mustSystem(t, sc.prog, opts)
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				if err := s.RunMain(ctx); err != nil {
@@ -194,12 +195,12 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 				cancel()
 				switch {
 				case (sc.wantErr == nil) != (err == nil):
-					t.Fatalf("perStatement=%v: invoke: %v, want %v", perStatement, err, sc.wantErr)
+					t.Fatalf("interpreted=%v: invoke: %v, want %v", interpreted, err, sc.wantErr)
 				case err != nil && !errors.Is(err, sc.wantErr) && !strings.Contains(err.Error(), sc.wantErr.Error()):
-					t.Fatalf("perStatement=%v: invoke: %v, want %v", perStatement, err, sc.wantErr)
+					t.Fatalf("interpreted=%v: invoke: %v, want %v", interpreted, err, sc.wantErr)
 				}
-				outcomes[i] = observeSeq(t, s, ring, err)
-				if !perStatement {
+				outcome := observeSeq(t, s, ring, err)
+				if !interpreted {
 					for n, want := range sc.batches {
 						inst := fmt.Sprintf("g%d", n+1)
 						if j := s.junctionQuiet(inst, "j"); j != nil && j.met.RemoteBatches.Load() != want {
@@ -208,11 +209,8 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 					}
 				}
 				s.Close()
+				checkFrozen(t, "seq", outcome.String(), interpreted, sc.prog, ring)
 			}
-			if outcomes[0].String() != outcomes[1].String() {
-				t.Fatalf("lowerings disagree:\n  grouped:       %s\n  per statement: %s", outcomes[0], outcomes[1])
-			}
-			t.Log(outcomes[0])
 		})
 	}
 }

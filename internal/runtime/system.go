@@ -1152,6 +1152,15 @@ func decodeUpdate(m compart.Message) (kv.Update, uint64, bool) {
 	return u, seq, true
 }
 
+// written is the §8 label value of a delivered update: tt or ff for a
+// proposition, * for data.
+func written(u kv.Update) string {
+	if u.Kind == kv.UpdateData {
+		return "*"
+	}
+	return wrote(u.Bool)
+}
+
 // appendAck encodes a cumulative ack payload: the 8-byte frontier followed
 // by any vectored out-of-order extras.
 func appendAck(cum uint64, extras []uint64) []byte {
@@ -1189,7 +1198,7 @@ func (j *Junction) handleMessage(m compart.Message) {
 		j.met.RemoteQueued.Add(1)
 		cum, extra := j.noteDelivered(m.From, seq)
 		if j.sys.obs.Tracing() {
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
+			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(u), Peer: m.From, N: int64(seq)})
 		}
 		var extras []uint64
 		if extra {
@@ -1247,7 +1256,7 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 				acks[a].extras = append(acks[a].extras, seq)
 			}
 			if tracing {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
+				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(u), Peer: m.From, N: int64(seq)})
 			}
 		default:
 			// Control frames (acks) riding the same envelope take the
