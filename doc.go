@@ -13,7 +13,7 @@
 //   - internal/dsl        — the C-Saw language (Table 1) as a Go EDSL
 //   - internal/formula    — propositional formulas, ternary logic, DNF
 //   - internal/kv         — junction KV tables with the local-priority rule
-//   - internal/runtime    — the interpreter (guards, waits, transactions, timeouts)
+//   - internal/runtime    — the executor (guards, waits, transactions, timeouts)
 //   - internal/compart    — the libcompart-equivalent distributed substrate
 //   - internal/serial     — the depth-bounded serialization framework (§9)
 //   - internal/events     — event-structure semantics (§8)

@@ -21,11 +21,11 @@
 // never fail. Timing is abstracted: a wait blocked under an otherwise[t]
 // deadline may time out at any moment.
 //
-// Statement semantics mirror the reference interpreter (internal/runtime
-// exec.go) statement by statement, including local-priority pending drops,
+// Statement semantics mirror the runtime's executor (internal/runtime
+// compiled.go) statement by statement, including local-priority pending drops,
 // wait admission sets, transaction rollback, and the case terminator machine.
-// Two deliberate divergences, both stricter than the interpreter: reconsider
-// chains are bounded by Options.ReconsiderLimit (the interpreter bounds only
+// Two deliberate divergences, both stricter than the runtime: reconsider
+// chains are bounded by Options.ReconsiderLimit (the runtime bounds only
 // next-loops), and threads of a stopped instance keep executing (their sends
 // fail, as at runtime) rather than being killed asynchronously.
 //

@@ -446,7 +446,7 @@ func (c *checker) elemToFQ(fromFQ, elem string) (string, error) {
 	return inst + "::" + jn, nil
 }
 
-// resolveTarget mirrors Junction.resolveTarget.
+// resolveTarget mirrors the runtime's target resolution (compileTarget).
 func (c *checker) resolveTarget(st *state, fq string, ref dsl.JunctionRef) (string, error) {
 	switch {
 	case ref.MeJunction:
@@ -472,7 +472,7 @@ func (c *checker) resolveTarget(st *state, fq string, ref dsl.JunctionRef) (stri
 	}
 }
 
-// resolvePropName mirrors Junction.resolvePropName.
+// resolvePropName mirrors the runtime's proposition resolution (compilePropRef).
 func (c *checker) resolvePropName(st *state, fq string, pr dsl.PropRef) (string, error) {
 	if pr.Index == "" {
 		return c.resolveSelfName(fq, pr.Base), nil

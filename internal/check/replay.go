@@ -38,7 +38,7 @@ func (s *chanSink) Emit(e obsv.Event) {
 }
 
 // Replay re-executes a violation's counterexample schedule against the real
-// interpreter (drivers disabled, so nothing races the schedule) and checks
+// runtime (drivers disabled, so nothing races the schedule) and checks
 // that the violating condition holds there too: the declared invariant
 // evaluates to false over the real KV tables, or every blocked scheduling is
 // still blocked and every guarded junction refuses to schedule. Liveness

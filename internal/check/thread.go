@@ -10,7 +10,7 @@ import (
 	"csaw/internal/formula"
 )
 
-// signal mirrors the interpreter's control signals.
+// signal mirrors the runtime's control signals.
 type signal uint8
 
 const (
@@ -515,7 +515,7 @@ func (c *checker) fuse(st *state, tid int) {
 
 // processDelivery propagates a pending (signal, error) through the frame
 // stack until a frame absorbs it or the scheduling root completes. This is
-// the single place the interpreter's unwinding semantics (scope return
+// the single place the runtime's unwinding semantics (scope return
 // absorption, transaction rollback, otherwise handling, case terminators)
 // are modeled.
 func (c *checker) processDelivery(st *state, t *thread) {
@@ -607,7 +607,7 @@ func (c *checker) rootComplete(st *state, t *thread, sig signal, errS string) {
 			return
 		}
 		// Join: first error in branch order wins, else the first non-none
-		// signal in branch order (mirrors execPar).
+		// signal in branch order (mirrors the runtime's compilePar).
 		for _, cr := range p.children {
 			if cr.err != "" {
 				p.children = nil
@@ -703,7 +703,7 @@ func (c *checker) caseMatch(st *state, t *thread, f *frame) {
 
 // pendErrIntoCase delivers an error originating at the case frame itself.
 func (t *thread) pendErrIntoCase(msg string) {
-	t.pop() // the error propagates past the case frame, as in execCase
+	t.pop() // the error propagates past the case frame, as in the runtime
 	t.setPend(sigNone, msg)
 }
 
@@ -745,7 +745,7 @@ func (c *checker) caseDeliver(t *thread, f *frame, sig signal, errS string) (lan
 // caseNext applies the next terminator: matching resumes after the current
 // arm; past the last arm the otherwise runs as a tail where only
 // return/retry propagate. A next after a reconsider restarts the case over
-// the remaining arms with a fresh round budget (mirrors the interpreter's
+// the remaining arms with a fresh round budget (mirrors the runtime's
 // rest-case recursion).
 func (c *checker) caseNext(t *thread, f *frame) (landed bool, nsig signal, nerr string) {
 	if f.inRec {
@@ -867,9 +867,9 @@ func (c *checker) execStmt(st *state, t *thread, e dsl.Expr, hv *havoc) {
 		t.wait = &waitInfo{cond: cond, condStr: cond.String(), admitP: admitP, admitD: admitD}
 
 	case dsl.Assert:
-		c.execPropUpdate(st, t, n.Target, n.Prop, true)
+		c.propUpdate(st, t, n.Target, n.Prop, true)
 	case dsl.Retract:
-		c.execPropUpdate(st, t, n.Target, n.Prop, false)
+		c.propUpdate(st, t, n.Target, n.Prop, false)
 
 	case dsl.Write:
 		if defined := js.data[n.Data]; !defined {
@@ -954,10 +954,10 @@ func (c *checker) setIdx(st *state, fq, idx, elem string) error {
 	return nil
 }
 
-// execPropUpdate mirrors Junction.execPropUpdate: locally-declared keys
+// propUpdate mirrors the runtime's assert/retract: locally-declared keys
 // update the local table first (even for remote targets); remote targets then
 // receive the update through the pending queue or a blocked wait's admission.
-func (c *checker) execPropUpdate(st *state, t *thread, target dsl.JunctionRef, pr dsl.PropRef, val bool) {
+func (c *checker) propUpdate(st *state, t *thread, target dsl.JunctionRef, pr dsl.PropRef, val bool) {
 	fq := t.fq
 	js := st.js[fq]
 	name, err := c.resolvePropName(st, fq, pr)

@@ -1,5 +1,5 @@
 // Package compart is the distributed runtime substrate underneath the C-Saw
-// interpreter — the Go equivalent of libcompart in the paper (§3 "Running
+// runtime — the Go equivalent of libcompart in the paper (§3 "Running
 // software composed using C-Saw"): a lightweight, portable runtime that
 // provides channel abstractions for communication between instances.
 //

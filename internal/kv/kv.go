@@ -217,7 +217,7 @@ func (ws WaitSet) Bind(t *Table) *Keys {
 }
 
 // Table is one junction's KV table. It is safe for concurrent use: the
-// owning junction's interpreter goroutine performs local reads/writes and
+// owning junction's scheduling goroutine performs local reads/writes and
 // scheduling-time pending application, while any other junction may Enqueue
 // updates at any time.
 //
@@ -251,13 +251,9 @@ type Table struct {
 	waiters []waiter
 	nextWid int
 
-	// notify is pinged whenever an update is enqueued or admitted, waking a
-	// blocked wait.
-	notify chan struct{}
-
 	// subs holds the keyed subscriptions of event-driven waiters and
-	// schedulers. Unlike notify (one coalesced channel for the whole table),
-	// a subscription is woken only when one of its registered keys changes.
+	// schedulers: a subscription is woken only when one of its registered keys
+	// changes.
 	subs []*Subscription
 
 	// wakes counts keyed subscription wake deliveries (tokens placed on
@@ -279,28 +275,15 @@ type waiter struct {
 // NewTable returns an empty table with no declared names.
 func NewTable() *Table {
 	return &Table{
-		props:  map[string]*cell{},
-		data:   map[string]*cell{},
-		notify: make(chan struct{}, 1),
-	}
-}
-
-// Notify returns the channel pinged when a relevant update lands. The
-// runtime's wait loop selects on it alongside the timeout.
-func (t *Table) Notify() <-chan struct{} { return t.notify }
-
-func (t *Table) ping() {
-	select {
-	case t.notify <- struct{}{}:
-	default:
+		props: map[string]*cell{},
+		data:  map[string]*cell{},
 	}
 }
 
 // Subscription is a keyed wake registration. The holder is woken (a token is
 // placed on Ch) whenever one of its registered propositions or data keys
 // changes — by a remote enqueue, a local write, a wait-time admission, or a
-// transactional rollback — instead of on every table event like Notify.
-// The channel has capacity one, so wakes that race ahead of the holder's
+// transactional rollback. The channel has capacity one, so wakes that race ahead of the holder's
 // re-evaluation are retained, never lost.
 type Subscription struct {
 	ch   chan struct{}
@@ -378,15 +361,13 @@ func (t *Table) wakeEveryLocked() {
 	t.wakes.Add(uint64(len(t.subs)))
 }
 
-// WakeAll wakes every subscription and pings the coalesced notify channel.
-// The runtime uses it for events that can change what a formula reads without
+// WakeAll wakes every subscription. The runtime uses it for events that can change what a formula reads without
 // touching the table itself (an idx or subset reassignment redirects which
 // key an indexed proposition resolves to).
 func (t *Table) WakeAll() {
 	t.mu.Lock()
 	t.wakeEveryLocked()
 	t.mu.Unlock()
-	t.ping()
 }
 
 // WakeCount reports how many keyed subscription wakes this table has
@@ -640,15 +621,14 @@ func (t *Table) Enqueue(u Update) {
 		t.wakeLocked(c)
 	}
 	t.mu.Unlock()
-	t.ping()
 }
 
 // EnqueueBatch delivers a group of remote updates that arrived together (one
 // decoded transport batch) under a single lock acquisition. Each update is
 // admitted or queued exactly as Enqueue would, in slice order, but keyed
-// subscribers are woken once per distinct key instead of once per update and
-// the coalesced notify channel is pinged once — the subscription-wake sweep
-// cost of absorbing a batch is bounded by its key set, not its length.
+// subscribers are woken once per distinct key instead of once per update — the
+// subscription-wake sweep cost of absorbing a batch is bounded by its key set,
+// not its length.
 func (t *Table) EnqueueBatch(us []Update) {
 	switch len(us) {
 	case 0:
@@ -690,7 +670,6 @@ func (t *Table) EnqueueBatch(us []Update) {
 		t.wakeLocked(k)
 	}
 	t.mu.Unlock()
-	t.ping()
 }
 
 // applyLocked stores a queued update's value and wakes its key's subscribers;

@@ -215,17 +215,6 @@ func TestBeginWaitDrainsRacedUpdates(t *testing.T) {
 	}
 }
 
-func TestNotifyPinged(t *testing.T) {
-	tb := NewTable()
-	tb.DeclareProp("P", false)
-	tb.Enqueue(Update{Kind: UpdateProp, Key: "P", Bool: true})
-	select {
-	case <-tb.Notify():
-	default:
-		t.Fatal("Enqueue did not ping Notify")
-	}
-}
-
 func TestSnapshotRollback(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", true)
@@ -407,8 +396,8 @@ func TestEnqueueBatchOrderPreserved(t *testing.T) {
 }
 
 // TestEnqueueBatchWakeSweep checks the documented wake contract: one sweep
-// per distinct key in the batch (not per update), no wakes for keys outside
-// the batch, and a single coalesced Notify ping.
+// per distinct key in the batch (not per update) and no wakes for keys outside
+// the batch.
 func TestEnqueueBatchWakeSweep(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", false)
@@ -438,16 +427,6 @@ func TestEnqueueBatchWakeSweep(t *testing.T) {
 	}
 	if woken(t, sr) {
 		t.Fatal("batch woke a key it does not contain")
-	}
-	select {
-	case <-tb.Notify():
-	default:
-		t.Fatal("batch did not ping Notify")
-	}
-	select {
-	case <-tb.Notify():
-		t.Fatal("batch pinged Notify more than once")
-	default:
 	}
 }
 

@@ -71,5 +71,4 @@ func (t *Table) RestoreAll(st TableState) {
 	}
 	t.wakeEveryLocked()
 	t.mu.Unlock()
-	t.ping()
 }

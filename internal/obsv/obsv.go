@@ -22,9 +22,9 @@ import (
 	"time"
 )
 
-// Kind discriminates trace events. The taxonomy covers both execution paths
-// of the runtime (compiled plans and the reference interpreter) plus the
-// lifecycle events reconfiguration experiments reconstruct timelines from.
+// Kind discriminates trace events. The taxonomy covers the runtime's
+// execution of junction bodies plus the lifecycle events reconfiguration
+// experiments reconstruct timelines from.
 type Kind uint8
 
 const (
@@ -77,8 +77,8 @@ const (
 	EvEndpointDown
 	EvTableInit
 
-	// Driver wakes: event (a keyed subscription or notify ping fired) vs
-	// poll (the fallback timer fired).
+	// Driver wakes: event (a keyed subscription fired) vs poll (the fallback
+	// timer fired).
 	EvDriverWakeEvent
 	EvDriverWakePoll
 

@@ -166,25 +166,16 @@ func driverErrorJunctions(sys *runtime.System) []string {
 	return out
 }
 
-// frozenFromInterpreter is set (CSAW_FREEZE=interpreter) for the one run that
-// generated testdata/equivalence; it goes with the interpreter.
-var frozenFromInterpreter = os.Getenv("CSAW_FREEZE") == "interpreter"
-
 // checkFrozen compares got with testdata/equivalence/<name>.golden.
-func checkFrozen(t *testing.T, name, got string, interpreted bool) {
+func checkFrozen(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", "equivalence", name+".golden")
-	if frozenFromInterpreter && interpreted {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("interpreted=%v: run diverges from %s:\n--- got ---\n%s--- frozen ---\n%s", interpreted, path, got, want)
+		t.Errorf("run diverges from %s:\n--- got ---\n%s--- frozen ---\n%s", path, got, want)
 	}
 }
 
@@ -204,17 +195,14 @@ func conforms(t *testing.T, p *dsl.Program, ring *obsv.RingSink) {
 // recorded failures (the claim is about classes of behaviour, so the set of
 // failing junctions, not message text or counts) and, for entries whose drive
 // delivers a schedule-independent set of updates, what arrived where.
-func runEntryOnce(t *testing.T, entry CatalogueEntry, interpreted bool) string {
+func runEntryOnce(t *testing.T, entry CatalogueEntry) string {
 	t.Helper()
 	// Tracing stays on through the whole suite: the frozen tables must hold
 	// with the observability layer active, and the trace is what conformance
 	// is checked on.
 	ring := obsv.NewRingSink(1 << 16)
 	prog := entry.Build()
-	sys := startSystem(t, prog, runtime.Options{
-		DisableCompiledPlan: interpreted,
-		Trace:               ring,
-	})
+	sys := startSystem(t, prog, runtime.Options{Trace: ring})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sys.RunMain(ctx); err != nil {
@@ -258,9 +246,7 @@ func TestInterpreterPlanEquivalence(t *testing.T) {
 		entry := entry
 		t.Run(entry.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, interpreted := range []bool{true, false} {
-				checkFrozen(t, entry.Name, runEntryOnce(t, entry, interpreted), interpreted)
-			}
+			checkFrozen(t, entry.Name, runEntryOnce(t, entry))
 		})
 	}
 }
@@ -303,7 +289,7 @@ func TestKitchenSinkEquivalence(t *testing.T) {
 				Otherwise: []dsl.Expr{dsl.Skip{}},
 			},
 			// Failed transaction: the rollback must erase exactly its own
-			// writes (D, and nothing else) regardless of execution mode.
+			// writes (D, and nothing else).
 			dsl.Otherwise{
 				Try: dsl.Txn{Body: []dsl.Expr{
 					dsl.Assert{Prop: dsl.PR("D")},
@@ -322,29 +308,23 @@ func TestKitchenSinkEquivalence(t *testing.T) {
 		p.SetMain(dsl.Start{Instance: "i"})
 		return p
 	}
-	run := func(interpreted bool) string {
-		ring := obsv.NewRingSink(1 << 12)
-		prog := build()
-		sys := startSystem(t, prog, runtime.Options{DisableCompiledPlan: interpreted, Trace: ring})
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := sys.RunMain(ctx); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if err := sys.Invoke(ctx, "i", "j"); err != nil {
-				t.Fatalf("invoke %d: %v", i, err)
-			}
-		}
-		state := quiesce(t, sys)
-		conforms(t, prog, ring)
-		return state
+	ring := obsv.NewRingSink(1 << 12)
+	prog := build()
+	sys := startSystem(t, prog, runtime.Options{Trace: ring})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sys.RunMain(ctx); err != nil {
+		t.Fatal(err)
 	}
-	for _, interpreted := range []bool{true, false} {
-		state := run(interpreted)
-		checkFrozen(t, "kitchen-sink", state, interpreted)
-		if !strings.Contains(state, "C=true") || !strings.Contains(state, "n=73756e6b") {
-			t.Errorf("kitchen-sink did not reach the expected final state:\n%s", state)
+	for i := 0; i < 2; i++ {
+		if err := sys.Invoke(ctx, "i", "j"); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
 		}
+	}
+	state := quiesce(t, sys)
+	conforms(t, prog, ring)
+	checkFrozen(t, "kitchen-sink", state)
+	if !strings.Contains(state, "C=true") || !strings.Contains(state, "n=73756e6b") {
+		t.Errorf("kitchen-sink did not reach the expected final state:\n%s", state)
 	}
 }

@@ -93,7 +93,7 @@ type WaitPlan struct {
 	// Static is set when the wait formula reads no idx variables: WS is then
 	// prebuilt once and shared (read-only) by every execution of the
 	// statement. Idx-reading waits rebuild their admission set per execution
-	// against current idx values, exactly like the interpreter.
+	// against current idx values.
 	Static bool
 	// WS is the prebuilt admission set (valid only when Static).
 	WS kv.WaitSet
@@ -243,7 +243,7 @@ func CompileWait(ji *analysis.JunctionInfo, w dsl.Wait) WaitPlan {
 	rs.Data = append(rs.Data, w.Data...)
 	wp := WaitPlan{Reads: rs}
 	if !rs.Idx {
-		// No idx variables: the admission set the interpreter would build per
+		// No idx variables: the admission set an idx-reading wait builds per
 		// execution (NewWaitSet over the idx-substituted formula) is the same
 		// every time — build it once.
 		wp.Static = true
@@ -326,8 +326,7 @@ func CompileTxn(ji *analysis.JunctionInfo, body []dsl.Expr) WriteSet {
 						addData(w)
 					}
 					// idx / subset writes are junction state, not table
-					// state: the interpreter's rollback does not revert
-					// them either.
+					// state: a rollback does not revert them.
 				}
 			case dsl.Wait:
 				if !addFormulaProps(n.Cond) {

@@ -32,7 +32,7 @@ func TestNotSchedulableErrorIsBuiltOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := j.Schedule(ctx)
-	if !errors.Is(first, ErrNotSchedulable) || !isNotSchedulable(first) {
+	if !errors.Is(first, ErrNotSchedulable) {
 		t.Fatalf("refusal = %v, want ErrNotSchedulable", first)
 	}
 	want := fmt.Sprintf("%v: i::j guard %s", ErrNotSchedulable, j.Def().Guard)
@@ -122,61 +122,58 @@ func TestCompiledConnectivesMatchEval(t *testing.T) {
 // TestHostWritesThroughBoundCellsKeepTheirErrors: a host block's context is
 // built once with V⃗ resolved to cells. What it refuses and how it says so
 // must not have moved: a name outside V⃗ is ErrWriteDenied, a name inside V⃗
-// that is no proposition (here an idx) is kv.ErrUndeclared, and both paths
-// agree with the interpreter.
+// that is no proposition (here an idx) is kv.ErrUndeclared.
 func TestHostWritesThroughBoundCellsKeepTheirErrors(t *testing.T) {
-	for _, interp := range []bool{false, true} {
-		var denied, undeclared, deniedData error
-		p := dsl.NewProgram()
-		p.Type("t").Junction("j", dsl.Def(
-			dsl.Decls(
-				dsl.InitProp{Name: "P", Init: false}, dsl.InitProp{Name: "Q", Init: false}, dsl.InitData{Name: "n"},
-				dsl.DeclSet{Name: "S", Elems: []string{"a"}}, dsl.DeclIdx{Name: "tgt", Of: "S"},
-			),
-			dsl.Host{Label: "h", Writes: []string{"P", "tgt"}, Fn: func(ctx dsl.HostCtx) error {
-				denied = ctx.SetProp("Q", true)
-				undeclared = ctx.SetProp("tgt", true)
-				deniedData = ctx.Save("n", []byte("x"))
-				if v, err := ctx.Prop("P"); err != nil || v {
-					return fmt.Errorf("Prop(P) = %v, %v before the write", v, err)
-				}
-				if err := ctx.SetProp("P", true); err != nil {
-					return err
-				}
-				if v, err := ctx.Prop("P"); err != nil || !v {
-					return fmt.Errorf("Prop(P) = %v, %v after the write", v, err)
-				}
-				return ctx.SetProp("P", false)
-			}},
-		))
-		p.Instance("i", "t")
-		p.SetMain(dsl.Start{Instance: "i"})
-		s := mustSystem(t, p, Options{DisableCompiledPlan: interp})
-		ctx := context.Background()
-		if err := s.RunMain(ctx); err != nil {
-			t.Fatal(err)
-		}
-		// Twice: the compiled path reuses one context.
-		for run := 0; run < 2; run++ {
-			if err := s.Invoke(ctx, "i", "j"); err != nil {
-				t.Fatalf("interp=%v run %d: %v", interp, run, err)
+	var denied, undeclared, deniedData error
+	p := dsl.NewProgram()
+	p.Type("t").Junction("j", dsl.Def(
+		dsl.Decls(
+			dsl.InitProp{Name: "P", Init: false}, dsl.InitProp{Name: "Q", Init: false}, dsl.InitData{Name: "n"},
+			dsl.DeclSet{Name: "S", Elems: []string{"a"}}, dsl.DeclIdx{Name: "tgt", Of: "S"},
+		),
+		dsl.Host{Label: "h", Writes: []string{"P", "tgt"}, Fn: func(ctx dsl.HostCtx) error {
+			denied = ctx.SetProp("Q", true)
+			undeclared = ctx.SetProp("tgt", true)
+			deniedData = ctx.Save("n", []byte("x"))
+			if v, err := ctx.Prop("P"); err != nil || v {
+				return fmt.Errorf("Prop(P) = %v, %v before the write", v, err)
 			}
+			if err := ctx.SetProp("P", true); err != nil {
+				return err
+			}
+			if v, err := ctx.Prop("P"); err != nil || !v {
+				return fmt.Errorf("Prop(P) = %v, %v after the write", v, err)
+			}
+			return ctx.SetProp("P", false)
+		}},
+	))
+	p.Instance("i", "t")
+	p.SetMain(dsl.Start{Instance: "i"})
+	s := mustSystem(t, p, Options{})
+	ctx := context.Background()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Twice: one context serves every run.
+	for run := 0; run < 2; run++ {
+		if err := s.Invoke(ctx, "i", "j"); err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
-		wantDenied := fmt.Sprintf("%v: prop %q (V⃗=[P tgt])", ErrWriteDenied, "Q")
-		if !errors.Is(denied, ErrWriteDenied) || denied.Error() != wantDenied {
-			t.Errorf("interp=%v: write outside V⃗: %v, want %q", interp, denied, wantDenied)
-		}
-		wantData := fmt.Sprintf("%v: data %q (V⃗=[P tgt])", ErrWriteDenied, "n")
-		if !errors.Is(deniedData, ErrWriteDenied) || deniedData.Error() != wantData {
-			t.Errorf("interp=%v: save outside V⃗: %v, want %q", interp, deniedData, wantData)
-		}
-		wantUndeclared := fmt.Sprintf("%v: prop %q", kv.ErrUndeclared, "tgt")
-		if !errors.Is(undeclared, kv.ErrUndeclared) || undeclared.Error() != wantUndeclared {
-			t.Errorf("interp=%v: write to an undeclared name: %v, want %q", interp, undeclared, wantUndeclared)
-		}
-		j, _ := s.Junction("i", "j")
-		if v, _ := j.Table().Prop("Q"); v {
-			t.Errorf("interp=%v: the denied write landed", interp)
-		}
+	}
+	wantDenied := fmt.Sprintf("%v: prop %q (V⃗=[P tgt])", ErrWriteDenied, "Q")
+	if !errors.Is(denied, ErrWriteDenied) || denied.Error() != wantDenied {
+		t.Errorf("write outside V⃗: %v, want %q", denied, wantDenied)
+	}
+	wantData := fmt.Sprintf("%v: data %q (V⃗=[P tgt])", ErrWriteDenied, "n")
+	if !errors.Is(deniedData, ErrWriteDenied) || deniedData.Error() != wantData {
+		t.Errorf("save outside V⃗: %v, want %q", deniedData, wantData)
+	}
+	wantUndeclared := fmt.Sprintf("%v: prop %q", kv.ErrUndeclared, "tgt")
+	if !errors.Is(undeclared, kv.ErrUndeclared) || undeclared.Error() != wantUndeclared {
+		t.Errorf("write to an undeclared name: %v, want %q", undeclared, wantUndeclared)
+	}
+	j, _ := s.Junction("i", "j")
+	if v, _ := j.Table().Prop("Q"); v {
+		t.Error("the denied write landed")
 	}
 }

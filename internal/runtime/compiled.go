@@ -1,13 +1,11 @@
 package runtime
 
-// This file is the compiled execution path: each junction's guard and body
-// are lowered once, at StartInstance time, into closure evaluators and step
-// slices built on the static metadata of internal/plan. The tree-walking
-// interpreter in exec.go is retained as the executable semantic reference
-// (the same split internal/serial keeps between codec plans and
-// reflectwalk.go); Options.DisableCompiledPlan selects it, and the
-// equivalence suite in plan_equiv_test.go holds the two paths to identical
-// observable behaviour.
+// This file is the executor: each junction's guard and body are lowered once,
+// at StartInstance time, into closure evaluators and step slices built on the
+// static metadata of internal/plan. What a statement means is specified by the
+// §8 denotation (internal/events/semantics.go); events.Conforms holds every
+// traced test run to it, and the catalogue's outcomes are frozen under
+// internal/patterns/testdata and internal/runtime/testdata.
 
 import (
 	"context"
@@ -24,9 +22,22 @@ import (
 	"csaw/internal/plan"
 )
 
-// step is one lowered statement: same contract as exec (control-flow signal
-// plus failure), with all name/target resolution that does not depend on
-// runtime idx state hoisted to compile time.
+// signal is the control-flow outcome of executing an expression; failures
+// travel separately as errors (and are what otherwise / transactions handle).
+type signal uint8
+
+const (
+	sigNone signal = iota
+	sigBreak
+	sigNext
+	sigReconsider
+	sigReturn
+	sigRetry
+)
+
+// step is one lowered statement: a control-flow signal plus failure, with all
+// name/target resolution that does not depend on runtime idx state hoisted to
+// compile time.
 type step func(ctx context.Context) (signal, error)
 
 // compiledJunction is a junction's lowered guard and body.
@@ -47,26 +58,9 @@ func (j *Junction) compile(pj *plan.Junction) *compiledJunction {
 	return c
 }
 
-// runBody executes the junction body: the compiled plan when available, the
-// reference interpreter otherwise.
-func (j *Junction) runBody(ctx context.Context) (signal, error) {
-	if j.comp != nil {
-		return runSteps(ctx, j.comp.body)
-	}
-	return j.exec(ctx, dsl.Seq(j.def.Body))
-}
-
-// guardTruth evaluates the junction's guard (the caller checks for nil).
-func (j *Junction) guardTruth() formula.Truth {
-	if j.comp != nil && j.comp.guard != nil {
-		return j.comp.guard()
-	}
-	return j.def.Guard.Eval(j.env())
-}
-
-// runSteps executes a flattened statement sequence with the interpreter's
-// control-flow contract: the first failure or non-none signal stops the
-// sequence, and an expired deadline surfaces as ErrTimeout.
+// runSteps executes a flattened statement sequence: the first failure or
+// non-none signal stops the sequence, and an expired deadline surfaces as
+// ErrTimeout.
 func runSteps(ctx context.Context, steps []step) (signal, error) {
 	_, sig, err := runStepsAt(ctx, steps)
 	return sig, err
@@ -333,16 +327,16 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 	}
 }
 
-// compilePar lowers parallel composition with the interpreter's barrier
-// semantics: all branches run, every failure is awaited, the first failure
-// (by branch order) wins, then the first non-none signal propagates.
+// compilePar lowers parallel composition with barrier semantics: all branches
+// run, every failure is awaited, the first failure (by branch order) wins,
+// then the first non-none signal propagates.
 //
 // An arm that completes at a delivery ack may be sent whenever the schedule
 // likes, and sending the plain remote assert/retract/write arms in branch
 // order is one legal interleaving of §6's par. The compiler picks that one:
 // those arms get no goroutine of their own and become one step that applies
 // their local halves in branch order, groups them by destination (first use
-// first) and hands each group to sendUpdates — one sequence range, one
+// first) and hands each group to sendGroup — one sequence range, one
 // delivery group and one ack wait per destination, with seq order = branch
 // order = wire order. Every other arm still runs on its own goroutine beside
 // it.
@@ -394,7 +388,7 @@ func (j *Junction) compilePar(branches dsl.Par) step {
 		var groups []destGroup
 		for _, u := range updates {
 			m, err := u.run()
-			if m.local {
+			if m.local && j.traced {
 				j.noteLocalWrite(m.up.key, wrote(m.up.flag))
 			}
 			if err != nil {
@@ -415,7 +409,8 @@ func (j *Junction) compilePar(branches dsl.Par) step {
 			}
 			groups[g].ups = append(groups[g].ups, m.up)
 		}
-		send := func(g destGroup) { errs[g.first] = j.sys.sendUpdates(ctx, j, g.to, g.ups) }
+		// A par's group stands or falls as one statement: only the error counts.
+		send := func(g destGroup) { _, errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups) }
 		for i, g := range groups {
 			if i == len(groups)-1 {
 				send(g) // the last group waits on this goroutine
@@ -598,7 +593,7 @@ func (j *Junction) updateStep(arms ...updateArm) step {
 // be taken back (obsv.EvLocalWrite).
 func (j *Junction) noteLocalHalves(ran []armedUpdate) {
 	for _, m := range ran {
-		if m.local {
+		if m.local && j.traced {
 			j.noteLocalWrite(m.up.key, wrote(m.up.flag))
 		}
 	}
@@ -631,8 +626,10 @@ func (j *Junction) compileWrite(n dsl.Write) updateArm {
 	}
 }
 
-// compilePropUpdate lowers assert/retract: local-first table update, then the
-// push to a non-local target, mirroring execPropUpdate.
+// compilePropUpdate lowers assert/retract: the local table is updated first
+// ("this line updates the KV table of f and g", paper §4), then the update is
+// pushed to a non-local target; a communication failure fails the statement
+// after the local effect (use a transaction block to undo).
 func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, value bool) step {
 	if !target.IsLocal() {
 		return j.updateStep(j.compileRemoteProp(target, pr, value))
@@ -650,7 +647,9 @@ func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, val
 		} else if err := j.table.SetProp(p.name, value); err != nil {
 			return sigNone, err
 		}
-		j.noteLocalWrite(p.name, wrote(value))
+		if j.traced {
+			j.noteLocalWrite(p.name, wrote(value))
+		}
 		return sigNone, nil
 	}
 }
@@ -683,7 +682,7 @@ func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, val
 // boundProp is a local proposition resolved as far as compile time can take
 // it: the table key and, when the junction declares it, its cell. A nil cell
 // sends the access through the table by name, which reports the undeclared
-// name exactly as the interpreter does.
+// name.
 type boundProp struct {
 	name string
 	cell *kv.PropCell
@@ -749,8 +748,8 @@ func (j *Junction) idxProps(base, idx string) map[string]boundProp {
 // compileWait lowers a wait statement. The admission set is bound once and
 // shared when the formula reads no idx variables; the subscription, bound once
 // too, covers the formula's read-set and the waited data keys, so a local-only
-// wait blocks without polling. Idx bindings are captured at wait entry,
-// exactly like the interpreter's substituteIdx.
+// wait blocks without polling. Idx bindings are captured at wait entry
+// (substituteIdx).
 func (j *Junction) compileWait(n dsl.Wait) step {
 	wp := plan.CompileWait(j.pj.Info, n)
 	condText := n.Cond.String()
@@ -796,6 +795,38 @@ func (j *Junction) compileWait(n dsl.Wait) step {
 				}
 			}
 		}
+	}
+}
+
+// substituteIdx rewrites $idx-indexed propositions in a formula to their
+// concrete names using the junction's current idx values, so the wait set
+// admits the right keys. Unresolvable indices are left as-is (they evaluate
+// to Unknown).
+func (j *Junction) substituteIdx(f formula.Formula) formula.Formula {
+	switch n := f.(type) {
+	case formula.Prop:
+		if n.Junction != "" {
+			return n
+		}
+		if base, idxVar, ok := dsl.SplitIdxProp(n.Name); ok {
+			if elem, err := j.Idx(idxVar); err == nil {
+				return formula.P(dsl.IndexedName(base, elem))
+			}
+			return n
+		}
+		return formula.P(j.resolveSelfName(n.Name))
+	case formula.FalseF:
+		return n
+	case formula.NotF:
+		return formula.NotF{F: j.substituteIdx(n.F)}
+	case formula.AndF:
+		return formula.AndF{L: j.substituteIdx(n.L), R: j.substituteIdx(n.R)}
+	case formula.OrF:
+		return formula.OrF{L: j.substituteIdx(n.L), R: j.substituteIdx(n.R)}
+	case formula.ImpliesF:
+		return formula.ImpliesF{L: j.substituteIdx(n.L), R: j.substituteIdx(n.R)}
+	default:
+		return f
 	}
 }
 
@@ -926,9 +957,8 @@ type compiledArm struct {
 	term dsl.Terminator
 }
 
-// compiledCase mirrors execCase/reconsider over pre-lowered arms; arm
-// subranges ("next" restarts matching below an arm) are expressed as a base
-// offset instead of re-slicing the AST.
+// compiledCase is a case expression over pre-lowered arms; arm subranges
+// ("next" restarts matching below an arm) are expressed as a base offset.
 type compiledCase struct {
 	j         *Junction
 	arms      []compiledArm
@@ -947,7 +977,14 @@ func (j *Junction) compileCase(c dsl.Case) *compiledCase {
 	return cc
 }
 
-// run is the compiled execCase over the arm subrange starting at base.
+// run interprets the case over the arm subrange starting at base.
+//
+// The first arm whose guard is definitely true runs; with no match the
+// otherwise branch runs. Terminators: break leaves the case; next retries
+// matching only after the arm that succeeded (function N of §8.3);
+// reconsider re-evaluates from the top and only proceeds when a different
+// match is made — otherwise the expression fails (paper §6). Reconsider
+// rounds are bounded by Options.ReconsiderLimit as a termination backstop.
 func (cc *compiledCase) run(ctx context.Context, base int) (signal, error) {
 	j := cc.j
 	arms := cc.arms[base:]
@@ -1008,7 +1045,7 @@ func (cc *compiledCase) run(ctx context.Context, base int) (signal, error) {
 }
 
 // otherwiseTail runs the otherwise branch after next exhausted the arms;
-// only return/retry propagate (mirroring execCase's tail handling).
+// only return/retry propagate.
 func (cc *compiledCase) otherwiseTail(ctx context.Context) (signal, error) {
 	sig, err := runSteps(ctx, cc.otherwise)
 	if sig == sigReturn || sig == sigRetry {
@@ -1017,8 +1054,10 @@ func (cc *compiledCase) otherwiseTail(ctx context.Context) (signal, error) {
 	return sigNone, err
 }
 
-// reconsider is the compiled counterpart of Junction.reconsider over the arm
-// subrange starting at base; currentArm is relative to base.
+// reconsider re-evaluates the case from the top of the arm subrange starting
+// at base (currentArm is relative to base). If a different arm, or the
+// otherwise branch, now matches, it runs; matching the same arm again fails
+// the expression (paper §6).
 func (cc *compiledCase) reconsider(ctx context.Context, base, currentArm int) (signal, error) {
 	arms := cc.arms[base:]
 	match := len(arms)

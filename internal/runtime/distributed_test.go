@@ -168,11 +168,24 @@ func TestDistributedRecoveryAfterServerRestart(t *testing.T) {
 	compart.BridgeReconnect(netA, "g::junction", toB)
 	compart.BridgeReconnect(netB, "f::junction", toA)
 
+	// g's retract ends f's wait, and with it the invocation, before f's ack of
+	// the retract is back at g. Killing the connection that carries that ack
+	// would leave g's scheduling waiting for it, holding the junction for the
+	// whole AckTimeout: let the ack land first.
+	settle := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); sysB.pendingAcks("g::junction", "f::junction") != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("g's retract was never acknowledged")
+			}
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sysA.Invoke(ctx, "f", "junction"); err != nil {
 		t.Fatalf("pre-crash invoke: %v", err)
 	}
+	settle()
 
 	// Kill machine B's server, wait until the bridge notices, restart on
 	// the same address: the next invocation must go through after backoff.
@@ -194,6 +207,7 @@ func TestDistributedRecoveryAfterServerRestart(t *testing.T) {
 	if err := sysA.Invoke(ctx, "f", "junction"); err != nil {
 		t.Fatalf("post-restart invoke: %v", err)
 	}
+	settle()
 	if h2Ran.Load() != 2 {
 		t.Fatalf("H2 ran %d times, want 2 (one per invocation, across the restart)", h2Ran.Load())
 	}

@@ -25,30 +25,21 @@ import (
 // it was deleted, and changed since only by hand with a stated reason — and
 // the §8 denotation, which the run's trace must conform to.
 
-// frozenFromInterpreter is set (CSAW_FREEZE=interpreter) for the one run that
-// generated the testdata tables; it goes with the interpreter.
-var frozenFromInterpreter = os.Getenv("CSAW_FREEZE") == "interpreter"
-
 // checkFrozen compares one scenario's outcome with testdata/<table>/<row>.golden
 // and its trace with the denotation of the program it ran.
-func checkFrozen(t *testing.T, table, got string, interpreted bool, p *dsl.Program, ring *obsv.RingSink) {
+func checkFrozen(t *testing.T, table, got string, p *dsl.Program, ring *obsv.RingSink) {
 	t.Helper()
 	_, row, _ := strings.Cut(t.Name(), "/")
 	path := filepath.Join("testdata", table, row+".golden")
-	if frozenFromInterpreter && interpreted {
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got+"\n" != string(want) {
-		t.Errorf("interpreted=%v: outcome diverges from %s:\n  got:    %s\n  frozen: %s", interpreted, path, got, want)
+		t.Errorf("outcome diverges from %s:\n  got:    %s\n  frozen: %s", path, got, want)
 	}
 	if err := events.ConformsProgram(p, ring.Events()); err != nil {
-		t.Errorf("interpreted=%v: the run is not one the §8 denotation allows: %v", interpreted, err)
+		t.Errorf("the run is not one the §8 denotation allows: %v", err)
 	}
 }
 
@@ -95,7 +86,7 @@ func (o parOutcome) String() string {
 	return fmt.Sprintf("err=%q sinks=%s queued=%v", o.err, o.sinks, keys)
 }
 
-// observe collects the outcome and asserts what must hold in either
+// observe collects the outcome and asserts what must hold whatever the
 // lowering: per-pair FIFO (strictly increasing remote.queued seqs per
 // sender) and no waiter left behind.
 func observe(t *testing.T, s *System, ring *obsv.RingSink, invokeErr error) parOutcome {
@@ -227,25 +218,23 @@ func TestVectorisedParMatchesPerArmPar(t *testing.T) {
 	}}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			for _, interpreted := range []bool{true, false} {
-				ring := obsv.NewRingSink(4096)
-				s := mustSystem(t, sc.prog, Options{AckTimeout: 5 * time.Second, Trace: ring, DisableCompiledPlan: interpreted})
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				if err := s.RunMain(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if sc.before != nil {
-					sc.before(t, s)
-				}
-				err := s.Invoke(ctx, "f", "j")
-				cancel()
-				if (sc.wantErr == nil) != (err == nil) || !errors.Is(err, sc.wantErr) {
-					t.Fatalf("interpreted=%v: invoke: %v, want %v", interpreted, err, sc.wantErr)
-				}
-				outcome := observe(t, s, ring, err)
-				s.Close()
-				checkFrozen(t, "par", outcome.String(), interpreted, sc.prog, ring)
+			ring := obsv.NewRingSink(4096)
+			s := mustSystem(t, sc.prog, Options{AckTimeout: 5 * time.Second, Trace: ring})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			if err := s.RunMain(ctx); err != nil {
+				t.Fatal(err)
 			}
+			if sc.before != nil {
+				sc.before(t, s)
+			}
+			err := s.Invoke(ctx, "f", "j")
+			cancel()
+			if (sc.wantErr == nil) != (err == nil) || !errors.Is(err, sc.wantErr) {
+				t.Fatalf("invoke: %v, want %v", err, sc.wantErr)
+			}
+			outcome := observe(t, s, ring, err)
+			s.Close()
+			checkFrozen(t, "par", outcome.String(), sc.prog, ring)
 		})
 	}
 }

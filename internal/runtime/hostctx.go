@@ -68,7 +68,9 @@ func (h *hostCtx) Save(name string, payload []byte) error {
 	} else if err := h.j.table.SetData(name, payload); err != nil {
 		return err
 	}
-	h.j.noteLocalWrite(name, "*")
+	if h.j.traced {
+		h.j.noteLocalWrite(name, "*")
+	}
 	return nil
 }
 
@@ -83,7 +85,7 @@ func (h *hostCtx) SetProp(name string, v bool) error {
 	} else if err := h.j.table.SetProp(h.j.resolveSelfName(name), v); err != nil {
 		return err
 	}
-	if h.j.sys.obs.Tracing() {
+	if h.j.traced {
 		h.j.noteLocalWrite(h.j.resolveSelfName(name), wrote(v))
 	}
 	return nil

@@ -49,6 +49,10 @@ type Junction struct {
 	idxs    map[string]string   // "" = undef
 
 	schedMu sync.Mutex // one scheduling at a time
+	// traced is whether the scheduling in progress reports the body's local
+	// writes (noteLocalWrite): Schedule's one look at the tracing flag, kept
+	// for the steps it runs so that they take no look of their own.
+	traced bool
 
 	// errGuard is what Schedule answers when the guard is not definitely
 	// true. A driver gets that answer on every pass that finds nothing to do,
@@ -67,18 +71,18 @@ type Junction struct {
 	winCache sync.Map
 
 	// pj is the junction's static lowering (plan.Compile output); comp is the
-	// per-start closure compilation built on it. comp is nil under the
-	// Options.DisableCompiledPlan ablation, selecting the reference
-	// interpreter in exec.go.
+	// per-start closure compilation built on it.
 	pj   *plan.Junction
 	comp *compiledJunction
 
 	// Driver lifecycle. driverOn + a fresh stopCh per start make the driver
 	// restartable: migration quiesces drivers on the source and the rebuilt
-	// junction starts its own (an abort restarts the source's).
+	// junction starts its own (an abort restarts the source's). abandon ends
+	// the context the driver's schedulings run under.
 	driverMu sync.Mutex
 	driverOn bool
 	stopCh   chan struct{}
+	abandon  context.CancelFunc
 	driverWG sync.WaitGroup
 }
 
@@ -123,9 +127,7 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 		}
 	}
 	j.pj = s.plan.Junctions[j.FQName]
-	if j.pj != nil && !s.opts.DisableCompiledPlan {
-		j.comp = j.compile(j.pj)
-	}
+	j.comp = j.compile(j.pj)
 	return j
 }
 
@@ -154,12 +156,12 @@ func (j *Junction) GuardTrue() bool {
 	if j.def.Guard == nil {
 		return true
 	}
-	return j.guardTruth() == formula.True
+	return j.comp.guard() == formula.True
 }
 
 // Schedule runs the junction body once. It applies pending updates, checks
-// the guard (ErrNotSchedulable when not definitely true) and interprets the
-// body, honouring the retry bound.
+// the guard (ErrNotSchedulable when not definitely true) and runs the body,
+// honouring the retry bound.
 func (j *Junction) Schedule(ctx context.Context) error {
 	j.schedMu.Lock()
 	defer j.schedMu.Unlock()
@@ -173,6 +175,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 	}
 	obs := j.sys.obs
 	tracing := obs.Tracing()
+	j.traced = tracing
 	if applied := j.table.ApplyPending(); applied > 0 {
 		j.met.RemoteApplied.Add(uint64(applied))
 		if tracing {
@@ -180,7 +183,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 		}
 	}
 	if j.def.Guard != nil {
-		truth := j.guardTruth()
+		truth := j.comp.guard()
 		if tracing {
 			obs.Emit(obsv.Event{Kind: obsv.EvGuardEval, Junction: j.FQName, Truth: truth.String()})
 		}
@@ -204,7 +207,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 	// retry branches back to the beginning of the junction, at most
 	// RetryLimit times within a single scheduling (paper §6).
 	for attempt := 0; ; attempt++ {
-		sig, err := j.runBody(ctx)
+		sig, err := runSteps(ctx, j.comp.body)
 		if err != nil {
 			j.met.Errors.Add(1)
 			if tracing {
@@ -241,9 +244,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 }
 
 // startDriver launches the runtime-driven scheduling loop used for guarded
-// junctions: whenever the guard becomes true the body runs. The compiled
-// path is event-driven over keyed subscriptions; the interpreter ablation
-// keeps the seed's coalesced-notify + poll loop.
+// junctions: whenever the guard becomes true the body runs.
 func (j *Junction) startDriver() {
 	j.driverMu.Lock()
 	defer j.driverMu.Unlock()
@@ -254,13 +255,10 @@ func (j *Junction) startDriver() {
 	// Each start gets its own stop channel; the loops capture it so a stop
 	// racing a later restart can never close a channel a newer loop owns.
 	stop := make(chan struct{})
-	j.stopCh = stop
+	ctx, cancel := context.WithCancel(context.Background())
+	j.stopCh, j.abandon = stop, cancel
 	j.driverWG.Add(1)
-	if j.comp != nil && j.comp.guardRS != nil {
-		go j.runDriverEvent(stop)
-		return
-	}
-	go j.runDriverPoll(stop)
+	go j.runDriverEvent(ctx, stop)
 }
 
 // runDriverEvent schedules on keyed wakes: the driver subscribes to the
@@ -268,7 +266,7 @@ func (j *Junction) startDriver() {
 // timer survives only as a fallback, armed when the guard consults remote
 // state the local table cannot observe, or after a body failure (so crash
 // loops keep retrying and transient remote failures recover).
-func (j *Junction) runDriverEvent(stop <-chan struct{}) {
+func (j *Junction) runDriverEvent(ctx context.Context, stop <-chan struct{}) {
 	defer j.driverWG.Done()
 	rs := j.comp.guardRS
 	sub := j.table.SubscribeKeys(j.comp.guardKeys)
@@ -281,19 +279,21 @@ func (j *Junction) runDriverEvent(stop <-chan struct{}) {
 			return
 		default:
 		}
-		err := j.Schedule(context.Background())
+		err := j.Schedule(ctx)
 		if err == nil {
 			// Body ran; look again immediately — the guard may still hold
 			// (e.g. queued work), and a self-wake from the body's own writes
 			// is already buffered in the subscription.
 			continue
 		}
-		if errors.Is(err, ErrMigrated) {
-			// This incarnation is retired; its replacement runs its own driver.
+		if errors.Is(err, ErrMigrated) || ctx.Err() != nil {
+			// This incarnation is retired and its replacement runs its own
+			// driver, or the instance is going down and took the scheduling
+			// with it: neither is a failure of the body.
 			return
 		}
-		notSched := isNotSchedulable(err)
-		if !notSched && !errorsIsNotRunning(err) {
+		notSched := errors.Is(err, ErrNotSchedulable)
+		if !notSched && !errors.Is(err, ErrNotRunning) {
 			// A failed scheduling must not kill the junction: record and go on.
 			j.sys.noteDriverError(j.FQName, err)
 		}
@@ -325,8 +325,8 @@ func (j *Junction) runDriverEvent(stop <-chan struct{}) {
 	}
 }
 
-// noteWake records one driver wake-up: event-driven (a subscription or
-// notify delivery) or poll-driven (the fallback timer).
+// noteWake records one driver wake-up: event-driven (a subscription
+// delivery) or poll-driven (the fallback timer).
 func (j *Junction) noteWake(event bool) {
 	if event {
 		j.met.WakesEvent.Add(1)
@@ -342,8 +342,7 @@ func (j *Junction) noteWake(event bool) {
 	}
 }
 
-// noteTxn records one transaction lifecycle step; shared by the interpreter
-// and the compiled path so both report identical event sequences.
+// noteTxn records one transaction lifecycle step.
 func (j *Junction) noteTxn(k obsv.Kind) {
 	switch k {
 	case obsv.EvTxnCommit:
@@ -356,12 +355,10 @@ func (j *Junction) noteTxn(k obsv.Kind) {
 	}
 }
 
-// noteLocalWrite reports, on the traced path, a write of the body to the
-// junction's own table; value is how §8 labels it (wrote, or "*" for data).
+// noteLocalWrite reports a write of the body to the junction's own table;
+// value is how §8 labels it (wrote, or "*" for data). Callers test j.traced.
 func (j *Junction) noteLocalWrite(key, value string) {
-	if j.sys.obs.Tracing() {
-		j.sys.obs.Emit(obsv.Event{Kind: obsv.EvLocalWrite, Junction: j.FQName, Key: key, Truth: value})
-	}
+	j.sys.obs.Emit(obsv.Event{Kind: obsv.EvLocalWrite, Junction: j.FQName, Key: key, Truth: value})
 }
 
 // wrote is the §8 label value of a proposition write.
@@ -407,54 +404,12 @@ func (j *Junction) noteWaitTimeout(cond string) {
 	}
 }
 
-// runDriverPoll is the seed driver loop, retained for the interpreter
-// ablation (Options.DisableCompiledPlan) and as the reference behaviour the
-// event-driven loop is tested against.
-func (j *Junction) runDriverPoll(stop <-chan struct{}) {
-	defer j.driverWG.Done()
-	timer := time.NewTimer(j.sys.opts.Poll)
-	defer timer.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		err := j.Schedule(context.Background())
-		if err == nil {
-			// Body ran; look again immediately — the guard may still
-			// hold (e.g. queued work).
-			continue
-		}
-		if errors.Is(err, ErrMigrated) {
-			// This incarnation is retired; its replacement runs its own driver.
-			return
-		}
-		if !isNotSchedulable(err) && !errorsIsNotRunning(err) {
-			// Body failures are surfaced through the table's
-			// diagnostics hook if installed; the driver keeps going
-			// (a failed scheduling must not kill the junction).
-			j.sys.noteDriverError(j.FQName, err)
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(j.sys.opts.Poll)
-		select {
-		case <-stop:
-			return
-		case <-j.table.Notify():
-			j.noteWake(true)
-		case <-timer.C:
-			j.noteWake(false)
-		}
-	}
-}
-
-func (j *Junction) stopDriver() {
+// stopDriver stops the driver loop and returns once it has exited. A
+// scheduling in flight runs to its end — what migration's quiesce needs —
+// unless abandon is set: an instance that is going down has deregistered its
+// endpoints, no ack can reach it any more, and a body waiting for one (or in a
+// wait nothing will admit) would hold the stop for as long as it waits.
+func (j *Junction) stopDriver(abandon bool) {
 	j.driverMu.Lock()
 	if !j.driverOn {
 		j.driverMu.Unlock()
@@ -462,22 +417,13 @@ func (j *Junction) stopDriver() {
 	}
 	j.driverOn = false
 	close(j.stopCh)
+	cancel := j.abandon
 	j.driverMu.Unlock()
-	j.driverWG.Wait()
-}
-
-func errorsIsNotRunning(err error) bool {
-	for e := err; e != nil; {
-		if e == ErrNotRunning {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
+	if abandon {
+		cancel()
 	}
-	return false
+	j.driverWG.Wait()
+	cancel()
 }
 
 // --- driver error diagnostics ----------------------------------------------
@@ -660,46 +606,6 @@ func (j *Junction) Subset(name string) ([]string, error) {
 
 // --- name & reference resolution --------------------------------------------
 
-// resolvePropName resolves a PropRef against the junction's idx state and
-// self tokens to the flat table key.
-func (j *Junction) resolvePropName(pr dsl.PropRef) (string, error) {
-	if pr.Index == "" {
-		return j.resolveSelfName(pr.Base), nil
-	}
-	if pr.IndexIsVar {
-		elem, err := j.Idx(pr.Index)
-		if err != nil {
-			return "", err
-		}
-		return dsl.IndexedName(pr.Base, elem), nil
-	}
-	return dsl.IndexedName(pr.Base, j.resolveSelfName(pr.Index)), nil
-}
-
-// resolveTarget resolves a junction reference to the fully-qualified
-// endpoint name of the target junction.
-func (j *Junction) resolveTarget(ref dsl.JunctionRef) (string, error) {
-	switch {
-	case ref.MeJunction:
-		return j.FQName, nil
-	case ref.MeInstance:
-		return j.inst.Name + "::" + ref.Junction, nil
-	case ref.Idx != "":
-		elem, err := j.Idx(ref.Idx)
-		if err != nil {
-			return "", err
-		}
-		return j.elemToFQ(elem)
-	case ref.Instance != "":
-		if ref.Junction != "" {
-			return ref.Instance + "::" + ref.Junction, nil
-		}
-		return j.elemToFQ(ref.Instance)
-	default:
-		return "", fmt.Errorf("runtime: %s: empty junction reference", j.FQName)
-	}
-}
-
 // elemToFQ interprets a set element as a fully-qualified junction name.
 func (j *Junction) elemToFQ(elem string) (string, error) {
 	elem = j.resolveSelfName(elem)
@@ -720,7 +626,7 @@ func (j *Junction) elemToFQ(elem string) (string, error) {
 func (j *Junction) env() formula.Env {
 	return formula.EnvFunc(func(junction, name string) formula.Truth {
 		if junction == "" {
-			return j.localProp(name)
+			return j.localPropResolvedBy(j, name)
 		}
 		fq, err := j.elemToFQ(j.resolveSelfName(junction))
 		if err != nil {
@@ -756,12 +662,6 @@ const RunningProp = "@running"
 // Running builds the S(x) predicate as a formula: true iff the referenced
 // instance/junction is running.
 func Running(elem string) formula.Formula { return formula.At(elem, RunningProp) }
-
-// localProp evaluates a local proposition name, resolving idx indices and
-// self tokens; undeclared names are Unknown.
-func (j *Junction) localProp(name string) formula.Truth {
-	return j.localPropResolvedBy(j, name)
-}
 
 // localPropResolvedBy reads proposition name from j's table, but resolves
 // $idx index variables against resolver's idx state (a formula like

@@ -246,7 +246,7 @@ func (s *System) MigrateInstance(name, dest string) error {
 		js = append(js, inst.junctions[jn])
 	}
 	for _, j := range js {
-		j.stopDriver()
+		j.stopDriver(false)
 	}
 	for _, j := range js {
 		j.schedMu.Lock()

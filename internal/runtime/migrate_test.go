@@ -346,6 +346,50 @@ func TestStopAndCrashFailPendingWindowsFast(t *testing.T) {
 	}
 }
 
+// TestCloseAbandonsDriverMidSend: a guarded junction's driver is inside an
+// assert toward a partitioned peer, whose ack will never come. Stopping the
+// sender must not wait that out (it took 2 × AckTimeout): Close returns at
+// once, no waiter is left behind, and the abandoned scheduling is not recorded
+// as a failure of the body.
+func TestCloseAbandonsDriverMidSend(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("srcT").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Go", Init: false}),
+		dsl.Retract{Prop: dsl.PR("Go")}, dsl.Assert{Target: dsl.J("g", "j"), Prop: dsl.PR("U")},
+	).Guarded(formula.P("Go")))
+	p.Type("sinkT").Junction("j", dsl.Def(dsl.Decls(dsl.InitProp{Name: "U", Init: false})))
+	p.Instance("f", "srcT").Instance("g", "sinkT")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
+	s := mustSystem(t, p, Options{AckTimeout: 30 * time.Second})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The partition: g's endpoint swallows what arrives and acknowledges nothing.
+	s.Net().Register("g::j", func(compart.Message) {})
+	s.junctionQuiet("f", "j").InjectProp("Go", true)
+	for deadline := time.Now().Add(5 * time.Second); s.pendingAcks("f::j", "g::j") != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the driver never got as far as awaiting the ack")
+		}
+	}
+	// The sender goes first: stopped after g, g's stop would have failed the
+	// window for it.
+	start := time.Now()
+	if err := s.StopInstance("f"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if e := time.Since(start); e > 200*time.Millisecond {
+		t.Errorf("stopping the sender and Close took %v with a driver mid-send", e)
+	}
+	if n := s.pendingAcks("f::j", "g::j"); n != 0 {
+		t.Errorf("%d updates still awaiting acks after Close", n)
+	}
+	if err := s.LastDriverError("f::j"); err != nil {
+		t.Errorf("the abandoned scheduling was recorded as a body failure: %v", err)
+	}
+}
+
 // TestDeploymentListingsSorted pins the deterministic ordering of the
 // deployment's listing accessors regardless of insertion order.
 func TestDeploymentListingsSorted(t *testing.T) {

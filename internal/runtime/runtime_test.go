@@ -907,4 +907,8 @@ func TestInvokeWhenReady(t *testing.T) {
 	if ran.Load() == 0 {
 		t.Fatal("guarded junction never ran after guard became true")
 	}
+	// An unguarded junction has nothing to wait for: exactly one more scheduling.
+	if err := s.InvokeWhenReady(ctx, "kick", "j"); err != nil || s.junctionQuiet("kick", "j").met.Schedulings.Load() != 2 {
+		t.Fatalf("InvokeWhenReady on an unguarded junction: %v after %d schedulings, want nil after 2", err, s.junctionQuiet("kick", "j").met.Schedulings.Load())
+	}
 }

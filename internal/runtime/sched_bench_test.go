@@ -13,8 +13,8 @@ import (
 
 // benchProgram is a representative single-junction body: a host hook, a data
 // save, a conditional, a case dispatch and a pair of prop updates. Invoked
-// manually so the benchmark measures pure per-scheduling cost (plan closures
-// vs tree interpretation), not driver wake-up.
+// manually so the benchmark measures pure per-scheduling cost, not driver
+// wake-up.
 func benchProgram() *dsl.Program {
 	p := dsl.NewProgram()
 	p.Type("tau").Junction("junction", dsl.Def(
@@ -41,8 +41,8 @@ func benchProgram() *dsl.Program {
 	return p
 }
 
-func benchScheduling(b *testing.B, disableCompiled bool) {
-	s, err := New(benchProgram(), Options{DisableCompiledPlan: disableCompiled})
+func benchScheduling(b *testing.B) {
+	s, err := New(benchProgram(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,10 +61,9 @@ func benchScheduling(b *testing.B, disableCompiled bool) {
 }
 
 // BenchmarkSchedulingCompiled measures one scheduling of the compiled
-// execution plan; BenchmarkSchedulingInterpreter is the exec.go ablation.
-// ns/op is the per-scheduling cost, so schedulings/sec = 1e9 / ns_op.
-func BenchmarkSchedulingCompiled(b *testing.B)    { benchScheduling(b, false) }
-func BenchmarkSchedulingInterpreter(b *testing.B) { benchScheduling(b, true) }
+// execution plan. ns/op is the per-scheduling cost, so schedulings/sec =
+// 1e9 / ns_op.
+func BenchmarkSchedulingCompiled(b *testing.B) { benchScheduling(b) }
 
 // BenchmarkSchedulingObsvOff is BenchmarkSchedulingCompiled with the
 // observability layer in its default state (no sink, no timing): the cost is
@@ -73,7 +72,7 @@ func BenchmarkSchedulingInterpreter(b *testing.B) { benchScheduling(b, true) }
 // BenchmarkSchedulingObsvOn measures the fully-on ablation — timing plus a
 // trace event stream into a ring sink — which is the csaw-bench -trace
 // configuration, not the production default.
-func BenchmarkSchedulingObsvOff(b *testing.B) { benchScheduling(b, false) }
+func BenchmarkSchedulingObsvOff(b *testing.B) { benchScheduling(b) }
 
 func BenchmarkSchedulingObsvOn(b *testing.B) {
 	s, err := New(benchProgram(), Options{Trace: obsv.NewRingSink(1024)})
@@ -94,7 +93,10 @@ func BenchmarkSchedulingObsvOn(b *testing.B) {
 	}
 }
 
-func benchGuardWake(b *testing.B, disableCompiled bool, poll time.Duration) {
+// BenchmarkGuardWakeEvent measures injection-to-body latency of a guarded
+// junction's driver on the keyed subscription path (TestLocalGuardWakesWithoutPoll
+// pins that the driver never arms the poll timer at all for local guards).
+func BenchmarkGuardWakeEvent(b *testing.B) {
 	ran := make(chan struct{}, 1)
 	p := dsl.NewProgram()
 	p.Type("tau").Junction("junction", dsl.Def(
@@ -106,7 +108,7 @@ func benchGuardWake(b *testing.B, disableCompiled bool, poll time.Duration) {
 	).Guarded(formula.P("Work")))
 	p.Instance("w", "tau")
 	p.SetMain(dsl.Start{Instance: "w"})
-	s, err := New(p, Options{DisableCompiledPlan: disableCompiled, Poll: poll})
+	s, err := New(p, Options{Poll: 5 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,14 +131,3 @@ func benchGuardWake(b *testing.B, disableCompiled bool, poll time.Duration) {
 		}
 	}
 }
-
-// BenchmarkGuardWakeEvent measures injection-to-body latency on the keyed
-// subscription path; BenchmarkGuardWakeNotify is the legacy ablation, which
-// wakes on the table's single coalesced notify ping. Both stay well under
-// the poll interval in this sole-consumer microbenchmark — the keyed path is
-// ~3× faster per wake and, unlike the shared notify channel, cannot lose a
-// wake to a competing consumer (the case where the legacy driver degrades to
-// full poll-interval latency; TestLocalGuardWakesWithoutPoll pins that the
-// keyed driver never arms the timer at all for local guards).
-func BenchmarkGuardWakeEvent(b *testing.B)  { benchGuardWake(b, false, 5*time.Millisecond) }
-func BenchmarkGuardWakeNotify(b *testing.B) { benchGuardWake(b, true, 5*time.Millisecond) }

@@ -104,9 +104,9 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 		opts    func() Options
 		before  func(t *testing.T, s *System)
 		wantErr error
-		// batches is how many delivery groups each sink must have absorbed in
-		// the grouped lowering: the grouping is the point, and an outcome that
-		// matches because nothing was grouped proves nothing.
+		// batches is how many delivery groups each sink must have absorbed: the
+		// grouping is the point, and an outcome that matches because nothing was
+		// grouped proves nothing.
 		batches [2]uint64
 	}{{
 		name:    "same destination",
@@ -176,41 +176,37 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 	}}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			for _, interpreted := range []bool{true, false} {
-				ring := obsv.NewRingSink(4096)
-				opts := Options{AckTimeout: 5 * time.Second}
-				if sc.opts != nil {
-					opts = sc.opts()
-				}
-				opts.Trace, opts.DisableCompiledPlan = ring, interpreted
-				s := mustSystem(t, sc.prog, opts)
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				if err := s.RunMain(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if sc.before != nil {
-					sc.before(t, s)
-				}
-				err := s.Invoke(ctx, "f", "j")
-				cancel()
-				switch {
-				case (sc.wantErr == nil) != (err == nil):
-					t.Fatalf("interpreted=%v: invoke: %v, want %v", interpreted, err, sc.wantErr)
-				case err != nil && !errors.Is(err, sc.wantErr) && !strings.Contains(err.Error(), sc.wantErr.Error()):
-					t.Fatalf("interpreted=%v: invoke: %v, want %v", interpreted, err, sc.wantErr)
-				}
-				outcome := observeSeq(t, s, ring, err)
-				if !interpreted {
-					for n, want := range sc.batches {
-						inst := fmt.Sprintf("g%d", n+1)
-						if j := s.junctionQuiet(inst, "j"); j != nil && j.met.RemoteBatches.Load() != want {
-							t.Errorf("%s absorbed %d delivery groups, want %d", inst, j.met.RemoteBatches.Load(), want)
-						}
-					}
-				}
-				s.Close()
-				checkFrozen(t, "seq", outcome.String(), interpreted, sc.prog, ring)
+			ring := obsv.NewRingSink(4096)
+			opts := Options{AckTimeout: 5 * time.Second}
+			if sc.opts != nil {
+				opts = sc.opts()
 			}
+			opts.Trace = ring
+			s := mustSystem(t, sc.prog, opts)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			if err := s.RunMain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if sc.before != nil {
+				sc.before(t, s)
+			}
+			err := s.Invoke(ctx, "f", "j")
+			cancel()
+			switch {
+			case (sc.wantErr == nil) != (err == nil):
+				t.Fatalf("invoke: %v, want %v", err, sc.wantErr)
+			case err != nil && !errors.Is(err, sc.wantErr) && !strings.Contains(err.Error(), sc.wantErr.Error()):
+				t.Fatalf("invoke: %v, want %v", err, sc.wantErr)
+			}
+			outcome := observeSeq(t, s, ring, err)
+			for n, want := range sc.batches {
+				inst := fmt.Sprintf("g%d", n+1)
+				if j := s.junctionQuiet(inst, "j"); j != nil && j.met.RemoteBatches.Load() != want {
+					t.Errorf("%s absorbed %d delivery groups, want %d", inst, j.met.RemoteBatches.Load(), want)
+				}
+			}
+			s.Close()
+			checkFrozen(t, "seq", outcome.String(), sc.prog, ring)
 		})
 	}
 }
@@ -319,17 +315,12 @@ func TestMigrateSinkBetweenSeqGroups(t *testing.T) {
 // until the failing one has taken its snapshot (Mine is its first write), lets
 // the sibling commit Shared, and only then releases the failing one, which
 // fails before its own statement on Shared is reached: its rollback must take
-// back what it wrote (Mine) and leave the sibling's commit alone — under the
-// compiled plan and under the interpreter it is compared against.
+// back what it wrote (Mine) and leave the sibling's commit alone.
 func TestTxnRollbackSparesSiblingCommit(t *testing.T) {
-	for name, interpreted := range map[string]bool{"compiled": false, "interpreter": true} {
-		t.Run(name, func(t *testing.T) {
-			txnRollbackSparesSiblingCommit(t, interpreted)
-		})
-	}
+	t.Run("compiled", txnRollbackSparesSiblingCommit)
 }
 
-func txnRollbackSparesSiblingCommit(t *testing.T, interpreted bool) {
+func txnRollbackSparesSiblingCommit(t *testing.T) {
 	p := dsl.NewProgram()
 	p.Type("T").Junction("j", dsl.Def(
 		dsl.Decls(dsl.InitProp{Name: "Shared", Init: false}, dsl.InitProp{Name: "Mine", Init: false},
@@ -350,7 +341,7 @@ func txnRollbackSparesSiblingCommit(t *testing.T, interpreted bool) {
 	))
 	p.Instance("i", "T")
 	p.SetMain(dsl.Start{Instance: "i"})
-	s := mustSystem(t, p, Options{DisableCompiledPlan: interpreted})
+	s := mustSystem(t, p, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.RunMain(ctx); err != nil {

@@ -49,12 +49,6 @@ type Options struct {
 	// ReconsiderLimit bounds how many times a single case expression may be
 	// re-entered through reconsider within one scheduling.
 	ReconsiderLimit int
-	// DisableCompiledPlan turns off the compiled execution path (ablation
-	// only): junction bodies are tree-interpreted by exec.go and drivers fall
-	// back to the coalesced-notify + poll scheduling loop, reproducing the
-	// pre-plan runtime. The equivalence suite runs every pattern under both
-	// modes.
-	DisableCompiledPlan bool
 	// Trace installs a structured trace sink (internal/obsv): every
 	// scheduling decision, guard evaluation, transaction outcome, wait
 	// transition, remote-update hop and instance lifecycle event is emitted
@@ -376,8 +370,10 @@ func (s *System) startLocked(name string, args any) error {
 	return nil
 }
 
-// StopInstance gracefully stops a running instance: drivers stop and
-// endpoints deregister. The instance may be started again later.
+// StopInstance gracefully stops a running instance: endpoints deregister and
+// drivers stop, abandoning a scheduling they have in flight at its next
+// statement or blocking point (its updates can no longer be acknowledged).
+// The instance may be started again later.
 func (s *System) StopInstance(name string) error {
 	s.mu.Lock()
 	inst, ok := s.instances[name]
@@ -395,7 +391,7 @@ func (s *System) StopInstance(name string) error {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvInstanceStop, Junction: name})
 	}
 	for _, j := range inst.junctions {
-		j.stopDriver()
+		j.stopDriver(true)
 	}
 	// A stop is deliberate and observable: updates already in flight toward
 	// this instance can never be acknowledged, so fail their windows now
@@ -428,7 +424,7 @@ func (s *System) CrashInstance(name string) {
 	}
 	s.mu.Unlock()
 	for _, j := range inst.junctions {
-		j.stopDriver()
+		j.stopDriver(true)
 	}
 	// Crashed endpoints answer new sends with ErrEndpointDown, but updates
 	// already in flight would otherwise wait out the watchdog; fail their
@@ -509,10 +505,8 @@ func (s *System) Invoke(ctx context.Context, instance, junction string) error {
 }
 
 // InvokeWhenReady blocks until the junction's guard is true (or ctx ends),
-// then schedules it. On the compiled path it subscribes to the guard's
-// read-set and wakes only when one of those keys changes — with no polling
-// at all for local-only guards; the interpreter ablation keeps the seed's
-// notify + poll retry loop.
+// then schedules it. It subscribes to the guard's read-set and wakes only when
+// one of those keys changes — with no polling at all for local-only guards.
 func (s *System) InvokeWhenReady(ctx context.Context, instance, junction string) error {
 	for {
 		err := s.invokeWhenReadyOnce(ctx, instance, junction)
@@ -530,55 +524,30 @@ func (s *System) invokeWhenReadyOnce(ctx context.Context, instance, junction str
 	if err != nil {
 		return err
 	}
-	var sub *kv.Subscription
-	if j.comp != nil && j.comp.guardRS != nil {
-		// Subscribe before the first guard check so a wake racing the check
-		// is retained in the subscription's buffer, never lost.
-		sub = j.Table().SubscribeKeys(j.comp.guardKeys)
-		defer j.Table().Unsubscribe(sub)
+	if j.comp.guardRS == nil {
+		// No guard, so nothing to wait for: one scheduling.
+		return j.Schedule(ctx)
 	}
+	// Subscribe before the first guard check so a wake racing the check is
+	// retained in the subscription's buffer, never lost.
+	sub := j.Table().SubscribeKeys(j.comp.guardKeys)
+	defer j.Table().Unsubscribe(sub)
+	var poll <-chan time.Time // stays nil, and never fires, for a local-only guard
 	for {
 		err := j.Schedule(ctx)
-		if err == nil || !isNotSchedulable(err) {
+		if !errors.Is(err, ErrNotSchedulable) {
 			return err
 		}
-		switch {
-		case sub != nil && j.comp.guardRS.LocalOnly():
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-sub.Ch():
-			}
-		case sub != nil:
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-sub.Ch():
-			case <-time.After(s.opts.Poll):
-			}
-		default:
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-j.Table().Notify():
-			case <-time.After(s.opts.Poll):
-			}
+		if !j.comp.guardRS.LocalOnly() {
+			poll = time.After(s.opts.Poll)
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+		case <-sub.Ch():
+		case <-poll:
 		}
 	}
-}
-
-func isNotSchedulable(err error) bool {
-	for e := err; e != nil; {
-		if e == ErrNotSchedulable {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // Close shuts the system down: all instances stop and the network closes.
@@ -942,15 +911,6 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 	for _, wt := range done {
 		wt.ch <- nil
 	}
-}
-
-// sendUpdates ships a group of assert/retract/write updates from a junction
-// to one remote junction and waits until every one is acknowledged as
-// delivered: sendGroup for callers whose group stands or falls as one
-// statement (a single update, a par's updates to one destination).
-func (s *System) sendUpdates(ctx context.Context, j *Junction, to string, ups []remoteUpdate) error {
-	_, err := s.sendGroup(ctx, j, to, ups)
-	return err
 }
 
 // sendGroup is the one remote-update send of the pipelined plane. The group
