@@ -156,6 +156,7 @@ func newMatcher(s *Structure) *matcher {
 	for i, id := range m.ids {
 		e, n := s.Events[id], &m.n[i]
 		n.Label, n.isolated, n.handler = e.Label, !e.Outward, e.handler
+		n.Key, n.Junction = m.self(n.Key), m.self(n.Junction)
 		if e.handler.group != 0 {
 			m.entries[e.handler.group] = append(m.entries[e.handler.group], i)
 		}
@@ -201,10 +202,10 @@ func (m *matcher) declares(key string) bool {
 	return false
 }
 
-// keyUnifies reports whether a label's key can stand for the table key the
-// runtime reported: itself, or "Base[ix]" for an element of idx variable ix.
+// keyUnifies reports whether a label's key (me:: tokens resolved) can stand
+// for the table key the runtime reported: itself, or "Base[ix]" for an element
+// of idx variable ix.
 func (m *matcher) keyUnifies(sym, actual string) bool {
-	sym = m.self(sym)
 	if open := strings.LastIndexByte(sym, '['); open > 0 && strings.HasSuffix(sym, "]") {
 		for _, e := range m.idx[sym[open+1:len(sym)-1]] {
 			if dsl.IndexedName(sym[:open], m.self(e)) == actual {
@@ -217,7 +218,6 @@ func (m *matcher) keyUnifies(sym, actual string) bool {
 
 // junctionUnifies is keyUnifies for a label's junction subscript.
 func (m *matcher) junctionUnifies(sym, actual string) bool {
-	sym = m.self(sym)
 	for _, e := range m.idx[sym] {
 		if e = m.self(e); e == actual || strings.HasPrefix(actual, e+"::") {
 			return true
@@ -337,9 +337,11 @@ func (m *matcher) step(c config, k int) bool {
 			ok = ev.Kind == obsv.EvLocalWrite && m.n[i].Value == "*" && next(c)
 		default:
 			ok = m.occur(c, i, i, func(c config) bool {
-				for _, st := range c {
-					if ev.Kind == obsv.EvSchedFire && st&owed != 0 {
-						return false
+				if ev.Kind == obsv.EvSchedFire {
+					for _, st := range c {
+						if st&owed != 0 {
+							return false
+						}
 					}
 				}
 				return next(c)
