@@ -1,16 +1,15 @@
 // Command csaw-bench regenerates the paper's evaluation tables and figures
-// (§10) and prints them as text series and tables, plus repo-grown
-// experiments such as Transport-recovery (substrate fail-over over real TCP
-// with reconnect/backoff stats).
+// (§10) and prints them as text series and tables.
 //
 // Usage:
 //
-//	csaw-bench [-full] [-run Fig23a,Transport-recovery] [-ticks N] [-tick 10ms] [-summary]
+//	csaw-bench [-full] [-run Fig23a,Table2] [-ticks N] [-tick 10ms] [-summary]
 //	           [-trace events.jsonl] [-metrics] [-validate-trace events.jsonl]
 //
 // Without flags it runs every experiment with the laptop-fast configuration
 // and prints full series; -summary prints per-series digests instead.
-// -list prints every experiment ID. -trace streams runtime scheduling events
+// -list prints every experiment ID; -run with an ID not on that list exits
+// non-zero and runs nothing. -trace streams runtime scheduling events
 // as JSONL to a file ("-" for stdout); -metrics prints per-junction counters
 // and latency digests after each experiment; -validate-trace checks a JSONL
 // trace file and exits (the CI smoke step).
@@ -99,8 +98,24 @@ func main() {
 
 	want := map[string]bool{}
 	if *run != "" {
+		known := map[string]bool{}
+		for _, e := range bench.All() {
+			known[e.ID] = true
+		}
+		var unknown []string
 		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !known[id] {
+				unknown = append(unknown, id)
+			}
+			want[id] = true
+		}
+		if len(unknown) > 0 {
+			fmt.Fprintf(os.Stderr, "unknown experiment ID(s): %s; known IDs (-list):\n", strings.Join(unknown, ", "))
+			for _, e := range bench.All() {
+				fmt.Fprintln(os.Stderr, "  "+e.ID)
+			}
+			os.Exit(2)
 		}
 	}
 

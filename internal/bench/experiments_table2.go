@@ -66,8 +66,5 @@ func All() []Experiment {
 		{"Fig26c", Fig26c},
 		{"Table2", Table2},
 		{"Suricata-sharding-overhead", SuricataShardingOverhead},
-		{"Transport-recovery", TransportRecovery},
-		{"Cost-validation", CostValidation},
-		{"Migration", Migration},
 	}
 }

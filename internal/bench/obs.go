@@ -38,19 +38,9 @@ func EnableMetrics(on bool) {
 // settings applied and records it for DrainMetrics. All experiment glue goes
 // through here instead of calling runtime.New directly.
 func newSystem(prog *dsl.Program) (*runtime.System, error) {
-	return newSystemWith(prog, nil)
-}
-
-// newSystemWith is newSystem with an options hook: the experiment adjusts
-// the defaulted options (substrate network or deployment, ack timeout)
-// before the system is built.
-func newSystemWith(prog *dsl.Program, tweak func(*runtime.Options)) (*runtime.System, error) {
 	obsMu.Lock()
 	opts := runtime.Options{Trace: obsSink, Metrics: obsMetrics}
 	obsMu.Unlock()
-	if tweak != nil {
-		tweak(&opts)
-	}
 	sys, err := runtime.New(prog, opts)
 	if err != nil {
 		return nil, err

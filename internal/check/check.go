@@ -25,7 +25,7 @@
 // compiled.go) statement by statement, including local-priority pending drops,
 // wait admission sets, transaction rollback, and the case terminator machine.
 // Two deliberate divergences, both stricter than the runtime: reconsider
-// chains are bounded by Options.ReconsiderLimit (the runtime bounds only
+// chains are bounded by plan.ReconsiderLimit (the runtime bounds only
 // next-loops), and threads of a stopped instance keep executing (their sends
 // fail, as at runtime) rather than being killed asynchronously.
 //
@@ -62,9 +62,6 @@ type Options struct {
 	// MaxHavoc caps the write combinations explored per host block.
 	// Default 16.
 	MaxHavoc int
-	// ReconsiderLimit bounds case reconsider/next rounds, mirroring
-	// runtime.Options.ReconsiderLimit. Default 16.
-	ReconsiderLimit int
 	// NoShrink skips counterexample minimization.
 	NoShrink bool
 }
@@ -83,9 +80,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxHavoc <= 0 {
 		o.MaxHavoc = 16
-	}
-	if o.ReconsiderLimit <= 0 {
-		o.ReconsiderLimit = 16
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"csaw/internal/analysis"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // signal mirrors the runtime's control signals.
@@ -655,8 +656,8 @@ func (c *checker) rootComplete(st *state, t *thread, sig signal, errS string) {
 // caseMatch performs one matching step of a case frame (phase 0: normal
 // matching from f.start; phase 2: reconsider rescanning from f.base).
 func (c *checker) caseMatch(st *state, t *thread, f *frame) {
-	if f.rounds > c.opts.ReconsiderLimit {
-		t.pendErrIntoCase(fmt.Sprintf("case exceeded %d reconsider/next rounds", c.opts.ReconsiderLimit))
+	if f.rounds > plan.ReconsiderLimit {
+		t.pendErrIntoCase(fmt.Sprintf("case exceeded %d reconsider/next rounds", plan.ReconsiderLimit))
 		c.processDelivery(st, t)
 		return
 	}

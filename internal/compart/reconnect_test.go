@@ -86,6 +86,11 @@ func TestReconnectClientResumesAfterServerRestart(t *testing.T) {
 	if st.SendLatency.Count != 7 || st.SendLatency.Max < st.SendLatency.Min {
 		t.Fatalf("send latency summary: %+v", st.SendLatency)
 	}
+	// Both networks account for every message exactly once across the
+	// outage, while still open (newTestNetwork re-checks after Close).
+	if rs, ls := remote.Stats(), local.Stats(); !rs.Conserved() || !ls.Conserved() {
+		t.Fatalf("counters not conserved after restart: remote %+v local %+v", rs, ls)
+	}
 
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)

@@ -11,9 +11,10 @@
 // The model is a steady-state upper bound: every statement is charged once
 // per firing (all case/if alternatives counted), idx-variable targets spread
 // their weight uniformly over the idx's element universe, and otherwise
-// handlers (failure paths) are excluded. The csaw-bench "Cost-validation"
-// experiment cross-checks the predicted per-edge ranking against
-// obsv-measured remote.queued counts over real TCP.
+// handlers (failure paths) are excluded. live_test.go holds the per-edge
+// prediction exactly against obsv-measured remote.queued counts over real
+// TCP, and the optimizer's moves against the traffic they save once applied
+// live (ApplyMove).
 //
 // On top of the model sit the cost passes (passes.go) — poll-bound and
 // cross-location guard reads, txn ping-pong, coalescing-defeating fan-out,

@@ -60,11 +60,12 @@ func (ft *frameTally) wrap(send runtime.Uplink) runtime.Uplink {
 	}
 }
 
-// runOverTCP deploys prog on the placement's locations, each a network behind
-// a loopback TCP server with a reconnecting client per directed pair, fires
-// the root junction rounds times, and returns frames per firing for every
-// junction that fired.
-func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, rootInst, rootJn string, rounds int) map[string]float64 {
+// startOverTCP deploys prog with one location per location name in placement,
+// each a network behind a loopback TCP server with a reconnecting client per
+// directed pair, and runs its main. wrap (when non-nil) intercepts every
+// uplink; trace (when non-nil) receives the system's trace. Everything it
+// opens is closed at test cleanup.
+func startOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, wrap func(runtime.Uplink) runtime.Uplink, trace obsv.Sink) *runtime.System {
 	t.Helper()
 	locSet := map[string]bool{}
 	for _, loc := range placement {
@@ -89,7 +90,6 @@ func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, ro
 		addr[loc] = srv.Addr().String()
 		dep.AddLocation(loc, nw)
 	}
-	tally := &frameTally{frames: map[string]int{}}
 	for _, from := range locs {
 		for _, to := range locs {
 			if from == to {
@@ -97,13 +97,17 @@ func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, ro
 			}
 			c := compart.DialReconnect(addr[to], compart.ReconnectConfig{})
 			t.Cleanup(func() { _ = c.Close() })
-			dep.Connect(from, to, tally.wrap(c.Send))
+			send := runtime.Uplink(c.Send)
+			if wrap != nil {
+				send = wrap(send)
+			}
+			dep.Connect(from, to, send)
 		}
 	}
 	for inst, loc := range placement {
 		dep.Place(inst, loc)
 	}
-	sys, err := runtime.New(prog, runtime.Options{Deploy: dep, AckTimeout: 10 * time.Second})
+	sys, err := runtime.New(prog, runtime.Options{Deploy: dep, AckTimeout: 10 * time.Second, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +117,18 @@ func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, ro
 	if err := sys.RunMain(ctx); err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+// runOverTCP deploys prog over loopback TCP (startOverTCP), fires the root
+// junction rounds times, and returns frames per firing for every junction
+// that fired.
+func runOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, rootInst, rootJn string, rounds int) map[string]float64 {
+	t.Helper()
+	tally := &frameTally{frames: map[string]int{}}
+	sys := startOverTCP(t, prog, placement, tally.wrap, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	for i := 0; i < rounds; i++ {
 		if err := sys.Invoke(ctx, rootInst, rootJn); err != nil {
 			t.Fatalf("round %d: %v", i, err)

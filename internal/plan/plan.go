@@ -21,6 +21,11 @@ import (
 	"csaw/internal/kv"
 )
 
+// ReconsiderLimit bounds how many reconsider/next rounds one case expression
+// may take within a single execution, a termination backstop shared by the
+// runtime's executor and the model checker so the two cannot disagree.
+const ReconsiderLimit = 16
+
 // ReadSet lists the concrete local table keys a formula consults when
 // evaluated at one junction.
 type ReadSet struct {

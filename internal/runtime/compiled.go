@@ -984,14 +984,14 @@ func (j *Junction) compileCase(c dsl.Case) *compiledCase {
 // matching only after the arm that succeeded (function N of §8.3);
 // reconsider re-evaluates from the top and only proceeds when a different
 // match is made — otherwise the expression fails (paper §6). Reconsider
-// rounds are bounded by Options.ReconsiderLimit as a termination backstop.
+// rounds are bounded by plan.ReconsiderLimit as a termination backstop.
 func (cc *compiledCase) run(ctx context.Context, base int) (signal, error) {
 	j := cc.j
 	arms := cc.arms[base:]
 	start := 0
 	for round := 0; ; round++ {
-		if round > j.sys.opts.ReconsiderLimit {
-			return sigNone, fmt.Errorf("runtime: %s: case exceeded %d reconsider/next rounds", j.FQName, j.sys.opts.ReconsiderLimit)
+		if round > plan.ReconsiderLimit {
+			return sigNone, fmt.Errorf("runtime: %s: case exceeded %d reconsider/next rounds", j.FQName, plan.ReconsiderLimit)
 		}
 		match := -1
 		for i := start; i < len(arms); i++ {

@@ -46,9 +46,6 @@ type Options struct {
 	// Poll is the driver loop's fallback wake interval, needed for guards
 	// that reference remote junction state.
 	Poll time.Duration
-	// ReconsiderLimit bounds how many times a single case expression may be
-	// re-entered through reconsider within one scheduling.
-	ReconsiderLimit int
 	// Trace installs a structured trace sink (internal/obsv): every
 	// scheduling decision, guard evaluation, transaction outcome, wait
 	// transition, remote-update hop and instance lifecycle event is emitted
@@ -82,9 +79,6 @@ func (o *Options) fill() {
 	}
 	if o.Poll <= 0 {
 		o.Poll = 2 * time.Millisecond
-	}
-	if o.ReconsiderLimit <= 0 {
-		o.ReconsiderLimit = 16
 	}
 }
 
