@@ -21,13 +21,14 @@
 // never fail. Timing is abstracted: a wait blocked under an otherwise[t]
 // deadline may time out at any moment.
 //
-// Statement semantics mirror the runtime's executor (internal/runtime
-// compiled.go) statement by statement, including local-priority pending drops,
-// wait admission sets, transaction rollback, and the case terminator machine.
-// Two deliberate divergences, both stricter than the runtime: reconsider
-// chains are bounded by plan.ReconsiderLimit (the runtime bounds only
-// next-loops), and threads of a stopped instance keep executing (their sends
-// fail, as at runtime) rather than being killed asynchronously.
+// The checker steps the ops the runtime's executor compiles (plan.Lower) and
+// runs the same case terminator machine (plan.CaseMachine), so statement
+// semantics mirror the executor op by op, including local-priority pending
+// drops, wait admission sets and transaction rollback. Two abstractions
+// remain: remote updates are stepped one statement at a time (the executor's
+// group sends are not modeled), and threads of a stopped instance keep
+// executing (their sends fail, as at runtime) rather than being killed
+// asynchronously.
 //
 // Partial-order reduction: actions classified invisible — control flow,
 // reads and writes of keys no other junction observes and no sibling branch

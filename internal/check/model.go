@@ -154,7 +154,8 @@ type checker struct {
 
 	fqs       []string // every instance junction, sorted
 	infos     map[string]*analysis.JunctionInfo
-	instJuncs map[string][]string // instance -> its junction FQs, sorted
+	bodies    map[string]*plan.Block // each junction's lowered body
+	instJuncs map[string][]string    // instance -> its junction FQs, sorted
 
 	// observable[fq] is the set of fq's local keys read remotely (qualified
 	// formula references from other junctions); writes to them are visible.
@@ -191,6 +192,7 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 		ctx:         analysis.NewContext(p, 0),
 		opts:        opts,
 		infos:       map[string]*analysis.JunctionInfo{},
+		bodies:      map[string]*plan.Block{},
 		instJuncs:   map[string][]string{},
 		observable:  map[string]*obsKeys{},
 		incomingP:   map[string]map[string]bool{},
@@ -208,6 +210,7 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 	}
 	for _, ji := range c.ctx.Juncs {
 		c.infos[ji.FQ] = ji
+		c.bodies[ji.FQ] = plan.Lower(ji, ji.Def.Body)
 		c.fqs = append(c.fqs, ji.FQ)
 		c.instJuncs[ji.Inst] = append(c.instJuncs[ji.Inst], ji.FQ)
 		c.observable[ji.FQ] = newObsKeys()
@@ -491,37 +494,16 @@ func (c *checker) resolvePropName(st *state, fq string, pr dsl.PropRef) (string,
 	return dsl.IndexedName(pr.Base, c.resolveSelfName(fq, pr.Index)), nil
 }
 
-// substIdx mirrors Junction.substituteIdx: rewrite $idx-indexed propositions
-// to their concrete keys and resolve me:: self tokens in local names.
+// substIdx resolves a formula's local propositions against fq's idx values,
+// as the runtime does at wait entry (plan.SubstIdx).
 func (c *checker) substIdx(st *state, fq string, f formula.Formula) formula.Formula {
-	switch n := f.(type) {
-	case formula.Prop:
-		if n.Junction != "" {
-			return n
+	js := st.js[fq]
+	return plan.SubstIdx(f, func(s string) string { return c.resolveSelfName(fq, s) }, func(v string) string {
+		if js == nil {
+			return ""
 		}
-		if base, idxVar, ok := dsl.SplitIdxProp(n.Name); ok {
-			js := st.js[fq]
-			if js != nil {
-				if elem := js.idx[idxVar]; elem != "" {
-					return formula.P(dsl.IndexedName(base, elem))
-				}
-			}
-			return n
-		}
-		return formula.P(c.resolveSelfName(fq, n.Name))
-	case formula.FalseF:
-		return n
-	case formula.NotF:
-		return formula.NotF{F: c.substIdx(st, fq, n.F)}
-	case formula.AndF:
-		return formula.AndF{L: c.substIdx(st, fq, n.L), R: c.substIdx(st, fq, n.R)}
-	case formula.OrF:
-		return formula.OrF{L: c.substIdx(st, fq, n.L), R: c.substIdx(st, fq, n.R)}
-	case formula.ImpliesF:
-		return formula.ImpliesF{L: c.substIdx(st, fq, n.L), R: c.substIdx(st, fq, n.R)}
-	default:
-		return f
-	}
+		return js.idx[v]
+	})
 }
 
 // ---- environment evaluation, mirroring Junction.env ----------------------
@@ -807,7 +789,8 @@ func (c *checker) writeThread(b *strings.Builder, st *state, t *thread) {
 		fmt.Fprintf(b, ";F%d.%s.%d", f.kind, f.role, f.pc)
 		switch f.kind {
 		case fCase:
-			fmt.Fprintf(b, ".%d.%d.%d.%d.%d.%v", f.start, f.base, f.cur, f.rounds, f.phase, f.inRec)
+			m := f.cm
+			fmt.Fprintf(b, ".%d.%d.%d.%d.%d.%v", m.Start, m.Base, m.Cur, m.Rounds, m.Phase, m.InRec)
 		case fOtherwise:
 			fmt.Fprintf(b, ".%v.%v", f.deadline, f.inHandler)
 		case fTxn:

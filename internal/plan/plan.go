@@ -6,9 +6,11 @@
 // with idx-indexed families expanded over their static element universe),
 // and transaction blocks get write-sets (the keys their body can touch), so
 // the runtime can subscribe to exactly the keys a guard reads and snapshot
-// exactly the keys a transaction can modify. Everything here is static: the
-// runtime layers its per-start closure compilation on top (the same split
-// package serial uses between plan compilation and codec execution).
+// exactly the keys a transaction can modify. Lower (body.go) lowers a junction
+// body into the ops every tool consumes: the runtime compiles them to
+// closures per start (the same split package serial uses between plan
+// compilation and codec execution), the cost model counts them and the model
+// checker steps them. Case expressions run one terminator machine (case.go).
 package plan
 
 import (
@@ -20,11 +22,6 @@ import (
 	"csaw/internal/formula"
 	"csaw/internal/kv"
 )
-
-// ReconsiderLimit bounds how many reconsider/next rounds one case expression
-// may take within a single execution, a termination backstop shared by the
-// runtime's executor and the model checker so the two cannot disagree.
-const ReconsiderLimit = 16
 
 // ReadSet lists the concrete local table keys a formula consults when
 // evaluated at one junction.
@@ -242,6 +239,38 @@ func FormulaReadSet(ji *analysis.JunctionInfo, f formula.Formula) ReadSet {
 	return rs
 }
 
+// SubstIdx rewrites the local propositions of f to the table keys they read
+// at this moment: an idx-indexed one through idx, which names the idx's
+// current element ("" when it is undef, which leaves the proposition as is,
+// reading Unknown), any other with its me:: tokens resolved by self. The
+// runtime admits an idx-reading wait's keys by it, and the model checker
+// evaluates every body formula through it.
+func SubstIdx(f formula.Formula, self func(string) string, idx func(string) string) formula.Formula {
+	switch n := f.(type) {
+	case formula.Prop:
+		if n.Junction != "" {
+			return n
+		}
+		if base, idxVar, ok := dsl.SplitIdxProp(n.Name); ok {
+			if elem := idx(idxVar); elem != "" {
+				return formula.P(dsl.IndexedName(base, elem))
+			}
+			return n
+		}
+		return formula.P(self(n.Name))
+	case formula.NotF:
+		return formula.NotF{F: SubstIdx(n.F, self, idx)}
+	case formula.AndF:
+		return formula.AndF{L: SubstIdx(n.L, self, idx), R: SubstIdx(n.R, self, idx)}
+	case formula.OrF:
+		return formula.OrF{L: SubstIdx(n.L, self, idx), R: SubstIdx(n.R, self, idx)}
+	case formula.ImpliesF:
+		return formula.ImpliesF{L: SubstIdx(n.L, self, idx), R: SubstIdx(n.R, self, idx)}
+	default:
+		return f
+	}
+}
+
 // CompileWait lowers one wait statement evaluated at ji.
 func CompileWait(ji *analysis.JunctionInfo, w dsl.Wait) WaitPlan {
 	rs := FormulaReadSet(ji, w.Cond)
@@ -271,8 +300,8 @@ func CompileWait(ji *analysis.JunctionInfo, w dsl.Wait) WaitPlan {
 // every local table key an assert/retract/save/restore/host-sink statement
 // can modify, plus every key a nested wait can admit a remote update for
 // (admitted updates apply mid-transaction, and a rollback must put them
-// back too). Both execution paths roll back by it. A body containing
-// anything unboundable degrades to Full.
+// back too). Lower computes it for every prefix of a transaction's steps
+// (Op.Wrote). A body containing anything unboundable degrades to Full.
 func CompileTxn(ji *analysis.JunctionInfo, body []dsl.Expr) WriteSet {
 	var ws WriteSet
 	seenP := map[string]bool{}

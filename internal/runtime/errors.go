@@ -3,6 +3,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+
+	"csaw/internal/plan"
 )
 
 // Sentinel errors reported by the runtime.
@@ -25,7 +27,7 @@ var (
 	ErrRetryExhausted = errors.New("runtime: retry limit exhausted")
 	// ErrReconsiderFailed is returned when reconsider finds no different
 	// match (paper §6: "otherwise the expression fails").
-	ErrReconsiderFailed = errors.New("runtime: reconsider made no different match")
+	ErrReconsiderFailed = plan.ErrReconsiderFailed
 	// ErrIdxUndef is returned when resolving an idx variable that was never
 	// assigned.
 	ErrIdxUndef = errors.New("runtime: idx is undef")

@@ -215,7 +215,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 			}
 			return fmt.Errorf("%s: %w", j.FQName, err)
 		}
-		if sig == sigRetry {
+		if sig == plan.SigRetry {
 			j.met.Retries.Add(1)
 			if tracing {
 				obs.Emit(obsv.Event{Kind: obsv.EvRetry, Junction: j.FQName, N: int64(attempt + 1)})

@@ -3,6 +3,8 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"csaw/internal/compart"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // buildFig3 constructs the paper's Fig. 3 program: ⌊H1⌉ runs in f, which
@@ -600,6 +603,35 @@ func TestReconsiderSameMatchFails(t *testing.T) {
 	}
 	if err := s.Invoke(context.Background(), "i", "j"); !errors.Is(err, ErrReconsiderFailed) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestReconsiderPingPongIsBounded: two arms that keep re-pointing the case
+// at each other make a different match every round, so only the round limit
+// the checker shares (plan.ReconsiderLimit) stops them.
+func TestReconsiderPingPongIsBounded(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("t").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "A", Init: true}, dsl.InitProp{Name: "B", Init: false}),
+		dsl.Case{
+			Arms: []dsl.CaseArm{
+				dsl.Arm(formula.P("A"), dsl.TermReconsider, dsl.Retract{Prop: dsl.PR("A")}, dsl.Assert{Prop: dsl.PR("B")}),
+				dsl.Arm(formula.P("B"), dsl.TermReconsider, dsl.Retract{Prop: dsl.PR("B")}, dsl.Assert{Prop: dsl.PR("A")}),
+			},
+			Otherwise: []dsl.Expr{dsl.Skip{}},
+		},
+	))
+	p.Instance("i", "t")
+	p.SetMain(dsl.Start{Instance: "i"})
+	s := mustSystem(t, p, Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("case exceeded %d reconsider/next rounds", plan.ReconsiderLimit)
+	if err := s.Invoke(ctx, "i", "j"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

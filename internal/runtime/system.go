@@ -259,15 +259,15 @@ func (s *System) RunMain(ctx context.Context) error {
 }
 
 // execMain interprets the restricted statement forms allowed in main.
-func (s *System) execMain(ctx context.Context, e dsl.Expr) (signal, error) {
+func (s *System) execMain(ctx context.Context, e dsl.Expr) (plan.Signal, error) {
 	switch n := e.(type) {
 	case dsl.Seq:
 		for _, c := range n {
-			if sig, err := s.execMain(ctx, c); err != nil || sig != sigNone {
+			if sig, err := s.execMain(ctx, c); err != nil || sig != plan.SigNone {
 				return sig, err
 			}
 		}
-		return sigNone, nil
+		return plan.SigNone, nil
 	case dsl.Par:
 		var wg sync.WaitGroup
 		errs := make([]error, len(n))
@@ -282,15 +282,15 @@ func (s *System) execMain(ctx context.Context, e dsl.Expr) (signal, error) {
 		// All branch failures matter: a parallel start composition can fail
 		// several ways at once, and dropping all but the first hides them.
 		if err := errors.Join(errs...); err != nil {
-			return sigNone, err
+			return plan.SigNone, err
 		}
-		return sigNone, nil
+		return plan.SigNone, nil
 	case dsl.Start:
-		return sigNone, s.StartInstance(n.Instance, n.Args)
+		return plan.SigNone, s.StartInstance(n.Instance, n.Args)
 	case dsl.Stop:
-		return sigNone, s.StopInstance(n.Instance)
+		return plan.SigNone, s.StopInstance(n.Instance)
 	case dsl.Skip:
-		return sigNone, nil
+		return plan.SigNone, nil
 	case dsl.Scope:
 		return s.execMain(ctx, dsl.Seq(n.Body))
 	case dsl.Otherwise:
@@ -302,11 +302,11 @@ func (s *System) execMain(ctx context.Context, e dsl.Expr) (signal, error) {
 		_, err := s.execMain(sub, n.Try)
 		cancel()
 		if err == nil {
-			return sigNone, nil
+			return plan.SigNone, nil
 		}
 		return s.execMain(ctx, n.Handler)
 	default:
-		return sigNone, fmt.Errorf("runtime: statement %s not allowed in main", e)
+		return plan.SigNone, fmt.Errorf("runtime: statement %s not allowed in main", e)
 	}
 }
 
