@@ -191,3 +191,49 @@ func BenchmarkCheckCatalogue(b *testing.B) {
 	}
 	b.ReportMetric(float64(states)/float64(b.N), "states/op")
 }
+
+// TestTxnRollbackSparesSiblingArmInTheModel: a failing transaction restores
+// what the runtime restores — the write-set of the steps it started — so the
+// sibling arm's committed Y survives the rollback, in the model as on the
+// real runtime, and Done never holds without Y.
+func TestTxnRollbackSparesSiblingArmInTheModel(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("T").Junction("j", dsl.Def(
+		dsl.Decls(
+			dsl.InitProp{Name: "X", Init: false},
+			dsl.InitProp{Name: "Y", Init: false},
+			dsl.InitProp{Name: "Z", Init: false},
+			dsl.InitProp{Name: "Done", Init: false},
+		),
+		dsl.Otherwise{
+			Try: dsl.Par{
+				dsl.Txn{Body: []dsl.Expr{
+					dsl.Assert{Prop: dsl.PR("X")},
+					dsl.Wait{Cond: formula.P("Z")},
+					dsl.Verify{Cond: formula.FalseF{}},
+				}},
+				dsl.Seq{
+					dsl.Wait{Cond: formula.P("X")},
+					dsl.Assert{Prop: dsl.PR("Y")},
+					dsl.Assert{Prop: dsl.PR("Z")},
+				},
+			},
+			Handler: dsl.Assert{Prop: dsl.PR("Done")},
+		},
+	))
+	p.Instance("i", "T")
+	p.SetMain(dsl.Start{Instance: "i"})
+	p.Invariant("done-implies-y", formula.Implies(formula.At("i::j", "Done"), formula.At("i::j", "Y")))
+
+	res := mustCheck(t, p, check.Options{})
+	if v := findViolation(res, check.Invariant); v != nil {
+		rr, err := check.Replay(p, *v, check.ReplayOptions{})
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		t.Fatalf("%v (replay on the runtime: confirmed=%v, %s)", v, rr.Confirmed, rr.Detail)
+	}
+	if res.Truncated {
+		t.Fatalf("small program truncated (states=%d)", res.States)
+	}
+}
