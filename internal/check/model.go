@@ -16,7 +16,9 @@ import (
 // propositions, ternary presence for named data, concrete idx/subset
 // assignments, and the pending queue collapsed to last-writer-wins per key
 // (sound for the convergent table: ApplyPending applies in arrival order, so
-// only the last value per key survives).
+// only the last value per key survives). kv.Table coalesces the same way,
+// but only a run of adjacent same-key updates; the model's per-key collapse
+// is the coarser abstraction of that queue.
 type jstate struct {
 	props map[string]bool
 	data  map[string]bool // defined?

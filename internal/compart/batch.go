@@ -146,11 +146,13 @@ func DecodeBatch(payload []byte) ([]Message, error) {
 }
 
 // decodeBatch is DecodeBatch with an optional intern cache for the inner
-// messages' From/To/Key strings. With alias set the inner payloads point into
-// the envelope buffer instead of being copied out — only valid when the
-// caller owns the envelope and never rewrites its memory (Server.serveConn
-// reads each frame into a fresh buffer; Network.Send holds a message its
-// caller handed over).
+// messages' From/To/Key strings. A member whose From, To or Key spells its
+// predecessor's takes the predecessor's string, so a group — one sender, one
+// destination, often one key — resolves its addresses once, not per member.
+// With alias set the inner payloads point into the envelope buffer instead of
+// being copied out — only valid when the caller owns the envelope and never
+// rewrites its memory (Server.serveConn reads each frame into a fresh buffer;
+// Network.Send holds a message its caller handed over).
 func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("compart: truncated batch count")
@@ -170,7 +172,11 @@ func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
 		if uint64(n) > uint64(len(rest)) {
 			return nil, fmt.Errorf("compart: batch entry %d of %d bytes but %d remain", i, n, len(rest))
 		}
-		m, err := decodeMessageIn(rest[:n], si, alias)
+		var prev Message
+		if len(msgs) > 0 {
+			prev = msgs[len(msgs)-1]
+		}
+		m, err := decodeMessageIn(rest[:n], si, prev, alias)
 		if err != nil {
 			return nil, fmt.Errorf("compart: batch entry %d: %w", i, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestBatchEnvelopeRoundTrip pins the envelope wire format: N encoded frames
@@ -211,6 +212,58 @@ func TestInternDecodeAliasesAndDedups(t *testing.T) {
 	}
 	if !bytes.Equal(pp, plain[0].Payload) {
 		t.Fatal("DecodeBatch aliased the envelope buffer")
+	}
+}
+
+// TestDecodeBatchReusesRepeatedAddresses: a member whose From, To or Key
+// spells its predecessor's shares the predecessor's string — no intern lookup,
+// no allocation — and a field that differs is decoded afresh.
+func TestDecodeBatchReusesRepeatedAddresses(t *testing.T) {
+	var bodies [][]byte
+	for _, m := range []Message{
+		{From: "a::j", To: "b::k", Key: "U", Kind: KindProp},
+		{From: "a::j", To: "b::k", Key: "U", Kind: KindProp, Flag: true},
+		{From: "a::j", To: "b::k", Key: "V", Kind: KindProp},
+		{From: "c::j", To: "b::k", Key: "V", Kind: KindProp},
+	} {
+		body, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	payloadOf := func(bodies [][]byte) []byte {
+		env, err := DecodeMessage(appendBatchEnvelope(nil, bodies))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.Payload
+	}
+	inner, err := DecodeBatch(payloadOf(bodies))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	if !same(inner[1].From, inner[0].From) || !same(inner[1].To, inner[0].To) || !same(inner[1].Key, inner[0].Key) {
+		t.Fatal("a repeated member decoded its addresses afresh")
+	}
+	if inner[2].Key != "V" || same(inner[2].Key, inner[1].Key) || !same(inner[2].From, inner[1].From) {
+		t.Fatalf("member 2 = %+v: a changed key must be decoded, the repeated sender shared", inner[2])
+	}
+	if inner[3].From != "c::j" || !same(inner[3].Key, inner[2].Key) || !same(inner[3].To, inner[0].To) {
+		t.Fatalf("member 3 = %+v: a changed sender must be decoded, the repeated key and destination shared", inner[3])
+	}
+	// Without an intern cache, 64 identical members allocate what one does:
+	// the member slice and the first member's three strings.
+	one := payloadOf(bodies[:1])
+	repeated := make([][]byte, 64)
+	for i := range repeated {
+		repeated[i] = bodies[0]
+	}
+	same64 := payloadOf(repeated)
+	base := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(one, nil, true) })
+	if n := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(same64, nil, true) }); n != base {
+		t.Fatalf("decoding 64 identical members allocates %v times, one member %v", n, base)
 	}
 }
 

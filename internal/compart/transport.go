@@ -94,14 +94,15 @@ func frameSize(m Message) int {
 
 // DecodeMessage parses a frame produced by EncodeMessage.
 func DecodeMessage(buf []byte) (Message, error) {
-	return decodeMessageIn(buf, nil, false)
+	return decodeMessageIn(buf, nil, Message{}, false)
 }
 
-// decodeMessageIn parses one frame. si (optional) interns the three address
-// strings; aliasPayload skips the payload copy, valid only when buf outlives
-// the message and is never rewritten (batch interiors inside a
-// fresh-per-frame read buffer).
-func decodeMessageIn(buf []byte, si strIntern, aliasPayload bool) (Message, error) {
+// decodeMessageIn parses one frame. An address string that spells prev's (a
+// batch's previous member; the zero Message when there is none) is prev's
+// string; si (optional) interns the others. aliasPayload skips the payload
+// copy, valid only when buf outlives the message and is never rewritten
+// (batch interiors inside a fresh-per-frame read buffer).
+func decodeMessageIn(buf []byte, si strIntern, prev Message, aliasPayload bool) (Message, error) {
 	var m Message
 	if len(buf) < 2 {
 		return m, fmt.Errorf("compart: short frame (%d bytes)", len(buf))
@@ -110,13 +111,13 @@ func decodeMessageIn(buf []byte, si strIntern, aliasPayload bool) (Message, erro
 	m.Flag = buf[1] == 1
 	rest := buf[2:]
 	var err error
-	if m.From, rest, err = takeStrIn(rest, si); err != nil {
+	if m.From, rest, err = takeStrIn(rest, si, prev.From); err != nil {
 		return m, err
 	}
-	if m.To, rest, err = takeStrIn(rest, si); err != nil {
+	if m.To, rest, err = takeStrIn(rest, si, prev.To); err != nil {
 		return m, err
 	}
-	if m.Key, rest, err = takeStrIn(rest, si); err != nil {
+	if m.Key, rest, err = takeStrIn(rest, si, prev.Key); err != nil {
 		return m, err
 	}
 	if len(rest) < 4 {
@@ -168,7 +169,9 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func takeStrIn(buf []byte, si strIntern) (string, []byte, error) {
+// takeStrIn reads one length-prefixed string: prev when the bytes spell it
+// (comparing allocates nothing), else an interned or fresh string.
+func takeStrIn(buf []byte, si strIntern, prev string) (string, []byte, error) {
 	if len(buf) < 2 {
 		return "", nil, fmt.Errorf("compart: truncated string length")
 	}
@@ -176,6 +179,9 @@ func takeStrIn(buf []byte, si strIntern) (string, []byte, error) {
 	buf = buf[2:]
 	if len(buf) < n {
 		return "", nil, fmt.Errorf("compart: truncated string body")
+	}
+	if string(buf[:n]) == prev {
+		return prev, buf[n:], nil
 	}
 	if si != nil {
 		return si.get(buf[:n]), buf[n:], nil
@@ -322,7 +328,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// body is this frame's own buffer, so the payload (an envelope's whole
 		// interior) stays in place instead of being copied out.
-		msg, err := decodeMessageIn(body, nil, true)
+		msg, err := decodeMessageIn(body, nil, Message{}, true)
 		if err != nil {
 			// The frame body is garbage but the outer length prefix kept
 			// the stream in sync: count it and keep draining.

@@ -105,8 +105,10 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 				t.Errorf("round %d: a bound write woke another key's subscriber", i)
 			}
 
-			// Swap and undo, with a later arrival that must stay behind.
+			// Swap and undo, with a later arrival that must stay behind. Quiet's
+			// update keeps early and mid two queue entries.
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Mine", Bool: true, From: "early"})
+			tb.Enqueue(Update{Kind: UpdateProp, Key: "Quiet", Bool: false, From: "between"})
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Mine", Bool: false, From: "mid"})
 			undo := mine.Swap(!v)
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Mine", Bool: true, From: "late"})

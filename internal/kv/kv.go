@@ -47,6 +47,7 @@ type Update struct {
 	Kind UpdateKind
 	Key  string
 	Bool bool   // proposition value for UpdateProp
+	n    uint32 // queued: how many delivered updates the entry stands for
 	Data []byte // serialized payload for UpdateData
 	From string // fully-qualified name of the originating junction
 	seq  uint64 // arrival order
@@ -594,15 +595,36 @@ func (t *Table) dropPendingLocked(kind UpdateKind, name string, dropped *[]Updat
 	t.pending = kept
 }
 
-// deliverLocked gives one remote update its arrival number and applies it, if
-// a blocked wait admits its key, or queues it. It returns the cell to wake;
-// nil for a name the table does not declare, which nobody can be waiting on.
-func (t *Table) deliverLocked(u Update) *cell {
-	u.seq = t.nextSeq
-	t.nextSeq++
+// deliverLocked delivers a run of n updates to one key, u the last of them:
+// the run takes n arrival numbers, and u, whose value is the one the run
+// leaves, is applied if a blocked wait admits its key, or queued. Queued, it
+// coalesces: when the queue's last entry is for the same key, u replaces it —
+// value, sender and arrival number — and the entry stands for the deliveries
+// of both. Only that adjacent entry merges, so an interleaving of keys stays
+// in the queue as it arrived.
+//
+// Coalescing is sound because the queue means, per key, only whether the key
+// has entries and what its last one holds: a drain applies every entry under
+// t.mu, leaving each key its last entry's value; a local write, keep or
+// admitting wait takes all of one key's entries; an undo puts a key's
+// discarded entries back by arrival number, behind none that arrived later.
+// Replacing a key's last entry with a later update to the key changes
+// neither, for any key, and no other junction reads the queue itself.
+//
+// It returns the cell to wake; nil for a name the table does not declare,
+// which nobody can be waiting on.
+func (t *Table) deliverLocked(u Update, n int) *cell {
+	t.nextSeq += uint64(n)
+	u.seq = t.nextSeq - 1
+	u.n = uint32(n)
 	c := t.index(u.Kind)[u.Key]
 	if c != nil && t.admittedLocked(c) {
 		c.storeLocked(u)
+		return c
+	}
+	if last := len(t.pending) - 1; last >= 0 && t.pending[last].Kind == u.Kind && t.pending[last].Key == u.Key {
+		u.n += t.pending[last].n
+		t.pending[last] = u
 	} else {
 		t.pending = append(t.pending, u)
 	}
@@ -617,24 +639,22 @@ func (t *Table) deliverLocked(u Update) *cell {
 // re-evaluate (which is what triggers that scheduling).
 func (t *Table) Enqueue(u Update) {
 	t.mu.Lock()
-	if c := t.deliverLocked(u); c != nil {
+	if c := t.deliverLocked(u, 1); c != nil {
 		t.wakeLocked(c)
 	}
 	t.mu.Unlock()
 }
 
 // EnqueueBatch delivers a group of remote updates that arrived together (one
-// decoded transport batch) under a single lock acquisition. Each update is
-// admitted or queued exactly as Enqueue would, in slice order, but keyed
-// subscribers are woken once per distinct key instead of once per update — the
-// subscription-wake sweep cost of absorbing a batch is bounded by its key set,
-// not its length.
+// decoded transport batch) under a single lock acquisition. The updates are
+// admitted or queued exactly as Enqueue would, in slice order, but per run of
+// same-key updates: the run's key is resolved once and only its last update,
+// the one whose value the run leaves, is stored or queued. Keyed subscribers
+// are woken once per distinct key instead of once per update — the
+// subscription-wake sweep cost of absorbing a batch is bounded by its key
+// set, not its length.
 func (t *Table) EnqueueBatch(us []Update) {
-	switch len(us) {
-	case 0:
-		return
-	case 1:
-		t.Enqueue(us[0])
+	if len(us) == 0 {
 		return
 	}
 	// Distinct keys in first-appearance order. A group rarely names more than
@@ -645,8 +665,13 @@ func (t *Table) EnqueueBatch(us []Update) {
 	distinct := few[:0]
 	var seen map[*cell]struct{}
 	t.mu.Lock()
-	for _, u := range us {
-		k := t.deliverLocked(u)
+	for len(us) > 0 {
+		run := 1
+		for run < len(us) && us[run].Kind == us[0].Kind && us[run].Key == us[0].Key {
+			run++
+		}
+		k := t.deliverLocked(us[run-1], run)
+		us = us[run:]
 		if k == nil {
 			continue
 		}
@@ -681,19 +706,21 @@ func (t *Table) applyLocked(u Update) {
 	}
 }
 
-// ApplyPending applies all queued updates in arrival order. The runtime
-// calls it when the junction is scheduled (paper §8: updates "take effect
-// after the junction finishes executing, and before it is scheduled to
-// execute again").
+// ApplyPending applies all queued updates in arrival order and returns how
+// many delivered updates it absorbed (a coalesced entry counts every delivery
+// it stands for). The runtime calls it when the junction is scheduled (paper
+// §8: updates "take effect after the junction finishes executing, and before
+// it is scheduled to execute again").
 func (t *Table) ApplyPending() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := len(t.pending)
-	if n == 0 {
+	if len(t.pending) == 0 {
 		return 0
 	}
+	n := 0
 	for _, u := range t.pending {
 		t.applyLocked(u)
+		n += int(u.n)
 	}
 	// The queue keeps its backing array (emptied, so no payload stays
 	// reachable through it): a junction that absorbs a few updates per
@@ -714,7 +741,8 @@ func (t *Table) ApplyPending() int {
 // few delivery groups' worth of updates.
 const keepPending = 256
 
-// PendingLen reports how many updates are queued.
+// PendingLen reports how many entries the queue holds; a run of same-key
+// updates is one entry.
 func (t *Table) PendingLen() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -375,23 +375,108 @@ func TestRandomizedLocalPriorityProperty(t *testing.T) {
 
 // TestEnqueueBatchOrderPreserved checks that a delivered transport batch is
 // absorbed in slice order and sequenced against surrounding single Enqueues:
-// at ApplyPending the last write in arrival order wins.
+// at ApplyPending the last write in arrival order wins. Updates to a second
+// key alternate with n's, so no two adjacent arrivals share a queue entry and
+// the queue shows every one of them in arrival order.
 func TestEnqueueBatchOrderPreserved(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareData("n")
-	tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte("pre")})
+	tb.DeclareData("m")
+	tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte("pre"), From: "pre"})
 	tb.EnqueueBatch([]Update{
-		{Kind: UpdateData, Key: "n", Data: []byte("first")},
-		{Kind: UpdateData, Key: "n", Data: []byte("second")},
+		{Kind: UpdateData, Key: "m", Data: []byte("m1"), From: "m1"},
+		{Kind: UpdateData, Key: "n", Data: []byte("first"), From: "first"},
+		{Kind: UpdateData, Key: "m", Data: []byte("m2"), From: "m2"},
+		{Kind: UpdateData, Key: "n", Data: []byte("second"), From: "second"},
 	})
-	tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte("post")})
-	if tb.PendingLen() != 4 {
-		t.Fatalf("PendingLen = %d, want 4", tb.PendingLen())
+	tb.Enqueue(Update{Kind: UpdateData, Key: "m", Data: []byte("m3"), From: "m3"})
+	tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte("post"), From: "post"})
+	var order []string
+	for _, u := range tb.pending {
+		order = append(order, u.From)
 	}
-	tb.ApplyPending()
+	if got := fmt.Sprint(order); got != "[pre m1 first m2 second m3 post]" {
+		t.Fatalf("queue = %s, want every arrival in order [pre m1 first m2 second m3 post]", got)
+	}
+	if n := tb.ApplyPending(); n != 7 {
+		t.Fatalf("ApplyPending = %d, want 7", n)
+	}
 	got, _ := tb.Data("n")
 	if string(got) != "post" {
 		t.Fatalf("batch broke arrival order: n = %q, want post", got)
+	}
+	if got, _ := tb.Data("m"); string(got) != "m3" {
+		t.Fatalf("batch broke arrival order: m = %q, want m3", got)
+	}
+}
+
+// TestSameKeyRunQueuesOneEntry: a run of updates to one key that no wait
+// admits is one queue entry holding the run's last update, whether the run
+// arrives as one batch or update by update, and a drain still counts every
+// delivery. Only adjacent updates merge: U, V, U stays three entries. An
+// update a blocked wait admits is applied at delivery and merges with
+// nothing.
+func TestSameKeyRunQueuesOneEntry(t *testing.T) {
+	tb := NewTable()
+	tb.DeclareProp("U", false)
+	tb.DeclareProp("V", false)
+	const width = 96
+	run := make([]Update, width)
+	for i := range run {
+		run[i] = Update{Kind: UpdateProp, Key: "U", Bool: i%2 == 0, From: fmt.Sprintf("b%d", i)}
+	}
+	tb.EnqueueBatch(run)
+	if len(tb.pending) != 1 || tb.pending[0].From != fmt.Sprintf("b%d", width-1) {
+		t.Fatalf("after the batch: queue = %+v, want one entry holding b%d", tb.pending, width-1)
+	}
+	for i := 0; i < width; i++ {
+		tb.Enqueue(Update{Kind: UpdateProp, Key: "U", Bool: i%2 == 1, From: fmt.Sprintf("s%d", i)})
+		if tb.PendingLen() != 1 {
+			t.Fatalf("after %d single updates: %d entries queued, want 1", i+1, tb.PendingLen())
+		}
+	}
+	if u := tb.pending[0]; u.From != fmt.Sprintf("s%d", width-1) || !u.Bool {
+		t.Fatalf("the entry holds %+v, want the last update s%d", u, width-1)
+	}
+	if n := tb.ApplyPending(); n != 2*width {
+		t.Fatalf("ApplyPending = %d, want %d delivered updates", n, 2*width)
+	}
+	if v, _ := tb.Prop("U"); !v {
+		t.Fatal("U = false: the last update did not win")
+	}
+
+	tb.EnqueueBatch([]Update{
+		{Kind: UpdateProp, Key: "U", Bool: false, From: "u1"},
+		{Kind: UpdateProp, Key: "V", Bool: true, From: "v"},
+	})
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "U", Bool: true, From: "u2"})
+	var order []string
+	for _, u := range tb.pending {
+		order = append(order, u.From)
+	}
+	if fmt.Sprint(order) != "[u1 v u2]" {
+		t.Fatalf("queue = %v, want [u1 v u2]", order)
+	}
+	if n := tb.ApplyPending(); n != 3 {
+		t.Fatalf("ApplyPending = %d, want 3", n)
+	}
+
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "V", Bool: false, From: "v"})
+	h := tb.BeginWait(NewWaitSet(formula.P("U"), nil))
+	tb.EnqueueBatch([]Update{
+		{Kind: UpdateProp, Key: "U", Bool: false, From: "w1"},
+		{Kind: UpdateProp, Key: "U", Bool: true, From: "w2"},
+	})
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "U", Bool: false, From: "w3"})
+	if v, _ := tb.Prop("U"); v {
+		t.Fatal("an update the wait admits was not applied at delivery")
+	}
+	if len(tb.pending) != 1 || tb.pending[0].From != "v" || tb.pending[0].n != 1 {
+		t.Fatalf("queue = %+v, want only V's entry, standing for one delivery", tb.pending)
+	}
+	tb.EndWait(h)
+	if n := tb.ApplyPending(); n != 1 {
+		t.Fatalf("ApplyPending = %d, want 1: admitted updates were never queued", n)
 	}
 }
 
@@ -536,12 +621,15 @@ func TestEnqueueBatchManyDistinctKeys(t *testing.T) {
 
 // TestApplyPendingKeepsQueueStorage: draining the queue empties it without
 // giving its backing array away, and leaves no payload reachable through it;
-// only the array of a long backlog is released.
+// only the array of a long backlog is released. The updates alternate between
+// two keys, so each is a queue entry of its own.
 func TestApplyPendingKeepsQueueStorage(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareData("n")
+	tb.DeclareData("m")
+	key := func(i int) string { return []string{"m", "n"}[i%2] }
 	for i := 0; i < 64; i++ {
-		tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte{byte(i)}})
+		tb.Enqueue(Update{Kind: UpdateData, Key: key(i), Data: []byte{byte(i)}})
 	}
 	if n := tb.ApplyPending(); n != 64 {
 		t.Fatalf("applied %d, want 64", n)
@@ -558,7 +646,7 @@ func TestApplyPendingKeepsQueueStorage(t *testing.T) {
 		t.Fatalf("n = %v, want the last enqueued value", d)
 	}
 	for i := 0; i < 4*keepPending; i++ {
-		tb.Enqueue(Update{Kind: UpdateData, Key: "n", Data: []byte{byte(i)}})
+		tb.Enqueue(Update{Kind: UpdateData, Key: key(i), Data: []byte{byte(i)}})
 	}
 	tb.ApplyPending()
 	if cap(tb.pending) != 0 {

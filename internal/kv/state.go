@@ -13,6 +13,11 @@ type TableState struct {
 	Props   map[string]bool
 	Data    map[string]Value
 	Pending []Update
+
+	// next is the arrival number the table's next delivery was to take when
+	// the state was exported (not encoded): PendingSince finds what arrived
+	// after the export by it.
+	next uint64
 }
 
 // SnapshotAll deep-copies the complete table state for transfer. The copy
@@ -25,6 +30,7 @@ func (t *Table) SnapshotAll() TableState {
 		Props:   make(map[string]bool, len(t.props)),
 		Data:    make(map[string]Value, len(t.data)),
 		Pending: make([]Update, 0, len(t.pending)),
+		next:    t.nextSeq,
 	}
 	for k, c := range t.props {
 		st.Props[k] = c.b.Load()
@@ -42,6 +48,26 @@ func (t *Table) SnapshotAll() TableState {
 	return st
 }
 
+// PendingSince returns the queued updates that arrived after st was exported
+// from this table, in arrival order: the tail of the queue that st does not
+// hold. An update that coalesced into an entry st does hold carries its own
+// arrival number into that entry, so it is found too. The result is exact
+// only while nothing has drained, kept or locally overwritten the queue since
+// the export — the migration quiesce holding the junction's schedMu
+// guarantees that.
+func (t *Table) PendingSince(st TableState) []Update {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i := len(t.pending)
+	for i > 0 && t.pending[i-1].seq >= st.next {
+		i--
+	}
+	if i == len(t.pending) {
+		return nil
+	}
+	return append([]Update(nil), t.pending[i:]...)
+}
+
 // RestoreAll installs an exported state: every value st carries and the
 // pending queue come from st. It is meant for a freshly built table on the
 // migration destination — installed state replaces the declaration-time
@@ -51,7 +77,8 @@ func (t *Table) SnapshotAll() TableState {
 // the installed values; a name st carries and the table lacks is declared; a
 // declared name st does not carry keeps its value, the key set being fixed by
 // the declarations. Waiters and subscriptions survive, and every subscriber is
-// woken since any key may have changed.
+// woken since any key may have changed. Each installed queue entry counts as
+// one delivered update.
 func (t *Table) RestoreAll(st TableState) {
 	t.mu.Lock()
 	for k, v := range st.Props {
@@ -66,6 +93,7 @@ func (t *Table) RestoreAll(st TableState) {
 			u.Data = append([]byte(nil), u.Data...)
 		}
 		u.seq = t.nextSeq
+		u.n = 1
 		t.nextSeq++
 		t.pending = append(t.pending, u)
 	}

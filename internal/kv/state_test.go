@@ -58,6 +58,47 @@ func TestSnapshotAllRestoreAllRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPendingSinceFindsCoalescedTail: an update that arrives after the
+// export and coalesces into the entry the export ended with leaves the
+// queue's length alone, yet is late, and must reach a table restored from
+// the export; so must a late update to another key.
+func TestPendingSinceFindsCoalescedTail(t *testing.T) {
+	src := NewTable()
+	src.DeclareProp("U", false)
+	src.DeclareProp("V", false)
+	src.Enqueue(Update{Kind: UpdateProp, Key: "U", Bool: true, From: "a"})
+	src.Enqueue(Update{Kind: UpdateProp, Key: "V", Bool: true, From: "b"})
+	src.Enqueue(Update{Kind: UpdateProp, Key: "U", Bool: true, From: "c"})
+	st := src.SnapshotAll()
+	if late := src.PendingSince(st); late != nil {
+		t.Fatalf("nothing arrived since the export, PendingSince = %v", late)
+	}
+	src.Enqueue(Update{Kind: UpdateProp, Key: "U", Bool: false, From: "late"})
+	if n := src.PendingLen(); n != len(st.Pending) {
+		t.Fatalf("pending = %d, want %d: the late update coalesces into the last entry", n, len(st.Pending))
+	}
+	late := src.PendingSince(st)
+	if len(late) != 1 || late[0].From != "late" || late[0].Bool {
+		t.Fatalf("PendingSince = %+v, want the coalesced late retract of U", late)
+	}
+	src.Enqueue(Update{Kind: UpdateProp, Key: "V", Bool: false, From: "later"})
+	if late = src.PendingSince(st); len(late) != 2 || late[1].From != "later" {
+		t.Fatalf("PendingSince = %+v, want the retracts of U and V", late)
+	}
+
+	dst := NewTable()
+	dst.DeclareProp("U", false)
+	dst.DeclareProp("V", false)
+	dst.RestoreAll(st)
+	dst.EnqueueBatch(late)
+	dst.ApplyPending()
+	for _, p := range []string{"U", "V"} {
+		if v, _ := dst.Prop(p); v {
+			t.Fatalf("%s = true on the restored table: a late retract was lost", p)
+		}
+	}
+}
+
 // TestSnapshotAllIsDeepCopy checks the export shares no memory with the
 // live table: post-snapshot mutations must not leak into the state.
 func TestSnapshotAllIsDeepCopy(t *testing.T) {

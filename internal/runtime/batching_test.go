@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -220,6 +221,54 @@ func TestMalformedAckFrames(t *testing.T) {
 	if n := s.pendingAcks(from, to); n != 0 {
 		t.Fatalf("%d acks pending after the par completed", n)
 	}
+}
+
+// TestHandleBatchAcksEachSenderOnce: a delivery group whose senders
+// interleave is absorbed run by run — a's updates, b's, then a's again, one
+// of them out of order — and still acknowledges each sender with one frame,
+// in first-appearance order, carrying its cumulative frontier and its
+// out-of-order extra. A member too short to carry a sequence is neither
+// queued nor acknowledged, and a sender with only such members gets no ack.
+func TestHandleBatchAcksEachSenderOnce(t *testing.T) {
+	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
+	defer s.Close()
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var acks []string
+	for _, from := range []string{"a::j", "b::j", "c::j"} {
+		s.Net().Register(from, func(m compart.Message) {
+			acks = append(acks, fmt.Sprintf("%s%v", m.To, ackSeqs(m.Payload)))
+		})
+	}
+	upd := func(from, key string, seq uint64) compart.Message {
+		return compart.Message{From: from, To: "g1::j", Kind: compart.KindProp, Key: key, Flag: true,
+			Payload: binary.BigEndian.AppendUint64(nil, seq)}
+	}
+	short := compart.Message{From: "c::j", To: "g1::j", Kind: compart.KindProp, Key: "U", Payload: []byte{1}}
+	sink := s.junctionQuiet("g1", "j")
+	sink.handleBatch([]compart.Message{
+		upd("a::j", "U", 1), upd("a::j", "W", 2), upd("b::j", "U", 1), short,
+		upd("a::j", "U", 4), upd("a::j", "U", 3),
+	})
+	if got := fmt.Sprint(acks); got != "[a::j[4 4] b::j[1]]" {
+		t.Fatalf("acks %s, want one per sender: a::j up to 4 with 4 as an extra, b::j up to 1", got)
+	}
+	if n := sink.met.RemoteQueued.Load(); n != 5 {
+		t.Fatalf("RemoteQueued = %d, want 5", n)
+	}
+	if n := sink.Table().ApplyPending(); n != 5 {
+		t.Fatalf("the sink absorbed %d updates, want 5", n)
+	}
+}
+
+// ackSeqs decodes an ack payload into its frontier and extras.
+func ackSeqs(p []byte) []uint64 {
+	var out []uint64
+	for ; len(p) >= 8; p = p[8:] {
+		out = append(out, binary.BigEndian.Uint64(p))
+	}
+	return out
 }
 
 // TestParArmFIFOTortureOverTCP is the ordering torture test: eight source

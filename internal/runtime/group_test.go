@@ -409,12 +409,14 @@ func TestRangeWaiterCreditsEachSequenceOnce(t *testing.T) {
 // TestMigrateSinkBetweenGroups: the sink moves to another location between
 // two firings of the same par. The pair's window and sequence space live
 // with the sender, so the second group continues where the first stopped,
-// crosses the new uplink as one envelope, and is acknowledged from there.
+// crosses the new uplink as one envelope, and is acknowledged from there. The
+// arms alternate between two propositions, so every update is a queue entry
+// of its own and the migrated queue's length counts them all.
 func TestMigrateSinkBetweenGroups(t *testing.T) {
 	const width = 12
 	arms := make(dsl.Par, width)
 	for i := range arms {
-		arms[i] = dsl.Assert{Target: g(1), Prop: dsl.PR("U")}
+		arms[i] = dsl.Assert{Target: g(1), Prop: dsl.PR([]string{"U", "W"}[i%2])}
 	}
 	netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
 	defer netA.Close()
@@ -508,5 +510,45 @@ func TestInProcessLocationsCarryEnvelopes(t *testing.T) {
 		if st := dep.Net(loc).Stats(); !st.Conserved() {
 			t.Fatalf("location %s counters not conserved: %+v", loc, st)
 		}
+	}
+}
+
+// TestUnscheduledSinkQueueStaysBounded: a sink that is never scheduled while
+// 50 firings of a 96-arm par land on it keeps one queue entry, not 4800 — the
+// same-key run of every group coalesces into the entry the one before left —
+// yet counts every delivery: queued at arrival, and applied by the one
+// scheduling that drains the queue, even though its guard refuses.
+func TestUnscheduledSinkQueueStaysBounded(t *testing.T) {
+	const width, firings = 96, 50
+	arms := make(dsl.Par, width)
+	for i := range arms {
+		arms[i] = dsl.Assert{Target: g(1), Prop: dsl.PR("U")}
+	}
+	s := mustSystem(t, groupProgram(nil, arms), Options{AckTimeout: 5 * time.Second, DisableDrivers: true})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < firings; i++ {
+		if err := s.Invoke(ctx, "f", "j"); err != nil {
+			t.Fatalf("firing %d: %v", i, err)
+		}
+	}
+	sink := s.junctionQuiet("g1", "j")
+	if n := sink.Table().PendingLen(); n != 1 {
+		t.Fatalf("the unscheduled sink queues %d entries, want 1", n)
+	}
+	if n := sink.met.RemoteQueued.Load(); n != width*firings {
+		t.Fatalf("RemoteQueued = %d, want %d", n, width*firings)
+	}
+	if err := s.Invoke(ctx, "g1", "j"); !errors.Is(err, ErrNotSchedulable) {
+		t.Fatalf("scheduling the sink: %v, want ErrNotSchedulable", err)
+	}
+	if n := sink.met.RemoteApplied.Load(); n != width*firings {
+		t.Fatalf("RemoteApplied = %d after the drain, want %d", n, width*firings)
+	}
+	if v, _ := sink.Table().Prop("U"); !v || sink.Table().PendingLen() != 0 {
+		t.Fatalf("after the drain: U = %v with %d entries queued, want true and 0", v, sink.Table().PendingLen())
 	}
 }

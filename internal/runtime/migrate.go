@@ -35,8 +35,10 @@
 //
 // Updates delivered to the source after the snapshot but before the park
 // took effect are recovered by a delta pass at cutover: the old table's
-// pending queue is re-read and the tail beyond the snapshot is enqueued into
-// the new table, so an acknowledged update is never dropped.
+// pending entries whose arrival numbers are past the snapshot's mark (taken
+// with the snapshot, under the table lock) are enqueued into the new table,
+// so an acknowledged update is never dropped — not even one that coalesced
+// into the entry the snapshot ended with.
 package runtime
 
 import (
@@ -266,10 +268,8 @@ func (s *System) MigrateInstance(name, dest string) error {
 		parked[i] = srcNet.Park(j.FQName)
 	}
 	snaps := make([]junctionState, len(js))
-	snapLens := make([]int, len(js))
 	for i, j := range js {
 		snaps[i] = j.exportState()
-		snapLens[i] = len(snaps[i].Table.Pending)
 	}
 
 	abort := func(cause error) error {
@@ -360,12 +360,11 @@ drain:
 		// Delta pass: updates that slipped into the old table between the
 		// snapshot and the park taking effect (a zero-latency handler
 		// resolved before the park) were acknowledged to their senders and
-		// must not be lost. The old table only grows its pending queue while
-		// schedMu is held, so the tail beyond the snapshot is exactly the
-		// late arrivals.
-		if tail := j.table.SnapshotAll().Pending; len(tail) > snapLens[i] {
-			nj.table.EnqueueBatch(tail[snapLens[i]:])
-		}
+		// must not be lost. Nothing drains the old queue while schedMu is
+		// held, so the entries numbered past the snapshot's mark are exactly
+		// the late arrivals — including one that coalesced into the entry
+		// the snapshot ended with.
+		nj.table.EnqueueBatch(j.table.PendingSince(snaps[i].Table))
 		newJs[j.def.Name] = nj
 	}
 	// Destination handlers first, then the placement flip, then the parked

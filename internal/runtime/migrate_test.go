@@ -16,16 +16,20 @@ import (
 
 // migProgram: f pushes asserts at g::main, whose guard never fires so the
 // updates accumulate in the pending queue — observable state a migration
-// must carry. g also has an always-invokable tick junction for concurrent
-// workload tests, and an aux junction so multi-junction transfers and
-// mid-transfer aborts have something to fail on.
+// must carry. A push asserts two propositions, so each of its updates is a
+// queue entry of its own and the queue's length counts them. g also has an
+// always-invokable tick junction for concurrent workload tests, and an aux
+// junction so multi-junction transfers and mid-transfer aborts have something
+// to fail on.
 func migProgram() *dsl.Program {
 	p := dsl.NewProgram()
 	p.Type("srcT").Junction("push", dsl.Def(nil,
-		dsl.Assert{Target: dsl.J("g", "main"), Prop: dsl.PR("Work")}))
+		dsl.Assert{Target: dsl.J("g", "main"), Prop: dsl.PR("Work")},
+		dsl.Assert{Target: dsl.J("g", "main"), Prop: dsl.PR("Seen")}))
 	tg := p.Type("dstT")
 	tg.Junction("main", dsl.Def(
-		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitProp{Name: "Go", Init: false}),
+		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitProp{Name: "Seen", Init: false},
+			dsl.InitProp{Name: "Go", Init: false}),
 		dsl.Skip{},
 	).Guarded(formula.P("Go")))
 	tg.Junction("tick", dsl.Def(
@@ -38,6 +42,9 @@ func migProgram() *dsl.Program {
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
 	return p
 }
+
+// perPush is how many queue entries one push leaves at g::main.
+const perPush = 2
 
 func twoLocDeployment() (*Deployment, *compart.Network, *compart.Network) {
 	netA := compart.NewNetwork(1)
@@ -79,8 +86,8 @@ func TestMigrateMovesStateAndTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := jOld.Table().PendingLen(); n != before {
-		t.Fatalf("pre-migration pending = %d, want %d", n, before)
+	if n := jOld.Table().PendingLen(); n != perPush*before {
+		t.Fatalf("pre-migration pending = %d, want %d", n, perPush*before)
 	}
 
 	if err := s.MigrateInstance("g", "B"); err != nil {
@@ -96,8 +103,8 @@ func TestMigrateMovesStateAndTraffic(t *testing.T) {
 	if jNew == jOld {
 		t.Fatal("migration did not rebuild the junction")
 	}
-	if n := jNew.Table().PendingLen(); n != before {
-		t.Fatalf("post-migration pending = %d, want %d (acknowledged updates lost)", n, before)
+	if n := jNew.Table().PendingLen(); n != perPush*before {
+		t.Fatalf("post-migration pending = %d, want %d (acknowledged updates lost)", n, perPush*before)
 	}
 	if v, err := jNew.Table().Prop("Go"); err != nil || v {
 		t.Fatalf("prop Go = %v, %v after restore", v, err)
@@ -112,8 +119,8 @@ func TestMigrateMovesStateAndTraffic(t *testing.T) {
 			t.Fatalf("post-migration push %d: %v", i, err)
 		}
 	}
-	if n := jNew.Table().PendingLen(); n != before+after {
-		t.Fatalf("pending = %d after post-migration pushes, want %d", n, before+after)
+	if n := jNew.Table().PendingLen(); n != perPush*(before+after) {
+		t.Fatalf("pending = %d after post-migration pushes, want %d", n, perPush*(before+after))
 	}
 	if netB.Stats().Delivered <= bDeliveredBefore {
 		t.Fatal("post-migration updates never crossed to location B")
@@ -194,8 +201,8 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	if jAfter != jBefore {
 		t.Fatal("aborted migration replaced the junction")
 	}
-	if n := jAfter.Table().PendingLen(); n != 3 {
-		t.Fatalf("pending = %d after abort, want 3", n)
+	if n := jAfter.Table().PendingLen(); n != 3*perPush {
+		t.Fatalf("pending = %d after abort, want %d", n, 3*perPush)
 	}
 	s.stageMu.Lock()
 	staged := len(s.staged)
@@ -207,8 +214,8 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	if err := s.Invoke(ctx, "f", "push"); err != nil {
 		t.Fatalf("post-abort push: %v", err)
 	}
-	if n := jAfter.Table().PendingLen(); n != 4 {
-		t.Fatalf("pending = %d after post-abort push, want 4", n)
+	if n := jAfter.Table().PendingLen(); n != 4*perPush {
+		t.Fatalf("pending = %d after post-abort push, want %d", n, 4*perPush)
 	}
 	aborts := 0
 	for _, e := range ring.Events() {
@@ -218,6 +225,67 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	}
 	if aborts != 1 {
 		t.Fatalf("trace has %d migrate.abort events, want 1", aborts)
+	}
+}
+
+// TestMigrateDeltaCarriesCoalescedUpdate: an update that reaches the old
+// table after its snapshot — a handler resolved before the park — and
+// coalesces into the entry the snapshot ended with leaves the old queue's
+// length unchanged. The delta pass must still find it and carry it to the new
+// incarnation, whose drain then leaves the late value.
+func TestMigrateDeltaCarriesCoalescedUpdate(t *testing.T) {
+	dep, netA, netB := twoLocDeployment()
+	defer netA.Close()
+	defer netB.Close()
+	var jOld *Junction
+	late := false
+	dep.Connect("A", "B", func(m compart.Message) error {
+		// The transfer runs after the snapshot and before the cutover: the
+		// window a late delivery lands in.
+		if !late && m.Key == "state:"+jOld.FQName {
+			late = true
+			jOld.InjectProp("Seen", false)
+		}
+		return netB.Send(m)
+	})
+	// No drivers, as in TestMigrateMovesStateAndTraffic.
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 10 * time.Second, DisableDrivers: true})
+	defer s.Close()
+	for _, inst := range []string{"f", "g"} {
+		if err := s.StartInstance(inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		if err := s.Invoke(ctx, "f", "push"); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	var err error
+	if jOld, err = s.Junction("g", "main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MigrateInstance("g", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if !late {
+		t.Fatal("the transfer never crossed the uplink")
+	}
+	if n := jOld.Table().PendingLen(); n != 2*perPush {
+		t.Fatalf("old queue holds %d entries, want %d: the late retract was to coalesce into the last", n, 2*perPush)
+	}
+	jNew, err := s.Junction("g", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jNew.Table().ApplyPending()
+	if v, _ := jNew.Table().Prop("Seen"); v {
+		t.Fatal("Seen = true at the new incarnation: the late retract was lost at cutover")
+	}
+	if v, _ := jNew.Table().Prop("Work"); !v {
+		t.Fatal("Work = false at the new incarnation: the snapshot's queue was lost")
 	}
 }
 

@@ -1045,11 +1045,16 @@ type recvTrack struct {
 const maxRecvGap = 1024
 
 // noteDelivered records the arrival of per-pair sequence seq from a sender
-// and returns the ack to emit: the cumulative frontier, plus whether seq
-// landed out of order and must be acknowledged as a vectored extra.
+// and returns the ack to emit (recvTrack.deliver).
 func (j *Junction) noteDelivered(from string, seq uint64) (cum uint64, extra bool) {
 	j.recvMu.Lock()
 	defer j.recvMu.Unlock()
+	return j.recvTrackLocked(from).deliver(seq)
+}
+
+// recvTrackLocked returns the sender's delivery tracking, creating it on the
+// sender's first delivery. Callers hold recvMu.
+func (j *Junction) recvTrackLocked(from string) *recvTrack {
 	tr := j.recvFrom[from]
 	if tr == nil {
 		if j.recvFrom == nil {
@@ -1058,6 +1063,14 @@ func (j *Junction) noteDelivered(from string, seq uint64) (cum uint64, extra boo
 		tr = &recvTrack{}
 		j.recvFrom[from] = tr
 	}
+	return tr
+}
+
+// deliver records the arrival of per-pair sequence seq and returns the ack to
+// emit: the cumulative frontier, plus whether seq landed out of order and
+// must be acknowledged as a vectored extra. Callers hold the junction's
+// recvMu.
+func (tr *recvTrack) deliver(seq uint64) (cum uint64, extra bool) {
 	switch {
 	case seq <= tr.contig:
 		// Duplicate: re-acking the frontier is harmless.
@@ -1089,12 +1102,21 @@ func (j *Junction) noteDelivered(from string, seq uint64) (cum uint64, extra boo
 	return tr.contig, false
 }
 
+// updateSeq reads the per-pair sequence a prop/data message is prefixed
+// with; false for a payload too short to hold one.
+func updateSeq(m compart.Message) (uint64, bool) {
+	if len(m.Payload) < 8 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(m.Payload), true
+}
+
 // decodeUpdate parses a seq-prefixed prop/data message into a KV update.
 func decodeUpdate(m compart.Message) (kv.Update, uint64, bool) {
-	if len(m.Payload) < 8 {
+	seq, ok := updateSeq(m)
+	if !ok {
 		return kv.Update{}, 0, false
 	}
-	seq := binary.BigEndian.Uint64(m.Payload)
 	u := kv.Update{Key: m.Key, From: m.From}
 	if m.Kind == compart.KindProp {
 		u.Kind = kv.UpdateProp
@@ -1171,6 +1193,22 @@ type pairAck struct {
 	extras []uint64
 }
 
+// ackSlot returns the index of from's ack in acks, appending one for a sender
+// not seen before.
+func ackSlot(acks []pairAck, from string) ([]pairAck, int) {
+	for a := range acks {
+		if acks[a].from == from {
+			return acks, a
+		}
+	}
+	return append(acks, pairAck{from: from}), len(acks)
+}
+
+// isUpdate reports whether a message carries a remote KV update.
+func isUpdate(m compart.Message) bool {
+	return m.Kind == compart.KindProp || m.Kind == compart.KindData
+}
+
 // handleBatch absorbs a delivery group — the messages of one decoded
 // KindBatch envelope addressed to this junction — with one KV lock
 // acquisition (kv.EnqueueBatch) and one ack frame per sender: the batched
@@ -1189,34 +1227,54 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 	// is deterministic.
 	var ackBuf [2]pairAck
 	acks := ackBuf[:0]
-	for _, m := range msgs {
-		switch m.Kind {
-		case compart.KindProp, compart.KindData:
+	for i := 0; i < len(msgs); {
+		if !isUpdate(msgs[i]) {
+			// Control frames (acks) riding the same envelope take the
+			// singular path.
+			j.handleMessage(msgs[i])
+			i++
+			continue
+		}
+		// A run of updates from one sender — a whole group, as senders emit
+		// them — finds its ack slot and its delivery tracking once.
+		from, end := msgs[i].From, i+1
+		for end < len(msgs) && isUpdate(msgs[end]) && msgs[end].From == from {
+			end++
+		}
+		run := msgs[i:end]
+		i = end
+		decoded := len(updates)
+		for _, m := range run {
 			u, seq, ok := decodeUpdate(m)
 			if !ok {
 				continue
 			}
 			updates = append(updates, u)
-			cum, extra := j.noteDelivered(m.From, seq)
-			a := 0
-			for a < len(acks) && acks[a].from != m.From {
-				a++
+			if tracing {
+				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(u), Peer: from, N: int64(seq)})
 			}
-			if a == len(acks) {
-				acks = append(acks, pairAck{from: m.From})
+		}
+		if len(updates) == decoded {
+			continue
+		}
+		// The deliveries are recorded in a second pass so that the trace
+		// sink above, the application's code, runs outside recvMu.
+		var a int
+		acks, a = ackSlot(acks, from)
+		j.recvMu.Lock()
+		tr := j.recvTrackLocked(from)
+		for _, m := range run {
+			seq, ok := updateSeq(m)
+			if !ok {
+				continue
 			}
+			cum, extra := tr.deliver(seq)
 			acks[a].cum = cum
 			if extra {
 				acks[a].extras = append(acks[a].extras, seq)
 			}
-			if tracing {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(u), Peer: m.From, N: int64(seq)})
-			}
-		default:
-			// Control frames (acks) riding the same envelope take the
-			// singular path.
-			j.handleMessage(m)
 		}
+		j.recvMu.Unlock()
 	}
 	if len(updates) > 0 {
 		j.table.EnqueueBatch(updates)

@@ -19,7 +19,8 @@
 // performs no per-value type introspection, and pooled buffers plus the
 // AppendMarshal entry point let hot callers amortize allocation across
 // calls. The wire format is unchanged from the original reflect-walk codec,
-// which is retained in reflectwalk.go as the golden reference.
+// whose output is frozen in testdata/reference.golden as the golden
+// reference.
 package serial
 
 import (

@@ -1,11 +1,9 @@
 package serial
 
-// BenchmarkSerial* is the serializer micro-suite: the same fixtures are
-// measured against the seed reflect-walk codec (the baseline recorded before
-// the compiled-plan rewrite) and against the plan-cached codec, so the
-// ablation is apples-to-apples on identical wire bytes. Recorded figures are
-// in EXPERIMENTS.md ("historical figures"); per request the ledger prices the
-// codec as its serial.* metrics.
+// BenchmarkSerial* is the serializer micro-suite over the plan-cached codec.
+// The figures recorded against the seed reflect-walk codec, before it was
+// deleted, are in EXPERIMENTS.md ("historical figures"); per request the
+// ledger prices the codec as its serial.* metrics.
 
 import (
 	"fmt"
@@ -172,33 +170,6 @@ func BenchmarkSerialAppendMarshal(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf, err = AppendMarshal(buf[:0], v)
 				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSerialAblation pits the plan-cached codec against the retained
-// seed reflect-walk codec on identical fixtures and identical wire bytes —
-// the plan-cached vs reflect-walk ablation recorded in EXPERIMENTS.md
-// ("historical figures").
-func BenchmarkSerialAblation(b *testing.B) {
-	fixtures := benchFixtures()
-	for _, name := range benchOrder {
-		v := fixtures[name]
-		b.Run("planCached/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Marshal(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("reflectWalk/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Default.referenceMarshal(v); err != nil {
 					b.Fatal(err)
 				}
 			}
