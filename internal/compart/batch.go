@@ -69,21 +69,21 @@ func appendBatchEnvelope(dst []byte, bodies [][]byte) []byte {
 // codec's error when a member cannot be framed or is itself an envelope.
 func PackBatch(msgs []Message) (Message, error) {
 	payload := 4
-	for _, m := range msgs {
-		if m.Kind == KindBatch {
+	for i := range msgs {
+		if msgs[i].Kind == KindBatch {
 			return Message{}, fmt.Errorf("compart: nested batch")
 		}
-		payload += 4 + frameSize(m)
+		payload += 4 + frameSize(&msgs[i])
 	}
 	if batchEnvelopeOverhead+payload > maxFrame {
 		return Message{}, fmt.Errorf("%w: batch of %d bytes", ErrFrameTooLarge, payload)
 	}
 	buf := make([]byte, 4, payload)
 	binary.BigEndian.PutUint32(buf, uint32(len(msgs)))
-	for _, m := range msgs {
+	for i := range msgs {
 		at := len(buf)
 		var err error
-		if buf, err = AppendMessage(append(buf, 0, 0, 0, 0), m); err != nil {
+		if buf, err = appendMessage(append(buf, 0, 0, 0, 0), &msgs[i]); err != nil {
 			return Message{}, err
 		}
 		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
@@ -142,7 +142,7 @@ func batchBodyCount(body []byte) (int, bool) {
 // fails the whole batch (the server counts it as one decode error). Every
 // inner message owns its memory (payloads are copied out of the envelope).
 func DecodeBatch(payload []byte) ([]Message, error) {
-	return decodeBatch(payload, nil, false)
+	return decodeBatch(nil, payload, nil, false)
 }
 
 // decodeBatch is DecodeBatch with an optional intern cache for the inner
@@ -152,8 +152,10 @@ func DecodeBatch(payload []byte) ([]Message, error) {
 // With alias set the inner payloads point into the envelope buffer instead of
 // being copied out — only valid when the caller owns the envelope and never
 // rewrites its memory (Server.serveConn reads each frame into a fresh buffer;
-// Network.Send holds a message its caller handed over).
-func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
+// Network.Send holds a message its caller handed over). The members are
+// decoded in place into dst's backing array when it has room (a connection's
+// reused scratch), else into a fresh slice.
+func decodeBatch(dst []Message, payload []byte, si strIntern, alias bool) ([]Message, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("compart: truncated batch count")
 	}
@@ -162,7 +164,10 @@ func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
 	if uint64(count)*(4+minMessageFrame) > uint64(len(rest)) {
 		return nil, fmt.Errorf("compart: batch count %d exceeds %d payload bytes", count, len(rest))
 	}
-	msgs := make([]Message, 0, count)
+	msgs := dst[:0]
+	if uint32(cap(msgs)) < count {
+		msgs = make([]Message, 0, count)
+	}
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("compart: truncated batch entry %d length", i)
@@ -172,18 +177,17 @@ func decodeBatch(payload []byte, si strIntern, alias bool) ([]Message, error) {
 		if uint64(n) > uint64(len(rest)) {
 			return nil, fmt.Errorf("compart: batch entry %d of %d bytes but %d remain", i, n, len(rest))
 		}
-		var prev Message
-		if len(msgs) > 0 {
-			prev = msgs[len(msgs)-1]
+		msgs = msgs[:i+1]
+		var prev *Message
+		if i > 0 {
+			prev = &msgs[i-1]
 		}
-		m, err := decodeMessageIn(rest[:n], si, prev, alias)
-		if err != nil {
+		if err := decodeMessageIn(&msgs[i], rest[:n], si, prev, alias); err != nil {
 			return nil, fmt.Errorf("compart: batch entry %d: %w", i, err)
 		}
-		if m.Kind == KindBatch {
+		if msgs[i].Kind == KindBatch {
 			return nil, fmt.Errorf("compart: nested batch at entry %d", i)
 		}
-		msgs = append(msgs, m)
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {

@@ -164,7 +164,7 @@ func TestInternDecodeAliasesAndDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := make(strIntern)
-	inner, err := decodeBatch(outer.Payload, si, true)
+	inner, err := decodeBatch(nil, outer.Payload, si, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +261,8 @@ func TestDecodeBatchReusesRepeatedAddresses(t *testing.T) {
 		repeated[i] = bodies[0]
 	}
 	same64 := payloadOf(repeated)
-	base := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(one, nil, true) })
-	if n := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(same64, nil, true) }); n != base {
+	base := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(nil, one, nil, true) })
+	if n := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(nil, same64, nil, true) }); n != base {
 		t.Fatalf("decoding 64 identical members allocates %v times, one member %v", n, base)
 	}
 }

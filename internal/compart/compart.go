@@ -269,7 +269,7 @@ func (n *Network) Stats() Stats {
 // keep pointing into the envelope's buffer.
 func (n *Network) Send(msg Message) error {
 	if msg.Kind == KindBatch {
-		inner, err := decodeBatch(msg.Payload, nil, true)
+		inner, err := decodeBatch(nil, msg.Payload, nil, true)
 		if err != nil {
 			return err
 		}
@@ -432,7 +432,8 @@ func (n *Network) SendBatch(msgs []Message) error {
 		ok  bool
 		cfg LinkConfig
 	)
-	for i, msg := range msgs {
+	for i := range msgs {
+		msg := &msgs[i]
 		if k := (linkKey{msg.From, msg.To}); i == 0 || k != key {
 			key = k
 			ls = n.linkStatsLocked(key)
@@ -503,7 +504,7 @@ func (n *Network) SendBatch(msgs []Message) error {
 			g = &batchGroup{to: msg.To, delay: bl.delay}
 			groups = append(groups, g)
 		}
-		g.msgs = append(g.msgs, msg)
+		g.msgs = append(g.msgs, *msg)
 	}
 	if uniform {
 		// The usual group — one destination, one delay, at most a lost tail —
@@ -561,9 +562,9 @@ func (n *Network) deliverDelayedGroup(start time.Time, g *batchGroup) {
 	n.mu.Lock()
 	ep, ok := n.endpoints[g.to]
 	if n.closed || !ok || !ep.up {
-		for _, m := range g.msgs {
+		for i := range g.msgs {
 			n.stats.LostInFlight++
-			n.linkStatsLocked(linkKey{m.From, m.To}).LostInFlight++
+			n.linkStatsLocked(linkKey{g.msgs[i].From, g.msgs[i].To}).LostInFlight++
 			if ok {
 				ep.stats.LostInFlight++
 			}
@@ -578,19 +579,20 @@ func (n *Network) deliverDelayedGroup(start time.Time, g *batchGroup) {
 }
 
 // deliveredLocked counts a delivery group Delivered at ep, one latency
-// sample per message at the moment the group is handed over; callers hold
-// n.mu.
+// sample per message at the moment the group is handed over, recorded once
+// per run of members on one link; callers hold n.mu.
 func (n *Network) deliveredLocked(ep *endpoint, msgs []Message, start time.Time) {
 	lat := time.Since(start)
-	var key linkKey
-	var ls *LinkStats
-	for i, m := range msgs {
-		if k := (linkKey{m.From, m.To}); i == 0 || k != key {
-			key = k
-			ls = n.linkStatsLocked(key)
+	for i := 0; i < len(msgs); {
+		key := linkKey{msgs[i].From, msgs[i].To}
+		end := i + 1
+		for end < len(msgs) && msgs[end].From == key.from && msgs[end].To == key.to {
+			end++
 		}
-		ls.Delivered++
-		ls.Latency.observe(lat)
+		ls := n.linkStatsLocked(key)
+		ls.Delivered += uint64(end - i)
+		ls.Latency.observeN(lat, end-i)
+		i = end
 	}
 	n.stats.Delivered += uint64(len(msgs))
 	ep.stats.Delivered += uint64(len(msgs))

@@ -494,3 +494,39 @@ func TestNetPipeTransport(t *testing.T) {
 		t.Fatal("pipe message not delivered")
 	}
 }
+
+// TestObserveNMatchesRepeatedObserve: recording n samples of one latency at
+// once leaves Count, Sum, Min and Max exactly where n single observations
+// would, negative and zero latencies and empty runs included; and a delivered
+// group records one sample per member on its link.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	type run struct {
+		d time.Duration
+		n int
+	}
+	for _, runs := range [][]run{
+		{{5 * time.Microsecond, 96}},
+		{{3, 2}, {-4, 3}, {7, 0}, {1, 1}},
+		{{0, 0}, {9, 4}, {2, 5}},
+	} {
+		var batched, single LatencySummary
+		for _, r := range runs {
+			batched.observeN(r.d, r.n)
+			for i := 0; i < r.n; i++ {
+				single.observe(r.d)
+			}
+		}
+		if batched != single {
+			t.Fatalf("%v: observeN gives %+v, repeated observe %+v", runs, batched, single)
+		}
+	}
+
+	n := newTestNetwork(t, 1)
+	n.RegisterBatch("sink", func(Message) {}, func([]Message) {})
+	if err := n.SendBatch(keyed("k", 96)); err != nil {
+		t.Fatal(err)
+	}
+	if ls := n.LinkStats("src", "sink"); ls.Delivered != 96 || ls.Latency.Count != 96 || ls.Latency.Sum != 96*ls.Latency.Max {
+		t.Fatalf("a group of 96 recorded %+v on its link, want 96 samples of one latency", ls)
+	}
+}

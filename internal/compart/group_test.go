@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -419,4 +421,87 @@ func TestGroupStatsConservationUnderChurn(t *testing.T) {
 	if uint64(delivered) != ns.Delivered {
 		t.Fatalf("handlers saw %d deliveries, substrate recorded %d", delivered, ns.Delivered)
 	}
+}
+
+// TestDecodeScratchSurvivesDelayedLinks: the server decodes every envelope
+// of a connection into one reused member slice, which is sound only because
+// SendBatch copies a group it cannot deliver before returning. Behind a link
+// with latency, all envelopes arrive and are decoded before the first
+// delivery, so a group that aliased the scratch would reach its handler
+// holding a later envelope's members. Each handler call must see exactly its
+// own group: members, keys and sequence payloads.
+func TestDecodeScratchSurvivesDelayedLinks(t *testing.T) {
+	remote := newTestNetwork(t, 1)
+	remote.SetLink("src", "sink", LinkConfig{Latency: 300 * time.Millisecond})
+	var mu sync.Mutex
+	var got []string
+	remote.RegisterBatch("sink", func(m Message) { t.Errorf("group member %q delivered singly", m.Key) },
+		func(ms []Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			got = append(got, groupString(ms))
+		})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(remote, l)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// Groups of different widths, so a later envelope both overwrites an
+	// earlier one's members and leaves some of them in place.
+	var want []string
+	var stream bytes.Buffer
+	seq := byte(0)
+	for g, width := range []int{5, 2, 7, 3, 7, 1, 4} {
+		ms := keyed(fmt.Sprintf("g%d.", g), width)
+		for i := range ms {
+			seq++
+			ms[i].Payload = []byte{seq}
+		}
+		want = append(want, groupString(ms))
+		env, err := PackBatch(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(&stream, mustEncode(t, env)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(stream.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "every envelope decoded", func() bool { return srv.Stats().Batches == uint64(len(want)) })
+	mu.Lock()
+	early := len(got)
+	mu.Unlock()
+	if early != 0 {
+		t.Fatalf("%d groups delivered before the last envelope was decoded: the link delay did not hold them", early)
+	}
+	waitFor(t, 5*time.Second, "every group delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == len(want)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	sort.Strings(got) // each group has its own timer: arrival order is free
+	sort.Strings(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("handlers saw\n%v\nwant\n%v", got, want)
+	}
+}
+
+// groupString renders a delivery group's members as key=payload pairs.
+func groupString(ms []Message) string {
+	var b strings.Builder
+	for _, m := range ms {
+		fmt.Fprintf(&b, "%s->%s:%s=%v ", m.From, m.To, m.Key, m.Payload)
+	}
+	return b.String()
 }

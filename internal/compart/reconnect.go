@@ -328,7 +328,7 @@ func (c *ReconnectClient) run() {
 // pump drains the queue over one connection until it dies, Close is called,
 // or heartbeats go unanswered.
 func (c *ReconnectClient) pump(conn net.Conn) {
-	w := bufio.NewWriter(conn)
+	w := newFrameWriter(conn)
 	var lastPong atomic.Int64
 	lastPong.Store(time.Now().UnixNano())
 	readDead := make(chan struct{})

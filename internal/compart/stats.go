@@ -27,7 +27,13 @@ type LatencySummary struct {
 	Max   time.Duration
 }
 
-func (l *LatencySummary) observe(d time.Duration) {
+func (l *LatencySummary) observe(d time.Duration) { l.observeN(d, 1) }
+
+// observeN records n samples of the same latency d, as n observe calls would.
+func (l *LatencySummary) observeN(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -37,8 +43,8 @@ func (l *LatencySummary) observe(d time.Duration) {
 	if d > l.Max {
 		l.Max = d
 	}
-	l.Count++
-	l.Sum += d
+	l.Count += uint64(n)
+	l.Sum += time.Duration(n) * d
 }
 
 // Mean returns the mean observed latency, or 0 when nothing was observed.

@@ -55,7 +55,11 @@ func EncodeMessage(m Message) ([]byte, error) { return AppendMessage(nil, m) }
 // previous frame has already hit the socket may reuse it across calls;
 // queueing senders (ReconnectClient) must not, since queued frames alias
 // their buffer until written. On error dst is returned unchanged.
-func AppendMessage(dst []byte, m Message) ([]byte, error) {
+func AppendMessage(dst []byte, m Message) ([]byte, error) { return appendMessage(dst, &m) }
+
+// appendMessage is AppendMessage on a message it does not copy, for callers
+// framing the members of a group in place (PackBatch).
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	for _, f := range [...]struct{ name, val string }{
 		{"From", m.From}, {"To", m.To}, {"Key", m.Key},
 	} {
@@ -88,54 +92,60 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 
 // frameSize is the encoded size of m: kind, flag, three length-prefixed
 // strings and the length-prefixed payload.
-func frameSize(m Message) int {
+func frameSize(m *Message) int {
 	return 1 + 1 + varStrLen(m.From) + varStrLen(m.To) + varStrLen(m.Key) + 4 + len(m.Payload)
 }
 
 // DecodeMessage parses a frame produced by EncodeMessage.
 func DecodeMessage(buf []byte) (Message, error) {
-	return decodeMessageIn(buf, nil, Message{}, false)
+	var m Message
+	err := decodeMessageIn(&m, buf, nil, nil, false)
+	return m, err
 }
 
-// decodeMessageIn parses one frame. An address string that spells prev's (a
-// batch's previous member; the zero Message when there is none) is prev's
-// string; si (optional) interns the others. aliasPayload skips the payload
-// copy, valid only when buf outlives the message and is never rewritten
-// (batch interiors inside a fresh-per-frame read buffer).
-func decodeMessageIn(buf []byte, si strIntern, prev Message, aliasPayload bool) (Message, error) {
-	var m Message
+// decodeMessageIn parses one frame into m, writing every field. An address
+// string that spells prev's (a batch's previous member; nil when there is
+// none) is prev's string; si (optional) interns the others. aliasPayload
+// skips the payload copy, valid only when buf outlives the message and is
+// never rewritten (batch interiors inside a fresh-per-frame read buffer).
+func decodeMessageIn(m *Message, buf []byte, si strIntern, prev *Message, aliasPayload bool) error {
 	if len(buf) < 2 {
-		return m, fmt.Errorf("compart: short frame (%d bytes)", len(buf))
+		return fmt.Errorf("compart: short frame (%d bytes)", len(buf))
 	}
 	m.Kind = MessageKind(buf[0])
 	m.Flag = buf[1] == 1
+	var pFrom, pTo, pKey string
+	if prev != nil {
+		pFrom, pTo, pKey = prev.From, prev.To, prev.Key
+	}
 	rest := buf[2:]
 	var err error
-	if m.From, rest, err = takeStrIn(rest, si, prev.From); err != nil {
-		return m, err
+	if m.From, rest, err = takeStrIn(rest, si, pFrom); err != nil {
+		return err
 	}
-	if m.To, rest, err = takeStrIn(rest, si, prev.To); err != nil {
-		return m, err
+	if m.To, rest, err = takeStrIn(rest, si, pTo); err != nil {
+		return err
 	}
-	if m.Key, rest, err = takeStrIn(rest, si, prev.Key); err != nil {
-		return m, err
+	if m.Key, rest, err = takeStrIn(rest, si, pKey); err != nil {
+		return err
 	}
 	if len(rest) < 4 {
-		return m, fmt.Errorf("compart: truncated payload length")
+		return fmt.Errorf("compart: truncated payload length")
 	}
 	n := binary.BigEndian.Uint32(rest)
 	rest = rest[4:]
 	if uint32(len(rest)) != n {
-		return m, fmt.Errorf("compart: payload length %d but %d bytes remain", n, len(rest))
+		return fmt.Errorf("compart: payload length %d but %d bytes remain", n, len(rest))
 	}
-	if n > 0 {
-		if aliasPayload {
-			m.Payload = rest
-		} else {
-			m.Payload = append([]byte(nil), rest...)
-		}
+	switch {
+	case n == 0:
+		m.Payload = nil
+	case aliasPayload:
+		m.Payload = rest
+	default:
+		m.Payload = append([]byte(nil), rest...)
 	}
-	return m, nil
+	return nil
 }
 
 // strIntern dedupes the small, repetitive universe of junction addresses and
@@ -189,9 +199,50 @@ func takeStrIn(buf []byte, si strIntern, prev string) (string, []byte, error) {
 	return string(buf[:n]), buf[n:], nil
 }
 
+// frameWriter is a connection's buffered frame writer. A frame that fits the
+// buffer's free space is copied in behind the frames before it, its length
+// written straight into the buffer; one that does not flushes what is
+// buffered and goes out as one vectored write of header and body, so an
+// envelope larger than the buffer costs one system call instead of being
+// copied and split across two. The header and the vector live on the writer,
+// so neither path allocates.
+type frameWriter struct {
+	*bufio.Writer
+	conn io.Writer
+	hdr  [4]byte
+	iov  [2][]byte
+	bufs net.Buffers
+}
+
+func newFrameWriter(conn io.Writer) *frameWriter {
+	return &frameWriter{Writer: bufio.NewWriter(conn), conn: conn}
+}
+
+func (w *frameWriter) writeFrame(body []byte) error {
+	if 4+len(body) <= w.Available() {
+		_, _ = w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(body))))
+		_, err := w.Write(body)
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(w.hdr[:], uint32(len(body)))
+	w.iov = [2][]byte{w.hdr[:], body}
+	w.bufs = w.iov[:]
+	_, err := w.bufs.WriteTo(w.conn)
+	w.iov = [2][]byte{} // a failed write may leave body behind
+	return err
+}
+
+// writeFrame length-prefixes body onto w: through a frameWriter without
+// allocating, and through any other writer (tests) with a header of its own.
 func writeFrame(w io.Writer, body []byte) error {
 	if len(body) > maxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
+	}
+	if fw, ok := w.(*frameWriter); ok {
+		return fw.writeFrame(body)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
@@ -202,12 +253,25 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
+// readFrame reads one length-prefixed frame into a fresh buffer, the one
+// allocation per frame: a bufio.Reader's header is peeked in place, any other
+// reader's (tests) is read into a header of its own.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	var n uint32
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(4)
+		if err != nil {
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr)
+		_, _ = br.Discard(4)
+	} else {
+		var hdr [4]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr[:])
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("compart: frame of %d bytes exceeds limit", n)
 	}
@@ -316,10 +380,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	w := newFrameWriter(conn)
 	// Per-connection intern cache: batch interiors repeat the same few
 	// addresses and keys tens of thousands of times a second.
 	si := make(strIntern)
+	// Per-connection decode scratch for envelope members. Reusing it is sound
+	// because SendBatch hands it on only for the length of the call: an
+	// immediate group reaches a BatchHandler, which must not keep the slice,
+	// and a delayed one is copied.
+	var group []Message
 	for {
 		body, err := readFrame(r)
 		if err != nil {
@@ -328,8 +397,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// body is this frame's own buffer, so the payload (an envelope's whole
 		// interior) stays in place instead of being copied out.
-		msg, err := decodeMessageIn(body, nil, Message{}, true)
-		if err != nil {
+		var msg Message
+		if err := decodeMessageIn(&msg, body, nil, nil, true); err != nil {
 			// The frame body is garbage but the outer length prefix kept
 			// the stream in sync: count it and keep draining.
 			s.decodeErrors.Add(1)
@@ -345,7 +414,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if msg.Kind == KindBatch {
-			inner, err := decodeBatch(msg.Payload, si, true)
+			inner, err := decodeBatch(group, msg.Payload, si, true)
 			if err != nil {
 				// A corrupt envelope drops as one unit; the outer length
 				// prefix kept the stream in sync.
@@ -358,6 +427,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Inject the whole group at once: link configuration and fault
 			// injection apply per message, delivery stays grouped.
 			s.net.SendBatch(inner)
+			// Kept for the next envelope without the members it pointed at,
+			// unless an outsized group grew it past what a connection keeps.
+			clear(inner)
+			if cap(inner) <= maxCoalesce {
+				group = inner
+			}
 			continue
 		}
 		s.frames.Add(1)

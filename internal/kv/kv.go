@@ -99,7 +99,10 @@ func (c *PropCell) Set(v bool) {
 	t.mu.Unlock()
 }
 
-// Swap is Table.SwapProp on the bound proposition.
+// Swap is Set that can be taken back (Table.UndoProp): the runtime applies
+// the local half of a remote assert/retract, in a group, before the
+// statements ahead of it are known to have succeeded — it must leave no mark
+// when one of them fails.
 func (c *PropCell) Swap(v bool) PropUndo {
 	t := c.t
 	t.mu.Lock()
@@ -492,21 +495,7 @@ type PropUndo struct {
 	dropped []Update
 }
 
-// SwapProp is SetProp that can be taken back, and that leaves an undeclared
-// name alone (declared false, nothing to undo) instead of failing: the
-// runtime applies the local half of a remote assert/retract only when the
-// sender declares the proposition too, and, in a group, before the statements
-// ahead of it are known to have succeeded — it must leave no mark when one of
-// them fails.
-func (t *Table) SwapProp(name string, v bool) (u PropUndo, declared bool) {
-	c := t.PropCell(name)
-	if c == nil {
-		return PropUndo{}, false
-	}
-	return c.Swap(v), true
-}
-
-// UndoProp takes a SwapProp back as if it had never run: the previous value
+// UndoProp takes a PropCell.Swap back as if it had never run: the previous value
 // returns, the pending updates it discarded rejoin the queue at their arrival
 // positions, and updates that arrived since stay queued (an undo is not a
 // local write, so it discards nothing).

@@ -654,9 +654,9 @@ func TestApplyPendingKeepsQueueStorage(t *testing.T) {
 	}
 }
 
-// TestSwapPropUndo: undoing a local assert restores the value, puts back the
-// pending updates the local-priority rule discarded for it at their arrival
-// positions, and keeps what arrived in between.
+// TestSwapPropUndo: undoing a local assert (PropCell.Swap) restores the
+// value, puts back the pending updates the local-priority rule discarded for
+// it at their arrival positions, and keeps what arrived in between.
 func TestSwapPropUndo(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", false)
@@ -667,10 +667,7 @@ func TestSwapPropUndo(t *testing.T) {
 	sub := tb.Subscribe([]string{"P"}, nil)
 	defer tb.Unsubscribe(sub)
 
-	undo, declared := tb.SwapProp("P", true)
-	if !declared {
-		t.Fatal("P reported undeclared")
-	}
+	undo := tb.PropCell("P").Swap(true)
 	if v, _ := tb.Prop("P"); !v || tb.PendingLen() != 1 {
 		t.Fatalf("after the swap: P=%v, %d pending (want true, only Q's update)", v, tb.PendingLen())
 	}
@@ -690,14 +687,7 @@ func TestSwapPropUndo(t *testing.T) {
 	if fmt.Sprint(order) != "[early q mid late]" {
 		t.Fatalf("pending after undo = %v, want arrival order [early q mid late]", order)
 	}
-	if undo, declared := tb.SwapProp("nope", true); declared {
-		t.Fatal("swap of an undeclared prop reported it declared")
-	} else {
-		tb.UndoProp(undo) // nothing was applied: a no-op
-	}
-	if tb.HasProp("nope") {
-		t.Fatal("swap declared a proposition")
-	}
+	tb.UndoProp(PropUndo{}) // the zero value, an undeclared name's: a no-op
 }
 
 // TestRestoreKeysRestoresOnlyTheListedKeys: a partial rollback leaves keys it

@@ -409,3 +409,47 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// TestHandleBatchAllocations guards what a delivery group costs its
+// receiver. A request hop — a write and an assert from one sender — allocates
+// two objects here, its data copy and its ack, which with the sender's frame
+// buffer are the three DESIGN.md sizes a hop of two at. A 96-member fan-out
+// group of one proposition allocates only its ack, as a group of two
+// propositions does: no []kv.Update per envelope and no copy per member.
+func TestHandleBatchAllocations(t *testing.T) {
+	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Net().Register("a::j", func(compart.Message) {})
+	sink := s.junctionQuiet("g1", "j")
+	prop := func(n int) []compart.Message {
+		msgs := make([]compart.Message, n)
+		for i := range msgs {
+			msgs[i] = compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindProp, Key: "U", Flag: i%2 == 0, Payload: make([]byte, 8)}
+		}
+		return msgs
+	}
+	hop := []compart.Message{
+		{From: "a::j", To: "g1::j", Kind: compart.KindData, Key: "d", Payload: make([]byte, 8+64)},
+		{From: "a::j", To: "g1::j", Kind: compart.KindProp, Key: "U", Flag: true, Payload: make([]byte, 8)},
+	}
+	var seq uint64
+	allocs := func(msgs []compart.Message) float64 {
+		return testing.AllocsPerRun(200, func() {
+			for i := range msgs {
+				seq++
+				binary.BigEndian.PutUint64(msgs[i].Payload, seq)
+			}
+			sink.handleBatch(msgs)
+			sink.Table().ApplyPending()
+		})
+	}
+	if n := allocs(hop); n > 2 {
+		t.Errorf("a hop of two allocates %v objects at its receiver, want at most 2 (data copy, ack)", n)
+	}
+	two, wide := allocs(prop(2)), allocs(prop(96))
+	if two > 1 || wide != two {
+		t.Errorf("a group of 96 allocates %v objects, a group of two %v: want one ack each", wide, two)
+	}
+}

@@ -587,13 +587,10 @@ func (j *Junction) compileLocalProp(pr dsl.PropRef, value bool) step {
 		if err != nil {
 			return plan.SigNone, err
 		}
-		if p.cell != nil {
-			p.cell.Set(value)
-		} else if !j.table.HasProp(p.name) {
+		if p.cell == nil {
 			return plan.SigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, p.name)
-		} else if err := j.table.SetProp(p.name, value); err != nil {
-			return plan.SigNone, err
 		}
+		p.cell.Set(value)
 		if j.traced {
 			j.noteLocalWrite(p.name, wrote(value))
 		}
@@ -609,12 +606,12 @@ func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, val
 		if err != nil {
 			return armedUpdate{}, err
 		}
-		// The local half, when the sender declares the proposition too.
+		// The local half, when the sender declares the proposition too: p's
+		// cell was bound when the arm compiled, and a nil one means undeclared
+		// for good (boundProp), so the arm never goes through the table by name.
 		m := armedUpdate{up: remoteUpdate{kind: compart.KindProp, key: p.name, flag: value}, local: p.cell != nil}
 		if m.local {
 			m.undo = p.cell.Swap(value)
-		} else {
-			m.undo, m.local = j.table.SwapProp(p.name, value)
 		}
 		if m.to, err = resolveTo(); err != nil {
 			return m, err
@@ -628,8 +625,10 @@ func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, val
 
 // boundProp is a local proposition resolved as far as compile time can take
 // it: the table key and, when the junction declares it, its cell. A nil cell
-// sends the access through the table by name, which reports the undeclared
-// name.
+// means the name is not declared, now or ever: a junction's table gains its
+// declarations in newJunction, before the junction compiles, and none after
+// (a migrated junction's RestoreAll restores the names its source declared
+// from the same definition, so it finds every cell already there).
 type boundProp struct {
 	name string
 	cell *kv.PropCell
@@ -640,15 +639,11 @@ func (j *Junction) bindProp(name string) boundProp {
 }
 
 // read is the proposition's truth value; Unknown when it is not declared.
-func (p boundProp) read(t *kv.Table) formula.Truth {
-	if p.cell != nil {
-		return formula.FromBool(p.cell.Get())
-	}
-	v, err := t.Prop(p.name)
-	if err != nil {
+func (p boundProp) read() formula.Truth {
+	if p.cell == nil {
 		return formula.Unknown
 	}
-	return formula.FromBool(v)
+	return formula.FromBool(p.cell.Get())
 }
 
 // compilePropRef lowers a PropRef to a resolver; everything but idx-variable
@@ -674,7 +669,7 @@ func (j *Junction) compilePropRef(pr dsl.PropRef) func() (boundProp, error) {
 		if p, ok := byElem[elem]; ok {
 			return p, nil
 		}
-		return boundProp{name: dsl.IndexedName(base, elem)}, nil
+		return j.bindProp(dsl.IndexedName(base, elem)), nil
 	}
 }
 
@@ -808,13 +803,13 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 				}
 				bp, ok := byElem[elem]
 				if !ok {
-					bp.name = dsl.IndexedName(base, elem)
+					bp = j.bindProp(dsl.IndexedName(base, elem))
 				}
-				return bp.read(j.table)
+				return bp.read()
 			}
 		}
 		bp := j.bindProp(j.resolveSelfName(p.Name))
-		return func() formula.Truth { return bp.read(j.table) }
+		return func() formula.Truth { return bp.read() }
 	}
 	// Junction-qualified proposition: the endpoint is static.
 	unknown := func() formula.Truth { return formula.Unknown }

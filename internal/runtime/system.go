@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -932,13 +933,13 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 		size += len(u.payload)
 	}
 	buf := make([]byte, size)
-	frame := func(i int, seq uint64) compart.Message {
-		u := ups[i]
+	frame := func(m *compart.Message, i int, seq uint64) {
+		u := &ups[i]
 		body := buf[: 8+len(u.payload) : 8+len(u.payload)]
 		buf = buf[len(body):]
 		binary.BigEndian.PutUint64(body, seq)
 		copy(body[8:], u.payload)
-		return compart.Message{From: from, To: to, Kind: u.kind, Key: u.key, Flag: u.flag, Payload: body}
+		*m = compart.Message{From: from, To: to, Kind: u.kind, Key: u.key, Flag: u.flag, Payload: body}
 	}
 
 	w.sendMu.Lock()
@@ -961,11 +962,13 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	}
 	var serr error
 	if n == 1 {
-		serr = j.net.Send(frame(0, lo))
+		var m compart.Message
+		frame(&m, 0, lo)
+		serr = j.net.Send(m)
 	} else {
-		msgs := wt.msgs[:0]
-		for i := 0; i < n; i++ {
-			msgs = append(msgs, frame(i, lo+uint64(i)))
+		msgs := slices.Grow(wt.msgs[:0], n)[:n]
+		for i := range msgs {
+			frame(&msgs[i], i, lo+uint64(i))
 		}
 		serr = j.net.SendBatch(msgs)
 		// Kept for the next group, without the frames it pointed at.
@@ -1104,33 +1107,32 @@ func (tr *recvTrack) deliver(seq uint64) (cum uint64, extra bool) {
 
 // updateSeq reads the per-pair sequence a prop/data message is prefixed
 // with; false for a payload too short to hold one.
-func updateSeq(m compart.Message) (uint64, bool) {
+func updateSeq(m *compart.Message) (uint64, bool) {
 	if len(m.Payload) < 8 {
 		return 0, false
 	}
 	return binary.BigEndian.Uint64(m.Payload), true
 }
 
-// decodeUpdate parses a seq-prefixed prop/data message into a KV update.
-func decodeUpdate(m compart.Message) (kv.Update, uint64, bool) {
+// decodeUpdate parses a seq-prefixed prop/data message into u, which must be
+// the zero Update; u stays zero when m is too short to hold a sequence.
+func decodeUpdate(m *compart.Message, u *kv.Update) (uint64, bool) {
 	seq, ok := updateSeq(m)
 	if !ok {
-		return kv.Update{}, 0, false
+		return 0, false
 	}
-	u := kv.Update{Key: m.Key, From: m.From}
+	u.Key, u.From = m.Key, m.From
 	if m.Kind == compart.KindProp {
-		u.Kind = kv.UpdateProp
-		u.Bool = m.Flag
+		u.Kind, u.Bool = kv.UpdateProp, m.Flag
 	} else {
-		u.Kind = kv.UpdateData
-		u.Data = append([]byte(nil), m.Payload[8:]...)
+		u.Kind, u.Data = kv.UpdateData, append([]byte(nil), m.Payload[8:]...)
 	}
-	return u, seq, true
+	return seq, true
 }
 
 // written is the §8 label value of a delivered update: tt or ff for a
 // proposition, * for data.
-func written(u kv.Update) string {
+func written(u *kv.Update) string {
 	if u.Kind == kv.UpdateData {
 		return "*"
 	}
@@ -1166,7 +1168,8 @@ func (j *Junction) handleMessage(m compart.Message) {
 		}
 		j.sys.ackPair(j.FQName, m.From, cum, extras)
 	case compart.KindProp, compart.KindData:
-		u, seq, ok := decodeUpdate(m)
+		var u kv.Update
+		seq, ok := decodeUpdate(&m, &u)
 		if !ok {
 			return
 		}
@@ -1174,7 +1177,7 @@ func (j *Junction) handleMessage(m compart.Message) {
 		j.met.RemoteQueued.Add(1)
 		cum, extra := j.noteDelivered(m.From, seq)
 		if j.sys.obs.Tracing() {
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(u), Peer: m.From, N: int64(seq)})
+			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(&u), Peer: m.From, N: int64(seq)})
 		}
 		var extras []uint64
 		if extra {
@@ -1205,9 +1208,14 @@ func ackSlot(acks []pairAck, from string) ([]pairAck, int) {
 }
 
 // isUpdate reports whether a message carries a remote KV update.
-func isUpdate(m compart.Message) bool {
+func isUpdate(m *compart.Message) bool {
 	return m.Kind == compart.KindProp || m.Kind == compart.KindData
 }
+
+// updatePool holds the update slices of groups wider than handleBatch's stack
+// array: a 96-member fan-out group would otherwise allocate ~8 KB per
+// envelope. Pooled slices are kept cleared, so their slots are zero Updates.
+var updatePool = sync.Pool{New: func() any { return new([]kv.Update) }}
 
 // handleBatch absorbs a delivery group — the messages of one decoded
 // KindBatch envelope addressed to this junction — with one KV lock
@@ -1217,18 +1225,24 @@ func isUpdate(m compart.Message) bool {
 func (j *Junction) handleBatch(msgs []compart.Message) {
 	tracing := j.sys.obs.Tracing()
 	// A request hop is a group of two and has one sender: both collections
-	// start on the stack and only a wide fan-out grows them.
+	// start on the stack, and a wide fan-out takes a pooled slice with room
+	// for every member, so decoding below never grows it.
 	var updateBuf [4]kv.Update
 	updates := updateBuf[:0]
+	var pooled *[]kv.Update
 	if len(msgs) > len(updateBuf) {
-		updates = make([]kv.Update, 0, len(msgs))
+		pooled = updatePool.Get().(*[]kv.Update)
+		if cap(*pooled) < len(msgs) {
+			*pooled = make([]kv.Update, 0, len(msgs))
+		}
+		updates = (*pooled)[:0]
 	}
 	// Per-sender ack accumulation, in first-appearance order so ack emission
 	// is deterministic.
 	var ackBuf [2]pairAck
 	acks := ackBuf[:0]
 	for i := 0; i < len(msgs); {
-		if !isUpdate(msgs[i]) {
+		if !isUpdate(&msgs[i]) {
 			// Control frames (acks) riding the same envelope take the
 			// singular path.
 			j.handleMessage(msgs[i])
@@ -1238,20 +1252,23 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 		// A run of updates from one sender — a whole group, as senders emit
 		// them — finds its ack slot and its delivery tracking once.
 		from, end := msgs[i].From, i+1
-		for end < len(msgs) && isUpdate(msgs[end]) && msgs[end].From == from {
+		for end < len(msgs) && isUpdate(&msgs[end]) && msgs[end].From == from {
 			end++
 		}
 		run := msgs[i:end]
 		i = end
 		decoded := len(updates)
-		for _, m := range run {
-			u, seq, ok := decodeUpdate(m)
+		for k := range run {
+			// Decoded in place into a zero slot: updates has room for every member.
+			n := len(updates)
+			updates = updates[:n+1]
+			seq, ok := decodeUpdate(&run[k], &updates[n])
 			if !ok {
+				updates = updates[:n]
 				continue
 			}
-			updates = append(updates, u)
 			if tracing {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(u), Peer: from, N: int64(seq)})
+				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: run[k].Key, Truth: written(&updates[n]), Peer: from, N: int64(seq)})
 			}
 		}
 		if len(updates) == decoded {
@@ -1263,8 +1280,8 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 		acks, a = ackSlot(acks, from)
 		j.recvMu.Lock()
 		tr := j.recvTrackLocked(from)
-		for _, m := range run {
-			seq, ok := updateSeq(m)
+		for k := range run {
+			seq, ok := updateSeq(&run[k])
 			if !ok {
 				continue
 			}
@@ -1282,14 +1299,20 @@ func (j *Junction) handleBatch(msgs []compart.Message) {
 		j.met.RemoteBatches.Add(1)
 		if tracing {
 			peer := updates[0].From
-			for _, u := range updates[1:] {
-				if u.From != peer {
+			for k := range updates {
+				if updates[k].From != peer {
 					peer = ""
 					break
 				}
 			}
 			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteBatch, Junction: j.FQName, Peer: peer, N: int64(len(updates))})
 		}
+	}
+	if pooled != nil {
+		// updates is a prefix of *pooled's array; putting updates itself back
+		// would let the stack array escape.
+		clear((*pooled)[:len(updates)])
+		updatePool.Put(pooled)
 	}
 	// Acks leave after the updates are enqueued: a sender's statement must
 	// not complete before its update is visible to the receiving table.
