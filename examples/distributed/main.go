@@ -111,8 +111,8 @@ func main() {
 	// per-server frame counts, per-link delivery latency, and conserved
 	// network totals (Sent == Delivered + Dropped + Rejected + LostInFlight).
 	cb := toB.Stats()
-	fmt.Printf("bridge A→B: sent=%d connects=%d heartbeats acked=%d send-latency mean=%s\n",
-		cb.Sent, cb.Connects, cb.HeartbeatsAcked, cb.SendLatency.Mean())
+	fmt.Printf("bridge A→B: sent=%d (written by their senders %d) connects=%d heartbeats acked=%d send-latency mean=%s\n",
+		cb.Sent, cb.Direct, cb.Connects, cb.HeartbeatsAcked, cb.SendLatency.Mean())
 	fmt.Printf("machine B server: frames=%d decode-errors=%d heartbeats=%d\n",
 		srvB.Stats().Frames, srvB.Stats().DecodeErrors, srvB.Stats().Heartbeats)
 	for _, n := range []*compart.Network{netA, netB} {

@@ -32,34 +32,41 @@ func mustEncode(t *testing.T, m Message) []byte {
 	return body
 }
 
-// readKeys decodes a frame stream the way a server does — one frame at a
-// time, an envelope through DecodeBatch, which refuses nesting — until want
-// messages were seen, and returns their keys in wire order with the number
-// of envelope frames among them.
-func readKeys(r io.Reader, want int) (keys []string, envelopes int, err error) {
-	for len(keys) < want {
+// readMessages decodes a frame stream the way a server does — one frame at
+// a time, an envelope through DecodeBatch, which refuses nesting — until want
+// messages were seen, and returns them in wire order with the number of
+// envelope frames among them.
+func readMessages(r io.Reader, want int) (msgs []Message, envelopes int, err error) {
+	for len(msgs) < want {
 		frame, err := readFrame(r)
 		if err != nil {
-			return keys, envelopes, err
+			return msgs, envelopes, err
 		}
 		m, err := DecodeMessage(frame)
 		if err != nil {
-			return keys, envelopes, err
+			return msgs, envelopes, err
 		}
 		if m.Kind != KindBatch {
-			keys = append(keys, m.Key)
+			msgs = append(msgs, m)
 			continue
 		}
 		inner, err := DecodeBatch(m.Payload)
 		if err != nil {
-			return keys, envelopes, err
+			return msgs, envelopes, err
 		}
 		envelopes++
-		for _, im := range inner {
-			keys = append(keys, im.Key)
-		}
+		msgs = append(msgs, inner...)
 	}
-	return keys, envelopes, nil
+	return msgs, envelopes, nil
+}
+
+// readKeys is readMessages reporting only the messages' keys.
+func readKeys(r io.Reader, want int) (keys []string, envelopes int, err error) {
+	msgs, envelopes, err := readMessages(r, want)
+	for _, m := range msgs {
+		keys = append(keys, m.Key)
+	}
+	return keys, envelopes, err
 }
 
 func wantKeys(t *testing.T, got []string, groups ...[]Message) {

@@ -1,0 +1,19 @@
+//go:build !unix
+
+package compart
+
+import (
+	"errors"
+	"net"
+)
+
+// rawWriter has no direct write off unix: every frame queues for the pump.
+type rawWriter struct{}
+
+func (*rawWriter) attach(net.Conn) {}
+
+func (*rawWriter) detach() {}
+
+func (*rawWriter) attached() bool { return false }
+
+func (*rawWriter) write([]byte) (int, error) { return 0, errors.ErrUnsupported }

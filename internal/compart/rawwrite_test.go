@@ -1,0 +1,254 @@
+//go:build unix
+
+package compart
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+)
+
+// tcpClient connects a client to a fresh loopback peer and returns both once
+// the client is up. sndbuf > 0 shrinks the client socket's send buffer, for
+// a test that needs one write far larger than the socket takes; heavy
+// traffic through shrunk buffers can stall loopback TCP for seconds, with or
+// without direct writes. The client dials once: a connection that dies stays
+// dead.
+func tcpClient(t *testing.T, sndbuf int, cfg ReconnectConfig) (*ReconnectClient, *net.TCPConn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	if sndbuf > 0 {
+		if err := conn.(*net.TCPConn).SetWriteBuffer(sndbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.BackoffMin = time.Hour
+	cfg.Dial = dialConn(conn)
+	c := DialReconnect("", cfg)
+	waitFor(t, 2*time.Second, "the client to connect", c.Connected)
+	return c, peer.(*net.TCPConn)
+}
+
+// orderMsg is sender s's i-th frame: 1 B to ~20 KiB of payload that spells
+// both numbers, so a frame torn, duplicated or misplaced cannot pass for
+// another.
+func orderMsg(s, i int) Message {
+	p := make([]byte, 1+(s*7919+i*104729)%20000)
+	for j := range p {
+		p[j] = byte(s + 3*i + j)
+	}
+	return Message{From: fmt.Sprintf("sender%d", s), To: "sink", Kind: KindData, Key: fmt.Sprint(i), Payload: p}
+}
+
+// TestDirectAndQueuedFramesKeepOrder: concurrent senders share a TCP
+// connection whose peer stops reading for a while, so their frames take both
+// paths — written by the sender while the socket is idle; queued behind
+// EAGAIN, a partial write's tail or the backlog while it is not — and the
+// peer then drains everything. Every frame must arrive exactly once, byte for
+// byte, in its sender's order, and the client's ledger must balance.
+func TestDirectAndQueuedFramesKeepOrder(t *testing.T) {
+	const senders, before, during, after = 4, 40, 150, 40
+	const perSender = before + during + after
+	const total = senders * perSender
+	c, peer := tcpClient(t, 0, ReconnectConfig{QueueSize: total})
+
+	var pause sync.Mutex // held while the peer must not read
+	got := make(chan error, 1)
+	go func() {
+		r := bufio.NewReader(peer)
+		var next [senders]int
+		for seen := 0; seen < total; {
+			pause.Lock()
+			pause.Unlock()
+			_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+			msgs, _, err := readMessages(r, 1)
+			if err != nil {
+				got <- fmt.Errorf("after %d messages: %w", seen, err)
+				return
+			}
+			for _, m := range msgs {
+				var s int
+				if _, err := fmt.Sscanf(m.From, "sender%d", &s); err != nil || s < 0 || s >= senders {
+					got <- fmt.Errorf("message %d from %q", seen, m.From)
+					return
+				}
+				want := orderMsg(s, next[s])
+				if m.Key != want.Key || m.To != want.To || m.Kind != want.Kind || !bytes.Equal(m.Payload, want.Payload) {
+					got <- fmt.Errorf("sender %d: got frame %s (%d B), want frame %s (%d B)", s, m.Key, len(m.Payload), want.Key, len(want.Payload))
+					return
+				}
+				next[s]++
+				seen++
+			}
+		}
+		got <- nil
+	}()
+
+	phase := func(from, to int) {
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for i := from; i < to; i++ {
+					if err := c.Send(orderMsg(s, i)); err != nil {
+						t.Errorf("sender %d frame %d: %v", s, i, err)
+						return
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+	}
+	phase(0, before)
+	pause.Lock()
+	phase(before, before+during) // ~6 MB against a few hundred KB of socket buffers
+	pause.Unlock()
+	phase(before+during, perSender)
+
+	closeDrained(t, c)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Enqueued != total || st.Sent != total || st.Dropped != 0 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+	if st.Direct == 0 || st.Direct == st.Enqueued {
+		t.Fatalf("%d of %d frames written directly: both paths must have run", st.Direct, st.Enqueued)
+	}
+	if p := c.pending.Load(); p != 0 {
+		t.Fatalf("%d frames still counted unwritten", p)
+	}
+}
+
+// TestSendNeverBlocksOnStalledPeer: the peer accepts and never reads. Sends
+// of 64 KiB frames fill its socket and then the queue, and each must return
+// at once — a direct write may take part of a frame, never wait for room.
+// Close returns once the peer goes away, and the ledger balances.
+func TestSendNeverBlocksOnStalledPeer(t *testing.T) {
+	c, peer := tcpClient(t, 0, ReconnectConfig{QueueSize: 32})
+	payload := make([]byte, 64<<10)
+	accepted := 0
+	for i := 0; ; i++ {
+		if i == 10000 {
+			t.Fatal("the queue never filled")
+		}
+		start := time.Now()
+		err := c.Send(Message{To: "sink", Key: "k", Payload: payload})
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("send %d took %v", i, d)
+		}
+		if errors.Is(err, ErrQueueFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted++
+	}
+	if st := c.Stats(); st.Direct == 0 {
+		t.Fatalf("no frame written directly: %+v", st)
+	}
+	// The pump is stuck writing into the full socket until the peer leaves.
+	peer.Close()
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	st := c.Stats()
+	if st.Enqueued != uint64(accepted) || st.Sent+st.Dropped != st.Enqueued+1 {
+		t.Fatalf("ledger after %d accepted sends and one rejected: %+v", accepted, st)
+	}
+}
+
+// TestPartialDirectWriteCompletes: on an idle connection a pre-built
+// envelope is written by its sender and counted as the pump counts one; a
+// frame far larger than the socket's buffers gets only its head out from the
+// sender, and the pump writes the tail before the frames another goroutine
+// sent meanwhile, which queue behind it. The peer must read every frame
+// intact, the large one before the small ones.
+func TestPartialDirectWriteCompletes(t *testing.T) {
+	c, peer := tcpClient(t, 16<<10, ReconnectConfig{})
+
+	group := keyed("g", 3)
+	if err := SendGroup(c.Send, group); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 || st.BatchesSent != 1 ||
+		st.MsgsPerBatch.Sum != 3 || st.SendLatency.Count != 1 || st.SendLatency.Max != 0 {
+		t.Fatalf("a directly written envelope: %+v", st)
+	}
+
+	big := Message{From: "src", To: "sink", Kind: KindData, Key: "big", Payload: make([]byte, 1<<20)}
+	for i := range big.Payload {
+		big.Payload[i] = byte(i * 13)
+	}
+	if err := c.Send(big); err != nil {
+		t.Fatal(err)
+	}
+	// The peer reads nothing yet, so the tail cannot have gone out.
+	if st := c.Stats(); st.Direct != 2 || st.Sent != 1 {
+		t.Fatalf("after the large frame: %+v", st)
+	}
+
+	small := keyed("s", 10)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, m := range small {
+			if err := c.Send(m); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if st := c.Stats(); st.Direct != 2 {
+		t.Fatalf("a small frame was written ahead of the large frame's tail: %+v", st)
+	}
+
+	_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+	msgs, _, err := readMessages(bufio.NewReader(peer), len(group)+1+len(small))
+	if err != nil {
+		t.Fatalf("after %d messages: %v", len(msgs), err)
+	}
+	keys := make([]string, len(msgs))
+	for i, m := range msgs {
+		keys[i] = m.Key
+	}
+	wantKeys(t, keys, group, []Message{big}, small)
+	if m := msgs[len(group)]; !bytes.Equal(m.Payload, big.Payload) {
+		t.Fatalf("the large frame arrived with %d B of payload, not the %d B sent", len(m.Payload), len(big.Payload))
+	}
+
+	closeDrained(t, c)
+	st := c.Stats()
+	if st.Enqueued != 12 || st.Sent != 12 || st.Dropped != 0 || st.Direct != 2 || st.SendLatency.Count != 12 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+}

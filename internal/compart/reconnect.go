@@ -98,12 +98,17 @@ func (c *ReconnectConfig) fill(addr string) {
 
 // ClientStats is a snapshot of a reconnecting client's counters. At any
 // quiescent point Enqueued == Sent + Dropped - (rejected before enqueue);
-// more precisely: every message accepted into the queue is eventually
-// counted Sent (written to a socket) or Dropped (write error, or still
-// queued at Close).
+// more precisely: every message accepted is eventually counted Sent
+// (written to a socket) or Dropped (write error, or still queued at Close).
 type ClientStats struct {
-	// Enqueued counts messages accepted into the outbound queue.
+	// Enqueued counts messages accepted: written by the sender itself on an
+	// idle connection, or queued for the connection goroutine.
 	Enqueued uint64
+	// Direct counts the accepted messages the sending goroutine wrote to the
+	// socket itself, wholly or (rarely) all but a tail the connection
+	// goroutine finished. Always 0 over connections without a file
+	// descriptor (net.Pipe), whose messages all queue.
+	Direct uint64
 	// Sent counts frames written to a socket (handed to the OS; TCP may
 	// still lose them on a crash, which heartbeats surface as a reconnect).
 	Sent uint64
@@ -133,7 +138,8 @@ type ClientStats struct {
 	// Connected reports current connection state.
 	Connected bool
 	// SendLatency summarizes enqueue-to-socket-write latency, which spikes
-	// during disconnections and so exposes queueing delay to experiments.
+	// during disconnections and so exposes queueing delay to experiments. A
+	// whole direct write is a sample of 0.
 	SendLatency LatencySummary
 }
 
@@ -157,7 +163,26 @@ type ReconnectClient struct {
 	// invariant (Enqueued == Sent + Dropped at quiescence).
 	sendMu sync.RWMutex
 
+	// wmu is the one writer lock: every write to the live socket — the
+	// pump's runs and heartbeats, a sender's direct write — holds it, so
+	// frames never interleave. pending counts the frames accepted but not yet
+	// written (queued, held by the pump, or a partial write's tail); a sender
+	// writes directly only when it is 0, behind nothing, which keeps every
+	// sender's FIFO order.
+	wmu     sync.Mutex
+	pending atomic.Int64
+	// raw is the live socket's handle for direct writes, detached while
+	// down. partial is a frame a direct write got only its first partialOff
+	// bytes of onto the socket; kick wakes the pump to write the rest before
+	// anything else. raw and the partial fields are guarded by wmu.
+	raw        rawWriter
+	partial    []byte
+	partialOff int
+	partialAt  time.Time
+	kick       chan struct{}
+
 	enqueued, sent, dropped atomic.Uint64
+	directs                 atomic.Uint64
 	batchesSent             atomic.Uint64
 	dials, connects         atomic.Uint64
 	hbSent, hbAcked         atomic.Uint64
@@ -179,20 +204,24 @@ func DialReconnect(addr string, cfg ReconnectConfig) *ReconnectClient {
 		cfg:   cfg,
 		queue: make(chan outFrame, cfg.QueueSize),
 		done:  make(chan struct{}),
+		kick:  make(chan struct{}, 1),
 	}
 	c.wg.Add(1)
 	go c.run()
 	return c
 }
 
-// Send frames the message and enqueues it for transmission. It fails fast
-// with ErrFieldTooLong/ErrFrameTooLarge on unframeable messages,
-// ErrQueueFull when the bounded queue is saturated, and ErrClientClosed
-// after Close. A nil error means the message was accepted, not that the
-// remote received it — delivery confirmation stays an application concern
-// (the runtime's acks).
+// Send frames the message and hands it to the connection: when the
+// connection is idle — up, no other write in progress, nothing accepted
+// before still unwritten — the calling goroutine writes it itself, else it
+// is enqueued for the connection goroutine. Either way Send never blocks on
+// the network. It fails fast with ErrFieldTooLong/ErrFrameTooLarge on
+// unframeable messages, ErrQueueFull when the bounded queue is saturated,
+// and ErrClientClosed after Close. A nil error means the message was
+// accepted, not that the remote received it — delivery confirmation stays
+// an application concern (the runtime's acks).
 func (c *ReconnectClient) Send(msg Message) error {
-	body, err := EncodeMessage(msg)
+	frame, err := encodeFrame(&msg)
 	if err != nil {
 		return err
 	}
@@ -206,16 +235,91 @@ func (c *ReconnectClient) Send(msg Message) error {
 		return ErrClientClosed
 	default:
 	}
+	if c.writeDirect(frame) {
+		return nil
+	}
+	c.pending.Add(1)
 	select {
-	case c.queue <- outFrame{body: body, at: time.Now()}:
+	case c.queue <- outFrame{body: frame[4:], at: time.Now()}:
 		c.enqueued.Add(1)
 		return nil
 	case <-c.done:
+		c.pending.Add(-1)
 		return ErrClientClosed
 	default:
+		c.pending.Add(-1)
 		c.dropped.Add(1)
 		return ErrQueueFull
 	}
+}
+
+// writeDirect writes frame from the calling goroutine when the connection
+// is idle and reports whether it took the frame. It never blocks: it only
+// tries the writer lock, and makes one non-blocking write. A socket that
+// takes none of the frame leaves it to the queue; one that takes part of it
+// leaves the tail counted pending, so later frames queue behind it, and
+// wakes the pump to finish it.
+func (c *ReconnectClient) writeDirect(frame []byte) bool {
+	if !c.wmu.TryLock() {
+		return false
+	}
+	defer c.wmu.Unlock()
+	if !c.raw.attached() || c.pending.Load() != 0 {
+		return false
+	}
+	n, err := c.raw.write(frame)
+	if err != nil || n <= 0 {
+		return false
+	}
+	c.enqueued.Add(1)
+	c.directs.Add(1)
+	if n < len(frame) {
+		c.partial, c.partialOff, c.partialAt = frame, n, time.Now()
+		c.pending.Add(1)
+		select {
+		case c.kick <- struct{}{}:
+		default:
+		}
+		return true
+	}
+	c.sent.Add(1)
+	c.observeSent(frame[4:], 0)
+	return true
+}
+
+// finishPartial writes the tail a partial direct write left, blocking like
+// the pump's other writes; the pump calls it with wmu held before anything
+// else it writes, so the frame stays whole on the wire.
+func (c *ReconnectClient) finishPartial(conn net.Conn) error {
+	if c.partial == nil {
+		return nil
+	}
+	frame, off, at := c.partial, c.partialOff, c.partialAt
+	c.partial = nil
+	_, err := conn.Write(frame[off:])
+	c.pending.Add(-1)
+	if err != nil {
+		c.dropped.Add(1)
+		return err
+	}
+	c.sent.Add(1)
+	c.observeSent(frame[4:], time.Since(at))
+	return nil
+}
+
+// observeSent records a frame written outside a pump run: its latency and,
+// for a pre-built envelope, its batch, as writeCoalesced would.
+func (c *ReconnectClient) observeSent(body []byte, wait time.Duration) {
+	n, env := batchBodyCount(body)
+	if env {
+		c.batchesSent.Add(1)
+	}
+	c.mu.Lock()
+	c.sendLat.observe(wait)
+	if env {
+		c.batchSizes.observe(n)
+	}
+	c.mu.Unlock()
 }
 
 // Connected reports whether the client currently holds a live connection.
@@ -229,6 +333,7 @@ func (c *ReconnectClient) Stats() ClientStats {
 	c.mu.Unlock()
 	return ClientStats{
 		Enqueued:        c.enqueued.Load(),
+		Direct:          c.directs.Load(),
 		Sent:            c.sent.Load(),
 		Dropped:         c.dropped.Load(),
 		BatchesSent:     c.batchesSent.Load(),
@@ -265,6 +370,7 @@ func (c *ReconnectClient) Close() error {
 	for {
 		select {
 		case <-c.queue:
+			c.pending.Add(-1)
 			c.dropped.Add(1)
 		default:
 			return nil
@@ -318,15 +424,20 @@ func (c *ReconnectClient) run() {
 		}
 		backoff = c.cfg.BackoffMin
 		c.connects.Add(1)
+		c.wmu.Lock()
+		c.raw.attach(conn)
+		c.wmu.Unlock()
 		c.setConnected(true)
 		c.pump(conn)
 		c.setConnected(false)
-		_ = conn.Close()
 	}
 }
 
 // pump drains the queue over one connection until it dies, Close is called,
-// or heartbeats go unanswered.
+// or heartbeats go unanswered. Every write it makes holds wmu and first
+// finishes a partial direct write's tail. On the way out it detaches the
+// socket from direct writes before closing it, and counts a tail it did not
+// finish as Dropped.
 func (c *ReconnectClient) pump(conn net.Conn) {
 	w := newFrameWriter(conn)
 	var lastPong atomic.Int64
@@ -354,6 +465,14 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 		}
 	}()
 	defer func() {
+		c.wmu.Lock()
+		c.raw.detach()
+		if c.partial != nil {
+			c.partial = nil
+			c.pending.Add(-1)
+			c.dropped.Add(1)
+		}
+		c.wmu.Unlock()
 		_ = conn.Close()
 		rwg.Wait()
 	}()
@@ -378,9 +497,16 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 	// wire frame and one flush per run) and keeps the accounting exact: on a
 	// write error the frames already handed to the writer count Sent, the
 	// rest of the run counts Dropped — they were dequeued and will not be
-	// retried on the next connection.
+	// retried on the next connection. The run may be empty: a kick only
+	// finishes a partial write.
 	writeRun := func() bool {
-		written, err := writeCoalesced(w, bodies, onBatch)
+		c.wmu.Lock()
+		defer c.wmu.Unlock()
+		err := c.finishPartial(conn)
+		written := 0
+		if err == nil {
+			written, err = writeCoalesced(w, bodies, onBatch)
+		}
 		c.sent.Add(uint64(written))
 		c.mu.Lock()
 		for _, at := range ats[:written] {
@@ -390,6 +516,7 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 		if err == nil {
 			err = w.Flush()
 		}
+		c.pending.Add(-int64(len(bodies)))
 		if err != nil {
 			c.dropped.Add(uint64(len(bodies) - written))
 			return false
@@ -400,10 +527,14 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 	for {
 		select {
 		case <-c.done:
-			_ = w.Flush()
 			return
 		case <-readDead:
 			return
+		case <-c.kick:
+			bodies, ats = bodies[:0], ats[:0]
+			if !writeRun() {
+				return
+			}
 		case f := <-c.queue:
 			// Drain whatever else is queued into one coalesced run — the
 			// bulk path after a reconnection and under pipelined senders.
@@ -436,7 +567,16 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			if writeFrame(w, ping) != nil || w.Flush() != nil {
+			c.wmu.Lock()
+			err = c.finishPartial(conn)
+			if err == nil {
+				err = writeFrame(w, ping)
+			}
+			if err == nil {
+				err = w.Flush()
+			}
+			c.wmu.Unlock()
+			if err != nil {
 				return
 			}
 			c.hbSent.Add(1)

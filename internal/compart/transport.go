@@ -57,6 +57,22 @@ func EncodeMessage(m Message) ([]byte, error) { return AppendMessage(nil, m) }
 // their buffer until written. On error dst is returned unchanged.
 func AppendMessage(dst []byte, m Message) ([]byte, error) { return appendMessage(dst, &m) }
 
+// encodeFrame encodes m as it goes on the wire, its 4-byte length prefix
+// included, in one allocation; the frame's body is everything after the
+// prefix.
+func encodeFrame(m *Message) ([]byte, error) {
+	n := 4
+	if size := frameSize(m); size <= maxFrame {
+		n += size
+	}
+	buf, err := appendMessage(make([]byte, 4, n), m)
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return buf, nil
+}
+
 // appendMessage is AppendMessage on a message it does not copy, for callers
 // framing the members of a group in place (PackBatch).
 func appendMessage(dst []byte, m *Message) ([]byte, error) {
@@ -381,8 +397,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := newFrameWriter(conn)
-	// Per-connection intern cache: batch interiors repeat the same few
-	// addresses and keys tens of thousands of times a second.
+	// Per-connection intern cache: acks and batch interiors repeat the same
+	// few addresses and keys tens of thousands of times a second.
 	si := make(strIntern)
 	// Per-connection decode scratch for envelope members. Reusing it is sound
 	// because SendBatch hands it on only for the length of the call: an
@@ -396,9 +412,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		// body is this frame's own buffer, so the payload (an envelope's whole
-		// interior) stays in place instead of being copied out.
+		// interior) stays in place instead of being copied out; the addresses
+		// of a plain frame (an ack) are interned like an envelope member's.
 		var msg Message
-		if err := decodeMessageIn(&msg, body, nil, nil, true); err != nil {
+		if err := decodeMessageIn(&msg, body, si, nil, true); err != nil {
 			// The frame body is garbage but the outer length prefix kept
 			// the stream in sync: count it and keep draining.
 			s.decodeErrors.Add(1)
@@ -459,10 +476,11 @@ func (s *Server) Close() {
 }
 
 // setNoDelay keeps TCP_NODELAY explicitly enabled (Go's default) on both
-// transport directions. Coalescing happens at the application level — the
-// writer packs back-to-back frames into KindBatch envelopes and flushes once
-// per drained run — so Nagle's algorithm would only add delay on top of
-// already-batched writes, never save a packet.
+// transport directions. Coalescing happens at the application level — a
+// sender writes its frame whole on an idle connection, and the pump packs a
+// backlog into KindBatch envelopes and flushes once per drained run — so
+// Nagle's algorithm would only add delay on top of already-batched writes,
+// never save a packet.
 func setNoDelay(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)

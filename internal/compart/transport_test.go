@@ -123,6 +123,47 @@ func TestServerCountsDecodeErrorsAndKeepsDraining(t *testing.T) {
 	}
 }
 
+// TestServerInternsAckAddresses: a connection decodes a plain frame's
+// From/To/Key through its intern table, as it does a batch member's, so a
+// repeated ack frame costs the server no string allocation after the first —
+// what the same frame costs with From and Key empty.
+func TestServerInternsAckAddresses(t *testing.T) {
+	remote := newTestNetwork(t, 1)
+	got := make(chan struct{}, 1)
+	remote.Register("A::Fnt", func(Message) { got <- struct{}{} })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(remote, l)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	allocs := func(m Message) float64 {
+		frame, err := encodeFrame(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliver := func() {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			<-got
+		}
+		deliver() // first sight
+		return testing.AllocsPerRun(100, deliver)
+	}
+	payload := make([]byte, 16)
+	bare := allocs(Message{To: "A::Fnt", Kind: KindControl, Payload: payload})
+	ack := allocs(Message{From: "B::Bck1", To: "A::Fnt", Kind: KindControl, Key: "ack", Payload: payload})
+	if ack != bare {
+		t.Fatalf("a repeated ack frame costs %v allocations, one without From and Key %v", ack, bare)
+	}
+}
+
 // TestServerAnswersHeartbeats checks the transport-level ping/pong that
 // reconnecting clients use for liveness: the server echoes heartbeat frames
 // on the same connection and never injects them into the network.
