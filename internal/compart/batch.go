@@ -16,13 +16,13 @@ import (
 //	[uint32 count] ([uint32 len][message frame])*
 //
 // so it travels through writeFrame/readFrame/DecodeMessage unchanged.
-// Envelopes are built in two places: the coalescing writer packs the plain
-// frames of one drained run (writeCoalesced), and a sender that already holds
-// a delivery group packs it itself (PackBatch) and hands the envelope to any
-// single-message carrier. Batches never nest: both pack only non-batch
-// frames, the writer sends a pre-built envelope standalone, and receivers
-// (Server.serveConn, Network.Send) unpack the envelope and inject the inner
-// messages, so application handlers never see KindBatch.
+// Envelopes are built in one place, the coalescing writer, which packs the
+// frames of one drained run (writeCoalesced). Batches never nest: a
+// reconnecting client refuses a KindBatch message handed to its Send, and the
+// server (Server.serveConn) unpacks an envelope and injects the inner
+// messages one by one, so application handlers never see KindBatch. A
+// runtime delivery group is not an envelope: it is one KindGroup message,
+// which the transport carries like any other.
 
 // batchEnvelopeOverhead is the encoded size of the KindBatch envelope around
 // its payload: kind, flag, three empty length-prefixed strings, and the
@@ -30,7 +30,7 @@ import (
 const batchEnvelopeOverhead = 1 + 1 + 3*2 + 4
 
 // minMessageFrame is the smallest possible encoded message frame (empty
-// strings, empty payload); DecodeBatch uses it to reject absurd counts
+// strings, empty payload); decodeBatch uses it to reject absurd counts
 // before allocating.
 const minMessageFrame = 1 + 1 + 3*2 + 4
 
@@ -63,99 +63,17 @@ func appendBatchEnvelope(dst []byte, bodies [][]byte) []byte {
 	return dst
 }
 
-// PackBatch builds the KindBatch envelope carrying msgs in order, encoding
-// every message straight into the envelope's payload buffer. It fails with
-// ErrFrameTooLarge when the envelope would not fit one frame, and with the
-// codec's error when a member cannot be framed or is itself an envelope.
-func PackBatch(msgs []Message) (Message, error) {
-	payload := 4
-	for i := range msgs {
-		if msgs[i].Kind == KindBatch {
-			return Message{}, fmt.Errorf("compart: nested batch")
-		}
-		payload += 4 + frameSize(&msgs[i])
-	}
-	if batchEnvelopeOverhead+payload > maxFrame {
-		return Message{}, fmt.Errorf("%w: batch of %d bytes", ErrFrameTooLarge, payload)
-	}
-	buf := make([]byte, 4, payload)
-	binary.BigEndian.PutUint32(buf, uint32(len(msgs)))
-	for i := range msgs {
-		at := len(buf)
-		var err error
-		if buf, err = appendMessage(append(buf, 0, 0, 0, 0), &msgs[i]); err != nil {
-			return Message{}, err
-		}
-		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
-	}
-	return Message{Kind: KindBatch, Payload: buf}, nil
-}
-
-// SendGroup carries a delivery group through a single-message carrier (a
-// transport client's Send, a deployment uplink): several messages travel as
-// one KindBatch envelope, which the far side unpacks back into one group. A
-// group no envelope can hold (over the 16 MiB frame limit) goes message by
-// message, in order, over the same carrier, and stops at the first carrier
-// error. Either way the far side sees a prefix of the group at worst: an
-// envelope arrives whole or not at all, and the per-message fallback rides
-// one FIFO connection, so a later member never arrives without the earlier
-// ones — the property Network.SendBatch keeps for in-process links.
-func SendGroup(send func(Message) error, msgs []Message) error {
-	if len(msgs) > 1 {
-		if env, err := PackBatch(msgs); err == nil {
-			return send(env)
-		}
-	}
-	for _, m := range msgs {
-		if err := send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batchBodyCount reports whether an encoded frame body is a KindBatch
-// envelope and, if so, how many messages it declares.
-func batchBodyCount(body []byte) (int, bool) {
-	if len(body) < 2 || MessageKind(body[0]) != KindBatch {
-		return 0, false
-	}
-	rest := body[2:]
-	for i := 0; i < 3; i++ { // From, To, Key
-		if len(rest) < 2 {
-			return 0, true
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		if len(rest) < 2+n {
-			return 0, true
-		}
-		rest = rest[2+n:]
-	}
-	if len(rest) < 8 {
-		return 0, true
-	}
-	return int(binary.BigEndian.Uint32(rest[4:])), true
-}
-
-// DecodeBatch unpacks the payload of a KindBatch message into its inner
+// decodeBatch unpacks the payload of a KindBatch envelope into its inner
 // messages. The payload must be consumed exactly; any framing inconsistency
-// fails the whole batch (the server counts it as one decode error). Every
-// inner message owns its memory (payloads are copied out of the envelope).
-func DecodeBatch(payload []byte) ([]Message, error) {
-	return decodeBatch(nil, payload, nil, false)
-}
-
-// decodeBatch is DecodeBatch with an optional intern cache for the inner
-// messages' From/To/Key strings. A member whose From, To or Key spells its
-// predecessor's takes the predecessor's string, so a group — one sender, one
-// destination, often one key — resolves its addresses once, not per member.
-// With alias set the inner payloads point into the envelope buffer instead of
-// being copied out — only valid when the caller owns the envelope and never
-// rewrites its memory (Server.serveConn reads each frame into a fresh buffer;
-// Network.Send holds a message its caller handed over). The members are
-// decoded in place into dst's backing array when it has room (a connection's
-// reused scratch), else into a fresh slice.
-func decodeBatch(dst []Message, payload []byte, si strIntern, alias bool) ([]Message, error) {
+// fails the whole batch (the server counts it as one decode error). An
+// optional intern cache serves the inner messages' From/To/Key strings, and a
+// member whose From, To or Key spells its predecessor's takes the
+// predecessor's string, so a run from one sender to one destination resolves
+// its addresses once, not per member. The inner payloads point into the
+// envelope buffer instead of being copied out, which is valid because the
+// caller owns the envelope and never rewrites its memory (Server.serveConn
+// reads each frame into a fresh buffer).
+func decodeBatch(payload []byte, si strIntern) ([]Message, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("compart: truncated batch count")
 	}
@@ -164,10 +82,7 @@ func decodeBatch(dst []Message, payload []byte, si strIntern, alias bool) ([]Mes
 	if uint64(count)*(4+minMessageFrame) > uint64(len(rest)) {
 		return nil, fmt.Errorf("compart: batch count %d exceeds %d payload bytes", count, len(rest))
 	}
-	msgs := dst[:0]
-	if uint32(cap(msgs)) < count {
-		msgs = make([]Message, 0, count)
-	}
+	msgs := make([]Message, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("compart: truncated batch entry %d length", i)
@@ -182,7 +97,7 @@ func decodeBatch(dst []Message, payload []byte, si strIntern, alias bool) ([]Mes
 		if i > 0 {
 			prev = &msgs[i-1]
 		}
-		if err := decodeMessageIn(&msgs[i], rest[:n], si, prev, alias); err != nil {
+		if err := decodeMessageIn(&msgs[i], rest[:n], si, prev, true); err != nil {
 			return nil, fmt.Errorf("compart: batch entry %d: %w", i, err)
 		}
 		if msgs[i].Kind == KindBatch {
@@ -197,12 +112,11 @@ func decodeBatch(dst []Message, payload []byte, si strIntern, alias bool) ([]Mes
 }
 
 // writeCoalesced writes pre-encoded message frames to w, packing runs of two
-// or more plain frames into KindBatch envelopes so the buffered writer sees
-// one frame per drained run. A run whose envelope would exceed maxFrame is
-// split across several envelopes; a frame too large to share an envelope goes
-// out plain. A body that already is an envelope (PackBatch, built above the
-// client) ends the run before it and goes out standalone, because batches
-// never nest; onBatch sees it like an envelope packed here.
+// or more frames into KindBatch envelopes so the buffered writer sees one
+// frame per drained run. A run whose envelope would exceed maxFrame is split
+// across several envelopes; a frame too large to share an envelope goes out
+// plain. No body is itself an envelope (ReconnectClient.Send refuses them), so
+// batches never nest.
 //
 // It returns how many of the input bodies were handed to w before any error:
 // callers account those as sent and the remainder as dropped, keeping the
@@ -210,23 +124,9 @@ func decodeBatch(dst []Message, payload []byte, si strIntern, alias bool) ([]Mes
 func writeCoalesced(w io.Writer, bodies [][]byte, onBatch func(msgs int)) (written int, err error) {
 	var scratch []byte
 	for start := 0; start < len(bodies); {
-		if n, env := batchBodyCount(bodies[start]); env {
-			if err := writeFrame(w, bodies[start]); err != nil {
-				return written, err
-			}
-			if onBatch != nil {
-				onBatch(n)
-			}
-			written++
-			start++
-			continue
-		}
 		size := batchEnvelopeOverhead + 4
 		end := start
 		for end < len(bodies) {
-			if _, env := batchBodyCount(bodies[end]); env {
-				break
-			}
 			fs := 4 + len(bodies[end])
 			if end > start && size+fs > maxFrame {
 				break
@@ -235,7 +135,7 @@ func writeCoalesced(w io.Writer, bodies [][]byte, onBatch func(msgs int)) (writt
 			end++
 		}
 		if end == start+1 {
-			// A lone plain frame (or one no envelope fits around).
+			// A lone frame (or one no envelope fits around).
 			if err := writeFrame(w, bodies[start]); err != nil {
 				return written, err
 			}

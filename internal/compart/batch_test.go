@@ -35,7 +35,7 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	if err != nil || outer.Kind != KindBatch {
 		t.Fatalf("envelope frame: %+v, %v", outer, err)
 	}
-	inner, err := DecodeBatch(outer.Payload)
+	inner, err := decodeBatch(outer.Payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,12 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 		"nested":       DecodeBatchNestedFixture(t, env),
 	}
 	for name, payload := range cases {
-		if _, err := DecodeBatch(payload); err == nil {
+		if _, err := decodeBatch(payload, nil); err == nil {
 			t.Errorf("%s batch decoded without error", name)
 		}
 	}
 	// The good payload still decodes (the fixtures above didn't mutate it).
-	if _, err := DecodeBatch(good); err != nil {
+	if _, err := decodeBatch(good, nil); err != nil {
 		t.Errorf("control payload failed: %v", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestBatchOversizeRunSplits(t *testing.T) {
 		if m.Kind != KindBatch {
 			t.Fatalf("expected only envelopes on the wire, got kind %d", m.Kind)
 		}
-		inner, err := DecodeBatch(m.Payload)
+		inner, err := decodeBatch(m.Payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestInternDecodeAliasesAndDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := make(strIntern)
-	inner, err := decodeBatch(nil, outer.Payload, si, true)
+	inner, err := decodeBatch(outer.Payload, si)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,28 +190,12 @@ func TestInternDecodeAliasesAndDedups(t *testing.T) {
 	if p[0] == orig {
 		t.Fatal("payload was copied; expected an alias into the envelope buffer")
 	}
-	for i := range base {
-		base[i] ^= 0xff // restore for the copy check below
-	}
 	// Cap: a flood of unique keys stops growing the cache at maxIntern.
 	for i := 0; i < maxIntern+100; i++ {
 		si.get([]byte(fmt.Sprintf("unique-%d", i)))
 	}
 	if len(si) > maxIntern {
 		t.Fatalf("intern cache grew to %d, cap is %d", len(si), maxIntern)
-	}
-	// Public DecodeBatch still copies payloads (callers may hold them past
-	// the envelope's lifetime).
-	plain, err := DecodeBatch(outer.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := append([]byte(nil), plain[0].Payload...)
-	for i := range base {
-		base[i] ^= 0xff
-	}
-	if !bytes.Equal(pp, plain[0].Payload) {
-		t.Fatal("DecodeBatch aliased the envelope buffer")
 	}
 }
 
@@ -239,7 +223,7 @@ func TestDecodeBatchReusesRepeatedAddresses(t *testing.T) {
 		}
 		return env.Payload
 	}
-	inner, err := DecodeBatch(payloadOf(bodies))
+	inner, err := decodeBatch(payloadOf(bodies), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +245,8 @@ func TestDecodeBatchReusesRepeatedAddresses(t *testing.T) {
 		repeated[i] = bodies[0]
 	}
 	same64 := payloadOf(repeated)
-	base := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(nil, one, nil, true) })
-	if n := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(nil, same64, nil, true) }); n != base {
+	base := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(one, nil) })
+	if n := testing.AllocsPerRun(20, func() { _, _ = decodeBatch(same64, nil) }); n != base {
 		t.Fatalf("decoding 64 identical members allocates %v times, one member %v", n, base)
 	}
 }
@@ -306,7 +290,7 @@ func TestClientCoalescesBursts(t *testing.T) {
 				break
 			}
 			if m.Kind == KindBatch {
-				inner, err := DecodeBatch(m.Payload)
+				inner, err := decodeBatch(m.Payload, nil)
 				if err != nil {
 					res.err = err
 					break

@@ -44,10 +44,14 @@ const (
 	KindData
 	// KindControl carries instance lifecycle control.
 	KindControl
+	// KindGroup carries a delivery group: several updates from From to To
+	// that share one sequence range, in a payload the C-Saw runtime encodes
+	// and decodes (runtime/group.go). To the substrate it is one message.
+	KindGroup
 	// KindBatch is a transport-level envelope packing several encoded
-	// messages into one frame (batch.go). It never reaches application
-	// handlers: the TCP server and Network.Send unpack it and inject the
-	// inner messages as one delivery group.
+	// messages into one frame (batch.go). Only a reconnecting client's pump
+	// builds it, and it never reaches application handlers: the TCP server
+	// unpacks it and injects the inner messages one by one.
 	KindBatch MessageKind = 63
 	// KindUser is the first kind available to applications.
 	KindUser MessageKind = 64
@@ -67,15 +71,6 @@ type Message struct {
 // goroutine and must not block for long.
 type Handler func(Message)
 
-// BatchHandler receives a delivery group: several messages for the same
-// endpoint that crossed the network together (one decoded KindBatch
-// envelope, grouped by destination). Like Handler it runs on the delivering
-// goroutine. The slice belongs to the sender and is valid only during the
-// call: a handler that keeps messages copies them out. Endpoints registered
-// without one (Register) receive group members individually through their
-// Handler.
-type BatchHandler func([]Message)
-
 // LinkConfig describes the behaviour of a directed link.
 type LinkConfig struct {
 	// Latency delays each delivery by the given duration.
@@ -93,7 +88,6 @@ type linkKey struct{ from, to string }
 type endpoint struct {
 	name    string
 	handler Handler
-	batch   BatchHandler
 	up      bool
 	stats   EndpointStats
 }
@@ -141,15 +135,6 @@ func (n *Network) Register(name string, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.endpoints[name] = &endpoint{name: name, handler: h, up: true}
-}
-
-// RegisterBatch creates (or revives) an endpoint that additionally accepts
-// whole delivery groups through bh; single-message Sends still arrive
-// through h.
-func (n *Network) RegisterBatch(name string, h Handler, bh BatchHandler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.endpoints[name] = &endpoint{name: name, handler: h, batch: bh, up: true}
 }
 
 // Deregister removes an endpoint entirely.
@@ -263,18 +248,10 @@ func (n *Network) Stats() Stats {
 // every loss is counted: Dropped for link loss at send time, LostInFlight
 // for delayed deliveries that died in flight.
 //
-// A KindBatch envelope is unpacked and injected as a delivery group
-// (SendBatch), so a carrier that ends in a Network — a deployment's
-// in-process uplink — accepts what a TCP server accepts. The inner payloads
-// keep pointing into the envelope's buffer.
+// Every message is one unit of loss, delay and accounting, whatever its
+// payload holds: a KindGroup message is delivered whole or lost whole, and
+// counted once.
 func (n *Network) Send(msg Message) error {
-	if msg.Kind == KindBatch {
-		inner, err := decodeBatch(nil, msg.Payload, nil, true)
-		if err != nil {
-			return err
-		}
-		return n.SendBatch(inner)
-	}
 	start := time.Now()
 	key := linkKey{msg.From, msg.To}
 	n.mu.Lock()
@@ -350,262 +327,6 @@ func (n *Network) Send(msg Message) error {
 		handler(msg)
 	})
 	return nil
-}
-
-// batchGroup is one delivery group being assembled inside SendBatch: the
-// surviving messages for one destination endpoint sharing one sampled delay.
-type batchGroup struct {
-	to    string
-	delay time.Duration
-	msgs  []Message
-}
-
-// batchLink is what SendBatch remembers about one directed link for the
-// length of a call: the delay sampled for it, and whether it has already lost
-// a member.
-type batchLink struct {
-	key   linkKey
-	delay time.Duration
-	// sampled is false until the first surviving member draws the delay.
-	sampled bool
-	// cut is set by the first member the link drops or rejects; every later
-	// member on the link is lost with it.
-	cut bool
-}
-
-// SendBatch delivers a group of messages with per-message link accounting
-// but grouped delivery: surviving messages for the same destination are
-// handed to the endpoint's BatchHandler in one call (falling back to the
-// per-message Handler when none is registered). Every message is counted on
-// its link exactly as a Send would count it, so the conservation invariant
-// holds as for N Send calls; latency and jitter are sampled once per directed
-// link per batch, so a group crosses a link as one unit rather than fanning
-// out into per-message timers.
-//
-// Loss is prefix-closed per directed link within one call: once a link drops
-// or rejects a member, every later member on that link is lost too (still
-// counted one by one, Dropped after a drop and Rejected after a rejection). A
-// group models one frame on one FIFO connection — a receiver may get a prefix
-// of what a sender grouped, never a later member without the earlier ones, so
-// a sender may group statements whose order matters.
-//
-// msgs is the caller's: a group delivered at once reaches its handler as a
-// sub-slice of msgs before SendBatch returns, a delayed group is copied, and
-// handlers do not keep the slice (BatchHandler). The returned error is the
-// first condition known at send time (closure, down endpoint, partition), as
-// Send would report it; members on other links are still sent.
-func (n *Network) SendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	start := time.Now()
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrNetworkClosed
-	}
-	var firstErr error
-	// While uniform, msgs[:kept] all survived into the one group (uTo, uDelay)
-	// and nothing has been copied; the first survivor that breaks the pattern
-	// spills that prefix into groups and the general regrouping takes over.
-	uniform := true
-	kept := 0
-	var uTo string
-	var uDelay time.Duration
-	var groups []*batchGroup
-	spill := func() {
-		uniform = false
-		if kept > 0 {
-			groups = append(groups, &batchGroup{to: uTo, delay: uDelay, msgs: append([]Message(nil), msgs[:kept]...)})
-		}
-	}
-	// Per-link memo: a slice beats a map at the 1-2 distinct links a typical
-	// delivery group spans, and allocates nothing.
-	var linkMemo [4]batchLink
-	links := linkMemo[:0]
-	// Link state is looked up once per run of messages on the same link.
-	var (
-		key linkKey
-		bl  *batchLink
-		ls  *LinkStats
-		ep  *endpoint
-		ok  bool
-		cfg LinkConfig
-	)
-	for i := range msgs {
-		msg := &msgs[i]
-		if k := (linkKey{msg.From, msg.To}); i == 0 || k != key {
-			key = k
-			ls = n.linkStatsLocked(key)
-			ep, ok = n.endpoints[msg.To]
-			cfg = n.linkLocked(key)
-			bl = nil
-			for l := range links {
-				if links[l].key == key {
-					bl = &links[l]
-					break
-				}
-			}
-			if bl == nil {
-				links = append(links, batchLink{key: key})
-				bl = &links[len(links)-1]
-			}
-		}
-		n.stats.Sent++
-		ls.Sent++
-		switch down := !ok || !ep.up; {
-		case down || cfg.Partitioned:
-			n.stats.Rejected++
-			ls.Rejected++
-			if ok {
-				ep.stats.Rejected++
-			}
-			if firstErr == nil && down {
-				firstErr = fmt.Errorf("%w: %q", ErrEndpointDown, msg.To)
-			} else if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %s→%s", ErrPartitioned, msg.From, msg.To)
-			}
-			bl.cut = true
-		case bl.cut || (cfg.DropProb > 0 && n.rng.Float64() < cfg.DropProb):
-			n.stats.Dropped++
-			ls.Dropped++
-			bl.cut = true
-		}
-		if bl.cut {
-			continue
-		}
-		if !bl.sampled {
-			bl.sampled = true
-			bl.delay = cfg.Latency
-			if cfg.Jitter > 0 {
-				bl.delay += time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
-			}
-		}
-		if uniform {
-			if kept == 0 {
-				uTo, uDelay = msg.To, bl.delay
-			}
-			// Only a survivor directly behind the kept prefix extends it in
-			// place: one behind a lost member would leave a hole in msgs[:kept].
-			if kept == i && msg.To == uTo && bl.delay == uDelay {
-				kept++
-				continue
-			}
-			spill()
-		}
-		var g *batchGroup
-		for _, c := range groups {
-			if c.to == msg.To && c.delay == bl.delay {
-				g = c
-				break
-			}
-		}
-		if g == nil {
-			g = &batchGroup{to: msg.To, delay: bl.delay}
-			groups = append(groups, g)
-		}
-		g.msgs = append(g.msgs, *msg)
-	}
-	if uniform {
-		// The usual group — one destination, one delay, at most a lost tail —
-		// needs no regrouping: delivered now it is a sub-slice of msgs, counted
-		// and handed over exactly like Send's synchronous path.
-		if kept == 0 {
-			n.mu.Unlock()
-			return firstErr
-		}
-		if uDelay <= 0 {
-			ep := n.endpoints[uTo]
-			h, bh := ep.handler, ep.batch
-			n.deliveredLocked(ep, msgs[:kept], start)
-			n.mu.Unlock()
-			deliverGroup(h, bh, msgs[:kept])
-			return firstErr
-		}
-		spill()
-	}
-	// Immediate groups are counted Delivered and their handlers captured
-	// under the lock.
-	type ready struct {
-		h    Handler
-		bh   BatchHandler
-		msgs []Message
-	}
-	var run []ready
-	for _, g := range groups {
-		if g.delay > 0 {
-			n.pending.Add(1)
-			continue
-		}
-		ep := n.endpoints[g.to]
-		n.deliveredLocked(ep, g.msgs, start)
-		run = append(run, ready{h: ep.handler, bh: ep.batch, msgs: g.msgs})
-	}
-	n.mu.Unlock()
-	for _, r := range run {
-		deliverGroup(r.h, r.bh, r.msgs)
-	}
-	for _, g := range groups {
-		if g.delay <= 0 {
-			continue
-		}
-		time.AfterFunc(g.delay, func() { n.deliverDelayedGroup(start, g) })
-	}
-	return firstErr
-}
-
-// deliverDelayedGroup finishes a delayed SendBatch group: liveness is
-// re-checked once for the whole group at delivery time, and a crash during
-// flight loses (and counts) every member together.
-func (n *Network) deliverDelayedGroup(start time.Time, g *batchGroup) {
-	defer n.pending.Done()
-	n.mu.Lock()
-	ep, ok := n.endpoints[g.to]
-	if n.closed || !ok || !ep.up {
-		for i := range g.msgs {
-			n.stats.LostInFlight++
-			n.linkStatsLocked(linkKey{g.msgs[i].From, g.msgs[i].To}).LostInFlight++
-			if ok {
-				ep.stats.LostInFlight++
-			}
-		}
-		n.mu.Unlock()
-		return
-	}
-	h, bh := ep.handler, ep.batch
-	n.deliveredLocked(ep, g.msgs, start)
-	n.mu.Unlock()
-	deliverGroup(h, bh, g.msgs)
-}
-
-// deliveredLocked counts a delivery group Delivered at ep, one latency
-// sample per message at the moment the group is handed over, recorded once
-// per run of members on one link; callers hold n.mu.
-func (n *Network) deliveredLocked(ep *endpoint, msgs []Message, start time.Time) {
-	lat := time.Since(start)
-	for i := 0; i < len(msgs); {
-		key := linkKey{msgs[i].From, msgs[i].To}
-		end := i + 1
-		for end < len(msgs) && msgs[end].From == key.from && msgs[end].To == key.to {
-			end++
-		}
-		ls := n.linkStatsLocked(key)
-		ls.Delivered += uint64(end - i)
-		ls.Latency.observeN(lat, end-i)
-		i = end
-	}
-	n.stats.Delivered += uint64(len(msgs))
-	ep.stats.Delivered += uint64(len(msgs))
-}
-
-func deliverGroup(h Handler, bh BatchHandler, msgs []Message) {
-	if bh != nil {
-		bh(msgs)
-		return
-	}
-	for _, m := range msgs {
-		h(m)
-	}
 }
 
 // Close shuts the network down and waits for in-flight deliveries to drain.

@@ -498,7 +498,8 @@ func TestNetPipeTransport(t *testing.T) {
 // TestObserveNMatchesRepeatedObserve: recording n samples of one latency at
 // once leaves Count, Sum, Min and Max exactly where n single observations
 // would, negative and zero latencies and empty runs included; and a delivered
-// group records one sample per member on its link.
+// group message, however many updates it holds, is one message and one
+// sample on its link.
 func TestObserveNMatchesRepeatedObserve(t *testing.T) {
 	type run struct {
 		d time.Duration
@@ -522,11 +523,11 @@ func TestObserveNMatchesRepeatedObserve(t *testing.T) {
 	}
 
 	n := newTestNetwork(t, 1)
-	n.RegisterBatch("sink", func(Message) {}, func([]Message) {})
-	if err := n.SendBatch(keyed("k", 96)); err != nil {
+	n.Register("sink", func(Message) {})
+	if err := n.Send(groupMsg("k", 96)); err != nil {
 		t.Fatal(err)
 	}
-	if ls := n.LinkStats("src", "sink"); ls.Delivered != 96 || ls.Latency.Count != 96 || ls.Latency.Sum != 96*ls.Latency.Max {
-		t.Fatalf("a group of 96 recorded %+v on its link, want 96 samples of one latency", ls)
+	if ls := n.LinkStats("src", "sink"); ls.Sent != 1 || ls.Delivered != 1 || ls.Latency.Count != 1 {
+		t.Fatalf("a group message of 96 updates recorded %+v on its link, want one message and one sample", ls)
 	}
 }

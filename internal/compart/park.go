@@ -4,15 +4,15 @@ import "sync"
 
 // Parked is an endpoint frozen for a migration cutover: frames delivered to
 // it are buffered in arrival order instead of reaching a handler, until
-// Release installs the endpoint's next handlers and replays the buffer
-// through them. It is the cutover barrier underneath live instance
+// Release installs the endpoint's next handler and replays the buffer
+// through it. It is the cutover barrier underneath live instance
 // migration: during the freeze, in-flight frames are neither lost nor
 // applied to a table that is being exported — they wait, then land on
 // whichever side of the cutover Release chooses.
 //
 // Conservation holds throughout: a buffered frame was counted Delivered by
 // the network when it reached the parking handler, and the replay hands the
-// same frames to the next handlers directly, outside the network's
+// same frames to the next handler directly, outside the network's
 // counters, so no frame is counted twice and none disappears.
 type Parked struct {
 	n    *Network
@@ -21,7 +21,6 @@ type Parked struct {
 	mu       sync.Mutex
 	released bool
 	h        Handler
-	bh       BatchHandler
 	buf      []Message
 }
 
@@ -31,25 +30,23 @@ type Parked struct {
 // does not exist creates it (Register semantics).
 func (n *Network) Park(name string) *Parked {
 	p := &Parked{n: n, name: name}
-	n.RegisterBatch(name, p.handleOne, p.handleMany)
+	n.Register(name, p.handle)
 	return p
 }
 
-func (p *Parked) handleOne(m Message) { p.handleMany([]Message{m}) }
-
-func (p *Parked) handleMany(msgs []Message) {
+func (p *Parked) handle(m Message) {
 	p.mu.Lock()
 	if !p.released {
-		p.buf = append(p.buf, msgs...)
+		p.buf = append(p.buf, m)
 		p.mu.Unlock()
 		return
 	}
 	// A frame routed to the parking registration concurrently with Release:
 	// the lock ordered it after the buffered replay, so it delivers to the
-	// post-cutover handlers without overtaking anything buffered.
-	h, bh := p.h, p.bh
+	// post-cutover handler without overtaking anything buffered.
+	h := p.h
 	p.mu.Unlock()
-	deliverGroup(h, bh, msgs)
+	h(m)
 }
 
 // Buffered reports how many frames are currently parked.
@@ -59,26 +56,26 @@ func (p *Parked) Buffered() int {
 	return len(p.buf)
 }
 
-// Release ends the freeze: h (and optionally bh) become the endpoint's
-// handlers, every buffered frame is replayed to them in arrival order, and
-// the live registration is swapped so subsequent deliveries go direct. The
-// swap happens under the park lock after the replay, and the network reads
-// registrations at delivery time, so a frame delivered through the new
-// registration can never overtake a buffered one. Returns the number of
-// frames replayed; calling Release twice is an error-free no-op.
-func (p *Parked) Release(h Handler, bh BatchHandler) int {
+// Release ends the freeze: h becomes the endpoint's handler, every buffered
+// frame is replayed to it in arrival order, and the live registration is
+// swapped so subsequent deliveries go direct. The swap happens under the
+// park lock after the replay, and the network reads registrations at
+// delivery time, so a frame delivered through the new registration can never
+// overtake a buffered one. Returns the number of frames replayed; calling
+// Release twice is an error-free no-op.
+func (p *Parked) Release(h Handler) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.released {
 		return 0
 	}
-	p.h, p.bh = h, bh
+	p.h = h
 	buf := p.buf
 	p.buf = nil
-	if len(buf) > 0 {
-		deliverGroup(h, bh, buf)
+	for _, m := range buf {
+		h(m)
 	}
 	p.released = true
-	p.n.RegisterBatch(p.name, h, bh)
+	p.n.Register(p.name, h)
 	return len(buf)
 }

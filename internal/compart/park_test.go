@@ -58,7 +58,7 @@ func TestParkBuffersAndReplaysInOrder(t *testing.T) {
 		mu.Lock()
 		seen = append(seen, m.Payload[0])
 		mu.Unlock()
-	}, nil)
+	})
 	if replayed != 5 {
 		t.Fatalf("Release replayed %d, want 5", replayed)
 	}
@@ -81,31 +81,7 @@ func TestParkBuffersAndReplaysInOrder(t *testing.T) {
 	if st.Sent != 6 || st.Delivered != 6 {
 		t.Fatalf("sent=%d delivered=%d, want 6/6", st.Sent, st.Delivered)
 	}
-	if p.Release(func(Message) {}, nil) != 0 {
+	if p.Release(func(Message) {}) != 0 {
 		t.Fatal("second Release must be a no-op")
-	}
-}
-
-// TestParkDeliversBatchesThroughBatchHandler checks that a release with a
-// batch handler hands the whole parked buffer over as one group.
-func TestParkDeliversBatchesThroughBatchHandler(t *testing.T) {
-	n := NewNetwork(1)
-	n.Register("ep", func(Message) {})
-	p := n.Park("ep")
-	n.SendBatch([]Message{
-		{From: "src", To: "ep", Kind: KindData, Payload: []byte{1}},
-		{From: "src", To: "ep", Kind: KindData, Payload: []byte{2}},
-	})
-	var mu sync.Mutex
-	var groups [][]Message
-	p.Release(func(m Message) { t.Fatal("batch handler should absorb groups") }, func(ms []Message) {
-		mu.Lock()
-		groups = append(groups, ms)
-		mu.Unlock()
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(groups) != 1 || len(groups[0]) != 2 {
-		t.Fatalf("replay groups = %v, want one group of 2", groups)
 	}
 }

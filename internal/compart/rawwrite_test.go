@@ -186,22 +186,22 @@ func TestSendNeverBlocksOnStalledPeer(t *testing.T) {
 	}
 }
 
-// TestPartialDirectWriteCompletes: on an idle connection a pre-built
-// envelope is written by its sender and counted as the pump counts one; a
-// frame far larger than the socket's buffers gets only its head out from the
-// sender, and the pump writes the tail before the frames another goroutine
-// sent meanwhile, which queue behind it. The peer must read every frame
-// intact, the large one before the small ones.
+// TestPartialDirectWriteCompletes: on an idle connection a group message is
+// written by its sender, whole, as one message and no batch; a frame far
+// larger than the socket's buffers gets only its head out from the sender,
+// and the pump writes the tail before the frames another goroutine sent
+// meanwhile, which queue behind it. The peer must read every frame intact,
+// the large one before the small ones.
 func TestPartialDirectWriteCompletes(t *testing.T) {
 	c, peer := tcpClient(t, 16<<10, ReconnectConfig{})
 
-	group := keyed("g", 3)
-	if err := SendGroup(c.Send, group); err != nil {
+	group := []Message{groupMsg("g", 3)}
+	if err := c.Send(group[0]); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 || st.BatchesSent != 1 ||
-		st.MsgsPerBatch.Sum != 3 || st.SendLatency.Count != 1 || st.SendLatency.Max != 0 {
-		t.Fatalf("a directly written envelope: %+v", st)
+	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 || st.BatchesSent != 0 ||
+		st.SendLatency.Count != 1 || st.SendLatency.Max != 0 {
+		t.Fatalf("a directly written group: %+v", st)
 	}
 
 	big := Message{From: "src", To: "sink", Kind: KindData, Key: "big", Payload: make([]byte, 1<<20)}
@@ -249,6 +249,34 @@ func TestPartialDirectWriteCompletes(t *testing.T) {
 	closeDrained(t, c)
 	st := c.Stats()
 	if st.Enqueued != 12 || st.Sent != 12 || st.Dropped != 0 || st.Direct != 2 || st.SendLatency.Count != 12 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+}
+
+// TestClientRefusesEnvelope: only the pump packs KindBatch envelopes. One
+// handed to Send would be packed inside a drained run, and the receiver would
+// reject the whole run as nested, so Send refuses it up front and counts
+// nothing; the client goes on carrying ordinary messages.
+func TestClientRefusesEnvelope(t *testing.T) {
+	c, peer := tcpClient(t, 0, ReconnectConfig{})
+	env := Message{Kind: KindBatch, Payload: appendBatchEnvelope(nil, [][]byte{{byte(KindProp), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}})}
+	if err := c.Send(env); !errors.Is(err, ErrEnvelope) {
+		t.Fatalf("Send(envelope) = %v, want ErrEnvelope", err)
+	}
+	if st := c.Stats(); st.Enqueued != 0 || st.Sent != 0 || st.Dropped != 0 || st.BatchesSent != 0 {
+		t.Fatalf("a refused envelope moved the ledger: %+v", st)
+	}
+	g := groupMsg("g", 3)
+	if err := c.Send(g); err != nil {
+		t.Fatal(err)
+	}
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	msgs, _, err := readMessages(peer, 1)
+	if err != nil || msgs[0].Kind != KindGroup || msgs[0].Key != "g" {
+		t.Fatalf("after the refusal the wire carried %+v, %v", msgs, err)
+	}
+	closeDrained(t, c)
+	if st := c.Stats(); st.Enqueued != 1 || st.Sent != 1 || st.Dropped != 0 {
 		t.Fatalf("client ledger: %+v", st)
 	}
 }

@@ -27,6 +27,10 @@ var (
 	ErrQueueFull = errors.New("compart: outbound queue full")
 	// ErrClientClosed is returned by Send after Close.
 	ErrClientClosed = errors.New("compart: client closed")
+	// ErrEnvelope is returned by Send for a KindBatch message: only the
+	// client's own pump packs envelopes, and one handed in would end up
+	// nested inside a drained run, which the receiver rejects whole.
+	ErrEnvelope = errors.New("compart: KindBatch envelopes are packed by the client, not sent through it")
 )
 
 // ReconnectConfig tunes DialReconnect. The zero value gives usable
@@ -115,15 +119,13 @@ type ClientStats struct {
 	// Dropped counts messages rejected on a full queue, lost to a write
 	// error, or abandoned in the queue at Close.
 	Dropped uint64
-	// BatchesSent counts KindBatch envelope frames written, whether the
-	// writer packed them from a drained run or a sender handed them in
-	// pre-built (SendGroup). Enqueued, Sent and Dropped count what was handed
-	// to the client — a pre-built envelope is one of those, the members of an
-	// envelope packed here are several — so batching never perturbs the
-	// Enqueued == Sent + Dropped conservation invariant.
+	// BatchesSent counts the KindBatch envelope frames the pump packed from
+	// drained runs. Enqueued, Sent and Dropped count the messages handed to
+	// the client — the members of an envelope are several, and a KindGroup
+	// message is one however many updates it holds — so batching never
+	// perturbs the Enqueued == Sent + Dropped conservation invariant.
 	BatchesSent uint64
-	// MsgsPerBatch summarizes batch sizes (messages per envelope written,
-	// of either origin).
+	// MsgsPerBatch summarizes batch sizes (messages per envelope written).
 	MsgsPerBatch SizeHist
 	// Dials counts dial attempts; Connects counts the successful ones, so
 	// Connects-1 is the number of reconnections and Dials-Connects the
@@ -216,11 +218,15 @@ func DialReconnect(addr string, cfg ReconnectConfig) *ReconnectClient {
 // before still unwritten — the calling goroutine writes it itself, else it
 // is enqueued for the connection goroutine. Either way Send never blocks on
 // the network. It fails fast with ErrFieldTooLong/ErrFrameTooLarge on
-// unframeable messages, ErrQueueFull when the bounded queue is saturated,
-// and ErrClientClosed after Close. A nil error means the message was
-// accepted, not that the remote received it — delivery confirmation stays
-// an application concern (the runtime's acks).
+// unframeable messages and ErrEnvelope on a KindBatch message, counting
+// neither, ErrQueueFull (counted Dropped) when the bounded queue is
+// saturated, and ErrClientClosed after Close. A nil error means the message
+// was accepted, not that the remote received it — delivery confirmation
+// stays an application concern (the runtime's acks).
 func (c *ReconnectClient) Send(msg Message) error {
+	if msg.Kind == KindBatch {
+		return ErrEnvelope
+	}
 	frame, err := encodeFrame(&msg)
 	if err != nil {
 		return err
@@ -283,7 +289,7 @@ func (c *ReconnectClient) writeDirect(frame []byte) bool {
 		return true
 	}
 	c.sent.Add(1)
-	c.observeSent(frame[4:], 0)
+	c.observeSent(0)
 	return true
 }
 
@@ -303,22 +309,14 @@ func (c *ReconnectClient) finishPartial(conn net.Conn) error {
 		return err
 	}
 	c.sent.Add(1)
-	c.observeSent(frame[4:], time.Since(at))
+	c.observeSent(time.Since(at))
 	return nil
 }
 
-// observeSent records a frame written outside a pump run: its latency and,
-// for a pre-built envelope, its batch, as writeCoalesced would.
-func (c *ReconnectClient) observeSent(body []byte, wait time.Duration) {
-	n, env := batchBodyCount(body)
-	if env {
-		c.batchesSent.Add(1)
-	}
+// observeSent records the latency of a frame written outside a pump run.
+func (c *ReconnectClient) observeSent(wait time.Duration) {
 	c.mu.Lock()
 	c.sendLat.observe(wait)
-	if env {
-		c.batchSizes.observe(n)
-	}
 	c.mu.Unlock()
 }
 

@@ -73,8 +73,7 @@ func encodeFrame(m *Message) ([]byte, error) {
 	return buf, nil
 }
 
-// appendMessage is AppendMessage on a message it does not copy, for callers
-// framing the members of a group in place (PackBatch).
+// appendMessage is AppendMessage on a message it does not copy.
 func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	for _, f := range [...]struct{ name, val string }{
 		{"From", m.From}, {"To", m.To}, {"Key", m.Key},
@@ -313,7 +312,7 @@ type ServerStats struct {
 	// MsgsInBatches counts the inner messages those envelopes carried.
 	MsgsInBatches uint64
 	// DecodeErrors counts well-framed bodies that failed DecodeMessage (or
-	// batch envelopes that failed DecodeBatch — a corrupt envelope drops as
+	// batch envelopes that failed decodeBatch — a corrupt envelope drops as
 	// one unit). Such frames are dropped and counted; the connection keeps
 	// draining (the outer length prefix keeps the stream in sync).
 	DecodeErrors uint64
@@ -397,23 +396,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := newFrameWriter(conn)
-	// Per-connection intern cache: acks and batch interiors repeat the same
-	// few addresses and keys tens of thousands of times a second.
+	// Per-connection intern cache: acks, groups and batch interiors repeat the
+	// same few addresses tens of thousands of times a second.
 	si := make(strIntern)
-	// Per-connection decode scratch for envelope members. Reusing it is sound
-	// because SendBatch hands it on only for the length of the call: an
-	// immediate group reaches a BatchHandler, which must not keep the slice,
-	// and a delayed one is copied.
-	var group []Message
 	for {
 		body, err := readFrame(r)
 		if err != nil {
 			// Framing/IO error: the stream is unrecoverable.
 			return
 		}
-		// body is this frame's own buffer, so the payload (an envelope's whole
-		// interior) stays in place instead of being copied out; the addresses
-		// of a plain frame (an ack) are interned like an envelope member's.
+		// body is this frame's own buffer, so the payload (a group's members,
+		// an envelope's whole interior) stays in place instead of being copied
+		// out; the addresses of a plain frame are interned like an envelope
+		// member's.
 		var msg Message
 		if err := decodeMessageIn(&msg, body, si, nil, true); err != nil {
 			// The frame body is garbage but the outer length prefix kept
@@ -431,7 +426,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if msg.Kind == KindBatch {
-			inner, err := decodeBatch(group, msg.Payload, si, true)
+			inner, err := decodeBatch(msg.Payload, si)
 			if err != nil {
 				// A corrupt envelope drops as one unit; the outer length
 				// prefix kept the stream in sync.
@@ -441,14 +436,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.frames.Add(1)
 			s.batches.Add(1)
 			s.msgsInBatches.Add(uint64(len(inner)))
-			// Inject the whole group at once: link configuration and fault
-			// injection apply per message, delivery stays grouped.
-			s.net.SendBatch(inner)
-			// Kept for the next envelope without the members it pointed at,
-			// unless an outsized group grew it past what a connection keeps.
-			clear(inner)
-			if cap(inner) <= maxCoalesce {
-				group = inner
+			// The members go in one by one, in order, each subject to the
+			// link configuration and fault injection like a plain frame.
+			for _, m := range inner {
+				_ = s.net.Send(m)
 			}
 			continue
 		}
@@ -487,11 +478,11 @@ func setNoDelay(conn net.Conn) {
 	}
 }
 
-// bridge registers the proxy endpoint of BridgeReconnect and BridgeLive: single messages go to the
-// carrier as they are, delivery groups as one envelope (SendGroup). Carrier
+// bridge registers the proxy endpoint of BridgeReconnect and BridgeLive:
+// every message goes to the carrier as it is, a KindGroup message included,
+// so a group over the 16 MiB frame limit is refused by the carrier and lost
+// (a deployment's proxy splits such a group; a bridge does not). Carrier
 // errors are lost frames, which the sender's ack machinery notices.
 func bridge(local *Network, name string, send func(Message) error) {
-	local.RegisterBatch(name,
-		func(m Message) { _ = send(m) },
-		func(ms []Message) { _ = SendGroup(send, ms) })
+	local.Register(name, func(m Message) { _ = send(m) })
 }

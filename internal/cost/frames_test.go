@@ -29,8 +29,8 @@ import (
 // its uplink and require the prediction exactly, at one P and at the default.
 
 // frameTally counts the update-carrying frames each junction hands to an
-// uplink: a plain update is one frame, an envelope is one frame however many
-// updates it holds. Acks and anything not junction-addressed are skipped.
+// uplink: a group message is one frame however many updates it holds. Acks
+// and anything not junction-addressed are skipped.
 type frameTally struct {
 	mu     sync.Mutex
 	frames map[string]int
@@ -38,22 +38,9 @@ type frameTally struct {
 
 func (ft *frameTally) wrap(send runtime.Uplink) runtime.Uplink {
 	return func(m compart.Message) error {
-		from, isUpdate := m.From, m.Kind == compart.KindProp || m.Kind == compart.KindData
-		if m.Kind == compart.KindBatch {
-			inner, err := compart.DecodeBatch(m.Payload)
-			if err != nil {
-				return err
-			}
-			from, isUpdate = inner[0].From, true
-			for _, im := range inner {
-				if im.From != from || (im.Kind != compart.KindProp && im.Kind != compart.KindData) {
-					return fmt.Errorf("envelope mixes senders or carries non-updates: %+v", im)
-				}
-			}
-		}
-		if isUpdate {
+		if m.Kind == compart.KindGroup {
 			ft.mu.Lock()
-			ft.frames[from]++
+			ft.frames[m.From]++
 			ft.mu.Unlock()
 		}
 		return send(m)

@@ -223,39 +223,81 @@ func TestMalformedAckFrames(t *testing.T) {
 	}
 }
 
-// TestHandleBatchAcksEachSenderOnce: a delivery group whose senders
-// interleave is absorbed run by run — a's updates, b's, then a's again, one
-// of them out of order — and still acknowledges each sender with one frame,
-// in first-appearance order, carrying its cumulative frontier and its
-// out-of-order extra. A member too short to carry a sequence is neither
-// queued nor acknowledged, and a sender with only such members gets no ack.
-func TestHandleBatchAcksEachSenderOnce(t *testing.T) {
+// TestHandleGroupAcksEachSenderOnce: groups from several senders that a
+// transport pump coalesced into one KindBatch envelope are injected one by one
+// and acknowledged one ack each, in arrival order: a's first group up to 2,
+// b's up to 1, then a's group at 4 — out of order, so an extra beside the
+// frontier — and a's group at 3, which closes the gap. A group whose payload
+// does not decode (c's) is neither queued nor acknowledged.
+func TestHandleGroupAcksEachSenderOnce(t *testing.T) {
 	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
 	defer s.Close()
 	if err := s.RunMain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
 	var acks []string
 	for _, from := range []string{"a::j", "b::j", "c::j"} {
 		s.Net().Register(from, func(m compart.Message) {
+			mu.Lock()
 			acks = append(acks, fmt.Sprintf("%s%v", m.To, ackSeqs(m.Payload)))
+			mu.Unlock()
 		})
 	}
-	upd := func(from, key string, seq uint64) compart.Message {
-		return compart.Message{From: from, To: "g1::j", Kind: compart.KindProp, Key: key, Flag: true,
-			Payload: binary.BigEndian.AppendUint64(nil, seq)}
+	grp := func(from string, lo uint64, keys ...string) compart.Message {
+		ups := make([]remoteUpdate, len(keys))
+		for i, k := range keys {
+			ups[i] = remoteUpdate{kind: compart.KindProp, key: k, flag: true}
+		}
+		return compart.Message{From: from, To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(lo, ups)}
 	}
-	short := compart.Message{From: "c::j", To: "g1::j", Kind: compart.KindProp, Key: "U", Payload: []byte{1}}
+	bad := grp("c::j", 1, "U")
+	bad.Payload = bad.Payload[:len(bad.Payload)-1]
+	// The envelope a pump writes for a drained run: a count, then each
+	// member's length-prefixed frame.
+	payload := binary.BigEndian.AppendUint32(nil, 5)
+	for _, m := range []compart.Message{grp("a::j", 1, "U", "W"), grp("b::j", 1, "U"), bad, grp("a::j", 4, "U"), grp("a::j", 3, "U")} {
+		body, err := compart.EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = append(binary.BigEndian.AppendUint32(payload, uint32(len(body))), body...)
+	}
+	env, err := compart.EncodeMessage(compart.Message{Kind: compart.KindBatch, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := compart.ServeTCP(s.Net(), l)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(env))), env...)); err != nil {
+		t.Fatal(err)
+	}
 	sink := s.junctionQuiet("g1", "j")
-	sink.handleBatch([]compart.Message{
-		upd("a::j", "U", 1), upd("a::j", "W", 2), upd("b::j", "U", 1), short,
-		upd("a::j", "U", 4), upd("a::j", "U", 3),
+	waitUntil(t, 5*time.Second, "the envelope's groups to be absorbed", func() bool {
+		return sink.met.RemoteQueued.Load() == 5
 	})
-	if got := fmt.Sprint(acks); got != "[a::j[4 4] b::j[1]]" {
-		t.Fatalf("acks %s, want one per sender: a::j up to 4 with 4 as an extra, b::j up to 1", got)
+	waitUntil(t, 5*time.Second, "four acks", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acks) >= 4
+	})
+	mu.Lock()
+	got := fmt.Sprint(acks)
+	mu.Unlock()
+	if got != "[a::j[2] b::j[1] a::j[2 4] a::j[4]]" {
+		t.Fatalf("acks %s, want one per group: a::j up to 2, b::j up to 1, a::j 2 with extra 4, a::j up to 4", got)
 	}
-	if n := sink.met.RemoteQueued.Load(); n != 5 {
-		t.Fatalf("RemoteQueued = %d, want 5", n)
+	if ss := srv.Stats(); ss.Batches != 1 || ss.MsgsInBatches != 5 || ss.DecodeErrors != 0 {
+		t.Fatalf("server stats %+v, want one envelope of five", ss)
 	}
 	if n := sink.Table().ApplyPending(); n != 5 {
 		t.Fatalf("the sink absorbed %d updates, want 5", n)
@@ -410,38 +452,38 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	}
 }
 
-// TestHandleBatchAllocations guards what a delivery group costs its
+// TestHandleGroupAllocations guards what a delivery group costs its
 // receiver. A request hop — a write and an assert from one sender — allocates
-// two objects here, its data copy and its ack, which with the sender's frame
+// two objects here, its data copy and its ack, which with the sender's group
 // buffer are the three DESIGN.md sizes a hop of two at. A 96-member fan-out
 // group of one proposition allocates only its ack, as a group of two
-// propositions does: no []kv.Update per envelope and no copy per member.
-func TestHandleBatchAllocations(t *testing.T) {
+// propositions does: no []kv.Update per group, no copy and no key string per
+// member.
+func TestHandleGroupAllocations(t *testing.T) {
 	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
 	if err := s.RunMain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s.Net().Register("a::j", func(compart.Message) {})
 	sink := s.junctionQuiet("g1", "j")
-	prop := func(n int) []compart.Message {
-		msgs := make([]compart.Message, n)
-		for i := range msgs {
-			msgs[i] = compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindProp, Key: "U", Flag: i%2 == 0, Payload: make([]byte, 8)}
+	prop := func(n int) []remoteUpdate {
+		ups := make([]remoteUpdate, n)
+		for i := range ups {
+			ups[i] = remoteUpdate{kind: compart.KindProp, key: "U", flag: i%2 == 0}
 		}
-		return msgs
+		return ups
 	}
-	hop := []compart.Message{
-		{From: "a::j", To: "g1::j", Kind: compart.KindData, Key: "d", Payload: make([]byte, 8+64)},
-		{From: "a::j", To: "g1::j", Kind: compart.KindProp, Key: "U", Flag: true, Payload: make([]byte, 8)},
+	hop := []remoteUpdate{
+		{kind: compart.KindData, key: "d", payload: make([]byte, 64)},
+		{kind: compart.KindProp, key: "U", flag: true},
 	}
 	var seq uint64
-	allocs := func(msgs []compart.Message) float64 {
+	allocs := func(ups []remoteUpdate) float64 {
+		m := compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(1, ups)}
 		return testing.AllocsPerRun(200, func() {
-			for i := range msgs {
-				seq++
-				binary.BigEndian.PutUint64(msgs[i].Payload, seq)
-			}
-			sink.handleBatch(msgs)
+			binary.BigEndian.PutUint64(m.Payload, seq+1)
+			seq += uint64(len(ups))
+			sink.handleMessage(m)
 			sink.Table().ApplyPending()
 		})
 	}

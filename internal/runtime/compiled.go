@@ -72,8 +72,9 @@ func runStepsAt(ctx context.Context, steps []step) (int, plan.Signal, error) {
 // of remote updates becomes one updateStep, which sends consecutive members
 // with the same destination as one group. What makes a group legal for a
 // sequence, which unlike a par has a failure order, is in updateStep (the
-// sender's fate), compart.Network.SendBatch and SendGroup (a receiver sees a
-// prefix) and plan.Lower (adjacency, and no early remote visibility).
+// sender's fate), the group message (delivered whole or not at all, and
+// split by a proxy only into consecutive sub-groups in order: a receiver sees
+// a prefix) and plan.Lower (adjacency, and no early remote visibility).
 func (j *Junction) compileBlock(b *plan.Block) []step {
 	steps := make([]step, len(b.Steps))
 	for i, s := range b.Steps {

@@ -26,12 +26,12 @@ import (
 
 // Uplink carries substrate frames from one location of a deployment to
 // another: in-process deployments forward straight into the destination
-// network, TCP deployments pass a transport client's Send. A frame is either
-// one junction-addressed message or a compart.KindBatch envelope holding a
-// delivery group for one junction, which a transport server or a
-// compart.Network's Send unpacks on arrival. Errors are advisory — a failed
-// forward is a lost frame, exactly like a lossy link, and the sender's ack
-// machinery handles it.
+// network, TCP deployments pass a transport client's Send. A frame is one
+// message: a junction's KindGroup delivery group or ack, or a migration
+// control frame. Errors are advisory — a failed forward is a lost frame,
+// exactly like a lossy link, and the sender's ack machinery handles it — but
+// an uplink that answers compart.ErrFrameTooLarge to a group has it split and
+// sent again in parts (sendSplit).
 type Uplink func(compart.Message) error
 
 type location struct {
@@ -256,25 +256,28 @@ func (d *Deployment) bind(s *System) error {
 // in-process forward into the destination network.
 func (d *Deployment) uplink(from, to string) Uplink {
 	d.mu.Lock()
-	u := d.uplinks[[2]string{from, to}]
-	var dst *location
-	if u == nil {
-		dst = d.byName[to]
-	}
-	d.mu.Unlock()
-	if u != nil {
-		return u
-	}
+	defer d.mu.Unlock()
+	dst := d.byName[to]
 	if dst == nil {
 		return func(compart.Message) error {
 			return fmt.Errorf("runtime: no deployment location %q", to)
 		}
 	}
+	return d.uplinkLocked(from, dst)
+}
+
+// uplinkLocked is uplink for a known destination; callers hold d.mu.
+func (d *Deployment) uplinkLocked(from string, dst *location) Uplink {
+	if u := d.uplinks[[2]string{from, dst.name}]; u != nil {
+		return u
+	}
 	return dst.net.Send
 }
 
 // route resolves the carrier for a frame a proxy endpoint at srcLoc received
-// for junction to: the uplink toward the junction's current location.
+// for junction to: the uplink toward the junction's current location. The
+// placement, the location and the uplink are read under one acquisition of
+// d.mu, so a frame racing a cutover pairs one placement with its own uplink.
 func (d *Deployment) route(srcLoc, to string) Uplink {
 	inst, _, ok := strings.Cut(to, "::")
 	if !ok {
@@ -282,26 +285,48 @@ func (d *Deployment) route(srcLoc, to string) Uplink {
 			return fmt.Errorf("runtime: unroutable frame to %q", to)
 		}
 	}
-	dest := d.LocationOf(inst)
-	if dest == srcLoc {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dest := d.locOfLocked(inst)
+	if dest.name == srcLoc {
 		// Placement already says "here": the live registration at this
 		// location is the real junction (cutover registers the destination
 		// handlers before flipping the map), so a stale proxy route just
 		// delivers locally.
-		return d.loc(srcLoc).net.Send
+		return dest.net.Send
 	}
-	return d.uplink(srcLoc, dest)
+	return d.uplinkLocked(srcLoc, dest)
 }
 
-// proxyHandlers builds the forwarding handler pair a non-owner location
-// registers under a junction's name: a single message crosses the uplink as
-// it is, a delivery group as one envelope (compart.SendGroup). Errors are
+// proxyHandler builds the forwarding handler a non-owner location registers
+// under a junction's name: every frame crosses the uplink as it is, a group
+// the uplink finds too large for one frame in parts (sendSplit). Errors are
 // dropped frames (the sender's ack machinery notices), matching the
 // fire-and-forget semantics of a transport bridge.
-func (d *Deployment) proxyHandlers(srcLoc string) (compart.Handler, compart.BatchHandler) {
-	h := func(m compart.Message) { _ = d.route(srcLoc, m.To)(m) }
-	bh := func(ms []compart.Message) { _ = compart.SendGroup(d.route(srcLoc, ms[0].To), ms) }
-	return h, bh
+func (d *Deployment) proxyHandler(srcLoc string) compart.Handler {
+	return func(m compart.Message) { _ = sendSplit(d.route(srcLoc, m.To), m) }
+}
+
+// sendSplit sends m over up. A group up refuses with compart.ErrFrameTooLarge
+// is halved into consecutive sub-groups, each with its own first sequence and
+// count, and they go in order over the same uplink, halved again while still
+// too large; the first carrier error stops the rest, so the receiver holds a
+// prefix of the group at worst. A single member over the limit fails.
+func sendSplit(up Uplink, m compart.Message) error {
+	err := up(m)
+	if m.Kind != compart.KindGroup || !errors.Is(err, compart.ErrFrameTooLarge) {
+		return err
+	}
+	head, tail, ok := splitGroup(m.Payload)
+	if !ok {
+		return err
+	}
+	m.Payload = head
+	if err := sendSplit(up, m); err != nil {
+		return err
+	}
+	m.Payload = tail
+	return sendSplit(up, m)
 }
 
 // registerProxies registers forwarding proxies for fq on every location
@@ -322,8 +347,7 @@ func (d *Deployment) registerProxiesExcept(owner, skip, fq string) {
 		if l.name == owner || l.name == skip {
 			continue
 		}
-		h, bh := d.proxyHandlers(l.name)
-		l.net.RegisterBatch(fq, h, bh)
+		l.net.Register(fq, d.proxyHandler(l.name))
 	}
 }
 

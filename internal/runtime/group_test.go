@@ -409,7 +409,8 @@ func TestRangeWaiterCreditsEachSequenceOnce(t *testing.T) {
 // TestMigrateSinkBetweenGroups: the sink moves to another location between
 // two firings of the same par. The pair's window and sequence space live
 // with the sender, so the second group continues where the first stopped,
-// crosses the new uplink as one envelope, and is acknowledged from there. The
+// crosses the new uplink as one group message, and is acknowledged from
+// there. The
 // arms alternate between two propositions, so every update is a queue entry
 // of its own and the migrated queue's length counts them all.
 func TestMigrateSinkBetweenGroups(t *testing.T) {
@@ -441,7 +442,7 @@ func TestMigrateSinkBetweenGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(frames) != fmt.Sprint([]int{width}) {
-		t.Fatalf("uplink frames after the move carried %v members, want one envelope of %d", frames, width)
+		t.Fatalf("uplink frames after the move carried %v members, want one group of %d", frames, width)
 	}
 	if n := s.junctionQuiet("g1", "j").Table().PendingLen(); n != 2*width {
 		t.Fatalf("migrated sink holds %d updates, want %d", n, 2*width)
@@ -463,29 +464,24 @@ func TestMigrateSinkBetweenGroups(t *testing.T) {
 }
 
 // countingUplink forwards into dst and appends to *frames how many updates each
-// frame carried (1 for a plain update, the member count for an envelope),
-// leaving out the migration's own control frames.
+// group message carried, leaving out the migration's own control frames.
 func countingUplink(dst *compart.Network, frames *[]int) Uplink {
 	return func(m compart.Message) error {
-		n := 1
-		if m.Kind == compart.KindBatch {
-			inner, err := compart.DecodeBatch(m.Payload)
-			if err != nil {
-				return err
+		if m.Kind == compart.KindGroup {
+			_, members, ok := decodeGroup(m.Payload)
+			if !ok {
+				return fmt.Errorf("malformed group from %s", m.From)
 			}
-			n = len(inner)
-		}
-		if !strings.HasPrefix(m.To, "\x00") {
-			*frames = append(*frames, n)
+			*frames = append(*frames, len(members))
 		}
 		return dst.Send(m)
 	}
 }
 
-// TestInProcessLocationsCarryEnvelopes: two locations with no Connect call
-// forward through the destination network's Send, which must accept the
-// envelope a group crosses as.
-func TestInProcessLocationsCarryEnvelopes(t *testing.T) {
+// TestInProcessLocationsCarryGroups: two locations with no Connect call
+// forward through the destination network's Send, which carries the group
+// message as it carries any other.
+func TestInProcessLocationsCarryGroups(t *testing.T) {
 	const width = 8
 	arms := make(dsl.Par, width)
 	for i := range arms {
@@ -510,6 +506,11 @@ func TestInProcessLocationsCarryEnvelopes(t *testing.T) {
 		if st := dep.Net(loc).Stats(); !st.Conserved() {
 			t.Fatalf("location %s counters not conserved: %+v", loc, st)
 		}
+	}
+	// f's group crossed A's proxy and B's network as one message each way
+	// with its ack.
+	if st := dep.Net("B").Stats(); st.Sent != 2 {
+		t.Fatalf("location B counted %d messages, want the group and its ack", st.Sent)
 	}
 }
 

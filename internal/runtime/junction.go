@@ -38,6 +38,12 @@ type Junction struct {
 
 	table *kv.Table
 
+	// names maps each proposition and data name the junction declares to
+	// itself, so a delivered group's keys resolve to the declared strings
+	// without allocating (declaredName). Built once in newJunction, read-only
+	// after.
+	names map[string]string
+
 	// met is the always-on observability counter block for this junction,
 	// cached at construction so the scheduling path never takes the registry
 	// lock.
@@ -111,9 +117,12 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 	for _, d := range def.Decls {
 		switch n := d.(type) {
 		case dsl.InitProp:
-			j.table.DeclareProp(j.resolveSelfName(n.Name), n.Init)
+			name := j.resolveSelfName(n.Name)
+			j.table.DeclareProp(name, n.Init)
+			j.declareName(name)
 		case dsl.InitData:
 			j.table.DeclareData(n.Name)
+			j.declareName(n.Name)
 		case dsl.DeclSet:
 			elems := make([]string, len(n.Elems))
 			for i, e := range n.Elems {
@@ -129,6 +138,22 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 	j.pj = s.plan.Junctions[j.FQName]
 	j.comp = j.compile(j.pj)
 	return j
+}
+
+func (j *Junction) declareName(name string) {
+	if j.names == nil {
+		j.names = map[string]string{}
+	}
+	j.names[name] = name
+}
+
+// declaredName returns the declared name key spells, or a string of its own
+// for a name the junction does not declare (which its table ignores).
+func (j *Junction) declaredName(key []byte) string {
+	if name, ok := j.names[string(key)]; ok { // the lookup does not allocate
+		return name
+	}
+	return string(key)
 }
 
 // resolveSelfName substitutes the me::instance / me::junction tokens with

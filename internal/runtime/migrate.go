@@ -277,7 +277,7 @@ func (s *System) MigrateInstance(name, dest string) error {
 		// into the old junction handlers (buffered frames replay in order),
 		// schedulings unblock, drivers restart.
 		for i, j := range js {
-			parked[i].Release(j.handleMessage, j.handleBatch)
+			parked[i].Release(j.handleMessage)
 		}
 		s.stageMu.Lock()
 		for _, j := range js {
@@ -373,7 +373,7 @@ drain:
 	// buffer until Release installs the forwarding proxy, so no frame can
 	// overtake the buffered ones.
 	for _, nj := range newJs {
-		destLoc.net.RegisterBatch(nj.FQName, nj.handleMessage, nj.handleBatch)
+		destLoc.net.Register(nj.FQName, nj.handleMessage)
 		d.registerProxiesExcept(dest, src, nj.FQName)
 		s.obs.ResetJunction(nj.FQName)
 		if tracing {
@@ -382,8 +382,7 @@ drain:
 	}
 	d.setLoc(name, dest)
 	for i, j := range js {
-		h, bh := d.proxyHandlers(src)
-		parked[i].Release(h, bh)
+		parked[i].Release(d.proxyHandler(src))
 		j.moved.Store(true)
 	}
 	s.mu.Lock()

@@ -40,7 +40,7 @@ func buildFig3(h1Ran, h2Ran *atomic.Int32, restored *atomic.Value) *dsl.Program 
 	return p
 }
 
-func mustSystem(t *testing.T, p *dsl.Program, opts Options) *System {
+func mustSystem(t testing.TB, p *dsl.Program, opts Options) *System {
 	t.Helper()
 	s, err := New(p, opts)
 	if err != nil {

@@ -60,27 +60,27 @@ func observeSeq(t *testing.T, s *System, ring *obsv.RingSink, invokeErr error) s
 }
 
 // dropKeyUplink forwards frames into dst except updates of proposition key:
-// a plain one is swallowed, and an envelope is split at the first one and
-// only its head forwarded — member p and everything behind it in the group
-// never arrive, the members before it do.
+// a group message is cut at the first one and only its head forwarded, as a
+// smaller group — member p and everything behind it in the group never
+// arrive, the members before it do.
 func dropKeyUplink(dst *compart.Network, key string) Uplink {
-	lost := func(m compart.Message) bool { return m.Kind == compart.KindProp && m.Key == key }
 	return func(m compart.Message) error {
-		if m.Kind != compart.KindBatch {
-			if lost(m) {
-				return nil
-			}
+		if m.Kind != compart.KindGroup {
 			return dst.Send(m)
 		}
-		inner, err := compart.DecodeBatch(m.Payload)
-		if err != nil {
-			return err
+		lo, members, ok := decodeGroup(m.Payload)
+		if !ok {
+			return fmt.Errorf("malformed group from %s", m.From)
 		}
 		head := 0
-		for head < len(inner) && !lost(inner[head]) {
+		for head < len(members) && !(members[head].kind == compart.KindProp && string(members[head].key) == key) {
 			head++
 		}
-		return compart.SendGroup(dst.Send, inner[:head])
+		if head == 0 {
+			return nil
+		}
+		m.Payload = appendGroup(lo, updatesOf(members[:head]))
+		return dst.Send(m)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 
 // TestMigrateSinkBetweenSeqGroups: the destination of a run moves to another
 // location between two firings. The second group continues the pair's
-// sequence space, crosses the new uplink as one envelope of two, and is
-// acknowledged from there.
+// sequence space, crosses the new uplink as one group message of two, and
+// is acknowledged from there.
 func TestMigrateSinkBetweenSeqGroups(t *testing.T) {
 	netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
 	defer netA.Close()
@@ -294,7 +294,7 @@ func TestMigrateSinkBetweenSeqGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(frames) != "[2]" {
-		t.Fatalf("uplink frames after the move carried %v members, want one envelope of 2", frames)
+		t.Fatalf("uplink frames after the move carried %v members, want one group of 2", frames)
 	}
 	var seqs []int64
 	for _, e := range ring.Events() {

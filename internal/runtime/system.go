@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -568,7 +567,7 @@ func (s *System) Close() {
 // network and forwarding proxies under the same name on every other
 // location, so senders always address their local network.
 func (s *System) registerEndpoints(j *Junction, loc *location) {
-	loc.net.RegisterBatch(j.FQName, j.handleMessage, j.handleBatch)
+	loc.net.Register(j.FQName, j.handleMessage)
 	if !s.deploy.single() {
 		s.deploy.registerProxies(loc.name, j.FQName)
 	}
@@ -576,13 +575,13 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 
 // --- remote update plumbing -------------------------------------------------
 //
-// There is one ack plane and one wire format: seq-prefixed prop/data
-// payloads one way, KindControl "ack" frames the other. Each directed
+// There is one ack plane and one wire format: KindGroup messages one way
+// (group.go), KindControl "ack" frames the other. Each directed
 // (sender,receiver) junction pair owns an ackWindow carrying its own sequence
 // space. A send is a group: the updates one par fires at one destination, or
 // adjacent statements of a sequence send to it (or a lone update, the n = 1
-// case), take consecutive per-pair seqs, leave as one delivery group and wait
-// on one range waiter. The receiver tracks the contiguous delivery frontier
+// case), take consecutive per-pair seqs, leave as one message and wait on one
+// range waiter. The receiver tracks the contiguous delivery frontier
 // per sender and answers with cumulative acks — one ack frame (payload: 8-byte
 // cum frontier plus optional 8-byte out-of-order extras) completes every range
 // at or below the frontier.
@@ -616,11 +615,6 @@ type rangeWaiter struct {
 	extra []uint64
 	// ch receives the outcome exactly once, from whoever unlinks the waiter.
 	ch chan error
-	// msgs is the group's frame slice, kept with the pooled waiter so a group
-	// send allocates no more than a single send does. It is in use only while
-	// the group is handed to the substrate, which does not keep it
-	// (compart.Network.SendBatch).
-	msgs []compart.Message
 	// Window queue links; linked is false once the waiter has been completed,
 	// failed or forgotten.
 	prev, next *rangeWaiter
@@ -910,12 +904,12 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 
 // sendGroup is the one remote-update send of the pipelined plane. The group
 // takes consecutive sequences on the pair's window in slice order, crosses
-// the substrate as one delivery group (one envelope on a wire, one KV batch
-// and one cumulative ack at the receiver) and waits on one range waiter, so a
-// par's updates to one destination, or a straight-line run of them, cost what
-// one update costs in round trips; a lone statement is the group of one. The
-// wait respects ctx's deadline; the per-window progress watchdog bounds how
-// long a stuck frontier can hold waiters (see ackWindow).
+// the substrate as one KindGroup message (group.go: one frame on a wire, one
+// KV batch and one cumulative ack at the receiver) and waits on one range
+// waiter, so a par's updates to one destination, or a straight-line run of
+// them, cost what one update costs in round trips; a lone statement is the
+// group of one. The wait respects ctx's deadline; the per-window progress
+// watchdog bounds how long a stuck frontier can hold waiters (see ackWindow).
 //
 // acked is how many leading updates of the group were acknowledged: all of
 // them on success, and on failure the position of the first unacknowledged
@@ -927,20 +921,9 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	wt := waiterPool.Get().(*rangeWaiter)
 	tracing := s.obs.Tracing()
 
-	// One buffer carries every seq-prefixed body of the group.
-	size := 8 * n
-	for _, u := range ups {
-		size += len(u.payload)
-	}
-	buf := make([]byte, size)
-	frame := func(m *compart.Message, i int, seq uint64) {
-		u := &ups[i]
-		body := buf[: 8+len(u.payload) : 8+len(u.payload)]
-		buf = buf[len(body):]
-		binary.BigEndian.PutUint64(body, seq)
-		copy(body[8:], u.payload)
-		*m = compart.Message{From: from, To: to, Kind: u.kind, Key: u.key, Flag: u.flag, Payload: body}
-	}
+	// The group is encoded before the sequence range is known, outside the
+	// window's locks; lo is written into its header once assigned.
+	payload := appendGroup(0, ups)
 
 	w.sendMu.Lock()
 	w.mu.Lock()
@@ -951,6 +934,7 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	w.pushLocked(wt)
 	w.armLocked()
 	w.mu.Unlock()
+	binary.BigEndian.PutUint64(payload, lo)
 	// Ack latency is sampled for the groups holding every 8th sequence (the
 	// histogram is a sample, not a census): at pipelined rates two time.Now
 	// calls per send are a measurable share of the send path. Tracing still
@@ -960,21 +944,7 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	if timing {
 		start = time.Now()
 	}
-	var serr error
-	if n == 1 {
-		var m compart.Message
-		frame(&m, 0, lo)
-		serr = j.net.Send(m)
-	} else {
-		msgs := slices.Grow(wt.msgs[:0], n)[:n]
-		for i := range msgs {
-			frame(&msgs[i], i, lo+uint64(i))
-		}
-		serr = j.net.SendBatch(msgs)
-		// Kept for the next group, without the frames it pointed at.
-		clear(msgs)
-		wt.msgs = msgs
-	}
+	serr := j.net.Send(compart.Message{From: from, To: to, Kind: compart.KindGroup, Payload: payload})
 	w.sendMu.Unlock()
 
 	var werr error
@@ -1047,14 +1017,6 @@ type recvTrack struct {
 // longer waiting on.)
 const maxRecvGap = 1024
 
-// noteDelivered records the arrival of per-pair sequence seq from a sender
-// and returns the ack to emit (recvTrack.deliver).
-func (j *Junction) noteDelivered(from string, seq uint64) (cum uint64, extra bool) {
-	j.recvMu.Lock()
-	defer j.recvMu.Unlock()
-	return j.recvTrackLocked(from).deliver(seq)
-}
-
 // recvTrackLocked returns the sender's delivery tracking, creating it on the
 // sender's first delivery. Callers hold recvMu.
 func (j *Junction) recvTrackLocked(from string) *recvTrack {
@@ -1105,31 +1067,6 @@ func (tr *recvTrack) deliver(seq uint64) (cum uint64, extra bool) {
 	return tr.contig, false
 }
 
-// updateSeq reads the per-pair sequence a prop/data message is prefixed
-// with; false for a payload too short to hold one.
-func updateSeq(m *compart.Message) (uint64, bool) {
-	if len(m.Payload) < 8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(m.Payload), true
-}
-
-// decodeUpdate parses a seq-prefixed prop/data message into u, which must be
-// the zero Update; u stays zero when m is too short to hold a sequence.
-func decodeUpdate(m *compart.Message, u *kv.Update) (uint64, bool) {
-	seq, ok := updateSeq(m)
-	if !ok {
-		return 0, false
-	}
-	u.Key, u.From = m.Key, m.From
-	if m.Kind == compart.KindProp {
-		u.Kind, u.Bool = kv.UpdateProp, m.Flag
-	} else {
-		u.Kind, u.Data = kv.UpdateData, append([]byte(nil), m.Payload[8:]...)
-	}
-	return seq, true
-}
-
 // written is the §8 label value of a delivered update: tt or ff for a
 // proposition, * for data.
 func written(u *kv.Update) string {
@@ -1151,8 +1088,8 @@ func appendAck(cum uint64, extras []uint64) []byte {
 }
 
 // handleMessage is installed per junction endpoint; defined here because it
-// needs the ack plumbing. kind KindControl with key "ack" resolves acks;
-// prop/data messages enqueue a KV update and acknowledge delivery.
+// needs the ack plumbing. A KindControl message keyed "ack" resolves acks; a
+// KindGroup message is a delivery group (handleGroup).
 func (j *Junction) handleMessage(m compart.Message) {
 	switch m.Kind {
 	case compart.KindControl:
@@ -1167,158 +1104,101 @@ func (j *Junction) handleMessage(m compart.Message) {
 			extras = append(extras, binary.BigEndian.Uint64(m.Payload[off:]))
 		}
 		j.sys.ackPair(j.FQName, m.From, cum, extras)
-	case compart.KindProp, compart.KindData:
-		var u kv.Update
-		seq, ok := decodeUpdate(&m, &u)
-		if !ok {
-			return
-		}
-		j.table.Enqueue(u)
-		j.met.RemoteQueued.Add(1)
-		cum, extra := j.noteDelivered(m.From, seq)
-		if j.sys.obs.Tracing() {
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Truth: written(&u), Peer: m.From, N: int64(seq)})
-		}
-		var extras []uint64
-		if extra {
-			extras = []uint64{seq}
-		}
-		_ = j.net.Send(compart.Message{
-			From: j.FQName, To: m.From, Kind: compart.KindControl, Key: "ack", Payload: appendAck(cum, extras),
-		})
+	case compart.KindGroup:
+		j.handleGroup(&m)
 	}
 }
 
-// pairAck is the cumulative ack one delivery group owes one sender.
-type pairAck struct {
-	from   string
-	cum    uint64
-	extras []uint64
-}
-
-// ackSlot returns the index of from's ack in acks, appending one for a sender
-// not seen before.
-func ackSlot(acks []pairAck, from string) ([]pairAck, int) {
-	for a := range acks {
-		if acks[a].from == from {
-			return acks, a
-		}
-	}
-	return append(acks, pairAck{from: from}), len(acks)
-}
-
-// isUpdate reports whether a message carries a remote KV update.
-func isUpdate(m *compart.Message) bool {
-	return m.Kind == compart.KindProp || m.Kind == compart.KindData
-}
-
-// updatePool holds the update slices of groups wider than handleBatch's stack
+// updatePool holds the update slices of groups wider than handleGroup's stack
 // array: a 96-member fan-out group would otherwise allocate ~8 KB per
-// envelope. Pooled slices are kept cleared, so their slots are zero Updates.
+// message. Pooled slices are kept cleared, so their slots are zero Updates.
 var updatePool = sync.Pool{New: func() any { return new([]kv.Update) }}
 
-// handleBatch absorbs a delivery group — the messages of one decoded
-// KindBatch envelope addressed to this junction — with one KV lock
-// acquisition (kv.EnqueueBatch) and one ack frame per sender: the batched
-// receive path the per-destination coalescing senders feed. The slice is the
-// sender's and is not kept.
-func (j *Junction) handleBatch(msgs []compart.Message) {
-	tracing := j.sys.obs.Tracing()
-	// A request hop is a group of two and has one sender: both collections
-	// start on the stack, and a wide fan-out takes a pooled slice with room
-	// for every member, so decoding below never grows it.
+// handleGroup absorbs a delivery group: its members are decoded straight into
+// an update slice, its sequences recorded under one recvMu, its updates
+// enqueued under one KV lock (kv.EnqueueBatch) and its sender acknowledged
+// with one frame. Every member's sender is the message's From. A payload that
+// does not decode exactly is dropped whole and not acknowledged, so its
+// sender's window times out as for a lost frame.
+func (j *Junction) handleGroup(m *compart.Message) {
+	lo, n, p, ok := openGroup(m.Payload)
+	if !ok {
+		return
+	}
+	// A request hop is a group of two: its updates live on the stack, and a
+	// wide fan-out takes a pooled slice with room for every member.
 	var updateBuf [4]kv.Update
-	updates := updateBuf[:0]
+	var updates []kv.Update
 	var pooled *[]kv.Update
-	if len(msgs) > len(updateBuf) {
+	if n <= len(updateBuf) {
+		updates = updateBuf[:n]
+	} else {
 		pooled = updatePool.Get().(*[]kv.Update)
-		if cap(*pooled) < len(msgs) {
-			*pooled = make([]kv.Update, 0, len(msgs))
+		if cap(*pooled) < n {
+			*pooled = make([]kv.Update, n)
 		}
-		updates = (*pooled)[:0]
+		updates = (*pooled)[:n]
 	}
-	// Per-sender ack accumulation, in first-appearance order so ack emission
-	// is deterministic.
-	var ackBuf [2]pairAck
-	acks := ackBuf[:0]
-	for i := 0; i < len(msgs); {
-		if !isUpdate(&msgs[i]) {
-			// Control frames (acks) riding the same envelope take the
-			// singular path.
-			j.handleMessage(msgs[i])
-			i++
-			continue
+	for i := range updates {
+		var gm groupMember
+		if gm, p, ok = nextMember(p); !ok {
+			break
 		}
-		// A run of updates from one sender — a whole group, as senders emit
-		// them — finds its ack slot and its delivery tracking once.
-		from, end := msgs[i].From, i+1
-		for end < len(msgs) && isUpdate(&msgs[end]) && msgs[end].From == from {
-			end++
+		u := &updates[i]
+		u.Key, u.From = j.declaredName(gm.key), m.From
+		if gm.kind == compart.KindProp {
+			u.Kind, u.Bool = kv.UpdateProp, gm.flag
+		} else {
+			u.Kind, u.Data = kv.UpdateData, append([]byte(nil), gm.data...)
 		}
-		run := msgs[i:end]
-		i = end
-		decoded := len(updates)
-		for k := range run {
-			// Decoded in place into a zero slot: updates has room for every member.
-			n := len(updates)
-			updates = updates[:n+1]
-			seq, ok := decodeUpdate(&run[k], &updates[n])
-			if !ok {
-				updates = updates[:n]
-				continue
-			}
-			if tracing {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: run[k].Key, Truth: written(&updates[n]), Peer: from, N: int64(seq)})
-			}
-		}
-		if len(updates) == decoded {
-			continue
-		}
-		// The deliveries are recorded in a second pass so that the trace
-		// sink above, the application's code, runs outside recvMu.
-		var a int
-		acks, a = ackSlot(acks, from)
-		j.recvMu.Lock()
-		tr := j.recvTrackLocked(from)
-		for k := range run {
-			seq, ok := updateSeq(&run[k])
-			if !ok {
-				continue
-			}
-			cum, extra := tr.deliver(seq)
-			acks[a].cum = cum
-			if extra {
-				acks[a].extras = append(acks[a].extras, seq)
-			}
-		}
-		j.recvMu.Unlock()
 	}
-	if len(updates) > 0 {
-		j.table.EnqueueBatch(updates)
-		j.met.RemoteQueued.Add(uint64(len(updates)))
-		j.met.RemoteBatches.Add(1)
-		if tracing {
-			peer := updates[0].From
-			for k := range updates {
-				if updates[k].From != peer {
-					peer = ""
-					break
-				}
-			}
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteBatch, Junction: j.FQName, Peer: peer, N: int64(len(updates))})
-		}
+	if ok && len(p) == 0 {
+		j.deliverGroup(m.From, lo, updates)
 	}
 	if pooled != nil {
 		// updates is a prefix of *pooled's array; putting updates itself back
 		// would let the stack array escape.
-		clear((*pooled)[:len(updates)])
+		clear((*pooled)[:n])
 		updatePool.Put(pooled)
 	}
-	// Acks leave after the updates are enqueued: a sender's statement must
-	// not complete before its update is visible to the receiving table.
-	for _, pa := range acks {
-		_ = j.net.Send(compart.Message{
-			From: j.FQName, To: pa.from, Kind: compart.KindControl, Key: "ack", Payload: appendAck(pa.cum, pa.extras),
-		})
+}
+
+// deliverGroup records the arrival of the sequences lo.. of a decoded group
+// from one sender, enqueues its updates and acknowledges it.
+func (j *Junction) deliverGroup(from string, lo uint64, updates []kv.Update) {
+	n := uint64(len(updates))
+	tracing := j.sys.obs.Tracing()
+	if tracing {
+		// Emitted before the updates are visible, so no trace can show one
+		// applied ahead of its arrival; the sink runs outside recvMu.
+		for i := range updates {
+			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: updates[i].Key, Truth: written(&updates[i]), Peer: from, N: int64(lo + uint64(i))})
+		}
 	}
+	var cum uint64
+	var extras []uint64
+	j.recvMu.Lock()
+	tr := j.recvTrackLocked(from)
+	for i := uint64(0); i < n; i++ {
+		seq := lo + i
+		c, extra := tr.deliver(seq)
+		cum = c
+		if extra {
+			extras = append(extras, seq)
+		}
+	}
+	j.recvMu.Unlock()
+	j.table.EnqueueBatch(updates)
+	j.met.RemoteQueued.Add(n)
+	if n > 1 {
+		j.met.RemoteBatches.Add(1)
+		if tracing {
+			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteBatch, Junction: j.FQName, Peer: from, N: int64(n)})
+		}
+	}
+	// The ack leaves after the updates are enqueued: a sender's statement
+	// must not complete before its update is visible to the receiving table.
+	_ = j.net.Send(compart.Message{
+		From: j.FQName, To: from, Kind: compart.KindControl, Key: "ack", Payload: appendAck(cum, extras),
+	})
 }
