@@ -91,11 +91,33 @@ type PropCell cell
 // that lands "during" either is ordered before or after it.
 func (c *PropCell) Get() bool { return c.b.Load() }
 
-// Set is Table.SetProp on the bound proposition.
+// Set is Table.SetProp on the bound proposition. When the table has no
+// update queued and no subscription, a local write has nothing to discard
+// and nobody to wake, so it is the store alone and takes no lock. DESIGN.md
+// ("A local write takes no lock when nobody watches") gives the ordering
+// argument.
+//
+// A write that finds either count raised before its store is the locked
+// write, store included: an update queued before the write began must be
+// discarded in the same step as the store, or a drain racing the gap could
+// apply it over the write. A write whose counts are raised only after its
+// store raced the delivery or subscription that raised them; it discards
+// what is still queued for the key and wakes subscribers, but does not store
+// again, so an update a drain applied in the gap stays ordered after it.
 func (c *PropCell) Set(v bool) {
 	t := c.t
+	if t.npending.Load() != 0 || t.nsubs.Load() != 0 {
+		t.mu.Lock()
+		t.setPropLocked((*cell)(c), v, nil)
+		t.mu.Unlock()
+		return
+	}
+	c.b.Store(v)
+	if t.npending.Load() == 0 && t.nsubs.Load() == 0 {
+		return
+	}
 	t.mu.Lock()
-	t.setPropLocked((*cell)(c), v, nil)
+	t.afterLocalWriteLocked((*cell)(c), nil)
 	t.mu.Unlock()
 }
 
@@ -236,10 +258,14 @@ func (ws WaitSet) Bind(t *Table) *Keys {
 // never replace them — so a binding taken before a rollback or a migration
 // install reads the restored value after it.
 //
-// Every write takes the lock, bound or not: discarding the pending updates to
-// the key (local priority), admitting an update into a blocked wait and
-// waking the key's subscribers must be atomic with the store. Reading a bound
-// proposition does not (PropCell.Get).
+// Every write takes the lock, bound or not, when it has something to do
+// beside the store: discarding the pending updates to the key (local
+// priority), admitting an update into a blocked wait and waking the key's
+// subscribers must be atomic with the store. A bound proposition write to a
+// table with an empty queue and no subscription has none of that and takes
+// no lock
+// (PropCell.Set); nor does reading a bound proposition (PropCell.Get), or
+// ApplyPending on an empty queue.
 type Table struct {
 	mu sync.Mutex
 	// props and data index the cells by name. They gain entries at
@@ -249,6 +275,9 @@ type Table struct {
 	data    map[string]*cell
 	pending []Update
 	nextSeq uint64
+	// npending is len(pending), republished under mu at every change, for
+	// the lock-free checks of PropCell.Set and ApplyPending.
+	npending atomic.Int64
 
 	// waiters holds the admission sets of all currently-blocked wait
 	// statements (parallel composition can block several waits at once).
@@ -259,6 +288,9 @@ type Table struct {
 	// schedulers: a subscription is woken only when one of its registered keys
 	// changes.
 	subs []*Subscription
+	// nsubs is len(subs), republished under mu at every change, for the
+	// lock-free check of PropCell.Set.
+	nsubs atomic.Int64
 
 	// wakes counts keyed subscription wake deliveries (tokens placed on
 	// subscription channels), for the observability layer.
@@ -320,6 +352,7 @@ func (t *Table) SubscribeKeys(ks *Keys) *Subscription {
 	s := &Subscription{ch: make(chan struct{}, 1), keys: ks}
 	t.mu.Lock()
 	t.subs = append(t.subs, s)
+	t.nsubs.Store(int64(len(t.subs)))
 	t.mu.Unlock()
 	return s
 }
@@ -336,6 +369,7 @@ func (t *Table) Unsubscribe(s *Subscription) {
 		t.subs[i] = t.subs[last]
 		t.subs[last] = nil
 		t.subs = t.subs[:last]
+		t.nsubs.Store(int64(len(t.subs)))
 	}
 }
 
@@ -516,7 +550,7 @@ func (t *Table) UndoProp(u PropUndo) {
 			}
 			merged = append(merged, p)
 		}
-		t.pending = append(merged, d...)
+		t.setPendingLocked(append(merged, d...))
 	}
 	t.wakeLocked(u.c)
 }
@@ -581,7 +615,7 @@ func (t *Table) dropPendingLocked(kind UpdateKind, name string, dropped *[]Updat
 		}
 		kept = append(kept, u)
 	}
-	t.pending = kept
+	t.setPendingLocked(kept)
 }
 
 // deliverLocked delivers a run of n updates to one key, u the last of them:
@@ -615,9 +649,15 @@ func (t *Table) deliverLocked(u Update, n int) *cell {
 		u.n += t.pending[last].n
 		t.pending[last] = u
 	} else {
-		t.pending = append(t.pending, u)
+		t.setPendingLocked(append(t.pending, u))
 	}
 	return c
+}
+
+// setPendingLocked replaces the queue and publishes its length.
+func (t *Table) setPendingLocked(p []Update) {
+	t.pending = p
+	t.npending.Store(int64(len(p)))
 }
 
 // Enqueue delivers a remote update. If the junction is currently blocked in
@@ -700,12 +740,16 @@ func (t *Table) applyLocked(u Update) {
 // it stands for). The runtime calls it when the junction is scheduled (paper
 // §8: updates "take effect after the junction finishes executing, and before
 // it is scheduled to execute again").
+//
+// An empty queue is seen without the lock. An update racing that check
+// arrived after the scheduling began, and applies at the next one, as it
+// would had it lost the race for the lock.
 func (t *Table) ApplyPending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.pending) == 0 {
+	if t.npending.Load() == 0 {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
 	for _, u := range t.pending {
 		t.applyLocked(u)
@@ -718,11 +762,11 @@ func (t *Table) ApplyPending() int {
 	// a junction that went unscheduled for a long stretch, and keeping it
 	// would charge every quiet period after for that one backlog.
 	if cap(t.pending) > keepPending {
-		t.pending = nil
+		t.setPendingLocked(nil)
 		return n
 	}
 	clear(t.pending)
-	t.pending = t.pending[:0]
+	t.setPendingLocked(t.pending[:0])
 	return n
 }
 
@@ -783,7 +827,7 @@ func (t *Table) BeginWaitKeys(ks *Keys) (handle int) {
 		}
 		kept = append(kept, u)
 	}
-	t.pending = kept
+	t.setPendingLocked(kept)
 	return handle
 }
 

@@ -87,7 +87,7 @@ func (t *Table) RestoreAll(st TableState) {
 	for k, v := range st.Data {
 		t.declareLocked(UpdateData, k).d = copyValue(v)
 	}
-	t.pending = t.pending[:0]
+	pending := t.pending[:0]
 	for _, u := range st.Pending {
 		if u.Data != nil {
 			u.Data = append([]byte(nil), u.Data...)
@@ -95,8 +95,9 @@ func (t *Table) RestoreAll(st TableState) {
 		u.seq = t.nextSeq
 		u.n = 1
 		t.nextSeq++
-		t.pending = append(t.pending, u)
+		pending = append(pending, u)
 	}
+	t.setPendingLocked(pending)
 	t.wakeEveryLocked()
 	t.mu.Unlock()
 }

@@ -624,27 +624,32 @@ func TestFailoverBackendRejoins(t *testing.T) {
 	if _, err := failoverClient(ctx, sys, app, "inc"); err != nil {
 		t.Fatal(err)
 	}
+	// The host object outlives the crash, so its counters still hold the
+	// first request: only requests served past this count are the rejoined
+	// incarnation's.
+	servedBefore := backs[1].serve.Load()
 	if err := sys.StartInstance(FailoverBackend(1), backs[1]); err != nil {
 		t.Fatal(err)
+	}
+	state := func() int64 {
+		backs[1].mu.Lock()
+		defer backs[1].mu.Unlock()
+		return backs[1].state
 	}
 	// Give the registration cycle time to complete, then check the rejoined
 	// backend serves again.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := failoverClient(ctx, sys, app, "inc")
-		if err != nil {
+		if _, err := failoverClient(ctx, sys, app, "inc"); err != nil {
 			t.Fatal(err)
 		}
-		_ = resp
-		if backs[1].serve.Load() > 0 {
+		if backs[1].serve.Load() > servedBefore {
 			// The rejoined backend processed a request after its resync. Warm
 			// replicas may transiently lag by an in-flight round (the paper
 			// notes the design's conservatism, §7.3); the guarantee is that
 			// the replica's state never runs AHEAD of the canonical counter
 			// and keeps advancing with subsequent requests.
-			backs[1].mu.Lock()
-			st := backs[1].state
-			backs[1].mu.Unlock()
+			st := state()
 			app.mu.Lock()
 			canon := app.state
 			app.mu.Unlock()
@@ -654,15 +659,11 @@ func TestFailoverBackendRejoins(t *testing.T) {
 			if st == 0 {
 				t.Fatal("rejoined backend never resynced state")
 			}
-			before := st
 			if _, err := failoverClient(ctx, sys, app, "inc"); err != nil {
 				t.Fatal(err)
 			}
-			backs[1].mu.Lock()
-			after := backs[1].state
-			backs[1].mu.Unlock()
-			if after <= before {
-				t.Fatalf("rejoined backend stopped advancing: %d → %d", before, after)
+			if after := state(); after <= st {
+				t.Fatalf("rejoined backend stopped advancing: %d → %d", st, after)
 			}
 			return
 		}

@@ -221,8 +221,9 @@ func (j *Junction) Schedule(ctx context.Context) error {
 		}
 	}
 	j.met.Schedulings.Add(1)
+	timing := obs.Timing()
 	var start time.Time
-	if obs.Timing() {
+	if timing {
 		start = time.Now()
 	}
 	if tracing {
@@ -255,7 +256,7 @@ func (j *Junction) Schedule(ctx context.Context) error {
 			continue
 		}
 		j.met.Fires.Add(1)
-		if !start.IsZero() {
+		if timing {
 			d := time.Since(start)
 			j.met.Sched.Observe(d)
 			if tracing {

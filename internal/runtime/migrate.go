@@ -214,13 +214,10 @@ func (s *System) MigrateInstance(name, dest string) error {
 	s.migrateMu.Lock()
 	defer s.migrateMu.Unlock()
 
-	s.mu.Lock()
-	inst, ok := s.instances[name]
+	inst, ok := s.instanceMap()[name]
 	if !ok || !inst.running.Load() {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotRunning, name)
 	}
-	s.mu.Unlock()
 
 	src := d.LocationOf(name)
 	if src == dest {
@@ -238,14 +235,15 @@ func (s *System) MigrateInstance(name, dest string) error {
 	// --- quiesce ---------------------------------------------------------
 	// Junction order is deterministic (sorted) so a hypothetical second
 	// quiescer could never deadlock against us.
-	names := make([]string, 0, len(inst.junctions))
-	for jn := range inst.junctions {
+	oldJs := inst.junctionMap()
+	names := make([]string, 0, len(oldJs))
+	for jn := range oldJs {
 		names = append(names, jn)
 	}
 	sort.Strings(names)
 	js := make([]*Junction, 0, len(names))
 	for _, jn := range names {
-		js = append(js, inst.junctions[jn])
+		js = append(js, oldJs[jn])
 	}
 	for _, j := range js {
 		j.stopDriver(false)
@@ -386,7 +384,7 @@ drain:
 		j.moved.Store(true)
 	}
 	s.mu.Lock()
-	inst.junctions = newJs
+	inst.junctions.Store(&newJs)
 	s.mu.Unlock()
 	unlockAll()
 	// Waiters blocked on an old table (InvokeWhenReady subscriptions armed
@@ -409,13 +407,7 @@ func (s *System) restartDrivers(inst *Instance) {
 	if s.opts.DisableDrivers {
 		return
 	}
-	s.mu.Lock()
-	js := make([]*Junction, 0, len(inst.junctions))
-	for _, j := range inst.junctions {
-		js = append(js, j)
-	}
-	s.mu.Unlock()
-	for _, j := range js {
+	for _, j := range inst.junctionMap() {
 		if j.def.Guard != nil && !j.def.Manual {
 			j.startDriver()
 		}

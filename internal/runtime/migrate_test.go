@@ -500,3 +500,73 @@ func TestDeploymentListingsSorted(t *testing.T) {
 		})
 	}
 }
+
+// TestInvokeResolvesWithoutSystemLock holds System.mu, the lock instance
+// lifecycle changes take, while the application resolves and invokes
+// junctions: the name lookup reads copy-on-write maps and must not wait for
+// it. Across a migration the lookup finds the new incarnation the cutover
+// published.
+func TestInvokeResolvesWithoutSystemLock(t *testing.T) {
+	dep, netA, netB := twoLocDeployment()
+	defer netA.Close()
+	defer netB.Close()
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 10 * time.Second})
+	defer s.Close()
+	for _, inst := range []string{"f", "g"} {
+		if err := s.StartInstance(inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	underLock := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		s.mu.Lock()
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			s.mu.Unlock()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			s.mu.Unlock()
+			t.Fatalf("%s waited for the system lock", what)
+		}
+	}
+	var before *Junction
+	underLock("resolve and invoke", func() (err error) {
+		if before, err = s.Junction("g", "tick"); err != nil {
+			return err
+		}
+		if !s.InstanceRunning("g") {
+			return errors.New("g not running")
+		}
+		if _, err := s.Junction("g", "nope"); err == nil {
+			return errors.New("an undeclared junction resolved")
+		}
+		return s.Invoke(ctx, "g", "tick")
+	})
+	if err := s.MigrateInstance("g", "B"); err != nil {
+		t.Fatal(err)
+	}
+	underLock("resolve and invoke after the migration", func() error {
+		after, err := s.Junction("g", "tick")
+		if err != nil {
+			return err
+		}
+		if after == before || after.moved.Load() {
+			return errors.New("the lookup found the retired incarnation")
+		}
+		return s.Invoke(ctx, "g", "tick")
+	})
+	if ok, err := func() (bool, error) {
+		j, err := s.Junction("g", "tick")
+		if err != nil {
+			return false, err
+		}
+		return j.Table().Prop("Ticked")
+	}(); err != nil || !ok {
+		t.Fatalf("Ticked at the new incarnation = %v, %v; want true", ok, err)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,8 +100,11 @@ type System struct {
 	// counters, plus trace events and latency timing when enabled.
 	obs *obsv.Observer
 
+	// mu serializes instance lifecycle changes and guards apps. The
+	// instance map is copy-on-write: a writer holds mu and publishes a fresh
+	// map, so resolving a name (Invoke, Junction) takes no lock.
 	mu        sync.Mutex
-	instances map[string]*Instance
+	instances atomic.Pointer[map[string]*Instance]
 	apps      map[string]any
 
 	// Ack plumbing: one window per directed (sender,receiver) junction pair,
@@ -127,13 +131,21 @@ type System struct {
 
 // Instance is one running (or stopped) instance of an instance type.
 type Instance struct {
-	sys       *System
-	Name      string
-	TypeName  string
-	junctions map[string]*Junction
+	sys      *System
+	Name     string
+	TypeName string
+	// junctions is copy-on-write like System.instances: replaced whole,
+	// under System.mu, when a migration cuts over to new incarnations.
+	junctions atomic.Pointer[map[string]*Junction]
 	running   atomic.Bool
 	app       any
 }
+
+// instanceMap is the current name → instance map; read-only.
+func (s *System) instanceMap() map[string]*Instance { return *s.instances.Load() }
+
+// junctionMap is the instance's current name → junction map; read-only.
+func (inst *Instance) junctionMap() map[string]*Junction { return *inst.junctions.Load() }
 
 // New validates the program and builds a system for it. The system starts no
 // instances; call RunMain or StartInstance.
@@ -168,17 +180,17 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		return nil, errors.New("runtime: Options.Net and Options.Deploy are mutually exclusive")
 	}
 	s := &System{
-		prog:      p,
-		deploy:    dep,
-		opts:      opts,
-		plan:      plan.Compile(p),
-		obs:       obsv.NewObserver(),
-		instances: map[string]*Instance{},
-		apps:      map[string]any{},
-		windows:   map[pairKey]*ackWindow{},
-		staged:    map[string][]byte{},
-		migAcks:   make(chan string, 64),
+		prog:    p,
+		deploy:  dep,
+		opts:    opts,
+		plan:    plan.Compile(p),
+		obs:     obsv.NewObserver(),
+		apps:    map[string]any{},
+		windows: map[pairKey]*ackWindow{},
+		staged:  map[string][]byte{},
+		migAcks: make(chan string, 64),
 	}
+	s.instances.Store(&map[string]*Instance{})
 	if err := dep.bind(s); err != nil {
 		return nil, err
 	}
@@ -323,11 +335,12 @@ func (s *System) startLocked(name string, args any) error {
 	if !ok {
 		return fmt.Errorf("runtime: unknown instance %q", name)
 	}
-	if inst, ok := s.instances[name]; ok && inst.running.Load() {
+	if inst, ok := s.instanceMap()[name]; ok && inst.running.Load() {
 		return fmt.Errorf("%w: %q", ErrAlreadyStarted, name)
 	}
 	t := s.prog.Types[tn]
-	inst := &Instance{sys: s, Name: name, TypeName: tn, junctions: map[string]*Junction{}}
+	inst := &Instance{sys: s, Name: name, TypeName: tn}
+	js := make(map[string]*Junction, len(t.Junctions))
 	if args != nil {
 		inst.app = args
 	} else {
@@ -340,7 +353,7 @@ func (s *System) startLocked(name string, args any) error {
 	for _, jn := range t.JunctionNames() {
 		def := t.Junctions[jn]
 		j := newJunction(s, inst, def, loc.net)
-		inst.junctions[jn] = j
+		js[jn] = j
 		s.registerEndpoints(j, loc)
 		// A (re)start reinitializes the junction's KV table and opens a new
 		// metrics epoch, so post-restart rates never smear across the crash.
@@ -349,13 +362,16 @@ func (s *System) startLocked(name string, args any) error {
 			s.obs.Emit(obsv.Event{Kind: obsv.EvTableInit, Junction: j.FQName})
 		}
 	}
+	inst.junctions.Store(&js)
 	inst.running.Store(true)
-	s.instances[name] = inst
+	insts := maps.Clone(s.instanceMap())
+	insts[name] = inst
+	s.instances.Store(&insts)
 	// Junctions are started concurrently in an arbitrary order (paper §6):
 	// guarded junctions get driver loops; unguarded junctions are scheduled
 	// by application logic through Invoke.
 	if !s.opts.DisableDrivers {
-		for _, j := range inst.junctions {
+		for _, j := range js {
 			if j.def.Guard != nil && !j.def.Manual {
 				j.startDriver()
 			}
@@ -370,13 +386,13 @@ func (s *System) startLocked(name string, args any) error {
 // The instance may be started again later.
 func (s *System) StopInstance(name string) error {
 	s.mu.Lock()
-	inst, ok := s.instances[name]
+	inst, ok := s.instanceMap()[name]
 	if !ok || !inst.running.Load() {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotRunning, name)
 	}
 	inst.running.Store(false)
-	for _, j := range inst.junctions {
+	for _, j := range inst.junctionMap() {
 		fq := j.FQName
 		s.deploy.eachNet(func(n *compart.Network) { n.Deregister(fq) })
 	}
@@ -384,7 +400,7 @@ func (s *System) StopInstance(name string) error {
 	if s.obs.Tracing() {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvInstanceStop, Junction: name})
 	}
-	for _, j := range inst.junctions {
+	for _, j := range inst.junctionMap() {
 		j.stopDriver(true)
 	}
 	// A stop is deliberate and observable: updates already in flight toward
@@ -399,7 +415,7 @@ func (s *System) StopInstance(name string) error {
 // StopInstance it never errors — crashing a dead instance is a no-op.
 func (s *System) CrashInstance(name string) {
 	s.mu.Lock()
-	inst, ok := s.instances[name]
+	inst, ok := s.instanceMap()[name]
 	if !ok {
 		s.mu.Unlock()
 		return
@@ -409,7 +425,7 @@ func (s *System) CrashInstance(name string) {
 	if tracing {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvInstanceCrash, Junction: name})
 	}
-	for _, j := range inst.junctions {
+	for _, j := range inst.junctionMap() {
 		fq := j.FQName
 		s.deploy.eachNet(func(n *compart.Network) { n.Crash(fq) })
 		if tracing {
@@ -417,7 +433,7 @@ func (s *System) CrashInstance(name string) {
 		}
 	}
 	s.mu.Unlock()
-	for _, j := range inst.junctions {
+	for _, j := range inst.junctionMap() {
 		j.stopDriver(true)
 	}
 	// Crashed endpoints answer new sends with ErrEndpointDown, but updates
@@ -448,21 +464,17 @@ func (s *System) failWindowsTo(name string) {
 
 // InstanceRunning reports whether the named instance is currently running.
 func (s *System) InstanceRunning(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[name]
+	inst, ok := s.instanceMap()[name]
 	return ok && inst.running.Load()
 }
 
 // Junction returns a running junction by instance and junction name.
 func (s *System) Junction(instance, junction string) (*Junction, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[instance]
+	inst, ok := s.instanceMap()[instance]
 	if !ok {
 		return nil, fmt.Errorf("runtime: instance %q not started", instance)
 	}
-	j, ok := inst.junctions[junction]
+	j, ok := inst.junctionMap()[junction]
 	if !ok {
 		return nil, fmt.Errorf("runtime: instance %q has no junction %q", instance, junction)
 	}
@@ -471,13 +483,11 @@ func (s *System) Junction(instance, junction string) (*Junction, error) {
 
 // junctionQuiet is Junction without error wrapping, tolerating absence.
 func (s *System) junctionQuiet(instance, junction string) *Junction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[instance]
+	inst, ok := s.instanceMap()[instance]
 	if !ok {
 		return nil
 	}
-	return inst.junctions[junction]
+	return inst.junctionMap()[junction]
 }
 
 // Invoke schedules a junction once from application logic: pending updates
@@ -549,13 +559,7 @@ func (s *System) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	s.mu.Lock()
-	insts := make([]*Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		insts = append(insts, inst)
-	}
-	s.mu.Unlock()
-	for _, inst := range insts {
+	for _, inst := range s.instanceMap() {
 		if inst.running.Load() {
 			_ = s.StopInstance(inst.Name)
 		}
