@@ -57,7 +57,7 @@ func runSteps(ctx context.Context, steps []step) (plan.Signal, error) {
 func runStepsAt(ctx context.Context, steps []step) (int, plan.Signal, error) {
 	for i, st := range steps {
 		if err := ctx.Err(); err != nil {
-			return i, plan.SigNone, fmt.Errorf("%w: %v", ErrTimeout, err)
+			return i, plan.SigNone, fmt.Errorf("%w: %w", ErrTimeout, err)
 		}
 		sig, err := st(ctx)
 		if err != nil || sig != plan.SigNone {
@@ -148,14 +148,22 @@ func (j *Junction) compileOp(o *plan.Op) step {
 		try := j.compileOp(o.Try)
 		handler := j.compileOp(o.Handler)
 		timeout := o.Timeout
+		var dl *deadline // this step's own, re-armed per firing until it ends (deadline.go)
 		return func(ctx context.Context) (plan.Signal, error) {
-			sub := ctx
-			cancel := func() {}
+			var sig plan.Signal
+			var err error
 			if timeout > 0 {
-				sub, cancel = context.WithTimeout(ctx, timeout)
+				if dl == nil {
+					dl = newDeadline()
+				}
+				dl.arm(ctx, timeout)
+				sig, err = try(dl)
+				if !dl.disarm() {
+					dl = nil
+				}
+			} else {
+				sig, err = try(ctx)
 			}
-			sig, err := try(sub)
-			cancel()
 			if err == nil {
 				return sig, nil
 			}
@@ -521,7 +529,7 @@ func (j *Junction) updateStep(arms ...updateArm) step {
 					// The deadline passed between two groups, where it would
 					// have stopped the sequence before statement k began.
 					j.table.UndoProp(m.undo)
-					return plan.SigNone, fmt.Errorf("%w: %v", ErrTimeout, cerr)
+					return plan.SigNone, fmt.Errorf("%w: %w", ErrTimeout, cerr)
 				}
 			}
 			if err != nil {

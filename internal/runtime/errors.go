@@ -21,7 +21,10 @@ var (
 	// ErrVerifyUnknown is returned when a verify formula needs the state of
 	// a junction that is not running (ternary logic, paper §6).
 	ErrVerifyUnknown = errors.New("runtime: verify needs state of a junction that is not running")
-	// ErrTimeout is returned when an otherwise[t] deadline expires.
+	// ErrTimeout is returned when an otherwise[t] deadline expires or the
+	// caller's context ends. Where that stopped a sequence between
+	// statements, the context's error is wrapped too, so errors.Is also
+	// finds context.DeadlineExceeded or context.Canceled.
 	ErrTimeout = errors.New("runtime: timed out")
 	// ErrRetryExhausted is returned when retry exceeds the junction's bound.
 	ErrRetryExhausted = errors.New("runtime: retry limit exhausted")

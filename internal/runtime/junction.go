@@ -83,12 +83,12 @@ type Junction struct {
 
 	// Driver lifecycle. driverOn + a fresh stopCh per start make the driver
 	// restartable: migration quiesces drivers on the source and the rebuilt
-	// junction starts its own (an abort restarts the source's). abandon ends
-	// the context the driver's schedulings run under.
+	// junction starts its own (an abort restarts the source's). root is the
+	// context the driver's schedulings run under; cancelling it abandons them.
 	driverMu sync.Mutex
 	driverOn bool
 	stopCh   chan struct{}
-	abandon  context.CancelFunc
+	root     *deadline
 	driverWG sync.WaitGroup
 }
 
@@ -281,10 +281,12 @@ func (j *Junction) startDriver() {
 	// Each start gets its own stop channel; the loops capture it so a stop
 	// racing a later restart can never close a channel a newer loop owns.
 	stop := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	j.stopCh, j.abandon = stop, cancel
+	// The root is a deadline with no time limit, so a firing's otherwise[t]
+	// links to it without allocating.
+	root := newDeadline()
+	j.stopCh, j.root = stop, root
 	j.driverWG.Add(1)
-	go j.runDriverEvent(ctx, stop)
+	go j.runDriverEvent(root, stop)
 }
 
 // runDriverEvent schedules on keyed wakes: the driver subscribes to the
@@ -443,13 +445,13 @@ func (j *Junction) stopDriver(abandon bool) {
 	}
 	j.driverOn = false
 	close(j.stopCh)
-	cancel := j.abandon
+	root := j.root
 	j.driverMu.Unlock()
 	if abandon {
-		cancel()
+		root.cancel(context.Canceled)
 	}
 	j.driverWG.Wait()
-	cancel()
+	root.cancel(context.Canceled)
 }
 
 // --- driver error diagnostics ----------------------------------------------

@@ -306,13 +306,20 @@ func (s *System) execMain(ctx context.Context, e dsl.Expr) (plan.Signal, error) 
 	case dsl.Scope:
 		return s.execMain(ctx, dsl.Seq(n.Body))
 	case dsl.Otherwise:
+		// Main's par arms run concurrently under the try's deadline, so every
+		// execution builds a fresh one: only a compiled step, which runs one
+		// firing at a time, reuses its own.
 		sub := ctx
-		cancel := func() {}
+		var dl *deadline
 		if n.Timeout > 0 {
-			sub, cancel = context.WithTimeout(ctx, n.Timeout)
+			dl = newDeadline()
+			dl.arm(ctx, n.Timeout)
+			sub = dl
 		}
 		_, err := s.execMain(sub, n.Try)
-		cancel()
+		if dl != nil {
+			dl.disarm()
+		}
 		if err == nil {
 			return plan.SigNone, nil
 		}
@@ -547,7 +554,7 @@ func (s *System) invokeWhenReadyOnce(ctx context.Context, instance, junction str
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+			return fmt.Errorf("%w: %w", ErrTimeout, ctx.Err())
 		case <-sub.Ch():
 		case <-poll:
 		}
