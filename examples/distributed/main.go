@@ -1,8 +1,11 @@
 // Distributed deployment example: the Fig. 3 architecture with its two
-// instances on two separate substrate networks ("machines") bridged over
-// real TCP sockets — the deployment mode the paper's libcompart runtime
-// targets, where "its channels wrap OS-provided IPC, including TCP sockets
-// and pipes" (§3).
+// instances at two locations ("machines"), each a substrate network behind
+// its own TCP server, joined by one reconnecting client per direction — the
+// deployment mode the paper's libcompart runtime targets, where "its
+// channels wrap OS-provided IPC, including TCP sockets and pipes" (§3). One
+// runtime.Deployment places f at A and g at B and registers each junction's
+// proxy at the other location, so every update, write and acknowledgment
+// crosses a real socket.
 //
 //	go run ./examples/distributed
 package main
@@ -45,63 +48,52 @@ func program(onRemote func(state string)) *dsl.Program {
 }
 
 func main() {
-	// Two machines, each with its own substrate network. (In a real
-	// deployment these are two processes; the bridging code is identical.)
-	netA := compart.NewNetwork(1)
-	netB := compart.NewNetwork(2)
+	// Two machines, each with its own substrate network exposed over TCP.
+	// (Here both live in one process; across processes each would serve its
+	// own network and dial the other's address.)
+	dep := runtime.NewDeployment()
+	nets := map[string]*compart.Network{}
+	servers := map[string]*compart.Server{}
+	for i, loc := range []string{"A", "B"} {
+		nets[loc] = compart.NewNetwork(int64(i + 1))
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		servers[loc] = compart.ServeTCP(nets[loc], l)
+		defer servers[loc].Close()
+		dep.AddLocation(loc, nets[loc])
+	}
+	fmt.Printf("machine A listening on %s (hosts instance f)\n", servers["A"].Addr())
+	fmt.Printf("machine B listening on %s (hosts instance g)\n", servers["B"].Addr())
+
+	// One reconnecting client per direction: a machine restart does not
+	// sever the link permanently — the client redials with exponential
+	// backoff, queues outbound traffic while down, and heartbeats detect
+	// half-open connections.
+	rcfg := compart.ReconnectConfig{Heartbeat: 250 * time.Millisecond}
+	toB := compart.DialReconnect(servers["B"].Addr().String(), rcfg)
+	defer toB.Close()
+	toA := compart.DialReconnect(servers["A"].Addr().String(), rcfg)
+	defer toA.Close()
+	dep.Connect("A", "B", toB.Send).Connect("B", "A", toA.Send)
+	dep.Place("f", "A").Place("g", "B")
 
 	onRemote := func(state string) { fmt.Printf("machine B: received %q over TCP\n", state) }
-	sysA, err := runtime.New(program(onRemote), runtime.Options{Net: netA})
+	sys, err := runtime.New(program(onRemote), runtime.Options{Deploy: dep})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sysA.Close()
-	sysB, err := runtime.New(program(onRemote), runtime.Options{Net: netB})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sysB.Close()
-
-	// Expose each machine's junctions over TCP.
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srvA := compart.ServeTCP(netA, lA)
-	defer srvA.Close()
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srvB := compart.ServeTCP(netB, lB)
-	defer srvB.Close()
-	fmt.Printf("machine A listening on %s (hosts instance f)\n", srvA.Addr())
-	fmt.Printf("machine B listening on %s (hosts instance g)\n", srvB.Addr())
-
-	// Each machine starts its own instance and proxies the other's junction.
-	if err := sysA.StartInstance("f", nil); err != nil {
-		log.Fatal(err)
-	}
-	if err := sysB.StartInstance("g", nil); err != nil {
-		log.Fatal(err)
-	}
-	// Reconnecting clients: a machine restart no longer severs the bridge
-	// permanently — the client redials with exponential backoff, queues
-	// outbound traffic while down, and heartbeats detect half-open
-	// connections.
-	rcfg := compart.ReconnectConfig{Heartbeat: 250 * time.Millisecond}
-	toB := compart.DialReconnect(srvB.Addr().String(), rcfg)
-	defer toB.Close()
-	toA := compart.DialReconnect(srvA.Addr().String(), rcfg)
-	defer toA.Close()
-	compart.BridgeReconnect(netA, "g::junction", toB)
-	compart.BridgeReconnect(netB, "f::junction", toA)
+	defer sys.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	if err := sys.RunMain(ctx); err != nil {
+		log.Fatal(err)
+	}
 	for i := 1; i <= 3; i++ {
 		fmt.Printf("machine A: invocation %d\n", i)
-		if err := sysA.Invoke(ctx, "f", "junction"); err != nil {
+		if err := sys.Invoke(ctx, "f", "junction"); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -109,14 +101,18 @@ func main() {
 
 	// The stats layer makes the transport observable: per-client counters,
 	// per-server frame counts, per-link delivery latency, and conserved
-	// network totals (Sent == Delivered + Dropped + Rejected + LostInFlight).
+	// network totals (Sent == Delivered + Dropped + Rejected + LostInFlight),
+	// read once the last acknowledgment has landed.
+	for deadline := time.Now().Add(time.Second); servers["B"].Stats().Frames < toB.Stats().Sent && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	cb := toB.Stats()
-	fmt.Printf("bridge A→B: sent=%d (written by their senders %d) connects=%d heartbeats acked=%d send-latency mean=%s\n",
+	fmt.Printf("uplink A→B: sent=%d (written by their senders %d) connects=%d heartbeats acked=%d send-latency mean=%s\n",
 		cb.Sent, cb.Direct, cb.Connects, cb.HeartbeatsAcked, cb.SendLatency.Mean())
-	fmt.Printf("machine B server: frames=%d decode-errors=%d heartbeats=%d\n",
-		srvB.Stats().Frames, srvB.Stats().DecodeErrors, srvB.Stats().Heartbeats)
-	for _, n := range []*compart.Network{netA, netB} {
-		st := n.Stats()
-		fmt.Printf("network: %+v conserved=%v\n", st, st.Conserved())
+	sb := servers["B"].Stats()
+	fmt.Printf("machine B server: frames=%d decode-errors=%d heartbeats=%d\n", sb.Frames, sb.DecodeErrors, sb.Heartbeats)
+	for _, loc := range []string{"A", "B"} {
+		st := nets[loc].Stats()
+		fmt.Printf("network %s: %+v conserved=%v\n", loc, st, st.Conserved())
 	}
 }

@@ -59,7 +59,7 @@ type JunctionCost struct {
 	// other instances) sent per firing; each costs one message plus an ack.
 	UpdatesPerFiring float64 `json:"updates_per_firing"`
 	// FramesPerFiring estimates wire frames after par-arm coalescing packs
-	// same-destination updates into batch envelopes.
+	// same-destination updates into delivery groups.
 	FramesPerFiring float64 `json:"frames_per_firing"`
 	// RoundsPerFiring counts the wait-separated sequential remote exchanges
 	// per firing — the ack-latency chain an invocation must traverse.

@@ -48,11 +48,6 @@ const (
 	// that share one sequence range, in a payload the C-Saw runtime encodes
 	// and decodes (runtime/group.go). To the substrate it is one message.
 	KindGroup
-	// KindBatch is a transport-level envelope packing several encoded
-	// messages into one frame (batch.go). Only a reconnecting client's pump
-	// builds it, and it never reaches application handlers: the TCP server
-	// unpacks it and injects the inner messages one by one.
-	KindBatch MessageKind = 63
 	// KindUser is the first kind available to applications.
 	KindUser MessageKind = 64
 )

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"net"
 	"sync"
@@ -18,7 +19,7 @@ import (
 // jitter, buffers outbound messages in a bounded queue while disconnected
 // (overflow is counted as dropped, never lost silently), and optionally
 // exchanges application-level heartbeats so connection health — not just
-// TCP connect state — feeds remote-liveness reporting (BridgeLive).
+// TCP connect state — feeds remote-liveness reporting (Notify).
 
 // Errors reported by the reconnecting client.
 var (
@@ -27,10 +28,6 @@ var (
 	ErrQueueFull = errors.New("compart: outbound queue full")
 	// ErrClientClosed is returned by Send after Close.
 	ErrClientClosed = errors.New("compart: client closed")
-	// ErrEnvelope is returned by Send for a KindBatch message: only the
-	// client's own pump packs envelopes, and one handed in would end up
-	// nested inside a drained run, which the receiver rejects whole.
-	ErrEnvelope = errors.New("compart: KindBatch envelopes are packed by the client, not sent through it")
 )
 
 // ReconnectConfig tunes DialReconnect. The zero value gives usable
@@ -119,13 +116,14 @@ type ClientStats struct {
 	// Dropped counts messages rejected on a full queue, lost to a write
 	// error, or abandoned in the queue at Close.
 	Dropped uint64
-	// BatchesSent counts the KindBatch envelope frames the pump packed from
-	// drained runs. Enqueued, Sent and Dropped count the messages handed to
-	// the client — the members of an envelope are several, and a KindGroup
-	// message is one however many updates it holds — so batching never
-	// perturbs the Enqueued == Sent + Dropped conservation invariant.
+	// BatchesSent counts the drained runs of two or more frames the pump
+	// wrote under one flush. Every frame is one message — a KindGroup
+	// message is one however many updates it holds — so Enqueued, Sent and
+	// Dropped count frames, and batching never perturbs the
+	// Enqueued == Sent + Dropped conservation invariant.
 	BatchesSent uint64
-	// MsgsPerBatch summarizes batch sizes (messages per envelope written).
+	// MsgsPerBatch summarizes batch sizes (frames per run counted in
+	// BatchesSent).
 	MsgsPerBatch SizeHist
 	// Dials counts dial attempts; Connects counts the successful ones, so
 	// Connects-1 is the number of reconnections and Dials-Connects the
@@ -193,7 +191,13 @@ type ReconnectClient struct {
 	mu         sync.Mutex
 	sendLat    LatencySummary
 	batchSizes SizeHist
-	listeners  []func(up bool)
+
+	// notifyMu orders connection-state changes with listener registration:
+	// setConnected holds it across its store and its listener calls, Notify
+	// across its append and its first call, so a listener sees every state
+	// exactly once and in order, its first call included.
+	notifyMu  sync.Mutex
+	listeners []func(up bool)
 }
 
 // DialReconnect returns a client that maintains a connection to addr in the
@@ -218,15 +222,11 @@ func DialReconnect(addr string, cfg ReconnectConfig) *ReconnectClient {
 // before still unwritten — the calling goroutine writes it itself, else it
 // is enqueued for the connection goroutine. Either way Send never blocks on
 // the network. It fails fast with ErrFieldTooLong/ErrFrameTooLarge on
-// unframeable messages and ErrEnvelope on a KindBatch message, counting
-// neither, ErrQueueFull (counted Dropped) when the bounded queue is
-// saturated, and ErrClientClosed after Close. A nil error means the message
-// was accepted, not that the remote received it — delivery confirmation
-// stays an application concern (the runtime's acks).
+// unframeable messages, counting neither, ErrQueueFull (counted Dropped)
+// when the bounded queue is saturated, and ErrClientClosed after Close. A
+// nil error means the message was accepted, not that the remote received it
+// — delivery confirmation stays an application concern (the runtime's acks).
 func (c *ReconnectClient) Send(msg Message) error {
-	if msg.Kind == KindBatch {
-		return ErrEnvelope
-	}
 	frame, err := encodeFrame(&msg)
 	if err != nil {
 		return err
@@ -347,12 +347,14 @@ func (c *ReconnectClient) Stats() ClientStats {
 }
 
 // Notify registers a connection-state listener and immediately invokes it
-// with the current state. Listeners run on the client's connection
-// goroutine and must not block.
+// with the current state; from then on it sees every change, in order.
+// Listeners run on the client's connection goroutine (the first call on
+// Notify's caller) with connection-state changes held off, so they must not
+// block or call Notify.
 func (c *ReconnectClient) Notify(f func(up bool)) {
-	c.mu.Lock()
+	c.notifyMu.Lock()
+	defer c.notifyMu.Unlock()
 	c.listeners = append(c.listeners, f)
-	c.mu.Unlock()
 	f(c.connected.Load())
 }
 
@@ -377,12 +379,10 @@ func (c *ReconnectClient) Close() error {
 }
 
 func (c *ReconnectClient) setConnected(up bool) {
+	c.notifyMu.Lock()
+	defer c.notifyMu.Unlock()
 	c.connected.Store(up)
-	var ls []func(bool)
-	c.mu.Lock()
-	ls = append(ls, c.listeners...)
-	c.mu.Unlock()
-	for _, f := range ls {
+	for _, f := range c.listeners {
 		f(up)
 	}
 }
@@ -483,30 +483,30 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 	}
 	var hbSeq uint64
 
-	onBatch := func(msgs int) {
-		c.batchesSent.Add(1)
-		c.mu.Lock()
-		c.batchSizes.observe(msgs)
-		c.mu.Unlock()
-	}
 	bodies := make([][]byte, 0, maxCoalesce)
 	ats := make([]time.Time, 0, maxCoalesce)
-	// writeRun coalesces the drained frames into KindBatch envelopes (one
-	// wire frame and one flush per run) and keeps the accounting exact: on a
-	// write error the frames already handed to the writer count Sent, the
-	// rest of the run counts Dropped — they were dequeued and will not be
-	// retried on the next connection. The run may be empty: a kick only
-	// finishes a partial write.
+	// writeRun writes the drained frames behind one another into the
+	// buffered writer and flushes once, so a run of small frames costs one
+	// system call, and keeps the accounting exact: on a write error the
+	// frames already handed to the writer count Sent, the rest of the run
+	// counts Dropped — they were dequeued and will not be retried on the next
+	// connection. The run may be empty: a kick only finishes a partial write.
 	writeRun := func() bool {
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
 		err := c.finishPartial(conn)
 		written := 0
-		if err == nil {
-			written, err = writeCoalesced(w, bodies, onBatch)
+		for err == nil && written < len(bodies) {
+			if err = writeFrame(w, bodies[written]); err == nil {
+				written++
+			}
 		}
 		c.sent.Add(uint64(written))
 		c.mu.Lock()
+		if err == nil && written > 1 {
+			c.batchesSent.Add(1)
+			c.batchSizes.observe(written)
+		}
 		for _, at := range ats[:written] {
 			c.sendLat.observe(time.Since(at))
 		}
@@ -582,27 +582,52 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 	}
 }
 
-// BridgeReconnect registers an always-up local proxy endpoint that forwards
-// to a remote network through a reconnecting client: messages sent while
-// the remote is unreachable wait in the client's bounded queue and flow
-// after reconnection. Use BridgeLive instead when local senders should
-// observe remote liveness.
-func BridgeReconnect(local *Network, remoteEndpoint string, c *ReconnectClient) {
-	bridge(local, remoteEndpoint, c.Send)
+// maxCoalesce bounds how many frames the pump drains into one flush. It caps
+// per-run latency and the transient [][]byte scratch, while staying far above
+// the in-flight window any one sender sustains.
+const maxCoalesce = 256
+
+// sizeHistBuckets is the number of power-of-two batch-size buckets: bucket b
+// counts batches of 2^b .. 2^(b+1)-1 frames.
+const sizeHistBuckets = 16
+
+// SizeHist is a small power-of-two histogram of batch sizes (frames per
+// drained run written under one flush) — the MsgsPerBatch summary of the
+// conserved-stats layer. It is a plain value; owners mutate it under their
+// own lock and expose copies in stats snapshots.
+type SizeHist struct {
+	Count   uint64
+	Sum     uint64
+	Min     uint64
+	Max     uint64
+	Buckets [sizeHistBuckets]uint64
 }
 
-// BridgeLive registers a local proxy endpoint whose liveness tracks the
-// transport: while the client is disconnected (or heartbeats go
-// unanswered), the proxy endpoint is crashed, so Network.Up reports the
-// remote as down and local sends fail fast with ErrEndpointDown instead of
-// queueing — the failure-awareness the runtime's otherwise[t] builds on.
-func BridgeLive(local *Network, remoteEndpoint string, c *ReconnectClient) {
-	bridge(local, remoteEndpoint, c.Send)
-	c.Notify(func(up bool) {
-		if up {
-			local.Revive(remoteEndpoint)
-		} else {
-			local.Crash(remoteEndpoint)
-		}
-	})
+// observe records one batch of n frames.
+func (h *SizeHist) observe(n int) {
+	if n <= 0 {
+		return
+	}
+	u := uint64(n)
+	if h.Count == 0 || u < h.Min {
+		h.Min = u
+	}
+	if u > h.Max {
+		h.Max = u
+	}
+	h.Count++
+	h.Sum += u
+	b := bits.Len64(u) - 1
+	if b >= sizeHistBuckets {
+		b = sizeHistBuckets - 1
+	}
+	h.Buckets[b]++
+}
+
+// Mean returns the mean batch size, or 0 when no batches were observed.
+func (h SizeHist) Mean() float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	return float64(h.Sum) / float64(h.Count)
 }

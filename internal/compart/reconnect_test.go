@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,9 +23,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestReconnectClientResumesAfterServerRestart is the end-to-end recovery
-// test the hardening is for: with a Bridge between two networks, killing
-// and restarting the remote Server results in post-restart messages being
-// delivered after backoff, with the reconnect visible in the client stats.
+// test the hardening is for: killing and restarting the remote Server
+// results in the messages sent meanwhile and after being delivered after
+// backoff, with the reconnect visible in the client stats.
 func TestReconnectClientResumesAfterServerRestart(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -38,14 +39,12 @@ func TestReconnectClientResumesAfterServerRestart(t *testing.T) {
 	addr := l.Addr().String()
 	srv := ServeTCP(remote, l)
 
-	local := newTestNetwork(t, 2)
 	rc := DialReconnect(addr, ReconnectConfig{
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 20 * time.Millisecond,
 	})
-	BridgeReconnect(local, "sink", rc)
 
-	if err := local.Send(Message{From: "src", To: "sink", Key: "pre"}); err != nil {
+	if err := rc.Send(Message{From: "src", To: "sink", Key: "pre"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "pre-crash delivery", func() bool { return delivered.Load() == 1 })
@@ -55,7 +54,7 @@ func TestReconnectClientResumesAfterServerRestart(t *testing.T) {
 	srv.Close()
 	waitFor(t, 2*time.Second, "disconnect detection", func() bool { return !rc.Connected() })
 	for i := 0; i < 5; i++ {
-		if err := local.Send(Message{From: "src", To: "sink", Key: "during"}); err != nil {
+		if err := rc.Send(Message{From: "src", To: "sink", Key: "during"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +67,7 @@ func TestReconnectClientResumesAfterServerRestart(t *testing.T) {
 	srv2 := ServeTCP(remote, l2)
 	defer srv2.Close()
 	waitFor(t, 5*time.Second, "queued messages after restart", func() bool { return delivered.Load() == 6 })
-	if err := local.Send(Message{From: "src", To: "sink", Key: "post"}); err != nil {
+	if err := rc.Send(Message{From: "src", To: "sink", Key: "post"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "post-restart delivery", func() bool { return delivered.Load() == 7 })
@@ -86,10 +85,10 @@ func TestReconnectClientResumesAfterServerRestart(t *testing.T) {
 	if st.SendLatency.Count != 7 || st.SendLatency.Max < st.SendLatency.Min {
 		t.Fatalf("send latency summary: %+v", st.SendLatency)
 	}
-	// Both networks account for every message exactly once across the
+	// The network accounts for every message exactly once across the
 	// outage, while still open (newTestNetwork re-checks after Close).
-	if rs, ls := remote.Stats(), local.Stats(); !rs.Conserved() || !ls.Conserved() {
-		t.Fatalf("counters not conserved after restart: remote %+v local %+v", rs, ls)
+	if rs := remote.Stats(); !rs.Conserved() || rs.Sent != 7 {
+		t.Fatalf("counters not conserved after restart: %+v", rs)
 	}
 
 	if err := rc.Close(); err != nil {
@@ -142,11 +141,11 @@ func TestReconnectQueueBounded(t *testing.T) {
 	}
 }
 
-// TestBridgeLiveTracksRemoteLiveness: with heartbeats on, killing the
-// remote server marks the bridged endpoint down in the local network
-// (Network.Up goes false, sends fail fast with ErrEndpointDown); a restart
-// revives it.
-func TestBridgeLiveTracksRemoteLiveness(t *testing.T) {
+// TestNotifyTracksRemoteLiveness: with heartbeats on, a Notify listener
+// sees the connection come up, go down when the remote server is killed, and
+// come up again when it restarts — the hook that crashes and revives a
+// remote junction's proxy so local sends fail fast while the peer is gone.
+func TestNotifyTracksRemoteLiveness(t *testing.T) {
 	remote := newTestNetwork(t, 1)
 	var delivered atomic.Uint64
 	remote.Register("g::junction", func(Message) { delivered.Add(1) })
@@ -157,27 +156,24 @@ func TestBridgeLiveTracksRemoteLiveness(t *testing.T) {
 	addr := l.Addr().String()
 	srv := ServeTCP(remote, l)
 
-	local := newTestNetwork(t, 2)
 	rc := DialReconnect(addr, ReconnectConfig{
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 20 * time.Millisecond,
 		Heartbeat:  10 * time.Millisecond,
 	})
 	defer rc.Close()
-	BridgeLive(local, "g::junction", rc)
+	var up atomic.Bool
+	rc.Notify(up.Store)
 
-	waitFor(t, 2*time.Second, "initial liveness", func() bool { return local.Up("g::junction") })
-	if err := local.Send(Message{From: "f", To: "g::junction"}); err != nil {
+	waitFor(t, 2*time.Second, "initial liveness", up.Load)
+	if err := rc.Send(Message{From: "f", To: "g::junction"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "delivery", func() bool { return delivered.Load() == 1 })
 	waitFor(t, 2*time.Second, "heartbeats answered", func() bool { return rc.Stats().HeartbeatsAcked >= 1 })
 
 	srv.Close()
-	waitFor(t, 2*time.Second, "down detection", func() bool { return !local.Up("g::junction") })
-	if err := local.Send(Message{From: "f", To: "g::junction"}); !errors.Is(err, ErrEndpointDown) {
-		t.Fatalf("send to dead remote: %v, want ErrEndpointDown", err)
-	}
+	waitFor(t, 2*time.Second, "down detection", func() bool { return !up.Load() })
 
 	l2, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -185,9 +181,61 @@ func TestBridgeLiveTracksRemoteLiveness(t *testing.T) {
 	}
 	srv2 := ServeTCP(remote, l2)
 	defer srv2.Close()
-	waitFor(t, 5*time.Second, "revival after restart", func() bool { return local.Up("g::junction") })
-	if err := local.Send(Message{From: "f", To: "g::junction"}); err != nil {
+	waitFor(t, 5*time.Second, "revival after restart", up.Load)
+	if err := rc.Send(Message{From: "f", To: "g::junction"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "post-restart delivery", func() bool { return delivered.Load() == 2 })
+}
+
+// TestNotifyNeverLeavesAStaleState: a listener registered while the first
+// connection comes up must end believing the connection is up. Dial is gated
+// until the listener's first call opens it; that call then waits for the
+// connect and gives a racing state change 200 ms to reach the listener before
+// recording its own, initial value. If Notify's first call could run beside
+// setConnected, the racing true would land first and the stale false last.
+func TestNotifyNeverLeavesAStaleState(t *testing.T) {
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	gate := make(chan struct{})
+	rc := DialReconnect("pipe", ReconnectConfig{
+		BackoffMin: time.Hour,
+		Dial: func() (net.Conn, error) {
+			<-gate
+			return theirs, nil
+		},
+	})
+	defer rc.Close()
+
+	var mu sync.Mutex
+	var seen []bool
+	first := true
+	rc.Notify(func(up bool) {
+		if first {
+			first = false
+			close(gate)
+			waitFor(t, 2*time.Second, "the connect", func() bool { return rc.Stats().Connects == 1 })
+			for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				mu.Lock()
+				n := len(seen)
+				mu.Unlock()
+				if n > 0 {
+					break
+				}
+			}
+		}
+		mu.Lock()
+		seen = append(seen, up)
+		mu.Unlock()
+	})
+	waitFor(t, 2*time.Second, "the listener to see the connection", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) >= 2
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if !seen[len(seen)-1] || !rc.Connected() {
+		t.Fatalf("listener saw %v while the client is connected=%v; it must end true", seen, rc.Connected())
+	}
 }

@@ -11,11 +11,12 @@ import (
 	"sync/atomic"
 )
 
-// The TCP transport carries Messages across real sockets, bridging two
+// The TCP transport carries Messages across real sockets between two
 // Networks running in different processes (or in the same process for
-// tests). Frames are length-prefixed; the body encodes the Message fields
-// with the small codec below. This mirrors libcompart's channel wrappers
-// over OS IPC (paper §3).
+// tests): a Server injects what it reads into its Network, a ReconnectClient
+// writes what it is handed. Frames are length-prefixed; the body encodes the
+// Message fields with the small codec below. This mirrors libcompart's
+// channel wrappers over OS IPC (paper §3).
 
 // maxFrame bounds a single message frame (16 MiB) to protect receivers from
 // corrupt or hostile length prefixes. The limit is enforced symmetrically:
@@ -114,34 +115,29 @@ func frameSize(m *Message) int {
 // DecodeMessage parses a frame produced by EncodeMessage.
 func DecodeMessage(buf []byte) (Message, error) {
 	var m Message
-	err := decodeMessageIn(&m, buf, nil, nil, false)
+	err := decodeMessageIn(&m, buf, nil, false)
 	return m, err
 }
 
-// decodeMessageIn parses one frame into m, writing every field. An address
-// string that spells prev's (a batch's previous member; nil when there is
-// none) is prev's string; si (optional) interns the others. aliasPayload
-// skips the payload copy, valid only when buf outlives the message and is
-// never rewritten (batch interiors inside a fresh-per-frame read buffer).
-func decodeMessageIn(m *Message, buf []byte, si strIntern, prev *Message, aliasPayload bool) error {
+// decodeMessageIn parses one frame into m, writing every field; si
+// (optional) interns its address strings. aliasPayload skips the payload
+// copy, valid only when buf outlives the message and is never rewritten (a
+// server's fresh-per-frame read buffer).
+func decodeMessageIn(m *Message, buf []byte, si strIntern, aliasPayload bool) error {
 	if len(buf) < 2 {
 		return fmt.Errorf("compart: short frame (%d bytes)", len(buf))
 	}
 	m.Kind = MessageKind(buf[0])
 	m.Flag = buf[1] == 1
-	var pFrom, pTo, pKey string
-	if prev != nil {
-		pFrom, pTo, pKey = prev.From, prev.To, prev.Key
-	}
 	rest := buf[2:]
 	var err error
-	if m.From, rest, err = takeStrIn(rest, si, pFrom); err != nil {
+	if m.From, rest, err = takeStrIn(rest, si); err != nil {
 		return err
 	}
-	if m.To, rest, err = takeStrIn(rest, si, pTo); err != nil {
+	if m.To, rest, err = takeStrIn(rest, si); err != nil {
 		return err
 	}
-	if m.Key, rest, err = takeStrIn(rest, si, pKey); err != nil {
+	if m.Key, rest, err = takeStrIn(rest, si); err != nil {
 		return err
 	}
 	if len(rest) < 4 {
@@ -171,7 +167,8 @@ func decodeMessageIn(m *Message, buf []byte, si strIntern, prev *Message, aliasP
 type strIntern map[string]string
 
 // maxIntern bounds the cache; junction FQ names plus live KV keys of a
-// bridged deployment fit comfortably, and overflow just loses the dedup.
+// multi-location deployment fit comfortably, and overflow just loses the
+// dedup.
 const maxIntern = 8192
 
 func (si strIntern) get(b []byte) string {
@@ -194,9 +191,8 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// takeStrIn reads one length-prefixed string: prev when the bytes spell it
-// (comparing allocates nothing), else an interned or fresh string.
-func takeStrIn(buf []byte, si strIntern, prev string) (string, []byte, error) {
+// takeStrIn reads one length-prefixed string, interned when si is set.
+func takeStrIn(buf []byte, si strIntern) (string, []byte, error) {
 	if len(buf) < 2 {
 		return "", nil, fmt.Errorf("compart: truncated string length")
 	}
@@ -204,9 +200,6 @@ func takeStrIn(buf []byte, si strIntern, prev string) (string, []byte, error) {
 	buf = buf[2:]
 	if len(buf) < n {
 		return "", nil, fmt.Errorf("compart: truncated string body")
-	}
-	if string(buf[:n]) == prev {
-		return prev, buf[n:], nil
 	}
 	if si != nil {
 		return si.get(buf[:n]), buf[n:], nil
@@ -216,11 +209,12 @@ func takeStrIn(buf []byte, si strIntern, prev string) (string, []byte, error) {
 
 // frameWriter is a connection's buffered frame writer. A frame that fits the
 // buffer's free space is copied in behind the frames before it, its length
-// written straight into the buffer; one that does not flushes what is
-// buffered and goes out as one vectored write of header and body, so an
-// envelope larger than the buffer costs one system call instead of being
-// copied and split across two. The header and the vector live on the writer,
-// so neither path allocates.
+// written straight into the buffer, so a drained run of small frames leaves
+// in one system call at the flush; one that does not fit flushes what is
+// buffered and goes out as one vectored write of header and body, so a frame
+// larger than the buffer costs one system call instead of being copied and
+// split across two. The header and the vector live on the writer, so neither
+// path allocates.
 type frameWriter struct {
 	*bufio.Writer
 	conn io.Writer
@@ -297,24 +291,17 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// ServerStats aggregates per-server transport counters. At quiescence the
-// number of messages injected into the network is
-// (Frames - Batches) + MsgsInBatches: every outer frame is either a single
-// message or a batch envelope whose members inject individually.
+// ServerStats aggregates per-server transport counters. Every frame is one
+// message, so at quiescence Frames is the number of messages injected into
+// the network.
 type ServerStats struct {
 	// Conns counts connections accepted over the server's lifetime.
 	Conns uint64
-	// Frames counts outer frames decoded and injected into the network
-	// (batch envelopes count once here; see Batches/MsgsInBatches).
+	// Frames counts frames decoded and injected into the network.
 	Frames uint64
-	// Batches counts KindBatch envelope frames unpacked.
-	Batches uint64
-	// MsgsInBatches counts the inner messages those envelopes carried.
-	MsgsInBatches uint64
-	// DecodeErrors counts well-framed bodies that failed DecodeMessage (or
-	// batch envelopes that failed decodeBatch — a corrupt envelope drops as
-	// one unit). Such frames are dropped and counted; the connection keeps
-	// draining (the outer length prefix keeps the stream in sync).
+	// DecodeErrors counts well-framed bodies that failed DecodeMessage.
+	// Such frames are dropped and counted; the connection keeps draining
+	// (the outer length prefix keeps the stream in sync).
 	DecodeErrors uint64
 	// Heartbeats counts heartbeat pings answered.
 	Heartbeats uint64
@@ -328,12 +315,10 @@ type Server struct {
 	l   net.Listener
 	wg  sync.WaitGroup
 
-	conns         atomic.Uint64
-	frames        atomic.Uint64
-	batches       atomic.Uint64
-	msgsInBatches atomic.Uint64
-	decodeErrors  atomic.Uint64
-	heartbeats    atomic.Uint64
+	conns        atomic.Uint64
+	frames       atomic.Uint64
+	decodeErrors atomic.Uint64
+	heartbeats   atomic.Uint64
 
 	mu      sync.Mutex
 	closed  bool
@@ -355,12 +340,10 @@ func (s *Server) Addr() net.Addr { return s.l.Addr() }
 // Stats returns a snapshot of the server's transport counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Conns:         s.conns.Load(),
-		Frames:        s.frames.Load(),
-		Batches:       s.batches.Load(),
-		MsgsInBatches: s.msgsInBatches.Load(),
-		DecodeErrors:  s.decodeErrors.Load(),
-		Heartbeats:    s.heartbeats.Load(),
+		Conns:        s.conns.Load(),
+		Frames:       s.frames.Load(),
+		DecodeErrors: s.decodeErrors.Load(),
+		Heartbeats:   s.heartbeats.Load(),
 	}
 }
 
@@ -396,8 +379,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := newFrameWriter(conn)
-	// Per-connection intern cache: acks, groups and batch interiors repeat the
-	// same few addresses tens of thousands of times a second.
+	// Per-connection intern cache: acks and groups repeat the same few
+	// addresses tens of thousands of times a second.
 	si := make(strIntern)
 	for {
 		body, err := readFrame(r)
@@ -405,12 +388,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Framing/IO error: the stream is unrecoverable.
 			return
 		}
-		// body is this frame's own buffer, so the payload (a group's members,
-		// an envelope's whole interior) stays in place instead of being copied
-		// out; the addresses of a plain frame are interned like an envelope
-		// member's.
+		// body is this frame's own buffer, so the payload (a group's members)
+		// stays in place instead of being copied out.
 		var msg Message
-		if err := decodeMessageIn(&msg, body, si, nil, true); err != nil {
+		if err := decodeMessageIn(&msg, body, si, true); err != nil {
 			// The frame body is garbage but the outer length prefix kept
 			// the stream in sync: count it and keep draining.
 			s.decodeErrors.Add(1)
@@ -422,24 +403,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.heartbeats.Add(1)
 			if writeFrame(w, body) != nil || w.Flush() != nil {
 				return
-			}
-			continue
-		}
-		if msg.Kind == KindBatch {
-			inner, err := decodeBatch(msg.Payload, si)
-			if err != nil {
-				// A corrupt envelope drops as one unit; the outer length
-				// prefix kept the stream in sync.
-				s.decodeErrors.Add(1)
-				continue
-			}
-			s.frames.Add(1)
-			s.batches.Add(1)
-			s.msgsInBatches.Add(uint64(len(inner)))
-			// The members go in one by one, in order, each subject to the
-			// link configuration and fault injection like a plain frame.
-			for _, m := range inner {
-				_ = s.net.Send(m)
 			}
 			continue
 		}
@@ -468,21 +431,12 @@ func (s *Server) Close() {
 
 // setNoDelay keeps TCP_NODELAY explicitly enabled (Go's default) on both
 // transport directions. Coalescing happens at the application level — a
-// sender writes its frame whole on an idle connection, and the pump packs a
-// backlog into KindBatch envelopes and flushes once per drained run — so
-// Nagle's algorithm would only add delay on top of already-batched writes,
-// never save a packet.
+// sender writes its frame whole on an idle connection, and the pump writes a
+// backlog's frames behind one another into its buffer and flushes once per
+// drained run — so Nagle's algorithm would only add delay on top of
+// already-batched writes, never save a packet.
 func setNoDelay(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-}
-
-// bridge registers the proxy endpoint of BridgeReconnect and BridgeLive:
-// every message goes to the carrier as it is, a KindGroup message included,
-// so a group over the 16 MiB frame limit is refused by the carrier and lost
-// (a deployment's proxy splits such a group; a bridge does not). Carrier
-// errors are lost frames, which the sender's ack machinery notices.
-func bridge(local *Network, name string, send func(Message) error) {
-	local.Register(name, func(m Message) { _ = send(m) })
 }

@@ -2,10 +2,12 @@ package compart
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestEncodeRejectsOversizedFields pins the appendStr truncation fix:
@@ -123,9 +125,8 @@ func TestServerCountsDecodeErrorsAndKeepsDraining(t *testing.T) {
 	}
 }
 
-// TestServerInternsAckAddresses: a connection decodes a plain frame's
-// From/To/Key through its intern table, as it does a batch member's, so a
-// repeated ack frame costs the server no string allocation after the first —
+// TestServerInternsAckAddresses: a connection decodes a frame's From/To/Key
+// through its intern table, so a repeated ack frame costs the server no string allocation after the first —
 // what the same frame costs with From and Key empty.
 func TestServerInternsAckAddresses(t *testing.T) {
 	remote := newTestNetwork(t, 1)
@@ -202,5 +203,72 @@ func TestServerAnswersHeartbeats(t *testing.T) {
 	}
 	if st := remote.Stats(); st.Sent != 0 {
 		t.Fatalf("heartbeat leaked into the network: %+v", st)
+	}
+}
+
+// TestInternDecodeAliasesAndDedups covers serveConn's decode path
+// (decodeMessageIn with an intern cache and aliasing): repeated frames share
+// string memory, the payload aliases the frame buffer instead of being
+// copied out, and the cache cap degrades to plain allocation instead of
+// growing without bound.
+func TestInternDecodeAliasesAndDedups(t *testing.T) {
+	body, err := EncodeMessage(Message{From: "a::j", To: "b::k", Key: "prop", Kind: KindProp, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := make(strIntern)
+	msgs := make([]Message, 3)
+	bufs := make([][]byte, len(msgs))
+	for i := range msgs {
+		bufs[i] = append([]byte(nil), body...) // each frame in its own read buffer
+		if err := decodeMessageIn(&msgs[i], bufs[i], si, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	for i, m := range msgs[1:] {
+		if m.From != "a::j" || m.To != "b::k" || m.Key != "prop" ||
+			!same(m.From, msgs[0].From) || !same(m.To, msgs[0].To) || !same(m.Key, msgs[0].Key) {
+			t.Fatalf("frame %d = %+v: its addresses were not shared with the first frame's", i+1, m)
+		}
+	}
+	if len(si) != 3 {
+		t.Fatalf("intern cache holds %d entries, want 3 (From, To, Key)", len(si))
+	}
+	// Aliasing is observable by mutation: scribbling on a frame's buffer must
+	// show through its decoded payload, and leave the other frames' alone.
+	p := msgs[1].Payload
+	orig := p[0]
+	for i := range bufs[1] {
+		bufs[1][i] ^= 0xff
+	}
+	if p[0] == orig {
+		t.Fatal("payload was copied; expected an alias into the frame buffer")
+	}
+	if msgs[0].Payload[0] != orig || msgs[2].Payload[0] != orig {
+		t.Fatal("scribbling on one frame's buffer changed another frame's payload")
+	}
+	// Cap: a flood of unique keys stops growing the cache at maxIntern.
+	for i := 0; i < maxIntern+100; i++ {
+		si.get([]byte(fmt.Sprintf("unique-%d", i)))
+	}
+	if len(si) > maxIntern {
+		t.Fatalf("intern cache grew to %d, cap is %d", len(si), maxIntern)
+	}
+}
+
+// TestInternCapKeyFlood complements the cap check with the strings actually
+// flowing through a server connection: a flood of unique keys must not grow
+// the per-connection cache past its bound.
+func TestInternCapKeyFlood(t *testing.T) {
+	si := make(strIntern)
+	for i := 0; i < 3*maxIntern; i++ {
+		s := si.get([]byte(strings.Repeat("k", 3) + fmt.Sprint(i)))
+		if s == "" {
+			t.Fatal("empty intern result")
+		}
+	}
+	if len(si) > maxIntern {
+		t.Fatalf("cache size %d exceeds cap %d", len(si), maxIntern)
 	}
 }

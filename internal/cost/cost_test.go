@@ -165,8 +165,8 @@ func TestParallelShardingModel(t *testing.T) {
 	}
 }
 
-// coalesceProgram sends two par arms to the same peer junction: the batch
-// envelopes pack each wave into one frame per destination.
+// coalesceProgram sends two par arms to the same peer junction: delivery
+// groups pack each wave into one frame per destination.
 func coalesceProgram() *dsl.Program {
 	p := dsl.NewProgram()
 	peer := dsl.J("b", "j")

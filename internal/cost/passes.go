@@ -147,9 +147,9 @@ var Unbounded = &analysis.Pass{
 }
 
 // Fanouts flags par statements whose arms update several distinct peers.
-// The transport's batch envelopes coalesce per destination, so fanning the
-// arms out across peers pays one frame per peer per wave where a single
-// peer table would pay one frame total.
+// The runtime sends a par's arms as one delivery group per destination, so
+// fanning the arms out across peers pays one frame per peer per wave where
+// a single peer table would pay one frame total.
 var Fanouts = &analysis.Pass{
 	Name: "costfanout",
 	Doc:  "par-arm fan-out across distinct peers defeating batch coalescing",

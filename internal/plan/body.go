@@ -181,8 +181,8 @@ func (l lowerer) block(body []dsl.Expr, prefix string) *Block {
 
 // steps cuts a spliced statement list into steps. Every maximal run of
 // adjacent remote updates is one step, which the runtime sends as groups:
-// consecutive members with the same destination share one envelope and one
-// ack wait. Adjacency is the whole legality test but for one exclusion. A
+// consecutive members with the same destination share one group message and
+// one ack wait. Adjacency is the whole legality test but for one exclusion. A
 // member's local half — the sender-side table update of an assert/retract
 // whose proposition the sender declares too — is applied when the run starts,
 // ahead of the acknowledgments of the members before it. Nothing inside the

@@ -223,9 +223,10 @@ func TestMalformedAckFrames(t *testing.T) {
 	}
 }
 
-// TestHandleGroupAcksEachSenderOnce: groups from several senders that a
-// transport pump coalesced into one KindBatch envelope are injected one by one
-// and acknowledged one ack each, in arrival order: a's first group up to 2,
+// TestHandleGroupAcksEachSenderOnce: groups from several senders that
+// arrive back to back in one TCP write — as a transport pump's drained run
+// does — are injected one by one and acknowledged one ack each, in arrival
+// order: a's first group up to 2,
 // b's up to 1, then a's group at 4 — out of order, so an extra beside the
 // frontier — and a's group at 3, which closes the gap. A group whose payload
 // does not decode (c's) is neither queued nor acknowledged.
@@ -253,19 +254,15 @@ func TestHandleGroupAcksEachSenderOnce(t *testing.T) {
 	}
 	bad := grp("c::j", 1, "U")
 	bad.Payload = bad.Payload[:len(bad.Payload)-1]
-	// The envelope a pump writes for a drained run: a count, then each
-	// member's length-prefixed frame.
-	payload := binary.BigEndian.AppendUint32(nil, 5)
+	// What a pump writes for a drained run: each message's length-prefixed
+	// frame, one behind another.
+	var run []byte
 	for _, m := range []compart.Message{grp("a::j", 1, "U", "W"), grp("b::j", 1, "U"), bad, grp("a::j", 4, "U"), grp("a::j", 3, "U")} {
 		body, err := compart.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload = append(binary.BigEndian.AppendUint32(payload, uint32(len(body))), body...)
-	}
-	env, err := compart.EncodeMessage(compart.Message{Kind: compart.KindBatch, Payload: payload})
-	if err != nil {
-		t.Fatal(err)
+		run = append(binary.BigEndian.AppendUint32(run, uint32(len(body))), body...)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -278,11 +275,11 @@ func TestHandleGroupAcksEachSenderOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(env))), env...)); err != nil {
+	if _, err := conn.Write(run); err != nil {
 		t.Fatal(err)
 	}
 	sink := s.junctionQuiet("g1", "j")
-	waitUntil(t, 5*time.Second, "the envelope's groups to be absorbed", func() bool {
+	waitUntil(t, 5*time.Second, "the run's groups to be absorbed", func() bool {
 		return sink.met.RemoteQueued.Load() == 5
 	})
 	waitUntil(t, 5*time.Second, "four acks", func() bool {
@@ -296,8 +293,8 @@ func TestHandleGroupAcksEachSenderOnce(t *testing.T) {
 	if got != "[a::j[2] b::j[1] a::j[2 4] a::j[4]]" {
 		t.Fatalf("acks %s, want one per group: a::j up to 2, b::j up to 1, a::j 2 with extra 4, a::j up to 4", got)
 	}
-	if ss := srv.Stats(); ss.Batches != 1 || ss.MsgsInBatches != 5 || ss.DecodeErrors != 0 {
-		t.Fatalf("server stats %+v, want one envelope of five", ss)
+	if ss := srv.Stats(); ss.Frames != 5 || ss.DecodeErrors != 0 {
+		t.Fatalf("server stats %+v, want five frames", ss)
 	}
 	if n := sink.Table().ApplyPending(); n != 5 {
 		t.Fatalf("the sink absorbed %d updates, want 5", n)
@@ -314,14 +311,14 @@ func ackSeqs(p []byte) []uint64 {
 }
 
 // TestParArmFIFOTortureOverTCP is the ordering torture test: eight source
-// junctions on machine A each fire rounds of parallel asserts at one sink
-// table on machine B over a real TCP bridge with batching on. §6's
-// per-channel FIFO guarantee must survive coalescing, batch envelopes and
-// cumulative acks: in the sink's trace, the remote.queued sequence numbers
-// must be strictly increasing per source junction. And the par must cross
-// as a group decided at compile time, not as whatever the pump happened to
-// find queued: at most two frames per invocation reach either client (one
-// envelope out, one cumulative ack back; the slack allows a split ack).
+// junctions at location A each fire rounds of parallel asserts at one sink
+// table at location B over real TCP uplinks with batching on. §6's
+// per-channel FIFO guarantee must survive coalesced runs and cumulative
+// acks: in the sink's trace, the remote.queued sequence numbers must be
+// strictly increasing per source junction. And the par must cross as a
+// group decided at compile time, not as whatever the pump happened to find
+// queued: at most two frames per invocation reach either client (one group
+// out, one cumulative ack back; the slack allows a split ack).
 func TestParArmFIFOTortureOverTCP(t *testing.T) {
 	const (
 		nSrc   = 8
@@ -351,50 +348,13 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 		return p
 	}
 
-	netA := compart.NewNetwork(1)
-	defer netA.Close()
-	netB := compart.NewNetwork(2)
-	defer netB.Close()
-	ring := obsv.NewRingSink(nSrc*width*rounds + 4096)
-	sysA, err := New(build(), Options{Net: netA, AckTimeout: 10 * time.Second})
-	if err != nil {
+	// The ring sees both locations' events; it must not wrap before the
+	// sink's last one.
+	ring := obsv.NewRingSink(1 << 15)
+	tl := newTCPLocations(t, compart.ReconnectConfig{}, nil)
+	s := mustSystem(t, build(), Options{Deploy: tl.dep.Place("sink", "B"), AckTimeout: 10 * time.Second, Trace: ring})
+	if err := s.RunMain(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	defer sysA.Close()
-	sysB, err := New(build(), Options{Net: netB, AckTimeout: 10 * time.Second, Trace: ring})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysB.Close()
-
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := compart.ServeTCP(netA, lA)
-	defer srvA.Close()
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB := compart.ServeTCP(netB, lB)
-	defer srvB.Close()
-	toB := compart.DialReconnect(srvB.Addr().String(), compart.ReconnectConfig{})
-	defer toB.Close()
-	toA := compart.DialReconnect(srvA.Addr().String(), compart.ReconnectConfig{})
-	defer toA.Close()
-
-	for i := 0; i < nSrc; i++ {
-		if err := sysA.StartInstance(fmt.Sprintf("s%d", i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sysB.StartInstance("sink", nil); err != nil {
-		t.Fatal(err)
-	}
-	compart.BridgeReconnect(netA, "sink::main", toB)
-	for i := 0; i < nSrc; i++ {
-		compart.BridgeReconnect(netB, fmt.Sprintf("s%d::push", i), toA)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -407,7 +367,7 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if err := sysA.Invoke(ctx, name, "push"); err != nil {
+				if err := s.Invoke(ctx, name, "push"); err != nil {
 					errs <- fmt.Errorf("%s round %d: %w", name, r, err)
 					return
 				}
@@ -442,10 +402,13 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 			t.Fatalf("%s: %d updates traced at the sink, want %d", peer, n, width*rounds)
 		}
 	}
-	if !netA.Stats().Conserved() || !netB.Stats().Conserved() {
-		t.Fatalf("transport counters not conserved: A %+v B %+v", netA.Stats(), netB.Stats())
+	if ring.Dropped() != 0 {
+		t.Fatalf("the trace ring wrapped, losing %d events", ring.Dropped())
 	}
-	for dir, c := range map[string]*compart.ReconnectClient{"A->B": toB, "B->A": toA} {
+	if a, b := tl.dep.Net("A").Stats(), tl.dep.Net("B").Stats(); !a.Conserved() || !b.Conserved() {
+		t.Fatalf("transport counters not conserved: A %+v B %+v", a, b)
+	}
+	for dir, c := range map[string]*compart.ReconnectClient{"A->B": tl.up["A"], "B->A": tl.up["B"]} {
 		if st := c.Stats(); st.Enqueued == 0 || st.Enqueued > 2*nSrc*rounds {
 			t.Fatalf("%s carried %d frames for %d invocations of %d arms, want at most 2 each", dir, st.Enqueued, nSrc*rounds, width)
 		}

@@ -12,11 +12,49 @@ import (
 	"csaw/internal/formula"
 )
 
+// tcpLocations is a two-location Deployment in the shape of a TCP ledger
+// run: locations A and B, each a compart.Network behind its own loopback
+// compart.Server, joined by one compart.ReconnectClient per direction.
+type tcpLocations struct {
+	dep *Deployment
+	srv map[string]*compart.Server          // by location
+	up  map[string]*compart.ReconnectClient // by source location: up["A"] carries A→B
+}
+
+// newTCPLocations builds a tcpLocations whose clients use cfg. dial names,
+// by source location, an address that location's uplink dials instead of the
+// other location's server. Servers and clients close when the test ends.
+func newTCPLocations(t *testing.T, cfg compart.ReconnectConfig, dial map[string]string) *tcpLocations {
+	t.Helper()
+	tl := &tcpLocations{dep: NewDeployment(), srv: map[string]*compart.Server{}, up: map[string]*compart.ReconnectClient{}}
+	for i, loc := range []string{"A", "B"} {
+		nw := compart.NewNetwork(int64(i + 1))
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := compart.ServeTCP(nw, l)
+		t.Cleanup(srv.Close)
+		tl.srv[loc] = srv
+		tl.dep.AddLocation(loc, nw)
+	}
+	for from, to := range map[string]string{"A": "B", "B": "A"} {
+		addr, ok := dial[from]
+		if !ok {
+			addr = tl.srv[to].Addr().String()
+		}
+		c := compart.DialReconnect(addr, cfg)
+		t.Cleanup(func() { _ = c.Close() })
+		tl.up[from] = c
+		tl.dep.Connect(from, to, c.Send)
+	}
+	return tl
+}
+
 // TestDistributedFig3OverTCP deploys the Fig. 3 architecture across two
-// separate compart networks bridged by real TCP sockets — instance f on
-// "machine A", instance g on "machine B" — exercising the full distributed
-// story: serialized junction updates, acks and wait wake-ups all cross the
-// wire.
+// locations joined by real TCP sockets — instance f at A, instance g at B —
+// exercising the full distributed story: serialized junction updates, acks
+// and wait wake-ups all cross the wire.
 func TestDistributedFig3OverTCP(t *testing.T) {
 	var h2Ran atomic.Int32
 	var restored atomic.Value
@@ -41,54 +79,16 @@ func TestDistributedFig3OverTCP(t *testing.T) {
 		return p
 	}
 
-	// Two "machines", each with its own substrate network.
-	netA := compart.NewNetwork(1)
-	netB := compart.NewNetwork(2)
-
-	sysA, err := New(build(), Options{Net: netA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysA.Close()
-	sysB, err := New(build(), Options{Net: netB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysB.Close()
-
-	// Expose each network over TCP and bridge the remote junction endpoints.
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := compart.ServeTCP(netA, lA)
-	defer srvA.Close()
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB := compart.ServeTCP(netB, lB)
-	defer srvB.Close()
-
-	toB := compart.DialReconnect(srvB.Addr().String(), compart.ReconnectConfig{})
-	defer toB.Close()
-	toA := compart.DialReconnect(srvA.Addr().String(), compart.ReconnectConfig{})
-	defer toA.Close()
-
-	// Machine A hosts f and proxies g; machine B hosts g and proxies f.
-	if err := sysA.StartInstance("f", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sysB.StartInstance("g", nil); err != nil {
-		t.Fatal(err)
-	}
-	compart.BridgeReconnect(netA, "g::junction", toB)
-	compart.BridgeReconnect(netB, "f::junction", toA)
-
+	// Location A hosts f and proxies g; location B hosts g and proxies f.
+	tl := newTCPLocations(t, compart.ReconnectConfig{}, nil)
+	s := mustSystem(t, build(), Options{Deploy: tl.dep.Place("f", "A").Place("g", "B")})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		if err := sysA.Invoke(ctx, "f", "junction"); err != nil {
+		if err := s.Invoke(ctx, "f", "junction"); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
@@ -98,13 +98,16 @@ func TestDistributedFig3OverTCP(t *testing.T) {
 	if got, _ := restored.Load().(string); got != "cross-machine state" {
 		t.Fatalf("g restored %q", got)
 	}
+	if a, b := tl.srv["A"].Stats().Frames, tl.srv["B"].Stats().Frames; a == 0 || b == 0 {
+		t.Fatalf("servers read %d frames at A and %d at B: the updates did not cross TCP", a, b)
+	}
 }
 
 // TestDistributedRecoveryAfterServerRestart is the runtime-level fail-over
-// story (§7.3, Fig 23a): the Fig. 3 architecture bridged over TCP with
-// reconnecting clients keeps working after machine B's server is killed and
-// restarted — post-restart invocations are delivered after backoff, and the
-// reconnect is visible in the client's transport stats.
+// story (§7.3, Fig 23a): the Fig. 3 architecture across two TCP-joined
+// locations keeps working after location B's server is killed and restarted
+// — post-restart invocations are delivered after backoff, and the reconnect
+// is visible in the uplink's transport stats.
 func TestDistributedRecoveryAfterServerRestart(t *testing.T) {
 	var h2Ran atomic.Int32
 	build := func() *dsl.Program {
@@ -124,49 +127,17 @@ func TestDistributedRecoveryAfterServerRestart(t *testing.T) {
 		return p
 	}
 
-	netA := compart.NewNetwork(1)
-	netB := compart.NewNetwork(2)
-	sysA, err := New(build(), Options{Net: netA, AckTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysA.Close()
-	sysB, err := New(build(), Options{Net: netB, AckTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysB.Close()
-
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := compart.ServeTCP(netA, lA)
-	defer srvA.Close()
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrB := lB.Addr().String()
-	srvB := compart.ServeTCP(netB, lB)
-
-	rcfg := compart.ReconnectConfig{
+	tl := newTCPLocations(t, compart.ReconnectConfig{
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 50 * time.Millisecond,
-	}
-	toB := compart.DialReconnect(addrB, rcfg)
-	defer toB.Close()
-	toA := compart.DialReconnect(srvA.Addr().String(), rcfg)
-	defer toA.Close()
-
-	if err := sysA.StartInstance("f", nil); err != nil {
+	}, nil)
+	toB, addrB := tl.up["A"], tl.srv["B"].Addr().String()
+	s := mustSystem(t, build(), Options{Deploy: tl.dep.Place("f", "A").Place("g", "B"), AckTimeout: 5 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := sysB.StartInstance("g", nil); err != nil {
-		t.Fatal(err)
-	}
-	compart.BridgeReconnect(netA, "g::junction", toB)
-	compart.BridgeReconnect(netB, "f::junction", toA)
 
 	// g's retract ends f's wait, and with it the invocation, before f's ack of
 	// the retract is back at g. Killing the connection that carries that ack
@@ -174,37 +145,35 @@ func TestDistributedRecoveryAfterServerRestart(t *testing.T) {
 	// whole AckTimeout: let the ack land first.
 	settle := func() {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); sysB.pendingAcks("g::junction", "f::junction") != 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); s.pendingAcks("g::junction", "f::junction") != 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("g's retract was never acknowledged")
 			}
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := sysA.Invoke(ctx, "f", "junction"); err != nil {
+	if err := s.Invoke(ctx, "f", "junction"); err != nil {
 		t.Fatalf("pre-crash invoke: %v", err)
 	}
 	settle()
 
-	// Kill machine B's server, wait until the bridge notices, restart on
+	// Kill location B's server, wait until the uplink notices, restart on
 	// the same address: the next invocation must go through after backoff.
-	srvB.Close()
+	tl.srv["B"].Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for toB.Connected() && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if toB.Connected() {
-		t.Fatal("bridge never noticed the server died")
+		t.Fatal("the uplink never noticed the server died")
 	}
 	lB2, err := net.Listen("tcp", addrB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvB2 := compart.ServeTCP(netB, lB2)
+	srvB2 := compart.ServeTCP(tl.dep.Net("B"), lB2)
 	defer srvB2.Close()
 
-	if err := sysA.Invoke(ctx, "f", "junction"); err != nil {
+	if err := s.Invoke(ctx, "f", "junction"); err != nil {
 		t.Fatalf("post-restart invoke: %v", err)
 	}
 	settle()
@@ -212,18 +181,17 @@ func TestDistributedRecoveryAfterServerRestart(t *testing.T) {
 		t.Fatalf("H2 ran %d times, want 2 (one per invocation, across the restart)", h2Ran.Load())
 	}
 	if st := toB.Stats(); st.Connects < 2 {
-		t.Fatalf("reconnect not visible in bridge stats: %+v", st)
+		t.Fatalf("reconnect not visible in the uplink's stats: %+v", st)
 	}
 	// The runtime's view of the substrate stays conserved.
-	for _, s := range []*System{sysA, sysB} {
-		if st := s.TransportStats(); !st.Conserved() {
-			t.Fatalf("transport counters not conserved: %+v", st)
-		}
+	if st := s.TransportStats(); !st.Conserved() {
+		t.Fatalf("transport counters not conserved: %+v", st)
 	}
 }
 
-// TestPeerDownFailsFast: with a liveness-tracking bridge (BridgeLive) and a
-// dead remote, remote updates fail immediately with ErrPeerDown instead of
+// TestPeerDownFailsFast: with the uplink's connection state crashing and
+// reviving the remote junction's proxy (ReconnectClient.Notify) and a dead
+// remote, remote updates fail immediately with ErrPeerDown instead of
 // burning the full ack timeout.
 func TestPeerDownFailsFast(t *testing.T) {
 	var complained atomic.Int32
@@ -243,29 +211,31 @@ func TestPeerDownFailsFast(t *testing.T) {
 	p.Instance("f", "tau_f").Instance("g", "tau_g")
 	p.SetMain(dsl.Seq{dsl.Start{Instance: "f"}})
 
-	netA := compart.NewNetwork(1)
-	// Huge AckTimeout: only transport-level liveness can fail the update
-	// quickly.
-	sysA, err := New(p, Options{Net: netA, AckTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysA.Close()
-	if err := sysA.StartInstance("f", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// A reconnecting client pointed at a dead address, bridged with
-	// liveness tracking: the proxy endpoint stays down.
-	rc := compart.DialReconnect("127.0.0.1:1", compart.ReconnectConfig{
+	// The A→B uplink dials a dead address.
+	tl := newTCPLocations(t, compart.ReconnectConfig{
 		BackoffMin: time.Millisecond,
 		BackoffMax: 5 * time.Millisecond,
+	}, map[string]string{"A": "127.0.0.1:1"})
+	// Huge AckTimeout: only transport-level liveness can fail the update
+	// quickly.
+	s := mustSystem(t, p, Options{Deploy: tl.dep.Place("f", "A").Place("g", "B"), AckTimeout: 10 * time.Second})
+	for _, inst := range []string{"f", "g"} {
+		if err := s.StartInstance(inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// g's proxy at A follows the uplink's connection: it stays down.
+	netA := tl.dep.Net("A")
+	tl.up["A"].Notify(func(up bool) {
+		if up {
+			netA.Revive("g::junction")
+		} else {
+			netA.Crash("g::junction")
+		}
 	})
-	defer rc.Close()
-	compart.BridgeLive(netA, "g::junction", rc)
 
 	start := time.Now()
-	if err := sysA.Invoke(context.Background(), "f", "junction"); err != nil {
+	if err := s.Invoke(context.Background(), "f", "junction"); err != nil {
 		t.Fatal(err)
 	}
 	if complained.Load() != 1 {
@@ -274,16 +244,16 @@ func TestPeerDownFailsFast(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("peer-down failure took %v; want fast failure, not an ack timeout", elapsed)
 	}
-	if !sysA.PeerUp("f", "junction") {
+	if !s.PeerUp("f", "junction") {
 		t.Fatal("local junction should be up")
 	}
-	if sysA.PeerUp("g", "junction") {
-		t.Fatal("bridged dead peer should report down")
+	if netA.Up("g::junction") {
+		t.Fatal("the dead peer's proxy at A should report down")
 	}
 }
 
 // TestDistributedTimeoutAcrossTCP verifies failure-awareness across the
-// wire: when machine B's system goes down, f's otherwise handler fires.
+// wire: when location B stops answering, f's otherwise handler fires.
 func TestDistributedTimeoutAcrossTCP(t *testing.T) {
 	var complained atomic.Int32
 	p := dsl.NewProgram()
@@ -302,17 +272,7 @@ func TestDistributedTimeoutAcrossTCP(t *testing.T) {
 	p.Instance("f", "tau_f").Instance("g", "tau_g")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
 
-	netA := compart.NewNetwork(1)
-	sysA, err := New(p, Options{Net: netA, AckTimeout: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sysA.Close()
-	if err := sysA.StartInstance("f", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bridge g to a TCP endpoint that accepts but never acks (a hung peer).
+	// A TCP endpoint that accepts but never acks (a hung peer).
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -334,11 +294,14 @@ func TestDistributedTimeoutAcrossTCP(t *testing.T) {
 			}()
 		}
 	}()
-	client := compart.DialReconnect(l.Addr().String(), compart.ReconnectConfig{})
-	defer client.Close()
-	compart.BridgeReconnect(netA, "g::junction", client)
+	// g runs at B, but the A→B uplink dials the hung peer.
+	tl := newTCPLocations(t, compart.ReconnectConfig{}, map[string]string{"A": l.Addr().String()})
+	s := mustSystem(t, p, Options{Deploy: tl.dep.Place("f", "A").Place("g", "B"), AckTimeout: 150 * time.Millisecond})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
-	if err := sysA.Invoke(context.Background(), "f", "junction"); err != nil {
+	if err := s.Invoke(context.Background(), "f", "junction"); err != nil {
 		t.Fatal(err)
 	}
 	if complained.Load() != 1 {

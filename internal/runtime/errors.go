@@ -48,8 +48,9 @@ var (
 var ErrMigrated = errors.New("runtime: junction migrated")
 
 // ErrPeerDown is the ErrSendFailed case where the substrate already knows
-// the destination is down (crashed endpoint, or a liveness-tracking bridge
-// whose transport heartbeats went unanswered — see compart.BridgeLive).
+// the destination is down (a crashed endpoint, or a proxy crashed by its
+// uplink's compart.ReconnectClient.Notify when the connection died or its
+// heartbeats went unanswered).
 // Updates fail fast with it instead of burning the full ack timeout.
 // errors.Is(err, ErrSendFailed) still holds.
 var ErrPeerDown = fmt.Errorf("%w: peer endpoint down", ErrSendFailed)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,41 +134,19 @@ func TestGroupOverFrameLimitSplits(t *testing.T) {
 	p.Instance("f", "srcT").Instance("g", "sinkT")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
 
-	dep := NewDeployment()
-	addr := map[string]string{}
-	for i, loc := range []string{"A", "B"} {
-		nw := compart.NewNetwork(int64(i + 1))
-		t.Cleanup(nw.Close)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := compart.ServeTCP(nw, l)
-		t.Cleanup(srv.Close)
-		addr[loc] = srv.Addr().String()
-		dep.AddLocation(loc, nw)
-	}
+	tl := newTCPLocations(t, compart.ReconnectConfig{}, nil)
 	var mu sync.Mutex
 	var carried []string // lo+count of every group the A->B uplink accepted
-	for _, dir := range [][2]string{{"A", "B"}, {"B", "A"}} {
-		c := compart.DialReconnect(addr[dir[1]], compart.ReconnectConfig{})
-		t.Cleanup(func() { _ = c.Close() })
-		send := Uplink(c.Send)
-		if dir[0] == "A" {
-			send = func(m compart.Message) error {
-				err := c.Send(m)
-				if lo, n, _, ok := openGroup(m.Payload); m.Kind == compart.KindGroup && ok && err == nil {
-					mu.Lock()
-					carried = append(carried, fmt.Sprintf("%d+%d", lo, n))
-					mu.Unlock()
-				}
-				return err
-			}
+	tl.dep.Connect("A", "B", func(m compart.Message) error {
+		err := tl.up["A"].Send(m)
+		if lo, n, _, ok := openGroup(m.Payload); m.Kind == compart.KindGroup && ok && err == nil {
+			mu.Lock()
+			carried = append(carried, fmt.Sprintf("%d+%d", lo, n))
+			mu.Unlock()
 		}
-		dep.Connect(dir[0], dir[1], send)
-	}
-	dep.Place("f", "A").Place("g", "B")
-	s := mustSystem(t, p, Options{Deploy: dep, AckTimeout: 10 * time.Second})
+		return err
+	})
+	s := mustSystem(t, p, Options{Deploy: tl.dep.Place("f", "A").Place("g", "B"), AckTimeout: 10 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.RunMain(ctx); err != nil {

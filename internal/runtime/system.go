@@ -245,10 +245,12 @@ func (s *System) LinkStats(from, to string) compart.LinkStats {
 	return loc.net.LinkStats(from, to)
 }
 
-// PeerUp reports whether a junction endpoint — local or bridged from a
-// remote machine — is currently up at the transport level, checked on the
-// instance's current location network. For endpoints bridged with
-// compart.BridgeLive this reflects remote heartbeat liveness.
+// PeerUp reports whether a junction endpoint is currently up at the
+// transport level, checked on the network of the instance's own current
+// location, where its real endpoint lives. A proxy for the junction at
+// another location is a separate endpoint there: crash it from the uplink's
+// compart.ReconnectClient.Notify to make senders at that location fail fast
+// while the connection is down.
 func (s *System) PeerUp(instance, junction string) bool {
 	return s.deploy.locOf(instance).net.Up(instance + "::" + junction)
 }
@@ -965,10 +967,11 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 			<-wt.ch // a window failure completed it meanwhile: drain before reuse
 		}
 		if errors.Is(serr, compart.ErrEndpointDown) {
-			// Transport-level liveness (crash, or a BridgeLive whose
-			// heartbeats went unanswered) already knows the peer is gone:
-			// fail every pipelined update on this pair fast instead of
-			// waiting out one ack timeout per update.
+			// Transport-level liveness (a crashed endpoint, or a proxy an
+			// uplink's Notify crashed when its heartbeats went unanswered)
+			// already knows the peer is gone: fail every pipelined update on
+			// this pair fast instead of waiting out one ack timeout per
+			// update.
 			werr = fmt.Errorf("%w (%s)", ErrPeerDown, to)
 			w.fail(werr)
 		} else {
