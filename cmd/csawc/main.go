@@ -237,17 +237,18 @@ func costArchitectures(w io.Writer, entries []patterns.CatalogueEntry, asJSON, e
 	for _, e := range entries {
 		ar := analysis.ArchReport{Arch: e.Name, Diagnostics: []analysis.Diagnostic{}}
 		p := e.Build()
-		rep, err := analysis.Analyze(p, &analysis.Config{
-			Passes:    cost.Passes(),
-			Suppress:  e.CostSuppressions,
-			Placement: e.CostPlacement,
-		})
 		verdict := "clean"
-		if err != nil {
+		if err := dsl.Validate(p); err != nil {
 			ar.Error = err.Error()
 			verdict = "invalid"
 			code = 1
 		} else {
+			pp := plan.Compile(p)
+			rep := analysis.AnalyzePlan(pp, &analysis.Config{
+				Passes:    cost.Passes(),
+				Suppress:  e.CostSuppressions,
+				Placement: e.CostPlacement,
+			})
 			ar.Diagnostics = append(ar.Diagnostics, rep.Diagnostics...)
 			ar.Suppressed = rep.Suppressed
 			switch {
@@ -256,7 +257,7 @@ func costArchitectures(w io.Writer, entries []patterns.CatalogueEntry, asJSON, e
 			case len(rep.Diagnostics) > 0:
 				verdict = "findings"
 			}
-			m := cost.Build(analysis.NewContext(p, 0))
+			m := cost.Build(pp)
 			cr := m.Report(e.CostPlacement)
 			final, moves := cost.Optimize(m, e.CostPlacement, e.CostPins, nil)
 			if len(moves) > 0 {

@@ -1,7 +1,8 @@
 // Package analysis is a pass-based static analyzer for validated C-Saw
-// programs, modeled on go/analysis: named passes run over shared facts
-// (resolved declarations, read/write sets, the §8.7 topology, and §8 event
-// structures) and report structured diagnostics.
+// programs, modeled on go/analysis: named passes run over the program's one
+// static pass (plan.Compile: resolved declarations, lowered ops, read/write
+// facts), the §8.7 topology and §8 event structures, and report structured
+// diagnostics.
 //
 // The analyzer exploits exactly what the paper argues makes architecture
 // logic statically checkable (§4, §6): bounded expressions, explicit host
@@ -28,6 +29,7 @@ import (
 	"strings"
 
 	"csaw/internal/dsl"
+	"csaw/internal/plan"
 )
 
 // Severity ranks a finding. Error-severity findings fail `csawc -vet` and the
@@ -175,23 +177,28 @@ func (r *Report) Format(w io.Writer) {
 	}
 }
 
-// Analyze validates p, builds the shared fact context, and runs the
-// configured passes. The returned error is non-nil only for invalid programs
-// (static analysis assumes well-formedness); findings — including
-// error-severity ones — are reported in the Report.
+// Analyze validates p, compiles it (plan.Compile), and runs the configured
+// passes. The returned error is non-nil only for invalid programs (static
+// analysis assumes well-formedness); findings — including error-severity
+// ones — are reported in the Report.
 func Analyze(p *dsl.Program, cfg *Config) (*Report, error) {
-	if cfg == nil {
-		cfg = &Config{}
-	}
 	if err := dsl.Validate(p); err != nil {
 		return nil, err
+	}
+	return AnalyzePlan(plan.Compile(p), cfg), nil
+}
+
+// AnalyzePlan runs the configured passes over an already compiled, valid
+// program — for a caller that compiled it for its own use too.
+func AnalyzePlan(pp *plan.Program, cfg *Config) *Report {
+	if cfg == nil {
+		cfg = &Config{}
 	}
 	passes := cfg.Passes
 	if passes == nil {
 		passes = All()
 	}
-	ctx := NewContext(p, cfg.Unfold)
-	ctx.Placement = cfg.Placement
+	ctx := &Context{Program: pp, Topo: dsl.Topo(pp.Prog), Unfold: cfg.Unfold, Placement: cfg.Placement}
 	var all []Diagnostic
 	for _, pass := range passes {
 		ds := pass.Run(ctx)
@@ -248,5 +255,5 @@ func Analyze(p *dsl.Program, cfg *Config) (*Report, error) {
 			})
 		}
 	}
-	return report, nil
+	return report
 }

@@ -8,6 +8,7 @@ import (
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/patterns"
+	"csaw/internal/plan"
 )
 
 // TestCatalogueVetsClean self-applies the analyzer: every §5/§7 architecture
@@ -49,9 +50,8 @@ func TestParConflictAgreesWithEventStructures(t *testing.T) {
 			if err := dsl.Validate(p); err != nil {
 				t.Fatal(err)
 			}
-			ctx := analysis.NewContext(p, 0)
-			for _, tj := range ctx.TypeJuncs {
-				cands := analysis.ParCandidates(tj.FQ(), tj.Def.Body)
+			for _, tj := range plan.Compile(p).TypeJuncs {
+				cands := analysis.ParCandidates(tj)
 				semantic := map[analysis.RaceKey]bool{}
 				for _, cd := range cands {
 					if cd.Semantic {
@@ -88,8 +88,12 @@ func TestParConflictAgreementOnSeededRace(t *testing.T) {
 		},
 		dsl.Verify{Cond: formula.P("P")},
 	)
+	p := dsl.NewProgram()
+	p.Type("tau").Junction("j", def)
+	p.Instance("i", "tau")
+	p.SetMain(dsl.Start{Instance: "i"})
 	const j = "tau::j"
-	cands := analysis.ParCandidates(j, def.Body)
+	cands := analysis.ParCandidates(plan.Compile(p).TypeJuncs[0])
 	if len(cands) == 0 {
 		t.Fatal("no syntactic candidates for a seeded race")
 	}

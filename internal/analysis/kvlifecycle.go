@@ -3,6 +3,8 @@ package analysis
 import (
 	"fmt"
 	"sort"
+
+	"csaw/internal/plan"
 )
 
 // KVLifecycle checks the lifecycle of every declared KV symbol — the §6
@@ -96,18 +98,18 @@ func runKVLifecycle(c *Context) []Diagnostic {
 	return out
 }
 
-func allLocalEffect(ws []Access) bool {
+func allLocalEffect(ws []plan.Access) bool {
 	for _, w := range ws {
-		if w.Kind != AccessLocalEffect {
+		if w.Kind != plan.AccessLocalEffect {
 			return false
 		}
 	}
 	return len(ws) > 0
 }
 
-func allIncoming(ws []Access) bool {
+func allIncoming(ws []plan.Access) bool {
 	for _, w := range ws {
-		if w.Kind != AccessIncoming {
+		if w.Kind != plan.AccessIncoming {
 			return false
 		}
 	}

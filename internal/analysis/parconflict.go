@@ -6,6 +6,7 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/events"
+	"csaw/internal/plan"
 )
 
 // ParConflict is a static race detector over parallel composition: it
@@ -51,15 +52,16 @@ func classesConflict(a, b string) bool {
 	return a == "*" || b == "*" || a != b
 }
 
-// collectWrites gathers every write effect in the subtree rooted at e,
-// labelled the way the §8 denotation labels Wr events.
-func collectWrites(j string, path string, e dsl.Expr, out *[]writeEffect) {
-	walkPath(j, []dsl.Expr{e}, func(nc NodeCtx, x dsl.Expr) {
-		pos := path + nc.Path[len(j+"/body[0]"):]
+// collectWrites gathers every write effect of op o and the ops it contains,
+// labelled j the way the §8 denotation labels Wr events.
+func collectWrites(tj *plan.TypeJunction, o *plan.Op, out *[]writeEffect) {
+	j := tj.FQ()
+	plan.Walk([]*plan.Op{o}, func(x *plan.Op, _ []*plan.Op) {
+		pos := tj.Pos(x)
 		add := func(junction, key, class string, semantic bool) {
 			*out = append(*out, writeEffect{RaceKey: RaceKey{Junction: junction, Key: key}, class: class, pos: pos, semantic: semantic})
 		}
-		switch n := x.(type) {
+		switch n := x.Stmt.(type) {
 		case dsl.Host:
 			for _, w := range n.Writes {
 				add(j, w, "*", true)
@@ -97,39 +99,37 @@ type parCandidate struct {
 	semantic bool
 }
 
-// ParCandidates computes the syntactic candidates for one junction body,
-// labelled j. Exported for the cross-check test against the event-structure
-// relation.
-func ParCandidates(j string, body []dsl.Expr) []ParWritePair {
+// ParCandidates computes the syntactic candidates for one type-level
+// junction, labelled tj.FQ(). Exported for the cross-check test against the
+// event-structure relation.
+func ParCandidates(tj *plan.TypeJunction) []ParWritePair {
 	var cands []parCandidate
-	walkPath(j, body, func(nc NodeCtx, e dsl.Expr) {
-		switch n := e.(type) {
-		case dsl.Par:
-			perBranch := make([][]writeEffect, len(n))
-			for i, b := range n {
-				collectWrites(j, fmt.Sprintf("%s/par[%d]", nc.Path, i), b, &perBranch[i])
+	walkOps(tj, func(pos string, _ NodeCtx, o *plan.Op) {
+		switch {
+		case o.Kind != plan.OpPar:
+		case o.N == 0:
+			perBranch := make([][]writeEffect, len(o.Arms))
+			for i, b := range o.Arms {
+				collectWrites(tj, b, &perBranch[i])
 			}
 			for i := 0; i < len(perBranch); i++ {
 				for k := i + 1; k < len(perBranch); k++ {
-					crossBranch(nc.Path, perBranch[i], perBranch[k], &cands)
+					crossBranch(pos, perBranch[i], perBranch[k], &cands)
 				}
 			}
-		case dsl.ParN:
-			if n.N < 2 {
-				return
-			}
+		case o.N >= 2:
 			// Replicated body: every copy runs concurrently with every other,
 			// so ANY pair of conflicting writes in the body races across
 			// copies — including a write paired with its own replica.
 			var ws []writeEffect
-			for i, b := range n.Body {
-				collectWrites(j, fmt.Sprintf("%s/parn[%d]", nc.Path, i), b, &ws)
+			for _, b := range o.Arms[:len(o.Arms)/o.N] {
+				collectWrites(tj, b, &ws)
 			}
 			for i := 0; i < len(ws); i++ {
 				for k := i; k < len(ws); k++ {
 					if ws[i].RaceKey == ws[k].RaceKey && classesConflict(ws[i].class, ws[k].class) {
 						cands = append(cands, parCandidate{
-							key: ws[i].RaceKey, pos: nc.Path,
+							key: ws[i].RaceKey, pos: pos,
 							at:       [2]string{ws[i].pos, ws[k].pos},
 							semantic: ws[i].semantic && ws[k].semantic,
 						})
@@ -206,7 +206,7 @@ func runParConflict(c *Context) []Diagnostic {
 	var out []Diagnostic
 	for _, tj := range c.TypeJuncs {
 		j := tj.FQ()
-		cands := ParCandidates(j, tj.Def.Body)
+		cands := ParCandidates(tj)
 		if len(cands) == 0 {
 			continue // no syntactic candidates: skip the denotation entirely
 		}

@@ -7,6 +7,7 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // Reachability flags junctions no entry junction can ever reach over the
@@ -71,17 +72,17 @@ func runReachability(c *Context) []Diagnostic {
 	// Statically false conditions: a case arm (or if-branch) whose condition
 	// has an empty DNF can never match.
 	for _, tj := range c.TypeJuncs {
-		walkPath(tj.FQ(), tj.Def.Body, func(nc NodeCtx, e dsl.Expr) {
-			switch n := e.(type) {
-			case dsl.Case:
-				for i, a := range n.Arms {
+		walkOps(tj, func(pos string, _ NodeCtx, o *plan.Op) {
+			switch o.Kind {
+			case plan.OpCase:
+				for i, a := range o.Case.Arms {
 					if staticallyFalse(a.Cond) {
-						emit(SevError, fmt.Sprintf("%s/arm[%d]", nc.Path, i), "case arm condition %s is statically false; the arm is unreachable", a.Cond)
+						emit(SevError, fmt.Sprintf("%s/arm[%d]", pos, i), "case arm condition %s is statically false; the arm is unreachable", a.Cond)
 					}
 				}
-			case dsl.If:
-				if staticallyFalse(n.Cond) {
-					emit(SevWarning, nc.Path, "if condition %s is statically false; the then-branch is unreachable", n.Cond)
+			case plan.OpIf:
+				if staticallyFalse(o.Cond) {
+					emit(SevWarning, pos, "if condition %s is statically false; the then-branch is unreachable", o.Cond)
 				}
 			}
 		})
@@ -98,7 +99,7 @@ func runReachability(c *Context) []Diagnostic {
 
 // isEntry reports whether the junction can run without any incoming
 // communication.
-func isEntry(ji *JunctionInfo) bool {
+func isEntry(ji *plan.Junction) bool {
 	if ji.Def.Guard == nil || ji.Def.Manual {
 		return true
 	}
@@ -109,13 +110,13 @@ func isEntry(ji *JunctionInfo) bool {
 			// guard can become true without an incoming write.
 			return true
 		}
-		name := resolveSelf(ji, pr.Name)
+		name := ji.ResolveName(pr.Name)
 		if _, _, ok := dsl.SplitIdxProp(name); ok {
 			// Idx-indexed guard prop: the idx starts undef, so the guard
 			// cannot be initially true through it — leave it Unknown.
 			continue
 		}
-		if ji.decls.props[name] {
+		if ji.HasProp(name) {
 			env[pr.Name] = ji.PropInit(name)
 		}
 	}

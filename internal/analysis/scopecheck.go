@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"csaw/internal/dsl"
+	"csaw/internal/plan"
 )
 
 // ScopeCheck audits Scope/Txn nesting and replication-scope misuse against
@@ -36,41 +37,41 @@ func runScopeCheck(c *Context) []Diagnostic {
 		out = append(out, Diagnostic{Severity: sev, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	}
 	for _, tj := range c.TypeJuncs {
-		walkPath(tj.FQ(), tj.Def.Body, func(nc NodeCtx, e dsl.Expr) {
-			switch n := e.(type) {
+		walkOps(tj, func(pos string, nc NodeCtx, o *plan.Op) {
+			switch n := o.Stmt.(type) {
 			case dsl.Txn:
 				if nc.TxnDepth > 0 {
-					emit(SevWarning, nc.Path, "transaction nested inside a transaction: the inner rollback is subsumed by the outer snapshot")
+					emit(SevWarning, pos, "transaction nested inside a transaction: the inner rollback is subsumed by the outer snapshot")
 				}
 			case dsl.Retry:
 				if nc.TxnDepth > 0 {
-					emit(SevError, nc.Path, "retry inside a transaction: the retry signal escapes ⟨|…|⟩ without rollback, so the re-run observes partial transaction effects")
+					emit(SevError, pos, "retry inside a transaction: the retry signal escapes ⟨|…|⟩ without rollback, so the re-run observes partial transaction effects")
 				} else if nc.ParDepth > 0 {
-					emit(SevWarning, nc.Path, "retry inside a parallel branch: the signal is selected by branch order after the barrier and re-runs the whole body")
+					emit(SevWarning, pos, "retry inside a parallel branch: the signal is selected by branch order after the barrier and re-runs the whole body")
 				}
 			case dsl.Save:
 				if nc.TxnDepth > 0 {
-					emit(SevWarning, nc.Path, "save inside a transaction: its host-side source hook is not undone by rollback")
+					emit(SevWarning, pos, "save inside a transaction: its host-side source hook is not undone by rollback")
 				}
 			case dsl.Restore:
 				if nc.TxnDepth > 0 {
-					emit(SevWarning, nc.Path, "restore inside a transaction: its host-side sink hook is not undone by rollback")
+					emit(SevWarning, pos, "restore inside a transaction: its host-side sink hook is not undone by rollback")
 				}
 			case dsl.Start:
 				if nc.InParN {
-					emit(SevError, nc.Path, "start of %q under ∥n replication: every replica starts the same instance and all but one fail", n.Instance)
+					emit(SevError, pos, "start of %q under ∥n replication: every replica starts the same instance and all but one fail", n.Instance)
 				}
 			case dsl.Stop:
 				if nc.InParN {
-					emit(SevError, nc.Path, "stop of %q under ∥n replication: every replica stops the same instance", n.Instance)
+					emit(SevError, pos, "stop of %q under ∥n replication: every replica stops the same instance", n.Instance)
 				}
 			case dsl.Break, dsl.Next, dsl.Reconsider:
 				if nc.InCaseArm && nc.ParSinceArm > 0 {
-					emit(SevWarning, nc.Path, "case terminator %s crosses a parallel barrier to reach its case: the winning signal is chosen by branch order, not completion order", e)
+					emit(SevWarning, pos, "case terminator %s crosses a parallel barrier to reach its case: the winning signal is chosen by branch order, not completion order", n)
 				}
 			case dsl.ParN:
 				if n.N == 1 {
-					emit(SevInfo, nc.Path, "∥n with n = 1 replicates nothing")
+					emit(SevInfo, pos, "∥n with n = 1 replicates nothing")
 				}
 			}
 		})

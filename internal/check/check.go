@@ -21,7 +21,7 @@
 // never fail. Timing is abstracted: a wait blocked under an otherwise[t]
 // deadline may time out at any moment.
 //
-// The checker steps the ops the runtime's executor compiles (plan.Lower) and
+// The checker steps the ops the runtime's executor compiles (plan.Compile) and
 // runs the same case terminator machine (plan.CaseMachine), so statement
 // semantics mirror the executor op by op, including local-priority pending
 // drops, wait admission sets and transaction rollback. Two abstractions

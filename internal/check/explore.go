@@ -19,7 +19,7 @@ func (c *checker) spawnRoot(st *state, fq string) int {
 		id:     st.nextTid,
 		fq:     fq,
 		parent: -1,
-		frames: []*frame{{kind: fBody, role: "body", body: c.bodies[fq].Ops}},
+		frames: []*frame{{kind: fBody, role: "body", body: c.infos[fq].Body.Ops}},
 	}
 	st.nextTid++
 	st.threads = append(st.threads, t)

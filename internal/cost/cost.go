@@ -2,7 +2,7 @@
 // programs: from the plan-level read/write sets and the §8.7 topology it
 // predicts, per junction, how a firing prices out on the remote-update plane
 // — updates sent (each one message plus a delivery ack), wire frames after
-// the grouping of par arms and straight-line runs that plan.Lower decides and
+// the grouping of par arms and straight-line runs that plan.Compile decides and
 // the runtime compiles, sequential ack round trips — and propagates
 // guard-triggering updates into per-drive activations, yielding a
 // whole-architecture cross-junction traffic matrix that can be priced under
@@ -23,9 +23,7 @@
 package cost
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"csaw/internal/analysis"
 	"csaw/internal/dsl"
@@ -53,7 +51,7 @@ const activationSweeps = 16
 
 // Model is the static traffic model of one architecture.
 type Model struct {
-	Ctx *analysis.Context
+	Prog *plan.Program
 	// Junctions maps FQ to per-junction costs; Order lists FQs sorted.
 	Junctions map[string]*Junction
 	Order     []string
@@ -63,7 +61,7 @@ type Model struct {
 
 // Junction is the per-(instance, junction) cost summary.
 type Junction struct {
-	Info *analysis.JunctionInfo
+	Info *plan.Junction
 	// Guard classifies scheduling (GuardInvoked/Event/Poll/PollUnbounded).
 	Guard string
 	// GuardReads lists the guard's remote-qualified reads with their
@@ -97,7 +95,7 @@ type GuardRead struct {
 	Origin plan.ReadOrigin
 	// Target is the resolved declaring junction; nil when the qualifier does
 	// not resolve statically.
-	Target *analysis.JunctionInfo
+	Target *plan.Junction
 }
 
 // Edge is one directed cross-junction update flow.
@@ -131,12 +129,12 @@ type Fanout struct {
 	Peers []string // distinct peer junction FQs, sorted
 }
 
-// Build computes the model for an analysis context. It never fails: anything
+// Build computes the model for a compiled program. It never fails: anything
 // unresolvable degrades to the conservative reading (weight dropped, read
 // kept as a poll-bound classification).
-func Build(ctx *analysis.Context) *Model {
-	m := &Model{Ctx: ctx, Junctions: map[string]*Junction{}}
-	for _, ji := range ctx.Juncs {
+func Build(pp *plan.Program) *Model {
+	m := &Model{Prog: pp, Junctions: map[string]*Junction{}}
+	for _, ji := range pp.Juncs {
 		j := &Junction{Info: ji, guardProps: map[string]bool{}, out: map[string]*Edge{}}
 		m.Junctions[ji.FQ] = j
 		m.Order = append(m.Order, ji.FQ)
@@ -164,22 +162,6 @@ func Build(ctx *analysis.Context) *Model {
 	return m
 }
 
-// resolveQualifier resolves a formula qualifier ("inst::jn" or a bare
-// element/instance name) to a junction info; nil when it does not resolve.
-func (m *Model) resolveQualifier(q string) *analysis.JunctionInfo {
-	if q == "" {
-		return nil
-	}
-	if !strings.Contains(q, "::") {
-		inst, jn, err := dsl.ResolveElemJunction(m.Ctx.Prog, q)
-		if err != nil {
-			return nil
-		}
-		q = inst + "::" + jn
-	}
-	return m.Ctx.Lookup(q)
-}
-
 // classifyGuard computes the scheduling class and remote read list of a
 // junction's guard.
 func (m *Model) classifyGuard(j *Junction) {
@@ -188,7 +170,7 @@ func (m *Model) classifyGuard(j *Junction) {
 		j.Guard = GuardInvoked
 		return
 	}
-	rs := plan.FormulaReadSet(ji, ji.Def.Guard)
+	rs := ji.Guard
 	for _, k := range rs.Props {
 		j.guardProps[k] = true
 	}
@@ -200,7 +182,7 @@ func (m *Model) classifyGuard(j *Junction) {
 		j.GuardReads = append(j.GuardReads, GuardRead{
 			Pos:    pos,
 			Origin: o,
-			Target: m.resolveQualifier(o.Junction),
+			Target: m.Prog.Lookup(o.Junction),
 		})
 	}
 	switch {
@@ -216,7 +198,7 @@ func (m *Model) classifyGuard(j *Junction) {
 // update is one remote update statement, resolved and weighted.
 type update struct {
 	pos      string
-	to       *analysis.JunctionInfo
+	to       *plan.Junction
 	weight   float64
 	guardKey float64 // portion of weight landing in to's guard read-set
 }
@@ -227,7 +209,7 @@ type price struct {
 	rounds int
 }
 
-// charger walks one junction's lowered body (plan.Lower) once. It charges the
+// charger walks one junction's lowered body once. It charges the
 // per-firing updates, the update edges, fan-out sites and remote body reads,
 // and prices the firing on the wire the way the runtime compiles the ops: a
 // frame is one group send, a group is either the remote update arms of a par
@@ -248,7 +230,7 @@ type charger struct {
 // walkBody charges a junction's body and records its ping-pong segments.
 func (m *Model) walkBody(j *Junction) {
 	c := &charger{m: m, j: j, priced: map[*plan.Op]price{}}
-	j.Frames, j.Rounds = c.block(plan.Lower(j.Info, j.Info.Def.Body), 1)
+	j.Frames, j.Rounds = c.block(j.Info.Body, 1)
 
 	// Ping-pong: split the in-order updates on waits; a peer updated in ≥2
 	// segments pays ≥2 wait-separated cross-instance exchanges per firing.
@@ -310,6 +292,7 @@ func (c *charger) block(b *plan.Block, w float64) (frames float64, rounds int) {
 
 // op charges one statement at weight w and prices it.
 func (c *charger) op(o *plan.Op, w float64) (p price) {
+	o.Conds(c.bodyReads)
 	switch o.Kind {
 	case plan.OpProp, plan.OpWrite:
 		c.update(o, w)
@@ -319,20 +302,15 @@ func (c *charger) op(o *plan.Op, w float64) (p price) {
 			}
 		}
 	case plan.OpWait:
-		c.bodyReads(o.Pos, o.Cond)
 		c.waits = append(c.waits, len(c.ups))
-	case plan.OpVerify:
-		c.bodyReads(o.Pos, o.Cond)
 	case plan.OpIf:
-		c.bodyReads(o.Pos, o.Cond)
 		p = c.op(o.Then, w)
 		if o.Else != nil {
 			e := c.op(o.Else, w)
 			p = price{p.frames + e.frames, max(p.rounds, e.rounds)}
 		}
 	case plan.OpCase:
-		for i, a := range o.Case.Arms {
-			c.bodyReads(fmt.Sprintf("%s/arm[%d]", o.Pos, i), a.Cond)
+		for _, a := range o.Case.Arms {
 			f, r := c.block(a.Body, w)
 			p = price{p.frames + f, max(p.rounds, r)}
 		}
@@ -405,7 +383,7 @@ func (c *charger) update(o *plan.Op, w float64) {
 	if o.To.IsLocal() || o.To.MeJunction {
 		return
 	}
-	targets := c.m.Ctx.ResolveTargets(ji, o.To)
+	targets := c.m.Prog.ResolveTargets(ji, o.To)
 	if len(targets) == 0 {
 		return
 	}
@@ -452,7 +430,7 @@ func (c *charger) wireWeight(ref dsl.JunctionRef) float64 {
 		return 0
 	}
 	ji := c.j.Info
-	targets := c.m.Ctx.ResolveTargets(ji, ref)
+	targets := c.m.Prog.ResolveTargets(ji, ref)
 	sent := 0
 	for _, t := range targets {
 		if t.FQ != ji.FQ {
@@ -476,7 +454,7 @@ func (c *charger) dest(ref dsl.JunctionRef) string {
 	if ref.Idx != "" {
 		return "idx " + ref.Idx
 	}
-	if ts := c.m.Ctx.ResolveTargets(c.j.Info, ref); len(ts) == 1 {
+	if ts := c.m.Prog.ResolveTargets(c.j.Info, ref); len(ts) == 1 {
 		return ts[0].FQ
 	}
 	return ref.String()
@@ -501,9 +479,6 @@ func (c *charger) fanout(pos string, sending int, peers map[string]bool) {
 // if/case conditions): in-process they are fine, across a bridge they
 // evaluate Unknown.
 func (c *charger) bodyReads(pos string, f formula.Formula) {
-	if f == nil {
-		return
-	}
 	rs := plan.FormulaReadSet(c.j.Info, f)
 	for _, o := range rs.Origins {
 		if !o.Remote || o.Junction == "" {
@@ -512,7 +487,7 @@ func (c *charger) bodyReads(pos string, f formula.Formula) {
 		c.j.BodyReads = append(c.j.BodyReads, GuardRead{
 			Pos:    pos,
 			Origin: o,
-			Target: c.m.resolveQualifier(o.Junction),
+			Target: c.m.Prog.Lookup(o.Junction),
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/patterns"
+	"csaw/internal/plan"
 )
 
 func modelOf(t *testing.T, p *dsl.Program) *Model {
@@ -15,7 +16,7 @@ func modelOf(t *testing.T, p *dsl.Program) *Model {
 	if err := dsl.Validate(p); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	return Build(analysis.NewContext(p, 0))
+	return Build(plan.Compile(p))
 }
 
 func nopSrc(dsl.HostCtx) ([]byte, error)                { return []byte{}, nil }

@@ -10,13 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"csaw/internal/analysis"
 	"csaw/internal/compart"
 	"csaw/internal/cost"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/obsv"
 	"csaw/internal/patterns"
+	"csaw/internal/plan"
 	"csaw/internal/runtime"
 )
 
@@ -232,7 +232,7 @@ func TestMeasuredFramesEqualFramesPerFiring(t *testing.T) {
 		for _, sh := range shapes {
 			t.Run(fmt.Sprintf("%s/P=%d", sh.name, procs), func(t *testing.T) {
 				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
-				model := cost.Build(analysis.NewContext(sh.prog, 0))
+				model := cost.Build(plan.Compile(sh.prog))
 				measured := runOverTCP(t, sh.prog, sh.placement, sh.rootInst, sh.rootJn, 20)
 				checked := 0
 				for _, fq := range model.Order {
@@ -270,7 +270,7 @@ func TestMeasuredFramesWatchedFailover(t *testing.T) {
 		t.Fatal("watched-failover entry missing")
 	}
 	prog := e.Build()
-	model := cost.Build(analysis.NewContext(prog, 0))
+	model := cost.Build(plan.Compile(prog))
 	ring := obsv.NewRingSink(1 << 14)
 	sys, err := runtime.New(prog, runtime.Options{Trace: ring, AckTimeout: 10 * time.Second})
 	if err != nil {

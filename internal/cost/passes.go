@@ -27,7 +27,7 @@ var Poll = &analysis.Pass{
 	Name: "costpoll",
 	Doc:  "guards poll-bound by remote-qualified reads; cross-location reads that can never wake",
 	Run: func(ctx *analysis.Context) []analysis.Diagnostic {
-		m := Build(ctx)
+		m := Build(ctx.Program)
 		var ds []analysis.Diagnostic
 		for _, fq := range m.Order {
 			j := m.Junctions[fq]
@@ -119,7 +119,7 @@ var Unbounded = &analysis.Pass{
 	Name: "costunbounded",
 	Doc:  "unbounded idx families forcing conservative Remote classification",
 	Run: func(ctx *analysis.Context) []analysis.Diagnostic {
-		m := Build(ctx)
+		m := Build(ctx.Program)
 		var ds []analysis.Diagnostic
 		for _, fq := range m.Order {
 			j := m.Junctions[fq]
@@ -154,7 +154,7 @@ var Fanouts = &analysis.Pass{
 	Name: "costfanout",
 	Doc:  "par-arm fan-out across distinct peers defeating batch coalescing",
 	Run: func(ctx *analysis.Context) []analysis.Diagnostic {
-		m := Build(ctx)
+		m := Build(ctx.Program)
 		var ds []analysis.Diagnostic
 		for _, fq := range m.Order {
 			for _, f := range m.Junctions[fq].Fanouts {
@@ -177,7 +177,7 @@ var PingPongs = &analysis.Pass{
 	Name: "costpingpong",
 	Doc:  "multi-round cross-instance exchanges inside one firing",
 	Run: func(ctx *analysis.Context) []analysis.Diagnostic {
-		m := Build(ctx)
+		m := Build(ctx.Program)
 		var ds []analysis.Diagnostic
 		for _, fq := range m.Order {
 			j := m.Junctions[fq]

@@ -67,7 +67,7 @@ func Optimize(m *Model, placement map[string]string, pins map[string]bool, locat
 	locs := append([]string(nil), locations...)
 	sort.Strings(locs)
 	var insts []string
-	for _, inst := range m.Ctx.Prog.InstanceNames() {
+	for _, inst := range m.Prog.Prog.InstanceNames() {
 		if !pins[inst] {
 			insts = append(insts, inst)
 		}

@@ -12,6 +12,7 @@ import (
 	"csaw/internal/cost"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // progGen mirrors the analysis package's random-program generator, extended
@@ -175,7 +176,7 @@ func TestCostSuiteOnRandomPrograms(t *testing.T) {
 				if err := dsl.Validate(p); err != nil {
 					t.Fatal(err)
 				}
-				m := cost.Build(analysis.NewContext(p, 0))
+				m := cost.Build(plan.Compile(p))
 				final, moves := cost.Optimize(m, placement, nil, []string{"", "east", "west"})
 				cr := m.Report(final)
 				cr.Moves = moves

@@ -6,32 +6,29 @@ import (
 	"reflect"
 	"testing"
 
-	"csaw/internal/analysis"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/plan"
 )
 
-// lowerProgram builds f::j, which sends to g::j, and g::j, whose guard reads
-// f::j@Seen and nothing else of f's.
-func lowerProgram(t *testing.T) *analysis.JunctionInfo {
+// lower compiles f::j with the given body, which sends to g::j, and g::j,
+// whose guard reads f::j@Seen and nothing else of f's, and returns f::j's
+// lowered body.
+func lower(t *testing.T, body ...dsl.Expr) *plan.Block {
 	t.Helper()
 	p := dsl.NewProgram()
 	p.Type("F").Junction("j", dsl.Def(
 		dsl.Decls(dsl.InitProp{Name: "Seen", Init: false}, dsl.InitProp{Name: "Own", Init: false},
 			dsl.InitProp{Name: "A", Init: false}, dsl.InitProp{Name: "B", Init: false},
 			dsl.InitData{Name: "d"}, dsl.DeclSet{Name: "S", Elems: []string{"g::j"}}, dsl.DeclIdx{Name: "a", Of: "S"}),
-		dsl.Skip{}))
+		body...))
 	p.Type("G").Junction("j", dsl.Def(
 		dsl.Decls(dsl.InitProp{Name: "Seen", Init: false}, dsl.InitProp{Name: "Own", Init: false},
 			dsl.InitProp{Name: "U", Init: false}, dsl.InitData{Name: "d"}),
 		dsl.Skip{}).Guarded(formula.And(formula.P("U"), formula.At("f::j", "Seen"))))
 	p.Instance("f", "F").Instance("g", "G")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
-	return plan.Compile(p).Junctions["f::j"].Info
+	return plan.Compile(p).Junctions["f::j"].Body
 }
 
 var (
@@ -52,12 +49,11 @@ func shape(ops []*plan.Op) []string {
 }
 
 func TestLowerSplicesSequences(t *testing.T) {
-	ji := lowerProgram(t)
-	b := plan.Lower(ji, []dsl.Expr{
+	b := lower(t,
 		local("A"),
 		dsl.Seq{local("B"), dsl.Seq{dsl.Skip{}}, dsl.Seq{}},
 		dsl.If{Cond: formula.P("A"), Then: dsl.Seq{dsl.Skip{}, dsl.Return{}}},
-	})
+	)
 	want := []string{
 		fmt.Sprintf("%d@f::j/body[0]", plan.OpProp),
 		fmt.Sprintf("%d@f::j/body[1][0]", plan.OpProp),
@@ -81,7 +77,6 @@ func TestLowerSplicesSequences(t *testing.T) {
 }
 
 func TestLowerSplicesParsAndReplicatesParN(t *testing.T) {
-	ji := lowerProgram(t)
 	a, b, c := local("A"), local("B"), dsl.Skip{}
 	cases := []struct {
 		name       string
@@ -125,7 +120,7 @@ func TestLowerSplicesParsAndReplicatesParN(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := plan.Lower(ji, []dsl.Expr{tc.par}).Ops[0]
+			o := lower(t, tc.par).Ops[0]
 			if o.Kind != plan.OpPar || o.N != tc.n {
 				t.Fatalf("kind %d n %d, want par n %d", o.Kind, o.N, tc.n)
 			}
@@ -138,7 +133,7 @@ func TestLowerSplicesParsAndReplicatesParN(t *testing.T) {
 		})
 	}
 	// Replicas share their ops: only the lowering replicates, once.
-	o := plan.Lower(ji, []dsl.Expr{dsl.ParN{N: 2, Body: []dsl.Expr{a}}}).Ops[0]
+	o := lower(t, dsl.ParN{N: 2, Body: []dsl.Expr{a}}).Ops[0]
 	if o.Arms[0] != o.Arms[1] {
 		t.Error("∥n replicas lowered twice")
 	}
@@ -147,11 +142,10 @@ func TestLowerSplicesParsAndReplicatesParN(t *testing.T) {
 // TestLowerParUpdateArms pins which par arms the runtime sends as groups:
 // exactly the plain remote updates, in arm order.
 func TestLowerParUpdateArms(t *testing.T) {
-	ji := lowerProgram(t)
-	o := plan.Lower(ji, []dsl.Expr{dsl.Par{
+	o := lower(t, dsl.Par{
 		write, local("Own"), up("U"), dsl.Seq{up("U")},
 		dsl.Retract{Target: dsl.ByIdx("a"), Prop: dsl.PR("U")}, dsl.Par{up("Seen")},
-	}}).Ops[0]
+	}).Ops[0]
 	var got []bool
 	for _, a := range o.Flat {
 		got = append(got, a.Remote)
@@ -171,7 +165,6 @@ func TestLowerParUpdateArms(t *testing.T) {
 // updates is the whole test, except that a member whose local half another
 // junction reads in process may only start a run.
 func TestLowerGroupRuns(t *testing.T) {
-	ji := lowerProgram(t)
 	cases := []struct {
 		body  []dsl.Expr
 		steps []int // statements per step
@@ -189,7 +182,7 @@ func TestLowerGroupRuns(t *testing.T) {
 		{[]dsl.Expr{write, dsl.Txn{Body: []dsl.Expr{up("U")}}}, []int{1, 1}}, // nor is a block holding one
 	}
 	for i, c := range cases {
-		b := plan.Lower(ji, c.body)
+		b := lower(t, c.body...)
 		var got []int
 		n := 0
 		for _, s := range b.Steps {
@@ -210,13 +203,12 @@ func TestLowerGroupRuns(t *testing.T) {
 // TestLowerTxnPrefixes pins what a failed transaction restores: the
 // write-set of the steps started, a straight-line run counting as one step.
 func TestLowerTxnPrefixes(t *testing.T) {
-	ji := lowerProgram(t)
-	o := plan.Lower(ji, []dsl.Expr{dsl.Txn{Body: []dsl.Expr{
+	o := lower(t, dsl.Txn{Body: []dsl.Expr{
 		local("A"),
 		dsl.Seq{up("Own"), up("U")},
 		dsl.Wait{Cond: formula.P("B"), Data: []string{"d"}},
 		dsl.Retract{Prop: dsl.PR("A")},
-	}}}).Ops[0]
+	}}).Ops[0]
 	if o.Kind != plan.OpTxn || len(o.Body.Steps) != 4 || len(o.Body.Ops) != 5 {
 		t.Fatalf("txn lowered to kind %d, %d steps over %d ops", o.Kind, len(o.Body.Steps), len(o.Body.Ops))
 	}

@@ -4,23 +4,21 @@ import (
 	"sort"
 	"testing"
 
-	"csaw/internal/analysis"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/plan"
 )
 
-// infoOf compiles a single-junction program and returns its analysis facts.
-func infoOf(t *testing.T, decls []dsl.Decl, body ...dsl.Expr) *analysis.JunctionInfo {
+// infoOf compiles a single-junction program and returns its junction.
+func infoOf(t *testing.T, decls []dsl.Decl, body ...dsl.Expr) *plan.Junction {
 	t.Helper()
 	p := dsl.NewProgram()
 	p.Type("T").Junction("j", dsl.Def(decls, body...))
 	p.Instance("a", "T")
 	p.SetMain(dsl.Start{Instance: "a"})
-	ctx := analysis.NewContext(p, 0)
-	ji := ctx.Lookup("a::j")
+	ji := plan.Compile(p).Lookup("a::j")
 	if ji == nil {
-		t.Fatal("a::j missing from analysis context")
+		t.Fatal("a::j missing from the plan")
 	}
 	return ji
 }
@@ -40,7 +38,8 @@ func TestTxnWriteSetIncludesWaitAdmittedKeys(t *testing.T) {
 			dsl.Assert{Prop: dsl.PropRef{Base: "Done"}},
 		}},
 	)
-	ws := plan.CompileTxn(ji, []dsl.Expr{dsl.Wait{Cond: formula.P("Ack"), Data: []string{"reply"}}, dsl.Assert{Prop: dsl.PropRef{Base: "Done"}}})
+	wrote := ji.Body.Ops[0].Wrote
+	ws := wrote[len(wrote)-1]
 	if ws.Full {
 		t.Fatalf("statically boundable txn degraded to Full: %+v", ws)
 	}

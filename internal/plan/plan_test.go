@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"csaw/internal/analysis"
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/patterns"
@@ -32,14 +31,19 @@ func TestCompileCoversEveryJunction(t *testing.T) {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}
 		pp := plan.Compile(p)
-		ctx := analysis.NewContext(p, 0)
-		for _, ji := range ctx.Juncs {
-			pj := pp.Junctions[ji.FQ]
-			if pj == nil {
-				t.Fatalf("%s: junction %s missing from plan", entry.Name, ji.FQ)
+		n := 0
+		for _, inst := range p.InstanceNames() {
+			n += len(p.Types[p.Instances[inst]].Junctions)
+		}
+		if len(pp.Juncs) != n || len(pp.Junctions) != n {
+			t.Fatalf("%s: plan holds %d junctions (%d indexed), want %d", entry.Name, len(pp.Juncs), len(pp.Junctions), n)
+		}
+		for _, pj := range pp.Juncs {
+			if pp.Junctions[pj.FQ] != pj {
+				t.Fatalf("%s: junction %s missing from the index", entry.Name, pj.FQ)
 			}
-			if (ji.Def.Guard != nil) != (pj.Guard != nil) {
-				t.Fatalf("%s: %s guard read-set presence mismatch", entry.Name, ji.FQ)
+			if (pj.Def.Guard != nil) != (pj.Guard != nil) {
+				t.Fatalf("%s: %s guard read-set presence mismatch", entry.Name, pj.FQ)
 			}
 		}
 	}
@@ -115,7 +119,7 @@ func TestCompileWaitStaticAndDynamic(t *testing.T) {
 	pp := buildSharding(t)
 	front := pp.Junctions[patterns.FrontInstance+"::"+patterns.ShardJunction]
 	// wait [m] ¬Work: no idx variables → static, prebuilt WaitSet.
-	wp := plan.CompileWait(front.Info, dsl.Wait{Data: []string{"m"}, Cond: formula.Not(formula.P("Work"))})
+	wp := plan.CompileWait(front, dsl.Wait{Data: []string{"m"}, Cond: formula.Not(formula.P("Work"))})
 	if !wp.Static {
 		t.Fatal("idx-free wait must compile statically")
 	}
@@ -126,7 +130,7 @@ func TestCompileWaitStaticAndDynamic(t *testing.T) {
 		t.Fatal("local wait classified Remote")
 	}
 	// A wait through an idx variable cannot prebuild its admission set.
-	dyn := plan.CompileWait(front.Info, dsl.Wait{Cond: formula.Not(dsl.PropIdx("Work", "tgt"))})
+	dyn := plan.CompileWait(front, dsl.Wait{Cond: formula.Not(dsl.PropIdx("Work", "tgt"))})
 	if dyn.Static {
 		t.Fatal("idx wait must rebuild its admission set per execution")
 	}
@@ -151,13 +155,17 @@ func TestCompileTxnWriteSets(t *testing.T) {
 	if err := dsl.Validate(p); err != nil {
 		t.Fatal(err)
 	}
-	ji := plan.Compile(p).Junctions["i::j"].Info
+	txn := func(body ...dsl.Expr) plan.WriteSet {
+		p.Type("T").Junction("j", dsl.Def(p.Types["T"].Junctions["j"].Decls, dsl.Txn{Body: body}))
+		wrote := plan.Compile(p).Junctions["i::j"].Body.Ops[0].Wrote
+		return wrote[len(wrote)-1]
+	}
 
-	ws := plan.CompileTxn(ji, []dsl.Expr{
+	ws := txn(
 		dsl.Assert{Prop: dsl.PR("P")},
 		dsl.Save{Data: "n", From: func(dsl.HostCtx) ([]byte, error) { return nil, nil }},
 		dsl.Wait{Data: []string{"m"}, Cond: formula.P("Q")},
-	})
+	)
 	if ws.Full {
 		t.Fatalf("statically boundable body compiled to Full: %+v", ws)
 	}
@@ -172,7 +180,7 @@ func TestCompileTxnWriteSets(t *testing.T) {
 
 	// A host block inside a transaction is rejected by Validate; if one
 	// slips through, the write-set must degrade to Full, never miscompile.
-	ws = plan.CompileTxn(ji, []dsl.Expr{dsl.Host{Label: "H", Fn: func(dsl.HostCtx) error { return nil }}})
+	ws = txn(dsl.Host{Label: "H", Fn: func(dsl.HostCtx) error { return nil }})
 	if !ws.Full {
 		t.Fatal("host block must force a full snapshot")
 	}
@@ -189,14 +197,14 @@ func TestEveryCatalogueFormulaVisitable(t *testing.T) {
 		}
 		pp := plan.Compile(p)
 		for fq, pj := range pp.Junctions {
-			if pj.Info.Def.Guard != nil {
-				_ = plan.FormulaReadSet(pj.Info, pj.Info.Def.Guard)
+			if pj.Def.Guard != nil {
+				_ = plan.FormulaReadSet(pj, pj.Def.Guard)
 			}
 			count := 0
-			for _, e := range pj.Info.Def.Body {
+			for _, e := range pj.Def.Body {
 				if err := dsl.VisitFormulas(e, func(f formula.Formula) {
 					count++
-					_ = plan.FormulaReadSet(pj.Info, f)
+					_ = plan.FormulaReadSet(pj, f)
 				}); err != nil {
 					t.Fatalf("%s: %s: %v", entry.Name, fq, err)
 				}

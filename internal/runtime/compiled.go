@@ -36,7 +36,7 @@ type compiledJunction struct {
 }
 
 func (j *Junction) compile(pj *plan.Junction) *compiledJunction {
-	c := &compiledJunction{body: j.compileBlock(plan.Lower(pj.Info, j.def.Body))}
+	c := &compiledJunction{body: j.compileBlock(pj.Body)}
 	if j.def.Guard != nil {
 		c.guard = j.compileFormula(j.def.Guard)
 		c.guardRS = pj.Guard
@@ -74,7 +74,7 @@ func runStepsAt(ctx context.Context, steps []step) (int, plan.Signal, error) {
 // sequence, which unlike a par has a failure order, is in updateStep (the
 // sender's fate), the group message (delivered whole or not at all, and
 // split by a proxy only into consecutive sub-groups in order: a receiver sees
-// a prefix) and plan.Lower (adjacency, and no early remote visibility).
+// a prefix) and plan.Compile (adjacency, and no early remote visibility).
 func (j *Junction) compileBlock(b *plan.Block) []step {
 	steps := make([]step, len(b.Steps))
 	for i, s := range b.Steps {
@@ -421,7 +421,7 @@ func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 		return constant(j.inst.Name + "::" + ref.Junction)
 	case ref.Idx != "":
 		byElem := map[string]string{}
-		if universe, ok := j.pj.Info.IdxUniverse(ref.Idx); ok {
+		if universe, ok := j.pj.IdxUniverse(ref.Idx); ok {
 			for _, e := range universe {
 				re := j.resolveSelfName(e)
 				if fq, err := j.elemToFQ(re); err == nil {
@@ -684,14 +684,13 @@ func (j *Junction) compilePropRef(pr dsl.PropRef) func() (boundProp, error) {
 
 // idxProps precomputes element→"base[element]" over an idx's universe, key
 // and cell, so per-evaluation resolution is one map lookup instead of a
-// concatenation and a table lookup.
+// concatenation and a table lookup. The keys are the plan's (Family), the
+// ones a transaction's write-set names.
 func (j *Junction) idxProps(base, idx string) map[string]boundProp {
-	byElem := map[string]boundProp{}
-	if universe, ok := j.pj.Info.IdxUniverse(idx); ok {
-		for _, e := range universe {
-			re := j.resolveSelfName(e)
-			byElem[re] = j.bindProp(dsl.IndexedName(base, re))
-		}
+	elems, keys, _ := j.pj.Family(base, idx)
+	byElem := make(map[string]boundProp, len(elems))
+	for i, e := range elems {
+		byElem[e] = j.bindProp(keys[i])
 	}
 	return byElem
 }

@@ -379,3 +379,45 @@ func txnRollbackSparesSiblingCommit(t *testing.T) {
 		t.Errorf("%d rollbacks, %d commits, want 1 and 1", m.TxnRollbacks.Load(), m.TxnCommits.Load())
 	}
 }
+
+// TestTxnRollbackRestoresIdxFamilyWithSelfElement holds a failed
+// transaction's rollback to the keys the table really holds when an
+// idx-indexed assert's set element is a me:: token (Fig. 14): the runtime
+// resolves the element, Flag[me::junction] is the cell Flag[a::j], and the
+// transaction's write-set must name that cell too. The literal element is
+// the control.
+func TestTxnRollbackRestoresIdxFamilyWithSelfElement(t *testing.T) {
+	for _, elem := range []string{"me::junction", "a::j"} {
+		t.Run(elem, func(t *testing.T) {
+			p := dsl.NewProgram()
+			p.Type("T").Junction("j", dsl.Def(
+				dsl.Decls(dsl.DeclSet{Name: "S", Elems: []string{elem}}, dsl.DeclIdx{Name: "i", Of: "S"},
+					dsl.InitProp{Name: dsl.IndexedName("Flag", elem), Init: false},
+					dsl.InitProp{Name: "Nope", Init: false}),
+				dsl.IdxAssign{Idx: "i", Elem: elem},
+				dsl.Otherwise{
+					Try:     dsl.Txn{Body: []dsl.Expr{dsl.Assert{Prop: dsl.PRIdx("Flag", "i")}, dsl.Verify{Cond: formula.P("Nope")}}},
+					Handler: dsl.Skip{},
+				},
+			))
+			p.Instance("a", "T")
+			p.SetMain(dsl.Start{Instance: "a"})
+			s := mustSystem(t, p, Options{})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.RunMain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Invoke(ctx, "a", "j"); err != nil {
+				t.Fatal(err)
+			}
+			j := s.junctionQuiet("a", "j")
+			if v, err := j.Table().Prop("Flag[a::j]"); err != nil || v {
+				t.Fatalf("Flag[a::j] = %v (%v) after the failed transaction, want false: the rollback missed the cell", v, err)
+			}
+			if m := j.met; m.TxnRollbacks.Load() != 1 {
+				t.Errorf("%d rollbacks, want 1", m.TxnRollbacks.Load())
+			}
+		})
+	}
+}
