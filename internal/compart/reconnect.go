@@ -30,6 +30,18 @@ var (
 	ErrClientClosed = errors.New("compart: client closed")
 )
 
+// Fixed redial and liveness tuning of a reconnecting client.
+const (
+	// backoffFactor multiplies the redial delay after each failed dial.
+	backoffFactor = 2
+	// backoffJitter adds a uniformly random fraction of the delay in
+	// [0, backoffJitter) to desynchronize reconnect storms.
+	backoffJitter = 0.2
+	// heartbeatMiss is the number of heartbeat intervals without a pong
+	// before the connection is declared dead.
+	heartbeatMiss = 3
+)
+
 // ReconnectConfig tunes DialReconnect. The zero value gives usable
 // defaults; Heartbeat is opt-in.
 type ReconnectConfig struct {
@@ -39,25 +51,19 @@ type ReconnectConfig struct {
 	QueueSize int
 	// BackoffMin is the first redial delay (default 50ms).
 	BackoffMin time.Duration
-	// BackoffMax caps the redial delay (default 2s).
+	// BackoffMax caps the redial delay (default 2s). The delay grows by
+	// backoffFactor after each failed dial, plus up to backoffJitter of
+	// itself at random.
 	BackoffMax time.Duration
-	// BackoffFactor multiplies the delay after each failed dial (default 2).
-	BackoffFactor float64
-	// BackoffJitter adds a uniformly random fraction of the delay in
-	// [0, BackoffJitter) to desynchronize reconnect storms (default 0.2).
-	BackoffJitter float64
 	// Heartbeat enables transport-level pings at this interval; 0 disables.
-	// Missing HeartbeatMiss consecutive pongs tears the connection down so
+	// Missing heartbeatMiss consecutive pongs tears the connection down so
 	// half-open connections are detected and redialed.
 	Heartbeat time.Duration
-	// HeartbeatMiss is the number of heartbeat intervals without a pong
-	// before the connection is declared dead (default 3).
-	HeartbeatMiss int
 	// Dial overrides the connection factory (default: net.Dial("tcp", addr)).
 	// Lets tests and non-TCP deployments (unix sockets) reuse the machinery.
 	Dial func() (net.Conn, error)
 	// Jitter overrides the jitter source: each call returns a uniform value
-	// in [0, 1) that scales BackoffJitter for one redial delay. The default
+	// in [0, 1) that scales backoffJitter for one redial delay. The default
 	// is a clock-seeded RNG; injecting a fixed source makes backoff
 	// schedules deterministic in tests. Must be safe for use from the
 	// client's connection goroutine.
@@ -73,15 +79,6 @@ func (c *ReconnectConfig) fill(addr string) {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
-	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
-	}
-	if c.BackoffJitter <= 0 {
-		c.BackoffJitter = 0.2
-	}
-	if c.HeartbeatMiss <= 0 {
-		c.HeartbeatMiss = 3
 	}
 	if c.Dial == nil {
 		c.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -391,8 +388,8 @@ func (c *ReconnectClient) setConnected(up bool) {
 // the jittered delay to sleep now and the base backoff for the next failure.
 // Factored out of run so tests can pin the schedule with an injected Jitter.
 func (c *ReconnectClient) nextBackoff(cur time.Duration) (delay, next time.Duration) {
-	delay = cur + time.Duration(float64(cur)*c.cfg.BackoffJitter*c.cfg.Jitter())
-	next = time.Duration(float64(cur) * c.cfg.BackoffFactor)
+	delay = cur + time.Duration(float64(cur)*backoffJitter*c.cfg.Jitter())
+	next = cur * backoffFactor
 	if next > c.cfg.BackoffMax {
 		next = c.cfg.BackoffMax
 	}
@@ -552,9 +549,9 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 				return
 			}
 		case <-hb:
-			miss := time.Duration(c.cfg.HeartbeatMiss) * c.cfg.Heartbeat
+			miss := heartbeatMiss * c.cfg.Heartbeat
 			if time.Since(time.Unix(0, lastPong.Load())) > miss {
-				// Half-open connection: no pong for HeartbeatMiss
+				// Half-open connection: no pong for heartbeatMiss
 				// intervals. Tear down and redial.
 				return
 			}

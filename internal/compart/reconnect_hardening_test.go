@@ -72,15 +72,13 @@ func TestReconnectSendCloseRace(t *testing.T) {
 }
 
 // TestBackoffScheduleDeterministic pins the full redial schedule under an
-// injected jitter source: delay = base * (1 + BackoffJitter*Jitter()), base
+// injected jitter source: delay = base * (1 + backoffJitter*Jitter()), base
 // doubling from BackoffMin and capping at BackoffMax.
 func TestBackoffScheduleDeterministic(t *testing.T) {
 	cfg := ReconnectConfig{
-		BackoffMin:    50 * time.Millisecond,
-		BackoffMax:    2 * time.Second,
-		BackoffFactor: 2,
-		BackoffJitter: 0.2,
-		Jitter:        func() float64 { return 0.5 },
+		BackoffMin: 50 * time.Millisecond,
+		BackoffMax: 2 * time.Second,
+		Jitter:     func() float64 { return 0.5 },
 	}
 	cfg.fill("unused")
 	c := &ReconnectClient{cfg: cfg}

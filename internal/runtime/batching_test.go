@@ -45,7 +45,7 @@ func TestSendUpdateCtxCancelLeavesNoWaiters(t *testing.T) {
 		netA := compart.NewNetwork(1)
 		defer netA.Close()
 		s := mustSystem(t, blackholeProgram(1), Options{
-			Net:        netA,
+			Deploy:     NewDeployment().AddLocation("local", netA),
 			AckTimeout: 30 * time.Second, // only ctx can end the wait
 		})
 		defer s.Close()
@@ -132,7 +132,7 @@ func TestWatchdogFailsStalledWindow(t *testing.T) {
 	netA := compart.NewNetwork(1)
 	defer netA.Close()
 	s := mustSystem(t, blackholeProgram(width), Options{
-		Net:        netA,
+		Deploy:     NewDeployment().AddLocation("local", netA),
 		AckTimeout: 100 * time.Millisecond,
 	})
 	defer s.Close()
@@ -169,7 +169,7 @@ func TestMalformedAckFrames(t *testing.T) {
 	netA := compart.NewNetwork(1)
 	defer netA.Close()
 	s := mustSystem(t, blackholeProgram(width), Options{
-		Net:        netA,
+		Deploy:     NewDeployment().AddLocation("local", netA),
 		AckTimeout: 30 * time.Second, // the watchdog must not end the wait
 	})
 	defer s.Close()

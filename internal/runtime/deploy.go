@@ -42,9 +42,8 @@ type location struct {
 // Deployment is an instance→location placement over a set of named
 // locations. Build one with NewDeployment().AddLocation(...).Place(...) and
 // hand it to runtime.New via Options.Deploy; a Deployment binds to exactly
-// one System. When Options.Deploy is nil the system builds an implicit
-// single-location deployment around Options.Net, preserving the historical
-// one-network behaviour unchanged.
+// one System. When Options.Deploy is nil the system builds one location
+// around a fresh in-process network.
 type Deployment struct {
 	mu      sync.Mutex
 	locs    []*location

@@ -378,7 +378,7 @@ func TestStopAndCrashFailPendingWindowsFast(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			net := compart.NewNetwork(1)
 			defer net.Close()
-			s := mustSystem(t, migProgram(), Options{Net: net, AckTimeout: 30 * time.Second})
+			s := mustSystem(t, migProgram(), Options{Deploy: NewDeployment().AddLocation("local", net), AckTimeout: 30 * time.Second})
 			defer s.Close()
 			for _, inst := range []string{"f", "g"} {
 				if err := s.StartInstance(inst, nil); err != nil {
