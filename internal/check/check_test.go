@@ -1,6 +1,10 @@
 package check_test
 
 import (
+	"os"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"csaw/internal/check"
@@ -152,13 +156,45 @@ func TestTraceEvents(t *testing.T) {
 	}
 }
 
-// Every catalogue pattern must come back with its annotated verdict.
+// goldenHeadlines reads each entry's headline from csawc's frozen -check-all
+// output: "name: verdict (states=N transitions=M[, truncated])".
+func goldenHeadlines(t *testing.T) map[string]check.Result {
+	t.Helper()
+	raw, err := os.ReadFile("../../cmd/csawc/testdata/check-all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headline := regexp.MustCompile(`^(\S+): \S+ \(states=(\d+) transitions=(\d+)(, truncated)?\)$`)
+	out := map[string]check.Result{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		m := headline.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		states, _ := strconv.Atoi(m[2])
+		transitions, _ := strconv.Atoi(m[3])
+		out[m[1]] = check.Result{States: states, Transitions: transitions, Truncated: m[4] != ""}
+	}
+	return out
+}
+
+// Every catalogue pattern must come back with its annotated verdict, and
+// explore exactly the states and transitions csawc's golden records.
 func TestCatalogueVerdicts(t *testing.T) {
+	golden := goldenHeadlines(t)
 	entries := append(patterns.Catalogue(), patterns.Negatives()...)
 	for _, e := range entries {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			res := mustCheck(t, e.Build(), check.Options{})
+			head, ok := golden[e.Name]
+			if !ok {
+				t.Fatalf("no headline for %s in check-all.golden", e.Name)
+			}
+			if res.States != head.States || res.Transitions != head.Transitions || res.Truncated != head.Truncated {
+				t.Errorf("states=%d transitions=%d truncated=%v, golden states=%d transitions=%d truncated=%v",
+					res.States, res.Transitions, res.Truncated, head.States, head.Transitions, head.Truncated)
+			}
 			got := check.VerdictOf(res)
 			want := e.CheckVerdict
 			if want == "" {
