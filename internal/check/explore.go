@@ -14,16 +14,14 @@ type succ struct {
 	st   *state
 }
 
-func (c *checker) spawnRoot(st *state, fq string) int {
-	t := &thread{
+func spawnRoot(st *state, j *junc) {
+	st.threads = append(st.threads, &thread{
 		id:     st.nextTid,
-		fq:     fq,
+		j:      j,
 		parent: -1,
-		frames: []*frame{{kind: fBody, role: "body", body: c.infos[fq].Body.Ops}},
-	}
+		frames: []frame{{kind: fBody, role: rBody, body: j.info.Body.Ops}},
+	})
 	st.nextTid++
-	st.threads = append(st.threads, t)
-	return t.id
 }
 
 // successors enumerates the outgoing transitions of st. wouldEnv reports
@@ -42,7 +40,7 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 			cp := st.clone()
 			c.execOne(cp, cp.thread(t.id), nil)
 			c.fuse(cp, t.id)
-			return []succ{{Step{Kind: StepStrand, Junction: t.fq, Thread: t.id}, cp}}, false
+			return []succ{{Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id}, cp}}, false
 		}
 	}
 
@@ -61,52 +59,44 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 				cp := st.clone()
 				c.execOne(cp, cp.thread(t.id), &hv)
 				c.fuse(cp, t.id)
-				succs = append(succs, succ{Step{Kind: StepStrand, Junction: t.fq, Thread: t.id, Choice: hv.label}, cp})
+				succs = append(succs, succ{Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id, Choice: hv.label}, cp})
 			}
 			continue
 		}
 		cp := st.clone()
 		c.execOne(cp, cp.thread(t.id), nil)
 		c.fuse(cp, t.id)
-		succs = append(succs, succ{Step{Kind: StepStrand, Junction: t.fq, Thread: t.id}, cp})
+		succs = append(succs, succ{Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id}, cp})
 	}
 
 	// Schedulings: at most one per junction at a time (the runtime's schedMu).
-	for _, fq := range c.fqs {
-		if st.threadsOf(fq) > 0 {
+	envLeft := st.tab.get(c.env, c.envWidth)
+	for _, j := range c.juncs {
+		if st.threadsOf(j) > 0 || !st.running(j.inst) {
 			continue
 		}
-		if !st.running[instOf(fq)] || st.js[fq] == nil {
-			continue
-		}
-		ji := c.infos[fq]
-		if ji.Def.Guard == nil {
+		if j.info.Def.Guard == nil {
 			// Unguarded: only an external invoke runs it — an environment
 			// action drawing on the budget.
 			wouldEnv = true
-			if st.envLeft > 0 {
+			if envLeft > 0 {
 				cp := st.clone()
-				applyPending(cp.js[fq])
-				c.spawnRoot(cp, fq)
-				cp.envLeft--
-				succs = append(succs, succ{Step{Kind: StepInvoke, Junction: fq}, cp})
+				applyPending(cp, j)
+				spawnRoot(cp, j)
+				cp.tab.put(c.env, c.envWidth, envLeft-1)
+				succs = append(succs, succ{Step{Kind: StepInvoke, Junction: j.fq}, cp})
 			}
 			continue
 		}
 		cp := st.clone()
-		js := cp.js[fq]
-		pend := len(js.pendP) + len(js.pendD)
-		applyPending(js)
-		switch c.substIdx(cp, fq, ji.Def.Guard).Eval(c.envFor(cp, fq)) {
-		case formula.True:
-			c.guardTrue[fq] = true
-			c.spawnRoot(cp, fq)
-			succs = append(succs, succ{Step{Kind: StepSchedule, Junction: fq}, cp})
-		default:
+		pend := applyPending(cp, j)
+		if c.eval(cp, j, j.info.Def.Guard) == formula.True {
+			j.guardTrue = true
+			spawnRoot(cp, j)
+			succs = append(succs, succ{Step{Kind: StepSchedule, Junction: j.fq}, cp})
+		} else if pend {
 			// Not schedulable; the attempt still absorbed pending updates.
-			if pend > 0 {
-				succs = append(succs, succ{Step{Kind: StepAbsorb, Junction: fq}, cp})
-			}
+			succs = append(succs, succ{Step{Kind: StepAbsorb, Junction: j.fq}, cp})
 		}
 	}
 
@@ -115,11 +105,11 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 		if t.wait == nil {
 			continue
 		}
-		if t.wait.cond.Eval(c.envFor(st, t.fq)) == formula.True {
+		if c.eval(st, t.j, t.wait.cond) == formula.True {
 			cp := st.clone()
 			cp.thread(t.id).wait = nil
 			c.fuse(cp, t.id)
-			succs = append(succs, succ{Step{Kind: StepResume, Junction: t.fq, Thread: t.id}, cp})
+			succs = append(succs, succ{Step{Kind: StepResume, Junction: t.j.fq, Thread: t.id}, cp})
 		}
 	}
 
@@ -134,27 +124,26 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 				cp := st.clone()
 				c.unwindToHandler(cp, cp.thread(t.id), i)
 				c.fuse(cp, t.id)
-				succs = append(succs, succ{Step{Kind: StepTimeout, Junction: t.fq, Thread: t.id, Choice: strconv.Itoa(i)}, cp})
+				succs = append(succs, succ{Step{Kind: StepTimeout, Junction: t.j.fq, Thread: t.id, Choice: strconv.Itoa(i)}, cp})
 			}
 		}
 	}
 
 	// Environment injections of externally-assertable propositions.
-	for _, fq := range c.fqs {
-		js := st.js[fq]
-		if js == nil || !st.running[instOf(fq)] {
+	for _, j := range c.juncs {
+		if !st.running(j.inst) {
 			continue
 		}
-		for _, k := range c.envInj[fq] {
-			if js.props[k] || js.pendP[k] {
+		for _, s := range j.envInj {
+			if st.tab.has(j.base+s) || st.tab.has(j.pendP+s) && st.tab.has(j.pendV+s) {
 				continue
 			}
 			wouldEnv = true
-			if st.envLeft > 0 {
+			if envLeft > 0 {
 				cp := st.clone()
-				c.enqueueProp(cp, fq, k, true)
-				cp.envLeft--
-				succs = append(succs, succ{Step{Kind: StepInject, Junction: fq, Key: k}, cp})
+				enqueueProp(cp, j, s, true)
+				cp.tab.put(c.env, c.envWidth, envLeft-1)
+				succs = append(succs, succ{Step{Kind: StepInject, Junction: j.fq, Key: j.info.Props()[s]}, cp})
 			}
 		}
 	}
@@ -174,21 +163,21 @@ func (c *checker) explore() *Result {
 	res := &Result{}
 	init := c.initialState()
 	nodes := []node{{st: init, parent: -1}}
-	visited := map[string]int{c.stateKey(init): 0}
+	visited := map[string]int{string(c.stateKey(init)): 0}
 	seenDeadlock := false
 	seenInv := map[string]bool{}
 
 	for i := 0; i < len(nodes); i++ {
 		n := nodes[i]
 		st := n.st
+		nodes[i].st = nil // traces replay from the initial state
 
 		if len(st.threads) == 0 {
-			env := c.invariantEnv(st)
 			for _, inv := range c.pp.Invariants {
 				if seenInv[inv.Name] {
 					continue
 				}
-				if inv.Cond.Eval(env) == formula.False {
+				if c.eval(st, nil, inv.Cond) == formula.False {
 					seenInv[inv.Name] = true
 					inv := inv
 					v := Violation{
@@ -198,7 +187,7 @@ func (c *checker) explore() *Result {
 						Trace:     c.traceTo(nodes, i),
 					}
 					v.Trace = c.minimize(v.Trace, func(s *state) bool {
-						return len(s.threads) == 0 && inv.Cond.Eval(c.invariantEnv(s)) == formula.False
+						return len(s.threads) == 0 && c.eval(s, nil, inv.Cond) == formula.False
 					})
 					v.Trace = c.markBlocks(v.Trace)
 					res.Violations = append(res.Violations, v)
@@ -219,9 +208,9 @@ func (c *checker) explore() *Result {
 			for _, t := range st.threads {
 				if t.wait != nil {
 					if firstFQ == "" {
-						firstFQ = t.fq
+						firstFQ = t.j.fq
 					}
-					blocked = append(blocked, fmt.Sprintf("%s blocked on wait[%s]", t.fq, t.wait.condStr))
+					blocked = append(blocked, fmt.Sprintf("%s blocked on wait[%s]", t.j.fq, t.wait.condStr))
 				}
 			}
 			if len(blocked) > 0 {
@@ -241,33 +230,32 @@ func (c *checker) explore() *Result {
 		for _, s := range succs {
 			res.Transitions++
 			key := c.stateKey(s.st)
-			if _, dup := visited[key]; dup {
+			if _, dup := visited[string(key)]; dup {
 				continue
 			}
 			if len(nodes) >= c.opts.MaxStates {
 				res.Truncated = true
 				continue
 			}
-			visited[key] = len(nodes)
+			visited[string(key)] = len(nodes)
 			nodes = append(nodes, node{st: s.st, parent: i, step: s.step, depth: n.depth + 1})
 		}
 	}
 
 	// Liveness: a guarded junction of a started instance that never fired in
 	// any explored state.
-	for _, fq := range c.fqs {
-		ji := c.infos[fq]
-		if ji.Def.Guard == nil || !c.everStarted[instOf(fq)] || c.fired[fq] {
+	for _, j := range c.juncs {
+		if j.info.Def.Guard == nil || !c.everStarted[j.inst] || j.fired {
 			continue
 		}
 		detail := "guard never became true within the bound"
-		if c.guardTrue[fq] {
+		if j.guardTrue {
 			detail = "guard became true but the body never completed within the bound"
 		}
-		if err, ok := c.bodyErrs[fq]; ok {
-			detail += " (a scheduling failed: " + err + ")"
+		if j.bodyErr != "" {
+			detail += " (a scheduling failed: " + j.bodyErr + ")"
 		}
-		res.Violations = append(res.Violations, Violation{Kind: Liveness, Junction: fq, Detail: detail})
+		res.Violations = append(res.Violations, Violation{Kind: Liveness, Junction: j.fq, Detail: detail})
 	}
 
 	res.States = len(nodes)

@@ -1,9 +1,10 @@
 package check
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
-	"strconv"
 	"strings"
 
 	"csaw/internal/analysis"
@@ -12,80 +13,148 @@ import (
 	"csaw/internal/plan"
 )
 
-// jstate is the abstract KV table of one junction: concrete booleans for
-// propositions, ternary presence for named data, concrete idx/subset
-// assignments, and the pending queue collapsed to last-writer-wins per key
-// (sound for the convergent table: ApplyPending applies in arrival order, so
-// only the last value per key survives). kv.Table coalesces the same way,
-// but only a run of adjacent same-key updates; the model's per-key collapse
-// is the coarser abstraction of that queue.
-type jstate struct {
-	props map[string]bool
-	data  map[string]bool // defined?
-	pendP map[string]bool
-	pendD map[string]bool
-	idx   map[string]string   // "" = undef
-	sub   map[string][]string // nil = undef; stored sorted
+// words is a bitset over the bits of a state table (bit i is bit i%64 of word
+// i/64), with fields of a few bits that never straddle a word.
+type words []uint64
+
+func (w words) has(i int) bool { return w[i>>6]>>(i&63)&1 != 0 }
+
+func (w words) set(i int, v bool) {
+	if v {
+		w[i>>6] |= 1 << (i & 63)
+	} else {
+		w[i>>6] &^= 1 << (i & 63)
+	}
 }
 
-func (js *jstate) clone() *jstate {
-	cp := &jstate{
-		props: make(map[string]bool, len(js.props)),
-		data:  make(map[string]bool, len(js.data)),
-		pendP: make(map[string]bool, len(js.pendP)),
-		pendD: make(map[string]bool, len(js.pendD)),
-		idx:   make(map[string]string, len(js.idx)),
-		sub:   make(map[string][]string, len(js.sub)),
-	}
-	for k, v := range js.props {
-		cp.props[k] = v
-	}
-	for k, v := range js.data {
-		cp.data[k] = v
-	}
-	for k, v := range js.pendP {
-		cp.pendP[k] = v
-	}
-	for k, v := range js.pendD {
-		cp.pendD[k] = v
-	}
-	for k, v := range js.idx {
-		cp.idx[k] = v
-	}
-	for k, v := range js.sub {
-		cp.sub[k] = v // subset slices are replaced wholesale, safe to share
-	}
-	return cp
+func (w words) get(off, width int) int { return int(w[off>>6] >> (off & 63) & (1<<width - 1)) }
+
+func (w words) put(off, width, v int) {
+	mask := uint64(1<<width-1) << (off & 63)
+	w[off>>6] = w[off>>6]&^mask | uint64(v)<<(off&63)
 }
 
-// state is one explored configuration.
+// layout hands out the bits of the state table in declaration order.
+type layout struct{ n int }
+
+func (l *layout) bits(n int) int {
+	off := l.n
+	l.n += n
+	return off
+}
+
+// field reserves width bits inside one word.
+func (l *layout) field(width int) int {
+	if l.n&63+width > 64 {
+		l.align()
+	}
+	return l.bits(width)
+}
+
+func (l *layout) align() { l.n = (l.n + 63) &^ 63 }
+
+// junc is one instance junction: its static facts and its slots in the state
+// table. The slots start at a word boundary and follow plan's declaration
+// order: a bit per prop, then per data (defined?) — the words a transaction
+// snapshots —, then per prop a pending-present and a pending-value bit, per
+// data a pending-present bit, per idx its element number (0 = undef), and per
+// subset a defined bit plus a bit per element of its static universe. The
+// pending queue is thereby collapsed to last-writer-wins per key (sound for
+// the convergent table: ApplyPending applies in arrival order, so only the
+// last value per key survives); kv.Table coalesces only a run of adjacent
+// same-key updates, so the model's per-key collapse is the coarser
+// abstraction of that queue.
+type junc struct {
+	fq   string
+	num  int // position in checker.juncs
+	inst int // instance number
+	info *plan.Junction
+
+	np, nd       int // declared props and data: slot s is Props()[s], Data()[s]
+	base         int // bit of prop slot 0; data slot s is at base+np+s
+	pendP, pendV int // pending-present and pending-value bit of prop slot 0
+	pendD        int // pending-present bit of data slot 0
+	end          int // first bit past the junction's slots
+	idx          map[string]*idxSlot
+	sub          map[string]*subSlot
+	quals        map[string]qual // a qualifier read here, resolved on first use
+
+	// observable is the set of local keys read remotely (qualified formula
+	// references from other junctions); writes to them are visible.
+	observable *obsKeys
+	// incomingP/incomingD are keys other junctions (or the environment) write
+	// into this table; local writes to them race with the pending queue.
+	incomingP, incomingD map[string]bool
+	// raceKeys are local keys in event-structure-confirmed sibling-branch
+	// write races (analysis.EventRaces over the §8 denotation).
+	raceKeys *obsKeys
+	// bodyReadP are local prop keys read by the junction's own guard and body
+	// formulas; allReads marks a statically unbounded read set.
+	bodyReadP map[string]bool
+	allReads  bool
+	// bodyWriteP are local prop keys the junction's own body writes.
+	bodyWriteP map[string]bool
+	// envInj are the environment-assertable prop slots: read by the guard or
+	// a wait, never asserted by any program statement, initially false.
+	envInj []int
+
+	// Exploration-global observations for the liveness verdict.
+	fired, guardTrue bool
+	bodyErr          string
+}
+
+func (j *junc) data(s int) int { return j.base + j.np + s }
+
+// idxSlot is an idx variable's field: the number e of its current element
+// universe[e-1], 0 while undef.
+type idxSlot struct {
+	off, width int
+	universe   []string       // the static elements, as declared
+	known      bool           // the universe resolves statically
+	num        map[string]int // element → number
+	over       *subSlot       // the subset it ranges over; nil for a set
+	keys       map[string][]string
+}
+
+// subSlot is a subset's defined bit and member bits, the members in sorted
+// element order. A subset with no members reads undef.
+type subSlot struct {
+	def, mem int
+	members  []string
+	known    bool // the universe resolves statically
+}
+
+// qual is a formula qualifier resolved to its junction; ok is false when it
+// names no junction at all.
+type qual struct {
+	j  *junc
+	ok bool
+}
+
+// state is one explored configuration: the table (every instance's running
+// and started bits, the environment budget, every junction's slots) and the
+// threads. A never-started instance's slots stay zero; a stopped one keeps
+// its table.
 type state struct {
-	running map[string]bool
-	js      map[string]*jstate
+	tab     words
 	threads []*thread // ascending id
-	envLeft int
 	nextTid int
 }
 
 func (st *state) clone() *state {
 	cp := &state{
-		running: make(map[string]bool, len(st.running)),
-		js:      make(map[string]*jstate, len(st.js)),
+		tab:     append(words(nil), st.tab...),
 		threads: make([]*thread, len(st.threads)),
-		envLeft: st.envLeft,
 		nextTid: st.nextTid,
-	}
-	for k, v := range st.running {
-		cp.running[k] = v
-	}
-	for k, v := range st.js {
-		cp.js[k] = v.clone()
 	}
 	for i, t := range st.threads {
 		cp.threads[i] = t.clone()
 	}
 	return cp
 }
+
+func (st *state) running(inst int) bool { return st.tab.has(2 * inst) }
+func (st *state) started(inst int) bool { return st.tab.has(2*inst + 1) }
 
 func (st *state) thread(id int) *thread {
 	for _, t := range st.threads {
@@ -105,10 +174,10 @@ func (st *state) removeThread(id int) {
 	}
 }
 
-func (st *state) threadsOf(fq string) int {
+func (st *state) threadsOf(j *junc) int {
 	n := 0
 	for _, t := range st.threads {
-		if t.fq == fq {
+		if t.j == j {
 			n++
 		}
 	}
@@ -133,9 +202,6 @@ func (o *obsKeys) add(key string) {
 }
 
 func (o *obsKeys) has(key string) bool {
-	if o == nil {
-		return false
-	}
 	if o.exact[key] {
 		return true
 	}
@@ -153,80 +219,101 @@ type checker struct {
 	pp   *plan.Program
 	opts Options
 
-	fqs       []string // every instance junction, sorted
-	infos     map[string]*plan.Junction
-	instJuncs map[string][]string // instance -> its junction FQs, sorted
+	juncs     []*junc // every instance junction, sorted by FQ
+	byFQ      map[string]*junc
+	insts     map[string]int // instance → number n: running bit 2n, started bit 2n+1
+	instJuncs [][]*junc      // by instance number, sorted by FQ
+	env       int            // the environment budget's field
+	envWidth  int
+	words     int // table width
+	invQuals  map[string]qual
 
-	// observable[fq] is the set of fq's local keys read remotely (qualified
-	// formula references from other junctions); writes to them are visible.
-	observable map[string]*obsKeys
-	// incomingP/incomingD are keys other junctions (or the environment) write
-	// into fq's table; local writes to them race with the pending queue.
-	incomingP map[string]map[string]bool
-	incomingD map[string]map[string]bool
-	// raceKeys are fq-local keys in event-structure-confirmed sibling-branch
-	// write races (analysis.EventRaces over the §8 denotation).
-	raceKeys map[string]*obsKeys
-	// bodyReadP are fq-local prop keys read by fq's own guard and body
-	// formulas; allReads marks junctions with statically unbounded read sets.
-	bodyReadP map[string]map[string]bool
-	allReads  map[string]bool
-	// bodyWriteP are fq-local prop keys fq's own body writes.
-	bodyWriteP map[string]map[string]bool
-	// envInj are fq's environment-assertable propositions: read by its guard
-	// or a wait, never asserted by any program statement, initially false.
-	envInj map[string][]string
+	rd  reader // the formula environment, rebound per evaluation
+	key []byte // stateKey's buffer
 
-	// Exploration-global observations for the liveness verdict.
-	fired       map[string]bool
-	guardTrue   map[string]bool
-	everStarted map[string]bool
-	bodyErrs    map[string]string
+	everStarted []bool
 	unsup       map[string]bool
 }
 
 func newChecker(p *dsl.Program, opts Options) *checker {
 	pp := plan.Compile(p)
 	c := &checker{
-		prog:        p,
-		pp:          pp,
-		opts:        opts,
-		infos:       pp.Junctions,
-		instJuncs:   map[string][]string{},
-		observable:  map[string]*obsKeys{},
-		incomingP:   map[string]map[string]bool{},
-		incomingD:   map[string]map[string]bool{},
-		raceKeys:    map[string]*obsKeys{},
-		bodyReadP:   map[string]map[string]bool{},
-		allReads:    map[string]bool{},
-		bodyWriteP:  map[string]map[string]bool{},
-		envInj:      map[string][]string{},
-		fired:       map[string]bool{},
-		guardTrue:   map[string]bool{},
-		everStarted: map[string]bool{},
-		bodyErrs:    map[string]string{},
-		unsup:       map[string]bool{},
+		prog:     p,
+		pp:       pp,
+		opts:     opts,
+		byFQ:     map[string]*junc{},
+		insts:    map[string]int{},
+		invQuals: map[string]qual{},
+		unsup:    map[string]bool{},
 	}
+	c.rd.c = c
+	for _, inst := range p.InstanceNames() {
+		c.insts[inst] = len(c.insts)
+	}
+	c.instJuncs = make([][]*junc, len(c.insts))
+	c.everStarted = make([]bool, len(c.insts))
+	var l layout
+	l.bits(2 * len(c.insts))
+	c.envWidth = max(1, bits.Len(uint(opts.MaxEnv)))
+	c.env = l.field(c.envWidth)
 	for _, ji := range pp.Juncs {
-		c.fqs = append(c.fqs, ji.FQ)
-		c.instJuncs[ji.Inst] = append(c.instJuncs[ji.Inst], ji.FQ)
-		c.observable[ji.FQ] = newObsKeys()
-		c.incomingP[ji.FQ] = map[string]bool{}
-		c.incomingD[ji.FQ] = map[string]bool{}
-		c.bodyReadP[ji.FQ] = map[string]bool{}
-		c.bodyWriteP[ji.FQ] = map[string]bool{}
+		j := &junc{fq: ji.FQ, inst: c.insts[ji.Inst], info: ji, quals: map[string]qual{},
+			observable: newObsKeys(), incomingP: map[string]bool{}, incomingD: map[string]bool{},
+			bodyReadP: map[string]bool{}, bodyWriteP: map[string]bool{}}
+		c.juncs = append(c.juncs, j)
+		c.byFQ[j.fq] = j
 	}
-	sort.Strings(c.fqs)
-	for _, fqs := range c.instJuncs {
-		sort.Strings(fqs)
+	sort.Slice(c.juncs, func(a, b int) bool { return c.juncs[a].fq < c.juncs[b].fq })
+	for i, j := range c.juncs {
+		j.num = i
+		c.instJuncs[j.inst] = append(c.instJuncs[j.inst], j)
+		j.lay(&l)
 	}
+	c.words = (l.n + 63) / 64
 	c.buildStaticFacts()
 	return c
 }
 
+// lay places j's slots in the table.
+func (j *junc) lay(l *layout) {
+	ji := j.info
+	l.align()
+	j.np, j.nd = len(ji.Props()), len(ji.Data())
+	j.base = l.bits(j.np + j.nd)
+	j.pendP, j.pendV, j.pendD = l.bits(j.np), l.bits(j.np), l.bits(j.nd)
+	j.sub = map[string]*subSlot{}
+	for _, name := range ji.Subsets() {
+		s := &subSlot{def: l.bits(1)}
+		if u, ok := ji.SetUniverse(name); ok {
+			s.members, s.known = append([]string(nil), u...), true
+			sort.Strings(s.members)
+		}
+		s.mem = l.bits(len(s.members))
+		j.sub[name] = s
+	}
+	of := map[string]string{}
+	for _, d := range ji.Def.Decls {
+		if n, ok := d.(dsl.DeclIdx); ok {
+			of[n.Name] = n.Of
+		}
+	}
+	j.idx = map[string]*idxSlot{}
+	for _, name := range ji.Idxs() {
+		x := &idxSlot{num: map[string]int{}, over: j.sub[of[name]], keys: map[string][]string{}}
+		x.universe, x.known = ji.IdxUniverse(name)
+		for e, el := range x.universe {
+			x.num[el] = e + 1
+		}
+		x.width = max(1, bits.Len(uint(len(x.universe))))
+		x.off = l.field(x.width)
+		j.idx[name] = x
+	}
+	j.end = l.n
+}
+
 func (c *checker) buildStaticFacts() {
-	for _, fq := range c.fqs {
-		ji := c.infos[fq]
+	for _, j := range c.juncs {
+		ji := j.info
 		fs := []formula.Formula{}
 		if ji.Def.Guard != nil {
 			fs = append(fs, ji.Def.Guard)
@@ -244,19 +331,19 @@ func (c *checker) buildStaticFacts() {
 				case !strings.Contains(o.Junction, "::"):
 					// Unresolvable qualifier (idx-valued): every junction
 					// must treat the key as observable.
-					for _, ofq := range c.fqs {
-						c.observable[ofq].add(o.Key)
+					for _, oj := range c.juncs {
+						oj.observable.add(o.Key)
 					}
-				case c.observable[o.Junction] != nil:
-					c.observable[o.Junction].add(o.Key)
+				case c.byFQ[o.Junction] != nil:
+					c.byFQ[o.Junction].observable.add(o.Key)
 				}
 			}
 			// Own read set, for sibling-branch read/write visibility.
 			for _, k := range rs.Props {
-				c.bodyReadP[fq][k] = true
+				j.bodyReadP[k] = true
 			}
 			if rs.Unbounded {
-				c.allReads[fq] = true
+				j.allReads = true
 			}
 		}
 
@@ -270,11 +357,11 @@ func (c *checker) buildStaticFacts() {
 			for _, a := range accs {
 				switch {
 				case a.Kind == plan.AccessIncoming && kind == "p":
-					c.incomingP[fq][name] = true
+					j.incomingP[name] = true
 				case a.Kind == plan.AccessIncoming && kind == "d":
-					c.incomingD[fq][name] = true
+					j.incomingD[name] = true
 				case kind == "p":
-					c.bodyWriteP[fq][name] = true
+					j.bodyWriteP[name] = true
 				}
 			}
 		}
@@ -282,8 +369,8 @@ func (c *checker) buildStaticFacts() {
 		// Sibling-branch race keys, confirmed concurrent by the §8 event
 		// structure (exercises the memoized Consistent relation).
 		rk := newObsKeys()
-		for race := range analysis.EventRaces(fq, ji.Def, 0) {
-			if race.Junction != fq {
+		for race := range analysis.EventRaces(j.fq, ji.Def, 0) {
+			if race.Junction != j.fq {
 				continue
 			}
 			rk.add(race.Key)
@@ -291,14 +378,14 @@ func (c *checker) buildStaticFacts() {
 				rk.prefixes = append(rk.prefixes, race.Key[:i+1])
 			}
 		}
-		c.raceKeys[fq] = rk
+		j.raceKeys = rk
 	}
 
 	// Environment-assertable propositions: consulted by a guard or wait,
 	// never asserted (tt or havoc) by any statement, initially false. The
 	// environment writing them is an incoming write.
-	for _, fq := range c.fqs {
-		ji := c.infos[fq]
+	for _, j := range c.juncs {
+		ji := j.info
 		cand := map[string]bool{}
 		if ji.Guard != nil {
 			for _, k := range ji.Guard.Props {
@@ -312,6 +399,7 @@ func (c *checker) buildStaticFacts() {
 				}
 			}
 		})
+		var inj []string
 		for k := range cand {
 			if strings.HasPrefix(k, "@") || !ji.HasProp(k) || ji.PropInit(k) {
 				continue
@@ -326,76 +414,57 @@ func (c *checker) buildStaticFacts() {
 			if asserted {
 				continue
 			}
-			c.envInj[fq] = append(c.envInj[fq], k)
-			c.incomingP[fq][k] = true
+			inj = append(inj, k)
+			j.incomingP[k] = true
 		}
-		sort.Strings(c.envInj[fq])
+		sort.Strings(inj)
+		for _, k := range inj {
+			s, _ := ji.PropSlot(k)
+			j.envInj = append(j.envInj, s)
+		}
 	}
 }
 
 // ---- state construction -------------------------------------------------
 
 func (c *checker) initialState() *state {
-	st := &state{
-		running: map[string]bool{},
-		js:      map[string]*jstate{},
-		envLeft: c.opts.MaxEnv,
-	}
+	st := &state{tab: make(words, c.words)}
+	st.tab.put(c.env, c.envWidth, c.opts.MaxEnv)
 	// Main is executed as a sequential prefix: start/stop effects in walk
 	// order (the driver of every catalogue pattern is a sequence of starts).
 	dsl.WalkBody(c.prog.Main, func(e dsl.Expr) {
 		switch n := e.(type) {
 		case dsl.Start:
-			if !st.running[n.Instance] {
-				c.startInstance(st, n.Instance)
+			if inst := c.insts[n.Instance]; !st.running(inst) {
+				c.startInstance(st, inst)
 			}
 		case dsl.Stop:
-			st.running[n.Instance] = false
+			st.tab.set(2*c.insts[n.Instance], false)
 		}
 	})
 	return st
 }
 
-func (c *checker) startInstance(st *state, inst string) {
-	st.running[inst] = true
+// startInstance marks inst running and gives each of its junctions a fresh
+// table.
+func (c *checker) startInstance(st *state, inst int) {
+	st.tab.set(2*inst, true)
+	st.tab.set(2*inst+1, true)
 	c.everStarted[inst] = true
-	for _, fq := range c.instJuncs[inst] {
-		ji := c.infos[fq]
-		js := &jstate{
-			props: map[string]bool{},
-			data:  map[string]bool{},
-			pendP: map[string]bool{},
-			pendD: map[string]bool{},
-			idx:   map[string]string{},
-			sub:   map[string][]string{},
+	for _, j := range c.instJuncs[inst] {
+		clear(st.tab[j.base>>6 : (j.end+63)>>6])
+		for s, p := range j.info.Props() {
+			st.tab.set(j.base+s, j.info.PropInit(p))
 		}
-		for _, p := range ji.Props() {
-			js.props[p] = ji.PropInit(p)
-		}
-		for _, d := range ji.Data() {
-			js.data[d] = false
-		}
-		for _, ix := range ji.Idxs() {
-			js.idx[ix] = ""
-		}
-		for _, sb := range ji.Subsets() {
-			js.sub[sb] = nil
-		}
-		st.js[fq] = js
 	}
 }
 
 // ---- name resolution, mirroring internal/runtime ------------------------
 
-func instOf(fq string) string {
-	inst, _, _ := strings.Cut(fq, "::")
-	return inst
-}
-
 // elemToFQ resolves a set-element or junction name to a fully-qualified
 // junction, mirroring Junction.elemToFQ.
-func (c *checker) elemToFQ(fromFQ, elem string) (string, error) {
-	elem = c.infos[fromFQ].ResolveName(elem)
+func (c *checker) elemToFQ(from *junc, elem string) (string, error) {
+	elem = from.info.ResolveName(elem)
 	if strings.Contains(elem, "::") {
 		return elem, nil
 	}
@@ -406,60 +475,107 @@ func (c *checker) elemToFQ(fromFQ, elem string) (string, error) {
 	return inst + "::" + jn, nil
 }
 
+// target resolves a formula qualifier read at from (nil for a program-scope
+// invariant) through plan's resolver, once per qualifier.
+func (c *checker) target(from *junc, q string) qual {
+	m := c.invQuals
+	if from != nil {
+		m = from.quals
+	}
+	r, ok := m[q]
+	if !ok {
+		fq := c.pp.JunctionFQ(q)
+		if from != nil {
+			fq = from.info.Qualifier(q)
+		}
+		r = qual{c.byFQ[fq], strings.Contains(fq, "::")}
+		m[q] = r
+	}
+	return r
+}
+
 // resolveTarget mirrors the runtime's target resolution (compileTarget).
-func (c *checker) resolveTarget(st *state, fq string, ref dsl.JunctionRef) (string, error) {
+func (c *checker) resolveTarget(st *state, j *junc, ref dsl.JunctionRef) (string, error) {
 	switch {
 	case ref.MeJunction:
-		return fq, nil
+		return j.fq, nil
 	case ref.MeInstance:
-		return instOf(fq) + "::" + ref.Junction, nil
+		return j.info.Inst + "::" + ref.Junction, nil
 	case ref.Idx != "":
-		js := st.js[fq]
-		elem := ""
-		if js != nil {
-			elem = js.idx[ref.Idx]
-		}
+		elem := c.idxElem(st, j, ref.Idx)
 		if elem == "" {
 			return "", fmt.Errorf("idx %q is undef", ref.Idx)
 		}
-		return c.elemToFQ(fq, elem)
+		return c.elemToFQ(j, elem)
 	case ref.Instance != "" && ref.Junction != "":
 		return ref.Instance + "::" + ref.Junction, nil
 	case ref.Instance != "":
-		return c.elemToFQ(fq, ref.Instance)
+		return c.elemToFQ(j, ref.Instance)
 	default:
 		return "", fmt.Errorf("empty junction reference")
 	}
 }
 
-// resolvePropName mirrors the runtime's proposition resolution (compilePropRef).
-func (c *checker) resolvePropName(st *state, fq string, pr dsl.PropRef) (string, error) {
-	if pr.Index == "" {
-		return c.infos[fq].ResolveName(pr.Base), nil
+// idxElem is idx's current element at j, "" while undef.
+func (c *checker) idxElem(st *state, j *junc, idx string) string {
+	x := j.idx[idx]
+	if x == nil {
+		return ""
 	}
-	if pr.IndexIsVar {
-		js := st.js[fq]
-		elem := ""
-		if js != nil {
-			elem = js.idx[pr.Index]
-		}
-		if elem == "" {
-			return "", fmt.Errorf("idx %q is undef", pr.Index)
-		}
-		return dsl.IndexedName(pr.Base, elem), nil
+	if e := st.tab.get(x.off, x.width); e > 0 {
+		return x.universe[e-1]
 	}
-	return dsl.IndexedName(pr.Base, c.infos[fq].ResolveName(pr.Index)), nil
+	return ""
 }
 
-// substIdx resolves a formula's local propositions against fq's idx values,
-// as the runtime does at wait entry (plan.SubstIdx).
-func (c *checker) substIdx(st *state, fq string, f formula.Formula) formula.Formula {
-	js := st.js[fq]
-	return plan.SubstIdx(f, c.infos[fq].ResolveName, func(v string) string {
-		if js == nil {
-			return ""
+// localKey is the one local-name resolver: the table key a local proposition
+// names at j — an idx family base[$idx] through the idx's current element, as
+// plan binds the family (ok is false while the idx is undef), any other name
+// with its me:: tokens resolved.
+func (c *checker) localKey(st *state, j *junc, name string) (string, bool) {
+	base, idx, family := dsl.SplitIdxProp(name)
+	if !family {
+		return j.info.ResolveName(name), true
+	}
+	return c.familyKey(st, j, base, idx)
+}
+
+func (c *checker) familyKey(st *state, j *junc, base, idx string) (string, bool) {
+	x := j.idx[idx]
+	if x == nil {
+		return "", false
+	}
+	e := st.tab.get(x.off, x.width)
+	if e == 0 {
+		return "", false
+	}
+	keys, ok := x.keys[base]
+	if !ok {
+		_, keys, _ = j.info.Family(base, idx)
+		x.keys[base] = keys
+	}
+	return keys[e-1], true
+}
+
+// resolvePropName mirrors the runtime's proposition resolution (compilePropRef).
+func (c *checker) resolvePropName(st *state, j *junc, pr dsl.PropRef) (string, error) {
+	switch {
+	case pr.IndexIsVar:
+		if key, ok := c.familyKey(st, j, pr.Base, pr.Index); ok {
+			return key, nil
 		}
-		return js.idx[v]
+		return "", fmt.Errorf("idx %q is undef", pr.Index)
+	case pr.Index != "":
+		return dsl.IndexedName(pr.Base, j.info.ResolveName(pr.Index)), nil
+	}
+	return j.info.ResolveName(pr.Base), nil
+}
+
+// substIdx resolves a formula's local propositions against j's idx values,
+// as the runtime does at wait entry (plan.SubstIdx).
+func (c *checker) substIdx(st *state, j *junc, f formula.Formula) formula.Formula {
+	return plan.SubstIdx(f, j.info.ResolveName, func(v string) string {
+		return j.info.ResolveName(c.idxElem(st, j, v))
 	})
 }
 
@@ -467,305 +583,206 @@ func (c *checker) substIdx(st *state, fq string, f formula.Formula) formula.Form
 
 const runningProp = "@running"
 
-// localProp reads a proposition from tableFQ's applied state with idx and
-// me:: tokens resolved by resolverFQ (mirrors localPropResolvedBy).
-func (c *checker) localProp(st *state, tableFQ, resolverFQ, name string) formula.Truth {
-	if base, idxVar, ok := dsl.SplitIdxProp(name); ok {
-		js := st.js[resolverFQ]
-		elem := ""
-		if js != nil {
-			elem = js.idx[idxVar]
-		}
-		if elem == "" {
+// reader is the formula environment, mirroring Junction.env: unqualified
+// names read j's table; qualified names read the target's applied state, with
+// @running synthesized from instance liveness and every read of a stopped
+// junction going Unknown. j is nil for program-scope invariants, whose names
+// are all qualified (enforced by Validate) and read as written.
+type reader struct {
+	c  *checker
+	st *state
+	j  *junc
+}
+
+func (r *reader) Prop(q, name string) formula.Truth {
+	if q == "" {
+		if r.j == nil {
 			return formula.Unknown
 		}
-		name = dsl.IndexedName(base, elem)
-	} else {
-		name = c.infos[resolverFQ].ResolveName(name)
+		return r.c.localProp(r.st, r.j, r.j, name)
 	}
-	js := st.js[tableFQ]
-	if js == nil {
+	t := r.c.target(r.j, q)
+	switch {
+	case !t.ok:
+		return formula.Unknown
+	case t.j == nil || !r.st.running(t.j.inst):
+		if name == runningProp {
+			return formula.False
+		}
+		return formula.Unknown
+	case name == runningProp:
+		return formula.True
+	case strings.HasPrefix(name, "@"):
 		return formula.Unknown
 	}
-	v, ok := js.props[name]
+	return r.c.localProp(r.st, t.j, r.j, name)
+}
+
+// eval evaluates f at j (nil: a program-scope invariant) in st.
+func (c *checker) eval(st *state, j *junc, f formula.Formula) formula.Truth {
+	c.rd.st, c.rd.j = st, j
+	return f.Eval(&c.rd)
+}
+
+// localProp reads a proposition from table's applied state, its name
+// resolved at resolver (as written when resolver is nil).
+func (c *checker) localProp(st *state, table, resolver *junc, name string) formula.Truth {
+	key, ok := name, true
+	if resolver != nil {
+		key, ok = c.localKey(st, resolver, name)
+	}
+	if !ok || !st.started(table.inst) {
+		return formula.Unknown
+	}
+	s, ok := table.info.PropSlot(key)
 	if !ok {
 		return formula.Unknown
 	}
-	return formula.FromBool(v)
-}
-
-// envFor builds the formula environment a junction's formulas evaluate in,
-// mirroring Junction.env: unqualified names read the local table; qualified
-// names read the target's applied state, with @running synthesized from
-// instance liveness and every read of a stopped junction going Unknown.
-func (c *checker) envFor(st *state, fq string) formula.Env {
-	return formula.EnvFunc(func(junction, name string) formula.Truth {
-		if junction == "" {
-			return c.localProp(st, fq, fq, name)
-		}
-		tfq, err := c.elemToFQ(fq, junction)
-		if err != nil {
-			return formula.Unknown
-		}
-		if !st.running[instOf(tfq)] || st.js[tfq] == nil {
-			if name == runningProp {
-				return formula.False
-			}
-			return formula.Unknown
-		}
-		if name == runningProp {
-			return formula.True
-		}
-		if strings.HasPrefix(name, "@") {
-			return formula.Unknown
-		}
-		return c.localProp(st, tfq, fq, name)
-	})
-}
-
-// invariantEnv evaluates program-scope invariants: all references are
-// junction-qualified (enforced by Validate), read applied state only.
-func (c *checker) invariantEnv(st *state) formula.Env {
-	return formula.EnvFunc(func(junction, name string) formula.Truth {
-		if junction == "" {
-			return formula.Unknown
-		}
-		tfq := junction
-		if !strings.Contains(tfq, "::") {
-			inst, jn, err := dsl.ResolveElemJunction(c.prog, tfq)
-			if err != nil {
-				return formula.Unknown
-			}
-			tfq = inst + "::" + jn
-		}
-		if !st.running[instOf(tfq)] || st.js[tfq] == nil {
-			if name == runningProp {
-				return formula.False
-			}
-			return formula.Unknown
-		}
-		if name == runningProp {
-			return formula.True
-		}
-		if strings.HasPrefix(name, "@") {
-			return formula.Unknown
-		}
-		js := st.js[tfq]
-		v, ok := js.props[name]
-		if !ok {
-			return formula.Unknown
-		}
-		return formula.FromBool(v)
-	})
+	return formula.FromBool(st.tab.has(table.base + s))
 }
 
 // ---- table mutation, mirroring internal/kv ------------------------------
 
-func (c *checker) setPropLocal(js *jstate, key string, v bool) {
-	if _, declared := js.props[key]; declared {
-		js.props[key] = v
-	}
-	delete(js.pendP, key) // local priority: a local write drops pending
+// setPropLocal writes prop slot s; a local write drops the pending update
+// (local priority).
+func setPropLocal(st *state, j *junc, s int, v bool) {
+	st.tab.set(j.base+s, v)
+	st.tab.set(j.pendP+s, false)
+	st.tab.set(j.pendV+s, false)
 }
 
-func (c *checker) setDataLocal(js *jstate, key string) {
-	if _, declared := js.data[key]; declared {
-		js.data[key] = true
-	}
-	delete(js.pendD, key)
+func setDataLocal(st *state, j *junc, s int) {
+	st.tab.set(j.data(s), true)
+	st.tab.set(j.pendD+s, false)
 }
 
-// enqueueProp delivers a remote proposition update to tfq: applied directly
-// when a blocked wait admits the key, queued pending otherwise (mirrors
+// enqueueProp delivers a remote update of prop slot s to j: applied directly
+// when a blocked wait admits it, queued pending otherwise (mirrors
 // kv.Table.Enqueue).
-func (c *checker) enqueueProp(st *state, tfq, key string, v bool) {
-	js := st.js[tfq]
-	if js == nil {
-		return
-	}
-	if _, declared := js.props[key]; !declared {
-		return // applyLocked ignores undeclared keys
-	}
+func enqueueProp(st *state, j *junc, s int, v bool) {
 	for _, t := range st.threads {
-		if t.fq == tfq && t.wait != nil && t.wait.admitP[key] {
-			js.props[key] = v
+		if t.j == j && t.wait != nil && t.wait.admitP.has(s) {
+			st.tab.set(j.base+s, v)
 			return
 		}
 	}
-	js.pendP[key] = v
+	st.tab.set(j.pendP+s, true)
+	st.tab.set(j.pendV+s, v)
 }
 
-func (c *checker) enqueueData(st *state, tfq, key string) {
-	js := st.js[tfq]
-	if js == nil {
-		return
-	}
-	if _, declared := js.data[key]; !declared {
-		return
-	}
+func enqueueData(st *state, j *junc, s int) {
 	for _, t := range st.threads {
-		if t.fq == tfq && t.wait != nil && t.wait.admitD[key] {
-			js.data[key] = true
+		if t.j == j && t.wait != nil && t.wait.admitD.has(s) {
+			st.tab.set(j.data(s), true)
 			return
 		}
 	}
-	js.pendD[key] = true
+	st.tab.set(j.pendD+s, true)
 }
 
-func applyPending(js *jstate) int {
-	n := len(js.pendP) + len(js.pendD)
-	for k, v := range js.pendP {
-		if _, declared := js.props[k]; declared {
-			js.props[k] = v
+// applyPending applies j's pending updates and reports whether there were
+// any.
+func applyPending(st *state, j *junc) bool {
+	applied := false
+	for s := 0; s < j.np; s++ {
+		if st.tab.has(j.pendP + s) {
+			setPropLocal(st, j, s, st.tab.has(j.pendV+s))
+			applied = true
 		}
-		delete(js.pendP, k)
 	}
-	for k := range js.pendD {
-		if _, declared := js.data[k]; declared {
-			js.data[k] = true
+	for s := 0; s < j.nd; s++ {
+		if st.tab.has(j.pendD + s) {
+			setDataLocal(st, j, s)
+			applied = true
 		}
-		delete(js.pendD, k)
 	}
-	return n
+	return applied
 }
 
-// ---- canonical state encoding -------------------------------------------
+// ---- the state key --------------------------------------------------------
 
-// stateKey renders the state canonically. Thread identity is structural:
-// roots are ordered by junction (at most one scheduling per junction exists
-// at a time), children by slot, and frames serialize as (kind, role, pc,
-// aux) chains — the frame bodies are fully determined by the chain, since
-// every body is located by its creating statement's position.
-func (c *checker) stateKey(st *state) string {
-	var b strings.Builder
-	b.WriteString("R")
-	insts := make([]string, 0, len(st.running))
-	for i := range st.running {
-		insts = append(insts, i)
+// stateKey encodes st exactly, into a buffer reused across calls: the table
+// verbatim, then the threads in canonical tree order. Thread identity is
+// structural: roots are ordered by junction (at most one scheduling per
+// junction exists at a time), children by slot, and frames encode as (kind,
+// role, pc, aux) chains — the frame bodies are fully determined by the chain,
+// since every body is located by its creating statement's position. Numbers
+// are varints and strings are length-prefixed, so distinct states never share
+// a key; the key is deliberately not hashed.
+func (c *checker) stateKey(st *state) []byte {
+	b := c.key[:0]
+	for _, w := range st.tab {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	sort.Strings(insts)
-	for _, i := range insts {
-		b.WriteString(i)
-		if st.running[i] {
-			b.WriteString("+")
-		} else {
-			b.WriteString("-")
-		}
-	}
-	b.WriteString("|E")
-	b.WriteString(strconv.Itoa(st.envLeft))
-
-	fqs := make([]string, 0, len(st.js))
-	for fq := range st.js {
-		fqs = append(fqs, fq)
-	}
-	sort.Strings(fqs)
-	for _, fq := range fqs {
-		js := st.js[fq]
-		b.WriteString("|J")
-		b.WriteString(fq)
-		writeBoolMap(&b, "p", js.props)
-		writeBoolMap(&b, "d", js.data)
-		writeBoolMap(&b, "q", js.pendP)
-		writeBoolMap(&b, "r", js.pendD)
-		keys := make([]string, 0, len(js.idx))
-		for k := range js.idx {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.WriteString(";i" + k + "=" + js.idx[k])
-		}
-		keys = keys[:0]
-		for k := range js.sub {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.WriteString(";s" + k + "=")
-			if js.sub[k] == nil {
-				b.WriteString("?")
-			} else {
-				b.WriteString(strings.Join(js.sub[k], ","))
+	for _, j := range c.juncs {
+		for _, t := range st.threads {
+			if t.parent < 0 && t.j == j {
+				b = appendThread(b, st, t)
 			}
 		}
 	}
-
-	// Threads: canonical tree order.
-	roots := make([]*thread, 0, 2)
-	for _, t := range st.threads {
-		if t.parent < 0 {
-			roots = append(roots, t)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].fq < roots[j].fq })
-	for _, r := range roots {
-		c.writeThread(&b, st, r)
-	}
-	return b.String()
+	c.key = b
+	return b
 }
 
-func writeBoolMap(b *strings.Builder, tag string, m map[string]bool) {
-	if len(m) == 0 {
-		return
+func appendThread(b []byte, st *state, t *thread) []byte {
+	for _, n := range [...]int{t.j.num, t.slot, t.retries, t.waiting} {
+		b = binary.AppendUvarint(b, uint64(n))
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	b = append(b, flag(t.hasPend), byte(t.pendSig))
+	b = appendString(b, t.pendErr)
+	if b = append(b, flag(t.wait != nil)); t.wait != nil {
+		b = appendString(b, t.wait.condStr)
 	}
-	sort.Strings(keys)
-	b.WriteString(";" + tag)
-	for _, k := range keys {
-		b.WriteString(k)
-		if m[k] {
-			b.WriteString("+")
-		} else {
-			b.WriteString("-")
-		}
+	b = binary.AppendUvarint(b, uint64(len(t.children)))
+	for _, cr := range t.children {
+		b = append(b, flag(cr.done), byte(cr.sig))
+		b = appendString(b, cr.err)
 	}
-}
-
-func (c *checker) writeThread(b *strings.Builder, st *state, t *thread) {
-	b.WriteString("|T")
-	b.WriteString(t.fq)
-	fmt.Fprintf(b, ";s%d;r%d;w%d", t.slot, t.retries, t.waiting)
-	if t.hasPend {
-		fmt.Fprintf(b, ";P%d:%s", t.pendSig, t.pendErr)
-	}
-	if t.wait != nil {
-		b.WriteString(";W" + t.wait.condStr)
-		writeBoolMap(b, "a", t.wait.admitP)
-		writeBoolMap(b, "b", t.wait.admitD)
-	}
-	for i, cr := range t.children {
-		if cr.done {
-			fmt.Fprintf(b, ";c%d=%d:%s", i, cr.sig, cr.err)
-		}
-	}
-	for _, f := range t.frames {
-		fmt.Fprintf(b, ";F%d.%s.%d", f.kind, f.role, f.pc)
+	b = binary.AppendUvarint(b, uint64(len(t.frames)))
+	for i := range t.frames {
+		f := &t.frames[i]
+		b = append(b, byte(f.kind), byte(f.role))
+		b = binary.AppendUvarint(b, uint64(f.pc))
 		switch f.kind {
 		case fCase:
 			m := f.cm
-			fmt.Fprintf(b, ".%d.%d.%d.%d.%d.%v", m.Start, m.Base, m.Cur, m.Rounds, m.Phase, m.InRec)
+			for _, n := range [...]int{m.Start, m.Base, m.Cur, m.Rounds, int(m.Phase)} {
+				b = binary.AppendVarint(b, int64(n))
+			}
+			b = append(b, flag(m.InRec))
 		case fOtherwise:
-			fmt.Fprintf(b, ".%v.%v", f.deadline, f.inHandler)
+			b = append(b, flag(f.deadline), flag(f.inHandler))
 		case fTxn:
-			writeBoolMap(b, "x", f.snapP)
-			writeBoolMap(b, "y", f.snapD)
+			for _, w := range f.snap {
+				b = binary.LittleEndian.AppendUint64(b, w)
+			}
 		}
 	}
-	// Children in slot order (nested, so tree structure is explicit).
-	kids := make([]*thread, 0, 2)
+	// Children in slot order: a par's children are created in slot order
+	// with ascending ids, and threads stay in ascending id.
+	kids := 0
 	for _, k := range st.threads {
 		if k.parent == t.id {
-			kids = append(kids, k)
+			kids++
 		}
 	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i].slot < kids[j].slot })
-	b.WriteString("[")
-	for _, k := range kids {
-		c.writeThread(b, st, k)
+	b = binary.AppendUvarint(b, uint64(kids))
+	for _, k := range st.threads {
+		if k.parent == t.id {
+			b = appendThread(b, st, k)
+		}
 	}
-	b.WriteString("]")
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func flag(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }

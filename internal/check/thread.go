@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"csaw/internal/dsl"
@@ -29,20 +28,40 @@ const (
 	fCaseTail
 )
 
+// role says which body of its creating statement a frame runs.
+type role uint8
+
+const (
+	rBody role = iota
+	rSeq
+	rScope
+	rScopeBody
+	rTxn
+	rTxnBody
+	rOw // an otherwise frame, and a case's otherwise body
+	rTry
+	rHandler
+	rCase
+	rArm
+	rTail
+	rThen
+	rElse
+	rBranch
+)
+
 // frame is one activation record over lowered ops (plan.Compile). Bodies are
 // identified structurally (the creating statement's position plus a role),
 // so frames never need stable slice identity.
 type frame struct {
 	kind frameKind
-	role string
+	role role
 	body []*plan.Op
 	pc   int
 
-	// fTxn: the transaction and the entry snapshot of the junction's own
-	// applied table.
-	txn   *plan.Op
-	snapP map[string]bool
-	snapD map[string]bool
+	// fTxn: the transaction and the entry snapshot of the junction's prop
+	// and data words (never written after the snapshot, so clones share it).
+	txn  *plan.Op
+	snap words
 
 	// fOtherwise
 	handler   *plan.Op
@@ -54,17 +73,12 @@ type frame struct {
 	cm plan.CaseMachine
 }
 
-func (f *frame) clone() *frame {
-	cp := *f
-	return &cp
-}
-
-// waitInfo is a blocked wait: the substituted formula and its admission sets.
+// waitInfo is a blocked wait: the substituted formula and its admission sets
+// of prop and data slots, which condStr and the wait op determine.
 type waitInfo struct {
-	cond    formula.Formula
-	condStr string
-	admitP  map[string]bool
-	admitD  map[string]bool
+	cond           formula.Formula
+	condStr        string
+	admitP, admitD words
 }
 
 type childRes struct {
@@ -77,8 +91,8 @@ type childRes struct {
 // the junction body; Par branches spawn child threads joined by slot.
 type thread struct {
 	id       int
-	fq       string
-	frames   []*frame
+	j        *junc
+	frames   []frame
 	hasPend  bool
 	pendSig  plan.Signal
 	pendErr  string
@@ -92,31 +106,31 @@ type thread struct {
 
 func (t *thread) clone() *thread {
 	cp := *t
-	cp.frames = make([]*frame, len(t.frames))
-	for i, f := range t.frames {
-		cp.frames[i] = f.clone()
+	cp.frames = append([]frame(nil), t.frames...)
+	if t.children != nil {
+		cp.children = append([]childRes(nil), t.children...)
 	}
-	cp.children = append([]childRes(nil), t.children...)
 	return &cp
 }
 
 func (t *thread) runnable() bool { return t.wait == nil && t.waiting == 0 }
 
+// top is the innermost frame, valid until the next push.
 func (t *thread) top() *frame {
 	if len(t.frames) == 0 {
 		return nil
 	}
-	return t.frames[len(t.frames)-1]
+	return &t.frames[len(t.frames)-1]
 }
 
-func (t *thread) push(f *frame) { t.frames = append(t.frames, f) }
+func (t *thread) push(f frame) { t.frames = append(t.frames, f) }
 func (t *thread) pop()          { t.frames = t.frames[:len(t.frames)-1] }
 func (t *thread) setPend(s plan.Signal, err string) {
 	t.hasPend, t.pendSig, t.pendErr = true, s, err
 }
 
-func pushBody(t *thread, role string, body []*plan.Op) {
-	t.push(&frame{kind: fBody, role: role, body: body})
+func pushBody(t *thread, r role, body []*plan.Op) {
+	t.push(frame{kind: fBody, role: r, body: body})
 }
 
 // ---- the action classifier (peek) ---------------------------------------
@@ -127,12 +141,16 @@ type havoc struct {
 	writes []havocWrite
 }
 
+// havocWrite is one write of a havoc: a prop slot's value, a data slot
+// defined, an idx's element number, or a subset's one member (-1: every
+// member).
 type havocWrite struct {
-	kind  uint8 // 0 prop, 1 data, 2 idx, 3 subset
-	name  string
-	val   bool
-	elem  string
-	elems []string
+	kind uint8 // 0 prop, 1 data, 2 idx, 3 subset
+	slot int
+	val  bool
+	idx  *idxSlot
+	sub  *subSlot
+	elem int
 }
 
 // act classifies a thread's next action for partial-order reduction. An
@@ -144,33 +162,25 @@ type act struct {
 	havocs  []havoc
 }
 
-func (c *checker) multiThread(st *state, fq string) bool {
-	return st.threadsOf(fq) >= 2
+func (j *junc) hasShared() bool {
+	return len(j.observable.exact) > 0 || len(j.observable.prefixes) > 0 ||
+		len(j.incomingP) > 0 || len(j.incomingD) > 0
 }
 
-func (c *checker) hasShared(fq string) bool {
-	obs := c.observable[fq]
-	return (obs != nil && (len(obs.exact) > 0 || len(obs.prefixes) > 0)) ||
-		len(c.incomingP[fq]) > 0 || len(c.incomingD[fq]) > 0
-}
-
-// keyVisibleWrite reports whether a local write to key at fq is observable
-// by anything outside the writing thread.
-func (c *checker) keyVisibleWrite(st *state, fq, key string, multi bool) bool {
-	if c.observable[fq].has(key) || c.incomingP[fq][key] {
+// keyVisibleWrite reports whether a local write to key at j is observable by
+// anything outside the writing thread.
+func keyVisibleWrite(j *junc, key string, multi bool) bool {
+	if j.observable.has(key) || j.incomingP[key] {
 		return true
 	}
-	if multi && (c.allReads[fq] || c.bodyReadP[fq][key] || c.raceKeys[fq].has(key)) {
-		return true
-	}
-	return false
+	return multi && (j.allReads || j.bodyReadP[key] || j.raceKeys.has(key))
 }
 
-// formulaVisible reports whether evaluating f at fq can race with any other
+// formulaVisible reports whether evaluating f at j can race with any other
 // enabled action: qualified reads always can (the target's state is shared);
 // unqualified reads race with sibling-branch writes and with wait-admitted
 // incoming updates.
-func (c *checker) formulaVisible(st *state, fq string, f formula.Formula, multi bool) bool {
+func (c *checker) formulaVisible(st *state, j *junc, f formula.Formula, multi bool) bool {
 	for _, pr := range formula.Props(f) {
 		if pr.Junction != "" {
 			return true
@@ -178,24 +188,14 @@ func (c *checker) formulaVisible(st *state, fq string, f formula.Formula, multi 
 		if strings.HasPrefix(pr.Name, "@") {
 			continue
 		}
-		key := pr.Name
-		if base, idxVar, ok := dsl.SplitIdxProp(key); ok {
-			js := st.js[fq]
-			elem := ""
-			if js != nil {
-				elem = js.idx[idxVar]
-			}
-			if elem == "" {
-				return true // unresolvable family: be conservative
-			}
-			key = dsl.IndexedName(base, elem)
-		} else {
-			key = c.infos[fq].ResolveName(key)
+		key, ok := c.localKey(st, j, pr.Name)
+		if !ok {
+			return true // unresolvable family: be conservative
 		}
-		if c.incomingP[fq][key] {
+		if j.incomingP[key] {
 			return true
 		}
-		if multi && (c.bodyWriteP[fq][key] || c.raceKeys[fq].has(key)) {
+		if multi && (j.bodyWriteP[key] || j.raceKeys.has(key)) {
 			return true
 		}
 	}
@@ -213,12 +213,12 @@ func hasTxnFrame(t *thread) bool {
 
 // peek classifies the next action of a runnable thread without executing it.
 func (c *checker) peek(st *state, t *thread) act {
-	multi := c.multiThread(st, t.fq)
+	multi := st.threadsOf(t.j) >= 2
 	if t.hasPend {
 		// Signal/error delivery. An error crossing a transaction frame rolls
 		// the table back — a bulk local write.
 		if t.pendErr != "" && hasTxnFrame(t) {
-			return act{visible: multi || c.hasShared(t.fq)}
+			return act{visible: multi || t.j.hasShared()}
 		}
 		return act{}
 	}
@@ -231,11 +231,10 @@ func (c *checker) peek(st *state, t *thread) act {
 		if f.cm.Phase != plan.CaseRunning {
 			// Matching evaluates arm formulas.
 			for _, arm := range f.cs.Arms {
-				if c.formulaVisible(st, t.fq, arm.Cond, multi) {
+				if c.formulaVisible(st, t.j, arm.Cond, multi) {
 					return act{visible: true}
 				}
 			}
-			return act{}
 		}
 		return act{}
 	case fBody:
@@ -249,6 +248,7 @@ func (c *checker) peek(st *state, t *thread) act {
 }
 
 func (c *checker) classifyStmt(st *state, t *thread, o *plan.Op, multi bool) act {
+	j := t.j
 	switch o.Kind {
 	case plan.OpSkip, plan.OpSignal, plan.OpSeq, plan.OpScope, plan.OpCase, plan.OpOtherwise:
 		// Pure control flow (the otherwise frame push included: its deadline
@@ -258,30 +258,30 @@ func (c *checker) classifyStmt(st *state, t *thread, o *plan.Op, multi bool) act
 		// The snapshot races with sibling writes.
 		return act{visible: multi}
 	case plan.OpIf, plan.OpVerify:
-		return act{visible: c.formulaVisible(st, t.fq, o.Cond, multi)}
+		return act{visible: c.formulaVisible(st, j, o.Cond, multi)}
 	case plan.OpWait, plan.OpWrite, plan.OpStart, plan.OpStop:
 		return act{visible: true}
 	case plan.OpPar:
 		return act{visible: len(o.Arms) >= 2}
 	case plan.OpHost:
-		return act{visible: true, havocs: c.havocsFor(st, t.fq, o.Stmt.(dsl.Host).Writes)}
+		return act{visible: true, havocs: c.havocsFor(st, j, o.Stmt.(dsl.Host).Writes)}
 	case plan.OpRestore:
 		n := o.Stmt.(dsl.Restore)
 		if n.Into != nil {
-			return act{visible: true, havocs: c.havocsFor(st, t.fq, n.Writes)}
+			return act{visible: true, havocs: c.havocsFor(st, j, n.Writes)}
 		}
-		return act{visible: multi || c.incomingD[t.fq][n.Data]}
+		return act{visible: multi || j.incomingD[n.Data]}
 	case plan.OpSave:
-		return act{visible: multi || c.incomingD[t.fq][o.Stmt.(dsl.Save).Data]}
+		return act{visible: multi || j.incomingD[o.Stmt.(dsl.Save).Data]}
 	case plan.OpKeep:
 		n := o.Stmt.(dsl.Keep)
 		for _, p := range n.Props {
-			if c.incomingP[t.fq][c.infos[t.fq].ResolveName(p)] {
+			if j.incomingP[j.info.ResolveName(p)] {
 				return act{visible: true}
 			}
 		}
 		for _, d := range n.Data {
-			if c.incomingD[t.fq][d] {
+			if j.incomingD[d] {
 				return act{visible: true}
 			}
 		}
@@ -290,22 +290,18 @@ func (c *checker) classifyStmt(st *state, t *thread, o *plan.Op, multi bool) act
 		// Sibling [$idx] resolutions read the cursor.
 		return act{visible: multi}
 	case plan.OpProp:
-		return c.classifyPropUpdate(st, t, o.To, o.Prop, multi)
+		if !o.To.IsLocal() {
+			return act{visible: true} // remote send
+		}
+		key, err := c.resolvePropName(st, j, o.Prop)
+		if err != nil {
+			return act{} // the action is an error delivery
+		}
+		return act{visible: keyVisibleWrite(j, key, multi)}
 	default:
 		c.unsup[fmt.Sprintf("statement %T treated as visible", o.Stmt)] = true
 		return act{visible: true}
 	}
-}
-
-func (c *checker) classifyPropUpdate(st *state, t *thread, target dsl.JunctionRef, pr dsl.PropRef, multi bool) act {
-	if !target.IsLocal() {
-		return act{visible: true} // remote send
-	}
-	key, err := c.resolvePropName(st, t.fq, pr)
-	if err != nil {
-		return act{} // the action is an error delivery
-	}
-	return act{visible: c.keyVisibleWrite(st, t.fq, key, multi)}
 }
 
 // havocsFor enumerates the write combinations of a host block over its
@@ -313,116 +309,95 @@ func (c *checker) classifyPropUpdate(st *state, t *thread, target dsl.JunctionRe
 // {unchanged, defined}, idx {unchanged} ∪ valid elements, subsets
 // {unchanged, full parent, singletons}. Capped at Options.MaxHavoc with the
 // all-unchanged combination always first.
-func (c *checker) havocsFor(st *state, fq string, writes []string) []havoc {
-	ji := c.infos[fq]
-	js := st.js[fq]
+func (c *checker) havocsFor(st *state, j *junc, writes []string) []havoc {
+	ji := j.info
 	perName := make([][]havocWrite, 0, len(writes))
+	var labels [][]string
 	for _, w := range writes {
-		name := c.infos[fq].ResolveName(w)
-		var opts []havocWrite
-		opts = append(opts, havocWrite{kind: 255}) // unchanged
-		switch {
-		case ji.HasProp(name):
-			opts = append(opts,
-				havocWrite{kind: 0, name: name, val: true},
-				havocWrite{kind: 0, name: name, val: false})
-		case ji.HasData(name):
-			opts = append(opts, havocWrite{kind: 1, name: name})
-		case hasString(ji.Idxs(), name):
-			if members, ok := c.idxUniverseNow(ji, js, name); ok {
-				for _, elem := range members {
-					opts = append(opts, havocWrite{kind: 2, name: name, elem: elem})
-				}
+		name := ji.ResolveName(w)
+		opts := []havocWrite{{kind: 255}} // unchanged
+		var ls []string
+		if s, ok := ji.PropSlot(name); ok {
+			opts = append(opts, havocWrite{kind: 0, slot: s, val: true}, havocWrite{kind: 0, slot: s, val: false})
+			ls = []string{name + "=true", name + "=false"}
+		} else if s, ok := ji.DataSlot(name); ok {
+			opts = append(opts, havocWrite{kind: 1, slot: s})
+			ls = []string{name + "=def"}
+		} else if x := j.idx[name]; x != nil {
+			c.idxUniverseNow(st, x, func(e int) {
+				opts = append(opts, havocWrite{kind: 2, idx: x, elem: e})
+				ls = append(ls, name+":="+x.universe[e-1])
+			})
+		} else if sb := j.sub[name]; sb != nil {
+			if sb.known {
+				opts = append(opts, havocWrite{kind: 3, sub: sb, elem: -1})
+				ls = append(ls, name+"={"+strings.Join(sb.members, " ")+"}")
 			}
-		case hasString(ji.Subsets(), name):
-			if parent, ok := ji.SetUniverse(name); ok {
-				full := append([]string(nil), parent...)
-				sort.Strings(full)
-				opts = append(opts, havocWrite{kind: 3, name: name, elems: full})
-				for _, e := range full {
-					opts = append(opts, havocWrite{kind: 3, name: name, elems: []string{e}})
-				}
+			for k, e := range sb.members {
+				opts = append(opts, havocWrite{kind: 3, sub: sb, elem: k})
+				ls = append(ls, name+"={"+e+"}")
 			}
-		default:
-			c.unsup[fmt.Sprintf("%s: host write-set name %q not resolvable, treated as no-op", fq, w)] = true
+		} else {
+			c.unsup[fmt.Sprintf("%s: host write-set name %q not resolvable, treated as no-op", j.fq, w)] = true
 		}
 		perName = append(perName, opts)
+		labels = append(labels, ls)
 	}
 
 	var out []havoc
-	var build func(i int, cur []havocWrite)
-	build = func(i int, cur []havocWrite) {
+	var build func(i int, cur []havocWrite, parts []string)
+	build = func(i int, cur []havocWrite, parts []string) {
 		if len(out) >= c.opts.MaxHavoc {
 			return
 		}
 		if i == len(perName) {
-			hw := make([]havocWrite, 0, len(cur))
-			var parts []string
-			for _, w := range cur {
-				if w.kind == 255 {
-					continue
-				}
-				hw = append(hw, w)
-				switch w.kind {
-				case 0:
-					parts = append(parts, fmt.Sprintf("%s=%v", w.name, w.val))
-				case 1:
-					parts = append(parts, w.name+"=def")
-				case 2:
-					parts = append(parts, w.name+":="+w.elem)
-				case 3:
-					parts = append(parts, w.name+"={"+strings.Join(w.elems, " ")+"}")
-				}
-			}
 			label := "noop"
 			if len(parts) > 0 {
 				label = strings.Join(parts, ",")
 			}
-			out = append(out, havoc{label: label, writes: hw})
+			out = append(out, havoc{label: label, writes: append([]havocWrite(nil), cur...)})
 			return
 		}
-		for _, o := range perName[i] {
-			build(i+1, append(cur, o))
+		for k, o := range perName[i] {
+			if o.kind == 255 {
+				build(i+1, cur, parts)
+			} else {
+				build(i+1, append(cur, o), append(parts, labels[i][k-1]))
+			}
 		}
 	}
-	build(0, nil)
+	build(0, nil, nil)
 	total := 1
 	for _, opts := range perName {
 		total *= len(opts)
 	}
 	if total > c.opts.MaxHavoc {
-		c.unsup[fmt.Sprintf("%s: host havoc truncated to %d of %d combinations", fq, c.opts.MaxHavoc, total)] = true
+		c.unsup[fmt.Sprintf("%s: host havoc truncated to %d of %d combinations", j.fq, c.opts.MaxHavoc, total)] = true
 	}
 	return out
 }
 
-// idxUniverseNow mirrors Junction.SetIdx's validation universe: the current
-// subset membership when the idx ranges over a subset (nil subset = nothing
-// assignable), the static set elements otherwise.
-func (c *checker) idxUniverseNow(ji *plan.Junction, js *jstate, idx string) ([]string, bool) {
-	for _, d := range ji.Def.Decls {
-		id, ok := d.(dsl.DeclIdx)
-		if !ok || id.Name != idx {
-			continue
+// idxUniverseNow mirrors Junction.SetIdx's validation universe, calling each
+// with the element number of every element: the current subset membership,
+// in sorted element order, when the idx ranges over a subset (an undef subset
+// has none, and ok is false), the static set elements in declaration order
+// otherwise.
+func (c *checker) idxUniverseNow(st *state, x *idxSlot, each func(e int)) (ok bool) {
+	if sb := x.over; sb != nil {
+		if !st.tab.has(sb.def) {
+			return false
 		}
-		if hasString(ji.Subsets(), id.Of) {
-			if js == nil || js.sub[id.Of] == nil {
-				return nil, false
+		for k, m := range sb.members {
+			if st.tab.has(sb.mem + k) {
+				each(x.num[m])
 			}
-			return js.sub[id.Of], true
 		}
-		return ji.SetUniverse(id.Of)
+		return true
 	}
-	return nil, false
-}
-
-func hasString(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
+	for e := range x.universe {
+		each(e + 1)
 	}
-	return false
+	return x.known
 }
 
 // ---- action execution ----------------------------------------------------
@@ -516,24 +491,22 @@ func (c *checker) processDelivery(st *state, t *thread) {
 			}
 			continue
 		case fTxn:
-			t.pop()
 			if errS != "" {
 				// Roll the applied table back; pending updates queued during
 				// the transaction survive (the kv snapshot excludes the queue).
-				rollback(st.js[t.fq], f, at)
+				rollback(st, t.j, f, at)
 				sig = plan.SigNone
-				continue
-			}
-			if sig == plan.SigReturn {
+			} else if sig == plan.SigReturn {
 				sig = plan.SigNone
 			}
+			t.pop()
 			continue
 		case fOtherwise:
 			if errS != "" && !f.inHandler {
 				f.inHandler = true
 				errS = ""
 				sig = plan.SigNone
-				pushBody(t, "handler", []*plan.Op{f.handler})
+				pushBody(t, rHandler, []*plan.Op{f.handler})
 				return // landed in the handler
 			}
 			t.pop()
@@ -549,14 +522,15 @@ func (c *checker) processDelivery(st *state, t *thread) {
 				t.pop()
 				continue
 			}
-			next, out := f.cm.Done(f.cs, sig)
+			cs := f.cs
+			next, out := f.cm.Done(cs, sig)
 			switch next {
 			case plan.CaseMatch:
 				return // landed: the case matches next
 			case plan.CaseTail:
 				t.pop()
-				t.push(&frame{kind: fCaseTail, role: "tail"})
-				pushBody(t, "ow", f.cs.Otherwise.Ops)
+				t.push(frame{kind: fCaseTail, role: rTail})
+				pushBody(t, rOw, cs.Otherwise.Ops)
 				return
 			}
 			t.pop()
@@ -571,28 +545,23 @@ func (c *checker) processDelivery(st *state, t *thread) {
 // had started (plan.Op.Wrote), as the runtime restores it (kv.RestoreKeys),
 // or the whole entry snapshot when that write-set is unbounded. A key of a
 // step never reached keeps what a sibling par arm may have committed to it.
-func rollback(js *jstate, f *frame, at int) {
-	if js == nil {
-		return
-	}
+func rollback(st *state, j *junc, f *frame, at int) {
+	restore := func(s int) { st.tab.set(j.base+s, f.snap.has(s)) }
 	w := f.txn.Wrote[f.txn.Body.StepAt(at)]
 	if w.Full {
-		for k, v := range f.snapP {
-			js.props[k] = v
-		}
-		for k, v := range f.snapD {
-			js.data[k] = v
+		for s := 0; s < j.np+j.nd; s++ {
+			restore(s)
 		}
 		return
 	}
 	for _, k := range w.Props {
-		if v, ok := f.snapP[k]; ok {
-			js.props[k] = v
+		if s, ok := j.info.PropSlot(k); ok {
+			restore(s)
 		}
 	}
 	for _, k := range w.Data {
-		if v, ok := f.snapD[k]; ok {
-			js.data[k] = v
+		if s, ok := j.info.DataSlot(k); ok {
+			restore(j.np + s)
 		}
 	}
 }
@@ -632,27 +601,27 @@ func (c *checker) rootComplete(st *state, t *thread, sig plan.Signal, errS strin
 		p.setPend(joined, "")
 		return
 	}
+	j := t.j
 	if errS != "" {
-		if _, seen := c.bodyErrs[t.fq]; !seen {
-			c.bodyErrs[t.fq] = errS
+		if j.bodyErr == "" {
+			j.bodyErr = errS
 		}
 		st.removeThread(t.id)
 		return
 	}
 	if sig == plan.SigRetry {
-		limit := c.infos[t.fq].Def.RetryLimit
-		if t.retries+1 >= limit {
-			if _, seen := c.bodyErrs[t.fq]; !seen {
-				c.bodyErrs[t.fq] = "retry limit exhausted"
+		if t.retries+1 >= j.info.Def.RetryLimit {
+			if j.bodyErr == "" {
+				j.bodyErr = "retry limit exhausted"
 			}
 			st.removeThread(t.id)
 			return
 		}
 		t.retries++
-		t.frames = []*frame{{kind: fBody, role: "body", body: c.infos[t.fq].Body.Ops}}
+		t.frames = []frame{{kind: fBody, role: rBody, body: j.info.Body.Ops}}
 		return
 	}
-	c.fired[t.fq] = true
+	j.fired = true
 	st.removeThread(t.id)
 }
 
@@ -660,9 +629,8 @@ func (c *checker) rootComplete(st *state, t *thread, sig plan.Signal, errS strin
 // a case that fails there delivers the error past its frame, as in the
 // runtime.
 func (c *checker) caseMatch(st *state, t *thread, f *frame) {
-	env := c.envFor(st, t.fq)
 	arm, err := f.cm.Match(f.cs, func(i int) bool {
-		return c.substIdx(st, t.fq, f.cs.Arms[i].Cond).Eval(env) == formula.True
+		return c.eval(st, t.j, f.cs.Arms[i].Cond) == formula.True
 	})
 	if err != nil {
 		t.pop()
@@ -670,7 +638,7 @@ func (c *checker) caseMatch(st *state, t *thread, f *frame) {
 		c.processDelivery(st, t)
 		return
 	}
-	pushBody(t, "arm", f.cs.Body(arm).Ops)
+	pushBody(t, rArm, f.cs.Body(arm).Ops)
 }
 
 // ---- statement execution -------------------------------------------------
@@ -679,8 +647,7 @@ func (c *checker) caseMatch(st *state, t *thread, f *frame) {
 // errors are posted as a pending delivery processed by the thread's next
 // action.
 func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
-	fq := t.fq
-	js := st.js[fq]
+	j := t.j
 	fail := func(format string, args ...any) {
 		t.setPend(plan.SigNone, fmt.Sprintf(format, args...))
 	}
@@ -690,36 +657,32 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		t.setPend(o.Sig, "")
 
 	case plan.OpSeq:
-		pushBody(t, "seq", o.Body.Ops)
+		pushBody(t, rSeq, o.Body.Ops)
 	case plan.OpScope:
-		t.push(&frame{kind: fScope, role: "scope"})
-		pushBody(t, "scopebody", o.Body.Ops)
+		t.push(frame{kind: fScope, role: rScope})
+		pushBody(t, rScopeBody, o.Body.Ops)
 	case plan.OpTxn:
-		snapP := make(map[string]bool, len(js.props))
-		for k, v := range js.props {
-			snapP[k] = v
+		n := j.np + j.nd
+		snap := append(words(nil), st.tab[j.base>>6:(j.base+n+63)>>6]...)
+		if n&63 != 0 {
+			snap[len(snap)-1] &= 1<<(n&63) - 1 // the pending bits that share the last word
 		}
-		snapD := make(map[string]bool, len(js.data))
-		for k, v := range js.data {
-			snapD[k] = v
-		}
-		t.push(&frame{kind: fTxn, role: "txn", txn: o, snapP: snapP, snapD: snapD})
-		pushBody(t, "txnbody", o.Body.Ops)
+		t.push(frame{kind: fTxn, role: rTxn, txn: o, snap: snap})
+		pushBody(t, rTxnBody, o.Body.Ops)
 	case plan.OpOtherwise:
-		t.push(&frame{kind: fOtherwise, role: "ow", handler: o.Handler, deadline: o.Timeout > 0})
-		pushBody(t, "try", []*plan.Op{o.Try})
+		t.push(frame{kind: fOtherwise, role: rOw, handler: o.Handler, deadline: o.Timeout > 0})
+		pushBody(t, rTry, []*plan.Op{o.Try})
 	case plan.OpCase:
-		t.push(&frame{kind: fCase, role: "case", cs: o.Case, cm: plan.NewCaseMachine()})
+		t.push(frame{kind: fCase, role: rCase, cs: o.Case, cm: plan.NewCaseMachine()})
 
 	case plan.OpIf:
-		truth := c.substIdx(st, fq, o.Cond).Eval(c.envFor(st, fq))
-		if truth == formula.True {
-			pushBody(t, "then", []*plan.Op{o.Then})
+		if c.eval(st, j, o.Cond) == formula.True {
+			pushBody(t, rThen, []*plan.Op{o.Then})
 		} else if o.Else != nil {
-			pushBody(t, "else", []*plan.Op{o.Else})
+			pushBody(t, rElse, []*plan.Op{o.Else})
 		}
 	case plan.OpVerify:
-		switch c.substIdx(st, fq, o.Cond).Eval(c.envFor(st, fq)) {
+		switch c.eval(st, j, o.Cond) {
 		case formula.True:
 		case formula.False:
 			fail("verify failed: %s", o.Cond)
@@ -731,101 +694,109 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		c.spawnPar(st, t, o.Arms)
 
 	case plan.OpWait:
-		cond := c.substIdx(st, fq, o.Cond)
-		admitP := map[string]bool{}
+		cond := c.substIdx(st, j, o.Cond)
+		w := &waitInfo{cond: cond, condStr: cond.String(), admitP: make(words, (j.np+63)/64), admitD: make(words, (j.nd+63)/64)}
 		for _, pr := range formula.Props(cond) {
-			if pr.Junction == "" {
-				admitP[pr.Name] = true
+			if s, ok := j.info.PropSlot(pr.Name); ok && pr.Junction == "" {
+				w.admitP.set(s, true)
 			}
 		}
-		admitD := map[string]bool{}
 		for _, d := range o.Stmt.(dsl.Wait).Data {
-			admitD[d] = true
+			if s, ok := j.info.DataSlot(d); ok {
+				w.admitD.set(s, true)
+			}
 		}
 		// BeginWait drains queued admitted updates before the first eval.
-		for k, v := range js.pendP {
-			if admitP[k] {
-				js.props[k] = v
-				delete(js.pendP, k)
+		for s := 0; s < j.np; s++ {
+			if w.admitP.has(s) && st.tab.has(j.pendP+s) {
+				setPropLocal(st, j, s, st.tab.has(j.pendV+s))
 			}
 		}
-		for k := range js.pendD {
-			if admitD[k] {
-				js.data[k] = true
-				delete(js.pendD, k)
+		for s := 0; s < j.nd; s++ {
+			if w.admitD.has(s) && st.tab.has(j.pendD+s) {
+				setDataLocal(st, j, s)
 			}
 		}
-		if cond.Eval(c.envFor(st, fq)) == formula.True {
-			return
+		if c.eval(st, j, cond) != formula.True {
+			t.wait = w
 		}
-		t.wait = &waitInfo{cond: cond, condStr: cond.String(), admitP: admitP, admitD: admitD}
 
 	case plan.OpProp:
 		c.propUpdate(st, t, o.To, o.Prop, o.Value)
 
 	case plan.OpWrite:
-		if defined := js.data[o.Data]; !defined {
+		if s, ok := j.info.DataSlot(o.Data); !ok || !st.tab.has(j.data(s)) {
 			fail("write %s: data is undef", o.Data)
 			return
 		}
-		to, err := c.resolveTarget(st, fq, o.To)
+		to, err := c.resolveTarget(st, j, o.To)
 		if err != nil {
 			fail("write %s: %v", o.Data, err)
 			return
 		}
-		if to == fq {
+		if to == j.fq {
 			fail("write %s: self-targeted", o.Data)
 			return
 		}
-		if !st.running[instOf(to)] || st.js[to] == nil {
+		tj := c.byFQ[to]
+		if tj == nil || !st.running(tj.inst) {
 			fail("write %s: %s is not running", o.Data, to)
 			return
 		}
-		c.enqueueData(st, to, o.Data)
+		if s, ok := tj.info.DataSlot(o.Data); ok {
+			enqueueData(st, tj, s)
+		}
 
 	case plan.OpSave:
-		c.setDataLocal(js, o.Stmt.(dsl.Save).Data)
+		if s, ok := j.info.DataSlot(o.Stmt.(dsl.Save).Data); ok {
+			setDataLocal(st, j, s)
+		}
 	case plan.OpRestore:
 		n := o.Stmt.(dsl.Restore)
-		if defined := js.data[n.Data]; !defined {
+		if s, ok := j.info.DataSlot(n.Data); !ok || !st.tab.has(j.data(s)) {
 			fail("restore %s: data is undef", n.Data)
 			return
 		}
 		if n.Into != nil && hv != nil {
-			c.applyHavoc(st, fq, hv)
+			applyHavoc(st, j, hv)
 		}
 	case plan.OpHost:
 		if hv != nil {
-			c.applyHavoc(st, fq, hv)
+			applyHavoc(st, j, hv)
 		}
 	case plan.OpKeep:
 		n := o.Stmt.(dsl.Keep)
 		for _, p := range n.Props {
-			delete(js.pendP, c.infos[fq].ResolveName(p))
+			if s, ok := j.info.PropSlot(j.info.ResolveName(p)); ok {
+				st.tab.set(j.pendP+s, false)
+				st.tab.set(j.pendV+s, false)
+			}
 		}
 		for _, d := range n.Data {
-			delete(js.pendD, d)
+			if s, ok := j.info.DataSlot(d); ok {
+				st.tab.set(j.pendD+s, false)
+			}
 		}
 
 	case plan.OpStart:
 		n := o.Stmt.(dsl.Start)
-		if st.running[n.Instance] {
+		if st.running(c.insts[n.Instance]) {
 			fail("start %s: instance already started", n.Instance)
 			return
 		}
-		c.startInstance(st, n.Instance)
+		c.startInstance(st, c.insts[n.Instance])
 	case plan.OpStop:
 		n := o.Stmt.(dsl.Stop)
-		if !st.running[n.Instance] {
+		if !st.running(c.insts[n.Instance]) {
 			fail("stop %s: instance not running", n.Instance)
 			return
 		}
-		st.running[n.Instance] = false
+		st.tab.set(2*c.insts[n.Instance], false)
 
 	case plan.OpIdxAssign:
 		n := o.Stmt.(dsl.IdxAssign)
-		elem := c.infos[fq].ResolveName(n.Elem)
-		if err := c.setIdx(st, fq, n.Idx, elem); err != nil {
+		elem := j.info.ResolveName(n.Elem)
+		if err := c.setIdx(st, j, n.Idx, elem); err != nil {
 			fail("%s := %s: %v", n.Idx, elem, err)
 		}
 
@@ -837,17 +808,16 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 // setIdx mirrors Junction.SetIdx: membership validates against the current
 // subset membership when the idx ranges over a subset (error when undef),
 // against the static set otherwise.
-func (c *checker) setIdx(st *state, fq, idx, elem string) error {
-	ji := c.infos[fq]
-	js := st.js[fq]
-	universe, ok := c.idxUniverseNow(ji, js, idx)
-	if !ok {
+func (c *checker) setIdx(st *state, j *junc, idx, elem string) error {
+	x := j.idx[idx]
+	member := false
+	if x == nil || !c.idxUniverseNow(st, x, func(e int) { member = member || x.universe[e-1] == elem }) {
 		return fmt.Errorf("idx %q has no resolvable universe", idx)
 	}
-	if !hasString(universe, elem) {
+	if !member {
 		return fmt.Errorf("%q is not a member", elem)
 	}
-	js.idx[idx] = elem
+	st.tab.put(x.off, x.width, x.num[elem])
 	return nil
 }
 
@@ -855,15 +825,14 @@ func (c *checker) setIdx(st *state, fq, idx, elem string) error {
 // update the local table first (even for remote targets); remote targets then
 // receive the update through the pending queue or a blocked wait's admission.
 func (c *checker) propUpdate(st *state, t *thread, target dsl.JunctionRef, pr dsl.PropRef, val bool) {
-	fq := t.fq
-	js := st.js[fq]
-	name, err := c.resolvePropName(st, fq, pr)
+	j := t.j
+	name, err := c.resolvePropName(st, j, pr)
 	if err != nil {
 		t.setPend(plan.SigNone, err.Error())
 		return
 	}
-	if _, declared := js.props[name]; declared {
-		c.setPropLocal(js, name, val)
+	if s, declared := j.info.PropSlot(name); declared {
+		setPropLocal(st, j, s, val)
 	} else if target.IsLocal() {
 		t.setPend(plan.SigNone, fmt.Sprintf("local proposition %q not declared", name))
 		return
@@ -871,20 +840,23 @@ func (c *checker) propUpdate(st *state, t *thread, target dsl.JunctionRef, pr ds
 	if target.IsLocal() {
 		return
 	}
-	to, rerr := c.resolveTarget(st, fq, target)
+	to, rerr := c.resolveTarget(st, j, target)
 	if rerr != nil {
 		t.setPend(plan.SigNone, rerr.Error())
 		return
 	}
-	if to == fq {
+	if to == j.fq {
 		t.setPend(plan.SigNone, fmt.Sprintf("self-targeted update of %q", name))
 		return
 	}
-	if !st.running[instOf(to)] || st.js[to] == nil {
+	tj := c.byFQ[to]
+	if tj == nil || !st.running(tj.inst) {
 		t.setPend(plan.SigNone, fmt.Sprintf("update %q: %s is not running", name, to))
 		return
 	}
-	c.enqueueProp(st, to, name, val)
+	if s, ok := tj.info.PropSlot(name); ok {
+		enqueueProp(st, tj, s, val)
+	}
 }
 
 // spawnPar runs a par's arms as written (plan.Op.Arms): a nested par is a
@@ -894,36 +866,37 @@ func (c *checker) spawnPar(st *state, t *thread, arms []*plan.Op) {
 	case 0:
 		return
 	case 1:
-		pushBody(t, "branch", arms)
+		pushBody(t, rBranch, arms)
 		return
 	}
 	t.waiting = len(arms)
 	t.children = make([]childRes, len(arms))
-	for i, a := range arms {
-		child := &thread{
+	for i := range arms {
+		st.threads = append(st.threads, &thread{
 			id:     st.nextTid,
-			fq:     t.fq,
+			j:      t.j,
 			parent: t.id,
 			slot:   i,
-			frames: []*frame{{kind: fBody, role: "branch", body: []*plan.Op{a}}},
-		}
+			frames: []frame{{kind: fBody, role: rBranch, body: arms[i : i+1]}},
+		})
 		st.nextTid++
-		st.threads = append(st.threads, child)
 	}
 }
 
-func (c *checker) applyHavoc(st *state, fq string, hv *havoc) {
-	js := st.js[fq]
+func applyHavoc(st *state, j *junc, hv *havoc) {
 	for _, w := range hv.writes {
 		switch w.kind {
 		case 0:
-			c.setPropLocal(js, w.name, w.val)
+			setPropLocal(st, j, w.slot, w.val)
 		case 1:
-			c.setDataLocal(js, w.name)
+			setDataLocal(st, j, w.slot)
 		case 2:
-			js.idx[w.name] = w.elem
+			st.tab.put(w.idx.off, w.idx.width, w.elem)
 		case 3:
-			js.sub[w.name] = append([]string(nil), w.elems...)
+			st.tab.set(w.sub.def, len(w.sub.members) > 0)
+			for k := range w.sub.members {
+				st.tab.set(w.sub.mem+k, w.elem < 0 || w.elem == k)
+			}
 		}
 	}
 }
@@ -940,11 +913,11 @@ func (c *checker) unwindToHandler(st *state, t *thread, frameIdx int) {
 		case fBody:
 			at = f.pc - 1
 		case fTxn:
-			rollback(st.js[t.fq], f, at)
+			rollback(st, t.j, f, at)
 		}
 		t.pop()
 	}
 	f := t.top()
 	f.inHandler = true
-	pushBody(t, "handler", []*plan.Op{f.handler})
+	pushBody(t, rHandler, []*plan.Op{f.handler})
 }

@@ -66,10 +66,10 @@ func (tj *TypeJunction) Pos(o *Op) string { return tj.FQ() + strings.TrimPrefix(
 // declIndex is a junction's declarations with me:: tokens resolved against
 // the owning instance, keeping declaration order for deterministic output.
 type declIndex struct {
-	props     map[string]bool
+	props     map[string]int // slot: the position in propOrder
 	propOrder []string
 	propInit  map[string]bool
-	data      map[string]bool
+	data      map[string]int // slot: the position in dataOrder
 	dataOrder []string
 	sets      map[string][]string
 	subsets   map[string]string
@@ -80,9 +80,9 @@ type declIndex struct {
 
 func (j *Junction) indexDecls() {
 	di := declIndex{
-		props:    map[string]bool{},
+		props:    map[string]int{},
 		propInit: map[string]bool{},
-		data:     map[string]bool{},
+		data:     map[string]int{},
 		sets:     map[string][]string{},
 		subsets:  map[string]string{},
 		idxs:     map[string]string{},
@@ -91,16 +91,16 @@ func (j *Junction) indexDecls() {
 		switch n := dec.(type) {
 		case dsl.InitProp:
 			name := j.ResolveName(n.Name)
-			if !di.props[name] {
+			if _, ok := di.props[name]; !ok {
+				di.props[name] = len(di.propOrder)
 				di.propOrder = append(di.propOrder, name)
 			}
-			di.props[name] = true
 			di.propInit[name] = n.Init
 		case dsl.InitData:
-			if !di.data[n.Name] {
+			if _, ok := di.data[n.Name]; !ok {
+				di.data[n.Name] = len(di.dataOrder)
 				di.dataOrder = append(di.dataOrder, n.Name)
 			}
-			di.data[n.Name] = true
 		case dsl.DeclSet:
 			di.sets[n.Name] = n.Elems
 		case dsl.DeclSubset:
@@ -145,10 +145,16 @@ func (j *Junction) Idxs() []string { return j.decls.idxOrder }
 func (j *Junction) Subsets() []string { return j.decls.subOrder }
 
 // HasProp reports whether the resolved proposition name is declared here.
-func (j *Junction) HasProp(name string) bool { return j.decls.props[name] }
+func (j *Junction) HasProp(name string) bool { _, ok := j.decls.props[name]; return ok }
 
 // HasData reports whether the data name is declared here.
-func (j *Junction) HasData(name string) bool { return j.decls.data[name] }
+func (j *Junction) HasData(name string) bool { _, ok := j.decls.data[name]; return ok }
+
+// PropSlot is a declared proposition's position in Props().
+func (j *Junction) PropSlot(name string) (int, bool) { s, ok := j.decls.props[name]; return s, ok }
+
+// DataSlot is a declared data name's position in Data().
+func (j *Junction) DataSlot(name string) (int, bool) { s, ok := j.decls.data[name]; return s, ok }
 
 // ReadRemotely reports whether a formula of another junction (a guard, wait,
 // verify, if or case condition with a junction-qualified proposition) reads
@@ -233,10 +239,13 @@ func (j *Junction) formulaKeys(name string) (keys []string, idx string, ok bool)
 	return []string{j.ResolveName(name)}, "", true
 }
 
-// qualifier resolves a formula's junction qualifier (γ in γ@P) evaluated at j
+// Qualifier resolves a formula's junction qualifier (γ in γ@P) evaluated at j
 // to a fully-qualified junction name: me:: tokens substituted, then
 // junctionFQ.
-func (j *Junction) qualifier(q string) string { return junctionFQ(j.prog, j.ResolveName(q)) }
+func (j *Junction) Qualifier(q string) string { return junctionFQ(j.prog, j.ResolveName(q)) }
+
+// JunctionFQ resolves a program-scope qualifier, an invariant's, the same way.
+func (p *Program) JunctionFQ(q string) string { return junctionFQ(p.Prog, q) }
 
 // junctionFQ resolves a bare element name to the fully-qualified name of its
 // one junction; a name that resolves to no junction is returned as is.
@@ -280,9 +289,9 @@ func (j *Junction) LocalWrites(o *Op) (ws WriteSet) {
 // classify maps a raw V⃗ name to its namespaced key in j's declarations.
 func (j *Junction) classify(name string) (string, bool) {
 	switch {
-	case j.decls.props[name]:
+	case j.HasProp(name):
 		return "p:" + name, true
-	case j.decls.data[name]:
+	case j.HasData(name):
 		return "d:" + name, true
 	case j.decls.idxs[name] != "":
 		return "i:" + name, true
@@ -382,7 +391,7 @@ func (p *Program) record(j *Junction) {
 					continue // write-to-self is rejected by validate
 				}
 				addAccess(t.Writes, "d:"+o.Data, Access{Pos: o.Pos, Kind: AccessIncoming, From: j.FQ, Class: "*"})
-				if !t.decls.data[o.Data] {
+				if !t.HasData(o.Data) {
 					p.Unresolved = append(p.Unresolved, UnresolvedRef{Pos: o.Pos, Target: t.FQ, Kind: "data", Key: o.Data})
 				}
 			}
@@ -425,7 +434,7 @@ func (p *Program) recordReads(j *Junction, pos string, f formula.Formula) {
 		}
 		target := j
 		if pr.Junction != "" {
-			if target = p.Junctions[j.qualifier(pr.Junction)]; target == nil {
+			if target = p.Junctions[j.Qualifier(pr.Junction)]; target == nil {
 				continue // unresolvable target: validate's concern
 			}
 		}
@@ -435,7 +444,7 @@ func (p *Program) recordReads(j *Junction, pos string, f formula.Formula) {
 		}
 		for _, key := range keys {
 			addAccess(target.Reads, "p:"+key, Access{Pos: pos, From: j.FQ})
-			if !target.decls.props[key] {
+			if !target.HasProp(key) {
 				p.Unresolved = append(p.Unresolved, UnresolvedRef{Pos: pos, Target: target.FQ, Kind: "proposition", Key: key})
 			}
 		}
@@ -460,7 +469,7 @@ func (p *Program) recordPropUpdate(j *Junction, o *Op) {
 		switch {
 		case local:
 			addAccess(j.Writes, "p:"+key, Access{Pos: o.Pos, Kind: AccessSelf, Class: class})
-		case j.decls.props[key]:
+		case j.HasProp(key):
 			addAccess(j.Writes, "p:"+key, Access{Pos: o.Pos, Kind: AccessLocalEffect, Class: class})
 		}
 	}
@@ -473,7 +482,7 @@ func (p *Program) recordPropUpdate(j *Junction, o *Op) {
 	for _, t := range p.ResolveTargets(j, o.To) {
 		for _, key := range keys {
 			addAccess(t.Writes, "p:"+key, Access{Pos: o.Pos, Kind: AccessIncoming, From: j.FQ, Class: class})
-			if !t.decls.props[key] {
+			if !t.HasProp(key) {
 				p.Unresolved = append(p.Unresolved, UnresolvedRef{Pos: o.Pos, Target: t.FQ, Kind: "proposition", Key: key})
 			}
 		}

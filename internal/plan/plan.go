@@ -266,7 +266,7 @@ func FormulaReadSet(j *Junction, f formula.Formula) ReadSet {
 			}
 			q := p.Junction
 			if q != "" {
-				q = j.qualifier(q) // "" is an unqualified @-predicate
+				q = j.Qualifier(q) // "" is an unqualified @-predicate
 			}
 			origin(ReadOrigin{Key: key, Junction: q, Remote: true, Liveness: live})
 			continue
