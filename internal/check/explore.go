@@ -17,9 +17,10 @@ type succ struct {
 func spawnRoot(st *state, j *junc) {
 	st.threads = append(st.threads, &thread{
 		id:     st.nextTid,
+		gen:    st.gen,
 		j:      j,
 		parent: -1,
-		frames: []frame{{kind: fBody, role: rBody, body: j.info.Body.Ops}},
+		frames: []frame{{kind: fBody, role: "body", body: j.info.Body.Ops}},
 	})
 	st.nextTid++
 }
@@ -28,19 +29,25 @@ func spawnRoot(st *state, j *junc) {
 // that an environment action (invoke, inject) exists but the budget is spent
 // — such a state is never a deadlock, merely under-explored.
 func (c *checker) successors(st *state) ([]succ, bool) {
+	strand := func(t *thread, hv *havoc) succ {
+		cp := c.clone(st)
+		c.execOne(cp, cp.own(t.id), hv)
+		c.fuse(cp, t.id)
+		step := Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id}
+		if hv != nil {
+			step.Choice = hv.label
+		}
+		return succ{step, cp}
+	}
 	// Partial-order reduction: when some runnable thread's next action is
 	// invisible (commutes with every other thread), running it alone is a
 	// sound ample set — no other interleaving is lost.
-	for _, t := range st.threads {
-		if !t.runnable() {
-			continue
-		}
-		a := c.peek(st, t)
-		if !a.visible && a.havocs == nil {
-			cp := st.clone()
-			c.execOne(cp, cp.thread(t.id), nil)
-			c.fuse(cp, t.id)
-			return []succ{{Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id}, cp}}, false
+	acts := make([]act, len(st.threads))
+	for i, t := range st.threads {
+		if t.runnable() {
+			if acts[i] = c.peek(st, t); !acts[i].visible && acts[i].havocs == nil {
+				return []succ{strand(t, nil)}, false
+			}
 		}
 	}
 
@@ -48,25 +55,16 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 	wouldEnv := false
 
 	// Visible thread actions, every runnable thread, every havoc resolution.
-	for _, t := range st.threads {
-		if !t.runnable() {
-			continue
-		}
-		a := c.peek(st, t)
-		if a.havocs != nil {
-			for _, hv := range a.havocs {
-				hv := hv
-				cp := st.clone()
-				c.execOne(cp, cp.thread(t.id), &hv)
-				c.fuse(cp, t.id)
-				succs = append(succs, succ{Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id, Choice: hv.label}, cp})
+	for i, t := range st.threads {
+		switch {
+		case !t.runnable():
+		case acts[i].havocs != nil:
+			for k := range acts[i].havocs {
+				succs = append(succs, strand(t, &acts[i].havocs[k]))
 			}
-			continue
+		default:
+			succs = append(succs, strand(t, nil))
 		}
-		cp := st.clone()
-		c.execOne(cp, cp.thread(t.id), nil)
-		c.fuse(cp, t.id)
-		succs = append(succs, succ{Step{Kind: StepStrand, Junction: t.j.fq, Thread: t.id}, cp})
 	}
 
 	// Schedulings: at most one per junction at a time (the runtime's schedMu).
@@ -80,7 +78,7 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 			// action drawing on the budget.
 			wouldEnv = true
 			if envLeft > 0 {
-				cp := st.clone()
+				cp := c.clone(st)
 				applyPending(cp, j)
 				spawnRoot(cp, j)
 				cp.tab.put(c.env, c.envWidth, envLeft-1)
@@ -88,7 +86,7 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 			}
 			continue
 		}
-		cp := st.clone()
+		cp := c.clone(st)
 		pend := applyPending(cp, j)
 		if c.eval(cp, j, j.info.Def.Guard) == formula.True {
 			j.guardTrue = true
@@ -106,8 +104,8 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 			continue
 		}
 		if c.eval(st, t.j, t.wait.cond) == formula.True {
-			cp := st.clone()
-			cp.thread(t.id).wait = nil
+			cp := c.clone(st)
+			cp.own(t.id).wait = nil
 			c.fuse(cp, t.id)
 			succs = append(succs, succ{Step{Kind: StepResume, Junction: t.j.fq, Thread: t.id}, cp})
 		}
@@ -121,8 +119,8 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 		}
 		for i, f := range t.frames {
 			if f.kind == fOtherwise && f.deadline && !f.inHandler {
-				cp := st.clone()
-				c.unwindToHandler(cp, cp.thread(t.id), i)
+				cp := c.clone(st)
+				c.unwindToHandler(cp, cp.own(t.id), i)
 				c.fuse(cp, t.id)
 				succs = append(succs, succ{Step{Kind: StepTimeout, Junction: t.j.fq, Thread: t.id, Choice: strconv.Itoa(i)}, cp})
 			}
@@ -140,7 +138,7 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 			}
 			wouldEnv = true
 			if envLeft > 0 {
-				cp := st.clone()
+				cp := c.clone(st)
 				enqueueProp(cp, j, s, true)
 				cp.tab.put(c.env, c.envWidth, envLeft-1)
 				succs = append(succs, succ{Step{Kind: StepInject, Junction: j.fq, Key: j.info.Props()[s]}, cp})

@@ -134,23 +134,37 @@ type qual struct {
 // state is one explored configuration: the table (every instance's running
 // and started bits, the environment budget, every junction's slots) and the
 // threads. A never-started instance's slots stay zero; a stopped one keeps
-// its table.
+// its table. A clone shares its threads until it acts on one (own).
 type state struct {
 	tab     words
 	threads []*thread // ascending id
 	nextTid int
+	gen     uint64 // the threads of generation gen are this state's own
 }
 
-func (st *state) clone() *state {
-	cp := &state{
+func (c *checker) clone(st *state) *state {
+	c.gen++
+	return &state{
 		tab:     append(words(nil), st.tab...),
-		threads: make([]*thread, len(st.threads)),
+		threads: append([]*thread(nil), st.threads...),
 		nextTid: st.nextTid,
+		gen:     c.gen,
 	}
+}
+
+// own returns thread id, copied first if another state shares it.
+func (st *state) own(id int) *thread {
 	for i, t := range st.threads {
-		cp.threads[i] = t.clone()
+		if t.id == id {
+			if t.gen != st.gen {
+				t = t.clone()
+				t.gen = st.gen
+				st.threads[i] = t
+			}
+			return t
+		}
 	}
-	return cp
+	return nil
 }
 
 func (st *state) running(inst int) bool { return st.tab.has(2 * inst) }
@@ -228,8 +242,11 @@ type checker struct {
 	words     int // table width
 	invQuals  map[string]qual
 
-	rd  reader // the formula environment, rebound per evaluation
-	key []byte // stateKey's buffer
+	rd    reader // the formula environment, rebound per evaluation
+	key   []byte // stateKey's buffer
+	gen   uint64 // the last state generation handed out
+	props map[formula.Formula][]formula.Prop
+	waits map[*plan.Op]*waitInfo // the waits that read no idx
 
 	everStarted []bool
 	unsup       map[string]bool
@@ -244,6 +261,8 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 		byFQ:     map[string]*junc{},
 		insts:    map[string]int{},
 		invQuals: map[string]qual{},
+		props:    map[formula.Formula][]formula.Prop{},
+		waits:    map[*plan.Op]*waitInfo{},
 		unsup:    map[string]bool{},
 	}
 	c.rd.c = c
@@ -464,15 +483,12 @@ func (c *checker) startInstance(st *state, inst int) {
 // elemToFQ resolves a set-element or junction name to a fully-qualified
 // junction, mirroring Junction.elemToFQ.
 func (c *checker) elemToFQ(from *junc, elem string) (string, error) {
-	elem = from.info.ResolveName(elem)
-	if strings.Contains(elem, "::") {
-		return elem, nil
-	}
-	inst, jn, err := dsl.ResolveElemJunction(c.prog, elem)
-	if err != nil {
+	fq := from.info.Qualifier(elem)
+	if !strings.Contains(fq, "::") {
+		_, _, err := dsl.ResolveElemJunction(c.prog, fq)
 		return "", err
 	}
-	return inst + "::" + jn, nil
+	return fq, nil
 }
 
 // target resolves a formula qualifier read at from (nil for a program-scope
@@ -742,7 +758,7 @@ func appendThread(b []byte, st *state, t *thread) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t.frames)))
 	for i := range t.frames {
 		f := &t.frames[i]
-		b = append(b, byte(f.kind), byte(f.role))
+		b = appendString(append(b, byte(f.kind)), f.role)
 		b = binary.AppendUvarint(b, uint64(f.pc))
 		switch f.kind {
 		case fCase:

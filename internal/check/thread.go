@@ -28,33 +28,12 @@ const (
 	fCaseTail
 )
 
-// role says which body of its creating statement a frame runs.
-type role uint8
-
-const (
-	rBody role = iota
-	rSeq
-	rScope
-	rScopeBody
-	rTxn
-	rTxnBody
-	rOw // an otherwise frame, and a case's otherwise body
-	rTry
-	rHandler
-	rCase
-	rArm
-	rTail
-	rThen
-	rElse
-	rBranch
-)
-
 // frame is one activation record over lowered ops (plan.Compile). Bodies are
 // identified structurally (the creating statement's position plus a role),
 // so frames never need stable slice identity.
 type frame struct {
 	kind frameKind
-	role role
+	role string
 	body []*plan.Op
 	pc   int
 
@@ -91,6 +70,7 @@ type childRes struct {
 // the junction body; Par branches spawn child threads joined by slot.
 type thread struct {
 	id       int
+	gen      uint64
 	j        *junc
 	frames   []frame
 	hasPend  bool
@@ -124,13 +104,13 @@ func (t *thread) top() *frame {
 }
 
 func (t *thread) push(f frame) { t.frames = append(t.frames, f) }
-func (t *thread) pop()          { t.frames = t.frames[:len(t.frames)-1] }
+func (t *thread) pop()         { t.frames = t.frames[:len(t.frames)-1] }
 func (t *thread) setPend(s plan.Signal, err string) {
 	t.hasPend, t.pendSig, t.pendErr = true, s, err
 }
 
-func pushBody(t *thread, r role, body []*plan.Op) {
-	t.push(frame{kind: fBody, role: r, body: body})
+func pushBody(t *thread, role string, body []*plan.Op) {
+	t.push(frame{kind: fBody, role: role, body: body})
 }
 
 // ---- the action classifier (peek) ---------------------------------------
@@ -145,12 +125,13 @@ type havoc struct {
 // defined, an idx's element number, or a subset's one member (-1: every
 // member).
 type havocWrite struct {
-	kind uint8 // 0 prop, 1 data, 2 idx, 3 subset
-	slot int
-	val  bool
-	idx  *idxSlot
-	sub  *subSlot
-	elem int
+	kind  uint8 // 0 prop, 1 data, 2 idx, 3 subset, 255 unchanged
+	slot  int
+	val   bool
+	idx   *idxSlot
+	sub   *subSlot
+	elem  int
+	label string
 }
 
 // act classifies a thread's next action for partial-order reduction. An
@@ -181,7 +162,12 @@ func keyVisibleWrite(j *junc, key string, multi bool) bool {
 // unqualified reads race with sibling-branch writes and with wait-admitted
 // incoming updates.
 func (c *checker) formulaVisible(st *state, j *junc, f formula.Formula, multi bool) bool {
-	for _, pr := range formula.Props(f) {
+	prs, ok := c.props[f]
+	if !ok {
+		prs = formula.Props(f)
+		c.props[f] = prs
+	}
+	for _, pr := range prs {
 		if pr.Junction != "" {
 			return true
 		}
@@ -312,36 +298,29 @@ func (c *checker) classifyStmt(st *state, t *thread, o *plan.Op, multi bool) act
 func (c *checker) havocsFor(st *state, j *junc, writes []string) []havoc {
 	ji := j.info
 	perName := make([][]havocWrite, 0, len(writes))
-	var labels [][]string
 	for _, w := range writes {
 		name := ji.ResolveName(w)
 		opts := []havocWrite{{kind: 255}} // unchanged
-		var ls []string
 		if s, ok := ji.PropSlot(name); ok {
-			opts = append(opts, havocWrite{kind: 0, slot: s, val: true}, havocWrite{kind: 0, slot: s, val: false})
-			ls = []string{name + "=true", name + "=false"}
+			opts = append(opts, havocWrite{kind: 0, slot: s, val: true, label: name + "=true"},
+				havocWrite{kind: 0, slot: s, val: false, label: name + "=false"})
 		} else if s, ok := ji.DataSlot(name); ok {
-			opts = append(opts, havocWrite{kind: 1, slot: s})
-			ls = []string{name + "=def"}
+			opts = append(opts, havocWrite{kind: 1, slot: s, label: name + "=def"})
 		} else if x := j.idx[name]; x != nil {
 			c.idxUniverseNow(st, x, func(e int) {
-				opts = append(opts, havocWrite{kind: 2, idx: x, elem: e})
-				ls = append(ls, name+":="+x.universe[e-1])
+				opts = append(opts, havocWrite{kind: 2, idx: x, elem: e, label: name + ":=" + x.universe[e-1]})
 			})
 		} else if sb := j.sub[name]; sb != nil {
 			if sb.known {
-				opts = append(opts, havocWrite{kind: 3, sub: sb, elem: -1})
-				ls = append(ls, name+"={"+strings.Join(sb.members, " ")+"}")
+				opts = append(opts, havocWrite{kind: 3, sub: sb, elem: -1, label: name + "={" + strings.Join(sb.members, " ") + "}"})
 			}
 			for k, e := range sb.members {
-				opts = append(opts, havocWrite{kind: 3, sub: sb, elem: k})
-				ls = append(ls, name+"={"+e+"}")
+				opts = append(opts, havocWrite{kind: 3, sub: sb, elem: k, label: name + "={" + e + "}"})
 			}
 		} else {
 			c.unsup[fmt.Sprintf("%s: host write-set name %q not resolvable, treated as no-op", j.fq, w)] = true
 		}
 		perName = append(perName, opts)
-		labels = append(labels, ls)
 	}
 
 	var out []havoc
@@ -358,11 +337,11 @@ func (c *checker) havocsFor(st *state, j *junc, writes []string) []havoc {
 			out = append(out, havoc{label: label, writes: append([]havocWrite(nil), cur...)})
 			return
 		}
-		for k, o := range perName[i] {
+		for _, o := range perName[i] {
 			if o.kind == 255 {
 				build(i+1, cur, parts)
 			} else {
-				build(i+1, append(cur, o), append(parts, labels[i][k-1]))
+				build(i+1, append(cur, o), append(parts, o.label))
 			}
 		}
 	}
@@ -448,7 +427,7 @@ func (c *checker) execOne(st *state, t *thread, hv *havoc) {
 // completion.
 func (c *checker) fuse(st *state, tid int) {
 	for n := 0; n < fuseCap; n++ {
-		t := st.thread(tid)
+		t := st.own(tid)
 		if t == nil || !t.runnable() {
 			return
 		}
@@ -506,7 +485,7 @@ func (c *checker) processDelivery(st *state, t *thread) {
 				f.inHandler = true
 				errS = ""
 				sig = plan.SigNone
-				pushBody(t, rHandler, []*plan.Op{f.handler})
+				pushBody(t, "handler", []*plan.Op{f.handler})
 				return // landed in the handler
 			}
 			t.pop()
@@ -529,8 +508,8 @@ func (c *checker) processDelivery(st *state, t *thread) {
 				return // landed: the case matches next
 			case plan.CaseTail:
 				t.pop()
-				t.push(frame{kind: fCaseTail, role: rTail})
-				pushBody(t, rOw, cs.Otherwise.Ops)
+				t.push(frame{kind: fCaseTail, role: "tail"})
+				pushBody(t, "ow", cs.Otherwise.Ops)
 				return
 			}
 			t.pop()
@@ -571,7 +550,7 @@ func rollback(st *state, j *junc, f *frame, at int) {
 // (driver-error semantics: effects persist, the thread dies), or fire.
 func (c *checker) rootComplete(st *state, t *thread, sig plan.Signal, errS string) {
 	if t.parent >= 0 {
-		p := st.thread(t.parent)
+		p := st.own(t.parent)
 		st.removeThread(t.id)
 		if p == nil {
 			return
@@ -618,7 +597,7 @@ func (c *checker) rootComplete(st *state, t *thread, sig plan.Signal, errS strin
 			return
 		}
 		t.retries++
-		t.frames = []frame{{kind: fBody, role: rBody, body: j.info.Body.Ops}}
+		t.frames = []frame{{kind: fBody, role: "body", body: j.info.Body.Ops}}
 		return
 	}
 	j.fired = true
@@ -638,7 +617,7 @@ func (c *checker) caseMatch(st *state, t *thread, f *frame) {
 		c.processDelivery(st, t)
 		return
 	}
-	pushBody(t, rArm, f.cs.Body(arm).Ops)
+	pushBody(t, "arm", f.cs.Body(arm).Ops)
 }
 
 // ---- statement execution -------------------------------------------------
@@ -657,29 +636,29 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		t.setPend(o.Sig, "")
 
 	case plan.OpSeq:
-		pushBody(t, rSeq, o.Body.Ops)
+		pushBody(t, "seq", o.Body.Ops)
 	case plan.OpScope:
-		t.push(frame{kind: fScope, role: rScope})
-		pushBody(t, rScopeBody, o.Body.Ops)
+		t.push(frame{kind: fScope, role: "scope"})
+		pushBody(t, "scopebody", o.Body.Ops)
 	case plan.OpTxn:
 		n := j.np + j.nd
 		snap := append(words(nil), st.tab[j.base>>6:(j.base+n+63)>>6]...)
 		if n&63 != 0 {
 			snap[len(snap)-1] &= 1<<(n&63) - 1 // the pending bits that share the last word
 		}
-		t.push(frame{kind: fTxn, role: rTxn, txn: o, snap: snap})
-		pushBody(t, rTxnBody, o.Body.Ops)
+		t.push(frame{kind: fTxn, role: "txn", txn: o, snap: snap})
+		pushBody(t, "txnbody", o.Body.Ops)
 	case plan.OpOtherwise:
-		t.push(frame{kind: fOtherwise, role: rOw, handler: o.Handler, deadline: o.Timeout > 0})
-		pushBody(t, rTry, []*plan.Op{o.Try})
+		t.push(frame{kind: fOtherwise, role: "ow", handler: o.Handler, deadline: o.Timeout > 0})
+		pushBody(t, "try", []*plan.Op{o.Try})
 	case plan.OpCase:
-		t.push(frame{kind: fCase, role: rCase, cs: o.Case, cm: plan.NewCaseMachine()})
+		t.push(frame{kind: fCase, role: "case", cs: o.Case, cm: plan.NewCaseMachine()})
 
 	case plan.OpIf:
 		if c.eval(st, j, o.Cond) == formula.True {
-			pushBody(t, rThen, []*plan.Op{o.Then})
+			pushBody(t, "then", []*plan.Op{o.Then})
 		} else if o.Else != nil {
-			pushBody(t, rElse, []*plan.Op{o.Else})
+			pushBody(t, "else", []*plan.Op{o.Else})
 		}
 	case plan.OpVerify:
 		switch c.eval(st, j, o.Cond) {
@@ -694,16 +673,22 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		c.spawnPar(st, t, o.Arms)
 
 	case plan.OpWait:
-		cond := c.substIdx(st, j, o.Cond)
-		w := &waitInfo{cond: cond, condStr: cond.String(), admitP: make(words, (j.np+63)/64), admitD: make(words, (j.nd+63)/64)}
-		for _, pr := range formula.Props(cond) {
-			if s, ok := j.info.PropSlot(pr.Name); ok && pr.Junction == "" {
-				w.admitP.set(s, true)
+		w := c.waits[o]
+		if w == nil {
+			cond := c.substIdx(st, j, o.Cond)
+			w = &waitInfo{cond: cond, condStr: cond.String(), admitP: make(words, (j.np+63)/64), admitD: make(words, (j.nd+63)/64)}
+			for _, pr := range formula.Props(cond) {
+				if s, ok := j.info.PropSlot(pr.Name); ok && pr.Junction == "" {
+					w.admitP.set(s, true)
+				}
 			}
-		}
-		for _, d := range o.Stmt.(dsl.Wait).Data {
-			if s, ok := j.info.DataSlot(d); ok {
-				w.admitD.set(s, true)
+			for _, d := range o.Stmt.(dsl.Wait).Data {
+				if s, ok := j.info.DataSlot(d); ok {
+					w.admitD.set(s, true)
+				}
+			}
+			if o.Wait.Static {
+				c.waits[o] = w // nothing in it depends on the state
 			}
 		}
 		// BeginWait drains queued admitted updates before the first eval.
@@ -717,7 +702,7 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 				setDataLocal(st, j, s)
 			}
 		}
-		if c.eval(st, j, cond) != formula.True {
+		if c.eval(st, j, w.cond) != formula.True {
 			t.wait = w
 		}
 
@@ -866,7 +851,7 @@ func (c *checker) spawnPar(st *state, t *thread, arms []*plan.Op) {
 	case 0:
 		return
 	case 1:
-		pushBody(t, rBranch, arms)
+		pushBody(t, "branch", arms)
 		return
 	}
 	t.waiting = len(arms)
@@ -874,10 +859,11 @@ func (c *checker) spawnPar(st *state, t *thread, arms []*plan.Op) {
 	for i := range arms {
 		st.threads = append(st.threads, &thread{
 			id:     st.nextTid,
+			gen:    st.gen,
 			j:      t.j,
 			parent: t.id,
 			slot:   i,
-			frames: []frame{{kind: fBody, role: rBranch, body: arms[i : i+1]}},
+			frames: []frame{{kind: fBody, role: "branch", body: arms[i : i+1]}},
 		})
 		st.nextTid++
 	}
@@ -919,5 +905,5 @@ func (c *checker) unwindToHandler(st *state, t *thread, frameIdx int) {
 	}
 	f := t.top()
 	f.inHandler = true
-	pushBody(t, rHandler, []*plan.Op{f.handler})
+	pushBody(t, "handler", []*plan.Op{f.handler})
 }
