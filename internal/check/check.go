@@ -30,6 +30,17 @@
 // executing (their sends fail, as at runtime) rather than being killed
 // asynchronously.
 //
+// A state is one word slice laid out once per program from plan's declaration
+// order: each instance's running and started bits, the environment budget,
+// then per junction a bit per prop and per data, a pending-present and a
+// pending-value bit per prop, a pending-present bit per data, each idx's
+// element number and each subset's defined and member bits. A clone copies
+// the slice and shares the threads until it acts on one. The state key is the
+// slice verbatim followed by the threads in canonical tree order, as varints
+// and length-prefixed strings. It is exact, not a hash: hash compaction lets
+// two distinct states collide and silently prunes one, which would weaken
+// every verdict from "no violation in the explored states" to "probably".
+//
 // Partial-order reduction: actions classified invisible — control flow,
 // reads and writes of keys no other junction observes and no sibling branch
 // races on (the race keys come from the §8 event-structure conflict relation

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -277,15 +278,11 @@ func (c *checker) isDeadlocked(s *state) bool {
 
 // traceTo reconstructs the schedule reaching nodes[i].
 func (c *checker) traceTo(nodes []node, i int) []Step {
-	var rev []Step
-	for i > 0 {
-		rev = append(rev, nodes[i].step)
-		i = nodes[i].parent
+	var steps []Step
+	for ; i > 0; i = nodes[i].parent {
+		steps = append(steps, nodes[i].step)
 	}
-	steps := make([]Step, 0, len(rev))
-	for j := len(rev) - 1; j >= 0; j-- {
-		steps = append(steps, rev[j])
-	}
+	slices.Reverse(steps)
 	return steps
 }
 

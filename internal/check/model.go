@@ -242,10 +242,9 @@ type checker struct {
 	words     int // table width
 	invQuals  map[string]qual
 
-	rd    reader // the formula environment, rebound per evaluation
-	key   []byte // stateKey's buffer
-	gen   uint64 // the last state generation handed out
-	props map[formula.Formula][]formula.Prop
+	rd    reader                 // the formula environment, rebound per evaluation
+	key   []byte                 // stateKey's buffer
+	gen   uint64                 // the last state generation handed out
 	waits map[*plan.Op]*waitInfo // the waits that read no idx
 
 	everStarted []bool
@@ -261,7 +260,6 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 		byFQ:     map[string]*junc{},
 		insts:    map[string]int{},
 		invQuals: map[string]qual{},
-		props:    map[formula.Formula][]formula.Prop{},
 		waits:    map[*plan.Op]*waitInfo{},
 		unsup:    map[string]bool{},
 	}
@@ -585,14 +583,6 @@ func (c *checker) resolvePropName(st *state, j *junc, pr dsl.PropRef) (string, e
 		return dsl.IndexedName(pr.Base, j.info.ResolveName(pr.Index)), nil
 	}
 	return j.info.ResolveName(pr.Base), nil
-}
-
-// substIdx resolves a formula's local propositions against j's idx values,
-// as the runtime does at wait entry (plan.SubstIdx).
-func (c *checker) substIdx(st *state, j *junc, f formula.Formula) formula.Formula {
-	return plan.SubstIdx(f, j.info.ResolveName, func(v string) string {
-		return j.info.ResolveName(c.idxElem(st, j, v))
-	})
 }
 
 // ---- environment evaluation, mirroring Junction.env ----------------------

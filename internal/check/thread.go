@@ -70,7 +70,7 @@ type childRes struct {
 // the junction body; Par branches spawn child threads joined by slot.
 type thread struct {
 	id       int
-	gen      uint64
+	gen      uint64 // the generation of the state that owns it (state.own)
 	j        *junc
 	frames   []frame
 	hasPend  bool
@@ -87,9 +87,7 @@ type thread struct {
 func (t *thread) clone() *thread {
 	cp := *t
 	cp.frames = append([]frame(nil), t.frames...)
-	if t.children != nil {
-		cp.children = append([]childRes(nil), t.children...)
-	}
+	cp.children = append([]childRes(nil), t.children...)
 	return &cp
 }
 
@@ -162,12 +160,7 @@ func keyVisibleWrite(j *junc, key string, multi bool) bool {
 // unqualified reads race with sibling-branch writes and with wait-admitted
 // incoming updates.
 func (c *checker) formulaVisible(st *state, j *junc, f formula.Formula, multi bool) bool {
-	prs, ok := c.props[f]
-	if !ok {
-		prs = formula.Props(f)
-		c.props[f] = prs
-	}
-	for _, pr := range prs {
+	for _, pr := range formula.Props(f) {
 		if pr.Junction != "" {
 			return true
 		}
@@ -675,7 +668,10 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 	case plan.OpWait:
 		w := c.waits[o]
 		if w == nil {
-			cond := c.substIdx(st, j, o.Cond)
+			// The runtime resolves the formula's idx families at wait entry.
+			cond := plan.SubstIdx(o.Cond, j.info.ResolveName, func(v string) string {
+				return j.info.ResolveName(c.idxElem(st, j, v))
+			})
 			w = &waitInfo{cond: cond, condStr: cond.String(), admitP: make(words, (j.np+63)/64), admitD: make(words, (j.nd+63)/64)}
 			for _, pr := range formula.Props(cond) {
 				if s, ok := j.info.PropSlot(pr.Name); ok && pr.Junction == "" {
