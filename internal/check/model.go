@@ -37,7 +37,7 @@ func (w words) put(off, width, v int) {
 // layout hands out the bits of the state table in declaration order.
 type layout struct{ n int }
 
-func (l *layout) bits(n int) int {
+func (l *layout) take(n int) int {
 	off := l.n
 	l.n += n
 	return off
@@ -48,7 +48,7 @@ func (l *layout) field(width int) int {
 	if l.n&63+width > 64 {
 		l.align()
 	}
-	return l.bits(width)
+	return l.take(width)
 }
 
 func (l *layout) align() { l.n = (l.n + 63) &^ 63 }
@@ -109,11 +109,11 @@ func (j *junc) data(s int) int { return j.base + j.np + s }
 // universe[e-1], 0 while undef.
 type idxSlot struct {
 	off, width int
-	universe   []string       // the static elements, as declared
-	known      bool           // the universe resolves statically
-	num        map[string]int // element → number
-	over       *subSlot       // the subset it ranges over; nil for a set
-	keys       map[string][]string
+	universe   []string            // the static elements, as declared
+	known      bool                // the universe resolves statically
+	num        map[string]int      // element → number
+	over       *subSlot            // the subset it ranges over; nil for a set
+	keys       map[string][]string // family base → plan's keys (Family), by element
 }
 
 // subSlot is a subset's defined bit and member bits, the members in sorted
@@ -239,7 +239,7 @@ type checker struct {
 	instJuncs [][]*junc      // by instance number, sorted by FQ
 	env       int            // the environment budget's field
 	envWidth  int
-	words     int // table width
+	width     int // words per table
 	invQuals  map[string]qual
 
 	rd    reader                 // the formula environment, rebound per evaluation
@@ -270,7 +270,7 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 	c.instJuncs = make([][]*junc, len(c.insts))
 	c.everStarted = make([]bool, len(c.insts))
 	var l layout
-	l.bits(2 * len(c.insts))
+	l.take(2 * len(c.insts))
 	c.envWidth = max(1, bits.Len(uint(opts.MaxEnv)))
 	c.env = l.field(c.envWidth)
 	for _, ji := range pp.Juncs {
@@ -286,7 +286,7 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 		c.instJuncs[j.inst] = append(c.instJuncs[j.inst], j)
 		j.lay(&l)
 	}
-	c.words = (l.n + 63) / 64
+	c.width = (l.n + 63) / 64
 	c.buildStaticFacts()
 	return c
 }
@@ -296,16 +296,16 @@ func (j *junc) lay(l *layout) {
 	ji := j.info
 	l.align()
 	j.np, j.nd = len(ji.Props()), len(ji.Data())
-	j.base = l.bits(j.np + j.nd)
-	j.pendP, j.pendV, j.pendD = l.bits(j.np), l.bits(j.np), l.bits(j.nd)
+	j.base = l.take(j.np + j.nd)
+	j.pendP, j.pendV, j.pendD = l.take(j.np), l.take(j.np), l.take(j.nd)
 	j.sub = map[string]*subSlot{}
 	for _, name := range ji.Subsets() {
-		s := &subSlot{def: l.bits(1)}
+		s := &subSlot{def: l.take(1)}
 		if u, ok := ji.SetUniverse(name); ok {
 			s.members, s.known = append([]string(nil), u...), true
 			sort.Strings(s.members)
 		}
-		s.mem = l.bits(len(s.members))
+		s.mem = l.take(len(s.members))
 		j.sub[name] = s
 	}
 	of := map[string]string{}
@@ -445,7 +445,7 @@ func (c *checker) buildStaticFacts() {
 // ---- state construction -------------------------------------------------
 
 func (c *checker) initialState() *state {
-	st := &state{tab: make(words, c.words)}
+	st := &state{tab: make(words, c.width)}
 	st.tab.put(c.env, c.envWidth, c.opts.MaxEnv)
 	// Main is executed as a sequential prefix: start/stop effects in walk
 	// order (the driver of every catalogue pattern is a sequence of starts).
