@@ -57,8 +57,7 @@ func TestNotSchedulableErrorIsBuiltOnce(t *testing.T) {
 // operand that decides them, which must not change a single entry of
 // Kleene's tables. Every pair of operand values, with Unknown produced both
 // ways the runtime produces it — a name the junction does not declare and a
-// proposition of a peer that is not running — evaluates as formula.Eval does
-// on the same environment, and as the tables say.
+// proposition of a peer that is not running — evaluates as the tables say.
 func TestCompiledConnectivesMatchEval(t *testing.T) {
 	p := dsl.NewProgram()
 	p.Type("t").Junction("j", dsl.Def(
@@ -110,10 +109,57 @@ func TestCompiledConnectivesMatchEval(t *testing.T) {
 		for _, l := range operands {
 			for _, r := range operands {
 				f := c.build(l.f, r.f)
-				got, ref, want := j.compileFormula(f)(), f.Eval(j.env()), c.table(l.want, r.want)
-				if got != want || ref != want {
-					t.Errorf("%s: %s: compiled %v, Eval %v, Kleene %v", c.name, f, got, ref, want)
+				if got, want := j.compileFormula(f)(), c.table(l.want, r.want); got != want {
+					t.Errorf("%s: %s: compiled %v, Kleene %v", c.name, f, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestQualifiedReadAcrossLocationsIsUnknown: a guard reads another
+// junction's table in process only when both instances share a location. With
+// the peer placed at another location its propositions read Unknown and its
+// @running reads False, so neither guard schedules; colocated, both do.
+func TestQualifiedReadAcrossLocationsIsUnknown(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("t").
+		Junction("ready", dsl.Def(dsl.Decls(), dsl.Skip{}).Guarded(formula.At("peer::j", "Ready")).ManuallyScheduled()).
+		Junction("alive", dsl.Def(dsl.Decls(), dsl.Skip{}).Guarded(Running("peer::j")).ManuallyScheduled())
+	p.Type("u").Junction("j", dsl.Def(dsl.Decls(dsl.InitProp{Name: "Ready", Init: true}), dsl.Skip{}))
+	p.Instance("i", "t").Instance("peer", "u")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "i"}, dsl.Start{Instance: "peer"}})
+	for _, tc := range []struct {
+		peerAt         string
+		ready, running formula.Truth
+		want           error
+	}{
+		{peerAt: "B", ready: formula.Unknown, running: formula.False, want: ErrNotSchedulable},
+		{peerAt: "A", ready: formula.True, running: formula.True},
+	} {
+		dep := NewDeployment().AddLocation("A", nil).AddLocation("B", nil).Place("i", "A").Place("peer", tc.peerAt)
+		s := mustSystem(t, p, Options{Deploy: dep})
+		ctx := context.Background()
+		if err := s.RunMain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			jn    string
+			f     formula.Formula
+			truth formula.Truth
+		}{
+			{"ready", formula.At("peer::j", "Ready"), tc.ready},
+			{"alive", Running("peer::j"), tc.running},
+		} {
+			j, err := s.Junction("i", c.jn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := j.compileFormula(c.f)(); got != c.truth {
+				t.Errorf("peer at %s: %s reads %v, want %v", tc.peerAt, c.f, got, c.truth)
+			}
+			if err := j.Schedule(ctx); !errors.Is(err, tc.want) {
+				t.Errorf("peer at %s: scheduling i::%s = %v, want %v", tc.peerAt, c.jn, err, tc.want)
 			}
 		}
 	}
