@@ -180,6 +180,9 @@ func (j *Junction) IdxUniverse(idx string) ([]string, bool) {
 	return j.decls.setElems(setName)
 }
 
+// IdxSet is the set or subset name an idx declaration ranges over.
+func (j *Junction) IdxSet(idx string) (string, bool) { s, ok := j.decls.idxs[idx]; return s, ok }
+
 // SetUniverse resolves a set or subset name to its static element universe.
 func (j *Junction) SetUniverse(name string) ([]string, bool) {
 	return j.decls.setElems(name)

@@ -247,7 +247,7 @@ func (j *Junction) compileOp(o *plan.Op) step {
 		n := o.Stmt.(dsl.Keep)
 		props := make([]string, len(n.Props))
 		for i, p := range n.Props {
-			props[i] = j.resolveSelfName(p)
+			props[i] = j.pj.ResolveName(p)
 		}
 		return func(context.Context) (plan.Signal, error) {
 			j.table.Keep(props, n.Data)
@@ -406,7 +406,7 @@ func (j *Junction) compilePar(arms []*plan.Op) step {
 
 // compileTarget lowers a communication target. Static references resolve at
 // compile time; idx references get a precomputed element→endpoint map over
-// the idx's universe, with the dynamic resolver as fallback.
+// the idx's universe, which holds every element SetIdx admits.
 func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 	constant := func(fq string) func() (string, error) {
 		return func() (string, error) { return fq, nil }
@@ -420,14 +420,16 @@ func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 	case ref.MeInstance:
 		return constant(j.inst.Name + "::" + ref.Junction)
 	case ref.Idx != "":
-		byElem := map[string]string{}
-		if universe, ok := j.pj.IdxUniverse(ref.Idx); ok {
-			for _, e := range universe {
-				re := j.resolveSelfName(e)
-				if fq, err := j.elemToFQ(re); err == nil {
-					byElem[re] = fq
-				}
-			}
+		// An element that names no junction keeps its resolution error.
+		type endpoint struct {
+			fq  string
+			err error
+		}
+		byElem := map[string]endpoint{}
+		universe, _ := j.pj.IdxUniverse(ref.Idx)
+		for _, e := range universe {
+			fq, err := j.elemToFQ(e)
+			byElem[j.pj.ResolveName(e)] = endpoint{fq, err}
 		}
 		idx := ref.Idx
 		return func() (string, error) {
@@ -435,10 +437,8 @@ func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 			if err != nil {
 				return "", err
 			}
-			if fq, ok := byElem[elem]; ok {
-				return fq, nil
-			}
-			return j.elemToFQ(elem)
+			ep := byElem[elem]
+			return ep.fq, ep.err
 		}
 	case ref.Instance != "":
 		if ref.Junction != "" {
@@ -658,34 +658,27 @@ func (p boundProp) read() formula.Truth {
 // compilePropRef lowers a PropRef to a resolver; everything but idx-variable
 // indices resolves at compile time.
 func (j *Junction) compilePropRef(pr dsl.PropRef) func() (boundProp, error) {
-	constant := func(name string) func() (boundProp, error) {
-		p := j.bindProp(name)
+	if !pr.IndexIsVar {
+		keys, _ := j.pj.PropKeys(pr)
+		p := j.bindProp(keys[0])
 		return func() (boundProp, error) { return p, nil }
 	}
-	if pr.Index == "" {
-		return constant(j.resolveSelfName(pr.Base))
-	}
-	if !pr.IndexIsVar {
-		return constant(dsl.IndexedName(pr.Base, j.resolveSelfName(pr.Index)))
-	}
 	byElem := j.idxProps(pr.Base, pr.Index)
-	base, idx := pr.Base, pr.Index
+	idx := pr.Index
 	return func() (boundProp, error) {
 		elem, err := j.Idx(idx)
 		if err != nil {
 			return boundProp{}, err
 		}
-		if p, ok := byElem[elem]; ok {
-			return p, nil
-		}
-		return j.bindProp(dsl.IndexedName(base, elem)), nil
+		return byElem[elem], nil
 	}
 }
 
 // idxProps precomputes element→"base[element]" over an idx's universe, key
 // and cell, so per-evaluation resolution is one map lookup instead of a
 // concatenation and a table lookup. The keys are the plan's (Family), the
-// ones a transaction's write-set names.
+// ones a transaction's write-set names. The map holds every element SetIdx
+// admits, so an evaluation never misses it.
 func (j *Junction) idxProps(base, idx string) map[string]boundProp {
 	elems, keys, _ := j.pj.Family(base, idx)
 	byElem := make(map[string]boundProp, len(elems))
@@ -715,9 +708,9 @@ func (j *Junction) compileWait(o *plan.Op) step {
 		ws := admit
 		ev := eval
 		if !wp.Static {
-			cond := plan.SubstIdx(n.Cond, j.resolveSelfName, j.idxElem)
+			cond := plan.SubstIdx(n.Cond, j.pj.ResolveName, j.idxElem)
 			ws = kv.NewWaitSet(cond, n.Data).Bind(j.table)
-			ev = func() formula.Truth { return cond.Eval(j.env()) }
+			ev = j.compileFormula(cond)
 		}
 		handle := j.table.BeginWaitKeys(ws)
 		defer j.table.EndWait(handle)
@@ -756,8 +749,9 @@ func (j *Junction) idxElem(v string) string {
 }
 
 // compileFormula lowers a formula to a closure evaluator with all static
-// name and endpoint resolution hoisted out of the evaluation path. The
-// evaluator returns exactly what Eval(j.env()) would.
+// name and endpoint resolution hoisted out of the evaluation path. It is the
+// runtime's one formula evaluator: guards, waits and verify, if and case
+// conditions all run through it.
 func (j *Junction) compileFormula(f formula.Formula) func() formula.Truth {
 	switch n := f.(type) {
 	case formula.FalseF:
@@ -793,13 +787,16 @@ func (j *Junction) compileFormula(f formula.Formula) func() formula.Truth {
 			}
 			return formula.True
 		}
-	default:
-		// A formula kind this compiler does not know: fall back to the
-		// reference evaluator.
-		return func() formula.Truth { return f.Eval(j.env()) }
 	}
+	// formula.Formula is sealed by its unexported walk: there is no other kind.
+	panic(fmt.Sprintf("runtime: %s: formula kind %T", j.FQName, f))
 }
 
+// compileProp lowers one proposition read. An unqualified one reads the
+// junction's own table through a cell bound here, taking no lock. A qualified
+// one reads the other junction's table only while that junction runs at this
+// junction's location: placed at another location, its propositions read
+// Unknown and its @running False, as they would on two machines.
 func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 	if p.Junction == "" {
 		if base, idxVar, ok := dsl.SplitIdxProp(p.Name); ok {
@@ -809,26 +806,18 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 				if err != nil {
 					return formula.Unknown
 				}
-				bp, ok := byElem[elem]
-				if !ok {
-					bp = j.bindProp(dsl.IndexedName(base, elem))
-				}
-				return bp.read()
+				return byElem[elem].read()
 			}
 		}
-		bp := j.bindProp(j.resolveSelfName(p.Name))
+		bp := j.bindProp(j.pj.ResolveName(p.Name))
 		return func() formula.Truth { return bp.read() }
 	}
 	// Junction-qualified proposition: the endpoint is static.
-	unknown := func() formula.Truth { return formula.Unknown }
-	fq, err := j.elemToFQ(j.resolveSelfName(p.Junction))
+	fq, err := j.elemToFQ(p.Junction)
 	if err != nil {
-		return unknown
+		return func() formula.Truth { return formula.Unknown }
 	}
-	inst, jn, ok := strings.Cut(fq, "::")
-	if !ok {
-		return unknown
-	}
+	inst, jn, _ := strings.Cut(fq, "::")
 	isRunning := p.Name == RunningProp
 	var resolveName func() (string, bool)
 	if base, idxVar, idxed := dsl.SplitIdxProp(p.Name); idxed {
@@ -838,21 +827,15 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 		byElem := j.idxProps(base, idxVar)
 		resolveName = func() (string, bool) {
 			elem, err := j.Idx(idxVar)
-			if err != nil {
-				return "", false
-			}
-			if p, ok := byElem[elem]; ok {
-				return p.name, true
-			}
-			return dsl.IndexedName(base, elem), true
+			return byElem[elem].name, err == nil
 		}
 	} else {
-		name := j.resolveSelfName(p.Name)
+		name := j.pj.ResolveName(p.Name)
 		resolveName = func() (string, bool) { return name, true }
 	}
 	return func() formula.Truth {
 		other := j.sys.junctionQuiet(inst, jn)
-		if other == nil || !other.inst.running.Load() {
+		if other == nil || !other.inst.running.Load() || !j.sys.deploy.colocated(j.inst.Name, inst) {
 			if isRunning {
 				return formula.False
 			}

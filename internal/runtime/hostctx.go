@@ -29,7 +29,7 @@ func (j *Junction) newHostCtx(writes []string) *hostCtx {
 	h := &hostCtx{j: j, writes: writes, bound: make([]boundWrite, len(writes))}
 	for i, w := range writes {
 		h.bound[i] = boundWrite{
-			prop: j.table.PropCell(j.resolveSelfName(w)),
+			prop: j.table.PropCell(j.pj.ResolveName(w)),
 			data: j.table.DataCell(w),
 		}
 	}
@@ -54,7 +54,7 @@ func (h *hostCtx) Prop(name string) (bool, error) {
 	if i := h.index(name); i >= 0 && h.bound[i].prop != nil {
 		return h.bound[i].prop.Get(), nil
 	}
-	return h.j.table.Prop(h.j.resolveSelfName(name))
+	return h.j.table.Prop(h.j.pj.ResolveName(name))
 }
 
 // Save implements dsl.HostCtx.
@@ -82,11 +82,11 @@ func (h *hostCtx) SetProp(name string, v bool) error {
 	}
 	if c := h.bound[i].prop; c != nil {
 		c.Set(v)
-	} else if err := h.j.table.SetProp(h.j.resolveSelfName(name), v); err != nil {
+	} else if err := h.j.table.SetProp(h.j.pj.ResolveName(name), v); err != nil {
 		return err
 	}
 	if h.j.traced {
-		h.j.noteLocalWrite(h.j.resolveSelfName(name), wrote(v))
+		h.j.noteLocalWrite(h.j.pj.ResolveName(name), wrote(v))
 	}
 	return nil
 }
