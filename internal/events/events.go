@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"csaw/internal/dsl"
+	"csaw/internal/formula"
 )
 
 // EventID identifies an event within one Structure.
@@ -53,11 +54,12 @@ const (
 // Label describes the activity of an event.
 type Label struct {
 	Kind     LabelKind
-	Junction string   // the J subscript
-	Key      string   // K for Rd/Wr, γ for Start/Stop, text for AdHoc
-	Value    string   // V: "tt", "ff" or "*"
-	Data     []string // n⃗ for Wait
-	Formula  string   // F for Wait (display form)
+	Junction string          // the J subscript
+	Key      string          // K for Rd/Wr, γ for Start/Stop, text for AdHoc
+	Value    string          // V: "tt", "ff" or "*"
+	Data     []string        // n⃗ for Wait
+	Formula  string          // F for Wait (display form)
+	Cond     formula.Formula // F for Wait, as ExpandWaits decomposes it (nil: true)
 }
 
 // String renders the label in the paper's notation.

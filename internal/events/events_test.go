@@ -103,7 +103,6 @@ func TestFig18Shape(t *testing.T) {
 	)
 	def.Name = "junction"
 	s := DenoteJunction("f", def, Budget{})
-	RegisterWaitFormula(formula.Not(formula.P("Work")))
 	ExpandWaits(s)
 	if err := s.CheckAxioms(); err != nil {
 		t.Fatal(err)
@@ -273,7 +272,6 @@ func TestWaitExpansionMultiDisjunct(t *testing.T) {
 	// wait [m] (A ∨ ¬B) expands into two conflicting alternatives, each
 	// followed by a read of m.
 	f := formula.Or(formula.P("A"), formula.Not(formula.P("B")))
-	RegisterWaitFormula(f)
 	e := dsl.Seq{
 		dsl.Save{Data: "s", From: nil},
 		dsl.Wait{Data: []string{"m"}, Cond: f},

@@ -2,7 +2,6 @@ package events
 
 import (
 	"fmt"
-	"sync"
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
@@ -206,7 +205,7 @@ func (d *denoter) denote(e any, η env, budget int) *Structure {
 		if n.Cond != nil {
 			f = n.Cond.String()
 		}
-		s.Add(Label{Kind: KindWait, Junction: J, Data: append([]string(nil), n.Data...), Formula: f})
+		s.Add(Label{Kind: KindWait, Junction: J, Data: append([]string(nil), n.Data...), Formula: f, Cond: n.Cond})
 		return s
 
 	case dsl.Verify:
@@ -562,7 +561,10 @@ func ExpandWaits(s *Structure) {
 		preds, succs := neighbours(s, id)
 		removeEvent(s, id)
 
-		f := parseBack(e.Label.Formula)
+		f := e.Label.Cond
+		if f == nil {
+			f = formula.TrueF()
+		}
 		guard := formulaStructure(e.Label.Junction, f)
 		tr := s.Merge(guard)
 
@@ -620,41 +622,6 @@ func ExpandWaits(s *Structure) {
 			}
 		}
 	}
-}
-
-// parseBack rebuilds a formula value for a wait placeholder. The placeholder
-// stores only the display string; to keep the package self-contained the
-// original formula is re-attached through this registry keyed by display
-// form. Registering happens in DenoteExpr via Wait handling when the formula
-// is available.
-var (
-	waitMu       sync.Mutex
-	waitFormulas = map[string]formula.Formula{}
-)
-
-// RegisterWaitFormula associates a display string with its formula so
-// ExpandWaits can decompose it. DenoteProgram does this automatically.
-func RegisterWaitFormula(f formula.Formula) {
-	if f == nil {
-		return
-	}
-	waitMu.Lock()
-	defer waitMu.Unlock()
-	waitFormulas[f.String()] = f
-}
-
-func parseBack(display string) formula.Formula {
-	waitMu.Lock()
-	f, ok := waitFormulas[display]
-	waitMu.Unlock()
-	if ok {
-		return f
-	}
-	if display == "true" {
-		return formula.TrueF()
-	}
-	// Fall back to a single opaque proposition carrying the display form.
-	return formula.P(display)
 }
 
 func neighbours(s *Structure, id EventID) (preds, succs []EventID) {
@@ -736,7 +703,6 @@ func DenoteProgram(p *dsl.Program, b Budget) (*Structure, error) {
 	if err := dsl.Validate(p); err != nil {
 		return nil, err
 	}
-	registerAllWaitFormulas(p)
 	out := StartUp(p)
 	for _, inst := range p.InstanceNames() {
 		tn := p.Instances[inst]
@@ -751,16 +717,4 @@ func DenoteProgram(p *dsl.Program, b Budget) (*Structure, error) {
 		return nil, fmt.Errorf("events: program semantics violate axioms: %w", err)
 	}
 	return out, nil
-}
-
-func registerAllWaitFormulas(p *dsl.Program) {
-	for _, t := range p.Types {
-		for _, jn := range t.JunctionNames() {
-			dsl.WalkBody(t.Junctions[jn].Body, func(e dsl.Expr) {
-				if w, ok := e.(dsl.Wait); ok {
-					RegisterWaitFormula(w.Cond)
-				}
-			})
-		}
-	}
 }
