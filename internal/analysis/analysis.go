@@ -32,8 +32,8 @@ import (
 	"csaw/internal/plan"
 )
 
-// Severity ranks a finding. Error-severity findings fail `csawc -vet` and the
-// runtime's strict mode; warnings and infos are advisory.
+// Severity ranks a finding. Error-severity findings fail `csawc -vet`;
+// warnings and infos are advisory.
 type Severity uint8
 
 const (

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"csaw/internal/analysis"
 	"csaw/internal/compart"
 	"csaw/internal/dsl"
 	"csaw/internal/kv"
@@ -60,14 +59,6 @@ type Options struct {
 	// counterexample replay (internal/check) depends on this — a driver racing
 	// the replayed schedule would perturb the very interleaving under test.
 	DisableDrivers bool
-	// Vet runs the static-analysis pass suite (internal/analysis) over the
-	// program at construction time and refuses to build a system whose
-	// program carries error-severity findings (unreachable junctions,
-	// undeclared remote state, confirmed parallel write conflicts, ...).
-	Vet bool
-	// VetSuppress mutes recorded findings in strict mode, each with its
-	// reason; ignored unless Vet is set.
-	VetSuppress []analysis.Suppression
 }
 
 func (o *Options) fill() {
@@ -149,19 +140,6 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 	if err := dsl.Validate(p); err != nil {
 		return nil, err
 	}
-	pp := plan.Compile(p)
-	if opts.Vet {
-		rep := analysis.AnalyzePlan(pp, &analysis.Config{Suppress: opts.VetSuppress})
-		if n := rep.Errors(); n > 0 {
-			var b strings.Builder
-			for _, d := range rep.Diagnostics {
-				if d.Severity == analysis.SevError {
-					fmt.Fprintf(&b, "\n  %s", d)
-				}
-			}
-			return nil, fmt.Errorf("runtime: program fails vet with %d error-severity finding(s):%s", n, b.String())
-		}
-	}
 	opts.fill()
 	dep := opts.Deploy
 	if dep == nil {
@@ -171,7 +149,7 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		prog:    p,
 		deploy:  dep,
 		opts:    opts,
-		plan:    pp,
+		plan:    plan.Compile(p),
 		obs:     obsv.NewObserver(),
 		apps:    map[string]any{},
 		windows: map[pairKey]*ackWindow{},
