@@ -21,6 +21,6 @@
 //   - internal/miniredis, minicurl, minisuricata — evaluation substrates
 //   - internal/bench      — regenerates every table and figure of §10
 //
-// See README.md for a tour and examples/ for runnable programs; bench_test.go
-// in this directory regenerates the paper's evaluation under `go test -bench`.
+// See README.md for a tour and examples/ for runnable programs; cmd/csaw-bench
+// regenerates the paper's evaluation.
 package csaw
