@@ -585,11 +585,12 @@ func (c *checker) resolvePropName(st *state, j *junc, pr dsl.PropRef) (string, e
 	return j.info.ResolveName(pr.Base), nil
 }
 
-// ---- environment evaluation, mirroring Junction.env ----------------------
+// ---- environment evaluation, mirroring the runtime's compileProp --------
 
 const runningProp = "@running"
 
-// reader is the formula environment, mirroring Junction.env: unqualified
+// reader is the formula environment, mirroring the runtime's compiled
+// evaluator with every instance at one location: unqualified
 // names read j's table; qualified names read the target's applied state, with
 // @running synthesized from instance liveness and every read of a stopped
 // junction going Unknown. j is nil for program-scope invariants, whose names

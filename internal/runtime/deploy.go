@@ -211,9 +211,10 @@ func (d *Deployment) setLoc(inst, loc string) {
 	d.place[inst] = loc
 }
 
-// colocated reports whether two instances currently share a location; the
-// formula environment uses it to keep cross-location junction state Unknown
-// (a guard on another machine's table cannot be read in-process).
+// colocated reports whether two instances currently share a location. Its one
+// caller, compileProp, uses it to keep a qualified read of a junction at
+// another location Unknown and its @running False: a formula cannot read
+// another machine's table in process.
 func (d *Deployment) colocated(a, b string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
