@@ -273,3 +273,41 @@ func TestTxnRollbackSparesSiblingArmInTheModel(t *testing.T) {
 		t.Fatalf("small program truncated (states=%d)", res.States)
 	}
 }
+
+// TestIdxAssignOfSelfElement: an idx whose set holds me::junction takes that
+// element the way the runtime's SetIdx does, so the rest of the body runs and
+// the model finds the invariant the runtime breaks — whether the element is
+// written me::junction or as the junction's own name.
+func TestIdxAssignOfSelfElement(t *testing.T) {
+	for _, elem := range []string{"me::junction", "a::j"} {
+		t.Run(elem, func(t *testing.T) {
+			p := dsl.NewProgram()
+			p.Type("T").Junction("j", dsl.Def(
+				dsl.Decls(
+					dsl.DeclSet{Name: "S", Elems: []string{elem}},
+					dsl.DeclIdx{Name: "i", Of: "S"},
+					dsl.InitProp{Name: dsl.IndexedName("Flag", elem), Init: false},
+					dsl.InitProp{Name: "Done", Init: false},
+				),
+				dsl.IdxAssign{Idx: "i", Elem: elem},
+				dsl.Assert{Prop: dsl.PRIdx("Flag", "i")},
+				dsl.Assert{Prop: dsl.PR("Done")},
+			))
+			p.Instance("a", "T")
+			p.SetMain(dsl.Start{Instance: "a"})
+			p.Invariant("never-done", formula.Not(formula.At("a::j", "Done")))
+
+			res := mustCheck(t, p, check.Options{})
+			if got := check.VerdictOf(res); got != "invariant" {
+				t.Fatalf("verdict %q, want invariant (violations %v)", got, res.Violations)
+			}
+			rr, err := check.Replay(p, *findViolation(res, check.Invariant), check.ReplayOptions{})
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if !rr.Confirmed {
+				t.Fatalf("replay refuted the invariant violation: %s", rr.Detail)
+			}
+		})
+	}
+}
