@@ -117,7 +117,7 @@ func main() {
 
 	switch {
 	case *topo:
-		fmt.Print(dsl.Topo(p).Dot())
+		fmt.Print(plan.Compile(p).Topo().Dot())
 	case *eventsOut:
 		s, err := events.DenoteProgram(p, events.Budget{Unfold: 1})
 		if err != nil {
@@ -126,12 +126,13 @@ func main() {
 		}
 		fmt.Print(s.Dot(*arch))
 	default:
-		t := dsl.Topo(p)
+		pp := plan.Compile(p)
+		t := pp.Topo()
 		fmt.Printf("%s: valid\n", *arch)
 		fmt.Printf("  types:     %d (%v)\n", len(p.Types), p.TypeNames())
 		fmt.Printf("  instances: %d (%v)\n", len(p.Instances), p.InstanceNames())
 		fmt.Printf("  junctions: %d, communication edges: %d\n", len(t.Nodes), len(t.Edges))
-		event, polled, invoked := schedulingModes(p)
+		event, polled, invoked := schedulingModes(pp)
 		fmt.Printf("  scheduling: %d event-driven, %d with poll fallback, %d app-invoked\n", event, polled, invoked)
 		s, err := events.DenoteProgram(p, events.Budget{Unfold: 1})
 		if err != nil {
@@ -161,8 +162,8 @@ func findEntry(name string) (patterns.CatalogueEntry, bool) {
 // purely on keyed KV subscription wakes; a guard consulting remote state
 // keeps the poll timer as a fallback; an unguarded junction only runs when
 // the application invokes it.
-func schedulingModes(p *dsl.Program) (event, polled, invoked int) {
-	for _, pj := range plan.Compile(p).Junctions {
+func schedulingModes(pp *plan.Program) (event, polled, invoked int) {
+	for _, pj := range pp.Junctions {
 		switch {
 		case pj.Guard == nil:
 			invoked++

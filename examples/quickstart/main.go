@@ -18,6 +18,7 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 	"csaw/internal/runtime"
 )
 
@@ -65,7 +66,7 @@ func main() {
 
 	// Print the architecture's communication topology (§8.7).
 	fmt.Println("communication topology:")
-	for _, e := range dsl.Topo(p).Edges {
+	for _, e := range plan.Compile(p).Topo().Edges {
 		fmt.Printf("  %s -> %s\n", e.From, e.To)
 	}
 

@@ -198,7 +198,7 @@ func AnalyzePlan(pp *plan.Program, cfg *Config) *Report {
 	if passes == nil {
 		passes = All()
 	}
-	ctx := &Context{Program: pp, Topo: dsl.Topo(pp.Prog), Unfold: cfg.Unfold, Placement: cfg.Placement}
+	ctx := &Context{Program: pp, Unfold: cfg.Unfold, Placement: cfg.Placement}
 	var all []Diagnostic
 	for _, pass := range passes {
 		ds := pass.Run(ctx)

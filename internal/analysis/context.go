@@ -1,16 +1,12 @@
 package analysis
 
-import (
-	"csaw/internal/dsl"
-	"csaw/internal/plan"
-)
+import "csaw/internal/plan"
 
 // Context is what a pass reads: the program's one static pass (plan.Compile —
-// resolved declarations, lowered bodies, access facts), the §8.7 topology,
-// and the run's parameters. Passes must not mutate it.
+// resolved declarations, lowered bodies, access facts, and through them the
+// §8.7 topology) and the run's parameters. Passes must not mutate it.
 type Context struct {
 	*plan.Program
-	Topo dsl.Topology
 	// Unfold is the event-structure budget for semantic cross-checks.
 	Unfold int
 	// Placement maps instance names to deployment locations (from

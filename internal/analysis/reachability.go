@@ -46,9 +46,10 @@ func runReachability(c *Context) []Diagnostic {
 			reachable[ji.FQ] = true
 		}
 	}
+	edges := c.Topo().Edges
 	for changed := true; changed; {
 		changed = false
-		for _, e := range c.Topo.Edges {
+		for _, e := range edges {
 			if !reachable[e.From] || reachable[e.To] {
 				continue
 			}

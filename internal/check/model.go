@@ -109,7 +109,7 @@ func (j *junc) data(s int) int { return j.base + j.np + s }
 // universe[e-1], 0 while undef.
 type idxSlot struct {
 	off, width int
-	universe   []string            // the static elements, as declared
+	universe   []string            // the static elements, me::-resolved (plan)
 	known      bool                // the universe resolves statically
 	num        map[string]int      // element → number
 	over       *subSlot            // the subset it ranges over; nil for a set
@@ -308,15 +308,10 @@ func (j *junc) lay(l *layout) {
 		s.mem = l.take(len(s.members))
 		j.sub[name] = s
 	}
-	of := map[string]string{}
-	for _, d := range ji.Def.Decls {
-		if n, ok := d.(dsl.DeclIdx); ok {
-			of[n.Name] = n.Of
-		}
-	}
 	j.idx = map[string]*idxSlot{}
 	for _, name := range ji.Idxs() {
-		x := &idxSlot{num: map[string]int{}, over: j.sub[of[name]], keys: map[string][]string{}}
+		of, _ := ji.IdxSet(name)
+		x := &idxSlot{num: map[string]int{}, over: j.sub[of], keys: map[string][]string{}}
 		x.universe, x.known = ji.IdxUniverse(name)
 		for e, el := range x.universe {
 			x.num[el] = e + 1
@@ -476,18 +471,7 @@ func (c *checker) startInstance(st *state, inst int) {
 	}
 }
 
-// ---- name resolution, mirroring internal/runtime ------------------------
-
-// elemToFQ resolves a set-element or junction name to a fully-qualified
-// junction, mirroring Junction.elemToFQ.
-func (c *checker) elemToFQ(from *junc, elem string) (string, error) {
-	fq := from.info.Qualifier(elem)
-	if !strings.Contains(fq, "::") {
-		_, _, err := dsl.ResolveElemJunction(c.prog, fq)
-		return "", err
-	}
-	return fq, nil
-}
+// ---- name resolution: what plan resolved, read through the idx slots ----
 
 // target resolves a formula qualifier read at from (nil for a program-scope
 // invariant) through plan's resolver, once per qualifier.
@@ -508,36 +492,46 @@ func (c *checker) target(from *junc, q string) qual {
 	return r
 }
 
-// resolveTarget mirrors the runtime's target resolution (compileTarget).
-func (c *checker) resolveTarget(st *state, j *junc, ref dsl.JunctionRef) (string, error) {
-	switch {
-	case ref.MeJunction:
-		return j.fq, nil
-	case ref.MeInstance:
-		return j.info.Inst + "::" + ref.Junction, nil
-	case ref.Idx != "":
-		elem := c.idxElem(st, j, ref.Idx)
-		if elem == "" {
-			return "", fmt.Errorf("idx %q is undef", ref.Idx)
-		}
-		return c.elemToFQ(j, elem)
-	case ref.Instance != "" && ref.Junction != "":
-		return ref.Instance + "::" + ref.Junction, nil
-	case ref.Instance != "":
-		return c.elemToFQ(j, ref.Instance)
-	default:
-		return "", fmt.Errorf("empty junction reference")
+// updateDest is where remote update o sends now: its lowered destination,
+// through the idx's current element for an idx target.
+func (c *checker) updateDest(st *state, j *junc, o *plan.Op) (string, error) {
+	idx := o.To.Idx
+	if idx == "" {
+		return o.Ref.Dest[0], nil
 	}
+	e := c.elemNum(st, j, idx)
+	if e == 0 {
+		return "", fmt.Errorf("idx %q is undef", idx)
+	}
+	return o.Ref.Dest[e-1], nil
+}
+
+// updateKey is the table key assert/retract o writes now: its lowered key,
+// through the idx's current element for an idx family.
+func (c *checker) updateKey(st *state, j *junc, o *plan.Op) (string, error) {
+	if !o.Prop.IndexIsVar {
+		return o.Ref.Keys[0], nil
+	}
+	e := c.elemNum(st, j, o.Prop.Index)
+	if e == 0 {
+		return "", fmt.Errorf("idx %q is undef", o.Prop.Index)
+	}
+	return o.Ref.Keys[e-1], nil
+}
+
+// elemNum is the number e of idx's current element at j, universe[e-1]; 0
+// while undef or when j declares no such idx.
+func (c *checker) elemNum(st *state, j *junc, idx string) int {
+	if x := j.idx[idx]; x != nil {
+		return st.tab.get(x.off, x.width)
+	}
+	return 0
 }
 
 // idxElem is idx's current element at j, "" while undef.
 func (c *checker) idxElem(st *state, j *junc, idx string) string {
-	x := j.idx[idx]
-	if x == nil {
-		return ""
-	}
-	if e := st.tab.get(x.off, x.width); e > 0 {
-		return x.universe[e-1]
+	if e := c.elemNum(st, j, idx); e > 0 {
+		return j.idx[idx].universe[e-1]
 	}
 	return ""
 }
@@ -555,34 +549,17 @@ func (c *checker) localKey(st *state, j *junc, name string) (string, bool) {
 }
 
 func (c *checker) familyKey(st *state, j *junc, base, idx string) (string, bool) {
-	x := j.idx[idx]
-	if x == nil {
-		return "", false
-	}
-	e := st.tab.get(x.off, x.width)
+	e := c.elemNum(st, j, idx)
 	if e == 0 {
 		return "", false
 	}
+	x := j.idx[idx]
 	keys, ok := x.keys[base]
 	if !ok {
-		_, keys, _ = j.info.Family(base, idx)
+		keys, _ = j.info.Family(base, idx)
 		x.keys[base] = keys
 	}
 	return keys[e-1], true
-}
-
-// resolvePropName mirrors the runtime's proposition resolution (compilePropRef).
-func (c *checker) resolvePropName(st *state, j *junc, pr dsl.PropRef) (string, error) {
-	switch {
-	case pr.IndexIsVar:
-		if key, ok := c.familyKey(st, j, pr.Base, pr.Index); ok {
-			return key, nil
-		}
-		return "", fmt.Errorf("idx %q is undef", pr.Index)
-	case pr.Index != "":
-		return dsl.IndexedName(pr.Base, j.info.ResolveName(pr.Index)), nil
-	}
-	return j.info.ResolveName(pr.Base), nil
 }
 
 // ---- environment evaluation, mirroring the runtime's compileProp --------

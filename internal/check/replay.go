@@ -148,7 +148,7 @@ func Replay(p *dsl.Program, v Violation, opts ReplayOptions) (*ReplayResult, err
 		if inv == nil {
 			return nil, fmt.Errorf("check: invariant %q not declared", v.Invariant)
 		}
-		truth := inv.Cond.Eval(realEnv(p, sys))
+		truth := inv.Cond.Eval(realEnv(sys))
 		if truth != formula.False {
 			return refuted("invariant %q evaluates to %v at quiescence, not false", v.Invariant, truth)
 		}
@@ -192,18 +192,14 @@ func Replay(p *dsl.Program, v Violation, opts ReplayOptions) (*ReplayResult, err
 }
 
 // realEnv evaluates invariant formulas over the running system's tables.
-func realEnv(p *dsl.Program, sys *runtime.System) formula.Env {
+func realEnv(sys *runtime.System) formula.Env {
 	return formula.EnvFunc(func(junction, name string) formula.Truth {
 		if junction == "" {
 			return formula.Unknown
 		}
-		inst, jn, ok := strings.Cut(junction, "::")
+		inst, jn, ok := strings.Cut(sys.Plan().JunctionFQ(junction), "::")
 		if !ok {
-			var err error
-			inst, jn, err = dsl.ResolveElemJunction(p, junction)
-			if err != nil {
-				return formula.Unknown
-			}
+			return formula.Unknown
 		}
 		if name == runningProp {
 			return formula.FromBool(sys.InstanceRunning(inst))

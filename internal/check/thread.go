@@ -272,7 +272,7 @@ func (c *checker) classifyStmt(st *state, t *thread, o *plan.Op, multi bool) act
 		if !o.To.IsLocal() {
 			return act{visible: true} // remote send
 		}
-		key, err := c.resolvePropName(st, j, o.Prop)
+		key, err := c.updateKey(st, j, o)
 		if err != nil {
 			return act{} // the action is an error delivery
 		}
@@ -669,9 +669,7 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		w := c.waits[o]
 		if w == nil {
 			// The runtime resolves the formula's idx families at wait entry.
-			cond := plan.SubstIdx(o.Cond, j.info.ResolveName, func(v string) string {
-				return j.info.ResolveName(c.idxElem(st, j, v))
-			})
+			cond := plan.SubstIdx(o.Cond, j.info.ResolveName, func(v string) string { return c.idxElem(st, j, v) })
 			w = &waitInfo{cond: cond, condStr: cond.String(), admitP: make(words, (j.np+63)/64), admitD: make(words, (j.nd+63)/64)}
 			for _, pr := range formula.Props(cond) {
 				if s, ok := j.info.PropSlot(pr.Name); ok && pr.Junction == "" {
@@ -703,14 +701,14 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		}
 
 	case plan.OpProp:
-		c.propUpdate(st, t, o.To, o.Prop, o.Value)
+		c.propUpdate(st, t, o)
 
 	case plan.OpWrite:
 		if s, ok := j.info.DataSlot(o.Data); !ok || !st.tab.has(j.data(s)) {
 			fail("write %s: data is undef", o.Data)
 			return
 		}
-		to, err := c.resolveTarget(st, j, o.To)
+		to, err := c.updateDest(st, j, o)
 		if err != nil {
 			fail("write %s: %v", o.Data, err)
 			return
@@ -805,9 +803,9 @@ func (c *checker) setIdx(st *state, j *junc, idx, elem string) error {
 // propUpdate mirrors the runtime's assert/retract: locally-declared keys
 // update the local table first (even for remote targets); remote targets then
 // receive the update through the pending queue or a blocked wait's admission.
-func (c *checker) propUpdate(st *state, t *thread, target dsl.JunctionRef, pr dsl.PropRef, val bool) {
-	j := t.j
-	name, err := c.resolvePropName(st, j, pr)
+func (c *checker) propUpdate(st *state, t *thread, o *plan.Op) {
+	j, target, val := t.j, o.To, o.Value
+	name, err := c.updateKey(st, j, o)
 	if err != nil {
 		t.setPend(plan.SigNone, err.Error())
 		return
@@ -821,7 +819,7 @@ func (c *checker) propUpdate(st *state, t *thread, target dsl.JunctionRef, pr ds
 	if target.IsLocal() {
 		return
 	}
-	to, rerr := c.resolveTarget(st, j, target)
+	to, rerr := c.updateDest(st, j, o)
 	if rerr != nil {
 		t.setPend(plan.SigNone, rerr.Error())
 		return

@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"csaw/internal/analysis"
-	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/plan"
 )
@@ -276,11 +275,11 @@ func (c *charger) block(b *plan.Block, w float64) (frames float64, rounds int) {
 		open := "" // destination of the group being filled
 		for _, u := range s {
 			c.update(u, w)
-			fw := c.wireWeight(u.To)
+			fw := c.wireWeight(u)
 			if fw == 0 {
 				continue // resolves to nothing, or only to this junction
 			}
-			if d := c.dest(u.To); d != open {
+			if d := c.dest(u); d != open {
 				open = d
 				frames += fw
 				rounds++
@@ -297,7 +296,7 @@ func (c *charger) op(o *plan.Op, w float64) (p price) {
 	case plan.OpProp, plan.OpWrite:
 		c.update(o, w)
 		if o.Remote {
-			if fw := c.wireWeight(o.To); fw > 0 {
+			if fw := c.wireWeight(o); fw > 0 {
 				p = price{fw, 1} // a lone remote update is the group of one
 			}
 		}
@@ -367,8 +366,8 @@ func (c *charger) par(o *plan.Op, w float64) price {
 			p = price{p.frames + q.frames, max(p.rounds, q.rounds)}
 			continue
 		}
-		fw := c.wireWeight(a.To)
-		if d := c.dest(a.To); fw > 0 && !seen[d] {
+		fw := c.wireWeight(a)
+		if d := c.dest(a); fw > 0 && !seen[d] {
 			seen[d] = true
 			p = price{p.frames + fw, max(p.rounds, 1)}
 		}
@@ -376,20 +375,14 @@ func (c *charger) par(o *plan.Op, w float64) price {
 	return p
 }
 
-// update resolves one assert/retract/write op to weighted updates and records
-// them: the junction's updates, its edges and the in-order op stream.
+// update turns one assert/retract/write op's lowered destination into
+// weighted updates and records them: the junction's updates, its edges and
+// the in-order op stream.
 func (c *charger) update(o *plan.Op, w float64) {
 	ji := c.j.Info
-	if o.To.IsLocal() || o.To.MeJunction {
-		return
-	}
-	targets := c.m.Prog.ResolveTargets(ji, o.To)
+	targets := c.m.Prog.Targets(o)
 	if len(targets) == 0 {
 		return
-	}
-	var keys []string
-	if o.Kind == plan.OpProp {
-		keys, _ = ji.PropKeys(o.Prop)
 	}
 	per := w
 	if o.To.Idx != "" {
@@ -398,12 +391,12 @@ func (c *charger) update(o *plan.Op, w float64) {
 		per = w / float64(len(targets))
 	}
 	for _, t := range targets {
-		if t.FQ == ji.FQ {
+		if t == ji {
 			continue // self-updates stay in the local table
 		}
 		u := update{pos: o.Pos, to: t, weight: per}
 		if tj := c.m.Junctions[t.FQ]; tj != nil {
-			for _, k := range keys {
+			for _, k := range o.Ref.Keys {
 				if tj.guardProps[k] {
 					u.guardKey += per
 					break
@@ -422,25 +415,21 @@ func (c *charger) update(o *plan.Op, w float64) {
 	}
 }
 
-// wireWeight is how much of one execution an update aimed at ref puts on the
-// wire: an idx target reaches one element of its universe per execution, and
-// an element that is this junction itself sends nothing.
-func (c *charger) wireWeight(ref dsl.JunctionRef) float64 {
-	if ref.MeJunction {
-		return 0
-	}
-	ji := c.j.Info
-	targets := c.m.Prog.ResolveTargets(ji, ref)
+// wireWeight is how much of one execution an update op puts on the wire: an
+// idx target reaches one element of its universe per execution, and a
+// destination that is this junction itself sends nothing.
+func (c *charger) wireWeight(o *plan.Op) float64 {
+	targets := c.m.Prog.Targets(o)
 	sent := 0
 	for _, t := range targets {
-		if t.FQ != ji.FQ {
+		if t != c.j.Info {
 			sent++
 		}
 	}
 	if sent == 0 {
 		return 0
 	}
-	if ref.Idx != "" {
+	if o.To.Idx != "" {
 		return float64(sent) / float64(len(targets))
 	}
 	return 1
@@ -450,14 +439,14 @@ func (c *charger) wireWeight(ref dsl.JunctionRef) float64 {
 // endpoint, so two statements through the same idx variable always share one,
 // two static references share one when they resolve alike, and an idx
 // reference is never assumed to coincide with anything else.
-func (c *charger) dest(ref dsl.JunctionRef) string {
-	if ref.Idx != "" {
-		return "idx " + ref.Idx
+func (c *charger) dest(o *plan.Op) string {
+	if o.To.Idx != "" {
+		return "idx " + o.To.Idx
 	}
-	if ts := c.m.Prog.ResolveTargets(c.j.Info, ref); len(ts) == 1 {
+	if ts := c.m.Prog.Targets(o); len(ts) == 1 {
 		return ts[0].FQ
 	}
-	return ref.String()
+	return o.To.String()
 }
 
 // fanout records a par statement whose sending arms update several distinct

@@ -398,82 +398,6 @@ func TestCallUndefinedFunctionPanics(t *testing.T) {
 	NewProgram().CallF("nope")
 }
 
-func TestTopologyFig3(t *testing.T) {
-	topo := Topo(fig3Program())
-	if !topo.HasEdge("f::junction", "g::junction") {
-		t.Errorf("missing f→g edge: %+v", topo.Edges)
-	}
-	if !topo.HasEdge("g::junction", "f::junction") {
-		t.Errorf("missing g→f edge: %+v", topo.Edges)
-	}
-	if len(topo.Nodes) != 2 {
-		t.Errorf("nodes = %v", topo.Nodes)
-	}
-	dot := topo.Dot()
-	for _, want := range []string{"digraph", `"f::junction" -> "g::junction"`} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("dot output missing %q:\n%s", want, dot)
-		}
-	}
-}
-
-func TestTopologyIdxFanOut(t *testing.T) {
-	// A front-end with an idx over {b1::j, b2::j} contributes an edge to
-	// both possible targets.
-	p := NewProgram()
-	src := func(HostCtx) ([]byte, error) { return nil, nil }
-	p.Type("front").Junction("j", Def(
-		Decls(
-			InitData{Name: "n"},
-			DeclSet{Name: "Backs", Elems: []string{"b1::j", "b2::j"}},
-			DeclIdx{Name: "tgt", Of: "Backs"},
-		),
-		Save{Data: "n", From: src},
-		Write{Data: "n", To: ByIdx("tgt")},
-	))
-	p.Type("back").Junction("j", Def(Decls(InitData{Name: "n"})))
-	p.Instance("f", "front").Instance("b1", "back").Instance("b2", "back")
-	p.SetMain(Par{Start{Instance: "f"}, Start{Instance: "b1"}, Start{Instance: "b2"}})
-	if err := Validate(p); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	topo := Topo(p)
-	if !topo.HasEdge("f::j", "b1::j") || !topo.HasEdge("f::j", "b2::j") {
-		t.Fatalf("idx fan-out edges missing: %+v", topo.Edges)
-	}
-}
-
-func TestTopologyMeInstance(t *testing.T) {
-	p := NewProgram()
-	p.Type("b").
-		Junction("serve", Def(Decls(InitProp{Name: "RecentlyActive", Init: false}))).
-		Junction("reactivate", Def(
-			Decls(InitProp{Name: "RecentlyActive", Init: false}),
-			Assert{Target: MeI("serve"), Prop: PR("RecentlyActive")},
-		))
-	p.Instance("b1", "b")
-	p.SetMain(Start{Instance: "b1"})
-	if err := Validate(p); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	topo := Topo(p)
-	if !topo.HasEdge("b1::reactivate", "b1::serve") {
-		t.Fatalf("me::instance edge missing: %+v", topo.Edges)
-	}
-}
-
-func TestLocalAssertNoEdge(t *testing.T) {
-	p := fig3Program()
-	d := p.Types["tau_f"].Junctions["junction"]
-	d.Body = append(d.Body, Assert{Prop: PR("Work")}) // local
-	topo := Topo(p)
-	for _, e := range topo.Edges {
-		if e.From == "f::junction" && e.To == "f::junction" {
-			t.Fatal("local assert must not create a self edge")
-		}
-	}
-}
-
 func TestPropIdxRoundTrip(t *testing.T) {
 	pr := PropIdx("Work", "tgt")
 	base, idx, ok := SplitIdxProp(pr.Name)

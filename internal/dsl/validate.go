@@ -654,8 +654,8 @@ func resolveElemJunction(p *Program, elem string) (inst, junction string, err er
 	return elem, t.JunctionNames()[0], nil
 }
 
-// ResolveElemJunction is the exported form used by the runtime and topology
-// analysis.
+// ResolveElemJunction is the exported form, for plan's resolver: every other
+// tool reads the references plan.Compile resolved.
 func ResolveElemJunction(p *Program, elem string) (inst, junction string, err error) {
 	return resolveElemJunction(p, elem)
 }

@@ -81,6 +81,9 @@ type Op struct {
 	To   dsl.JunctionRef // OpProp, OpWrite
 	Prop dsl.PropRef     // OpProp
 	Data string          // OpWrite
+	// Ref is what To and Prop resolve to at the junction (OpProp, OpWrite).
+	// It is one pointer because ops live as long as the system.
+	Ref *Ref
 
 	Cond formula.Formula // OpWait, OpVerify, OpIf
 	Wait *WaitPlan       // OpWait
@@ -88,6 +91,21 @@ type Op struct {
 	// Compound holds the parts of a statement that contains others; nil for
 	// a leaf, which is most of a body, so a leaf op carries no room for them.
 	*Compound
+}
+
+// Ref is an update's references resolved once, at lowering: the keys the
+// runtime binds and the model checker writes, and the destinations they send
+// to, which the cost model prices and the topology draws.
+type Ref struct {
+	// Keys are an OpProp's table keys: one, or for an idx family P[$i] one per
+	// element of i's universe, in universe order (nil when that universe is
+	// not static).
+	Keys []string
+	// Dest is a remote update's destination: for an idx target one
+	// fully-qualified junction per element of the idx's universe, in universe
+	// order, otherwise one. A name that resolves to no junction stays as
+	// written, without "::". Nil for a local update.
+	Dest []string
 }
 
 // Compound is the part of an op that only a statement holding other
@@ -366,10 +384,13 @@ func (l lowerer) op(e dsl.Expr, pos string) *Op {
 		signal(SigReconsider)
 	case dsl.Assert:
 		o.Kind, o.To, o.Prop, o.Value, o.Remote = OpProp, n.Target, n.Prop, true, !n.Target.IsLocal()
+		o.Ref = &Ref{Keys: l.j.propKeys(n.Prop), Dest: l.j.dest(n.Target)}
 	case dsl.Retract:
 		o.Kind, o.To, o.Prop, o.Value, o.Remote = OpProp, n.Target, n.Prop, false, !n.Target.IsLocal()
+		o.Ref = &Ref{Keys: l.j.propKeys(n.Prop), Dest: l.j.dest(n.Target)}
 	case dsl.Write:
 		o.Kind, o.To, o.Data, o.Remote = OpWrite, n.To, n.Data, true
+		o.Ref = &Ref{Dest: l.j.dest(n.To)}
 	case dsl.Wait:
 		wp := CompileWait(l.j, n)
 		o.Kind, o.Cond, o.Wait = OpWait, n.Cond, &wp

@@ -11,9 +11,11 @@ import (
 // facts. The resolver turns a name as a statement or formula writes it into
 // the table keys the runtime's cells have: me:: tokens resolved against the
 // owning junction, an idx family base[$idx] expanded over the idx's universe
-// with the base as written and each element me::-resolved, and a formula's
-// junction qualifier resolved to a fully-qualified junction name. The facts
-// are recorded by walking the lowered ops (Compile's second phase), so a
+// (whose elements are resolved once, when the declarations are indexed) with
+// the base as written, and a junction qualifier or set element resolved to a
+// fully-qualified junction name. Each update op carries what it resolves to
+// (Ref), so no consumer resolves an update's keys or destination again. The
+// facts are recorded by walking the lowered ops (Compile's second phase), so a
 // fact's position is the op's Pos.
 
 // AccessKind distinguishes how a key is written.
@@ -64,7 +66,8 @@ func (tj *TypeJunction) FQ() string { return tj.Type + "::" + tj.Junction }
 func (tj *TypeJunction) Pos(o *Op) string { return tj.FQ() + strings.TrimPrefix(o.Pos, tj.Rep.FQ) }
 
 // declIndex is a junction's declarations with me:: tokens resolved against
-// the owning instance, keeping declaration order for deterministic output.
+// the owning instance (a set's elements too), keeping declaration order for
+// deterministic output.
 type declIndex struct {
 	props     map[string]int // slot: the position in propOrder
 	propOrder []string
@@ -102,7 +105,11 @@ func (j *Junction) indexDecls() {
 				di.dataOrder = append(di.dataOrder, n.Name)
 			}
 		case dsl.DeclSet:
-			di.sets[n.Name] = n.Elems
+			elems := make([]string, len(n.Elems))
+			for i, e := range n.Elems {
+				elems[i] = j.ResolveName(e)
+			}
+			di.sets[n.Name] = elems
 		case dsl.DeclSubset:
 			if _, ok := di.subsets[n.Name]; !ok {
 				di.subOrder = append(di.subOrder, n.Name)
@@ -169,9 +176,9 @@ func (j *Junction) ReadRemotely(key string) bool {
 }
 
 // IdxUniverse returns the static element universe an idx declaration ranges
-// over (the elements of its set, or of a subset's parent set), as declared.
-// ok is false when the idx is not declared or its universe cannot be
-// resolved statically.
+// over (the elements of its set, or of a subset's parent set), me::-resolved:
+// the values SetIdx stores. ok is false when the idx is not declared or its
+// universe cannot be resolved statically.
 func (j *Junction) IdxUniverse(idx string) ([]string, bool) {
 	setName, ok := j.decls.idxs[idx]
 	if !ok {
@@ -183,7 +190,8 @@ func (j *Junction) IdxUniverse(idx string) ([]string, bool) {
 // IdxSet is the set or subset name an idx declaration ranges over.
 func (j *Junction) IdxSet(idx string) (string, bool) { s, ok := j.decls.idxs[idx]; return s, ok }
 
-// SetUniverse resolves a set or subset name to its static element universe.
+// SetUniverse resolves a set or subset name to its static element universe,
+// me::-resolved.
 func (j *Junction) SetUniverse(name string) ([]string, bool) {
 	return j.decls.setElems(name)
 }
@@ -199,36 +207,61 @@ func (j *Junction) ResolveName(s string) string {
 	return strings.ReplaceAll(s, "me::instance", j.Inst)
 }
 
-// Family resolves the idx family base[$idx] the way the runtime binds it: for
-// each element of the idx's universe, the element me::-resolved (what SetIdx
-// stores) and the key base[element], the base as written. ok is false when
-// the universe is not static.
-func (j *Junction) Family(base, idx string) (elems, keys []string, ok bool) {
+// Family resolves the idx family base[$idx] the way the runtime binds it: the
+// key base[element], the base as written, for each element of the idx's
+// universe, in universe order. ok is false when the universe is not static.
+func (j *Junction) Family(base, idx string) (keys []string, ok bool) {
 	universe, ok := j.IdxUniverse(idx)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	for _, e := range universe {
-		e = j.ResolveName(e)
-		elems = append(elems, e)
 		keys = append(keys, dsl.IndexedName(base, e))
 	}
-	return elems, keys, true
+	return keys, true
 }
 
-// PropKeys resolves a PropRef written at this junction to concrete table
-// keys, expanding an idx-variable index to its family; idxRead names the idx
-// consulted, if any. keys is nil when an idx-variable's universe cannot be
-// resolved statically (or is empty).
-func (j *Junction) PropKeys(pr dsl.PropRef) (keys []string, idxRead string) {
+// propKeys resolves a PropRef written at this junction to concrete table
+// keys, expanding an idx-variable index to its family. keys is nil when an
+// idx-variable's universe cannot be resolved statically (or is empty).
+func (j *Junction) propKeys(pr dsl.PropRef) []string {
 	switch {
 	case pr.Index == "":
-		return []string{j.ResolveName(pr.Base)}, ""
+		return []string{j.ResolveName(pr.Base)}
 	case !pr.IndexIsVar:
-		return []string{dsl.IndexedName(pr.Base, j.ResolveName(pr.Index))}, ""
+		return []string{dsl.IndexedName(pr.Base, j.ResolveName(pr.Index))}
 	}
-	_, keys, _ = j.Family(pr.Base, pr.Index)
-	return keys, pr.Index
+	keys, _ := j.Family(pr.Base, pr.Index)
+	return keys
+}
+
+// dest resolves a remote update's target at this junction: for an idx target
+// one fully-qualified junction per element of the idx's universe, in universe
+// order, otherwise one; nil for a local update.
+func (j *Junction) dest(ref dsl.JunctionRef) []string {
+	switch {
+	case ref.IsLocal():
+		return nil
+	case ref.MeJunction:
+		return []string{j.FQ}
+	case ref.MeInstance:
+		return []string{j.Inst + "::" + ref.Junction}
+	case ref.Idx != "":
+		set, ok := j.decls.idxs[ref.Idx]
+		if !ok {
+			set = ref.Idx // a subset named in place of an idx
+		}
+		elems, _ := j.decls.setElems(set)
+		fqs := make([]string, len(elems))
+		for i, e := range elems {
+			fqs[i] = junctionFQ(j.prog, e)
+		}
+		return fqs
+	case ref.Junction != "":
+		return []string{ref.Instance + "::" + ref.Junction}
+	default:
+		return []string{junctionFQ(j.prog, ref.Instance)}
+	}
 }
 
 // formulaKeys resolves a local proposition as a formula names it: an idx
@@ -236,7 +269,7 @@ func (j *Junction) PropKeys(pr dsl.PropRef) (keys []string, idxRead string) {
 // any other name to itself with me:: resolved.
 func (j *Junction) formulaKeys(name string) (keys []string, idx string, ok bool) {
 	if base, idxVar, isIdx := dsl.SplitIdxProp(name); isIdx {
-		_, keys, ok = j.Family(base, idxVar)
+		keys, ok = j.Family(base, idxVar)
 		return keys, idxVar, ok
 	}
 	return []string{j.ResolveName(name)}, "", true
@@ -269,8 +302,7 @@ func (j *Junction) LocalWrites(o *Op) (ws WriteSet) {
 	var names []string
 	switch n := o.Stmt.(type) {
 	case dsl.Assert, dsl.Retract:
-		keys, _ := j.PropKeys(o.Prop)
-		return WriteSet{Props: keys, Full: keys == nil}
+		return WriteSet{Props: o.Ref.Keys, Full: o.Ref.Keys == nil}
 	case dsl.Save:
 		return WriteSet{Data: []string{n.Data}}
 	case dsl.Host:
@@ -305,50 +337,16 @@ func (j *Junction) classify(name string) (string, bool) {
 	}
 }
 
-// ResolveTargets statically resolves a communication target reference
-// evaluated at j to junctions, over-approximating idx targets by their
-// element universe. Nil means the target is not statically resolvable.
-func (p *Program) ResolveTargets(j *Junction, ref dsl.JunctionRef) []*Junction {
-	switch {
-	case ref.IsLocal(), ref.MeJunction:
-		return []*Junction{j}
-	case ref.MeInstance:
-		if t := p.Junctions[j.Inst+"::"+ref.Junction]; t != nil {
-			return []*Junction{t}
+// Targets are the junctions an update op's destination names: an idx
+// target's whole universe.
+func (p *Program) Targets(o *Op) []*Junction {
+	var ts []*Junction
+	for _, fq := range o.Ref.Dest {
+		if t := p.Junctions[fq]; t != nil {
+			ts = append(ts, t)
 		}
-		return nil
-	case ref.Idx != "":
-		setName, ok := j.decls.idxs[ref.Idx]
-		if !ok {
-			setName = ref.Idx // subset iterated by for, or direct set ref
-		}
-		elems, ok := j.decls.setElems(setName)
-		if !ok {
-			return nil
-		}
-		var out []*Junction
-		for _, e := range elems {
-			if inst, jn, err := dsl.ResolveElemJunction(p.Prog, e); err == nil {
-				if t := p.Junctions[inst+"::"+jn]; t != nil {
-					out = append(out, t)
-				}
-			}
-		}
-		return out
-	default:
-		jn := ref.Junction
-		if jn == "" {
-			_, only, err := dsl.ResolveElemJunction(p.Prog, ref.Instance)
-			if err != nil {
-				return nil
-			}
-			jn = only
-		}
-		if t := p.Junctions[ref.Instance+"::"+jn]; t != nil {
-			return []*Junction{t}
-		}
-		return nil
 	}
+	return ts
 }
 
 func addAccess(m map[string][]Access, key string, a Access) {
@@ -389,7 +387,7 @@ func (p *Program) record(j *Junction) {
 			if o.To.Idx != "" {
 				read(o, "i:"+o.To.Idx)
 			}
-			for _, t := range p.ResolveTargets(j, o.To) {
+			for _, t := range p.Targets(o) {
 				if t == j {
 					continue // write-to-self is rejected by validate
 				}
@@ -463,9 +461,9 @@ func (p *Program) recordPropUpdate(j *Junction, o *Op) {
 	if o.Value {
 		class = "tt"
 	}
-	keys, idxRead := j.PropKeys(o.Prop)
-	if idxRead != "" {
-		addAccess(j.Reads, "i:"+idxRead, Access{Pos: o.Pos})
+	keys := o.Ref.Keys
+	if o.Prop.IndexIsVar {
+		addAccess(j.Reads, "i:"+o.Prop.Index, Access{Pos: o.Pos})
 	}
 	local := o.To.IsLocal() || o.To.MeJunction
 	for _, key := range keys {
@@ -482,7 +480,7 @@ func (p *Program) recordPropUpdate(j *Junction, o *Op) {
 	if o.To.Idx != "" {
 		addAccess(j.Reads, "i:"+o.To.Idx, Access{Pos: o.Pos})
 	}
-	for _, t := range p.ResolveTargets(j, o.To) {
+	for _, t := range p.Targets(o) {
 		for _, key := range keys {
 			addAccess(t.Writes, "p:"+key, Access{Pos: o.Pos, Kind: AccessIncoming, From: j.FQ, Class: class})
 			if !t.HasProp(key) {

@@ -222,7 +222,7 @@ func (j *Junction) compileOp(o *plan.Op) step {
 		if o.Remote {
 			return j.updateStep(j.updateArm(o))
 		}
-		return j.compileLocalProp(o.Prop, o.Value)
+		return j.compileLocalProp(o)
 	case plan.OpWrite:
 		return j.updateStep(j.updateArm(o))
 
@@ -404,53 +404,27 @@ func (j *Junction) compilePar(arms []*plan.Op) step {
 	}
 }
 
-// compileTarget lowers a communication target. Static references resolve at
-// compile time; idx references get a precomputed element→endpoint map over
-// the idx's universe, which holds every element SetIdx admits.
-func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
-	constant := func(fq string) func() (string, error) {
+// compileTarget lowers a remote update's destination (plan.Ref.Dest), which
+// validation guarantees names a junction: a static one is a constant, an idx
+// one an element→junction map over the idx's universe, which holds every
+// element SetIdx admits.
+func (j *Junction) compileTarget(o *plan.Op) func() (string, error) {
+	if o.To.Idx == "" {
+		fq := o.Ref.Dest[0]
 		return func() (string, error) { return fq, nil }
 	}
-	fail := func(err error) func() (string, error) {
-		return func() (string, error) { return "", err }
+	universe, _ := j.pj.IdxUniverse(o.To.Idx)
+	byElem := make(map[string]string, len(universe))
+	for i, e := range universe {
+		byElem[e] = o.Ref.Dest[i]
 	}
-	switch {
-	case ref.MeJunction:
-		return constant(j.FQName)
-	case ref.MeInstance:
-		return constant(j.inst.Name + "::" + ref.Junction)
-	case ref.Idx != "":
-		// An element that names no junction keeps its resolution error.
-		type endpoint struct {
-			fq  string
-			err error
-		}
-		byElem := map[string]endpoint{}
-		universe, _ := j.pj.IdxUniverse(ref.Idx)
-		for _, e := range universe {
-			fq, err := j.elemToFQ(e)
-			byElem[j.pj.ResolveName(e)] = endpoint{fq, err}
-		}
-		idx := ref.Idx
-		return func() (string, error) {
-			elem, err := j.Idx(idx)
-			if err != nil {
-				return "", err
-			}
-			ep := byElem[elem]
-			return ep.fq, ep.err
-		}
-	case ref.Instance != "":
-		if ref.Junction != "" {
-			return constant(ref.Instance + "::" + ref.Junction)
-		}
-		fq, err := j.elemToFQ(ref.Instance)
+	idx := o.To.Idx
+	return func() (string, error) {
+		elem, err := j.Idx(idx)
 		if err != nil {
-			return fail(err)
+			return "", err
 		}
-		return constant(fq)
-	default:
-		return fail(fmt.Errorf("runtime: %s: empty junction reference", j.FQName))
+		return byElem[elem], nil
 	}
 }
 
@@ -475,9 +449,9 @@ type updateArm func() (armedUpdate, error)
 // updateArm lowers the sender half of a remote update op (plan.Op.Remote).
 func (j *Junction) updateArm(o *plan.Op) updateArm {
 	if o.Kind == plan.OpWrite {
-		return j.compileWrite(o.Data, o.To)
+		return j.compileWrite(o)
 	}
-	return j.compileRemoteProp(o.To, o.Prop, o.Value)
+	return j.compileRemoteProp(o)
 }
 
 // updateStep lowers a straight-line run of remote updates — one statement, or
@@ -557,8 +531,9 @@ func (j *Junction) noteLocalHalves(ran []armedUpdate) {
 	}
 }
 
-func (j *Junction) compileWrite(data string, target dsl.JunctionRef) updateArm {
-	resolveTo := j.compileTarget(target)
+func (j *Junction) compileWrite(o *plan.Op) updateArm {
+	data := o.Data
+	resolveTo := j.compileTarget(o)
 	cell := j.table.DataCell(data)
 	return func() (armedUpdate, error) {
 		// The table's internal slice is safe here: sendGroup copies the
@@ -589,8 +564,9 @@ func (j *Junction) compileWrite(data string, target dsl.JunctionRef) updateArm {
 // the KV table of f and g", paper §4), then pushes the update to its target;
 // a communication failure fails the statement after the local effect (use a
 // transaction block to undo).
-func (j *Junction) compileLocalProp(pr dsl.PropRef, value bool) step {
-	resolve := j.compilePropRef(pr)
+func (j *Junction) compileLocalProp(o *plan.Op) step {
+	resolve := j.compilePropRef(o)
+	value := o.Value
 	return func(context.Context) (plan.Signal, error) {
 		p, err := resolve()
 		if err != nil {
@@ -607,9 +583,10 @@ func (j *Junction) compileLocalProp(pr dsl.PropRef, value bool) step {
 	}
 }
 
-func (j *Junction) compileRemoteProp(target dsl.JunctionRef, pr dsl.PropRef, value bool) updateArm {
-	resolve := j.compilePropRef(pr)
-	resolveTo := j.compileTarget(target)
+func (j *Junction) compileRemoteProp(o *plan.Op) updateArm {
+	resolve := j.compilePropRef(o)
+	resolveTo := j.compileTarget(o)
+	value := o.Value
 	return func() (armedUpdate, error) {
 		p, err := resolve()
 		if err != nil {
@@ -655,16 +632,15 @@ func (p boundProp) read() formula.Truth {
 	return formula.FromBool(p.cell.Get())
 }
 
-// compilePropRef lowers a PropRef to a resolver; everything but idx-variable
-// indices resolves at compile time.
-func (j *Junction) compilePropRef(pr dsl.PropRef) func() (boundProp, error) {
-	if !pr.IndexIsVar {
-		keys, _ := j.pj.PropKeys(pr)
-		p := j.bindProp(keys[0])
+// compilePropRef lowers an assert's or retract's proposition (plan.Ref.Keys)
+// to a resolver; everything but idx-variable indices resolves at compile time.
+func (j *Junction) compilePropRef(o *plan.Op) func() (boundProp, error) {
+	if !o.Prop.IndexIsVar {
+		p := j.bindProp(o.Ref.Keys[0])
 		return func() (boundProp, error) { return p, nil }
 	}
-	byElem := j.idxProps(pr.Base, pr.Index)
-	idx := pr.Index
+	idx := o.Prop.Index
+	byElem := j.idxProps(idx, o.Ref.Keys)
 	return func() (boundProp, error) {
 		elem, err := j.Idx(idx)
 		if err != nil {
@@ -674,16 +650,16 @@ func (j *Junction) compilePropRef(pr dsl.PropRef) func() (boundProp, error) {
 	}
 }
 
-// idxProps precomputes element→"base[element]" over an idx's universe, key
-// and cell, so per-evaluation resolution is one map lookup instead of a
-// concatenation and a table lookup. The keys are the plan's (Family), the
-// ones a transaction's write-set names. The map holds every element SetIdx
+// idxProps maps each element of an idx's universe to its key of a family,
+// keys in universe order (plan's, the ones a transaction's write-set names),
+// and its cell, so per-evaluation resolution is one map lookup instead of a
+// concatenation and a table lookup. The map holds every element SetIdx
 // admits, so an evaluation never misses it.
-func (j *Junction) idxProps(base, idx string) map[string]boundProp {
-	elems, keys, _ := j.pj.Family(base, idx)
-	byElem := make(map[string]boundProp, len(elems))
-	for i, e := range elems {
-		byElem[e] = j.bindProp(keys[i])
+func (j *Junction) idxProps(idx string, keys []string) map[string]boundProp {
+	universe, _ := j.pj.IdxUniverse(idx)
+	byElem := make(map[string]boundProp, len(keys))
+	for i, k := range keys {
+		byElem[universe[i]] = j.bindProp(k)
 	}
 	return byElem
 }
@@ -800,7 +776,8 @@ func (j *Junction) compileFormula(f formula.Formula) func() formula.Truth {
 func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 	if p.Junction == "" {
 		if base, idxVar, ok := dsl.SplitIdxProp(p.Name); ok {
-			byElem := j.idxProps(base, idxVar)
+			keys, _ := j.pj.Family(base, idxVar)
+			byElem := j.idxProps(idxVar, keys)
 			return func() formula.Truth {
 				elem, err := j.Idx(idxVar)
 				if err != nil {
@@ -813,18 +790,18 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 		return func() formula.Truth { return bp.read() }
 	}
 	// Junction-qualified proposition: the endpoint is static.
-	fq, err := j.elemToFQ(p.Junction)
-	if err != nil {
+	inst, jn, ok := strings.Cut(j.pj.Qualifier(p.Junction), "::")
+	if !ok {
 		return func() formula.Truth { return formula.Unknown }
 	}
-	inst, jn, _ := strings.Cut(fq, "::")
 	isRunning := p.Name == RunningProp
 	var resolveName func() (string, bool)
 	if base, idxVar, idxed := dsl.SplitIdxProp(p.Name); idxed {
 		// Only the precomputed keys are used: the cells belong to the other
 		// junction, and which incarnation of it answers can change between
 		// evaluations (migration), so that read stays by name.
-		byElem := j.idxProps(base, idxVar)
+		keys, _ := j.pj.Family(base, idxVar)
+		byElem := j.idxProps(idxVar, keys)
 		resolveName = func() (string, bool) {
 			elem, err := j.Idx(idxVar)
 			return byElem[elem].name, err == nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -505,19 +504,15 @@ func (j *Junction) SetIdx(name, elem string) error {
 		}
 		universe = members
 	}
-	// The plan keeps a set's elements as written: each is resolved in place,
-	// which allocates nothing unless it names me::.
-	for _, e := range universe {
-		if j.pj.ResolveName(e) == elem {
-			j.idxs[name] = elem
-			// Reassigning an idx redirects which key an indexed formula reads
-			// without touching the table: wake every subscriber so
-			// event-driven guards and waits re-evaluate.
-			j.table.WakeAll()
-			return nil
-		}
+	if !slices.Contains(universe, elem) {
+		return fmt.Errorf("runtime: %s: element %q outside set of idx %q", j.FQName, elem, name)
 	}
-	return fmt.Errorf("runtime: %s: element %q outside set of idx %q", j.FQName, elem, name)
+	j.idxs[name] = elem
+	// Reassigning an idx redirects which key an indexed formula reads without
+	// touching the table: wake every subscriber so event-driven guards and
+	// waits re-evaluate.
+	j.table.WakeAll()
+	return nil
 }
 
 // Idx resolves an idx variable; error when undef.
@@ -548,7 +543,7 @@ func (j *Junction) SetSubset(name string, elems []string) error {
 	}
 	parent, _ := j.pj.SetUniverse(name)
 	for _, e := range resolved {
-		if !slices.ContainsFunc(parent, func(p string) bool { return j.pj.ResolveName(p) == e }) {
+		if !slices.Contains(parent, e) {
 			return fmt.Errorf("runtime: %s: element %q outside parent set of subset %q", j.FQName, e, name)
 		}
 	}
@@ -571,19 +566,6 @@ func (j *Junction) Subset(name string) ([]string, error) {
 		return nil, fmt.Errorf("runtime: %s: subset %q is undef", j.FQName, name)
 	}
 	return append([]string(nil), v...), nil
-}
-
-// --- name & reference resolution --------------------------------------------
-
-// elemToFQ interprets a set element as a fully-qualified junction name
-// (plan.Junction.Qualifier); an error when it names no junction.
-func (j *Junction) elemToFQ(elem string) (string, error) {
-	fq := j.pj.Qualifier(elem)
-	if !strings.Contains(fq, "::") {
-		_, _, err := dsl.ResolveElemJunction(j.sys.prog, fq)
-		return "", fmt.Errorf("runtime: %s: %v", j.FQName, err)
-	}
-	return fq, nil
 }
 
 // RunningProp is the distinguished proposition name for the S(x) liveness
