@@ -72,10 +72,7 @@ func (o *Options) fill() {
 
 // System is a running C-Saw program.
 type System struct {
-	prog *dsl.Program
-	// net is the default location's network (kept for the single-location
-	// accessors); deploy owns the full location set.
-	net    *compart.Network
+	prog   *dsl.Program
 	deploy *Deployment
 	opts   Options
 
@@ -160,7 +157,6 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 	if err := dep.bind(s); err != nil {
 		return nil, err
 	}
-	s.net = dep.defaultLoc().net
 	if opts.Trace != nil {
 		s.obs.SetSink(opts.Trace)
 	}
@@ -177,7 +173,7 @@ func (s *System) Plan() *plan.Program { return s.plan }
 // Net exposes the default location's substrate network (for fault injection
 // in tests and benchmarks). Multi-location deployments address specific
 // locations through Deployment.Net.
-func (s *System) Net() *compart.Network { return s.net }
+func (s *System) Net() *compart.Network { return s.deploy.defaultLoc().net }
 
 // Deployment exposes the system's placement layer.
 func (s *System) Deployment() *Deployment { return s.deploy }
