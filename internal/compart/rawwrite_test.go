@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -49,21 +50,26 @@ func tcpClient(t *testing.T, sndbuf int, cfg ReconnectConfig) (*ReconnectClient,
 
 // orderMsg is sender s's i-th frame: 1 B to ~20 KiB of payload that spells
 // both numbers, so a frame torn, duplicated or misplaced cannot pass for
-// another.
+// another. Every third frame is an ack, every other one of those flagged.
 func orderMsg(s, i int) Message {
 	p := make([]byte, 1+(s*7919+i*104729)%20000)
 	for j := range p {
 		p[j] = byte(s + 3*i + j)
 	}
-	return Message{From: fmt.Sprintf("sender%d", s), To: "sink", Kind: KindData, Key: fmt.Sprint(i), Payload: p}
+	m := Message{From: fmt.Sprintf("sender%d", s), To: "sink", Kind: KindData, Key: fmt.Sprint(i), Payload: p}
+	if i%3 == 1 {
+		m.Kind, m.Flag = KindAck, i%2 == 0
+	}
+	return m
 }
 
 // TestDirectAndQueuedFramesKeepOrder: concurrent senders share a TCP
-// connection whose peer stops reading for a while, so their frames take both
-// paths — written by the sender while the socket is idle; queued behind
-// EAGAIN, a partial write's tail or the backlog while it is not — and the
-// peer then drains everything. Every frame must arrive exactly once, byte for
-// byte, in its sender's order, and the client's ledger must balance.
+// connection whose peer stops reading for a while, so their frames take every
+// path — written by the sender while the socket is idle, an ack held and
+// carried by another sender's write or written by its own sender; queued
+// behind EAGAIN, a partial write's tail or the backlog while it is not — and
+// the peer then drains everything. Every frame must arrive exactly once, byte
+// for byte, in its sender's order, and the client's ledger must balance.
 func TestDirectAndQueuedFramesKeepOrder(t *testing.T) {
 	const senders, before, during, after = 4, 40, 150, 40
 	const perSender = before + during + after
@@ -91,7 +97,7 @@ func TestDirectAndQueuedFramesKeepOrder(t *testing.T) {
 					return
 				}
 				want := orderMsg(s, next[s])
-				if m.Key != want.Key || m.To != want.To || m.Kind != want.Kind || !bytes.Equal(m.Payload, want.Payload) {
+				if m.Key != want.Key || m.To != want.To || m.Kind != want.Kind || m.Flag != want.Flag || !bytes.Equal(m.Payload, want.Payload) {
 					got <- fmt.Errorf("sender %d: got frame %s (%d B), want frame %s (%d B)", s, m.Key, len(m.Payload), want.Key, len(want.Payload))
 					return
 				}
@@ -135,8 +141,155 @@ func TestDirectAndQueuedFramesKeepOrder(t *testing.T) {
 	if st.Direct == 0 || st.Direct == st.Enqueued {
 		t.Fatalf("%d of %d frames written directly: both paths must have run", st.Direct, st.Enqueued)
 	}
+	if st.BatchesSent == 0 {
+		t.Fatalf("no write carried two frames: %+v", st)
+	}
 	if p := c.pending.Load(); p != 0 {
 		t.Fatalf("%d frames still counted unwritten", p)
+	}
+}
+
+// heldAck holds an ack on c as a flagged ack's sender does before it yields,
+// without writing it.
+func heldAck(t *testing.T, c *ReconnectClient, key string) Message {
+	t.Helper()
+	m := Message{From: "B::j", To: "A::j", Kind: KindAck, Key: key, Flag: true, Payload: make([]byte, 8)}
+	if !c.hold(&m) {
+		t.Fatal("an idle connection did not hold the ack")
+	}
+	return m
+}
+
+// TestHeldAckSurvivesReconnection: acks still held when their connection
+// dies are written first on the next connection — unprompted, and ahead of a
+// frame queued while the client was down — and each is counted Sent once.
+func TestHeldAckSurvivesReconnection(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	conns := make(chan net.Conn, 3)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conns <- conn
+		}
+	}()
+	accept := func() net.Conn {
+		t.Helper()
+		select {
+		case conn := <-conns:
+			t.Cleanup(func() { conn.Close() })
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			return conn
+		case <-time.After(5 * time.Second):
+			t.Fatal("the client did not connect")
+			return nil
+		}
+	}
+	read := func(conn net.Conn, groups ...[]Message) {
+		t.Helper()
+		n := 0
+		for _, g := range groups {
+			n += len(g)
+		}
+		msgs, err := readMessages(conn, n)
+		if err != nil {
+			t.Fatalf("after %d messages: %v", len(msgs), err)
+		}
+		keys := make([]string, len(msgs))
+		for i, m := range msgs {
+			keys[i] = m.Key
+		}
+		wantKeys(t, keys, groups...)
+	}
+	// The third dial waits for release, so a frame can be sent while the
+	// client is down.
+	var dials atomic.Int32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	c := DialReconnect("", ReconnectConfig{Dial: func() (net.Conn, error) {
+		if dials.Add(1) == 3 {
+			<-release
+		}
+		return net.Dial("tcp", l.Addr().String())
+	}})
+	defer c.Close()
+	defer unblock()
+	first := accept()
+	waitFor(t, 5*time.Second, "the client to connect", c.Connected)
+
+	acks := []Message{heldAck(t, c, "a1"), heldAck(t, c, "a2")}
+	first.Close()
+	second := accept()
+	read(second, acks)
+
+	waitFor(t, 5*time.Second, "the client to reconnect", c.Connected)
+	acks = []Message{heldAck(t, c, "a3")}
+	second.Close()
+	waitFor(t, 5*time.Second, "the client to see the connection die", func() bool { return !c.Connected() })
+	data := []Message{{From: "A::j", To: "B::j", Kind: KindData, Key: "d", Payload: []byte("x")}}
+	if err := c.Send(data[0]); err != nil {
+		t.Fatal(err)
+	}
+	unblock()
+	read(accept(), acks, data)
+
+	closeDrained(t, c)
+	if st := c.Stats(); st.Enqueued != 4 || st.Sent != 4 || st.Dropped != 0 || st.Connects != 3 || st.SendLatency.Count != 4 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+}
+
+// TestQueuedFrameFollowsHeldAcks: a frame that queues while acks are held —
+// here because the writer lock is busy — was sent after them, and the pump
+// writes them ahead of it, in one write.
+func TestQueuedFrameFollowsHeldAcks(t *testing.T) {
+	c, peer := tcpClient(t, 0, ReconnectConfig{})
+	acks := []Message{heldAck(t, c, "a1"), heldAck(t, c, "a2")}
+	data := []Message{{From: "A::j", To: "B::j", Kind: KindData, Key: "d", Payload: []byte("x")}}
+	c.wmu.Lock()
+	err := c.Send(data[0])
+	c.wmu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	msgs, err := readMessages(bufio.NewReader(peer), len(acks)+len(data))
+	if err != nil {
+		t.Fatalf("after %d messages: %v", len(msgs), err)
+	}
+	keys := make([]string, len(msgs))
+	for i, m := range msgs {
+		keys[i] = m.Key
+	}
+	wantKeys(t, keys, acks, data)
+	closeDrained(t, c)
+	if st := c.Stats(); st.Enqueued != 3 || st.Sent != 3 || st.Direct != 0 || st.BatchesSent != 1 || st.MsgsPerBatch.Max != 3 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+}
+
+// TestCloseDropsHeldAcks: acks held when the client closes are counted
+// Dropped, so Enqueued == Sent + Dropped still holds.
+func TestCloseDropsHeldAcks(t *testing.T) {
+	c, _ := tcpClient(t, 0, ReconnectConfig{})
+	if err := c.Send(Message{To: "sink", Kind: KindAck, Payload: make([]byte, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	heldAck(t, c, "a1")
+	heldAck(t, c, "a2")
+	c.Close()
+	if st := c.Stats(); st.Enqueued != 3 || st.Sent != 1 || st.Dropped != 2 || st.Direct != 1 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+	if err := c.Send(Message{To: "sink", Kind: KindAck, Payload: make([]byte, 8)}); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("an ack sent after Close: %v", err)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/bits"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,10 +104,12 @@ type ClientStats struct {
 	// Enqueued counts messages accepted: written by the sender itself on an
 	// idle connection, or queued for the connection goroutine.
 	Enqueued uint64
-	// Direct counts the accepted messages the sending goroutine wrote to the
-	// socket itself, wholly or (rarely) all but a tail the connection
-	// goroutine finished. Always 0 over connections without a file
-	// descriptor (net.Pipe), whose messages all queue.
+	// Direct counts the accepted messages a sending goroutine wrote to the
+	// socket itself rather than the connection goroutine: its own frame, and
+	// the held acks that rode in front of it or that their own sender
+	// wrote, wholly or (rarely) all but a tail the connection goroutine
+	// finished. Always 0 over connections without a file descriptor
+	// (net.Pipe), whose messages all queue.
 	Direct uint64
 	// Sent counts frames written to a socket (handed to the OS; TCP may
 	// still lose them on a crash, which heartbeats surface as a reconnect).
@@ -113,13 +117,14 @@ type ClientStats struct {
 	// Dropped counts messages rejected on a full queue, lost to a write
 	// error, or abandoned in the queue at Close.
 	Dropped uint64
-	// BatchesSent counts the drained runs of two or more frames the pump
-	// wrote under one flush. Every frame is one message — a KindGroup
+	// BatchesSent counts the writes that carried two or more frames: a run
+	// the pump drained under one flush, or held acks written together or in
+	// front of another frame. Every frame is one message — a KindGroup
 	// message is one however many updates it holds — so Enqueued, Sent and
 	// Dropped count frames, and batching never perturbs the
 	// Enqueued == Sent + Dropped conservation invariant.
 	BatchesSent uint64
-	// MsgsPerBatch summarizes batch sizes (frames per run counted in
+	// MsgsPerBatch summarizes batch sizes (frames per write counted in
 	// BatchesSent).
 	MsgsPerBatch SizeHist
 	// Dials counts dial attempts; Connects counts the successful ones, so
@@ -136,7 +141,8 @@ type ClientStats struct {
 	Connected bool
 	// SendLatency summarizes enqueue-to-socket-write latency, which spikes
 	// during disconnections and so exposes queueing delay to experiments. A
-	// whole direct write is a sample of 0.
+	// whole direct write is a sample of 0 for its own frame; a held ack's
+	// sample runs from when it was held.
 	SendLatency LatencySummary
 }
 
@@ -169,14 +175,27 @@ type ReconnectClient struct {
 	wmu     sync.Mutex
 	pending atomic.Int64
 	// raw is the live socket's handle for direct writes, detached while
-	// down. partial is a frame a direct write got only its first partialOff
-	// bytes of onto the socket; kick wakes the pump to write the rest before
-	// anything else. raw and the partial fields are guarded by wmu.
+	// down. partial is the bytes of partialN frames a direct write got only
+	// its first partialOff bytes of onto the socket; kick wakes the pump to
+	// write the rest before anything else. raw and the partial fields are
+	// guarded by wmu.
 	raw        rawWriter
 	partial    []byte
 	partialOff int
+	partialN   int
 	partialAt  time.Time
 	kick       chan struct{}
+	// held is the encoded KindAck frames waiting to go out in front of the
+	// next frame written, heldAt when each was held; guarded by wmu. An ack
+	// is held only while nothing is pending, so held frames are older than
+	// every pending one, and every write — direct, the pump's, a heartbeat —
+	// puts them first. They are not counted in pending, so a frame sent
+	// after them still takes the direct path, carrying them along. A write
+	// that leaves a partial tail takes them into it, and none are held
+	// again until the tail is written or dropped, so held is empty while
+	// partial is set.
+	held   []byte
+	heldAt []time.Time
 
 	enqueued, sent, dropped atomic.Uint64
 	directs                 atomic.Uint64
@@ -223,11 +242,13 @@ func DialReconnect(addr string, cfg ReconnectConfig) *ReconnectClient {
 // when the bounded queue is saturated, and ErrClientClosed after Close. A
 // nil error means the message was accepted, not that the remote received it
 // — delivery confirmation stays an application concern (the runtime's acks).
+//
+// A KindAck message on an idle connection is held, to leave in the same
+// write(2) as whatever frame is written next. With Flag clear the caller
+// writes it at once, with any acks held before it. With Flag set the caller
+// first yields the processor once, so that a frame the ack's receipt is
+// about to produce can carry it, and then writes whatever is still held.
 func (c *ReconnectClient) Send(msg Message) error {
-	frame, err := encodeFrame(&msg)
-	if err != nil {
-		return err
-	}
 	c.sendMu.RLock()
 	defer c.sendMu.RUnlock()
 	// done is re-checked as a case of the enqueue select below: the
@@ -238,7 +259,18 @@ func (c *ReconnectClient) Send(msg Message) error {
 		return ErrClientClosed
 	default:
 	}
-	if c.writeDirect(frame) {
+	if msg.Kind == KindAck && c.hold(&msg) {
+		if msg.Flag {
+			runtime.Gosched()
+			c.flushHeld()
+		}
+		return nil
+	}
+	frame, err := encodeFrame(&msg)
+	if err != nil {
+		return err
+	}
+	if c.writeDirect(frame, msg.Kind) {
 		return nil
 	}
 	c.pending.Add(1)
@@ -256,13 +288,11 @@ func (c *ReconnectClient) Send(msg Message) error {
 	}
 }
 
-// writeDirect writes frame from the calling goroutine when the connection
-// is idle and reports whether it took the frame. It never blocks: it only
-// tries the writer lock, and makes one non-blocking write. A socket that
-// takes none of the frame leaves it to the queue; one that takes part of it
-// leaves the tail counted pending, so later frames queue behind it, and
-// wakes the pump to finish it.
-func (c *ReconnectClient) writeDirect(frame []byte) bool {
+// hold encodes an ack into the held buffer when the connection is idle and
+// reports whether it took the ack; with Flag clear it also writes the held
+// acks at once. Like writeDirect it only tries the writer lock, and an ack
+// it does not take is sent as any other frame.
+func (c *ReconnectClient) hold(m *Message) bool {
 	if !c.wmu.TryLock() {
 		return false
 	}
@@ -270,51 +300,172 @@ func (c *ReconnectClient) writeDirect(frame []byte) bool {
 	if !c.raw.attached() || c.pending.Load() != 0 {
 		return false
 	}
-	n, err := c.raw.write(frame)
-	if err != nil || n <= 0 {
+	held, err := appendFrame(c.held, m)
+	if err != nil {
+		return false
+	}
+	c.held = held
+	c.heldAt = append(c.heldAt, time.Now())
+	c.enqueued.Add(1)
+	if !m.Flag && !c.directLocked(nil) {
+		c.kickPump()
+	}
+	return true
+}
+
+// flushHeld writes what a flagged ack left held after its sender yielded:
+// nothing, when a frame written meanwhile carried it. A write in progress,
+// or a socket that takes none of the bytes, leaves them to the pump, which
+// is woken; a lost connection leaves them for the next one.
+func (c *ReconnectClient) flushHeld() {
+	if !c.wmu.TryLock() {
+		c.kickPump()
+		return
+	}
+	defer c.wmu.Unlock()
+	if len(c.heldAt) > 0 && c.raw.attached() && !c.directLocked(nil) {
+		c.kickPump()
+	}
+}
+
+// writeDirect writes frame from the calling goroutine when the connection
+// is idle and reports whether it took the frame. It never blocks: it only
+// tries the writer lock, and makes one non-blocking write. A socket that
+// takes none of the frame leaves it to the queue; one that takes part of it
+// leaves the tail counted pending, so later frames queue behind it, and
+// wakes the pump to finish it. Held acks go out in the same write, the
+// frame copied in behind them — except a KindControl frame, which may be a
+// migration's state blob, and a frame larger than the pump's buffer: the
+// held acks take a write of their own first, so the held buffer never grows
+// to hold such a frame.
+func (c *ReconnectClient) writeDirect(frame []byte, kind MessageKind) bool {
+	if !c.wmu.TryLock() {
+		return false
+	}
+	defer c.wmu.Unlock()
+	if !c.raw.attached() || c.pending.Load() != 0 {
+		return false
+	}
+	if len(c.heldAt) > 0 && (kind == KindControl || len(frame) > frameBufSize) {
+		if !c.directLocked(nil) || c.partial != nil {
+			return false
+		}
+	}
+	if !c.directLocked(frame) {
 		return false
 	}
 	c.enqueued.Add(1)
-	c.directs.Add(1)
-	if n < len(frame) {
-		c.partial, c.partialOff, c.partialAt = frame, n, time.Now()
-		c.pending.Add(1)
-		select {
-		case c.kick <- struct{}{}:
-		default:
+	return true
+}
+
+// directLocked makes one non-blocking write(2) of the held acks followed by
+// frame (nil for the held acks alone) and reports whether the socket took
+// any of it. The caller holds wmu with the socket attached and no partial
+// tail, and sends a frame only with nothing pending ahead of it; the held
+// acks are older than anything pending. Bytes the socket refuses stay where
+// they were: the acks held, the frame the caller's. A part taken leaves the
+// rest as the partial tail, counted pending, and wakes the pump to finish it.
+func (c *ReconnectClient) directLocked(frame []byte) bool {
+	k := len(c.heldAt)
+	buf := frame
+	if k > 0 {
+		buf = append(c.held, frame...)
+	}
+	frames := k
+	if frame != nil {
+		frames++
+	}
+	n, err := c.raw.write(buf)
+	if err != nil || n <= 0 {
+		if k > 0 {
+			c.held = buf[:len(c.held)]
 		}
+		return false
+	}
+	c.directs.Add(uint64(frames))
+	if n < len(buf) {
+		c.partial, c.partialOff, c.partialN, c.partialAt = buf, n, frames, time.Now()
+		if k > 0 {
+			// The tail owns the held buffer's bytes now.
+			c.held, c.heldAt = nil, c.heldAt[:0]
+		}
+		c.pending.Add(1)
+		c.kickPump()
 		return true
 	}
-	c.sent.Add(1)
-	c.observeSent(0)
+	c.sent.Add(uint64(frames))
+	c.mu.Lock()
+	if k > 0 {
+		c.observeHeldLocked(time.Now())
+		c.held, c.heldAt = buf[:0], c.heldAt[:0]
+	}
+	if frame != nil {
+		c.sendLat.observe(0)
+	}
+	if frames > 1 {
+		c.batchesSent.Add(1)
+		c.batchSizes.observe(frames)
+	}
+	c.mu.Unlock()
 	return true
+}
+
+// observeHeldLocked records the send latency of every held ack, written at
+// now; the caller holds mu and wmu.
+func (c *ReconnectClient) observeHeldLocked(now time.Time) {
+	for _, at := range c.heldAt {
+		c.sendLat.observe(now.Sub(at))
+	}
+}
+
+// writeHeld hands the held acks to the pump's buffered writer and reports
+// how many it wrote; the caller holds wmu. On an error they stay held, for
+// the next connection.
+func (c *ReconnectClient) writeHeld(w io.Writer) (int, error) {
+	k := len(c.heldAt)
+	if k == 0 {
+		return 0, nil
+	}
+	if _, err := w.Write(c.held); err != nil {
+		return 0, err
+	}
+	c.sent.Add(uint64(k))
+	c.mu.Lock()
+	c.observeHeldLocked(time.Now())
+	c.mu.Unlock()
+	c.held, c.heldAt = c.held[:0], c.heldAt[:0]
+	return k, nil
+}
+
+// kickPump wakes the pump to write what a sender could not: a partial
+// write's tail, or held acks.
+func (c *ReconnectClient) kickPump() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
 }
 
 // finishPartial writes the tail a partial direct write left, blocking like
 // the pump's other writes; the pump calls it with wmu held before anything
-// else it writes, so the frame stays whole on the wire.
+// else it writes, so the frames stay whole on the wire.
 func (c *ReconnectClient) finishPartial(conn net.Conn) error {
 	if c.partial == nil {
 		return nil
 	}
-	frame, off, at := c.partial, c.partialOff, c.partialAt
+	tail, n, at := c.partial[c.partialOff:], c.partialN, c.partialAt
 	c.partial = nil
-	_, err := conn.Write(frame[off:])
+	_, err := conn.Write(tail)
 	c.pending.Add(-1)
 	if err != nil {
-		c.dropped.Add(1)
+		c.dropped.Add(uint64(n))
 		return err
 	}
-	c.sent.Add(1)
-	c.observeSent(time.Since(at))
-	return nil
-}
-
-// observeSent records the latency of a frame written outside a pump run.
-func (c *ReconnectClient) observeSent(wait time.Duration) {
+	c.sent.Add(uint64(n))
 	c.mu.Lock()
-	c.sendLat.observe(wait)
+	c.sendLat.observeN(time.Since(at), n)
 	c.mu.Unlock()
+	return nil
 }
 
 // Connected reports whether the client currently holds a live connection.
@@ -355,15 +506,19 @@ func (c *ReconnectClient) Notify(f func(up bool)) {
 	f(c.connected.Load())
 }
 
-// Close stops the client. Messages still queued are counted as Dropped.
-// After Close returns, Send fails with ErrClientClosed.
+// Close stops the client. Messages still queued or held are counted as
+// Dropped. After Close returns, Send fails with ErrClientClosed.
 func (c *ReconnectClient) Close() error {
 	c.once.Do(func() { close(c.done) })
 	c.wg.Wait()
 	// Excluding concurrent Sends during the drain guarantees every frame a
-	// racing Send managed to enqueue is still counted here.
+	// racing Send managed to enqueue or hold is still counted here.
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
+	c.wmu.Lock()
+	c.dropped.Add(uint64(len(c.heldAt)))
+	c.held, c.heldAt = nil, nil
+	c.wmu.Unlock()
 	for {
 		select {
 		case <-c.queue:
@@ -421,6 +576,10 @@ func (c *ReconnectClient) run() {
 		c.connects.Add(1)
 		c.wmu.Lock()
 		c.raw.attach(conn)
+		// Acks held when the last connection died go out first on this one.
+		if len(c.heldAt) > 0 && !(c.raw.attached() && c.directLocked(nil)) {
+			c.kickPump()
+		}
 		c.wmu.Unlock()
 		c.setConnected(true)
 		c.pump(conn)
@@ -465,7 +624,7 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 		if c.partial != nil {
 			c.partial = nil
 			c.pending.Add(-1)
-			c.dropped.Add(1)
+			c.dropped.Add(uint64(c.partialN))
 		}
 		c.wmu.Unlock()
 		_ = conn.Close()
@@ -482,16 +641,22 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 
 	bodies := make([][]byte, 0, maxCoalesce)
 	ats := make([]time.Time, 0, maxCoalesce)
-	// writeRun writes the drained frames behind one another into the
-	// buffered writer and flushes once, so a run of small frames costs one
-	// system call, and keeps the accounting exact: on a write error the
-	// frames already handed to the writer count Sent, the rest of the run
-	// counts Dropped — they were dequeued and will not be retried on the next
-	// connection. The run may be empty: a kick only finishes a partial write.
+	// writeRun writes the held acks and then the drained frames behind one
+	// another into the buffered writer and flushes once, so a run of small
+	// frames costs one system call, and keeps the accounting exact: on a
+	// write error the frames already handed to the writer count Sent, the
+	// rest of the run counts Dropped — they were dequeued and will not be
+	// retried on the next connection — and acks not handed over stay held.
+	// The run may be empty: a kick only finishes a partial write or writes
+	// held acks.
 	writeRun := func() bool {
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
 		err := c.finishPartial(conn)
+		acks := 0
+		if err == nil {
+			acks, err = c.writeHeld(w)
+		}
 		written := 0
 		for err == nil && written < len(bodies) {
 			if err = writeFrame(w, bodies[written]); err == nil {
@@ -500,9 +665,9 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 		}
 		c.sent.Add(uint64(written))
 		c.mu.Lock()
-		if err == nil && written > 1 {
+		if err == nil && acks+written > 1 {
 			c.batchesSent.Add(1)
-			c.batchSizes.observe(written)
+			c.batchSizes.observe(acks + written)
 		}
 		for _, at := range ats[:written] {
 			c.sendLat.observe(time.Since(at))
@@ -565,6 +730,9 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 			c.wmu.Lock()
 			err = c.finishPartial(conn)
 			if err == nil {
+				_, err = c.writeHeld(w)
+			}
+			if err == nil {
 				err = writeFrame(w, ping)
 			}
 			if err == nil {
@@ -589,7 +757,7 @@ const maxCoalesce = 256
 const sizeHistBuckets = 16
 
 // SizeHist is a small power-of-two histogram of batch sizes (frames per
-// drained run written under one flush) — the MsgsPerBatch summary of the
+// write of two or more) — the MsgsPerBatch summary of the
 // conserved-stats layer. It is a plain value; owners mutate it under their
 // own lock and expose copies in stats snapshots.
 type SizeHist struct {

@@ -66,11 +66,17 @@ func encodeFrame(m *Message) ([]byte, error) {
 	if size := frameSize(m); size <= maxFrame {
 		n += size
 	}
-	buf, err := appendMessage(make([]byte, 4, n), m)
+	return appendFrame(make([]byte, 0, n), m)
+}
+
+// appendFrame appends m's wire encoding, length prefix included, to dst. On
+// error dst is returned unchanged.
+func appendFrame(dst []byte, m *Message) ([]byte, error) {
+	buf, err := appendMessage(append(dst, 0, 0, 0, 0), m)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	binary.BigEndian.PutUint32(buf[len(dst):], uint32(len(buf)-len(dst)-4))
 	return buf, nil
 }
 
@@ -207,6 +213,11 @@ func takeStrIn(buf []byte, si strIntern) (string, []byte, error) {
 	return string(buf[:n]), buf[n:], nil
 }
 
+// frameBufSize is a frameWriter's buffer size: frames up to it are copied
+// behind the ones before them, larger ones written where they lie. A
+// sender's direct write applies the same line to held acks (reconnect.go).
+const frameBufSize = 4096
+
 // frameWriter is a connection's buffered frame writer. A frame that fits the
 // buffer's free space is copied in behind the frames before it, its length
 // written straight into the buffer, so a drained run of small frames leaves
@@ -224,7 +235,7 @@ type frameWriter struct {
 }
 
 func newFrameWriter(conn io.Writer) *frameWriter {
-	return &frameWriter{Writer: bufio.NewWriter(conn), conn: conn}
+	return &frameWriter{Writer: bufio.NewWriterSize(conn, frameBufSize), conn: conn}
 }
 
 func (w *frameWriter) writeFrame(body []byte) error {

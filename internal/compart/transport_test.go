@@ -159,7 +159,7 @@ func TestServerInternsAckAddresses(t *testing.T) {
 	}
 	payload := make([]byte, 16)
 	bare := allocs(Message{To: "A::Fnt", Kind: KindControl, Payload: payload})
-	ack := allocs(Message{From: "B::Bck1", To: "A::Fnt", Kind: KindControl, Key: "ack", Payload: payload})
+	ack := allocs(Message{From: "B::Bck1", To: "A::Fnt", Kind: KindAck, Key: "ack", Payload: payload})
 	if ack != bare {
 		t.Fatalf("a repeated ack frame costs %v allocations, one without From and Key %v", ack, bare)
 	}

@@ -373,9 +373,10 @@ func (t *Table) Unsubscribe(s *Subscription) {
 	}
 }
 
-// wakeLocked wakes every subscription registered for the key. Sends are
-// non-blocking (capacity-one channels), so calling under t.mu is safe.
-func (t *Table) wakeLocked(c *cell) {
+// wakeLocked wakes every subscription registered for the key and returns how
+// many it woke. Sends are non-blocking (capacity-one channels), so calling
+// under t.mu is safe.
+func (t *Table) wakeLocked(c *cell) int {
 	woken := 0
 	for _, s := range t.subs {
 		if s.wants(c) {
@@ -389,6 +390,7 @@ func (t *Table) wakeLocked(c *cell) {
 			t.wakeHook(c.kind, c.name, woken)
 		}
 	}
+	return woken
 }
 
 // wakeEveryLocked wakes every subscription, whatever its keys.
@@ -681,10 +683,10 @@ func (t *Table) Enqueue(u Update) {
 // the one whose value the run leaves, is stored or queued. Keyed subscribers
 // are woken once per distinct key instead of once per update — the
 // subscription-wake sweep cost of absorbing a batch is bounded by its key
-// set, not its length.
-func (t *Table) EnqueueBatch(us []Update) {
+// set, not its length. It reports whether it woke any subscriber.
+func (t *Table) EnqueueBatch(us []Update) bool {
 	if len(us) == 0 {
-		return
+		return false
 	}
 	// Distinct keys in first-appearance order. A group rarely names more than
 	// a few (a request's data and its proposition; one proposition 96 times),
@@ -720,10 +722,14 @@ func (t *Table) EnqueueBatch(us []Update) {
 			}
 		}
 	}
+	woke := false
 	for _, k := range distinct {
-		t.wakeLocked(k)
+		if t.wakeLocked(k) > 0 {
+			woke = true
+		}
 	}
 	t.mu.Unlock()
+	return woke
 }
 
 // applyLocked stores a queued update's value and wakes its key's subscribers;

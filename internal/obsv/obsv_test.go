@@ -63,6 +63,38 @@ func TestRingSinkWrapsInOrder(t *testing.T) {
 	}
 }
 
+// TestRingSinkKeepsSeqOrder: emitters racing through one Observer stamp Seq
+// before the sink's lock, so they can reach the sink out of order; the ring
+// must still hold its events in Seq order, wrapped or not.
+func TestRingSinkKeepsSeqOrder(t *testing.T) {
+	const emitters, each = 4, 50
+	for round := 0; round < 200; round++ {
+		o := NewObserver()
+		r := NewRingSink(emitters * each * (1 + round%2) / 2)
+		o.SetSink(r)
+		var wg sync.WaitGroup
+		for g := 0; g < emitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					o.Emit(Event{Kind: EvSchedFire, Junction: "i::j"})
+				}
+			}()
+		}
+		wg.Wait()
+		evs := r.Events()
+		if len(evs) != len(r.events) {
+			t.Fatalf("round %d: %d events retained, want %d", round, len(evs), len(r.events))
+		}
+		for i := 1; i < len(evs); i++ {
+			if evs[i].Seq <= evs[i-1].Seq {
+				t.Fatalf("round %d: seq %d after %d", round, evs[i].Seq, evs[i-1].Seq)
+			}
+		}
+	}
+}
+
 func TestRingSinkFind(t *testing.T) {
 	r := NewRingSink(16)
 	r.Emit(Event{Seq: 1, Kind: EvSchedFire, Junction: "a::x"})

@@ -10,8 +10,10 @@ import (
 )
 
 // RingSink keeps the last N events in memory. It is the test-facing sink:
-// cheap, allocation-bounded, and snapshotable in emission order. A zero
-// capacity defaults to 4096.
+// cheap, allocation-bounded, and snapshotable in emission order — the order
+// of Seq, which Observer.Emit stamps before the sink's lock is taken, so
+// concurrent emitters can reach the sink in another. A zero capacity
+// defaults to 4096.
 type RingSink struct {
 	mu      sync.Mutex
 	events  []Event
@@ -35,6 +37,20 @@ func (r *RingSink) Emit(e Event) {
 		r.dropped++
 	}
 	r.events[r.next] = e
+	// An event that lost the race to the lock moves back past the
+	// later-stamped ones, at most to the oldest retained slot.
+	n, retained := len(r.events), r.next+1
+	if r.wrapped {
+		retained = n
+	}
+	for i, k := r.next, 1; k < retained; k++ {
+		prev := (i + n - 1) % n
+		if r.events[prev].Seq <= r.events[i].Seq {
+			break
+		}
+		r.events[prev], r.events[i] = r.events[i], r.events[prev]
+		i = prev
+	}
 	r.next++
 	if r.next == len(r.events) {
 		r.next = 0

@@ -201,7 +201,7 @@ func TestMalformedAckFrames(t *testing.T) {
 		{"extra the frontier already covered", to, appendAck(2, []uint64{1}), 2},
 		{"extra inside the range, twice", to, appendAck(2, []uint64{4, 4}), 1},
 	} {
-		f.handleMessage(compart.Message{From: c.peer, To: from, Kind: compart.KindControl, Key: "ack", Payload: c.payload})
+		f.handleMessage(compart.Message{From: c.peer, To: from, Kind: compart.KindAck, Payload: c.payload})
 		if n := s.pendingAcks(from, to); n != c.pending {
 			t.Fatalf("%s: %d acks pending, want %d", c.name, n, c.pending)
 		}
@@ -214,7 +214,7 @@ func TestMalformedAckFrames(t *testing.T) {
 		t.Fatalf("par completed with seq 3 never acknowledged: %v", err)
 	default:
 	}
-	f.handleMessage(compart.Message{From: to, To: from, Kind: compart.KindControl, Key: "ack", Payload: appendAck(4, nil)})
+	f.handleMessage(compart.Message{From: to, To: from, Kind: compart.KindAck, Payload: appendAck(4, nil)})
 	if err := <-done; err != nil {
 		t.Fatalf("par failed after its last ack: %v", err)
 	}

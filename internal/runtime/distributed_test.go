@@ -3,13 +3,16 @@ package runtime
 import (
 	"context"
 	"net"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"csaw/internal/compart"
 	"csaw/internal/dsl"
+	"csaw/internal/events"
 	"csaw/internal/formula"
+	"csaw/internal/obsv"
 )
 
 // tcpLocations is a two-location Deployment in the shape of a TCP ledger
@@ -59,29 +62,11 @@ func TestDistributedFig3OverTCP(t *testing.T) {
 	var h2Ran atomic.Int32
 	var restored atomic.Value
 
-	build := func() *dsl.Program {
-		p := dsl.NewProgram()
-		p.Type("tau_f").Junction("junction", dsl.Def(
-			dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitData{Name: "n"}),
-			dsl.Save{Data: "n", From: func(dsl.HostCtx) ([]byte, error) { return []byte("cross-machine state"), nil }},
-			dsl.Write{Data: "n", To: dsl.J("g", "junction")},
-			dsl.Assert{Target: dsl.J("g", "junction"), Prop: dsl.PR("Work")},
-			dsl.Wait{Cond: formula.Not(formula.P("Work"))},
-		))
-		p.Type("tau_g").Junction("junction", dsl.Def(
-			dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitData{Name: "n"}),
-			dsl.Restore{Data: "n", Into: func(_ dsl.HostCtx, b []byte) error { restored.Store(string(b)); return nil }},
-			dsl.Host{Label: "H2", Fn: func(dsl.HostCtx) error { h2Ran.Add(1); return nil }},
-			dsl.Retract{Target: dsl.J("f", "junction"), Prop: dsl.PR("Work")},
-		).Guarded(formula.P("Work")))
-		p.Instance("f", "tau_f").Instance("g", "tau_g")
-		p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
-		return p
-	}
+	p := fig3(func(b []byte) { restored.Store(string(b)) }, func() { h2Ran.Add(1) })
 
 	// Location A hosts f and proxies g; location B hosts g and proxies f.
 	tl := newTCPLocations(t, compart.ReconnectConfig{}, nil)
-	s := mustSystem(t, build(), Options{Deploy: tl.dep.Place("f", "A").Place("g", "B")})
+	s := mustSystem(t, p, Options{Deploy: tl.dep.Place("f", "A").Place("g", "B")})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.RunMain(ctx); err != nil {
@@ -100,6 +85,130 @@ func TestDistributedFig3OverTCP(t *testing.T) {
 	}
 	if a, b := tl.srv["A"].Stats().Frames, tl.srv["B"].Stats().Frames; a == 0 || b == 0 {
 		t.Fatalf("servers read %d frames at A and %d at B: the updates did not cross TCP", a, b)
+	}
+}
+
+// fig3 builds the Fig. 3 program: f writes n to g, asserts g's Work and
+// waits for it to be retracted; g, guarded on Work, restores n, runs H2 and
+// retracts f's Work.
+func fig3(restore func([]byte), h2 func()) *dsl.Program {
+	p := dsl.NewProgram()
+	p.Type("tau_f").Junction("junction", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitData{Name: "n"}),
+		dsl.Save{Data: "n", From: func(dsl.HostCtx) ([]byte, error) { return []byte("cross-machine state"), nil }},
+		dsl.Write{Data: "n", To: dsl.J("g", "junction")},
+		dsl.Assert{Target: dsl.J("g", "junction"), Prop: dsl.PR("Work")},
+		dsl.Wait{Cond: formula.Not(formula.P("Work"))},
+	))
+	p.Type("tau_g").Junction("junction", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitData{Name: "n"}),
+		dsl.Restore{Data: "n", Into: func(_ dsl.HostCtx, b []byte) error { restore(b); return nil }},
+		dsl.Host{Label: "H2", Fn: func(dsl.HostCtx) error { h2(); return nil }},
+		dsl.Retract{Target: dsl.J("f", "junction"), Prop: dsl.PR("Work")},
+	).Guarded(formula.P("Work")))
+	p.Instance("f", "tau_f").Instance("g", "tau_g")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
+	return p
+}
+
+// TestAckRidesReplyOverTCP: in the Fig. 3 deployment over TCP each group's
+// ack is flagged — the group wakes its receiver's wait — so the receiving
+// location holds it, and the group its receiver sends back carries it in the
+// same write: g's retract carries its ack of f's group, and f's next
+// invocation its ack of the retract. The uplinks count such writes as
+// batches of two frames, frames per invocation stay four, and the run's trace
+// is one the §8 denotation allows. It runs at one P, as the request ledger
+// does: with an idle P the acking goroutine can be rescheduled before the
+// woken junction has sent, and the ack leaves alone.
+func TestAckRidesReplyOverTCP(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	const rounds = 20
+	var h2Ran atomic.Int32
+	p := fig3(func([]byte) {}, func() { h2Ran.Add(1) })
+	tl := newTCPLocations(t, compart.ReconnectConfig{}, nil)
+	ring := obsv.NewRingSink(1 << 14)
+	s := mustSystem(t, p, Options{Deploy: tl.dep.Place("f", "A").Place("g", "B"), Trace: ring})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if err := s.Invoke(ctx, "f", "junction"); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.pendingAcks("g::junction", "f::junction") != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("g's last retract was never acknowledged")
+		}
+	}
+	if h2Ran.Load() != rounds {
+		t.Fatalf("H2 ran %d times, want %d", h2Ran.Load(), rounds)
+	}
+	var sent, batches uint64
+	for loc, up := range tl.up {
+		st := up.Stats()
+		if st.Enqueued != st.Sent || st.Dropped != 0 {
+			t.Fatalf("uplink from %s: %+v", loc, st)
+		}
+		if st.MsgsPerBatch.Count != 0 && st.MsgsPerBatch.Max != 2 {
+			t.Fatalf("uplink from %s wrote more than a frame and its ack at once: %+v", loc, st)
+		}
+		sent += st.Sent
+		batches += st.BatchesSent
+	}
+	if sent != 4*rounds {
+		t.Fatalf("uplinks sent %d frames, want 4 per invocation", sent)
+	}
+	t.Logf("%d of %d frames went out two to a write", 2*batches, sent)
+	if batches < rounds {
+		t.Fatalf("%d writes carried an ack with another frame over %d invocations, want at least %d", batches, rounds, rounds)
+	}
+	if err := events.ConformsProgram(p, ring.Events()); err != nil {
+		t.Fatalf("the run is not one the §8 denotation allows: %v", err)
+	}
+}
+
+// TestHeldAckNotHostageToHostCode: g's host code spins for 200 ms on every
+// scheduling, so the ack of f's assert is flagged (its wait woke, or it is
+// mid-scheduling) and held; with a second P the acking goroutine's yield
+// returns while g spins, and it writes the ack itself, so f's remote assert
+// completes long before g's reply could carry it.
+func TestHeldAckNotHostageToHostCode(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+	p := dsl.NewProgram()
+	p.Type("tau_f").Junction("junction", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}),
+		dsl.Assert{Target: dsl.J("g", "junction"), Prop: dsl.PR("Work")},
+	))
+	p.Type("tau_g").Junction("junction", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work", Init: false}),
+		dsl.Host{Label: "Spin", Fn: func(dsl.HostCtx) error {
+			for start := time.Now(); time.Since(start) < 200*time.Millisecond; {
+			}
+			return nil
+		}},
+		dsl.Retract{Prop: dsl.PR("Work")},
+	).Guarded(formula.P("Work")))
+	p.Instance("f", "tau_f").Instance("g", "tau_g")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
+
+	tl := newTCPLocations(t, compart.ReconnectConfig{}, nil)
+	s := mustSystem(t, p, Options{Deploy: tl.dep.Place("f", "A").Place("g", "B")})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if err := s.Invoke(ctx, "f", "junction"); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Fatalf("round %d: the remote assert took %v behind g's 200 ms of host code", i, d)
+		}
 	}
 }
 

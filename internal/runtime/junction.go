@@ -54,6 +54,9 @@ type Junction struct {
 	idxs    map[string]string   // "" = undef; the element me::-resolved
 
 	schedMu sync.Mutex // one scheduling at a time
+	// scheduling is set while a scheduling holds schedMu, so an ack this
+	// junction sends can say a frame of its own is likely to follow.
+	scheduling atomic.Bool
 	// traced is whether the scheduling in progress reports the body's local
 	// writes (noteLocalWrite): Schedule's one look at the tracing flag, kept
 	// for the steps it runs so that they take no look of their own.
@@ -169,6 +172,8 @@ func (j *Junction) GuardTrue() bool {
 func (j *Junction) Schedule(ctx context.Context) error {
 	j.schedMu.Lock()
 	defer j.schedMu.Unlock()
+	j.scheduling.Store(true)
+	defer j.scheduling.Store(false)
 	if j.moved.Load() {
 		// Migration holds schedMu until the new incarnation is live, so by
 		// the time a caller gets here the replacement is resolvable.

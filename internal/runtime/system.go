@@ -551,7 +551,7 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 // --- remote update plumbing -------------------------------------------------
 //
 // There is one ack plane and one wire format: KindGroup messages one way
-// (group.go), KindControl "ack" frames the other. Each directed
+// (group.go), KindAck frames the other. Each directed
 // (sender,receiver) junction pair owns an ackWindow carrying its own sequence
 // space. A send is a group: the updates one par fires at one destination, or
 // adjacent statements of a sequence send to it (or a lone update, the n = 1
@@ -1064,12 +1064,12 @@ func appendAck(cum uint64, extras []uint64) []byte {
 }
 
 // handleMessage is installed per junction endpoint; defined here because it
-// needs the ack plumbing. A KindControl message keyed "ack" resolves acks; a
-// KindGroup message is a delivery group (handleGroup).
+// needs the ack plumbing. A KindAck message resolves acks; a KindGroup
+// message is a delivery group (handleGroup).
 func (j *Junction) handleMessage(m compart.Message) {
 	switch m.Kind {
-	case compart.KindControl:
-		if m.Key != "ack" || len(m.Payload) < 8 {
+	case compart.KindAck:
+		if len(m.Payload) < 8 {
 			return
 		}
 		// Cumulative frontier first, then vectored extras; the window is
@@ -1164,7 +1164,7 @@ func (j *Junction) deliverGroup(from string, lo uint64, updates []kv.Update) {
 		}
 	}
 	j.recvMu.Unlock()
-	j.table.EnqueueBatch(updates)
+	woke := j.table.EnqueueBatch(updates)
 	j.met.RemoteQueued.Add(n)
 	if n > 1 {
 		j.met.RemoteBatches.Add(1)
@@ -1174,7 +1174,10 @@ func (j *Junction) deliverGroup(from string, lo uint64, updates []kv.Update) {
 	}
 	// The ack leaves after the updates are enqueued: a sender's statement
 	// must not complete before its update is visible to the receiving table.
+	// Flag marks an ack a frame back to the sender's location is likely to
+	// follow — this junction is mid-scheduling, or the delivery woke one of
+	// its waits — so a TCP uplink may hold it for that frame to carry.
 	_ = j.net.Send(compart.Message{
-		From: j.FQName, To: from, Kind: compart.KindControl, Key: "ack", Payload: appendAck(cum, extras),
+		From: j.FQName, To: from, Kind: compart.KindAck, Flag: woke || j.scheduling.Load(), Payload: appendAck(cum, extras),
 	})
 }
