@@ -49,9 +49,10 @@ const (
 	// and decodes (runtime/group.go). To the substrate it is one message.
 	KindGroup
 	// KindAck carries a junction's cumulative delivery acknowledgment, in a
-	// payload the C-Saw runtime encodes. A ReconnectClient holds it to ride
-	// in front of the next frame it writes; Flag set says a frame back to the
-	// acknowledged sender's location is likely to follow soon.
+	// payload the C-Saw runtime encodes. Flag set says a frame back to the
+	// acknowledged sender's location is likely to follow soon: a
+	// ReconnectClient's sender yields once before writing it, so that frame
+	// can carry it in the same write.
 	KindAck
 	// KindUser is the first kind available to applications.
 	KindUser MessageKind = 64

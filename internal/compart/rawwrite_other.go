@@ -7,7 +7,7 @@ import (
 	"net"
 )
 
-// rawWriter has no direct write off unix: every frame queues for the pump.
+// rawWriter has no direct write off unix: the pump writes every frame.
 type rawWriter struct{}
 
 func (*rawWriter) attach(net.Conn) {}

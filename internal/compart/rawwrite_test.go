@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -64,12 +65,14 @@ func orderMsg(s, i int) Message {
 }
 
 // TestDirectAndQueuedFramesKeepOrder: concurrent senders share a TCP
-// connection whose peer stops reading for a while, so their frames take every
-// path — written by the sender while the socket is idle, an ack held and
-// carried by another sender's write or written by its own sender; queued
-// behind EAGAIN, a partial write's tail or the backlog while it is not — and
-// the peer then drains everything. Every frame must arrive exactly once, byte
-// for byte, in its sender's order, and the client's ledger must balance.
+// connection whose peer stops reading for a while, so their frames leave
+// every way — finished by the sender's own write while the socket is idle, a
+// flagged ack carried by another sender's write or written by its own sender
+// after it yields; left behind EAGAIN, a partial write or the pump's write
+// in progress, and finished by the pump — and the peer then drains
+// everything. Every frame must arrive exactly once, byte for byte, in its
+// sender's order, and the client's ledger must balance (closeDrained waits
+// for QueueLen 0).
 func TestDirectAndQueuedFramesKeepOrder(t *testing.T) {
 	const senders, before, during, after = 4, 40, 150, 40
 	const perSender = before + during + after
@@ -144,20 +147,32 @@ func TestDirectAndQueuedFramesKeepOrder(t *testing.T) {
 	if st.BatchesSent == 0 {
 		t.Fatalf("no write carried two frames: %+v", st)
 	}
-	if p := c.pending.Load(); p != 0 {
-		t.Fatalf("%d frames still counted unwritten", p)
-	}
 }
 
-// heldAck holds an ack on c as a flagged ack's sender does before it yields,
-// without writing it.
+// heldAck appends an ack to c's outbound buffer without writing it, as a
+// flagged ack's sender does before it yields.
 func heldAck(t *testing.T, c *ReconnectClient, key string) Message {
 	t.Helper()
 	m := Message{From: "B::j", To: "A::j", Kind: KindAck, Key: key, Flag: true, Payload: make([]byte, 8)}
-	if !c.hold(&m) {
-		t.Fatal("an idle connection did not hold the ack")
+	c.mu.Lock()
+	err := c.appendLocked(&m, false)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
+}
+
+// markWriting sets or clears c's write-in-progress mark, as the pump does
+// around its write; clearing it wakes the pump, as the end of its write
+// would have it look again.
+func markWriting(c *ReconnectClient, on bool) {
+	c.mu.Lock()
+	c.writing = on
+	c.mu.Unlock()
+	if !on {
+		c.kickPump()
+	}
 }
 
 // TestHeldAckSurvivesReconnection: acks still held when their connection
@@ -229,7 +244,11 @@ func TestHeldAckSurvivesReconnection(t *testing.T) {
 	second := accept()
 	read(second, acks)
 
-	waitFor(t, 5*time.Second, "the client to reconnect", c.Connected)
+	// A pump still writing a1 and a2 would take an ack appended now with
+	// them; once the buffer is empty it writes again only when woken.
+	waitFor(t, 5*time.Second, "the client to reconnect and drain", func() bool {
+		return c.Connected() && c.Stats().QueueLen == 0
+	})
 	acks = []Message{heldAck(t, c, "a3")}
 	second.Close()
 	waitFor(t, 5*time.Second, "the client to see the connection die", func() bool { return !c.Connected() })
@@ -246,16 +265,16 @@ func TestHeldAckSurvivesReconnection(t *testing.T) {
 	}
 }
 
-// TestQueuedFrameFollowsHeldAcks: a frame that queues while acks are held —
-// here because the writer lock is busy — was sent after them, and the pump
-// writes them ahead of it, in one write.
+// TestQueuedFrameFollowsHeldAcks: a frame sent while acks sit unwritten in
+// the buffer and a write is in progress is appended behind them, and the
+// pump writes them ahead of it, in one write.
 func TestQueuedFrameFollowsHeldAcks(t *testing.T) {
 	c, peer := tcpClient(t, 0, ReconnectConfig{})
 	acks := []Message{heldAck(t, c, "a1"), heldAck(t, c, "a2")}
 	data := []Message{{From: "A::j", To: "B::j", Kind: KindData, Key: "d", Payload: []byte("x")}}
-	c.wmu.Lock()
+	markWriting(c, true)
 	err := c.Send(data[0])
-	c.wmu.Unlock()
+	markWriting(c, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,17 +294,24 @@ func TestQueuedFrameFollowsHeldAcks(t *testing.T) {
 	}
 }
 
-// TestCloseDropsHeldAcks: acks held when the client closes are counted
-// Dropped, so Enqueued == Sent + Dropped still holds.
+// TestCloseDropsHeldAcks: an ack written at once leaves the queue empty;
+// acks still unwritten when the client closes are counted Dropped, so
+// Enqueued == Sent + Dropped still holds.
 func TestCloseDropsHeldAcks(t *testing.T) {
 	c, _ := tcpClient(t, 0, ReconnectConfig{})
 	if err := c.Send(Message{To: "sink", Kind: KindAck, Payload: make([]byte, 8)}); err != nil {
 		t.Fatal(err)
 	}
+	if st := c.Stats(); st.QueueLen != 0 {
+		t.Fatalf("a drained client: %+v", st)
+	}
 	heldAck(t, c, "a1")
 	heldAck(t, c, "a2")
+	if st := c.Stats(); st.QueueLen != 2 {
+		t.Fatalf("two acks unwritten: %+v", st)
+	}
 	c.Close()
-	if st := c.Stats(); st.Enqueued != 3 || st.Sent != 1 || st.Dropped != 2 || st.Direct != 1 {
+	if st := c.Stats(); st.Enqueued != 3 || st.Sent != 1 || st.Dropped != 2 || st.Direct != 1 || st.QueueLen != 0 {
 		t.Fatalf("client ledger: %+v", st)
 	}
 	if err := c.Send(Message{To: "sink", Kind: KindAck, Payload: make([]byte, 8)}); !errors.Is(err, ErrClientClosed) {
@@ -343,8 +369,9 @@ func TestSendNeverBlocksOnStalledPeer(t *testing.T) {
 // written by its sender, whole, as one message and no batch; a frame far
 // larger than the socket's buffers gets only its head out from the sender,
 // and the pump writes the tail before the frames another goroutine sent
-// meanwhile, which queue behind it. The peer must read every frame intact,
-// the large one before the small ones.
+// meanwhile, which wait behind it. The peer must read every frame intact,
+// the large one before the small ones. Direct counts only the group: the
+// pump wrote the large frame's last byte.
 func TestPartialDirectWriteCompletes(t *testing.T) {
 	c, peer := tcpClient(t, 16<<10, ReconnectConfig{})
 
@@ -352,8 +379,7 @@ func TestPartialDirectWriteCompletes(t *testing.T) {
 	if err := c.Send(group[0]); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 || st.BatchesSent != 0 ||
-		st.SendLatency.Count != 1 || st.SendLatency.Max != 0 {
+	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 || st.BatchesSent != 0 || st.SendLatency.Count != 1 {
 		t.Fatalf("a directly written group: %+v", st)
 	}
 
@@ -365,7 +391,7 @@ func TestPartialDirectWriteCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The peer reads nothing yet, so the tail cannot have gone out.
-	if st := c.Stats(); st.Direct != 2 || st.Sent != 1 {
+	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 {
 		t.Fatalf("after the large frame: %+v", st)
 	}
 
@@ -381,7 +407,7 @@ func TestPartialDirectWriteCompletes(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if st := c.Stats(); st.Direct != 2 {
+	if st := c.Stats(); st.Direct != 1 || st.Sent != 1 {
 		t.Fatalf("a small frame was written ahead of the large frame's tail: %+v", st)
 	}
 
@@ -401,7 +427,101 @@ func TestPartialDirectWriteCompletes(t *testing.T) {
 
 	closeDrained(t, c)
 	st := c.Stats()
-	if st.Enqueued != 12 || st.Sent != 12 || st.Dropped != 0 || st.Direct != 2 || st.SendLatency.Count != 12 {
+	if st.Enqueued != 12 || st.Sent != 12 || st.Dropped != 0 || st.Direct != 1 || st.SendLatency.Count != 12 {
+		t.Fatalf("client ledger: %+v", st)
+	}
+}
+
+// TestCutFrameIsWrittenWholeOnTheNextConnection: a connection dies with only
+// the head of a 4 MiB frame taken — the peer reads 1 KiB and closes — and a
+// second frame is sent while the client is down. The next connection
+// carries the large frame again, whole and byte for byte, then the second
+// frame; each is counted Sent once and neither Dropped.
+func TestCutFrameIsWrittenWholeOnTheNextConnection(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	conns := make(chan net.Conn, 2)
+	go func() {
+		for first := true; ; first = false {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			if first {
+				_ = conn.(*net.TCPConn).SetReadBuffer(16 << 10)
+			}
+			conns <- conn
+		}
+	}()
+	accept := func() net.Conn {
+		t.Helper()
+		select {
+		case conn := <-conns:
+			t.Cleanup(func() { conn.Close() })
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			return conn
+		case <-time.After(5 * time.Second):
+			t.Fatal("the client did not connect")
+			return nil
+		}
+	}
+	// The first connection's send buffer is shrunk; the second dial waits
+	// for release, so the second frame is sent while the client is down.
+	var dials atomic.Int32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	c := DialReconnect("", ReconnectConfig{Dial: func() (net.Conn, error) {
+		n := dials.Add(1)
+		if n == 2 {
+			<-release
+		}
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err == nil && n == 1 {
+			_ = conn.(*net.TCPConn).SetWriteBuffer(16 << 10)
+		}
+		return conn, err
+	}})
+	defer c.Close()
+	defer unblock()
+	first := accept()
+	waitFor(t, 5*time.Second, "the client to connect", c.Connected)
+
+	big := Message{From: "A::j", To: "B::j", Kind: KindControl, Key: "big", Payload: make([]byte, 4<<20)}
+	for i := range big.Payload {
+		big.Payload[i] = byte(i * 13)
+	}
+	if err := c.Send(big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(first, make([]byte, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	waitFor(t, 5*time.Second, "the client to see the connection die", func() bool { return !c.Connected() })
+	if st := c.Stats(); st.Sent != 0 || st.Dropped != 0 || st.QueueLen != 1 {
+		t.Fatalf("the cut frame after its connection died: %+v", st)
+	}
+	small := Message{From: "A::j", To: "B::j", Kind: KindData, Key: "small", Payload: []byte("x")}
+	if err := c.Send(small); err != nil {
+		t.Fatal(err)
+	}
+	unblock()
+
+	msgs, err := readMessages(bufio.NewReader(accept()), 2)
+	if err != nil {
+		t.Fatalf("after %d messages: %v", len(msgs), err)
+	}
+	keys := []string{msgs[0].Key, msgs[1].Key}
+	wantKeys(t, keys, []Message{big, small})
+	if !bytes.Equal(msgs[0].Payload, big.Payload) {
+		t.Fatalf("the cut frame arrived with %d B of payload, not the %d B sent", len(msgs[0].Payload), len(big.Payload))
+	}
+	closeDrained(t, c)
+	if st := c.Stats(); st.Enqueued != 2 || st.Sent != 2 || st.Dropped != 0 || st.Connects != 2 {
 		t.Fatalf("client ledger: %+v", st)
 	}
 }

@@ -10,8 +10,9 @@ import (
 // rawWriter is a sender's direct write to the live socket: one write(2)
 // through the connection's raw handle, made by a callback that returns true
 // so it never waits for the socket to become writable. A connection without
-// a file descriptor (net.Pipe) has no handle, and its frames always queue.
-// Guarded by ReconnectClient.wmu.
+// a file descriptor (net.Pipe) has no handle, and the pump writes all its
+// frames.
+// Guarded by ReconnectClient.mu.
 type rawWriter struct {
 	rc syscall.RawConn
 	// fn is bound once per client and reads its frame from the fields

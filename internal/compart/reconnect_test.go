@@ -239,3 +239,36 @@ func TestNotifyNeverLeavesAStaleState(t *testing.T) {
 		t.Fatalf("listener saw %v while the client is connected=%v; it must end true", seen, rc.Connected())
 	}
 }
+
+// TestHeartbeatsStayOutOfMessageCounters: heartbeats share the outbound
+// buffer with messages, and only HeartbeatsSent counts them, so a client
+// that pings while it sends still balances Enqueued == Sent + Dropped on
+// its messages alone, and the server injects exactly those.
+func TestHeartbeatsStayOutOfMessageCounters(t *testing.T) {
+	remote := newTestNetwork(t, 1)
+	var delivered atomic.Uint64
+	remote.Register("sink", func(Message) { delivered.Add(1) })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(remote, l)
+	defer srv.Close()
+	rc := DialReconnect(srv.Addr().String(), ReconnectConfig{Heartbeat: 5 * time.Millisecond})
+	const n = 3
+	for i := 0; i < n; i++ {
+		if err := rc.Send(Message{From: "src", To: "sink", Kind: KindProp}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 2*time.Second, "a heartbeat answered", func() bool { return rc.Stats().HeartbeatsAcked > uint64(i) })
+	}
+	waitFor(t, 2*time.Second, "delivery", func() bool { return delivered.Load() == n })
+	closeDrained(t, rc)
+	st := rc.Stats()
+	if st.Enqueued != n || st.Sent != n || st.Dropped != 0 || st.SendLatency.Count != n || st.HeartbeatsSent < n {
+		t.Fatalf("client ledger: %+v", st)
+	}
+	if ss := srv.Stats(); ss.Frames != n || ss.Heartbeats < n {
+		t.Fatalf("server injected %d frames and answered %d heartbeats: %+v", ss.Frames, ss.Heartbeats, ss)
+	}
+}

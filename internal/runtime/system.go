@@ -1176,7 +1176,8 @@ func (j *Junction) deliverGroup(from string, lo uint64, updates []kv.Update) {
 	// must not complete before its update is visible to the receiving table.
 	// Flag marks an ack a frame back to the sender's location is likely to
 	// follow — this junction is mid-scheduling, or the delivery woke one of
-	// its waits — so a TCP uplink may hold it for that frame to carry.
+	// its waits — so a TCP uplink yields once before writing it, for that
+	// frame to carry it.
 	_ = j.net.Send(compart.Message{
 		From: j.FQName, To: from, Kind: compart.KindAck, Flag: woke || j.scheduling.Load(), Payload: appendAck(cum, extras),
 	})

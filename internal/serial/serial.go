@@ -33,9 +33,6 @@ import (
 
 // Errors reported by the codec.
 var (
-	// ErrTooDeep is returned by strict-mode Marshal when the value exceeds
-	// MaxDepth.
-	ErrTooDeep = errors.New("serial: value exceeds max depth")
 	// ErrTooLarge is returned when the encoded form exceeds MaxBytes.
 	ErrTooLarge = errors.New("serial: encoded value exceeds max bytes")
 	// ErrCorrupt is returned on malformed input.
@@ -46,13 +43,12 @@ var (
 
 // Config controls traversal bounds.
 type Config struct {
-	// MaxDepth bounds pointer/container recursion. Zero means the default
-	// of 32.
+	// MaxDepth bounds pointer/container recursion; a subtree past it is
+	// encoded as truncated and decodes to its zero value. Zero means the
+	// default of 32.
 	MaxDepth int
 	// MaxBytes bounds the encoded size. Zero means the default of 8 MiB.
 	MaxBytes int
-	// Strict makes depth overflow an error instead of truncating to nil.
-	Strict bool
 }
 
 func (c Config) maxDepth() int {
@@ -114,12 +110,9 @@ type encoder struct {
 	buf []byte
 }
 
-// truncate handles a value at exhausted depth: an error in strict mode, a
-// one-byte truncation marker otherwise.
+// truncate encodes a value at exhausted depth as the one-byte truncation
+// marker.
 func (e *encoder) truncate(buf []byte) ([]byte, error) {
-	if e.cfg.Strict {
-		return buf, ErrTooDeep
-	}
 	return append(buf, tagTrunc), nil
 }
 

@@ -160,14 +160,6 @@ func TestCycleDoesNotHang(t *testing.T) {
 	}
 }
 
-func TestStrictModeDepthError(t *testing.T) {
-	in := list(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	cfg := Config{MaxDepth: 5, Strict: true}
-	if _, err := cfg.Marshal(in); !errors.Is(err, ErrTooDeep) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestMaxBytes(t *testing.T) {
 	cfg := Config{MaxBytes: 16}
 	if _, err := cfg.Marshal(make([]byte, 1000)); !errors.Is(err, ErrTooLarge) {
