@@ -388,6 +388,33 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestLinkLatencySamples: an undelayed delivery is counted as a zero sample,
+// and a delayed link still measures send to delivery.
+func TestLinkLatencySamples(t *testing.T) {
+	n := newTestNetwork(t, 1)
+	n.Register("b", func(Message) {})
+	for i := 0; i < 3; i++ {
+		if err := n.Send(Message{From: "a", To: "b"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ls := n.LinkStats("a", "b"); ls.Latency.Count != 3 || ls.Latency.Max != 0 {
+		t.Fatalf("undelayed link latency = %+v, want 3 zero samples", ls.Latency)
+	}
+	const delay = 5 * time.Millisecond
+	n.SetLink("a", "c", LinkConfig{Latency: delay})
+	delivered := make(chan struct{})
+	n.Register("c", func(Message) { close(delivered) })
+	if err := n.Send(Message{From: "a", To: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	<-delivered
+	n.Close()
+	if ls := n.LinkStats("a", "c"); ls.Latency.Count != 1 || ls.Latency.Min < delay {
+		t.Fatalf("delayed link latency = %+v, want one sample of at least %v", ls.Latency, delay)
+	}
+}
+
 // TestLostInFlightCounted pins the delivery-time accounting fix: a delayed
 // delivery lost to a crash in flight is LostInFlight, not Delivered, and
 // the counters still sum.

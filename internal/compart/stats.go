@@ -56,7 +56,9 @@ func (l LatencySummary) Mean() time.Duration {
 }
 
 // LinkStats aggregates counters for one directed link. Latency measures
-// send-to-delivery time (including configured link latency and jitter).
+// send-to-delivery time on a link with configured latency or jitter; an
+// undelayed delivery, made inside Send, records a zero sample, so Count still
+// counts every delivery.
 type LinkStats struct {
 	Sent         uint64
 	Delivered    uint64

@@ -314,94 +314,157 @@ func (j *Junction) compilePar(arms []*plan.Op) step {
 	if len(arms) == 1 {
 		return j.compileOp(arms[0])
 	}
-	// idx is an arm's position among the par's arms.
-	type updateBranch struct {
-		idx int
-		run updateArm
-	}
-	type otherBranch struct {
-		idx int
-		run step
-	}
-	var updates []updateBranch
-	var others []otherBranch
+	return j.newPar(arms).fire
+}
+
+// compiledPar is a lowered par with the scratch its firings work in. The
+// scratch belongs to the step, not to a firing: a compiled step runs one
+// firing at a time (DESIGN.md, "A compiled step owns its scratch"), and each
+// firing clears what it used before it returns, so a firing allocates
+// nothing and leaves no payload reachable.
+type compiledPar struct {
+	j       *Junction
+	updates []updateBranch
+	others  []otherBranch
+
+	sigs   []plan.Signal // by arm position
+	errs   []error       // by arm position
+	m      armedUpdate   // the slot each update arm writes into, in turn
+	groups []destGroup   // this firing's destinations; the slots past len keep their ups
+	wg     sync.WaitGroup
+}
+
+// updateBranch and otherBranch are a par's arms; idx is the arm's position
+// among the par's arms.
+type updateBranch struct {
+	idx int
+	run updateArm
+}
+
+type otherBranch struct {
+	idx int
+	run step
+}
+
+// destGroup is the updates one firing sends to one destination; a failed
+// send fails all of them alike, so the first arm's position stands for the
+// group when errors are ranked by arm order.
+type destGroup struct {
+	to    string
+	first int
+	ups   []remoteUpdate
+}
+
+func (j *Junction) newPar(arms []*plan.Op) *compiledPar {
+	n := len(arms) // the par keeps no op alive
+	p := &compiledPar{j: j, sigs: make([]plan.Signal, n), errs: make([]error, n)}
 	for i, a := range arms {
 		if a.Remote {
-			updates = append(updates, updateBranch{i, j.updateArm(a)})
+			p.updates = append(p.updates, updateBranch{i, j.updateArm(a)})
 		} else {
-			others = append(others, otherBranch{i, j.compileOp(a)})
+			p.others = append(p.others, otherBranch{i, j.compileOp(a)})
 		}
 	}
-	// destGroup is the updates one firing sends to one destination; a failed
-	// send fails all of them alike, so the first arm's position stands for
-	// the group when errors are ranked by arm order.
-	type destGroup struct {
-		to    string
-		first int
-		ups   []remoteUpdate
+	if len(p.updates) > 0 {
+		// Most pars update one destination: size the first group for all of
+		// them. Any further group grows on its first firings and keeps what
+		// it grew.
+		p.groups = []destGroup{{ups: make([]remoteUpdate, 0, len(p.updates))}}[:0]
 	}
-	n := len(arms) // the closure keeps no op alive
-	return func(ctx context.Context) (plan.Signal, error) {
-		sigs := make([]plan.Signal, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for _, o := range others {
-			wg.Add(1)
+	return p
+}
+
+func (p *compiledPar) fire(ctx context.Context) (plan.Signal, error) {
+	j := p.j
+	for i := range p.others {
+		o := &p.others[i]
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.sigs[o.idx], p.errs[o.idx] = o.run(ctx)
+		}()
+	}
+	m := &p.m
+	for _, u := range p.updates {
+		*m = armedUpdate{}
+		err := u.run(m)
+		if m.local && j.traced {
+			j.noteLocalWrite(m.up.key, wrote(m.up.flag))
+		}
+		if err != nil {
+			p.errs[u.idx] = err
+			continue
+		}
+		g := p.group(m.to, u.idx)
+		g.ups = append(g.ups, m.up)
+	}
+	// A par's group stands or falls as one statement: only the error counts.
+	// The last group waits on this goroutine.
+	if last := len(p.groups) - 1; last >= 0 {
+		for i := range p.groups[:last] {
+			g := &p.groups[i]
+			p.wg.Add(1)
 			go func() {
-				defer wg.Done()
-				sigs[o.idx], errs[o.idx] = o.run(ctx)
+				defer p.wg.Done()
+				_, p.errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups)
 			}()
 		}
-		var groups []destGroup
-		for _, u := range updates {
-			m, err := u.run()
-			if m.local && j.traced {
-				j.noteLocalWrite(m.up.key, wrote(m.up.flag))
-			}
-			if err != nil {
-				errs[u.idx] = err
-				continue
-			}
-			g := 0
-			for g < len(groups) && groups[g].to != m.to {
-				g++
-			}
-			if g == len(groups) {
-				groups = append(groups, destGroup{to: m.to, first: u.idx})
-				if g == 0 {
-					// Most pars update one destination: size the first
-					// group for all of them.
-					groups[0].ups = make([]remoteUpdate, 0, len(updates))
-				}
-			}
-			groups[g].ups = append(groups[g].ups, m.up)
-		}
-		// A par's group stands or falls as one statement: only the error counts.
-		send := func(g destGroup) { _, errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups) }
-		for i, g := range groups {
-			if i == len(groups)-1 {
-				send(g) // the last group waits on this goroutine
-				break
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				send(g)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return plan.SigNone, err
-			}
-		}
-		for _, s := range sigs {
-			if s != plan.SigNone {
-				return s, nil
-			}
-		}
-		return plan.SigNone, nil
+		g := &p.groups[last]
+		_, p.errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups)
 	}
+	p.wg.Wait()
+	sig, err := p.outcome()
+	p.clear()
+	return sig, err
+}
+
+// group is the open group for destination to, opened at arm first when the
+// firing has none yet.
+func (p *compiledPar) group(to string, first int) *destGroup {
+	for i := range p.groups {
+		if p.groups[i].to == to {
+			return &p.groups[i]
+		}
+	}
+	// Reslicing, unlike append, keeps the ups an earlier firing grew.
+	if len(p.groups) == cap(p.groups) {
+		p.groups = append(p.groups, destGroup{})
+	} else {
+		p.groups = p.groups[:len(p.groups)+1]
+	}
+	g := &p.groups[len(p.groups)-1]
+	g.to, g.first = to, first
+	return g
+}
+
+// outcome ranks a firing's results: the first failure by arm order, then the
+// first non-none signal.
+func (p *compiledPar) outcome() (plan.Signal, error) {
+	for _, err := range p.errs {
+		if err != nil {
+			return plan.SigNone, err
+		}
+	}
+	for _, s := range p.sigs {
+		if s != plan.SigNone {
+			return s, nil
+		}
+	}
+	return plan.SigNone, nil
+}
+
+// clear readies the scratch for the next firing and drops every reference the
+// firing put there: errors, signals, and the keys and payloads of its groups.
+func (p *compiledPar) clear() {
+	clear(p.sigs)
+	clear(p.errs)
+	p.m = armedUpdate{}
+	for i := range p.groups {
+		g := &p.groups[i]
+		clear(g.ups)
+		g.to, g.first, g.ups = "", 0, g.ups[:0]
+	}
+	p.groups = p.groups[:0]
 }
 
 // compileTarget lowers a remote update's destination (plan.Ref.Dest), which
@@ -428,7 +491,7 @@ func (j *Junction) compileTarget(o *plan.Op) func() (string, error) {
 	}
 }
 
-// armedUpdate is what running an updateArm yields: where to send what, and
+// armedUpdate is what running an updateArm writes: where to send what, and
 // how to take the arm's local effect back.
 type armedUpdate struct {
 	to   string
@@ -440,11 +503,13 @@ type armedUpdate struct {
 }
 
 // updateArm is the lowered sender half of a remote assert/retract/write: it
-// applies the statement's local effect and resolves what to send where. The
-// delivery itself is sendGroup's, for a straight-line run of arms
-// (updateStep) or the update arms of a par (compilePar). When an arm fails
-// after its local effect, the effect's undo comes back with the error.
-type updateArm func() (armedUpdate, error)
+// applies the statement's local effect and resolves what to send where,
+// writing both into the zeroed slot its caller owns (a step's scratch, so an
+// arm copies nothing out). The delivery itself is sendGroup's, for a
+// straight-line run of arms (updateStep) or the update arms of a par
+// (compilePar). When an arm fails after its local effect, the slot holds the
+// effect's undo beside the error.
+type updateArm func(*armedUpdate) error
 
 // updateArm lowers the sender half of a remote update op (plan.Op.Remote).
 func (j *Junction) updateArm(o *plan.Op) updateArm {
@@ -471,52 +536,74 @@ func (j *Junction) updateArm(o *plan.Op) updateArm {
 // acknowledgments (not updates) are lost, members after p may have reached
 // the receiver although the sender reports p failed — every such receiver
 // state is one the statements reach one at a time when a later ack is lost.
-func (j *Junction) updateStep(arms ...updateArm) step {
-	return func(ctx context.Context) (plan.Signal, error) {
-		var (
-			upBuf  [4]remoteUpdate
-			ranBuf [4]armedUpdate
-		)
-		ups := upBuf[:0]   // the open group
-		ran := ranBuf[:0]  // one per arm run so far
-		to, first := "", 0 // the open group's destination and first member
-		for k := 0; ; k++ {
-			var m armedUpdate
-			var err error
-			last := k == len(arms)
-			if !last {
-				m, err = arms[k]()
-				ran = append(ran, m)
-			}
-			if len(ups) > 0 && (last || err != nil || m.to != to) {
-				acked, serr := j.sys.sendGroup(ctx, j, to, ups)
-				if serr != nil {
-					for u := len(ran) - 1; u > first+acked; u-- {
-						j.table.UndoProp(ran[u].undo)
-					}
-					j.noteLocalHalves(ran[first : first+acked+1])
-					return plan.SigNone, serr
-				}
-				j.noteLocalHalves(ran[first : first+len(ups)])
-				ups = ups[:0]
-				if cerr := ctx.Err(); cerr != nil && !last {
-					// The deadline passed between two groups, where it would
-					// have stopped the sequence before statement k began.
-					j.table.UndoProp(m.undo)
-					return plan.SigNone, fmt.Errorf("%w: %w", ErrTimeout, cerr)
-				}
-			}
-			if err != nil {
-				j.noteLocalHalves(ran[k:])
-			}
-			if last || err != nil {
-				return plan.SigNone, err
-			}
-			if len(ups) == 0 {
-				to, first = m.to, k
-			}
-			ups = append(ups, m.up)
+//
+// The step owns its scratch, one slot per arm and the open group, and clears
+// it when a firing ends (DESIGN.md, "A compiled step owns its scratch"): a
+// pointer into a firing's own frame would escape through the indirect arm
+// call, and cost an allocation per firing.
+func (j *Junction) updateStep(arms ...updateArm) step { return j.newUpdateRun(arms).fire }
+
+// updateRun is a lowered straight-line run of remote updates and its scratch.
+type updateRun struct {
+	j    *Junction
+	arms []updateArm
+	ran  []armedUpdate  // arm k's slot is ran[k]
+	ups  []remoteUpdate // the open group; room for every arm
+}
+
+func (j *Junction) newUpdateRun(arms []updateArm) *updateRun {
+	return &updateRun{j: j, arms: arms, ran: make([]armedUpdate, len(arms)), ups: make([]remoteUpdate, 0, len(arms))}
+}
+
+func (r *updateRun) fire(ctx context.Context) (plan.Signal, error) {
+	err := r.run(ctx)
+	clear(r.ran)
+	clear(r.ups[:cap(r.ups)])
+	return plan.SigNone, err
+}
+
+func (r *updateRun) run(ctx context.Context) error {
+	j := r.j
+	ups := r.ups[:0]   // the open group
+	ran := r.ran[:0]   // the slots of the arms run so far
+	to, first := "", 0 // the open group's destination and first member
+	for k := 0; ; k++ {
+		var m *armedUpdate
+		var err error
+		last := k == len(r.arms)
+		if !last {
+			m = &r.ran[k]
+			err = r.arms[k](m)
+			ran = r.ran[:k+1]
 		}
+		if len(ups) > 0 && (last || err != nil || m.to != to) {
+			acked, serr := j.sys.sendGroup(ctx, j, to, ups)
+			if serr != nil {
+				for u := len(ran) - 1; u > first+acked; u-- {
+					j.table.UndoProp(ran[u].undo)
+				}
+				j.noteLocalHalves(ran[first : first+acked+1])
+				return serr
+			}
+			j.noteLocalHalves(ran[first : first+len(ups)])
+			ups = ups[:0]
+			if cerr := ctx.Err(); cerr != nil && !last {
+				// The deadline passed between two groups, where it would
+				// have stopped the sequence before statement k began.
+				j.table.UndoProp(m.undo)
+				return fmt.Errorf("%w: %w", ErrTimeout, cerr)
+			}
+		}
+		if err != nil {
+			j.noteLocalHalves(ran[k:])
+		}
+		if last || err != nil {
+			return err
+		}
+		if len(ups) == 0 {
+			to, first = m.to, k
+		}
+		ups = append(ups, m.up)
 	}
 }
 
@@ -524,8 +611,11 @@ func (j *Junction) updateStep(arms ...updateArm) step {
 // left them standing: a traced run shows a local write when it can no longer
 // be taken back (obsv.EvLocalWrite).
 func (j *Junction) noteLocalHalves(ran []armedUpdate) {
-	for _, m := range ran {
-		if m.local && j.traced {
+	if !j.traced {
+		return
+	}
+	for i := range ran {
+		if m := &ran[i]; m.local {
 			j.noteLocalWrite(m.up.key, wrote(m.up.flag))
 		}
 	}
@@ -535,9 +625,10 @@ func (j *Junction) compileWrite(o *plan.Op) updateArm {
 	data := o.Data
 	resolveTo := j.compileTarget(o)
 	cell := j.table.DataCell(data)
-	return func() (armedUpdate, error) {
+	return func(m *armedUpdate) error {
 		// The table's internal slice is safe here: sendGroup copies the
-		// payload into the framed message body before handing it off.
+		// payload into the framed message body before handing it off, and
+		// the step clears its slots when the firing ends.
 		var payload []byte
 		var err error
 		if cell != nil {
@@ -546,16 +637,17 @@ func (j *Junction) compileWrite(o *plan.Op) updateArm {
 			payload, err = j.table.DataRef(data)
 		}
 		if err != nil {
-			return armedUpdate{}, fmt.Errorf("write %s: %w", data, err)
+			return fmt.Errorf("write %s: %w", data, err)
 		}
 		to, err := resolveTo()
 		if err != nil {
-			return armedUpdate{}, err
+			return err
 		}
 		if to == j.FQName {
-			return armedUpdate{}, fmt.Errorf("runtime: %s: write to self", j.FQName)
+			return fmt.Errorf("runtime: %s: write to self", j.FQName)
 		}
-		return armedUpdate{to: to, up: remoteUpdate{kind: compart.KindData, key: data, payload: payload}}, nil
+		m.to, m.up = to, remoteUpdate{kind: compart.KindData, key: data, payload: payload}
+		return nil
 	}
 }
 
@@ -587,25 +679,25 @@ func (j *Junction) compileRemoteProp(o *plan.Op) updateArm {
 	resolve := j.compilePropRef(o)
 	resolveTo := j.compileTarget(o)
 	value := o.Value
-	return func() (armedUpdate, error) {
+	return func(m *armedUpdate) error {
 		p, err := resolve()
 		if err != nil {
-			return armedUpdate{}, err
+			return err
 		}
 		// The local half, when the sender declares the proposition too: p's
 		// cell was bound when the arm compiled, and a nil one means undeclared
 		// for good (boundProp), so the arm never goes through the table by name.
-		m := armedUpdate{up: remoteUpdate{kind: compart.KindProp, key: p.name, flag: value}, local: p.cell != nil}
-		if m.local {
+		m.up = remoteUpdate{kind: compart.KindProp, key: p.name, flag: value}
+		if m.local = p.cell != nil; m.local {
 			m.undo = p.cell.Swap(value)
 		}
 		if m.to, err = resolveTo(); err != nil {
-			return m, err
+			return err
 		}
 		if m.to == j.FQName {
-			return m, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
+			return fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 		}
-		return m, nil
+		return nil
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // armed, not allocated: a compiled otherwise[t] step keeps one and re-arms it
 // on every firing, so a firing that does not expire allocates nothing.
 //
-// Reuse needs no lock of its own. Schedule runs one firing of a junction at a
-// time (schedMu), and compileOp builds a separate closure for every op it
-// lowers, so two par arms never share a step: a step's deadline has one user
-// at a time, and every goroutine a try starts has ended when the try returns.
+// Reuse needs no lock of its own: a compiled step runs one firing at a time
+// (DESIGN.md, "A compiled step owns its scratch"), so a step's deadline has
+// one user at a time, and every goroutine a try starts has ended when the try
+// returns.
 //
 // A deadline is dropped, never re-armed, once it has ended — its timer fired,
 // or a parent's end reached it. disarm reports that (a Stop that finds the

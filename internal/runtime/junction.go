@@ -54,6 +54,7 @@ type Junction struct {
 	idxs    map[string]string   // "" = undef; the element me::-resolved
 
 	schedMu sync.Mutex // one scheduling at a time
+	turn    schedTurn  // callers waiting for schedMu with a deadline
 	// scheduling is set while a scheduling holds schedMu, so an ack this
 	// junction sends can say a frame of its own is likely to follow.
 	scheduling atomic.Bool
@@ -168,9 +169,15 @@ func (j *Junction) GuardTrue() bool {
 
 // Schedule runs the junction body once. It applies pending updates, checks
 // the guard (ErrNotSchedulable when not definitely true) and runs the body,
-// honouring the retry bound.
+// honouring the retry bound. While another scheduling or a migration holds
+// the junction, it waits for its turn only as long as ctx lets it
+// (ErrTimeout).
 func (j *Junction) Schedule(ctx context.Context) error {
-	j.schedMu.Lock()
+	if !j.schedMu.TryLock() {
+		if err := j.lockSched(ctx); err != nil {
+			return err
+		}
+	}
 	defer j.schedMu.Unlock()
 	j.scheduling.Store(true)
 	defer j.scheduling.Store(false)
@@ -250,6 +257,78 @@ func (j *Junction) Schedule(ctx context.Context) error {
 			obs.Emit(obsv.Event{Kind: obsv.EvSchedFire, Junction: j.FQName})
 		}
 		return nil
+	}
+}
+
+// schedTurn queues the Schedule callers that found schedMu held and may give
+// up waiting (lockSched). One helper goroutine at a time takes schedMu on
+// their behalf and hands it to one of them, so callers that give up leave no
+// goroutine each behind them, and the helper's Lock keeps sync.Mutex's
+// fairness towards a holder that re-locks at once (a driver whose guard
+// still holds).
+type schedTurn struct {
+	mu      sync.Mutex
+	waiters int           // callers neither handed the lock yet nor gone
+	ch      chan struct{} // the running helper's handoff; nil when none runs
+	gone    chan struct{} // a caller gave up: the helper counts again
+}
+
+// lockSched is Schedule's slow path: it takes schedMu once it is free, or
+// gives up when ctx ends first.
+func (j *Junction) lockSched(ctx context.Context) error {
+	done := ctx.Done()
+	if done == nil {
+		j.schedMu.Lock()
+		return nil
+	}
+	t := &j.turn
+	t.mu.Lock()
+	t.waiters++
+	if t.ch == nil {
+		t.ch, t.gone = make(chan struct{}), make(chan struct{}, 1)
+		go j.passTurns(t.ch, t.gone)
+	}
+	ch, gone := t.ch, t.gone
+	t.mu.Unlock()
+	select {
+	case <-ch:
+		return nil
+	case <-done:
+		t.mu.Lock()
+		t.waiters--
+		t.mu.Unlock()
+		select {
+		case gone <- struct{}{}:
+		default: // a recount is already due
+		}
+		return fmt.Errorf("%s: %w: %w", j.FQName, ErrTimeout, ctx.Err())
+	}
+}
+
+// passTurns is schedTurn's helper. It takes schedMu and hands it to one
+// waiting caller at a time; once none is waiting, it releases the lock and
+// exits.
+func (j *Junction) passTurns(ch, gone chan struct{}) {
+	t := &j.turn
+	j.schedMu.Lock()
+	for {
+		t.mu.Lock()
+		if t.waiters == 0 {
+			t.ch, t.gone = nil, nil
+			t.mu.Unlock()
+			j.schedMu.Unlock()
+			return
+		}
+		t.mu.Unlock()
+		select {
+		case ch <- struct{}{}:
+			// The receiver holds schedMu now.
+			t.mu.Lock()
+			t.waiters--
+			t.mu.Unlock()
+			j.schedMu.Lock()
+		case <-gone:
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,5 +235,143 @@ func TestDriverErrorsLog(t *testing.T) {
 		if de.Junction != "w::junction" || de.Err == nil {
 			t.Fatalf("malformed log entry %+v", de)
 		}
+	}
+}
+
+// TestInvokeDeadlineWhileDriverHoldsJunction: a guarded junction's driver is
+// parked in a wait with no otherwise, holding the junction. Invoke and
+// InvokeWhenReady under a 50 ms deadline must give up with ErrTimeout, not
+// wait for the driver; once the driver lets go, the junction schedules again.
+func TestInvokeDeadlineWhileDriverHoldsJunction(t *testing.T) {
+	parked := make(chan struct{})
+	var once sync.Once
+	p := dsl.NewProgram()
+	p.Type("tau").Junction("junction", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Go", Init: true}, dsl.InitProp{Name: "Release", Init: false}),
+		dsl.Host{Label: "parked", Fn: func(dsl.HostCtx) error { once.Do(func() { close(parked) }); return nil }},
+		dsl.Wait{Cond: formula.P("Release")},
+		dsl.Retract{Prop: dsl.PR("Go")},
+	).Guarded(formula.P("Go")))
+	p.Instance("w", "tau")
+	p.SetMain(dsl.Start{Instance: "w"})
+	s := mustSystem(t, p, Options{})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the driver never fired")
+	}
+
+	for _, call := range []struct {
+		name   string
+		invoke func(context.Context, string, string) error
+	}{{"Invoke", s.Invoke}, {"InvokeWhenReady", s.InvokeWhenReady}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- call.invoke(ctx, "w", "junction") }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s while the driver holds the junction: %v, want ErrTimeout", call.name, err)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s under a 50ms deadline still waits for the driver after 1s", call.name)
+		}
+		cancel()
+	}
+	// Callers that give up leave no goroutine each behind them: one helper
+	// waits for the junction on behalf of all of them.
+	before := goruntime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		if err := s.Invoke(ctx, "w", "junction"); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("Invoke %d while the driver holds the junction: %v, want ErrTimeout", i, err)
+		}
+		cancel()
+	}
+	if grown := goruntime.NumGoroutine() - before; grown > 2 {
+		t.Errorf("50 abandoned Invokes left %d more goroutines, want at most the one helper", grown)
+	}
+
+	j, err := s.Junction("w", "junction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.InjectProp("Release", true)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		// The driver retracts Go on its way out; the next scheduling finds
+		// the guard false.
+		err := s.Invoke(ctx, "w", "junction")
+		if errors.Is(err, ErrNotSchedulable) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Invoke after the driver let go: %v", err)
+		}
+	}
+}
+
+// TestScheduleWaitersGiveUpAndTakeTurns races callers with short deadlines
+// for one junction: some get their turn, some give up while the helper is
+// handing the lock over. No two schedulings overlap, every call returns, and
+// once all have, no caller is counted and no helper runs.
+func TestScheduleWaitersGiveUpAndTakeTurns(t *testing.T) {
+	var inside atomic.Int32
+	s := oneJunction(t, dsl.Def(nil, dsl.Host{Label: "busy", Fn: func(dsl.HostCtx) error {
+		if n := inside.Add(1); n != 1 {
+			t.Errorf("%d schedulings of one junction at once", n)
+		}
+		time.Sleep(100 * time.Microsecond)
+		inside.Add(-1)
+		return nil
+	}}))
+	var ran, gaveUp atomic.Int32
+	var wg sync.WaitGroup
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(50+(c*37+i*53)%400)*time.Microsecond)
+				switch err := s.Invoke(ctx, "i", "j"); {
+				case err == nil:
+					ran.Add(1)
+				case errors.Is(err, ErrTimeout):
+					gaveUp.Add(1)
+				default:
+					t.Errorf("Invoke: %v", err)
+				}
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() == 0 || gaveUp.Load() == 0 {
+		t.Errorf("%d calls ran and %d gave up: the race wants both", ran.Load(), gaveUp.Load())
+	}
+	t.Logf("%d calls ran, %d gave up", ran.Load(), gaveUp.Load())
+	if err := s.Invoke(context.Background(), "i", "j"); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Junction("i", "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		j.turn.mu.Lock()
+		waiters, running := j.turn.waiters, j.turn.ch != nil
+		j.turn.mu.Unlock()
+		if waiters == 0 && !running {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after every call returned: %d callers counted, helper running %v", waiters, running)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
