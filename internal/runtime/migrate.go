@@ -17,11 +17,13 @@
 //	           remote-update queue, idx/subset state, per-sender receive
 //	           frontiers), encode with internal/serial, and ship it to the
 //	           destination location's migration control endpoint over the
-//	           deployment uplink. The destination stages the blob and acks
-//	           back over the reverse uplink; the source waits out all acks
-//	           under the system's AckTimeout. Any failure aborts: parked
-//	           endpoints are released back into the old junction's handlers,
-//	           drivers restart, and the source keeps running untouched.
+//	           deployment uplink, each frame tagged with the round's epoch.
+//	           The destination stages the round and acks it once, when it
+//	           holds every frame, over the reverse uplink; the source waits
+//	           for that ack under the system's AckTimeout. Any failure
+//	           aborts: parked endpoints are released back into the old
+//	           junction's handlers, drivers restart, and the source keeps
+//	           running untouched.
 //	cutover    build fresh junctions at the destination from the staged
 //	           state, register their real handlers on the destination
 //	           network, then flip the placement map, and only then release
@@ -42,9 +44,11 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"csaw/internal/compart"
@@ -59,6 +63,8 @@ import (
 const migrateEndpointPrefix = "\x00csaw:migrate:"
 
 func migrateEndpoint(loc string) string { return migrateEndpointPrefix + loc }
+
+const epochLen = 8 // the big-endian round epoch leading every transfer frame
 
 // junctionState is the serialized form of one junction crossing the wire.
 type junctionState struct {
@@ -153,44 +159,56 @@ func (j *Junction) importState(st junctionState) {
 	j.recvMu.Unlock()
 }
 
+// migRound is one migration's transfer. MigrateInstance publishes it in
+// System.round for as long as it runs, so nothing of a round outlives it.
+// Every frame of the round carries its epoch; a frame of any other round
+// finds no match and is dropped.
+type migRound struct {
+	epoch uint64
+	want  int // state frames the round sends, one per junction
+
+	mu     sync.Mutex
+	staged map[string][]byte // junction → encoded junctionState
+
+	ackOnce sync.Once
+	acked   chan struct{} // closed when the destination has staged every frame
+}
+
 // handleMigrateFrame is the destination/source side of the transfer
-// handshake, registered per location at Deployment.bind. State frames stage
-// the blob and ack back over the reverse uplink; ack frames resolve the
-// source's wait.
+// handshake, registered per location at Deployment.bind. A state frame of the
+// live round is staged in it; the frame that completes the round is answered
+// with the round's one ack over the reverse uplink, and the ack releases the
+// source's wait. A frame that is not the live round's is dropped.
 func (s *System) handleMigrateFrame(loc string, m compart.Message) {
-	if m.Kind != compart.KindControl {
+	r := s.round.Load()
+	if r == nil || m.Kind != compart.KindControl || len(m.Payload) < epochLen ||
+		binary.BigEndian.Uint64(m.Payload) != r.epoch {
 		return
 	}
 	switch {
+	case m.Key == "ack":
+		r.ackOnce.Do(func() { close(r.acked) })
 	case strings.HasPrefix(m.Key, "state:"):
 		fq := strings.TrimPrefix(m.Key, "state:")
-		s.stageMu.Lock()
-		s.staged[fq] = m.Payload
-		s.stageMu.Unlock()
+		r.mu.Lock()
+		_, dup := r.staged[fq]
+		if !dup {
+			r.staged[fq] = m.Payload[epochLen:]
+		}
+		complete := !dup && len(r.staged) == r.want
+		r.mu.Unlock()
+		if !complete {
+			return
+		}
 		srcLoc := strings.TrimPrefix(m.From, migrateEndpointPrefix)
 		_ = s.deploy.uplink(loc, srcLoc)(compart.Message{
-			From: migrateEndpoint(loc),
-			To:   migrateEndpoint(srcLoc),
-			Kind: compart.KindControl,
-			Key:  "ack:" + fq,
+			From:    migrateEndpoint(loc),
+			To:      migrateEndpoint(srcLoc),
+			Kind:    compart.KindControl,
+			Key:     "ack",
+			Payload: m.Payload[:epochLen:epochLen],
 		})
-	case strings.HasPrefix(m.Key, "ack:"):
-		fq := strings.TrimPrefix(m.Key, "ack:")
-		select {
-		case s.migAcks <- fq:
-		default:
-			// No migration waiting (late or duplicate ack): drop.
-		}
 	}
-}
-
-// takeStaged removes and returns a staged transfer blob.
-func (s *System) takeStaged(fq string) ([]byte, bool) {
-	s.stageMu.Lock()
-	defer s.stageMu.Unlock()
-	blob, ok := s.staged[fq]
-	delete(s.staged, fq)
-	return blob, ok
 }
 
 // MigrateInstance moves a running instance to another deployment location,
@@ -277,13 +295,8 @@ func (s *System) MigrateInstance(name, dest string) error {
 		for i, j := range js {
 			parked[i].Release(j.handleMessage)
 		}
-		s.stageMu.Lock()
-		for _, j := range js {
-			delete(s.staged, j.FQName)
-		}
-		s.stageMu.Unlock()
 		unlockAll()
-		s.restartDrivers(inst)
+		s.startDrivers(inst)
 		if tracing {
 			s.obs.Emit(obsv.Event{Kind: obsv.EvMigrateAbort, Junction: name, Key: dest, Err: cause.Error()})
 		}
@@ -291,53 +304,43 @@ func (s *System) MigrateInstance(name, dest string) error {
 	}
 
 	// --- transfer --------------------------------------------------------
-	// Drain acks a previously aborted migration may have left behind so they
-	// cannot satisfy this round's waits.
-drain:
-	for {
-		select {
-		case <-s.migAcks:
-		default:
-			break drain
-		}
-	}
+	s.epoch++
+	r := &migRound{epoch: s.epoch, want: len(js), staged: make(map[string][]byte, len(js)), acked: make(chan struct{})}
+	s.round.Store(r)
+	defer s.round.Store(nil)
 	up := d.uplink(src, dest)
 	for i, j := range js {
-		blob, err := serial.Marshal(snaps[i])
+		payload, err := serial.AppendMarshal(binary.BigEndian.AppendUint64(nil, r.epoch), snaps[i])
 		if err != nil {
 			return abort(fmt.Errorf("encode %s: %w", j.FQName, err))
 		}
 		if tracing {
-			s.obs.Emit(obsv.Event{Kind: obsv.EvMigrateTransfer, Junction: j.FQName, Key: dest, N: int64(len(blob))})
+			s.obs.Emit(obsv.Event{Kind: obsv.EvMigrateTransfer, Junction: j.FQName, Key: dest, N: int64(len(payload) - epochLen)})
 		}
 		if err := up(compart.Message{
 			From:    migrateEndpoint(src),
 			To:      migrateEndpoint(dest),
 			Kind:    compart.KindControl,
 			Key:     "state:" + j.FQName,
-			Payload: blob,
+			Payload: payload,
 		}); err != nil {
 			return abort(fmt.Errorf("transfer %s: %w", j.FQName, err))
 		}
 	}
-	need := make(map[string]bool, len(js))
-	for _, j := range js {
-		need[j.FQName] = true
-	}
 	timer := time.NewTimer(s.opts.AckTimeout)
 	defer timer.Stop()
-	for len(need) > 0 {
-		select {
-		case fq := <-s.migAcks:
-			delete(need, fq)
-		case <-timer.C:
-			var missing []string
-			for fq := range need {
-				missing = append(missing, fq)
+	select {
+	case <-r.acked:
+	case <-timer.C:
+		var missing []string
+		r.mu.Lock()
+		for _, j := range js {
+			if _, ok := r.staged[j.FQName]; !ok {
+				missing = append(missing, j.FQName)
 			}
-			sort.Strings(missing)
-			return abort(fmt.Errorf("no transfer ack for %s within %s", strings.Join(missing, ", "), s.opts.AckTimeout))
 		}
+		r.mu.Unlock()
+		return abort(fmt.Errorf("no transfer ack for %s within %s", strings.Join(missing, ", "), s.opts.AckTimeout))
 	}
 
 	// --- cutover ---------------------------------------------------------
@@ -346,12 +349,9 @@ drain:
 	for i, j := range js {
 		def := t.Junctions[j.def.Name]
 		nj := newJunction(s, inst, def, destLoc.net)
-		blob, ok := s.takeStaged(j.FQName)
-		if !ok {
-			return abort(fmt.Errorf("acked transfer for %s has no staged state", j.FQName))
-		}
+		// Acked, the round's map is whole, and no frame writes it again.
 		var st junctionState
-		if err := serial.Unmarshal(blob, &st); err != nil {
+		if err := serial.Unmarshal(r.staged[j.FQName], &st); err != nil {
 			return abort(fmt.Errorf("decode %s: %w", j.FQName, err))
 		}
 		nj.importState(st)
@@ -394,16 +394,16 @@ drain:
 	}
 
 	// --- resume ----------------------------------------------------------
-	s.restartDrivers(inst)
+	s.startDrivers(inst)
 	if tracing {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvMigrateResume, Junction: name, Key: dest, Dur: time.Since(begin)})
 	}
 	return nil
 }
 
-// restartDrivers starts the driver loop of every guarded junction of inst,
-// mirroring the StartInstance policy.
-func (s *System) restartDrivers(inst *Instance) {
+// startDrivers starts the driver loop of every guarded junction of inst that
+// is not Manual, unless the system runs without drivers.
+func (s *System) startDrivers(inst *Instance) {
 	if s.opts.DisableDrivers {
 		return
 	}

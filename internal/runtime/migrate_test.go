@@ -158,8 +158,8 @@ func TestMigrateMovesStateAndTraffic(t *testing.T) {
 
 // TestMigrateAbortOnTransferFailure: the destination becoming unreachable
 // mid-transfer (uplink fails after the first state frame) must abort the
-// migration, leave the source running with identical state, and clean the
-// destination's staging area.
+// migration, leave the source running with identical state, and leave no
+// round behind to stage a late frame.
 func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	dep, netA, netB := twoLocDeployment()
 	defer netA.Close()
@@ -204,11 +204,8 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	if n := jAfter.Table().PendingLen(); n != 3*perPush {
 		t.Fatalf("pending = %d after abort, want %d", n, 3*perPush)
 	}
-	s.stageMu.Lock()
-	staged := len(s.staged)
-	s.stageMu.Unlock()
-	if staged != 0 {
-		t.Fatalf("%d blobs left staged after abort", staged)
+	if s.round.Load() != nil {
+		t.Fatal("a migration round outlived its abort")
 	}
 	// The source must still serve traffic.
 	if err := s.Invoke(ctx, "f", "push"); err != nil {
@@ -225,6 +222,153 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	}
 	if aborts != 1 {
 		t.Fatalf("trace has %d migrate.abort events, want 1", aborts)
+	}
+}
+
+// migrateAfterAbort migrates g to B twice over an A→B uplink that holds
+// round 1's state frame for g::main, so round 1 aborts on its AckTimeout.
+// One push precedes round 1 and three follow it. between runs after the
+// abort with the held frame; in round 2, hook sends round 2's own g::main
+// frame and the held one to B as the test wants. Round 2 must succeed and
+// carry all eight pending entries.
+func migrateAfterAbort(t *testing.T, between func(netB *compart.Network, held compart.Message), hook func(netB *compart.Network, held, own compart.Message) error) {
+	t.Helper()
+	dep, netA, netB := twoLocDeployment()
+	defer netA.Close()
+	defer netB.Close()
+	var held *compart.Message
+	dep.Connect("A", "B", func(m compart.Message) error {
+		if m.Key != "state:g::main" {
+			return netB.Send(m)
+		}
+		if held == nil {
+			held = &m
+			return nil
+		}
+		return hook(netB, *held, m)
+	})
+	// No drivers, as in TestMigrateMovesStateAndTraffic.
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: time.Second, DisableDrivers: true})
+	defer s.Close()
+	for _, inst := range []string{"f", "g"} {
+		if err := s.StartInstance(inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := s.Invoke(ctx, "f", "push"); err != nil {
+				t.Fatalf("push: %v", err)
+			}
+		}
+	}
+	push(1)
+	if err := s.MigrateInstance("g", "B"); err == nil {
+		t.Fatal("round 1 succeeded without its g::main frame")
+	}
+	if s.round.Load() != nil {
+		t.Fatal("a migration round outlived its abort")
+	}
+	if between != nil {
+		between(netB, *held)
+	}
+	push(3)
+	if err := s.MigrateInstance("g", "B"); err != nil {
+		t.Fatalf("round 2: %v", err)
+	}
+	if s.round.Load() != nil {
+		t.Fatal("a migration round outlived its call")
+	}
+	j, err := s.Junction("g", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Table().PendingLen(); n != 4*perPush {
+		t.Fatalf("new incarnation holds %d pending entries, want %d: a stale snapshot was imported", n, 4*perPush)
+	}
+}
+
+// TestMigrateStaleRoundIsIgnored: round 1's frame reaches the destination
+// during round 2, ahead of round 2's own frame, which is delayed. It must
+// neither complete round 2 nor be imported by it.
+func TestMigrateStaleRoundIsIgnored(t *testing.T) {
+	var delayed sync.WaitGroup
+	defer delayed.Wait()
+	migrateAfterAbort(t, nil, func(netB *compart.Network, held, own compart.Message) error {
+		if err := netB.Send(held); err != nil {
+			return err
+		}
+		delayed.Add(1)
+		time.AfterFunc(100*time.Millisecond, func() {
+			defer delayed.Done()
+			_ = netB.Send(own)
+		})
+		return nil
+	})
+}
+
+// TestMigrateLateFrameAfterAbort: round 1's frame, released after round 1
+// aborted, finds no round and is dropped; released again during round 2,
+// behind round 2's own frame, it must not replace that frame.
+func TestMigrateLateFrameAfterAbort(t *testing.T) {
+	migrateAfterAbort(t, func(netB *compart.Network, held compart.Message) {
+		if err := netB.Send(held); err != nil {
+			t.Fatal(err)
+		}
+	}, func(netB *compart.Network, held, own compart.Message) error {
+		if err := netB.Send(own); err != nil {
+			return err
+		}
+		return netB.Send(held)
+	})
+}
+
+// TestMigrateManyJunctions: an instance of 65 junctions migrates in
+// process, where each ack comes back inside the send that caused it, and
+// every junction's state arrives.
+func TestMigrateManyJunctions(t *testing.T) {
+	const n = 65
+	p := dsl.NewProgram()
+	wide := p.Type("wideT")
+	for i := 0; i < n; i++ {
+		wide.Junction(fmt.Sprintf("j%02d", i), dsl.Def(
+			dsl.Decls(dsl.InitProp{Name: "Mark", Init: false}),
+			dsl.Assert{Prop: dsl.PR("Mark")}))
+	}
+	p.Instance("g", "wideT")
+	p.SetMain(dsl.Start{Instance: "g"})
+	netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
+	defer netA.Close()
+	defer netB.Close()
+	dep := NewDeployment().AddLocation("A", netA).AddLocation("B", netB).Place("g", "A")
+	s := mustSystem(t, p, Options{Deploy: dep, AckTimeout: 2 * time.Second})
+	defer s.Close()
+	if err := s.StartInstance("g", nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < n; i += 2 {
+		if err := s.Invoke(ctx, "g", fmt.Sprintf("j%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.MigrateInstance("g", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if loc := dep.LocationOf("g"); loc != "B" {
+		t.Fatalf("placement says %q after migration, want B", loc)
+	}
+	for i := 0; i < n; i++ {
+		j, err := s.Junction("g", fmt.Sprintf("j%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := j.Table().Prop("Mark"); err != nil || v != (i%2 == 0) {
+			t.Fatalf("g::j%02d Mark = %v, %v after migration, want %v", i, v, err, i%2 == 0)
+		}
 	}
 }
 

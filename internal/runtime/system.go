@@ -12,6 +12,7 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -102,13 +103,12 @@ type System struct {
 	driverLog     []DriverError
 	driverDropped int
 
-	// Live-migration state (migrate.go): migrateMu serializes migrations;
-	// the staging map and ack channel implement the destination side of the
-	// transfer handshake.
+	// Live migration (migrate.go): migrateMu serializes migrations and
+	// guards epoch, the last round's number; round is the running
+	// migration's transfer, nil between migrations.
 	migrateMu sync.Mutex
-	stageMu   sync.Mutex
-	staged    map[string][]byte
-	migAcks   chan string
+	epoch     uint64
+	round     atomic.Pointer[migRound]
 
 	closed atomic.Bool
 }
@@ -150,8 +150,6 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		obs:     obsv.NewObserver(),
 		apps:    map[string]any{},
 		windows: map[pairKey]*ackWindow{},
-		staged:  map[string][]byte{},
-		migAcks: make(chan string, 64),
 	}
 	s.instances.Store(&map[string]*Instance{})
 	if err := dep.bind(s); err != nil {
@@ -341,13 +339,7 @@ func (s *System) startLocked(name string, args any) error {
 	// Junctions are started concurrently in an arbitrary order (paper §6):
 	// guarded junctions get driver loops; unguarded junctions are scheduled
 	// by application logic through Invoke.
-	if !s.opts.DisableDrivers {
-		for _, j := range js {
-			if j.def.Guard != nil && !j.def.Manual {
-				j.startDriver()
-			}
-		}
-	}
+	s.startDrivers(inst)
 	return nil
 }
 
@@ -1115,13 +1107,19 @@ func (j *Junction) handleGroup(m *compart.Message) {
 		}
 		updates = (*pooled)[:n]
 	}
+	// A fan-out repeats one key: the previous member's name serves again.
+	var key []byte
+	var name string
 	for i := range updates {
 		var gm groupMember
 		if gm, p, ok = nextMember(p); !ok {
 			break
 		}
+		if i == 0 || !bytes.Equal(gm.key, key) {
+			key, name = gm.key, j.declaredName(gm.key)
+		}
 		u := &updates[i]
-		u.Key, u.From = j.declaredName(gm.key), m.From
+		u.Key, u.From = name, m.From
 		if gm.kind == compart.KindProp {
 			u.Kind, u.Bool = kv.UpdateProp, gm.flag
 		} else {
