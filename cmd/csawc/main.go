@@ -43,7 +43,6 @@ import (
 	"csaw/internal/analysis"
 	"csaw/internal/check"
 	"csaw/internal/cost"
-	"csaw/internal/dsl"
 	"csaw/internal/events"
 	"csaw/internal/patterns"
 	"csaw/internal/plan"
@@ -110,14 +109,15 @@ func main() {
 	}
 
 	p := entry.Build()
-	if err := dsl.Validate(p); err != nil {
+	pp, err := plan.Compile(p)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "csawc: %s does not validate:\n%v\n", *arch, err)
 		os.Exit(1)
 	}
 
 	switch {
 	case *topo:
-		fmt.Print(plan.Compile(p).Topo().Dot())
+		fmt.Print(pp.Topo().Dot())
 	case *eventsOut:
 		s, err := events.DenoteProgram(p, events.Budget{Unfold: 1})
 		if err != nil {
@@ -126,7 +126,6 @@ func main() {
 		}
 		fmt.Print(s.Dot(*arch))
 	default:
-		pp := plan.Compile(p)
 		t := pp.Topo()
 		fmt.Printf("%s: valid\n", *arch)
 		fmt.Printf("  types:     %d (%v)\n", len(p.Types), p.TypeNames())
@@ -239,12 +238,11 @@ func costArchitectures(w io.Writer, entries []patterns.CatalogueEntry, asJSON, e
 		ar := analysis.ArchReport{Arch: e.Name, Diagnostics: []analysis.Diagnostic{}}
 		p := e.Build()
 		verdict := "clean"
-		if err := dsl.Validate(p); err != nil {
+		if pp, err := plan.Compile(p); err != nil {
 			ar.Error = err.Error()
 			verdict = "invalid"
 			code = 1
 		} else {
-			pp := plan.Compile(p)
 			rep := analysis.AnalyzePlan(pp, &analysis.Config{
 				Passes:    cost.Passes(),
 				Suppress:  e.CostSuppressions,

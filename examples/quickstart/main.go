@@ -18,7 +18,6 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
-	"csaw/internal/plan"
 	"csaw/internal/runtime"
 )
 
@@ -64,21 +63,22 @@ func main() {
 	p.Instance("f", "tau_f").Instance("g", "tau_g")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
 
-	// Print the architecture's communication topology (§8.7).
-	fmt.Println("communication topology:")
-	for _, e := range plan.Compile(p).Topo().Edges {
-		fmt.Printf("  %s -> %s\n", e.From, e.To)
-	}
-
 	// Poll is deliberately huge: g's guard reads only local state, so its
 	// driver is scheduled by the keyed-subscription wake from the arriving
 	// assertion, never by the poll timer — the three invocations below
-	// complete in milliseconds regardless.
+	// complete in milliseconds regardless. New checks the program and lowers
+	// it once (plan.Compile); sys.Plan() is that lowering.
 	sys, err := runtime.New(p, runtime.Options{Poll: 30 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+
+	// Print the architecture's communication topology (§8.7).
+	fmt.Println("communication topology:")
+	for _, e := range sys.Plan().Topo().Edges {
+		fmt.Printf("  %s -> %s\n", e.From, e.To)
+	}
 
 	// The compiled execution plan exposes what each guard depends on.
 	for fq, pj := range sys.Plan().Junctions {

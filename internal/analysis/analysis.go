@@ -9,8 +9,7 @@
 // write-sets V⃗, declaration-scoped KV state, and a denotational conflict
 // relation. Passes:
 //
-//   - kvlifecycle: KV lifecycle — unused/write-only/constant declarations and
-//     references to propositions or data not declared at the resolved target.
+//   - kvlifecycle: KV lifecycle — unused/write-only/constant declarations.
 //   - parconflict: unordered conflicting writes to the same table key from
 //     sibling Par/ParN branches, cross-checked against the event-structure
 //     conflict relation (§8).
@@ -177,15 +176,16 @@ func (r *Report) Format(w io.Writer) {
 	}
 }
 
-// Analyze validates p, compiles it (plan.Compile), and runs the configured
+// Analyze compiles p (plan.Compile, which checks it) and runs the configured
 // passes. The returned error is non-nil only for invalid programs (static
 // analysis assumes well-formedness); findings — including error-severity
 // ones — are reported in the Report.
 func Analyze(p *dsl.Program, cfg *Config) (*Report, error) {
-	if err := dsl.Validate(p); err != nil {
+	pp, err := plan.Compile(p)
+	if err != nil {
 		return nil, err
 	}
-	return AnalyzePlan(plan.Compile(p), cfg), nil
+	return AnalyzePlan(pp, cfg), nil
 }
 
 // AnalyzePlan runs the configured passes over an already compiled, valid

@@ -46,11 +46,11 @@ func TestCatalogueVetsClean(t *testing.T) {
 func TestParConflictAgreesWithEventStructures(t *testing.T) {
 	for _, e := range patterns.Catalogue() {
 		t.Run(e.Name, func(t *testing.T) {
-			p := e.Build()
-			if err := dsl.Validate(p); err != nil {
+			pp, err := plan.Compile(e.Build())
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tj := range plan.Compile(p).TypeJuncs {
+			for _, tj := range pp.TypeJuncs {
 				cands := analysis.ParCandidates(tj)
 				semantic := map[analysis.RaceKey]bool{}
 				for _, cd := range cands {
@@ -93,7 +93,11 @@ func TestParConflictAgreementOnSeededRace(t *testing.T) {
 	p.Instance("i", "tau")
 	p.SetMain(dsl.Start{Instance: "i"})
 	const j = "tau::j"
-	cands := analysis.ParCandidates(plan.Compile(p).TypeJuncs[0])
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := analysis.ParCandidates(pp.TypeJuncs[0])
 	if len(cands) == 0 {
 		t.Fatal("no syntactic candidates for a seeded race")
 	}

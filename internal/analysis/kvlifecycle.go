@@ -7,16 +7,14 @@ import (
 	"csaw/internal/plan"
 )
 
-// KVLifecycle checks the lifecycle of every declared KV symbol — the §6
-// well-formedness the validator cannot see because it requires whole-program
-// cross-junction resolution: propositions and data written but never read,
-// read but never written, declared but never used, idx/subset choice state
-// that is consulted but never assigned, and references to symbols not
-// declared at their resolved target (me:: tokens and [$idx] families
-// included).
+// KVLifecycle checks the lifecycle of every declared KV symbol, which needs
+// the whole program's accesses: propositions and data written but never read,
+// read but never written, declared but never used, and idx/subset choice
+// state that is consulted but never assigned. A reference to a symbol its
+// resolved target does not declare never gets here: plan.Compile rejects it.
 var KVLifecycle = &Pass{
 	Name: "kvlifecycle",
-	Doc:  "KV lifecycle: unused, write-only, constant and undeclared-at-target symbols",
+	Doc:  "KV lifecycle: unused, write-only and constant symbols",
 	Run:  runKVLifecycle,
 }
 
@@ -77,17 +75,6 @@ func runKVLifecycle(c *Context) []Diagnostic {
 				emit(SevWarning, pos, "subset %q is populated but never consulted", s)
 			}
 		}
-	}
-	// Cross-junction references to symbols missing at the resolved target.
-	seen := map[string]bool{}
-	for _, u := range c.Unresolved {
-		msg := fmt.Sprintf("%s %q is not declared at target %s", u.Kind, u.Key, u.Target)
-		k := u.Pos + "\x00" + msg
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		emit(SevError, u.Pos, "%s", msg)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos != out[j].Pos {

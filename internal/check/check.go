@@ -58,6 +58,7 @@ import (
 	"strings"
 
 	"csaw/internal/dsl"
+	"csaw/internal/plan"
 )
 
 // Options bounds the exploration.
@@ -269,15 +270,16 @@ func VerdictOf(res *Result) string {
 	}
 }
 
-// Check validates p and explores its reachable configuration space within the
-// given bounds. The returned error is non-nil only for invalid programs;
-// violations are reported in the Result.
+// Check compiles p (plan.Compile, which checks it) and explores its reachable
+// configuration space within the given bounds. The returned error is non-nil
+// only for invalid programs; violations are reported in the Result.
 func Check(p *dsl.Program, opts Options) (*Result, error) {
 	opts.fill()
-	if err := dsl.Validate(p); err != nil {
+	pp, err := plan.Compile(p)
+	if err != nil {
 		return nil, err
 	}
-	c := newChecker(p, opts)
+	c := newChecker(pp, opts)
 	res := c.explore()
 	for note := range c.unsup {
 		res.Unsupported = append(res.Unsupported, note)

@@ -77,7 +77,7 @@ type junc struct {
 	end          int // first bit past the junction's slots
 	idx          map[string]*idxSlot
 	sub          map[string]*subSlot
-	quals        map[string]qual // a qualifier read here, resolved on first use
+	quals        map[string]*junc // a qualifier read here, resolved on first use
 
 	// observable is the set of local keys read remotely (qualified formula
 	// references from other junctions); writes to them are visible.
@@ -122,13 +122,6 @@ type subSlot struct {
 	def, mem int
 	members  []string
 	known    bool // the universe resolves statically
-}
-
-// qual is a formula qualifier resolved to its junction; ok is false when it
-// names no junction at all.
-type qual struct {
-	j  *junc
-	ok bool
 }
 
 // state is one explored configuration: the table (every instance's running
@@ -240,7 +233,7 @@ type checker struct {
 	env       int            // the environment budget's field
 	envWidth  int
 	width     int // words per table
-	invQuals  map[string]qual
+	invQuals  map[string]*junc
 
 	rd    reader                 // the formula environment, rebound per evaluation
 	key   []byte                 // stateKey's buffer
@@ -251,15 +244,15 @@ type checker struct {
 	unsup       map[string]bool
 }
 
-func newChecker(p *dsl.Program, opts Options) *checker {
-	pp := plan.Compile(p)
+func newChecker(pp *plan.Program, opts Options) *checker {
+	p := pp.Prog
 	c := &checker{
 		prog:     p,
 		pp:       pp,
 		opts:     opts,
 		byFQ:     map[string]*junc{},
 		insts:    map[string]int{},
-		invQuals: map[string]qual{},
+		invQuals: map[string]*junc{},
 		waits:    map[*plan.Op]*waitInfo{},
 		unsup:    map[string]bool{},
 	}
@@ -274,7 +267,7 @@ func newChecker(p *dsl.Program, opts Options) *checker {
 	c.envWidth = max(1, bits.Len(uint(opts.MaxEnv)))
 	c.env = l.field(c.envWidth)
 	for _, ji := range pp.Juncs {
-		j := &junc{fq: ji.FQ, inst: c.insts[ji.Inst], info: ji, quals: map[string]qual{},
+		j := &junc{fq: ji.FQ, inst: c.insts[ji.Inst], info: ji, quals: map[string]*junc{},
 			observable: newObsKeys(), incomingP: map[string]bool{}, incomingD: map[string]bool{},
 			bodyReadP: map[string]bool{}, bodyWriteP: map[string]bool{}}
 		c.juncs = append(c.juncs, j)
@@ -338,15 +331,7 @@ func (c *checker) buildStaticFacts() {
 			// Remote visibility: a qualified reference At(γ, P) in any of this
 			// junction's formulas makes P observable at γ.
 			for _, o := range rs.Origins {
-				switch {
-				case o.Junction == "" || o.Liveness:
-				case !strings.Contains(o.Junction, "::"):
-					// Unresolvable qualifier (idx-valued): every junction
-					// must treat the key as observable.
-					for _, oj := range c.juncs {
-						oj.observable.add(o.Key)
-					}
-				case c.byFQ[o.Junction] != nil:
+				if o.Junction != "" && !o.Liveness {
 					c.byFQ[o.Junction].observable.add(o.Key)
 				}
 			}
@@ -474,8 +459,9 @@ func (c *checker) startInstance(st *state, inst int) {
 // ---- name resolution: what plan resolved, read through the idx slots ----
 
 // target resolves a formula qualifier read at from (nil for a program-scope
-// invariant) through plan's resolver, once per qualifier.
-func (c *checker) target(from *junc, q string) qual {
+// invariant) through plan's resolver, once per qualifier; plan.Compile has
+// rejected every qualifier that names no junction.
+func (c *checker) target(from *junc, q string) *junc {
 	m := c.invQuals
 	if from != nil {
 		m = from.quals
@@ -486,7 +472,7 @@ func (c *checker) target(from *junc, q string) qual {
 		if from != nil {
 			fq = from.info.Qualifier(q)
 		}
-		r = qual{c.byFQ[fq], strings.Contains(fq, "::")}
+		r = c.byFQ[fq]
 		m[q] = r
 	}
 	return r
@@ -587,9 +573,7 @@ func (r *reader) Prop(q, name string) formula.Truth {
 	}
 	t := r.c.target(r.j, q)
 	switch {
-	case !t.ok:
-		return formula.Unknown
-	case t.j == nil || !r.st.running(t.j.inst):
+	case !r.st.running(t.inst):
 		if name == runningProp {
 			return formula.False
 		}
@@ -599,7 +583,7 @@ func (r *reader) Prop(q, name string) formula.Truth {
 	case strings.HasPrefix(name, "@"):
 		return formula.Unknown
 	}
-	return r.c.localProp(r.st, t.j, r.j, name)
+	return r.c.localProp(r.st, t, r.j, name)
 }
 
 // eval evaluates f at j (nil: a program-scope invariant) in st.

@@ -13,10 +13,11 @@ import (
 
 func modelOf(t *testing.T, p *dsl.Program) *Model {
 	t.Helper()
-	if err := dsl.Validate(p); err != nil {
-		t.Fatalf("validate: %v", err)
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
-	return Build(plan.Compile(p))
+	return Build(pp)
 }
 
 func nopSrc(dsl.HostCtx) ([]byte, error)                { return []byte{}, nil }

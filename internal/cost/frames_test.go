@@ -52,6 +52,16 @@ func (ft *frameTally) wrap(send runtime.Uplink) runtime.Uplink {
 // directed pair, and runs its main. wrap (when non-nil) intercepts every
 // uplink; trace (when non-nil) receives the system's trace. Everything it
 // opens is closed at test cleanup.
+// mustCompile lowers a program the test knows to be valid.
+func mustCompile(t *testing.T, p *dsl.Program) *plan.Program {
+	t.Helper()
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
+}
+
 func startOverTCP(t *testing.T, prog *dsl.Program, placement map[string]string, wrap func(runtime.Uplink) runtime.Uplink, trace obsv.Sink) *runtime.System {
 	t.Helper()
 	locSet := map[string]bool{}
@@ -232,7 +242,7 @@ func TestMeasuredFramesEqualFramesPerFiring(t *testing.T) {
 		for _, sh := range shapes {
 			t.Run(fmt.Sprintf("%s/P=%d", sh.name, procs), func(t *testing.T) {
 				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
-				model := cost.Build(plan.Compile(sh.prog))
+				model := cost.Build(mustCompile(t, sh.prog))
 				measured := runOverTCP(t, sh.prog, sh.placement, sh.rootInst, sh.rootJn, 20)
 				checked := 0
 				for _, fq := range model.Order {
@@ -270,7 +280,7 @@ func TestMeasuredFramesWatchedFailover(t *testing.T) {
 		t.Fatal("watched-failover entry missing")
 	}
 	prog := e.Build()
-	model := cost.Build(plan.Compile(prog))
+	model := cost.Build(mustCompile(t, prog))
 	ring := obsv.NewRingSink(1 << 14)
 	sys, err := runtime.New(prog, runtime.Options{Trace: ring, AckTimeout: 10 * time.Second})
 	if err != nil {

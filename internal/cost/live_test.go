@@ -13,7 +13,6 @@ import (
 	"csaw/internal/dsl"
 	"csaw/internal/obsv"
 	"csaw/internal/patterns"
-	"csaw/internal/plan"
 	"csaw/internal/runtime"
 )
 
@@ -136,7 +135,7 @@ func (e liveEntry) start(t *testing.T) (*runtime.System, patterns.CatalogueEntry
 	if !ok {
 		t.Fatalf("catalogue entry %s missing", e.name)
 	}
-	model := cost.Build(plan.Compile(e.prog))
+	model := cost.Build(mustCompile(t, e.prog))
 	tally := &edgeTally{edges: map[[2]string]int{}}
 	return startOverTCP(t, e.prog, cat.CostPlacement, nil, tally), cat, model, tally
 }

@@ -10,7 +10,6 @@ import (
 	"csaw/internal/analysis"
 	"csaw/internal/cost"
 	"csaw/internal/dsl"
-	"csaw/internal/plan"
 	"csaw/internal/progen"
 )
 
@@ -41,10 +40,7 @@ func TestCostSuiteOnRandomPrograms(t *testing.T) {
 				if err != nil {
 					t.Fatalf("generated program invalid: %v", err)
 				}
-				if err := dsl.Validate(p); err != nil {
-					t.Fatal(err)
-				}
-				m := cost.Build(plan.Compile(p))
+				m := cost.Build(mustCompile(t, p))
 				final, moves := cost.Optimize(m, placement, nil, []string{"", "east", "west"})
 				cr := m.Report(final)
 				cr.Moves = moves

@@ -5,9 +5,10 @@
 // formula), and symbol kinds V — together with the declaration forms
 // (init prop / init data / guard / set / subset / idx / for-derived
 // proposition families), functions-as-templates, and compile-time `for`
-// unrolling. Programs built with this package are validated for the paper's
-// well-formedness rules and executed by package runtime; package events
-// gives them event-structure semantics.
+// unrolling. Programs built with this package are checked for the paper's
+// well-formedness rules (Validate's shape rules here, every name in
+// plan.Compile) and executed by package runtime; package events gives them
+// event-structure semantics.
 //
 // Host-language code (the paper's ⌊H⌉{V⃗} form) is represented by Go
 // closures receiving a HostCtx; the V⃗ write-set is enforced at runtime.

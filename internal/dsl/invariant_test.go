@@ -1,46 +1,47 @@
-package dsl
+package dsl_test
 
 import (
-	"strings"
 	"testing"
 
+	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // invProgram builds a minimal two-instance program for invariant validation
 // tests: instance a (type T, junction j with prop Done) and instance b
 // (single-junction type U, junction watch with prop Busy).
-func invProgram() *Program {
-	p := NewProgram()
-	p.Type("T").Junction("j", Def(
-		Decls(InitProp{Name: "Done", Init: false}),
-		Assert{Prop: PropRef{Base: "Done"}},
+func invProgram() *dsl.Program {
+	p := dsl.NewProgram()
+	p.Type("T").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Done", Init: false}),
+		dsl.Assert{Prop: dsl.PropRef{Base: "Done"}},
 	))
-	p.Type("U").Junction("watch", Def(
-		Decls(InitProp{Name: "Busy", Init: false}),
-		Retract{Prop: PropRef{Base: "Busy"}},
+	p.Type("U").Junction("watch", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Busy", Init: false}),
+		dsl.Retract{Prop: dsl.PropRef{Base: "Busy"}},
 	))
 	p.Instance("a", "T").Instance("b", "U")
-	p.SetMain(Start{Instance: "a"}, Start{Instance: "b"})
+	p.SetMain(dsl.Start{Instance: "a"}, dsl.Start{Instance: "b"})
 	return p
 }
 
 func TestInvariantValidation(t *testing.T) {
-	ok := func(p *Program) {
+	ok := func(p *dsl.Program) {
 		t.Helper()
-		if err := Validate(p); err != nil {
+		if _, err := plan.Compile(p); err != nil {
 			t.Fatalf("expected valid, got: %v", err)
 		}
 	}
-	bad := func(p *Program, want string) {
+	// bad is a shape fault (dsl.Validate's), badName a name that does not
+	// resolve (plan.Compile's).
+	bad := func(p *dsl.Program, want string) {
 		t.Helper()
-		err := Validate(p)
-		if err == nil {
-			t.Fatalf("expected error containing %q, got nil", want)
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not contain %q", err, want)
-		}
+		wantInvalid(t, dsl.Validate(p), want)
+	}
+	badName := func(p *dsl.Program, want string) {
+		t.Helper()
+		wantNameFault(t, p, want)
 	}
 
 	// Fully-qualified and bare single-junction instance references resolve.
@@ -60,13 +61,14 @@ func TestInvariantValidation(t *testing.T) {
 	bad(invProgram().Invariant("nilf", nil), "nil formula")
 	bad(invProgram().Invariant("unq", formula.P("Done")), "must be junction-qualified")
 	bad(invProgram().Invariant("idx", formula.At("a::j", "Done[$x]")), "no idx context")
-	bad(invProgram().Invariant("noj", formula.At("a::nope", "Done")), "unresolvable junction")
-	bad(invProgram().Invariant("noinst", formula.At("zzz::j", "Done")), "unresolvable junction")
-	bad(invProgram().Invariant("noprop", formula.At("a::j", "Missing")), `"Missing" not declared`)
+	badName(invProgram().Invariant("noj", formula.At("a::nope", "Done")), "unresolvable junction")
+	badName(invProgram().Invariant("noinst", formula.At("zzz::j", "Done")), "unresolvable junction")
+	badName(invProgram().Invariant("noprop", formula.At("a::j", "Missing")), `"Missing" not declared`)
+	badName(invProgram().Invariant("norun", formula.At("zzz::j", "@running")), "unresolvable junction")
 	// Bare instance whose type has two junctions cannot be referenced bare.
 	p := invProgram()
-	p.Type("T").Junction("k", Def(nil, Skip{}))
-	bad(p.Invariant("multi", formula.At("a", "Done")), "unresolvable junction")
+	p.Type("T").Junction("k", dsl.Def(nil, dsl.Skip{}))
+	badName(p.Invariant("multi", formula.At("a", "Done")), "unresolvable junction")
 }
 
 func TestInvariantBuilderAccumulates(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // Denote maps DSL expressions to event structures per Fig. 19 / Fig. 20.
@@ -700,7 +701,7 @@ func displayName(p *dsl.Program, inst, jn string) string {
 // DenoteProgram builds the complete program semantics: the start-up portion
 // plus each started instance's junction structures, with waits expanded.
 func DenoteProgram(p *dsl.Program, b Budget) (*Structure, error) {
-	if err := dsl.Validate(p); err != nil {
+	if _, err := plan.Compile(p); err != nil {
 		return nil, err
 	}
 	out := StartUp(p)

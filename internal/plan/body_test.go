@@ -28,7 +28,7 @@ func lower(t *testing.T, body ...dsl.Expr) *plan.Block {
 		dsl.Skip{}).Guarded(formula.And(formula.P("U"), formula.At("f::j", "Seen"))))
 	p.Instance("f", "F").Instance("g", "G")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
-	return plan.Compile(p).Junctions["f::j"].Body
+	return compile(t, p).Junctions["f::j"].Body
 }
 
 var (

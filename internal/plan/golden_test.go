@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"csaw/internal/dsl"
 	"csaw/internal/patterns"
 	"csaw/internal/plan"
 )
@@ -20,19 +19,19 @@ var update = flag.Bool("update", false, "rewrite testdata/lowered.golden from th
 // and negative entry: guard and wait read-sets with their origins, each op's
 // position, kind and remote flag, the step cut of every block, each
 // transaction's prefix write-sets, and the access facts (reads, writes,
-// unresolved references, started instances, remotely read propositions).
+// started instances, remotely read propositions).
 // A change to the lowering that moves a line must say why; regenerate with
 // go test ./internal/plan -run TestLoweredPlanGolden -update.
 func TestLoweredPlanGolden(t *testing.T) {
 	var buf bytes.Buffer
 	entries := append(patterns.Catalogue(), patterns.Negatives()...)
 	for _, e := range entries {
-		p := e.Build()
-		if err := dsl.Validate(p); err != nil {
+		pp, err := plan.Compile(e.Build())
+		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 		fmt.Fprintf(&buf, "== %s\n", e.Name)
-		dumpProgram(&buf, p)
+		dumpProgram(&buf, pp)
 	}
 	const path = "testdata/lowered.golden"
 	if *update {
@@ -62,8 +61,7 @@ var kindNames = map[plan.Kind]string{
 	plan.OpScope: "scope", plan.OpTxn: "txn", plan.OpOtherwise: "otherwise",
 }
 
-func dumpProgram(buf *bytes.Buffer, p *dsl.Program) {
-	pp := plan.Compile(p)
+func dumpProgram(buf *bytes.Buffer, pp *plan.Program) {
 	fqs := make([]string, 0, len(pp.Junctions))
 	for fq := range pp.Junctions {
 		fqs = append(fqs, fq)
@@ -85,9 +83,6 @@ func dumpProgram(buf *bytes.Buffer, p *dsl.Program) {
 		dumpAccesses(buf, "reads", pj.Reads)
 		dumpAccesses(buf, "writes", pj.Writes)
 		dumpBlock(buf, pj.Body, "  ")
-	}
-	for _, u := range pp.Unresolved {
-		fmt.Fprintf(buf, "unresolved %s %s %s %q\n", u.Pos, u.Target, u.Kind, u.Key)
 	}
 	var started []string
 	for inst := range pp.Started {

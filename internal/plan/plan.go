@@ -1,9 +1,11 @@
-// Package plan is the one static pass over a validated dsl.Program: it lowers
-// every junction body once, records the program's access facts off the
-// lowered ops, and hands the result, a Program, to every tool — the runtime
-// compiles its ops to closures per start (the same split package serial uses
-// between plan compilation and codec execution), vet's passes read its facts,
-// the cost model counts its ops and the model checker steps them.
+// Package plan is the one static pass over a dsl.Program: it checks the
+// program (dsl.Validate's shape rules, then every name through its one
+// resolver), lowers every junction body once, records the program's access
+// facts off the lowered ops, and hands the result, a Program, to every tool —
+// the runtime compiles its ops to closures per start (the same split package
+// serial uses between plan compilation and codec execution), vet's passes
+// read its facts, the cost model counts its ops and the model checker steps
+// them.
 //
 // Guard and wait formulas get read-sets (the concrete local table keys they
 // consult, with idx-indexed families expanded over their static element
@@ -60,8 +62,8 @@ type ReadOrigin struct {
 	Key string
 	// Junction is the fully-qualified junction a remote-qualified read reads
 	// ("other::junction" in other@P when other has one junction), with me::
-	// tokens substituted. A qualifier that names no junction stays as
-	// written. Empty for local reads.
+	// tokens substituted (Compile rejects a qualifier that names no
+	// junction). Empty for local reads.
 	Junction string
 	// Remote mirrors the ReadSet classification for this one read: true when
 	// the local table's keyed subscriptions cannot observe it.
@@ -152,31 +154,32 @@ type Program struct {
 	// instance.
 	TypeJuncs []*TypeJunction
 	// Started is the set of instances started anywhere (main or any body).
-	Started map[string]bool
-	// Unresolved records references to keys their resolved target junction
-	// does not declare.
-	Unresolved []UnresolvedRef
+	Started    map[string]bool
 	Invariants []Invariant
+
+	// errs are Compile's faults, one per key of rejected (reject).
+	errs     []string
+	rejected map[string]bool
 }
 
 // Lookup resolves a fully-qualified junction name.
 func (p *Program) Lookup(fq string) *Junction { return p.Junctions[fq] }
 
-// Compile lowers a validated program once, in three phases: every body is
-// lowered to ops; the accesses are recorded by walking the ops; then, with
-// every remotely read proposition known, each block is cut into steps and
-// each transaction's prefix write-sets are computed. It never fails: anything
-// it cannot bound statically degrades to the conservative form (Remote
-// read-sets that keep the poll fallback, Full write-sets that snapshot the
-// whole table).
-func Compile(p *dsl.Program) *Program {
+// Compile checks and lowers a program once. dsl.Validate's shape rules run
+// first; then, in three phases, every body is lowered to ops; the accesses are
+// recorded by walking the ops, and every name that does not resolve is
+// rejected where it would have been recorded; then, with every remotely read
+// proposition known, each block is cut into steps and each transaction's
+// prefix write-sets are computed. The error wraps dsl.ErrInvalid and lists
+// every fault, sorted, each at its type-level position.
+func Compile(p *dsl.Program) (*Program, error) {
+	if err := dsl.Validate(p); err != nil {
+		return nil, err
+	}
 	out := &Program{Prog: p, Junctions: map[string]*Junction{}, Started: map[string]bool{}}
 	repSeen := map[string]bool{}
 	for _, inst := range p.InstanceNames() {
 		t := p.Types[p.Instances[inst]]
-		if t == nil {
-			continue
-		}
 		for _, jn := range t.JunctionNames() {
 			def := t.Junctions[jn]
 			j := &Junction{
@@ -205,36 +208,47 @@ func Compile(p *dsl.Program) *Program {
 	for _, j := range out.Juncs {
 		out.record(j)
 	}
+	for _, inv := range p.Invariants {
+		out.Invariants = append(out.Invariants, out.compileInvariant(inv))
+	}
+	if len(out.errs) > 0 {
+		sort.Strings(out.errs)
+		return nil, dsl.Invalid(out.errs)
+	}
 	for _, j := range out.Juncs {
 		cutSteps(j)
 	}
-	for _, inv := range p.Invariants {
-		out.Invariants = append(out.Invariants, compileInvariant(p, inv))
-	}
-	return out
+	return out, nil
 }
 
 // compileInvariant resolves each qualified proposition of an invariant to the
-// junction FQ + table key it reads. Validation guarantees every junction
-// resolves; @-prefixed predicates keep the junction entry (so the checker
-// knows the invariant observes that junction) but contribute no table key.
-func compileInvariant(p *dsl.Program, inv dsl.Invariant) Invariant {
+// junction FQ + table key it reads, rejecting a qualifier that names no
+// junction and a key its junction does not declare (dsl.Validate has checked
+// that each is qualified and unindexed). @-prefixed predicates keep the
+// junction entry (so the checker knows the invariant observes that junction)
+// but contribute no table key.
+func (p *Program) compileInvariant(inv dsl.Invariant) Invariant {
 	li := Invariant{Name: inv.Name, Cond: inv.Cond, Reads: map[string][]string{}}
+	at := "invariant " + inv.Name
 	seen := map[string]map[string]bool{}
 	for _, pr := range formula.Props(inv.Cond) {
-		if pr.Junction == "" {
+		t := p.Junctions[p.JunctionFQ(pr.Junction)]
+		if t == nil {
+			p.reject(nil, at, pr.Junction, "unresolvable junction %q", pr.Junction)
 			continue
 		}
-		fq := junctionFQ(p, pr.Junction)
-		if seen[fq] == nil {
-			seen[fq] = map[string]bool{}
-			li.Reads[fq] = []string{}
+		if seen[t.FQ] == nil {
+			seen[t.FQ] = map[string]bool{}
+			li.Reads[t.FQ] = []string{}
 		}
-		if strings.HasPrefix(pr.Name, "@") || seen[fq][pr.Name] {
+		if strings.HasPrefix(pr.Name, "@") || seen[t.FQ][pr.Name] {
 			continue
 		}
-		seen[fq][pr.Name] = true
-		li.Reads[fq] = append(li.Reads[fq], pr.Name)
+		if !t.HasProp(pr.Name) {
+			p.reject(nil, at, pr.Name, "proposition %q not declared at %s", pr.Name, t.FQ)
+		}
+		seen[t.FQ][pr.Name] = true
+		li.Reads[t.FQ] = append(li.Reads[t.FQ], pr.Name)
 	}
 	for fq := range li.Reads {
 		sort.Strings(li.Reads[fq])

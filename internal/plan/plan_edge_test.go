@@ -16,7 +16,7 @@ func infoOf(t *testing.T, decls []dsl.Decl, body ...dsl.Expr) *plan.Junction {
 	p.Type("T").Junction("j", dsl.Def(decls, body...))
 	p.Instance("a", "T")
 	p.SetMain(dsl.Start{Instance: "a"})
-	ji := plan.Compile(p).Lookup("a::j")
+	ji := compile(t, p).Lookup("a::j")
 	if ji == nil {
 		t.Fatal("a::j missing from the plan")
 	}
@@ -53,36 +53,6 @@ func TestTxnWriteSetIncludesWaitAdmittedKeys(t *testing.T) {
 	}
 }
 
-// An idx over a set with no elements has a known-but-empty universe: the
-// family expands to zero keys without degrading to Remote/Unbounded. (Such
-// programs fail Validate — sets are fixed nonzero — but plan.Compile promises
-// graceful degradation on anything, and the checker leans on that.)
-func TestIdxFamilyExpansionOverEmptyUniverse(t *testing.T) {
-	ji := infoOf(t,
-		dsl.Decls(
-			dsl.DeclSet{Name: "S", Elems: nil},
-			dsl.DeclIdx{Name: "tgt", Of: "S"},
-		),
-		dsl.Skip{},
-	)
-	rs := plan.FormulaReadSet(ji, formula.Not(dsl.PropIdx("Work", "tgt")))
-	if !rs.Idx {
-		t.Fatalf("idx-indexed read not flagged Idx: %+v", rs)
-	}
-	if rs.Unbounded || rs.Remote {
-		t.Fatalf("known-empty universe misclassified Unbounded/Remote: %+v", rs)
-	}
-	if len(rs.Props) != 0 {
-		t.Fatalf("empty universe expanded to keys %v", rs.Props)
-	}
-
-	// An undeclared idx, by contrast, is an unknown universe: Unbounded+Remote.
-	rs = plan.FormulaReadSet(ji, formula.Not(dsl.PropIdx("Work", "nope")))
-	if !rs.Unbounded || !rs.Remote {
-		t.Fatalf("unknown universe must be Unbounded+Remote: %+v", rs)
-	}
-}
-
 // Invariants lower to per-junction read maps: bare single-junction instance
 // qualifiers resolve to FQs, @-predicates keep the junction entry without a
 // table key, duplicates collapse, keys sort.
@@ -98,10 +68,7 @@ func TestCompileInvariants(t *testing.T) {
 		formula.And(formula.At("a::j", "B"), formula.At("a::j", "A")),
 		formula.And(formula.At("a::j", "B"), formula.At("b", "@running")),
 	))
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
-	pp := plan.Compile(p)
+	pp := compile(t, p)
 	if len(pp.Invariants) != 1 {
 		t.Fatalf("invariants = %d, want 1", len(pp.Invariants))
 	}

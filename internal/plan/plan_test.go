@@ -1,7 +1,9 @@
 package plan_test
 
 import (
+	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,26 +13,32 @@ import (
 	"csaw/internal/plan"
 )
 
+// compile lowers a program the test knows to be valid.
+func compile(t *testing.T, p *dsl.Program) *plan.Program {
+	t.Helper()
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
+}
+
 func buildSharding(t *testing.T) *plan.Program {
 	t.Helper()
 	entry, ok := patterns.CatalogueEntryByName("sharding")
 	if !ok {
 		t.Fatal("sharding entry missing")
 	}
-	p := entry.Build()
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
-	return plan.Compile(p)
+	return compile(t, entry.Build())
 }
 
 func TestCompileCoversEveryJunction(t *testing.T) {
 	for _, entry := range patterns.Catalogue() {
 		p := entry.Build()
-		if err := dsl.Validate(p); err != nil {
+		pp, err := plan.Compile(p)
+		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}
-		pp := plan.Compile(p)
 		n := 0
 		for _, inst := range p.InstanceNames() {
 			n += len(p.Types[p.Instances[inst]].Junctions)
@@ -69,10 +77,7 @@ func TestRemoteGuardReadSet(t *testing.T) {
 		t.Fatal("watched-failover entry missing")
 	}
 	p := entry.Build()
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
-	pp := plan.Compile(p)
+	pp := compile(t, p)
 	remote := 0
 	for _, pj := range pp.Junctions {
 		if pj.Guard != nil && pj.Guard.Remote {
@@ -97,10 +102,7 @@ func TestIdxFormulaExpandsFamily(t *testing.T) {
 	).Guarded(dsl.PropIdx("P", "cur")))
 	p.Instance("i", "T")
 	p.SetMain(dsl.Start{Instance: "i"})
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
-	pj := plan.Compile(p).Junctions["i::j"]
+	pj := compile(t, p).Junctions["i::j"]
 	if pj.Guard == nil {
 		t.Fatal("guard read-set missing")
 	}
@@ -152,12 +154,9 @@ func TestCompileTxnWriteSets(t *testing.T) {
 	))
 	p.Instance("i", "T")
 	p.SetMain(dsl.Start{Instance: "i"})
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
 	txn := func(body ...dsl.Expr) plan.WriteSet {
 		p.Type("T").Junction("j", dsl.Def(p.Types["T"].Junctions["j"].Decls, dsl.Txn{Body: body}))
-		wrote := plan.Compile(p).Junctions["i::j"].Body.Ops[0].Wrote
+		wrote := compile(t, p).Junctions["i::j"].Body.Ops[0].Wrote
 		return wrote[len(wrote)-1]
 	}
 
@@ -178,11 +177,12 @@ func TestCompileTxnWriteSets(t *testing.T) {
 		t.Fatalf("data = %v, want [m n]", ws.Data)
 	}
 
-	// A host block inside a transaction is rejected by Validate; if one
-	// slips through, the write-set must degrade to Full, never miscompile.
-	ws = txn(dsl.Host{Label: "H", Fn: func(dsl.HostCtx) error { return nil }})
-	if !ws.Full {
-		t.Fatal("host block must force a full snapshot")
+	// A host block inside a transaction has no rollback: it never compiles,
+	// so no write-set has to stand for it.
+	p.Type("T").Junction("j", dsl.Def(p.Types["T"].Junctions["j"].Decls,
+		dsl.Txn{Body: []dsl.Expr{dsl.Host{Label: "H", Fn: func(dsl.HostCtx) error { return nil }}}}))
+	if _, err := plan.Compile(p); !errors.Is(err, dsl.ErrInvalid) || !strings.Contains(err.Error(), "inside transaction") {
+		t.Fatalf("a host block in a transaction compiled: %v", err)
 	}
 }
 
@@ -192,10 +192,10 @@ func TestEveryCatalogueFormulaVisitable(t *testing.T) {
 	// the contract the runtime's closure compiler relies on.
 	for _, entry := range patterns.Catalogue() {
 		p := entry.Build()
-		if err := dsl.Validate(p); err != nil {
+		pp, err := plan.Compile(p)
+		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}
-		pp := plan.Compile(p)
 		for fq, pj := range pp.Junctions {
 			if pj.Def.Guard != nil {
 				_ = plan.FormulaReadSet(pj, pj.Def.Guard)
@@ -218,12 +218,11 @@ func TestCompileIsFastEnoughToRunPerStart(t *testing.T) {
 	// catalogue entry must be far below human-visible latency.
 	entry, _ := patterns.CatalogueEntryByName("failover")
 	p := entry.Build()
-	if err := dsl.Validate(p); err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
 	for i := 0; i < 10; i++ {
-		_ = plan.Compile(p)
+		if _, err := plan.Compile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d := time.Since(start) / 10; d > 50*time.Millisecond {
 		t.Fatalf("plan.Compile took %v per program", d)

@@ -28,8 +28,8 @@ type Topology struct {
 //
 // An update through an idx variable contributes one edge per element of the
 // idx's universe (the static over-approximation of the runtime choice
-// function). An update a junction aims at itself (me::junction, or an
-// element naming it) stays in its own table and draws no edge.
+// function). An idx element that names the sending junction itself draws no
+// edge (a static destination that is the sender does not compile).
 func (p *Program) Topo() Topology {
 	nodeSet := map[string]bool{}
 	edgeSet := map[Edge]bool{}

@@ -6,7 +6,6 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
-	"csaw/internal/plan"
 )
 
 // fig3Program builds the paper's Fig. 3 example: the program "H1;H2"
@@ -38,7 +37,7 @@ func fig3Program() *dsl.Program {
 }
 
 func TestTopologyFig3(t *testing.T) {
-	topo := plan.Compile(fig3Program()).Topo()
+	topo := compile(t, fig3Program()).Topo()
 	if !topo.HasEdge("f::junction", "g::junction") {
 		t.Errorf("missing f→g edge: %+v", topo.Edges)
 	}
@@ -73,10 +72,7 @@ func TestTopologyIdxFanOut(t *testing.T) {
 	p.Type("back").Junction("j", dsl.Def(dsl.Decls(dsl.InitData{Name: "n"})))
 	p.Instance("f", "front").Instance("b1", "back").Instance("b2", "back")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "b1"}, dsl.Start{Instance: "b2"}})
-	if err := dsl.Validate(p); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	topo := plan.Compile(p).Topo()
+	topo := compile(t, p).Topo()
 	if !topo.HasEdge("f::j", "b1::j") || !topo.HasEdge("f::j", "b2::j") {
 		t.Fatalf("idx fan-out edges missing: %+v", topo.Edges)
 	}
@@ -92,10 +88,7 @@ func TestTopologyMeInstance(t *testing.T) {
 		))
 	p.Instance("b1", "b")
 	p.SetMain(dsl.Start{Instance: "b1"})
-	if err := dsl.Validate(p); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	topo := plan.Compile(p).Topo()
+	topo := compile(t, p).Topo()
 	if !topo.HasEdge("b1::reactivate", "b1::serve") {
 		t.Fatalf("me::instance edge missing: %+v", topo.Edges)
 	}
@@ -105,7 +98,7 @@ func TestLocalAssertNoEdge(t *testing.T) {
 	p := fig3Program()
 	d := p.Types["tau_f"].Junctions["junction"]
 	d.Body = append(d.Body, dsl.Assert{Prop: dsl.PR("Work")}) // local
-	topo := plan.Compile(p).Topo()
+	topo := compile(t, p).Topo()
 	for _, e := range topo.Edges {
 		if e.From == "f::junction" && e.To == "f::junction" {
 			t.Fatal("local assert must not create a self edge")

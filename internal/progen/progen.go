@@ -1,7 +1,8 @@
 // Package progen generates random C-Saw programs for property tests. Every
 // program is valid by construction: each junction declares the same
 // proposition and data pool, so local, remote and junction-qualified
-// references alike always resolve.
+// references alike always resolve, and no update names its own junction as
+// its destination.
 //
 // Only _test.go files import this package; CI fails if another file does.
 package progen
@@ -18,6 +19,7 @@ import (
 type gen struct {
 	r     *rand.Rand
 	juncs []dsl.JunctionRef // every instance::junction in the program
+	self  int               // the index in juncs of the junction being generated
 }
 
 var propPool = []string{"P0", "P1", "P2"}
@@ -49,11 +51,22 @@ func (g *gen) formula(depth int) formula.Formula {
 	}
 }
 
+// dest picks a random junction to update; ok is false when it picks the
+// junction being generated, which §6 rules out as a destination.
+func (g *gen) dest() (ref dsl.JunctionRef, ok bool) {
+	k := g.r.Intn(len(g.juncs))
+	return g.juncs[k], k != g.self
+}
+
+// target is an assert's or retract's target: local, or another junction.
 func (g *gen) target() dsl.JunctionRef {
 	if g.r.Intn(2) == 0 {
 		return dsl.JunctionRef{} // local
 	}
-	return g.juncs[g.r.Intn(len(g.juncs))]
+	if ref, ok := g.dest(); ok {
+		return ref
+	}
+	return dsl.JunctionRef{} // the local form of an update to self
 }
 
 func (g *gen) expr(depth int) dsl.Expr {
@@ -70,7 +83,11 @@ func (g *gen) expr(depth int) dsl.Expr {
 	case n == 4:
 		return dsl.Restore{Data: g.data(), Into: func(dsl.HostCtx, []byte) error { return nil }}
 	case n == 5:
-		return dsl.Write{Data: g.data(), To: g.juncs[g.r.Intn(len(g.juncs))]}
+		d := g.data()
+		if to, ok := g.dest(); ok {
+			return dsl.Write{Data: d, To: to}
+		}
+		return dsl.Skip{} // a write to self has no local form
 	case n == 6:
 		return dsl.Verify{Cond: g.formula(1)}
 	case n == 7 && !leaf:
@@ -131,6 +148,7 @@ func Program(seed int64) *dsl.Program {
 			dsl.InitData{Name: "d0"},
 			dsl.InitData{Name: "d1"},
 		)
+		g.self = i
 		def := dsl.Def(decls, g.body(3)...)
 		if g.r.Intn(2) == 0 {
 			def = def.Guarded(g.formula(1))

@@ -468,7 +468,7 @@ func (p *compiledPar) clear() {
 }
 
 // compileTarget lowers a remote update's destination (plan.Ref.Dest), which
-// validation guarantees names a junction: a static one is a constant, an idx
+// plan.Compile guarantees names a junction: a static one is a constant, an idx
 // one an element→junction map over the idx's universe, which holds every
 // element SetIdx admits.
 func (j *Junction) compileTarget(o *plan.Op) func() (string, error) {
@@ -881,11 +881,9 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 		bp := j.bindProp(j.pj.ResolveName(p.Name))
 		return func() formula.Truth { return bp.read() }
 	}
-	// Junction-qualified proposition: the endpoint is static.
-	inst, jn, ok := strings.Cut(j.pj.Qualifier(p.Junction), "::")
-	if !ok {
-		return func() formula.Truth { return formula.Unknown }
-	}
+	// Junction-qualified proposition: the endpoint is static, and a junction
+	// of the program (plan.Compile rejects a qualifier that names none).
+	inst, jn, _ := strings.Cut(j.pj.Qualifier(p.Junction), "::")
 	isRunning := p.Name == RunningProp
 	var resolveName func() (string, bool)
 	if base, idxVar, idxed := dsl.SplitIdxProp(p.Name); idxed {

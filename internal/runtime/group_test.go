@@ -45,7 +45,8 @@ func checkFrozen(t *testing.T, table, got string, p *dsl.Program, ring *obsv.Rin
 
 // groupProgram builds source f::j with the given declarations and body, and
 // sinks g1::j, g2::j whose guard never holds, so arriving updates only queue
-// until the test schedules the sink by hand.
+// until the test schedules the sink by hand. The sinks declare the datum
+// never, which no one saves, so a write of it fails at the sender as undef.
 func groupProgram(decls []dsl.Decl, body ...dsl.Expr) *dsl.Program {
 	return groupProgramGuarded(formula.P("Go"), decls, body...)
 }
@@ -59,6 +60,7 @@ func groupProgramGuarded(sinkGuard formula.Formula, decls []dsl.Decl, body ...ds
 			dsl.InitProp{Name: "U", Init: false}, dsl.InitProp{Name: "V", Init: true},
 			dsl.InitProp{Name: "W", Init: false}, dsl.InitProp{Name: "Go", Init: false},
 			dsl.InitProp{Name: "Flag", Init: false}, dsl.InitData{Name: "d"},
+			dsl.InitData{Name: "never"},
 		),
 		dsl.Skip{},
 	).Guarded(sinkGuard))

@@ -131,10 +131,11 @@ func (s *System) instanceMap() map[string]*Instance { return *s.instances.Load()
 // junctionMap is the instance's current name → junction map; read-only.
 func (inst *Instance) junctionMap() map[string]*Junction { return *inst.junctions.Load() }
 
-// New validates the program and builds a system for it. The system starts no
-// instances; call RunMain or StartInstance.
+// New checks and lowers the program (plan.Compile) and builds a system for
+// it. The system starts no instances; call RunMain or StartInstance.
 func New(p *dsl.Program, opts Options) (*System, error) {
-	if err := dsl.Validate(p); err != nil {
+	pp, err := plan.Compile(p)
+	if err != nil {
 		return nil, err
 	}
 	opts.fill()
@@ -146,7 +147,7 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		prog:    p,
 		deploy:  dep,
 		opts:    opts,
-		plan:    plan.Compile(p),
+		plan:    pp,
 		obs:     obsv.NewObserver(),
 		apps:    map[string]any{},
 		windows: map[pairKey]*ackWindow{},
