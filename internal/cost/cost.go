@@ -390,13 +390,13 @@ func (c *charger) update(o *plan.Op, w float64) {
 		// execution; spread the weight uniformly.
 		per = w / float64(len(targets))
 	}
-	for _, t := range targets {
+	for i, t := range targets {
 		if t == ji {
 			continue // self-updates stay in the local table
 		}
 		u := update{pos: o.Pos, to: t, weight: per}
 		if tj := c.m.Junctions[t.FQ]; tj != nil {
-			for _, k := range o.Ref.Keys {
+			for _, k := range o.KeysTo(i) {
 				if tj.guardProps[k] {
 					u.guardKey += per
 					break

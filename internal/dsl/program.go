@@ -227,23 +227,6 @@ func (p *Program) InstancesOfType(typeName string) []string {
 	return out
 }
 
-// JunctionDefOf resolves an instance::junction pair to its definition.
-func (p *Program) JunctionDefOf(instance, junction string) (*JunctionDef, error) {
-	tn, ok := p.Instances[instance]
-	if !ok {
-		return nil, fmt.Errorf("dsl: unknown instance %q", instance)
-	}
-	t, ok := p.Types[tn]
-	if !ok {
-		return nil, fmt.Errorf("dsl: instance %q has unknown type %q", instance, tn)
-	}
-	j, ok := t.Junctions[junction]
-	if !ok {
-		return nil, fmt.Errorf("dsl: type %q has no junction %q", tn, junction)
-	}
-	return j, nil
-}
-
 // --- Builder helpers -------------------------------------------------------
 
 // Def builds a junction definition from declarations followed by the body.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -245,6 +246,51 @@ func TestWaitOnIdxIndexedProp(t *testing.T) {
 	}
 	if err := s.Invoke(ctx, "f", "j"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdxTargetReceivesItsOwnKey: with the key and the destination chosen by
+// one idx, each backend is sent only its own member of the family, so
+// backends that declare just Work[me::junction] compile and run; each fires
+// once on its own key and retracts it at the front.
+func TestIdxTargetReceivesItsOwnKey(t *testing.T) {
+	var fired sync.Map
+	p := dsl.NewProgram()
+	p.Type("back").Junction("j", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work[me::junction]", Init: false}),
+		dsl.Host{Label: "H", Fn: func(c dsl.HostCtx) error { fired.Store(c.Instance(), true); return nil }},
+		dsl.Retract{Target: dsl.J("f", "j"), Prop: dsl.PRAt("Work", "me::junction")},
+		dsl.Retract{Prop: dsl.PRAt("Work", "me::junction")},
+	).Guarded(formula.P(dsl.IndexedName("Work", "me::junction"))))
+	p.Type("front").Junction("j", dsl.Def(
+		dsl.Decls(
+			dsl.DeclSet{Name: "Backs", Elems: []string{"b1::j", "b2::j"}},
+			dsl.DeclIdx{Name: "tgt", Of: "Backs"},
+			dsl.InitProp{Name: "Work[b1::j]", Init: false},
+			dsl.InitProp{Name: "Work[b2::j]", Init: false},
+		),
+		dsl.IdxAssign{Idx: "tgt", Elem: "b1::j"},
+		dsl.Assert{Target: dsl.ByIdx("tgt"), Prop: dsl.PRIdx("Work", "tgt")},
+		dsl.Wait{Cond: formula.Not(dsl.PropIdx("Work", "tgt"))},
+		dsl.IdxAssign{Idx: "tgt", Elem: "b2::j"},
+		dsl.Assert{Target: dsl.ByIdx("tgt"), Prop: dsl.PRIdx("Work", "tgt")},
+		dsl.Wait{Cond: formula.Not(dsl.PropIdx("Work", "tgt"))},
+	))
+	p.Instance("f", "front").Instance("b1", "back").Instance("b2", "back")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "b1"}, dsl.Start{Instance: "b2"}})
+	s := mustSystem(t, p, Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Invoke(ctx, "f", "j"); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"b1", "b2"} {
+		if _, ok := fired.Load(b); !ok {
+			t.Fatalf("%s never fired on its key", b)
+		}
 	}
 }
 
