@@ -119,7 +119,7 @@ func main() {
 	case *topo:
 		fmt.Print(pp.Topo().Dot())
 	case *eventsOut:
-		s, err := events.DenoteProgram(p, events.Budget{Unfold: 1})
+		s, err := events.DenoteProgram(pp, events.Budget{Unfold: 1})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "csawc: semantics: %v\n", err)
 			os.Exit(1)
@@ -133,7 +133,7 @@ func main() {
 		fmt.Printf("  junctions: %d, communication edges: %d\n", len(t.Nodes), len(t.Edges))
 		event, polled, invoked := schedulingModes(pp)
 		fmt.Printf("  scheduling: %d event-driven, %d with poll fallback, %d app-invoked\n", event, polled, invoked)
-		s, err := events.DenoteProgram(p, events.Budget{Unfold: 1})
+		s, err := events.DenoteProgram(pp, events.Budget{Unfold: 1})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "csawc: semantics: %v\n", err)
 			os.Exit(1)

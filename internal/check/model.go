@@ -89,9 +89,8 @@ type junc struct {
 	// write races (analysis.EventRaces over the §8 denotation).
 	raceKeys *obsKeys
 	// bodyReadP are local prop keys read by the junction's own guard and body
-	// formulas; allReads marks a statically unbounded read set.
+	// formulas.
 	bodyReadP map[string]bool
-	allReads  bool
 	// bodyWriteP are local prop keys the junction's own body writes.
 	bodyWriteP map[string]bool
 	// envInj are the environment-assertable prop slots: read by the guard or
@@ -338,9 +337,6 @@ func (c *checker) buildStaticFacts() {
 			// Own read set, for sibling-branch read/write visibility.
 			for _, k := range rs.Props {
 				j.bodyReadP[k] = true
-			}
-			if rs.Unbounded {
-				j.allReads = true
 			}
 		}
 

@@ -152,7 +152,7 @@ func keyVisibleWrite(j *junc, key string, multi bool) bool {
 	if j.observable.has(key) || j.incomingP[key] {
 		return true
 	}
-	return multi && (j.allReads || j.bodyReadP[key] || j.raceKeys.has(key))
+	return multi && (j.bodyReadP[key] || j.raceKeys.has(key))
 }
 
 // formulaVisible reports whether evaluating f at j can race with any other
@@ -169,7 +169,7 @@ func (c *checker) formulaVisible(st *state, j *junc, f formula.Formula, multi bo
 		}
 		key, ok := c.localKey(st, j, pr.Name)
 		if !ok {
-			return true // unresolvable family: be conservative
+			return true // idx undef: be conservative
 		}
 		if j.incomingP[key] {
 			return true
@@ -514,18 +514,12 @@ func (c *checker) processDelivery(st *state, t *thread) {
 
 // rollback restores what the failed transaction of frame f can have written
 // by the time its body stopped at statement at: the write-set of the steps it
-// had started (plan.Op.Wrote), as the runtime restores it (kv.RestoreKeys),
-// or the whole entry snapshot when that write-set is unbounded. A key of a
-// step never reached keeps what a sibling par arm may have committed to it.
+// had started (plan.Op.Wrote), as the runtime restores it (kv.RestoreKeys).
+// A key of a step never reached keeps what a sibling par arm may have
+// committed to it.
 func rollback(st *state, j *junc, f *frame, at int) {
 	restore := func(s int) { st.tab.set(j.base+s, f.snap.has(s)) }
 	w := f.txn.Wrote[f.txn.Body.StepAt(at)]
-	if w.Full {
-		for s := 0; s < j.np+j.nd; s++ {
-			restore(s)
-		}
-		return
-	}
 	for _, k := range w.Props {
 		if s, ok := j.info.PropSlot(k); ok {
 			restore(s)

@@ -32,10 +32,9 @@ import (
 
 // Guard scheduling classes, mirroring csawc's summary terminology.
 const (
-	GuardInvoked       = "invoked"
-	GuardEvent         = "event"
-	GuardPoll          = "poll"
-	GuardPollUnbounded = "poll-unbounded"
+	GuardInvoked = "invoked"
+	GuardEvent   = "event"
+	GuardPoll    = "poll"
 )
 
 // activationCap bounds activation propagation so guard-trigger cycles cannot
@@ -61,10 +60,11 @@ type Model struct {
 // Junction is the per-(instance, junction) cost summary.
 type Junction struct {
 	Info *plan.Junction
-	// Guard classifies scheduling (GuardInvoked/Event/Poll/PollUnbounded).
+	// Guard classifies scheduling (GuardInvoked/Event/Poll).
 	Guard string
 	// GuardReads lists the guard's remote-qualified reads with their
-	// resolved declaring junction (nil Target when unresolvable).
+	// resolved declaring junction (nil Target for an unqualified
+	// @-predicate).
 	GuardReads []GuardRead
 	// guardProps is the set of local keys the guard consults — an incoming
 	// assert/retract of one of these can trigger a scheduling.
@@ -92,8 +92,8 @@ type Junction struct {
 type GuardRead struct {
 	Pos    string
 	Origin plan.ReadOrigin
-	// Target is the resolved declaring junction; nil when the qualifier does
-	// not resolve statically.
+	// Target is the resolved declaring junction; nil for an unqualified
+	// @-predicate, which names none.
 	Target *plan.Junction
 }
 
@@ -128,9 +128,9 @@ type Fanout struct {
 	Peers []string // distinct peer junction FQs, sorted
 }
 
-// Build computes the model for a compiled program. It never fails: anything
-// unresolvable degrades to the conservative reading (weight dropped, read
-// kept as a poll-bound classification).
+// Build computes the model for a compiled program. It never fails: Compile
+// has resolved every name, and every read and write set it hands over is
+// bounded.
 func Build(pp *plan.Program) *Model {
 	m := &Model{Prog: pp, Junctions: map[string]*Junction{}}
 	for _, ji := range pp.Juncs {
@@ -184,12 +184,9 @@ func (m *Model) classifyGuard(j *Junction) {
 			Target: m.Prog.Lookup(o.Junction),
 		})
 	}
-	switch {
-	case rs.Unbounded:
-		j.Guard = GuardPollUnbounded
-	case rs.Remote:
+	if rs.Remote {
 		j.Guard = GuardPoll
-	default:
+	} else {
 		j.Guard = GuardEvent
 	}
 }

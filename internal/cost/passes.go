@@ -1,6 +1,6 @@
 // The cost pass suite: anti-pattern diagnostics over the traffic model,
 // registered through the same analysis framework (and suppression plumbing)
-// as the PR 3 passes. All four passes are placement-aware: the same program
+// as the vet passes. All three passes are placement-aware: the same program
 // grades differently under different instance→location assignments, which is
 // the point — the findings say what a deployment will pay, not what the
 // code says.
@@ -16,7 +16,7 @@ import (
 
 // Passes returns the cost suite in canonical order.
 func Passes() []*analysis.Pass {
-	return []*analysis.Pass{Poll, Unbounded, Fanouts, PingPongs}
+	return []*analysis.Pass{Poll, Fanouts, PingPongs}
 }
 
 // Poll flags guards (and body formulas) whose remote-qualified reads defeat
@@ -110,40 +110,6 @@ func unknownWord(o plan.ReadOrigin) string {
 		return "False"
 	}
 	return "Unknown"
-}
-
-// Unbounded flags idx families whose element universe is not statically
-// resolvable: the planner must classify every such read Remote, forcing the
-// conservative poll even when all writers are local.
-var Unbounded = &analysis.Pass{
-	Name: "costunbounded",
-	Doc:  "unbounded idx families forcing conservative Remote classification",
-	Run: func(ctx *analysis.Context) []analysis.Diagnostic {
-		m := Build(ctx.Program)
-		var ds []analysis.Diagnostic
-		for _, fq := range m.Order {
-			j := m.Junctions[fq]
-			for _, gr := range j.GuardReads {
-				if o := gr.Origin; o.Unbounded {
-					ds = append(ds, analysis.Diagnostic{
-						Severity: analysis.SevWarning,
-						Pos:      gr.Pos,
-						Msg:      fmt.Sprintf("idx family %q has no statically resolvable universe, so the guard is classified Remote and poll-bound — declare the idx over a set with known elements", o.IdxFamily),
-					})
-				}
-			}
-			for _, gr := range j.BodyReads {
-				if o := gr.Origin; o.Unbounded {
-					ds = append(ds, analysis.Diagnostic{
-						Severity: analysis.SevInfo,
-						Pos:      gr.Pos,
-						Msg:      fmt.Sprintf("idx family %q has no statically resolvable universe; this condition is re-evaluated by polling", o.IdxFamily),
-					})
-				}
-			}
-		}
-		return ds
-	},
 }
 
 // Fanouts flags par statements whose arms update several distinct peers.

@@ -7,6 +7,7 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 func TestStructureBasics(t *testing.T) {
@@ -369,7 +370,11 @@ func TestDenoteProgramFig3(t *testing.T) {
 	p.Instance("f", "tau_f").Instance("g", "tau_g")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
 
-	s, err := DenoteProgram(p, Budget{})
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := DenoteProgram(pp, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

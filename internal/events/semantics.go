@@ -698,12 +698,11 @@ func displayName(p *dsl.Program, inst, jn string) string {
 	return inst + "::" + jn
 }
 
-// DenoteProgram builds the complete program semantics: the start-up portion
-// plus each started instance's junction structures, with waits expanded.
-func DenoteProgram(p *dsl.Program, b Budget) (*Structure, error) {
-	if _, err := plan.Compile(p); err != nil {
-		return nil, err
-	}
+// DenoteProgram builds the complete program semantics of a compiled program:
+// the start-up portion plus each started instance's junction structures, with
+// waits expanded.
+func DenoteProgram(pp *plan.Program, b Budget) (*Structure, error) {
+	p := pp.Prog
 	out := StartUp(p)
 	for _, inst := range p.InstanceNames() {
 		tn := p.Instances[inst]

@@ -148,7 +148,7 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 	run(func() {
 		for i := 0; i < rounds; i++ {
 			sched.RLock()
-			snap := tb.Snapshot()
+			snap := snapshotAll(tb)
 			roll.Set(true)
 			rd.Set([]byte("dirty"))
 			tb.RestoreKeys(snap, []string{"Roll"}, []string{"rd"})

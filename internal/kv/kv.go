@@ -845,40 +845,28 @@ func (t *Table) EndWait(handle int) {
 }
 
 // Snapshot captures table contents for transactional rollback (the ⟨|E|⟩
-// block). The pending queue is NOT captured: queued communication from other
-// junctions survives a rollback. A snapshot holds every key (Snapshot) or only
-// the keys a compiled transaction's write-set can touch (SnapshotKeys).
+// block): only the keys a compiled transaction's write-set can touch. The
+// pending queue is NOT captured: queued communication from other junctions
+// survives a rollback.
 type Snapshot struct {
 	props map[string]bool
 	data  map[string]Value
 }
 
-// Snapshot returns a deep copy of the current table contents.
-func (t *Table) Snapshot() Snapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := Snapshot{props: make(map[string]bool, len(t.props)), data: make(map[string]Value, len(t.data))}
-	for k, c := range t.props {
-		s.props[k] = c.b.Load()
-	}
-	for k, c := range t.data {
-		s.data[k] = copyValue(c.d)
-	}
-	return s
-}
-
-// SnapshotKeys returns a partial deep copy covering only the listed keys
-// (undeclared names are skipped). Restoring it rolls back exactly those keys
-// and leaves the rest of the table untouched, so it is equivalent to a full
-// snapshot/restore whenever the key list over-approximates what the guarded
-// block can modify.
+// SnapshotKeys returns a deep copy of the listed keys (undeclared names are
+// skipped). Restoring it rolls back exactly those keys and leaves the rest of
+// the table untouched, so it is equivalent to a whole-table snapshot and
+// restore whenever the key list over-approximates what the guarded block can
+// modify. Empty lists take nothing and allocate nothing.
 func (t *Table) SnapshotKeys(props, data []string) Snapshot {
+	var s Snapshot
+	if len(props) == 0 && len(data) == 0 {
+		return s
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := Snapshot{
-		props: make(map[string]bool, len(props)),
-		data:  make(map[string]Value, len(data)),
-	}
+	s.props = make(map[string]bool, len(props))
+	s.data = make(map[string]Value, len(data))
 	for _, k := range props {
 		if c := t.props[k]; c != nil {
 			s.props[k] = c.b.Load()
@@ -919,8 +907,10 @@ func (t *Table) restoreDataLocked(name string, v Value) {
 
 // RestoreKeys rolls back only the listed keys to the values a snapshot
 // captured for them (keys the snapshot does not hold are left alone), waking
-// their subscribers. A transaction that failed part-way uses it to take back
-// what its own statements wrote and nothing a concurrent par arm committed.
+// their subscribers, in place: the cells stay, so bindings taken before the
+// rollback read the restored values. A transaction that failed part-way uses
+// it to take back what its own statements wrote and nothing a concurrent par
+// arm committed.
 func (t *Table) RestoreKeys(s Snapshot, props, data []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -933,20 +923,6 @@ func (t *Table) RestoreKeys(s Snapshot, props, data []string) {
 		if v, ok := s.data[k]; ok {
 			t.restoreDataLocked(k, v)
 		}
-	}
-}
-
-// Restore rolls every key the snapshot captured back to its captured value,
-// in place: the cells stay, so bindings taken before the rollback read the
-// restored values. Subscribers of the restored keys are woken.
-func (t *Table) Restore(s Snapshot) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, v := range s.props {
-		t.restorePropLocked(k, v)
-	}
-	for k, v := range s.data {
-		t.restoreDataLocked(k, v)
 	}
 }
 

@@ -215,6 +215,12 @@ func TestBeginWaitDrainsRacedUpdates(t *testing.T) {
 	}
 }
 
+// snapshotAll and restoreAll take and roll back every declared key: what a
+// transaction whose write-set covers the whole table does.
+func snapshotAll(tb *Table) Snapshot { return tb.SnapshotKeys(tb.PropNames(), tb.DataNames()) }
+
+func restoreAll(tb *Table, s Snapshot) { tb.RestoreKeys(s, tb.PropNames(), tb.DataNames()) }
+
 func TestSnapshotRollback(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", true)
@@ -223,7 +229,7 @@ func TestSnapshotRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := tb.Snapshot()
+	snap := snapshotAll(tb)
 	if err := tb.SetProp("P", false); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +237,7 @@ func TestSnapshotRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tb.Restore(snap)
+	restoreAll(tb, snap)
 	if v, _ := tb.Prop("P"); !v {
 		t.Fatal("prop not rolled back")
 	}
@@ -247,12 +253,12 @@ func TestSnapshotIsDeep(t *testing.T) {
 	if err := tb.SetData("n", buf); err != nil {
 		t.Fatal(err)
 	}
-	snap := tb.Snapshot()
+	snap := snapshotAll(tb)
 	// Mutating the table's current value must not corrupt the snapshot.
 	if err := tb.SetData("n", []byte("zzz")); err != nil {
 		t.Fatal(err)
 	}
-	tb.Restore(snap)
+	restoreAll(tb, snap)
 	if d, _ := tb.Data("n"); string(d) != "abc" {
 		t.Fatalf("snapshot aliased live data: %q", d)
 	}
@@ -261,9 +267,9 @@ func TestSnapshotIsDeep(t *testing.T) {
 func TestSnapshotDoesNotCapturePending(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", false)
-	snap := tb.Snapshot()
+	snap := snapshotAll(tb)
 	tb.Enqueue(Update{Kind: UpdateProp, Key: "P", Bool: true})
-	tb.Restore(snap)
+	restoreAll(tb, snap)
 	if tb.PendingLen() != 1 {
 		t.Fatal("rollback must not discard queued communication")
 	}
@@ -324,7 +330,7 @@ func TestConcurrentEnqueue(t *testing.T) {
 			tb.ApplyPending()
 			_ = tb.SetProp("P", true)
 			_ = tb.SetData("n", []byte("local"))
-			tb.Snapshot()
+			snapshotAll(tb)
 		}
 		close(done)
 	}()

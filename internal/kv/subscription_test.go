@@ -125,11 +125,11 @@ func TestUnsubscribeStopsWakes(t *testing.T) {
 func TestRestoreWakesRestoredKeys(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", false)
-	snap := tb.Snapshot()
+	snap := snapshotAll(tb)
 	_ = tb.SetProp("P", true)
 	sub := tb.Subscribe([]string{"P"}, nil)
 	defer tb.Unsubscribe(sub)
-	tb.Restore(snap)
+	restoreAll(tb, snap)
 	if !woken(t, sub) {
 		t.Fatal("rollback changed P but did not wake its subscriber")
 	}
@@ -174,7 +174,7 @@ func TestSnapshotKeysPartialRestore(t *testing.T) {
 	_ = tb.SetData("n", []byte("v"))
 	_ = tb.SetData("m", []byte("changed"))
 
-	tb.Restore(snap)
+	restoreAll(tb, snap)
 
 	if v, _ := tb.Prop("P"); v {
 		t.Fatal("P not rolled back")
@@ -196,7 +196,7 @@ func TestSnapshotKeysIsDeep(t *testing.T) {
 	_ = tb.SetData("n", []byte("abc"))
 	snap := tb.SnapshotKeys(nil, []string{"n"})
 	_ = tb.SetData("n", []byte("xyz"))
-	tb.Restore(snap)
+	restoreAll(tb, snap)
 	d, err := tb.Data("n")
 	if err != nil || string(d) != "abc" {
 		t.Fatalf("Data(n) = %q, %v; want abc", d, err)

@@ -98,8 +98,7 @@ type Op struct {
 // to, which the cost model prices and the topology draws.
 type Ref struct {
 	// Keys are an OpProp's table keys: one, or for an idx family P[$i] one per
-	// element of i's universe, in universe order (nil when that universe is
-	// not static).
+	// element of i's universe, in universe order.
 	Keys []string
 	// Dest is a remote update's destination: for an idx target one
 	// fully-qualified junction per element of the idx's universe, in universe
@@ -264,11 +263,7 @@ func localHalfReadRemotely(j *Junction, o *Op) bool {
 	if o.Kind != OpProp {
 		return false // a write has no local half
 	}
-	w := j.LocalWrites(o)
-	if w.Full {
-		return true // an idx family that cannot be expanded: assume the worst
-	}
-	for _, k := range w.Props {
+	for _, k := range j.LocalWrites(o).Props {
 		if j.HasProp(k) && j.ReadRemotely(k) {
 			return true
 		}
@@ -297,15 +292,11 @@ func wrote(j *Junction, b *Block) []WriteSet {
 			w := j.LocalWrites(o)
 			if o.Kind == OpWait {
 				w = WriteSet{Props: o.Wait.Reads.Props, Data: o.Wait.Reads.Data}
-				if o.Wait.Reads.Unbounded {
-					w = WriteSet{Data: w.Data, Full: true}
-				}
 			}
-			ws.Full = ws.Full || w.Full
 			add(w.Props, &ws.Props, "p:")
 			add(w.Data, &ws.Data, "d:")
 		})
-		out = append(out, WriteSet{Props: ws.Props[:len(ws.Props):len(ws.Props)], Data: ws.Data[:len(ws.Data):len(ws.Data)], Full: ws.Full})
+		out = append(out, WriteSet{Props: ws.Props[:len(ws.Props):len(ws.Props)], Data: ws.Data[:len(ws.Data):len(ws.Data)]})
 	}
 	return out
 }

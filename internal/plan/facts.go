@@ -171,8 +171,7 @@ func (j *Junction) ReadRemotely(key string) bool {
 
 // IdxUniverse returns the static element universe an idx declaration ranges
 // over (the elements of its set, or of a subset's parent set), me::-resolved:
-// the values SetIdx stores. ok is false when the idx is not declared or its
-// universe cannot be resolved statically.
+// the values SetIdx stores. ok is false when the idx is not declared.
 func (j *Junction) IdxUniverse(idx string) ([]string, bool) {
 	setName, ok := j.decls.idxs[idx]
 	if !ok {
@@ -203,7 +202,7 @@ func (j *Junction) ResolveName(s string) string {
 
 // Family resolves the idx family base[$idx] the way the runtime binds it: the
 // key base[element], the base as written, for each element of the idx's
-// universe, in universe order. ok is false when the universe is not static.
+// universe, in universe order. ok is false when the idx is not declared.
 func (j *Junction) Family(base, idx string) (keys []string, ok bool) {
 	universe, ok := j.IdxUniverse(idx)
 	if !ok {
@@ -216,8 +215,8 @@ func (j *Junction) Family(base, idx string) (keys []string, ok bool) {
 }
 
 // propKeys resolves a PropRef written at this junction to concrete table
-// keys, expanding an idx-variable index to its family. keys is nil when an
-// idx-variable's universe cannot be resolved statically (or is empty).
+// keys, expanding an idx-variable index to its family (Compile rejects an
+// undeclared idx).
 func (j *Junction) propKeys(pr dsl.PropRef) []string {
 	switch {
 	case pr.Index == "":
@@ -255,7 +254,7 @@ func (j *Junction) dest(ref dsl.JunctionRef) []string {
 }
 
 // formulaKeys resolves a local proposition as a formula names it: an idx
-// family base[$idx] to its keys (ok false when the universe is not static),
+// family base[$idx] to its keys (ok false when the idx is not declared),
 // any other name to itself with me:: resolved.
 func (j *Junction) formulaKeys(name string) (keys []string, idx string, ok bool) {
 	if base, idxVar, isIdx := dsl.SplitIdxProp(name); isIdx {
@@ -308,12 +307,12 @@ func (p *Program) reject(j *Junction, pos, written, format string, args ...any) 
 // LocalWrites is what op o itself, not an op it contains, can write to j's
 // own table: an assert's or retract's keys (a remote one's local half lands
 // on those j declares), a save's data, a host block's or restore's declared
-// V⃗. Full when an idx family's keys are not static.
+// V⃗.
 func (j *Junction) LocalWrites(o *Op) (ws WriteSet) {
 	var names []string
 	switch n := o.Stmt.(type) {
 	case dsl.Assert, dsl.Retract:
-		return WriteSet{Props: o.Ref.Keys, Full: o.Ref.Keys == nil}
+		return WriteSet{Props: o.Ref.Keys}
 	case dsl.Save:
 		return WriteSet{Data: []string{n.Data}}
 	case dsl.Host:

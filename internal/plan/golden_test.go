@@ -110,14 +110,14 @@ func dumpAccesses(buf *bytes.Buffer, what string, m map[string][]plan.Access) {
 func readSet(rs plan.ReadSet) string {
 	var os []string
 	for _, o := range rs.Origins {
-		os = append(os, fmt.Sprintf("{%q %q r=%t l=%t i=%q u=%t}", o.Key, o.Junction, o.Remote, o.Liveness, o.IdxFamily, o.Unbounded))
+		os = append(os, fmt.Sprintf("{%q %q r=%t l=%t i=%q}", o.Key, o.Junction, o.Remote, o.Liveness, o.IdxFamily))
 	}
-	return fmt.Sprintf("props=%v data=%v remote=%t idx=%t unbounded=%t origins=[%s]",
-		rs.Props, rs.Data, rs.Remote, rs.Idx, rs.Unbounded, strings.Join(os, " "))
+	return fmt.Sprintf("props=%v data=%v remote=%t idx=%t origins=[%s]",
+		rs.Props, rs.Data, rs.Remote, rs.Idx, strings.Join(os, " "))
 }
 
 func writeSet(ws plan.WriteSet) string {
-	return fmt.Sprintf("{props=%v data=%v full=%t}", ws.Props, ws.Data, ws.Full)
+	return fmt.Sprintf("{props=%v data=%v}", ws.Props, ws.Data)
 }
 
 func dumpBlock(buf *bytes.Buffer, b *plan.Block, indent string) {

@@ -2,12 +2,15 @@ package plan_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
+	"csaw/internal/patterns"
 	"csaw/internal/plan"
+	"csaw/internal/progen"
 )
 
 // namesProgram builds a::j and b::j of type T, whose junction declares P, d,
@@ -23,6 +26,13 @@ func namesProgram(body ...dsl.Expr) *dsl.Program {
 	p.Type("U").Junction("k", dsl.Def(dsl.Decls(dsl.InitProp{Name: "Q", Init: false}), dsl.Skip{}))
 	p.Instance("a", "T").Instance("b", "T").Instance("c", "U")
 	p.SetMain(dsl.Start{Instance: "a"}, dsl.Start{Instance: "b"}, dsl.Start{Instance: "c"})
+	return p
+}
+
+// namesGuarded is namesProgram with a skip body under guard g.
+func namesGuarded(g formula.Formula) *dsl.Program {
+	p := namesProgram(dsl.Skip{})
+	p.Types["T"].Junctions["j"].Guard = g
 	return p
 }
 
@@ -53,6 +63,10 @@ func TestCompileRejectsNames(t *testing.T) {
 		{"idx-indexed proposition over an undeclared idx", namesProgram(dsl.Assert{Prop: dsl.PRIdx("P", "nope")}),
 			`T::j/body[0]: idx "nope" not declared`},
 		{"formula idx family over an undeclared idx", namesProgram(dsl.Verify{Cond: dsl.PropIdx("P", "nope")}),
+			`T::j/body[0]: idx "nope" not declared`},
+		{"guard idx family over an undeclared idx", namesGuarded(dsl.PropIdx("P", "nope")),
+			`T::j/guard: idx "nope" not declared`},
+		{"wait on an idx family over an undeclared idx", namesProgram(dsl.Wait{Cond: dsl.PropIdx("P", "nope")}),
 			`T::j/body[0]: idx "nope" not declared`},
 		{"formula idx family a member of which is undeclared", namesProgram(dsl.Verify{Cond: dsl.PropIdx("P", "i")}),
 			`T::j/body[0]: proposition "P[a::j]" not declared`},
@@ -174,5 +188,70 @@ func TestIdxKeyedByItsOwnTargetPairsKeyAndDestination(t *testing.T) {
 	_, err := plan.Compile(p)
 	if !errors.Is(err, dsl.ErrInvalid) || !strings.Contains(err.Error(), `front::j/body[0]: proposition "Work[b2::j]" not declared at b1::j`) {
 		t.Fatalf("Compile: %v", err)
+	}
+}
+
+// TestCompiledSetsAreBounded pins what every consumer of a compiled program
+// relies on instead of re-checking: Compile rejects an undeclared idx, so
+// every update's keys, every idx-family read and every transaction write-set
+// is bounded. It runs over the catalogue, the negative examples, a program
+// of idx families and the generated programs that compile.
+func TestCompiledSetsAreBounded(t *testing.T) {
+	check := func(name string, pp *plan.Program) {
+		for _, j := range pp.Juncs {
+			origins := func(pos string, rs plan.ReadSet) {
+				for _, o := range rs.Origins {
+					if o.IdxFamily != "" && o.Key == "" {
+						t.Errorf("%s: %s: idx family %q read with no key", name, pos, o.IdxFamily)
+					}
+				}
+			}
+			if j.Guard != nil {
+				origins(j.FQ+"/guard", *j.Guard)
+			}
+			plan.Walk(j.Body.Ops, func(o *plan.Op, _ []*plan.Op) {
+				switch o.Kind {
+				case plan.OpProp:
+					if len(o.Ref.Keys) == 0 {
+						t.Errorf("%s: %s: update with no keys", name, o.Pos)
+					}
+				case plan.OpWait:
+					origins(o.Pos, o.Wait.Reads)
+				case plan.OpTxn:
+					if len(o.Wrote) != len(o.Body.Steps) {
+						t.Errorf("%s: %s: %d write-sets for %d steps", name, o.Pos, len(o.Wrote), len(o.Body.Steps))
+					}
+				}
+			})
+		}
+	}
+	for _, e := range append(patterns.Catalogue(), patterns.Negatives()...) {
+		pp, err := plan.Compile(e.Build())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		check(e.Name, pp)
+	}
+	// No catalogue entry updates an idx family; this program does, in a
+	// transaction, and reads one in its guard and a wait.
+	fam := dsl.NewProgram()
+	fam.Type("T").Junction("j", dsl.Def(dsl.Decls(
+		dsl.DeclSet{Name: "S", Elems: []string{"x", "y"}}, dsl.DeclIdx{Name: "i", Of: "S"},
+		dsl.InitProp{Name: "F[x]", Init: false}, dsl.InitProp{Name: "F[y]", Init: false},
+	), dsl.Txn{Body: []dsl.Expr{
+		dsl.Retract{Prop: dsl.PRIdx("F", "i")},
+		dsl.Wait{Cond: dsl.PropIdx("F", "i")},
+	}}).Guarded(dsl.PropIdx("F", "i")))
+	fam.Instance("a", "T")
+	fam.SetMain(dsl.Start{Instance: "a"})
+	pp, err := plan.Compile(fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("idx families", pp)
+	for seed := int64(0); seed < 60; seed++ {
+		if pp, err := plan.Compile(progen.Program(seed)); err == nil {
+			check(fmt.Sprintf("progen seed %d", seed), pp)
+		}
 	}
 }

@@ -35,21 +35,16 @@ type ReadSet struct {
 	// Data are data keys read-waited alongside the formula (wait's n⃗).
 	Data []string
 	// Remote is true when the formula also consults state the local table
-	// cannot observe: junction-qualified propositions, the @running liveness
-	// predicate, or an idx family whose universe is not statically
-	// resolvable. Keyed subscriptions cannot wake on those changes, so
-	// schedulers keep a fallback poll for such formulas.
+	// cannot observe: junction-qualified propositions or the @running
+	// liveness predicate. Keyed subscriptions cannot wake on those changes,
+	// so schedulers keep a fallback poll for such formulas.
 	Remote bool
 	// Idx is true when the formula reads through an idx variable, i.e. its
 	// concrete keys depend on runtime idx state.
 	Idx bool
-	// Unbounded is true when an idx family could not be expanded because its
-	// element universe is not statically resolvable; Props then under-lists
-	// the formula's keys. Unbounded implies Remote.
-	Unbounded bool
 	// Origins records where each read came from, one entry per distinct
-	// (key, qualifier) pair — including the remote-qualified and unbounded
-	// reads that contribute no Props key. Consumers that only care about
+	// (key, qualifier) pair — including the remote-qualified reads that
+	// contribute no Props key. Consumers that only care about
 	// subscription keys can ignore it; the cost analysis uses it to attribute
 	// poll-bound reads to their declaring junction.
 	Origins []ReadOrigin
@@ -57,8 +52,7 @@ type ReadSet struct {
 
 // ReadOrigin is the provenance of one read of a formula's read-set.
 type ReadOrigin struct {
-	// Key is the resolved table key at the declaring junction. Empty when the
-	// read is an idx family whose universe could not be expanded.
+	// Key is the resolved table key at the declaring junction.
 	Key string
 	// Junction is the fully-qualified junction a remote-qualified read reads
 	// ("other::junction" in other@P when other has one junction), with me::
@@ -74,9 +68,6 @@ type ReadOrigin struct {
 	// IdxFamily names the idx variable the key was expanded from; empty for
 	// direct reads.
 	IdxFamily string
-	// Unbounded is true when IdxFamily's element universe was not statically
-	// resolvable (Key is then empty).
-	Unbounded bool
 }
 
 // LocalOnly reports whether every input of the formula is observable through
@@ -88,10 +79,6 @@ func (rs ReadSet) LocalOnly() bool { return !rs.Remote }
 type WriteSet struct {
 	Props []string
 	Data  []string
-	// Full marks a write-set that could not be bounded statically (an idx
-	// family with no static universe); a transaction then falls back to
-	// snapshotting the whole table.
-	Full bool
 }
 
 // WaitPlan is the lowered form of one wait statement.
@@ -285,15 +272,9 @@ func FormulaReadSet(j *Junction, f formula.Formula) ReadSet {
 			origin(ReadOrigin{Key: key, Junction: q, Remote: true, Liveness: live})
 			continue
 		}
-		keys, idx, known := j.formulaKeys(p.Name)
+		keys, idx, _ := j.formulaKeys(p.Name) // Compile rejects an undeclared idx
 		if idx != "" {
 			rs.Idx = true
-		}
-		if !known {
-			rs.Remote = true
-			rs.Unbounded = true
-			origin(ReadOrigin{IdxFamily: idx, Remote: true, Unbounded: true})
-			continue
 		}
 		for _, key := range keys {
 			if !seen[key] {

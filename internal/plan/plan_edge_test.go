@@ -40,9 +40,6 @@ func TestTxnWriteSetIncludesWaitAdmittedKeys(t *testing.T) {
 	)
 	wrote := ji.Body.Ops[0].Wrote
 	ws := wrote[len(wrote)-1]
-	if ws.Full {
-		t.Fatalf("statically boundable txn degraded to Full: %+v", ws)
-	}
 	props := append([]string(nil), ws.Props...)
 	sort.Strings(props)
 	if len(props) != 2 || props[0] != "Ack" || props[1] != "Done" {
@@ -151,11 +148,6 @@ func TestFormulaReadSetOrigins(t *testing.T) {
 				{Key: dsl.IndexedName("Work", "x"), IdxFamily: "tgt"},
 				{Key: dsl.IndexedName("Work", "y"), IdxFamily: "tgt"},
 			},
-		},
-		{
-			name: "idx-family-unbounded",
-			f:    dsl.PropIdx("Work", "nope"),
-			want: []plan.ReadOrigin{{IdxFamily: "nope", Remote: true, Unbounded: true}},
 		},
 		{
 			name: "mixed-deduped",

@@ -165,9 +165,6 @@ func TestCompileTxnWriteSets(t *testing.T) {
 		dsl.Save{Data: "n", From: func(dsl.HostCtx) ([]byte, error) { return nil, nil }},
 		dsl.Wait{Data: []string{"m"}, Cond: formula.P("Q")},
 	)
-	if ws.Full {
-		t.Fatalf("statically boundable body compiled to Full: %+v", ws)
-	}
 	sort.Strings(ws.Props)
 	sort.Strings(ws.Data)
 	if len(ws.Props) != 2 || ws.Props[0] != "P" || ws.Props[1] != "Q" {

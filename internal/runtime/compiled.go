@@ -119,21 +119,16 @@ func (j *Junction) compileOp(o *plan.Op) step {
 	case plan.OpTxn:
 		steps := j.compileBlock(o.Body)
 		wrote := o.Wrote
-		snap := j.table.Snapshot
-		if n := len(wrote); n > 0 && !wrote[n-1].Full {
-			props, data := wrote[n-1].Props, wrote[n-1].Data
-			snap = func() kv.Snapshot { return j.table.SnapshotKeys(props, data) }
+		var props, data []string // all the body can write: none when it has no steps
+		if n := len(wrote); n > 0 {
+			props, data = wrote[n-1].Props, wrote[n-1].Data
 		}
 		return func(ctx context.Context) (plan.Signal, error) {
-			s := snap()
+			s := j.table.SnapshotKeys(props, data)
 			j.noteTxn(obsv.EvTxnBegin)
 			at, sig, err := runStepsAt(ctx, steps)
 			if err != nil {
-				if w := wrote[at]; w.Full {
-					j.table.Restore(s)
-				} else {
-					j.table.RestoreKeys(s, w.Props, w.Data)
-				}
+				j.table.RestoreKeys(s, wrote[at].Props, wrote[at].Data)
 				j.noteTxn(obsv.EvTxnRollback)
 				return plan.SigNone, err
 			}
@@ -197,15 +192,9 @@ func (j *Junction) compileOp(o *plan.Op) step {
 	case plan.OpRestore:
 		n := o.Stmt.(dsl.Restore)
 		hc := j.newHostCtx(n.Writes)
-		cell := j.table.DataCell(n.Data)
+		cell := j.table.DataCell(n.Data) // declared: Compile rejects undeclared data
 		return func(context.Context) (plan.Signal, error) {
-			var payload []byte
-			var err error
-			if cell != nil {
-				payload, err = cell.Get()
-			} else {
-				payload, err = j.table.Data(n.Data)
-			}
+			payload, err := cell.Get()
 			if err != nil {
 				return plan.SigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 			}
@@ -624,18 +613,12 @@ func (j *Junction) noteLocalHalves(ran []armedUpdate) {
 func (j *Junction) compileWrite(o *plan.Op) updateArm {
 	data := o.Data
 	resolveTo := j.compileTarget(o)
-	cell := j.table.DataCell(data)
+	cell := j.table.DataCell(data) // declared: Compile rejects undeclared data
 	return func(m *armedUpdate) error {
 		// The table's internal slice is safe here: sendGroup copies the
 		// payload into the framed message body before handing it off, and
 		// the step clears its slots when the firing ends.
-		var payload []byte
-		var err error
-		if cell != nil {
-			payload, err = cell.Ref()
-		} else {
-			payload, err = j.table.DataRef(data)
-		}
+		payload, err := cell.Ref()
 		if err != nil {
 			return fmt.Errorf("write %s: %w", data, err)
 		}

@@ -574,10 +574,7 @@ func (j *Junction) SetIdx(name, elem string) error {
 	if !ok {
 		return fmt.Errorf("runtime: %s: idx %q not declared", j.FQName, name)
 	}
-	universe, ok := j.pj.SetUniverse(of)
-	if !ok {
-		return fmt.Errorf("runtime: %s: idx %q has unresolvable set %q", j.FQName, name, of)
-	}
+	universe, _ := j.pj.SetUniverse(of) // Validate rejects an idx over an undeclared set
 	j.idxMu.Lock()
 	defer j.idxMu.Unlock()
 	// If the idx ranges over a subset, membership is against the subset's

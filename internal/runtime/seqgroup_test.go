@@ -421,3 +421,27 @@ func TestTxnRollbackRestoresIdxFamilyWithSelfElement(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptyTxnSnapshotsNothing: a transaction snapshots only what its body
+// can write, so ⟨| |⟩ takes nothing, however large the table: firing it
+// allocates no more than firing skip.
+func TestEmptyTxnSnapshotsNothing(t *testing.T) {
+	firingAllocs := func(body dsl.Expr) float64 {
+		s := oneJunction(t, dsl.Def(dsl.Decls(dsl.InitData{Name: "blob"}), body))
+		if err := s.junctionQuiet("i", "j").Table().SetData("blob", make([]byte, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		fire := func() {
+			if err := s.Invoke(ctx, "i", "j"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fire()
+		return testing.AllocsPerRun(100, fire)
+	}
+	skip, txn := firingAllocs(dsl.Skip{}), firingAllocs(dsl.Txn{})
+	if txn > skip {
+		t.Fatalf("firing an empty transaction allocates %v objects, skip %v: it snapshots what it cannot write", txn, skip)
+	}
+}
