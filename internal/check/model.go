@@ -546,8 +546,6 @@ func (c *checker) familyKey(st *state, j *junc, base, idx string) (string, bool)
 
 // ---- environment evaluation, mirroring the runtime's compileProp --------
 
-const runningProp = "@running"
-
 // reader is the formula environment, mirroring the runtime's compiled
 // evaluator with every instance at one location: unqualified
 // names read j's table; qualified names read the target's applied state, with
@@ -570,11 +568,11 @@ func (r *reader) Prop(q, name string) formula.Truth {
 	t := r.c.target(r.j, q)
 	switch {
 	case !r.st.running(t.inst):
-		if name == runningProp {
+		if name == dsl.RunningProp {
 			return formula.False
 		}
 		return formula.Unknown
-	case name == runningProp:
+	case name == dsl.RunningProp:
 		return formula.True
 	case strings.HasPrefix(name, "@"):
 		return formula.Unknown

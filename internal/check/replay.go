@@ -201,7 +201,7 @@ func realEnv(sys *runtime.System) formula.Env {
 		if !ok {
 			return formula.Unknown
 		}
-		if name == runningProp {
+		if name == dsl.RunningProp {
 			return formula.FromBool(sys.InstanceRunning(inst))
 		}
 		if strings.HasPrefix(name, "@") {

@@ -665,12 +665,13 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 			// The runtime resolves the formula's idx families at wait entry.
 			cond := plan.SubstIdx(o.Cond, j.info.ResolveName, func(v string) string { return c.idxElem(st, j, v) })
 			w = &waitInfo{cond: cond, condStr: cond.String(), admitP: make(words, (j.np+63)/64), admitD: make(words, (j.nd+63)/64)}
-			for _, pr := range formula.Props(cond) {
-				if s, ok := j.info.PropSlot(pr.Name); ok && pr.Junction == "" {
+			admit := plan.Admits(cond, o.Stmt.(dsl.Wait).Data)
+			for _, p := range admit.Props {
+				if s, ok := j.info.PropSlot(p); ok {
 					w.admitP.set(s, true)
 				}
 			}
-			for _, d := range o.Stmt.(dsl.Wait).Data {
+			for _, d := range admit.Data {
 				if s, ok := j.info.DataSlot(d); ok {
 					w.admitD.set(s, true)
 				}

@@ -18,6 +18,14 @@ func PropIdx(base, idxVar string) formula.Prop {
 	return formula.P(base + "[$" + idxVar + "]")
 }
 
+// RunningProp is the distinguished proposition name of the S(x) liveness
+// predicate used in guards of the watched fail-over architecture (Fig. 16).
+const RunningProp = "@running"
+
+// Running builds the S(x) predicate as a formula: true iff the referenced
+// instance/junction is running.
+func Running(elem string) formula.Formula { return formula.At(elem, RunningProp) }
+
 // SplitIdxProp decomposes a proposition name produced by PropIdx. ok is
 // false for ordinary names. Only the last "[$...]" group is treated as the
 // runtime-substituted index, so a base that itself contains brackets (e.g. a

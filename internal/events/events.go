@@ -525,40 +525,28 @@ func (s *Structure) Dot(name string) string {
 		fmt.Fprintf(&b, "  e%d [label=%q, shape=%s];\n", id, e.Label.String(), shape)
 	}
 	for _, from := range s.IDs() {
-		tos := make([]EventID, 0, len(s.Enables[from]))
-		for to := range s.Enables[from] {
-			tos = append(tos, to)
-		}
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-		for _, to := range tos {
+		for _, to := range sortedIDs(s.Enables[from]) {
 			fmt.Fprintf(&b, "  e%d -> e%d;\n", from, to)
 		}
 	}
-	done := map[[2]EventID]bool{}
+	// Conflict is symmetric: each pair is drawn once, from its lower end.
 	for _, a := range s.IDs() {
-		for b2 := range s.Conflicts[a] {
-			key := [2]EventID{min(a, b2), max(a, b2)}
-			if done[key] {
-				continue
+		for _, b2 := range sortedIDs(s.Conflicts[a]) {
+			if a < b2 {
+				fmt.Fprintf(&b, "  e%d -> e%d [dir=none, style=dashed, color=red];\n", a, b2)
 			}
-			done[key] = true
-			fmt.Fprintf(&b, "  e%d -> e%d [dir=none, style=dashed, color=red];\n", key[0], key[1])
 		}
 	}
 	b.WriteString("}\n")
 	return b.String()
 }
 
-func min(a, b EventID) EventID {
-	if a < b {
-		return a
+// sortedIDs returns the events of an edge set in ascending order.
+func sortedIDs(set map[EventID]bool) []EventID {
+	out := make([]EventID, 0, len(set))
+	for id := range set {
+		out = append(out, id)
 	}
-	return b
-}
-
-func max(a, b EventID) EventID {
-	if a > b {
-		return a
-	}
-	return b
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -124,7 +124,7 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 
 			// A bound wait admits its keys at delivery.
 			flag.Set(false)
-			h := tb.BeginWaitKeys(flagKeys)
+			h := tb.BeginWait(flagKeys)
 			onFlag := tb.SubscribeKeys(flagKeys)
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Flag", Bool: true, From: "peer"})
 			if !flag.Get() {
@@ -183,7 +183,7 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 
 	wg.Wait()
 	tb.ApplyPending()
-	if tb.HasProp("NotDeclared") {
+	if tb.PropCell("NotDeclared") != nil {
 		t.Error("a remote update declared a name")
 	}
 	if tb.PropCell("Roll") != roll || tb.DataCell("rd") != rd || tb.PropCell("Flag") != flag {

@@ -18,8 +18,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"csaw/internal/formula"
 )
 
 // ErrUndef is returned when reading (restore/write) a data variable that
@@ -138,7 +136,9 @@ func (c *PropCell) Swap(v bool) PropUndo {
 // value is wider than a word, so reads take the table lock too.
 type DataCell cell
 
-// Ref is Table.DataRef on the bound variable.
+// Ref returns the table's own bytes of the bound variable, without the copy
+// Get makes: the caller must treat them as read-only, because writing through
+// them would mutate table state without the lock.
 func (c *DataCell) Ref() ([]byte, error) {
 	c.t.mu.Lock()
 	defer c.t.mu.Unlock()
@@ -155,7 +155,7 @@ func (c *cell) refLocked() ([]byte, error) {
 // Get is Table.Data on the bound variable.
 func (c *DataCell) Get() ([]byte, error) { return owned(c.Ref()) }
 
-// owned turns a DataRef result into a Data result: a copy the caller owns.
+// owned turns a Ref result into a Get result: a copy the caller owns.
 func owned(b []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
@@ -202,46 +202,6 @@ func (t *Table) Bind(props, data []string) *Keys {
 	return ks
 }
 
-// WaitSet describes which pending updates a blocked wait statement lets
-// through: updates to any proposition appearing in the wait formula and to
-// any data key listed in the wait's n⃗ vector (paper §6 "Junction state").
-type WaitSet struct {
-	Props map[string]bool
-	Data  map[string]bool
-}
-
-// NewWaitSet builds a WaitSet from a formula and a data-key list. Only
-// locally-scoped propositions of the formula are admitted; a junction can
-// never receive updates for another junction's table.
-func NewWaitSet(f formula.Formula, dataKeys []string) WaitSet {
-	ws := WaitSet{Props: map[string]bool{}, Data: map[string]bool{}}
-	if f != nil {
-		for _, p := range formula.Props(f) {
-			if p.Junction == "" {
-				ws.Props[p.Name] = true
-			}
-		}
-	}
-	for _, k := range dataKeys {
-		ws.Data[k] = true
-	}
-	return ws
-}
-
-// Bind resolves the admission set against t.
-func (ws WaitSet) Bind(t *Table) *Keys {
-	names := func(set map[string]bool) []string {
-		out := make([]string, 0, len(set))
-		for n, in := range set {
-			if in {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	return t.Bind(names(ws.Props), names(ws.Data))
-}
-
 // Table is one junction's KV table. It is safe for concurrent use: the
 // owning junction's scheduling goroutine performs local reads/writes and
 // scheduling-time pending application, while any other junction may Enqueue
@@ -254,7 +214,7 @@ func (ws WaitSet) Bind(t *Table) *Keys {
 // remote updates, keyed by wire name) resolve it under the lock first; callers
 // that run the same statement many times resolve it once (PropCell, DataCell,
 // Bind) and keep the cell. A held cell stays the name's cell for the table's
-// lifetime — Restore, RestoreKeys, UndoProp and RestoreAll store into cells,
+// lifetime — RestoreKeys, UndoProp and RestoreAll store into cells,
 // never replace them — so a binding taken before a rollback or a migration
 // install reads the restored value after it.
 //
@@ -292,9 +252,6 @@ type Table struct {
 	// lock-free check of PropCell.Set.
 	nsubs atomic.Int64
 
-	// wakes counts keyed subscription wake deliveries (tokens placed on
-	// subscription channels), for the observability layer.
-	wakes atomic.Uint64
 	// wakeHook, when set, is invoked after a key mutation woke at least one
 	// subscriber, with the key and how many were woken. It runs under the
 	// table lock: implementations must be fast and must not call back into
@@ -323,15 +280,13 @@ func NewTable() *Table {
 // re-evaluation are retained, never lost.
 type Subscription struct {
 	ch   chan struct{}
-	keys *Keys // nil: every key
+	keys *Keys
 }
 
 // Ch returns the wake channel. A received token means "one of your keys may
 // have changed since you last looked"; spurious wakes are possible, missed
 // wakes are not.
 func (s *Subscription) Ch() <-chan struct{} { return s.ch }
-
-func (s *Subscription) wants(c *cell) bool { return s.keys == nil || s.keys.has(c) }
 
 func (s *Subscription) wake() {
 	select {
@@ -357,9 +312,6 @@ func (t *Table) SubscribeKeys(ks *Keys) *Subscription {
 	return s
 }
 
-// SubscribeAll registers interest in every key of the table.
-func (t *Table) SubscribeAll() *Subscription { return t.SubscribeKeys(nil) }
-
 // Unsubscribe removes a subscription; its channel is never signalled again.
 func (t *Table) Unsubscribe(s *Subscription) {
 	t.mu.Lock()
@@ -379,16 +331,13 @@ func (t *Table) Unsubscribe(s *Subscription) {
 func (t *Table) wakeLocked(c *cell) int {
 	woken := 0
 	for _, s := range t.subs {
-		if s.wants(c) {
+		if s.keys.has(c) {
 			s.wake()
 			woken++
 		}
 	}
-	if woken > 0 {
-		t.wakes.Add(uint64(woken))
-		if t.wakeHook != nil {
-			t.wakeHook(c.kind, c.name, woken)
-		}
+	if woken > 0 && t.wakeHook != nil {
+		t.wakeHook(c.kind, c.name, woken)
 	}
 	return woken
 }
@@ -398,7 +347,6 @@ func (t *Table) wakeEveryLocked() {
 	for _, s := range t.subs {
 		s.wake()
 	}
-	t.wakes.Add(uint64(len(t.subs)))
 }
 
 // WakeAll wakes every subscription. The runtime uses it for events that can change what a formula reads without
@@ -409,10 +357,6 @@ func (t *Table) WakeAll() {
 	t.wakeEveryLocked()
 	t.mu.Unlock()
 }
-
-// WakeCount reports how many keyed subscription wakes this table has
-// delivered since creation.
-func (t *Table) WakeCount() uint64 { return t.wakes.Load() }
 
 // SetWakeHook installs the observability callback invoked (under the table
 // lock) whenever a key mutation wakes at least one keyed subscriber. Install
@@ -475,12 +419,6 @@ func (t *Table) DataCell(name string) *DataCell {
 	defer t.mu.Unlock()
 	return (*DataCell)(t.data[name])
 }
-
-// HasProp reports whether the proposition was declared.
-func (t *Table) HasProp(name string) bool { return t.PropCell(name) != nil }
-
-// HasData reports whether the data variable was declared.
-func (t *Table) HasData(name string) bool { return t.DataCell(name) != nil }
 
 // Prop returns the current value of a declared proposition.
 func (t *Table) Prop(name string) (bool, error) {
@@ -559,23 +497,14 @@ func (t *Table) UndoProp(u PropUndo) {
 
 // Data returns a copy of the current value of a declared, defined data
 // variable. Callers own the returned slice: mutating it cannot corrupt table
-// state behind the lock. Runtime paths that only forward the bytes and never
-// mutate them can use DataRef to skip the copy.
+// state behind the lock. A caller that only forwards the bytes binds the
+// variable (DataCell) and reads them through DataCell.Ref without the copy.
 func (t *Table) Data(name string) ([]byte, error) {
-	return owned(t.DataRef(name))
-}
-
-// DataRef is the zero-copy variant of Data: it returns the table's internal
-// byte slice. The caller must treat the slice as read-only — writing through
-// it would mutate table state without the lock.
-func (t *Table) DataRef(name string) ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.data[name]
+	c := t.DataCell(name)
 	if c == nil {
 		return nil, fmt.Errorf("%w: data %q", ErrUndeclared, name)
 	}
-	return c.refLocked()
+	return c.Get()
 }
 
 // Defined reports whether the data variable holds a valid (non-undef) value.
@@ -812,14 +741,11 @@ func (t *Table) admittedLocked(c *cell) bool {
 	return false
 }
 
-// BeginWait installs a wait admission set and drains already-queued updates
-// that it admits (a wait observes updates that raced ahead of it). Several
-// waits may be active at once (parallel composition); the returned handle
-// identifies this one for EndWait.
-func (t *Table) BeginWait(ws WaitSet) (handle int) { return t.BeginWaitKeys(ws.Bind(t)) }
-
-// BeginWaitKeys is BeginWait over an admission set bound earlier.
-func (t *Table) BeginWaitKeys(ks *Keys) (handle int) {
+// BeginWait installs a wait's admission set, bound earlier (Bind), and drains
+// already-queued updates that it admits (a wait observes updates that raced
+// ahead of it). Several waits may be active at once (parallel composition);
+// the returned handle identifies this one for EndWait.
+func (t *Table) BeginWait(ks *Keys) (handle int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	handle = t.nextWid

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"csaw/internal/formula"
 )
 
 func TestDeclareAndRead(t *testing.T) {
@@ -18,11 +16,11 @@ func TestDeclareAndRead(t *testing.T) {
 	if v, err := tb.Prop("Work"); err != nil || v {
 		t.Fatalf("Work = %v, %v; want false, nil", v, err)
 	}
-	if !tb.HasProp("Work") || tb.HasProp("Other") {
-		t.Fatalf("HasProp wrong")
+	if tb.PropCell("Work") == nil || tb.PropCell("Other") != nil {
+		t.Fatalf("PropCell wrong")
 	}
-	if !tb.HasData("n") || tb.HasData("m") {
-		t.Fatalf("HasData wrong")
+	if tb.DataCell("n") == nil || tb.DataCell("m") != nil {
+		t.Fatalf("DataCell wrong")
 	}
 }
 
@@ -168,8 +166,7 @@ func TestWaitAdmitsOnlyWaitSet(t *testing.T) {
 	tb.DeclareData("m")
 	tb.DeclareData("x")
 
-	ws := NewWaitSet(formula.Not(formula.P("Work")), []string{"m"})
-	h := tb.BeginWait(ws)
+	h := tb.BeginWait(tb.Bind([]string{"Work"}, []string{"m"}))
 	defer tb.EndWait(h)
 
 	tb.Enqueue(Update{Kind: UpdateProp, Key: "Work", Bool: false}) // admitted
@@ -194,21 +191,12 @@ func TestWaitAdmitsOnlyWaitSet(t *testing.T) {
 	}
 }
 
-func TestWaitSetIgnoresRemoteProps(t *testing.T) {
-	// A formula mentioning g@P must not admit updates keyed P — remote
-	// propositions live in the other junction's table.
-	ws := NewWaitSet(formula.At("g", "P"), nil)
-	if ws.Props["P"] {
-		t.Fatal("remote-qualified prop admitted into wait set")
-	}
-}
-
 func TestBeginWaitDrainsRacedUpdates(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("Work", true)
 	// Update arrives before the wait starts.
 	tb.Enqueue(Update{Kind: UpdateProp, Key: "Work", Bool: false})
-	h := tb.BeginWait(NewWaitSet(formula.Not(formula.P("Work")), nil))
+	h := tb.BeginWait(tb.Bind([]string{"Work"}, nil))
 	defer tb.EndWait(h)
 	if v, _ := tb.Prop("Work"); v {
 		t.Fatal("raced update not drained at BeginWait")
@@ -281,7 +269,7 @@ func TestApplyPendingIgnoresUndeclared(t *testing.T) {
 	tb.Enqueue(Update{Kind: UpdateProp, Key: "NotDeclared", Bool: true})
 	tb.Enqueue(Update{Kind: UpdateData, Key: "ghost", Data: []byte("x")})
 	tb.ApplyPending() // must not panic or create names
-	if tb.HasProp("NotDeclared") || tb.HasData("ghost") {
+	if tb.PropCell("NotDeclared") != nil || tb.DataCell("ghost") != nil {
 		t.Fatal("undeclared names materialized from remote updates")
 	}
 }
@@ -468,7 +456,7 @@ func TestSameKeyRunQueuesOneEntry(t *testing.T) {
 	}
 
 	tb.Enqueue(Update{Kind: UpdateProp, Key: "V", Bool: false, From: "v"})
-	h := tb.BeginWait(NewWaitSet(formula.P("U"), nil))
+	h := tb.BeginWait(tb.Bind([]string{"U"}, nil))
 	tb.EnqueueBatch([]Update{
 		{Kind: UpdateProp, Key: "U", Bool: false, From: "w1"},
 		{Kind: UpdateProp, Key: "U", Bool: true, From: "w2"},
@@ -530,7 +518,7 @@ func TestEnqueueBatchWaitSetAdmission(t *testing.T) {
 	tb.DeclareProp("Other", false)
 	tb.DeclareData("m")
 
-	h := tb.BeginWait(NewWaitSet(formula.Not(formula.P("Work")), []string{"m"}))
+	h := tb.BeginWait(tb.Bind([]string{"Work"}, []string{"m"}))
 	defer tb.EndWait(h)
 
 	tb.EnqueueBatch([]Update{
@@ -610,9 +598,10 @@ func TestEnqueueBatchManyDistinctKeys(t *testing.T) {
 		us = append(us, Update{Kind: UpdateProp, Key: k, Bool: true})
 	}
 	us = append(append(append([]Update(nil), us...), us...), us...)
-	before := tb.WakeCount()
+	got := 0
+	tb.SetWakeHook(func(_ UpdateKind, _ string, woken int) { got += woken })
 	tb.EnqueueBatch(us)
-	if got := tb.WakeCount() - before; got != keys {
+	if got != keys {
 		t.Fatalf("%d wakes for %d distinct keys", got, keys)
 	}
 	for i, s := range subs {

@@ -85,7 +85,7 @@ func TestLocalWriteTakesNoLockWhenUnwatched(t *testing.T) {
 	tb.Keep([]string{"Q"}, nil)
 	free("a write after keep emptied the queue", func() { p.Set(true) })
 	tb.Enqueue(Update{Kind: UpdateProp, Key: "Q", Bool: true, From: "r"})
-	h := tb.BeginWaitKeys(tb.Bind([]string{"Q"}, nil))
+	h := tb.BeginWait(tb.Bind([]string{"Q"}, nil))
 	tb.EndWait(h)
 	free("a write after a wait drained the queue", func() { p.Set(true) })
 	st := tb.SnapshotAll()
@@ -101,7 +101,7 @@ func TestLocalWriteTakesNoLockWhenUnwatched(t *testing.T) {
 	blocks("a write under a subscription to another key", func() { p.Set(false) })
 	tb.Unsubscribe(onQ)
 	free("a write after its subscription left", func() { p.Set(true) })
-	all := tb.SubscribeAll()
+	all := tb.Subscribe(tb.PropNames(), tb.DataNames())
 	blocks("a write under a subscription to every key", func() { p.Set(false) })
 	tb.Unsubscribe(all)
 	free("a write after every subscription left", func() { p.Set(true) })
@@ -121,6 +121,7 @@ func TestLocalWriteRacesDeliveryAndSubscription(t *testing.T) {
 	tb.DeclareProp("J", false)
 	w := tb.PropCell("W")
 	wKeys := tb.Bind([]string{"W"}, nil)
+	allKeys := tb.Bind(tb.PropNames(), tb.DataNames())
 
 	// Both sides of a round wait at a spin barrier, so their starts land
 	// within a few nanoseconds of each other and the rounds' jitter sweeps
@@ -152,7 +153,7 @@ func TestLocalWriteRacesDeliveryAndSubscription(t *testing.T) {
 			if i%2 == 0 {
 				s = tb.SubscribeKeys(wKeys)
 			} else {
-				s = tb.SubscribeAll()
+				s = tb.SubscribeKeys(allKeys)
 			}
 			saw = w.Get()
 		}()

@@ -1,10 +1,6 @@
 package kv
 
-import (
-	"testing"
-
-	"csaw/internal/formula"
-)
+import "testing"
 
 func woken(t *testing.T, s *Subscription) bool {
 	t.Helper()
@@ -96,14 +92,14 @@ func TestSubscriptionWakeIsRetained(t *testing.T) {
 func TestSubscribeAllAndWakeAll(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", false)
-	all := tb.SubscribeAll()
+	all := tb.Subscribe(tb.PropNames(), tb.DataNames())
 	defer tb.Unsubscribe(all)
 	keyed := tb.Subscribe([]string{"absent"}, nil)
 	defer tb.Unsubscribe(keyed)
 
 	_ = tb.SetProp("P", true)
 	if !woken(t, all) {
-		t.Fatal("SubscribeAll missed a write")
+		t.Fatal("a subscription to every key missed a write")
 	}
 	tb.WakeAll()
 	if !woken(t, all) || !woken(t, keyed) {
@@ -145,7 +141,7 @@ func TestBeginWaitAdmissionWakesSubscribers(t *testing.T) {
 	sub := tb.Subscribe([]string{"P"}, nil)
 	defer tb.Unsubscribe(sub)
 	drainOnce(sub) // drop the enqueue-time token; we test the drain wake
-	h := tb.BeginWait(NewWaitSet(formula.P("P"), nil))
+	h := tb.BeginWait(tb.Bind([]string{"P"}, nil))
 	defer tb.EndWait(h)
 	if !woken(t, sub) {
 		t.Fatal("BeginWait applied a raced update without waking subscribers")
@@ -217,13 +213,5 @@ func TestDataReturnsCopy(t *testing.T) {
 	again, _ := tb.Data("n")
 	if string(again) != "abc" {
 		t.Fatalf("mutating Data's result corrupted the table: %q", again)
-	}
-	// DataRef is the documented zero-copy escape hatch: same bytes, shared.
-	ref, err := tb.DataRef("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ref) != "abc" {
-		t.Fatalf("DataRef = %q", ref)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
-	"csaw/internal/runtime"
 )
 
 // Names of the fail-over architecture (§7.3, Figs. 8–14).
@@ -262,7 +261,7 @@ func Failover(cfg FailoverConfig) *dsl.Program {
 				dsl.Txn{Body: []dsl.Expr{
 					// verify S(b̃) → b̃@Active ∧ ¬b̃@Running[b̃]
 					dsl.Verify{Cond: formula.Implies(
-						runtime.Running(b),
+						dsl.Running(b),
 						formula.And(
 							formula.At(b, "Active"),
 							formula.Not(formula.At(b, dsl.IndexedName("Running", b))),

@@ -5,7 +5,6 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
-	"csaw/internal/runtime"
 )
 
 // Names of the watched fail-over architecture (§7.4, Figs. 15–17).
@@ -130,7 +129,7 @@ func WatchedFailover(cfg WatchedFailoverConfig) *dsl.Program {
 		}
 	})
 
-	s := func(inst string) formula.Formula { return runtime.Running(inst + "::" + WatchedJunction) }
+	s := func(inst string) formula.Formula { return dsl.Running(inst + "::" + WatchedJunction) }
 
 	// The watchdog holds no state of its own: failover/nofailover are
 	// declared where they are delivered (the backends and f).
@@ -163,7 +162,7 @@ func WatchedFailover(cfg WatchedFailoverConfig) *dsl.Program {
 			// mode" — ternary: if the other backend is down, this is Unknown
 			// and must not block the reply, so the implication form is used.
 			dsl.Verify{Cond: formula.Implies(
-				runtime.Running(other+"::"+WatchedJunction),
+				dsl.Running(other+"::"+WatchedJunction),
 				formula.Not(formula.At(other+"::"+WatchedJunction, "Reply")),
 			)},
 			dsl.OtherwiseT(

@@ -22,7 +22,6 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
-	"csaw/internal/kv"
 )
 
 // ReadSet lists the concrete local table keys a formula consults when
@@ -83,13 +82,13 @@ type WriteSet struct {
 
 // WaitPlan is the lowered form of one wait statement.
 type WaitPlan struct {
-	// Static is set when the wait formula reads no idx variables: WS is then
-	// prebuilt once and shared (read-only) by every execution of the
-	// statement. Idx-reading waits rebuild their admission set per execution
-	// against current idx values.
+	// Static is set when the wait formula reads no idx variables: Admit is
+	// then the same on every execution of the statement. Idx-reading waits
+	// take their admission set per execution (Admits over the SubstIdx'd
+	// formula) against current idx values.
 	Static bool
-	// WS is the prebuilt admission set (valid only when Static).
-	WS kv.WaitSet
+	// Admit is the admission set, as resolved names (valid only when Static).
+	Admit WriteSet
 	// Reads is the read-set of the wait condition plus the waited data keys;
 	// it is the subscription set while blocked.
 	Reads ReadSet
@@ -290,8 +289,8 @@ func FormulaReadSet(j *Junction, f formula.Formula) ReadSet {
 // SubstIdx rewrites the local propositions of f to the table keys they read
 // at this moment: an idx-indexed one through idx, which names the idx's
 // current element ("" when it is undef, which leaves the proposition as is,
-// reading Unknown), any other with its me:: tokens resolved by self. The
-// runtime admits an idx-reading wait's keys by it, and the model checker
+// reading Unknown), any other with its me:: tokens resolved by self. Every
+// wait's admission set is taken over it (Admits), and the model checker
 // evaluates every body formula through it.
 func SubstIdx(f formula.Formula, self func(string) string, idx func(string) string) formula.Formula {
 	switch n := f.(type) {
@@ -319,27 +318,31 @@ func SubstIdx(f formula.Formula, self func(string) string, idx func(string) stri
 	}
 }
 
+// Admits is what a wait blocked on cond lets through (paper §6 "Junction
+// state"): updates to the propositions cond reads and to the waited data
+// keys. cond's names must be resolved (SubstIdx); a junction-qualified
+// proposition lives in another junction's table, so no update to it arrives
+// here.
+func Admits(cond formula.Formula, data []string) WriteSet {
+	ws := WriteSet{Data: data}
+	if cond != nil {
+		for _, p := range formula.Props(cond) {
+			if p.Junction == "" {
+				ws.Props = append(ws.Props, p.Name)
+			}
+		}
+	}
+	return ws
+}
+
 // CompileWait lowers one wait statement evaluated at j.
 func CompileWait(j *Junction, w dsl.Wait) WaitPlan {
 	rs := FormulaReadSet(j, w.Cond)
 	rs.Data = append(rs.Data, w.Data...)
-	wp := WaitPlan{Reads: rs}
-	if !rs.Idx {
-		// No idx variables: the admission set an idx-reading wait builds per
-		// execution (NewWaitSet over the idx-substituted formula) is the same
-		// every time — build it once.
-		wp.Static = true
-		wp.WS = kv.WaitSet{Props: map[string]bool{}, Data: map[string]bool{}}
-		if w.Cond != nil {
-			for _, p := range formula.Props(w.Cond) {
-				if p.Junction == "" {
-					wp.WS.Props[j.ResolveName(p.Name)] = true
-				}
-			}
-		}
-		for _, k := range w.Data {
-			wp.WS.Data[k] = true
-		}
+	wp := WaitPlan{Reads: rs, Static: !rs.Idx}
+	if wp.Static {
+		noIdx := func(string) string { return "" }
+		wp.Admit = Admits(SubstIdx(w.Cond, j.ResolveName, noIdx), w.Data)
 	}
 	return wp
 }

@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -120,13 +121,13 @@ func TestIdxFormulaExpandsFamily(t *testing.T) {
 func TestCompileWaitStaticAndDynamic(t *testing.T) {
 	pp := buildSharding(t)
 	front := pp.Junctions[patterns.FrontInstance+"::"+patterns.ShardJunction]
-	// wait [m] ¬Work: no idx variables → static, prebuilt WaitSet.
+	// wait [m] ¬Work: no idx variables → static, admission set built once.
 	wp := plan.CompileWait(front, dsl.Wait{Data: []string{"m"}, Cond: formula.Not(formula.P("Work"))})
 	if !wp.Static {
 		t.Fatal("idx-free wait must compile statically")
 	}
-	if !wp.WS.Props["Work"] || !wp.WS.Data["m"] {
-		t.Fatalf("wait set = %+v", wp.WS)
+	if !slices.Contains(wp.Admit.Props, "Work") || !slices.Contains(wp.Admit.Data, "m") {
+		t.Fatalf("wait set = %+v", wp.Admit)
 	}
 	if wp.Reads.Remote {
 		t.Fatal("local wait classified Remote")
@@ -138,6 +139,30 @@ func TestCompileWaitStaticAndDynamic(t *testing.T) {
 	}
 	if !dyn.Reads.Idx {
 		t.Fatal("idx wait read-set must record the idx dependency")
+	}
+}
+
+func TestWaitSetIgnoresRemoteProps(t *testing.T) {
+	// A formula mentioning g@P must not admit updates keyed P — remote
+	// propositions live in the other junction's table.
+	ws := plan.Admits(formula.At("g", "P"), nil)
+	if slices.Contains(ws.Props, "P") {
+		t.Fatal("remote-qualified prop admitted into wait set")
+	}
+}
+
+// TestAdmitsIdxWaitAtItsElement: an idx wait admits the key of the element
+// its idx names when the wait is entered, and no other element's.
+func TestAdmitsIdxWaitAtItsElement(t *testing.T) {
+	cond := formula.Not(dsl.PropIdx("Work", "tgt"))
+	self := func(n string) string { return n }
+	for _, elem := range []string{"b1", "b2"} {
+		at := plan.SubstIdx(cond, self, func(string) string { return elem + "::j" })
+		ws := plan.Admits(at, nil)
+		want := []string{dsl.IndexedName("Work", elem+"::j")}
+		if !slices.Equal(ws.Props, want) || len(ws.Data) != 0 {
+			t.Fatalf("tgt = %s: admits %+v, want props %v", elem, ws, want)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func (g *gen) formula(depth int) formula.Formula {
 			ref := g.juncs[g.r.Intn(len(g.juncs))]
 			return formula.At(ref.Instance+"::"+ref.Junction, g.prop())
 		case 1:
-			return formula.P("@running")
+			return formula.P(dsl.RunningProp)
 		default:
 			return formula.P(g.prop())
 		}

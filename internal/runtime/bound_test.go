@@ -125,7 +125,7 @@ func TestQualifiedReadAcrossLocationsIsUnknown(t *testing.T) {
 	p := dsl.NewProgram()
 	p.Type("t").
 		Junction("ready", dsl.Def(dsl.Decls(), dsl.Skip{}).Guarded(formula.At("peer::j", "Ready")).ManuallyScheduled()).
-		Junction("alive", dsl.Def(dsl.Decls(), dsl.Skip{}).Guarded(Running("peer::j")).ManuallyScheduled())
+		Junction("alive", dsl.Def(dsl.Decls(), dsl.Skip{}).Guarded(dsl.Running("peer::j")).ManuallyScheduled())
 	p.Type("u").Junction("j", dsl.Def(dsl.Decls(dsl.InitProp{Name: "Ready", Init: true}), dsl.Skip{}))
 	p.Instance("i", "t").Instance("peer", "u")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "i"}, dsl.Start{Instance: "peer"}})
@@ -149,7 +149,7 @@ func TestQualifiedReadAcrossLocationsIsUnknown(t *testing.T) {
 			truth formula.Truth
 		}{
 			{"ready", formula.At("peer::j", "Ready"), tc.ready},
-			{"alive", Running("peer::j"), tc.running},
+			{"alive", dsl.Running("peer::j"), tc.running},
 		} {
 			j, err := s.Junction("i", c.jn)
 			if err != nil {

@@ -739,11 +739,12 @@ func (j *Junction) idxProps(idx string, keys []string) map[string]boundProp {
 	return byElem
 }
 
-// compileWait lowers a wait op. The admission set is bound once and
-// shared when the formula reads no idx variables; the subscription, bound once
-// too, covers the formula's read-set and the waited data keys, so a local-only
-// wait blocks without polling. Idx bindings are captured at wait entry
-// (plan.SubstIdx).
+// compileWait lowers a wait op. What the wait admits is plan's
+// (plan.Admits): bound once when the formula reads no idx variables, taken at
+// wait entry otherwise, over the formula with its idx bindings captured
+// (plan.SubstIdx). The subscription, bound once, covers the formula's
+// read-set and the waited data keys, so a local-only wait blocks without
+// polling.
 func (j *Junction) compileWait(o *plan.Op) step {
 	n := o.Stmt.(dsl.Wait)
 	wp := *o.Wait
@@ -752,18 +753,19 @@ func (j *Junction) compileWait(o *plan.Op) step {
 	var admit *kv.Keys
 	if wp.Static {
 		eval = j.compileFormula(n.Cond)
-		admit = wp.WS.Bind(j.table)
+		admit = j.table.Bind(wp.Admit.Props, wp.Admit.Data)
 	}
 	watch := j.table.Bind(wp.Reads.Props, wp.Reads.Data)
 	return func(ctx context.Context) (plan.Signal, error) {
-		ws := admit
+		ks := admit
 		ev := eval
 		if !wp.Static {
 			cond := plan.SubstIdx(n.Cond, j.pj.ResolveName, j.idxElem)
-			ws = kv.NewWaitSet(cond, n.Data).Bind(j.table)
+			ad := plan.Admits(cond, n.Data)
+			ks = j.table.Bind(ad.Props, ad.Data)
 			ev = j.compileFormula(cond)
 		}
-		handle := j.table.BeginWaitKeys(ws)
+		handle := j.table.BeginWait(ks)
 		defer j.table.EndWait(handle)
 		sub := j.table.SubscribeKeys(watch)
 		defer j.table.Unsubscribe(sub)
@@ -867,7 +869,7 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 	// Junction-qualified proposition: the endpoint is static, and a junction
 	// of the program (plan.Compile rejects a qualifier that names none).
 	inst, jn, _ := strings.Cut(j.pj.Qualifier(p.Junction), "::")
-	isRunning := p.Name == RunningProp
+	isRunning := p.Name == dsl.RunningProp
 	var resolveName func() (string, bool)
 	if base, idxVar, idxed := dsl.SplitIdxProp(p.Name); idxed {
 		// Only the precomputed keys are used: the cells belong to the other

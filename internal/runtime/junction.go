@@ -649,14 +649,6 @@ func (j *Junction) Subset(name string) ([]string, error) {
 	return append([]string(nil), v...), nil
 }
 
-// RunningProp is the distinguished proposition name for the S(x) liveness
-// predicate used in guards of the watched fail-over architecture (Fig. 16).
-const RunningProp = "@running"
-
-// Running builds the S(x) predicate as a formula: true iff the referenced
-// instance/junction is running.
-func Running(elem string) formula.Formula { return formula.At(elem, RunningProp) }
-
 // --- external (application-side) injection ------------------------------------
 
 // InjectProp delivers an externally-originated proposition update to this

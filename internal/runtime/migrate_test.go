@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,6 +223,79 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 	}
 	if aborts != 1 {
 		t.Fatalf("trace has %d migrate.abort events, want 1", aborts)
+	}
+}
+
+// TestMigrateAbortsAfterAckWhenStateDoesNotDecode: the destination stages
+// every frame and acks the round, but g::tick's state does not decode. In a
+// one-process Deployment that is the only step between the ack and the
+// cutover that can fail. The source, which has built the incarnations of
+// g::aux and g::main by then, must abort and keep serving from the old
+// junctions.
+func TestMigrateAbortsAfterAckWhenStateDoesNotDecode(t *testing.T) {
+	dep, netA, netB := twoLocDeployment()
+	defer netA.Close()
+	defer netB.Close()
+	dep.Connect("A", "B", func(m compart.Message) error {
+		if m.Key == "state:g::tick" {
+			garbage := append([]byte(nil), m.Payload[:epochLen]...)
+			m.Payload = append(garbage, 0xff, 0xff, 0xff, 0xff)
+		}
+		return netB.Send(m)
+	})
+	ring := obsv.NewRingSink(4096)
+	// No drivers, as in TestMigrateMovesStateAndTraffic.
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 10 * time.Second, Trace: ring, DisableDrivers: true})
+	defer s.Close()
+	for _, inst := range []string{"f", "g"} {
+		if err := s.StartInstance(inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Invoke(ctx, "f", "push"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"aux", "main", "tick"}
+	before := make([]*Junction, len(names))
+	for i, jn := range names {
+		before[i] = s.junctionQuiet("g", jn)
+	}
+
+	err := s.MigrateInstance("g", "B")
+	if err == nil || !strings.Contains(err.Error(), "decode g::tick") {
+		t.Fatalf("migration error = %v, want a failure to decode g::tick", err)
+	}
+	if loc := dep.LocationOf("g"); loc != "A" {
+		t.Fatalf("aborted migration moved the placement to %q", loc)
+	}
+	for i, jn := range names {
+		j := s.junctionQuiet("g", jn)
+		if j != before[i] {
+			t.Fatalf("aborted migration replaced g::%s", jn)
+		}
+		if j.moved.Load() {
+			t.Fatalf("aborted migration marked g::%s moved", jn)
+		}
+	}
+	if s.round.Load() != nil {
+		t.Fatal("a migration round outlived its abort")
+	}
+	// The source still serves traffic, into the old table.
+	if err := s.Invoke(ctx, "f", "push"); err != nil {
+		t.Fatalf("post-abort push: %v", err)
+	}
+	if n := before[1].Table().PendingLen(); n != 2*perPush {
+		t.Fatalf("pending = %d at the old g::main after a post-abort push, want %d", n, 2*perPush)
+	}
+	counts := map[obsv.Kind]int{}
+	for _, e := range ring.Events() {
+		counts[e.Kind]++
+	}
+	if counts[obsv.EvMigrateAbort] != 1 || counts[obsv.EvMigrateCutover] != 0 {
+		t.Fatalf("trace has %d migrate.abort and %d migrate.cutover events, want 1 and 0",
+			counts[obsv.EvMigrateAbort], counts[obsv.EvMigrateCutover])
 	}
 }
 

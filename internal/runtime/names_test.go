@@ -46,7 +46,7 @@ func TestNewRejectsNamesThatDoNotResolve(t *testing.T) {
 		want: `srcT::j/guard: unresolvable junction "gg::j"`,
 	}, {
 		name: "guard reading @running of a misspelled instance",
-		prog: prog(formula.And(formula.P("Go"), Running("typo")), dsl.Skip{}),
+		prog: prog(formula.And(formula.P("Go"), dsl.Running("typo")), dsl.Skip{}),
 		want: `srcT::j/guard: unresolvable junction "typo"`,
 	}, {
 		// f and h share srcT: f's key Done[f] is declared at g, h's Done[h]

@@ -294,6 +294,59 @@ func TestIdxTargetReceivesItsOwnKey(t *testing.T) {
 	}
 }
 
+// TestIdxWaitAdmitsOnlyItsElement: a wait on Work[$tgt], entered with tgt =
+// b1::j, leaves an update to Work[b2::j] queued and admits one to
+// Work[b1::j], which ends the wait.
+func TestIdxWaitAdmitsOnlyItsElement(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("back").Junction("j", dsl.Def(nil, dsl.Skip{}))
+	p.Type("front").Junction("j", dsl.Def(
+		dsl.Decls(
+			dsl.DeclSet{Name: "Backs", Elems: []string{"b1::j", "b2::j"}},
+			dsl.DeclIdx{Name: "tgt", Of: "Backs"},
+			dsl.InitProp{Name: "Work[b1::j]", Init: false},
+			dsl.InitProp{Name: "Work[b2::j]", Init: false},
+		),
+		dsl.IdxAssign{Idx: "tgt", Elem: "b1::j"},
+		dsl.Wait{Cond: dsl.PropIdx("Work", "tgt")},
+	))
+	p.Instance("f", "front").Instance("b1", "back").Instance("b2", "back")
+	p.SetMain(dsl.Start{Instance: "f"})
+	s := mustSystem(t, p, Options{})
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Junction("f", "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Invoke(ctx, "f", "j") }()
+	for j.met.WaitsArmed.Load() != 1 {
+		if ctx.Err() != nil {
+			t.Fatal("the wait never blocked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.InjectProp("Work[b2::j]", true)
+	if n := j.Table().PendingLen(); n != 1 {
+		t.Fatalf("pending = %d after an update to the other element, want 1", n)
+	}
+	if v, _ := j.Table().Prop("Work[b2::j]"); v {
+		t.Fatal("the wait admitted an update to an element its idx does not name")
+	}
+	j.InjectProp("Work[b1::j]", true)
+	if err := <-done; err != nil {
+		t.Fatalf("the admitted update did not end the wait: %v", err)
+	}
+	if n := j.Table().PendingLen(); n != 1 {
+		t.Fatalf("pending = %d after the wait, want 1", n)
+	}
+}
+
 // TestSubstituteIdxCoversConnectives: idx substitution traverses every
 // formula connective.
 func TestSubstituteIdxConnectives(t *testing.T) {

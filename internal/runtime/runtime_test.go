@@ -430,7 +430,7 @@ func TestRunningPredicate(t *testing.T) {
 	p.Type("t").Junction("j", dsl.Def(nil, dsl.Skip{}))
 	p.Type("w").Junction("j", dsl.Def(
 		nil,
-		dsl.Verify{Cond: Running("i::j")},
+		dsl.Verify{Cond: dsl.Running("i::j")},
 	))
 	p.Instance("i", "t").Instance("watch", "w")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "i"}, dsl.Start{Instance: "watch"}})
