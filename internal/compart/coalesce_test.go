@@ -33,9 +33,10 @@ func TestClientCoalescesBursts(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		var res result
+		fr := newFrameReader(ours)
 		for res.msgs < n {
 			_ = ours.SetReadDeadline(time.Now().Add(5 * time.Second))
-			frame, err := readFrame(ours)
+			frame, err := fr.next()
 			if err != nil {
 				res.err = err
 				break

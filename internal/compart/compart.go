@@ -12,6 +12,7 @@
 package compart
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -69,7 +70,9 @@ type Message struct {
 }
 
 // Handler receives delivered messages. Handlers run on the delivering
-// goroutine and must not block for long.
+// goroutine and must not block for long. The payload is lent for the call
+// only: its sender reuses the bytes once the delivery returns, so a handler
+// that keeps any of them past the call copies them.
 type Handler func(Message)
 
 // LinkConfig describes the behaviour of a directed link.
@@ -252,6 +255,11 @@ func (n *Network) Stats() Stats {
 // Every message is one unit of loss, delay and accounting, whatever its
 // payload holds: a KindGroup message is delivered whole or lost whole, and
 // counted once.
+//
+// The payload is lent for the length of the call: the caller may rewrite it
+// as soon as Send returns. An undelayed delivery hands the caller's bytes to
+// the handler inside the call; a delayed one, which outlives the call,
+// delivers a copy.
 func (n *Network) Send(msg Message) error {
 	key := linkKey{msg.From, msg.To}
 	n.mu.Lock()
@@ -302,9 +310,18 @@ func (n *Network) Send(msg Message) error {
 		handler(msg)
 		return nil
 	}
-	start := time.Now()
 	n.pending.Add(1)
 	n.mu.Unlock()
+	n.deliverLater(key, msg, delay)
+	return nil
+}
+
+// deliverLater delivers msg after delay, unless its endpoint is gone by then.
+// The delivery outlives Send's call, so it carries its own copy of the lent
+// payload.
+func (n *Network) deliverLater(key linkKey, msg Message, delay time.Duration) {
+	start := time.Now()
+	msg.Payload = bytes.Clone(msg.Payload)
 	time.AfterFunc(delay, func() {
 		defer n.pending.Done()
 		// Re-check endpoint liveness at delivery time: a crash during
@@ -329,7 +346,6 @@ func (n *Network) Send(msg Message) error {
 		n.mu.Unlock()
 		handler(msg)
 	})
-	return nil
 }
 
 // Close shuts the network down and waits for in-flight deliveries to drain.

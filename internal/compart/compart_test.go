@@ -1,6 +1,7 @@
 package compart
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -24,6 +25,13 @@ func newTestNetwork(t *testing.T, seed int64) *Network {
 		}
 	})
 	return n
+}
+
+// kept is what a handler that keeps m past its call holds: the message with
+// a payload of its own, since the delivered one is only lent (Handler).
+func kept(m Message) Message {
+	m.Payload = bytes.Clone(m.Payload)
+	return m
 }
 
 // dialConn is a ReconnectConfig.Dial that hands out one established
@@ -57,7 +65,7 @@ func closeDrained(t *testing.T, c *ReconnectClient) {
 func TestSendDelivers(t *testing.T) {
 	n := newTestNetwork(t, 1)
 	got := make(chan Message, 1)
-	n.Register("b", func(m Message) { got <- m })
+	n.Register("b", func(m Message) { got <- kept(m) })
 	if err := n.Send(Message{From: "a", To: "b", Kind: KindData, Key: "n", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +76,29 @@ func TestSendDelivers(t *testing.T) {
 		}
 	default:
 		t.Fatal("zero-latency delivery should be synchronous")
+	}
+}
+
+// TestDelayedDeliveryOwnsItsPayload: a link with latency delivers after Send
+// has returned, when the sender may have rewritten the buffer it lent; the
+// handler must see the bytes as they were sent.
+func TestDelayedDeliveryOwnsItsPayload(t *testing.T) {
+	n := newTestNetwork(t, 1)
+	n.SetLink("a", "b", LinkConfig{Latency: 5 * time.Millisecond})
+	got := make(chan Message, 1)
+	n.Register("b", func(m Message) { got <- kept(m) })
+	buf := []byte("sent")
+	if err := n.Send(Message{From: "a", To: "b", Kind: KindData, Payload: buf}); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXX")
+	select {
+	case m := <-got:
+		if string(m.Payload) != "sent" {
+			t.Fatalf("the delayed delivery carried %q, want %q", m.Payload, "sent")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the delayed message was not delivered")
 	}
 }
 
@@ -298,7 +329,7 @@ func TestTCPTransport(t *testing.T) {
 	// Remote network with a receiving endpoint.
 	remote := newTestNetwork(t, 1)
 	got := make(chan Message, 1)
-	remote.Register("g::junction", func(m Message) { got <- m })
+	remote.Register("g::junction", func(m Message) { got <- kept(m) })
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -459,7 +490,7 @@ func TestUnixSocketTransport(t *testing.T) {
 	sock := dir + "/compart.sock"
 	remote := newTestNetwork(t, 1)
 	got := make(chan Message, 1)
-	remote.Register("g::junction", func(m Message) { got <- m })
+	remote.Register("g::junction", func(m Message) { got <- kept(m) })
 
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -491,7 +522,7 @@ func TestUnixSocketTransport(t *testing.T) {
 func TestNetPipeTransport(t *testing.T) {
 	remote := newTestNetwork(t, 1)
 	got := make(chan Message, 1)
-	remote.Register("sink", func(m Message) { got <- m })
+	remote.Register("sink", func(m Message) { got <- kept(m) })
 
 	client, server := net.Pipe()
 	srv := &Server{net: remote, connSet: map[net.Conn]bool{}}

@@ -3,7 +3,6 @@
 package compart
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"net"
@@ -13,8 +12,8 @@ import (
 
 // TestFramingAllocations: a Send on an idle TCP connection — the frame
 // appended to the client's outbound buffer and written from there by the
-// sender — allocates nothing, and reading a frame through a bufio.Reader
-// allocates only the frame's body.
+// sender — allocates nothing, and neither does reading a frame, which is
+// read in place.
 func TestFramingAllocations(t *testing.T) {
 	c, peer := tcpClient(t, 0, ReconnectConfig{})
 	go func() { _, _ = io.Copy(io.Discard, peer) }()
@@ -37,13 +36,13 @@ func TestFramingAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bufio.NewReader(&stream)
+	fr := newFrameReader(&stream)
 	if n := testing.AllocsPerRun(100, func() {
-		if body, err := readFrame(r); err != nil || len(body) != len(small) {
+		if body, err := fr.next(); err != nil || len(body) != len(small) {
 			t.Fatalf("read %d bytes: %v", len(body), err)
 		}
-	}); n != 1 {
-		t.Errorf("reading a frame allocates %v objects, want 1 (its body)", n)
+	}); n != 0 {
+		t.Errorf("reading a frame allocates %v objects, want 0", n)
 	}
 }
 
@@ -61,7 +60,7 @@ func TestLargeFrameRoundTripsThroughClient(t *testing.T) {
 	got := make(chan []byte, 1)
 	go func() {
 		_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
-		body, _ := readFrame(bufio.NewReader(peer))
+		body, _ := newFrameReader(peer).next()
 		got <- body
 	}()
 	if err := c.Send(m); err != nil {
@@ -134,7 +133,7 @@ func TestLargeFrameIsOneWrite(t *testing.T) {
 		got := make(chan []byte, 1)
 		go func() {
 			_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
-			body, _ := readFrame(bufio.NewReader(peer))
+			body, _ := newFrameReader(peer).next()
 			got <- body
 		}()
 		if err := c.Send(m); err != nil {

@@ -28,8 +28,9 @@ func groupMsg(key string, size int) Message {
 // per frame, until want messages were seen, and returns them in wire order.
 func readMessages(r io.Reader, want int) ([]Message, error) {
 	var msgs []Message
+	fr := newFrameReader(r)
 	for len(msgs) < want {
-		frame, err := readFrame(r)
+		frame, err := fr.next()
 		if err != nil {
 			return msgs, err
 		}

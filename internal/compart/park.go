@@ -1,6 +1,9 @@
 package compart
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // Parked is an endpoint frozen for a migration cutover: frames delivered to
 // it are buffered in arrival order instead of reaching a handler, until
@@ -37,6 +40,9 @@ func (n *Network) Park(name string) *Parked {
 func (p *Parked) handle(m Message) {
 	p.mu.Lock()
 	if !p.released {
+		// The payload is lent for this call only (Handler); the buffer
+		// outlives it.
+		m.Payload = bytes.Clone(m.Payload)
 		p.buf = append(p.buf, m)
 		p.mu.Unlock()
 		return

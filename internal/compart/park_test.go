@@ -85,3 +85,22 @@ func TestParkBuffersAndReplaysInOrder(t *testing.T) {
 		t.Fatal("second Release must be a no-op")
 	}
 }
+
+// TestParkedFrameOwnsItsPayload: a parked endpoint keeps each frame until
+// Release, long after its sender's Send returned and the sender rewrote the
+// buffer it lent; the replay must hand over the bytes as they were sent.
+func TestParkedFrameOwnsItsPayload(t *testing.T) {
+	n := newTestNetwork(t, 1)
+	n.Register("ep", func(Message) { t.Fatal("old handler must not see parked frames") })
+	p := n.Park("ep")
+	buf := []byte("sent")
+	if err := n.Send(Message{From: "src", To: "ep", Kind: KindData, Payload: buf}); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXX")
+	var got string
+	p.Release(func(m Message) { got = string(m.Payload) })
+	if got != "sent" {
+		t.Fatalf("the parked frame replayed %q, want %q", got, "sent")
+	}
+}

@@ -1,7 +1,6 @@
 package compart
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"math/bits"
@@ -450,13 +449,15 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 		// heartbeats enabled).
 		defer rwg.Done()
 		defer close(readDead)
-		r := bufio.NewReader(conn)
+		fr := newFrameReader(conn)
+		si := make(strIntern)
 		for {
-			body, err := readFrame(r)
+			body, err := fr.next()
 			if err != nil {
 				return
 			}
-			if m, err := DecodeMessage(body); err == nil &&
+			var m Message
+			if decodeMessageIn(&m, body, si, true) == nil &&
 				m.Kind == KindControl && m.Key == heartbeatKey {
 				c.hbAcked.Add(1)
 				lastPong.Store(time.Now().UnixNano())

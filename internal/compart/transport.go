@@ -117,8 +117,8 @@ func DecodeMessage(buf []byte) (Message, error) {
 
 // decodeMessageIn parses one frame into m, writing every field; si
 // (optional) interns its address strings. aliasPayload skips the payload
-// copy, valid only when buf outlives the message and is never rewritten (a
-// server's fresh-per-frame read buffer).
+// copy: m.Payload is then a view of buf, lent for as long as buf is (a frame
+// read in place, handed on for the length of one Network.Send).
 func decodeMessageIn(m *Message, buf []byte, si strIntern, aliasPayload bool) error {
 	if len(buf) < 2 {
 		return fmt.Errorf("compart: short frame (%d bytes)", len(buf))
@@ -216,30 +216,49 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame into a fresh buffer, the one
-// allocation per frame: a bufio.Reader's header is peeked in place, any other
-// reader's (tests) is read into a header of its own.
-func readFrame(r io.Reader) ([]byte, error) {
-	var n uint32
-	if br, ok := r.(*bufio.Reader); ok {
-		hdr, err := br.Peek(4)
-		if err != nil {
-			return nil, err
-		}
-		n = binary.BigEndian.Uint32(hdr)
-		_, _ = br.Discard(4)
-	} else {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		n = binary.BigEndian.Uint32(hdr[:])
+// frameReader reads length-prefixed frames off a connection in place. A
+// frame that fits the bufio.Reader's buffer is returned as a view of it, and
+// a larger one is read into the reader's scratch, kept for the next large
+// frame unless it grew past keepOut. Either way a body is valid only until
+// the next call: what the caller keeps of it, it copies.
+type frameReader struct {
+	r       *bufio.Reader
+	scratch []byte
+}
+
+// newFrameReader reads frames off r, through r itself when it is a
+// bufio.Reader already (bufio.NewReader returns it).
+func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: bufio.NewReader(r)} }
+
+// next returns the next frame's body, borrowed until the following call.
+func (fr *frameReader) next() ([]byte, error) {
+	if cap(fr.scratch) > keepOut {
+		fr.scratch = nil
 	}
+	hdr, err := fr.r.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
 		return nil, fmt.Errorf("compart: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if 4+n <= fr.r.Size() {
+		// Discard only moves the read offset: the bytes stay in the buffer
+		// until the next read refills it.
+		b, err := fr.r.Peek(4 + n)
+		if err != nil {
+			return nil, err
+		}
+		_, _ = fr.r.Discard(4 + n)
+		return b[4:], nil
+	}
+	_, _ = fr.r.Discard(4)
+	if cap(fr.scratch) < n {
+		fr.scratch = make([]byte, n)
+	}
+	body := fr.scratch[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, err
 	}
 	return body, nil
@@ -331,18 +350,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	r := bufio.NewReader(conn)
+	fr := newFrameReader(conn)
 	// Per-connection intern cache: acks and groups repeat the same few
 	// addresses tens of thousands of times a second.
 	si := make(strIntern)
 	for {
-		body, err := readFrame(r)
+		body, err := fr.next()
 		if err != nil {
 			// Framing/IO error: the stream is unrecoverable.
 			return
 		}
-		// body is this frame's own buffer, so the payload (a group's members)
-		// stays in place instead of being copied out.
+		// The frame is read in place and the payload (a group's members) is
+		// a view of it, lent to the network for the one Send below: whoever
+		// keeps bytes of it copies them (Network.Send).
 		var msg Message
 		if err := decodeMessageIn(&msg, body, si, true); err != nil {
 			// The frame body is garbage but the outer length prefix kept
@@ -363,7 +383,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Send errors (down endpoint etc.) are invisible to the remote
 		// sender, exactly like datagram loss.
 		_ = s.net.Send(msg)
-		if msg.Kind == KindAck && nextFrameIsAck(r) {
+		if msg.Kind == KindAck && nextFrameIsAck(fr.r) {
 			// An ack may wake the sender it completes, and Go runs the
 			// goroutine readied last first: delivering the next ack at once
 			// would run its sender ahead of this one, so senders acked in

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func modelOf(t *testing.T, p *dsl.Program) *Model {
 
 func nopSrc(dsl.HostCtx) ([]byte, error)                { return []byte{}, nil }
 func nopSink(dsl.HostCtx, []byte) error                 { return nil }
-func nopHandle(_ dsl.HostCtx, b []byte) ([]byte, error) { return b, nil }
+func nopHandle(_ dsl.HostCtx, b []byte) ([]byte, error) { return bytes.Clone(b), nil }
 
 func snapshotModel(t *testing.T) *Model {
 	return modelOf(t, patterns.Snapshot(patterns.SnapshotConfig{

@@ -1,6 +1,7 @@
 package cost_test
 
 import (
+	"bytes"
 	"context"
 	"maps"
 	"strings"
@@ -100,7 +101,7 @@ type liveEntry struct {
 func liveEntries() []liveEntry {
 	nopSrc := func(dsl.HostCtx) ([]byte, error) { return []byte{}, nil }
 	nopSink := func(dsl.HostCtx, []byte) error { return nil }
-	nopHandle := func(_ dsl.HostCtx, b []byte) ([]byte, error) { return b, nil }
+	nopHandle := func(_ dsl.HostCtx, b []byte) ([]byte, error) { return bytes.Clone(b), nil }
 	const timeout = 5 * time.Second // a slow or race-instrumented box must not trip retries
 	var rr atomic.Int64
 	return []liveEntry{

@@ -177,7 +177,10 @@ type HostFunc func(ctx HostCtx) error
 // SourceFunc produces the serialized payload for a save(..., n) statement.
 type SourceFunc func(ctx HostCtx) ([]byte, error)
 
-// SinkFunc consumes the payload for a restore(n, ...) statement.
+// SinkFunc consumes the payload for a restore(n, ...) statement. The payload
+// is the junction table's own bytes of n, lent for the call: read-only, and
+// valid only until the sink returns. A sink that keeps any of them, or hands
+// them to something that does, copies them first.
 type SinkFunc func(ctx HostCtx, payload []byte) error
 
 // Expr is the E metavariable of Table 1.

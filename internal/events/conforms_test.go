@@ -219,3 +219,28 @@ func TestConformsRejectsMutants(t *testing.T) {
 		}
 	})
 }
+
+// TestReturnWithEmptyContinuationConforms: a return whose continuation is
+// empty ends the body, and the denotation says so. `if Go then return;
+// assert Tail` with Go true runs no assert, and neither does the same return
+// in a par arm beside a remote assert, nor a return that handles a timed-out
+// wait; every run must conform. The return denotes an ε event marked as not
+// falling through, as an empty otherwise handler does; without it every
+// statement after the return was mandatory.
+func TestReturnWithEmptyContinuationConforms(t *testing.T) {
+	ret := dsl.If{Cond: formula.P("Go"), Then: dsl.Return{}}
+	tail := dsl.Assert{Prop: dsl.PR("Tail")}
+	for name, p := range map[string]*dsl.Program{
+		"sequence": mutantProgram(ret, tail),
+		"par arm":  mutantProgram(dsl.Par{ret, dsl.Assert{Target: dsl.J("g1", "j"), Prop: dsl.PR("U")}}, tail),
+		"handler":  mutantProgram(dsl.OtherwiseT(dsl.Wait{Cond: formula.P("Never")}, 20*time.Millisecond, dsl.Return{}), tail),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, e := range tracedRun(t, p) {
+				if e.Kind == obsv.EvLocalWrite && e.Key == "Tail" {
+					t.Fatal("the statement after the return ran")
+				}
+			}
+		})
+	}
+}

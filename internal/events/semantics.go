@@ -47,8 +47,17 @@ type env struct {
 }
 
 func initialEnv() env {
-	return env{sub: dsl.Skip{}, ret: dsl.Skip{}, brk: dsl.Skip{}, reconsider: dsl.Skip{}, next: dsl.Skip{}}
+	return env{sub: dsl.Skip{}, ret: bodyEnd{}, brk: dsl.Skip{}, reconsider: dsl.Skip{}, next: dsl.Skip{}}
 }
+
+// bodyEnd is an internal marker: where a return outside every scope and
+// transaction goes, past the last statement of the junction body. It denotes
+// nothing, yet a return to it skips every statement the compositions around
+// the return would sequence after it. The other keywords' continuations are
+// cut at each composition's boundary (η.sub is the rest of the innermost
+// sequence, and a par branch's ends at its join), so an empty one of those
+// still falls through to what the composition sequences next.
+type bodyEnd struct{}
 
 // denoter carries the fixed junction J and the unfolding budget.
 type denoter struct {
@@ -145,9 +154,15 @@ func seq(s1, s2 *Structure) *Structure {
 
 // jump denotes a control transfer to the statements cont stands for: their
 // structure, with its last events marked as not falling through to whatever
-// is sequenced after the transferring statement.
+// is sequenced after the transferring statement. A return to the end of the
+// body still transfers control though it denotes nothing: it is one ε event
+// marked so, as an empty otherwise handler is, or the statements after it
+// would be sequenced as if it fell through.
 func (d *denoter) jump(cont any, η env, budget int) *Structure {
 	s := d.denote(cont, η, budget)
+	if _, end := cont.(bodyEnd); end {
+		s.Add(Label{Kind: KindAdHoc, Junction: d.junction, Key: "ε"})
+	}
 	for _, id := range s.Rightmost() {
 		s.Events[id].jumps = true
 	}
@@ -534,10 +549,12 @@ func termExpr(t dsl.Terminator) dsl.Expr {
 	}
 }
 
-// denoteMarker dispatches the two internal marker expressions; they never
-// appear in user programs, only through η.
+// denoteMarker dispatches the internal marker expressions; they never appear
+// in user programs, only through η.
 func (d *denoter) denoteMarker(e any, η env, budget int) (*Structure, bool) {
 	switch n := e.(type) {
+	case bodyEnd:
+		return NewStructure(), true
 	case reconsiderExpr:
 		if budget <= 0 {
 			return bottom(d.junction), true

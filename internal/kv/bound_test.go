@@ -81,6 +81,9 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 	// The scheduling goroutine: bound access only.
 	mine, flag := tb.PropCell("Mine"), tb.PropCell("Flag")
 	mineKeys, flagKeys, quietKeys := tb.Bind([]string{"Mine"}, nil), tb.Bind([]string{"Flag"}, []string{"d"}), tb.Bind([]string{"Quiet"}, nil)
+	// One subscription per key set, re-armed every round, as a compiled wait
+	// re-arms its own.
+	onMine, onQuiet, onFlag := NewSubscription(mineKeys), NewSubscription(quietKeys), NewSubscription(flagKeys)
 	run(func() {
 		for i := 0; i < rounds; i++ {
 			sched.RLock()
@@ -90,7 +93,8 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 			// Local priority and the wake, through the cell.
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Mine", Bool: !v, From: "a"})
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Mine", Bool: v, From: "b"})
-			onMine, onQuiet := tb.SubscribeKeys(mineKeys), tb.SubscribeKeys(quietKeys)
+			tb.Arm(onMine)
+			tb.Arm(onQuiet)
 			mine.Set(v)
 			if left := pendingTo("Mine"); len(left) != 0 {
 				t.Errorf("round %d: a bound write left %v queued for its key", i, left)
@@ -125,7 +129,7 @@ func TestBoundAccessUnderConcurrentDelivery(t *testing.T) {
 			// A bound wait admits its keys at delivery.
 			flag.Set(false)
 			h := tb.BeginWait(flagKeys)
-			onFlag := tb.SubscribeKeys(flagKeys)
+			tb.Arm(onFlag)
 			tb.Enqueue(Update{Kind: UpdateProp, Key: "Flag", Bool: true, From: "peer"})
 			if !flag.Get() {
 				t.Errorf("round %d: an update the wait admits was not applied at delivery", i)

@@ -298,21 +298,35 @@ func (s *Subscription) wake() {
 // Subscribe registers interest in the given proposition and data keys.
 // The caller must Unsubscribe when done.
 func (t *Table) Subscribe(props, data []string) *Subscription {
-	return t.SubscribeKeys(t.Bind(props, data))
+	s := NewSubscription(t.Bind(props, data))
+	t.Arm(s)
+	return s
 }
 
-// SubscribeKeys is Subscribe over a key set bound earlier; the set is shared,
-// not copied.
-func (t *Table) SubscribeKeys(ks *Keys) *Subscription {
-	s := &Subscription{ch: make(chan struct{}, 1), keys: ks}
+// NewSubscription returns a subscription to a key set bound earlier (the set
+// is shared, not copied), not yet armed. A holder that waits on the same keys
+// again and again — a compiled wait, once per entry — keeps one and re-arms
+// it, so a wait allocates nothing; one that is armed is used by one holder.
+func NewSubscription(ks *Keys) *Subscription {
+	return &Subscription{ch: make(chan struct{}, 1), keys: ks}
+}
+
+// Arm registers s, which is not armed, with the table: until Unsubscribe, a
+// change to one of its keys wakes it. A wake left from an earlier arming is
+// dropped first, so the holder starts from what the table now reads.
+func (t *Table) Arm(s *Subscription) {
+	select {
+	case <-s.ch:
+	default:
+	}
 	t.mu.Lock()
 	t.subs = append(t.subs, s)
 	t.nsubs.Store(int64(len(t.subs)))
 	t.mu.Unlock()
-	return s
 }
 
-// Unsubscribe removes a subscription; its channel is never signalled again.
+// Unsubscribe removes a subscription; its channel is never signalled again
+// unless it is armed again.
 func (t *Table) Unsubscribe(s *Subscription) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -151,9 +151,9 @@ func TestLocalWriteRacesDeliveryAndSubscription(t *testing.T) {
 			defer wg.Done()
 			barrier()
 			if i%2 == 0 {
-				s = tb.SubscribeKeys(wKeys)
+				s = armed(tb, wKeys)
 			} else {
-				s = tb.SubscribeKeys(allKeys)
+				s = armed(tb, allKeys)
 			}
 			saw = w.Get()
 		}()
@@ -206,7 +206,7 @@ func TestLocalWriteRacesDeliveryAndSubscription(t *testing.T) {
 				return
 			default:
 			}
-			tb.Unsubscribe(tb.SubscribeKeys(kKeys))
+			tb.Unsubscribe(armed(tb, kKeys))
 		}
 	}()
 	queuedFor := func(key string) (n int64) {

@@ -118,6 +118,38 @@ func TestUnsubscribeStopsWakes(t *testing.T) {
 	}
 }
 
+// TestRearmedSubscriptionStartsClean: a subscription taken back keeps no
+// registration, and arming it again drops the wake left from its last arming,
+// so a holder that re-arms one subscription per wait (a compiled wait) sees
+// only changes made while it is armed.
+func TestRearmedSubscriptionStartsClean(t *testing.T) {
+	tb := NewTable()
+	tb.DeclareProp("P", false)
+	sub := NewSubscription(tb.Bind([]string{"P"}, nil))
+	_ = tb.SetProp("P", true)
+	if woken(t, sub) {
+		t.Fatal("woken before it was armed")
+	}
+	for round := 0; round < 3; round++ {
+		tb.Arm(sub)
+		if woken(t, sub) {
+			t.Fatalf("round %d: armed with a wake from an earlier arming", round)
+		}
+		_ = tb.SetProp("P", round%2 == 0)
+		tb.Unsubscribe(sub) // the wake stays in the channel
+		_ = tb.SetProp("P", true)
+		if tb.nsubs.Load() != 0 {
+			t.Fatalf("round %d: %d subscriptions registered after Unsubscribe", round, tb.nsubs.Load())
+		}
+	}
+	tb.Arm(sub)
+	defer tb.Unsubscribe(sub)
+	_ = tb.SetProp("P", false)
+	if !woken(t, sub) {
+		t.Fatal("a re-armed subscription was not woken by its key")
+	}
+}
+
 func TestRestoreWakesRestoredKeys(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("P", false)
@@ -146,6 +178,13 @@ func TestBeginWaitAdmissionWakesSubscribers(t *testing.T) {
 	if !woken(t, sub) {
 		t.Fatal("BeginWait applied a raced update without waking subscribers")
 	}
+}
+
+// armed is a subscription to ks, armed on tb.
+func armed(tb *Table, ks *Keys) *Subscription {
+	s := NewSubscription(ks)
+	tb.Arm(s)
+	return s
 }
 
 func drainOnce(s *Subscription) {

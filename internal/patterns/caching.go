@@ -39,7 +39,8 @@ type CachingConfig struct {
 	DeliverResponse dsl.SinkFunc
 	// UpdateCache stores the new response (⌊UpdateCache⌉).
 	UpdateCache dsl.HostFunc
-	// ComputeF is Fun's ⌊F⌉: consume the request, produce the response.
+	// ComputeF is Fun's ⌊F⌉: consume the request, produce the response. req
+	// is lent for the call, as to a dsl.SinkFunc.
 	ComputeF func(ctx dsl.HostCtx, req []byte) ([]byte, error)
 	// Complain is the failure stub. Optional.
 	Complain dsl.HostFunc

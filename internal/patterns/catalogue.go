@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"bytes"
 	"time"
 
 	"csaw/internal/analysis"
@@ -46,7 +47,7 @@ type CatalogueEntry struct {
 func Catalogue() []CatalogueEntry {
 	nopSrc := func(dsl.HostCtx) ([]byte, error) { return []byte{}, nil }
 	nopSink := func(dsl.HostCtx, []byte) error { return nil }
-	nopHandle := func(_ dsl.HostCtx, b []byte) ([]byte, error) { return b, nil }
+	nopHandle := func(_ dsl.HostCtx, b []byte) ([]byte, error) { return bytes.Clone(b), nil }
 	t := time.Second
 
 	return []CatalogueEntry{

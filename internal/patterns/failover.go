@@ -71,7 +71,7 @@ type FailoverConfig struct {
 	// back-end is (re)initialized.
 	ApplyStateAtBack dsl.SinkFunc
 	// HandleRequest is ⌊H2⌉ at τb::serve: process the request, produce the
-	// pre-response.
+	// pre-response. req is lent for the call, as to a dsl.SinkFunc.
 	HandleRequest func(ctx dsl.HostCtx, req []byte) ([]byte, error)
 	// DeliverResponse is restore(preresp, ...) + ⌊H3⌉ at τf::c: hand the
 	// response to the client.

@@ -23,7 +23,7 @@ type ParallelShardingConfig struct {
 	// CaptureRequest serializes the request (save(..., n)).
 	CaptureRequest dsl.SourceFunc
 	// HandleRequest processes the request at a back-end, returning the
-	// serialized response.
+	// serialized response. req is lent for the call, as to a dsl.SinkFunc.
 	HandleRequest func(ctx dsl.HostCtx, req []byte) ([]byte, error)
 	// Complain fires when no viable back-end remains ("Complain if not one
 	// backend is viable", Fig. 6). Optional.

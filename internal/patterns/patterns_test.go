@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -220,7 +221,7 @@ func TestShardingBadChooser(t *testing.T) {
 		Timeout:        testTimeout,
 		Choose:         func(dsl.HostCtx) (int, error) { return 7, nil }, // out of range
 		CaptureRequest: func(dsl.HostCtx) ([]byte, error) { return []byte("x"), nil },
-		HandleRequest:  func(_ dsl.HostCtx, b []byte) ([]byte, error) { return b, nil },
+		HandleRequest:  func(_ dsl.HostCtx, b []byte) ([]byte, error) { return bytes.Clone(b), nil },
 	})
 	sys := startSystem(t, prog, runtime.Options{})
 	ctx := context.Background()
@@ -349,7 +350,7 @@ func TestParallelShardingFanOut(t *testing.T) {
 		CaptureRequest: func(dsl.HostCtx) ([]byte, error) { return []byte("req"), nil },
 		HandleRequest: func(ctx dsl.HostCtx, req []byte) ([]byte, error) {
 			hits[ctx.App().(int)].Add(1)
-			return req, nil
+			return bytes.Clone(req), nil
 		},
 	})
 	sys := startSystem(t, prog, runtime.Options{})
@@ -392,7 +393,7 @@ func TestParallelShardingSurvivesBackendFailure(t *testing.T) {
 		CaptureRequest: func(dsl.HostCtx) ([]byte, error) { return []byte("req"), nil },
 		HandleRequest: func(ctx dsl.HostCtx, req []byte) ([]byte, error) {
 			hits[ctx.App().(int)].Add(1)
-			return req, nil
+			return bytes.Clone(req), nil
 		},
 		Complain: func(dsl.HostCtx) error { complained.Add(1); return nil },
 	})

@@ -36,7 +36,8 @@ type ShardingConfig struct {
 	// CaptureRequest serializes the current request (save(..., n)).
 	CaptureRequest dsl.SourceFunc
 	// HandleRequest processes the request at a back-end and returns the
-	// serialized response (the back-end's restore; ⌊H2⌉; save(..., m)).
+	// serialized response (the back-end's restore; ⌊H2⌉; save(..., m)). req
+	// is lent for the call, as to a dsl.SinkFunc.
 	HandleRequest func(ctx dsl.HostCtx, req []byte) ([]byte, error)
 	// DeliverResponse consumes the response at the front-end (restore(m)).
 	// Optional.

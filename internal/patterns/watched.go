@@ -32,6 +32,7 @@ type WatchedFailoverConfig struct {
 	// PrepareRequest is ⌊H1⌉ + save(..., n) at f.
 	PrepareRequest dsl.SourceFunc
 	// HandleRequest is ⌊H2⌉ at a backend: request payload → reply payload.
+	// req is lent for the call, as to a dsl.SinkFunc.
 	HandleRequest func(ctx dsl.HostCtx, req []byte) ([]byte, error)
 	// DeliverResponse is restore(m, ...) + ⌊H3⌉ at f.
 	DeliverResponse dsl.SinkFunc

@@ -192,14 +192,14 @@ func TestMalformedAckFrames(t *testing.T) {
 		pending int // on the (from, to) pair once the frame is handled
 	}{
 		{"0 bytes", to, nil, 4},
-		{"7 bytes: no whole frontier", to, appendAck(4, nil)[:7], 4},
-		{"pair with no window", "h::junction", appendAck(4, nil), 4},
-		{"8 bytes: frontier where the window's already is", to, appendAck(0, nil), 4},
-		{"12 bytes: frontier, then half an extra", to, append(appendAck(2, nil), 0xde, 0xad, 0xbe, 0xef), 2},
-		{"frontier below the window's", to, appendAck(1, nil), 2},
-		{"16 bytes: extra above every waiting range", to, appendAck(2, []uint64{99}), 2},
-		{"extra the frontier already covered", to, appendAck(2, []uint64{1}), 2},
-		{"extra inside the range, twice", to, appendAck(2, []uint64{4, 4}), 1},
+		{"7 bytes: no whole frontier", to, appendAck(nil, 4, nil)[:7], 4},
+		{"pair with no window", "h::junction", appendAck(nil, 4, nil), 4},
+		{"8 bytes: frontier where the window's already is", to, appendAck(nil, 0, nil), 4},
+		{"12 bytes: frontier, then half an extra", to, append(appendAck(nil, 2, nil), 0xde, 0xad, 0xbe, 0xef), 2},
+		{"frontier below the window's", to, appendAck(nil, 1, nil), 2},
+		{"16 bytes: extra above every waiting range", to, appendAck(nil, 2, []uint64{99}), 2},
+		{"extra the frontier already covered", to, appendAck(nil, 2, []uint64{1}), 2},
+		{"extra inside the range, twice", to, appendAck(nil, 2, []uint64{4, 4}), 1},
 	} {
 		f.handleMessage(compart.Message{From: c.peer, To: from, Kind: compart.KindAck, Payload: c.payload})
 		if n := s.pendingAcks(from, to); n != c.pending {
@@ -214,7 +214,7 @@ func TestMalformedAckFrames(t *testing.T) {
 		t.Fatalf("par completed with seq 3 never acknowledged: %v", err)
 	default:
 	}
-	f.handleMessage(compart.Message{From: to, To: from, Kind: compart.KindAck, Payload: appendAck(4, nil)})
+	f.handleMessage(compart.Message{From: to, To: from, Kind: compart.KindAck, Payload: appendAck(nil, 4, nil)})
 	if err := <-done; err != nil {
 		t.Fatalf("par failed after its last ack: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestHandleGroupAcksEachSenderOnce(t *testing.T) {
 		for i, k := range keys {
 			ups[i] = remoteUpdate{kind: compart.KindProp, key: k, flag: true}
 		}
-		return compart.Message{From: from, To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(lo, ups)}
+		return compart.Message{From: from, To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(nil, lo, ups)}
 	}
 	bad := grp("c::j", 1, "U")
 	bad.Payload = bad.Payload[:len(bad.Payload)-1]
@@ -417,11 +417,10 @@ func TestParArmFIFOTortureOverTCP(t *testing.T) {
 
 // TestHandleGroupAllocations guards what a delivery group costs its
 // receiver. A request hop — a write and an assert from one sender — allocates
-// two objects here, its data copy and its ack, which with the sender's group
-// buffer are the three DESIGN.md sizes a hop of two at. A 96-member fan-out
-// group of one proposition allocates only its ack, as a group of two
-// propositions does: no []kv.Update per group, no copy and no key string per
-// member.
+// one object here, the data copy the table keeps: the ack is encoded into a
+// pooled buffer the substrate borrows. A 96-member fan-out group of one
+// proposition allocates nothing, as a group of two propositions does: no
+// []kv.Update per group, no copy and no key string per member.
 func TestHandleGroupAllocations(t *testing.T) {
 	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
 	if err := s.RunMain(context.Background()); err != nil {
@@ -442,7 +441,7 @@ func TestHandleGroupAllocations(t *testing.T) {
 	}
 	var seq uint64
 	allocs := func(ups []remoteUpdate) float64 {
-		m := compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(1, ups)}
+		m := compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(nil, 1, ups)}
 		return testing.AllocsPerRun(200, func() {
 			binary.BigEndian.PutUint64(m.Payload, seq+1)
 			seq += uint64(len(ups))
@@ -450,11 +449,11 @@ func TestHandleGroupAllocations(t *testing.T) {
 			sink.Table().ApplyPending()
 		})
 	}
-	if n := allocs(hop); n > 2 {
-		t.Errorf("a hop of two allocates %v objects at its receiver, want at most 2 (data copy, ack)", n)
+	if n := allocs(hop); n != 1 {
+		t.Errorf("a hop of two allocates %v objects at its receiver, want 1 (the data copy)", n)
 	}
 	two, wide := allocs(prop(2)), allocs(prop(96))
-	if two > 1 || wide != two {
-		t.Errorf("a group of 96 allocates %v objects, a group of two %v: want one ack each", wide, two)
+	if two != 0 || wide != 0 {
+		t.Errorf("a group of 96 allocates %v objects, a group of two %v: want 0 each", wide, two)
 	}
 }

@@ -194,7 +194,9 @@ func (j *Junction) compileOp(o *plan.Op) step {
 		hc := j.newHostCtx(n.Writes)
 		cell := j.table.DataCell(n.Data) // declared: Compile rejects undeclared data
 		return func(context.Context) (plan.Signal, error) {
-			payload, err := cell.Get()
+			// The sink borrows the table's own bytes for the call
+			// (dsl.SinkFunc): read-only, and copied by a sink that keeps them.
+			payload, err := cell.Ref()
 			if err != nil {
 				return plan.SigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 			}
@@ -335,13 +337,15 @@ type otherBranch struct {
 	run step
 }
 
-// destGroup is the updates one firing sends to one destination; a failed
-// send fails all of them alike, so the first arm's position stands for the
-// group when errors are ranked by arm order.
+// destGroup is the updates one firing sends to one destination, and the
+// waiter the send waits on; a failed send fails all of them alike, so the
+// first arm's position stands for the group when errors are ranked by arm
+// order.
 type destGroup struct {
 	to    string
 	first int
 	ups   []remoteUpdate
+	wt    *rangeWaiter
 }
 
 func (j *Junction) newPar(arms []*plan.Op) *compiledPar {
@@ -395,11 +399,11 @@ func (p *compiledPar) fire(ctx context.Context) (plan.Signal, error) {
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
-				_, p.errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups)
+				_, p.errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups, g.wt)
 			}()
 		}
 		g := &p.groups[last]
-		_, p.errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups)
+		_, p.errs[g.first] = j.sys.sendGroup(ctx, j, g.to, g.ups, g.wt)
 	}
 	p.wg.Wait()
 	sig, err := p.outcome()
@@ -423,6 +427,9 @@ func (p *compiledPar) group(to string, first int) *destGroup {
 	}
 	g := &p.groups[len(p.groups)-1]
 	g.to, g.first = to, first
+	if g.wt == nil {
+		g.wt = newRangeWaiter()
+	}
 	return g
 }
 
@@ -538,10 +545,11 @@ type updateRun struct {
 	arms []updateArm
 	ran  []armedUpdate  // arm k's slot is ran[k]
 	ups  []remoteUpdate // the open group; room for every arm
+	wt   *rangeWaiter   // what each group's send waits on
 }
 
 func (j *Junction) newUpdateRun(arms []updateArm) *updateRun {
-	return &updateRun{j: j, arms: arms, ran: make([]armedUpdate, len(arms)), ups: make([]remoteUpdate, 0, len(arms))}
+	return &updateRun{j: j, arms: arms, ran: make([]armedUpdate, len(arms)), ups: make([]remoteUpdate, 0, len(arms)), wt: newRangeWaiter()}
 }
 
 func (r *updateRun) fire(ctx context.Context) (plan.Signal, error) {
@@ -566,7 +574,7 @@ func (r *updateRun) run(ctx context.Context) error {
 			ran = r.ran[:k+1]
 		}
 		if len(ups) > 0 && (last || err != nil || m.to != to) {
-			acked, serr := j.sys.sendGroup(ctx, j, to, ups)
+			acked, serr := j.sys.sendGroup(ctx, j, to, ups, r.wt)
 			if serr != nil {
 				for u := len(ran) - 1; u > first+acked; u-- {
 					j.table.UndoProp(ran[u].undo)
@@ -615,9 +623,9 @@ func (j *Junction) compileWrite(o *plan.Op) updateArm {
 	resolveTo := j.compileTarget(o)
 	cell := j.table.DataCell(data) // declared: Compile rejects undeclared data
 	return func(m *armedUpdate) error {
-		// The table's internal slice is safe here: sendGroup copies the
-		// payload into the framed message body before handing it off, and
-		// the step clears its slots when the firing ends.
+		// The table's internal slice is safe here: sendGroup encodes the
+		// payload into its group buffer before handing it off, and the step
+		// clears its slots when the firing ends.
 		payload, err := cell.Ref()
 		if err != nil {
 			return fmt.Errorf("write %s: %w", data, err)
@@ -742,9 +750,11 @@ func (j *Junction) idxProps(idx string, keys []string) map[string]boundProp {
 // compileWait lowers a wait op. What the wait admits is plan's
 // (plan.Admits): bound once when the formula reads no idx variables, taken at
 // wait entry otherwise, over the formula with its idx bindings captured
-// (plan.SubstIdx). The subscription, bound once, covers the formula's
-// read-set and the waited data keys, so a local-only wait blocks without
-// polling.
+// (plan.SubstIdx). The subscription covers the formula's read-set and the
+// waited data keys, so a local-only wait blocks without polling. It belongs
+// to the step, which runs one firing at a time (DESIGN.md, "A compiled step
+// owns its scratch"): each entry re-arms it and each exit disarms it, so a
+// wait allocates none.
 func (j *Junction) compileWait(o *plan.Op) step {
 	n := o.Stmt.(dsl.Wait)
 	wp := *o.Wait
@@ -755,7 +765,7 @@ func (j *Junction) compileWait(o *plan.Op) step {
 		eval = j.compileFormula(n.Cond)
 		admit = j.table.Bind(wp.Admit.Props, wp.Admit.Data)
 	}
-	watch := j.table.Bind(wp.Reads.Props, wp.Reads.Data)
+	sub := kv.NewSubscription(j.table.Bind(wp.Reads.Props, wp.Reads.Data))
 	return func(ctx context.Context) (plan.Signal, error) {
 		ks := admit
 		ev := eval
@@ -767,7 +777,7 @@ func (j *Junction) compileWait(o *plan.Op) step {
 		}
 		handle := j.table.BeginWait(ks)
 		defer j.table.EndWait(handle)
-		sub := j.table.SubscribeKeys(watch)
+		j.table.Arm(sub)
 		defer j.table.Unsubscribe(sub)
 		armed := j.noteWaitArmed(condText)
 		for {

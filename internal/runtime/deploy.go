@@ -31,7 +31,9 @@ import (
 // control frame. Errors are advisory — a failed forward is a lost frame,
 // exactly like a lossy link, and the sender's ack machinery handles it — but
 // an uplink that answers compart.ErrFrameTooLarge to a group has it split and
-// sent again in parts (sendSplit).
+// sent again in parts (sendSplit). The payload is lent for the call, as to
+// compart.Network.Send: an uplink that keeps bytes past it (a transport
+// client's outbound buffer) copies them.
 type Uplink func(compart.Message) error
 
 type location struct {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"csaw/internal/compart"
 )
@@ -14,8 +15,10 @@ import (
 //
 // lo is the pair sequence of the first member; member i carries lo+i. A
 // member's kind is compart.KindProp or compart.KindData, and its data is the
-// serialized value of a write (empty for a proposition). The buffer is sized
-// exactly, so a group allocates one object whatever its width.
+// serialized value of a write (empty for a proposition). A sender encodes
+// into a buffer it keeps (its window's, under sendMu) and lends it to the
+// substrate for the one send, so a group allocates nothing once the buffer
+// has grown to its width.
 //
 // Decoding checks every length against the bytes that remain, and a payload
 // that does not decode exactly — a wrong count, trailing bytes, a length past
@@ -28,16 +31,15 @@ const groupFlag = 0x80
 // lengths.
 const minGroupMember = 3
 
-// appendGroup encodes the group ups, whose first member takes sequence lo,
-// into one exactly sized buffer.
-func appendGroup(lo uint64, ups []remoteUpdate) []byte {
+// appendGroup appends the encoding of the group ups, whose first member takes
+// sequence lo, to dst, growing it at most once.
+func appendGroup(dst []byte, lo uint64, ups []remoteUpdate) []byte {
 	size := 8 + uvarintLen(len(ups))
 	for i := range ups {
 		u := &ups[i]
 		size += 1 + uvarintLen(len(u.key)) + len(u.key) + uvarintLen(len(u.payload)) + len(u.payload)
 	}
-	buf := make([]byte, 8, size)
-	binary.BigEndian.PutUint64(buf, lo)
+	buf := binary.BigEndian.AppendUint64(slices.Grow(dst, size), lo)
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for i := range ups {
 		u := &ups[i]

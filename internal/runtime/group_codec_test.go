@@ -84,7 +84,7 @@ func randomGroup(rng *rand.Rand) []remoteUpdate {
 // that does is queued whole and acknowledged once; and whatever the encoder
 // produces, sized exactly, decodes back to the same group.
 func FuzzGroupCodec(f *testing.F) {
-	hop := appendGroup(7, []remoteUpdate{
+	hop := appendGroup(nil, 7, []remoteUpdate{
 		{kind: compart.KindData, key: "n", payload: bytes.Repeat([]byte{0xab}, 64)},
 		{kind: compart.KindProp, key: "Work", flag: true},
 	})
@@ -93,9 +93,9 @@ func FuzzGroupCodec(f *testing.F) {
 		fanout[i] = remoteUpdate{kind: compart.KindProp, key: "U", flag: true}
 	}
 	for i, seed := range [][]byte{
-		appendGroup(1, []remoteUpdate{{kind: compart.KindProp, key: "U", flag: true}}),
+		appendGroup(nil, 1, []remoteUpdate{{kind: compart.KindProp, key: "U", flag: true}}),
 		hop,
-		appendGroup(1<<20, fanout),
+		appendGroup(nil, 1<<20, fanout),
 		hop[:len(hop)-3], // the assert's key cut short
 	} {
 		f.Add(seed, int64(i))
@@ -124,7 +124,7 @@ func FuzzGroupCodec(f *testing.F) {
 				t.Fatalf("group of %d: %d updates queued, %d acks sent", len(members), gotQueued, gotAcks)
 			}
 			ups := updatesOf(members)
-			if _, again, ok := decodeGroup(appendGroup(lo, ups)); !ok || !sameMembers(again, ups) {
+			if _, again, ok := decodeGroup(appendGroup(nil, lo, ups)); !ok || !sameMembers(again, ups) {
 				t.Fatalf("payload %x decodes to a group that does not round-trip", p)
 			}
 		}
@@ -132,9 +132,12 @@ func FuzzGroupCodec(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		ups := randomGroup(rng)
 		wantLo := 1 + uint64(rng.Int63n(1<<62))
-		enc := appendGroup(wantLo, ups)
-		if len(enc) != cap(enc) {
-			t.Fatalf("group of %d encoded into %d of %d bytes: not sized exactly", len(ups), len(enc), cap(enc))
+		enc := appendGroup(nil, wantLo, ups)
+		// Sized exactly: a buffer with room for just the encoding takes it
+		// without growing.
+		exact := make([]byte, 0, len(enc))
+		if again := appendGroup(exact, wantLo, ups); len(again) != len(enc) || &again[:1][0] != &exact[:1][0] {
+			t.Fatalf("group of %d encoded into %d bytes, then grew a buffer of %d: not sized exactly", len(ups), len(again), len(enc))
 		}
 		gotLo, got, ok := decodeGroup(enc)
 		if !ok || gotLo != wantLo || !sameMembers(got, ups) {

@@ -391,7 +391,7 @@ func TestRangeWaiterCreditsEachSequenceOnce(t *testing.T) {
 		{8, nil, 0, []*rangeWaiter{r3}},            // 7, 8 cumulatively; 9 was credited before
 	}
 	for i, st := range steps {
-		s.ackPair("a", "b", st.cum, st.extras)
+		w.ack(st.cum, st.extras)
 		if n := s.pendingAcks("a", "b"); n != st.pending {
 			t.Fatalf("step %d: %d updates pending, want %d", i, n, st.pending)
 		}
@@ -553,5 +553,33 @@ func TestUnscheduledSinkQueueStaysBounded(t *testing.T) {
 	}
 	if v, _ := sink.Table().Prop("U"); !v || sink.Table().PendingLen() != 0 {
 		t.Fatalf("after the drain: U = %v with %d entries queued, want true and 0", v, sink.Table().PendingLen())
+	}
+}
+
+// TestAckResolvesWithoutSystemLock: an ack finds its window through the acked
+// junction's cache, as a send does, so a remote update completes while another
+// goroutine holds System.winMu. Only the first ack a junction sees on a pair
+// takes the lock, to fill the cache.
+func TestAckResolvesWithoutSystemLock(t *testing.T) {
+	s := mustSystem(t, groupProgram(nil, dsl.Assert{Target: g(1), Prop: dsl.PR("U")}), Options{AckTimeout: 10 * time.Second})
+	ctx := context.Background()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Invoke(ctx, "f", "j"); err != nil { // fills both caches
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	s.winMu.Lock()
+	go func() { done <- s.Invoke(ctx, "f", "j") }()
+	select {
+	case err := <-done:
+		s.winMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		s.winMu.Unlock()
+		t.Fatal("a remote update waited for System.winMu")
 	}
 }

@@ -360,7 +360,8 @@ func (j *Junction) startDriver() {
 func (j *Junction) runDriverEvent(ctx context.Context, stop <-chan struct{}) {
 	defer j.driverWG.Done()
 	rs := j.comp.guardRS
-	sub := j.table.SubscribeKeys(j.comp.guardKeys)
+	sub := kv.NewSubscription(j.comp.guardKeys)
+	j.table.Arm(sub)
 	defer j.table.Unsubscribe(sub)
 	timer := time.NewTimer(j.sys.opts.Poll)
 	defer timer.Stop()

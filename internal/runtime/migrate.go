@@ -44,6 +44,7 @@
 package runtime
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -193,7 +194,9 @@ func (s *System) handleMigrateFrame(loc string, m compart.Message) {
 		r.mu.Lock()
 		_, dup := r.staged[fq]
 		if !dup {
-			r.staged[fq] = m.Payload[epochLen:]
+			// The payload is lent for this call (compart.Handler); the
+			// round keeps it until the cutover decodes it.
+			r.staged[fq] = bytes.Clone(m.Payload[epochLen:])
 		}
 		complete := !dup && len(r.staged) == r.want
 		r.mu.Unlock()

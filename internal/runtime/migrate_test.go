@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -154,6 +155,49 @@ func TestMigrateMovesStateAndTraffic(t *testing.T) {
 		if rank[order[i]] < rank[order[i-1]] {
 			t.Fatalf("protocol events out of order: %v", order)
 		}
+	}
+}
+
+// TestMigrateStagesItsOwnCopyOfState: the destination keeps each state frame
+// until the cutover, while the carrier that delivered it reuses its buffer
+// for the next frame, as a TCP server reading frames in place does. The
+// migration must still install the state as it was sent.
+func TestMigrateStagesItsOwnCopyOfState(t *testing.T) {
+	dep, netA, netB := twoLocDeployment()
+	defer netA.Close()
+	defer netB.Close()
+	var buf []byte
+	dep.Connect("A", "B", func(m compart.Message) error {
+		buf = append(buf[:0], m.Payload...)
+		m.Payload = buf
+		err := netB.Send(m)
+		clear(buf) // the carrier's next read overwrites the frame
+		return err
+	})
+	// No drivers, as in TestMigrateMovesStateAndTraffic.
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 10 * time.Second, DisableDrivers: true})
+	defer s.Close()
+	for _, inst := range []string{"f", "g"} {
+		if err := s.StartInstance(inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const pushes = 3
+	for i := 0; i < pushes; i++ {
+		if err := s.Invoke(ctx, "f", "push"); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if err := s.MigrateInstance("g", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.junctionQuiet("g", "main").Table().PendingLen(); n != perPush*pushes {
+		t.Fatalf("pending = %d at g::main after the migration, want %d", n, perPush*pushes)
+	}
+	if v, err := s.junctionQuiet("g", "aux").Table().Prop("Spare"); err != nil || !v {
+		t.Fatalf("aux prop Spare = %v, %v after the migration", v, err)
 	}
 }
 
@@ -316,6 +360,9 @@ func migrateAfterAbort(t *testing.T, between func(netB *compart.Network, held co
 			return netB.Send(m)
 		}
 		if held == nil {
+			// The uplink keeps the frame past the call: it copies the lent
+			// payload.
+			m.Payload = bytes.Clone(m.Payload)
 			held = &m
 			return nil
 		}

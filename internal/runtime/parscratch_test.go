@@ -47,7 +47,7 @@ func firingAllocs(t *testing.T, body dsl.Expr) float64 {
 
 func TestParFiringAllocations(t *testing.T) {
 	if raceDetector {
-		t.Skip("allocation counts through sendGroup's pools vary under the race detector")
+		t.Skip("allocation counts through the receiver's update-slice pool vary under the race detector")
 	}
 	par2 := firingAllocs(t, dsl.Par(assertsToG1(2)))
 	par96 := firingAllocs(t, dsl.Par(assertsToG1(96)))

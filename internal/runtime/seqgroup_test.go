@@ -79,7 +79,7 @@ func dropKeyUplink(dst *compart.Network, key string) Uplink {
 		if head == 0 {
 			return nil
 		}
-		m.Payload = appendGroup(lo, updatesOf(members[:head]))
+		m.Payload = appendGroup(nil, lo, updatesOf(members[:head]))
 		return dst.Send(m)
 	}
 }

@@ -498,7 +498,8 @@ func (s *System) invokeWhenReadyOnce(ctx context.Context, instance, junction str
 	}
 	// Subscribe before the first guard check so a wake racing the check is
 	// retained in the subscription's buffer, never lost.
-	sub := j.Table().SubscribeKeys(j.comp.guardKeys)
+	sub := kv.NewSubscription(j.comp.guardKeys)
+	j.Table().Arm(sub)
 	defer j.Table().Unsubscribe(sub)
 	var poll <-chan time.Time // stays nil, and never fires, for a local-only guard
 	for {
@@ -589,10 +590,11 @@ type rangeWaiter struct {
 	linked     bool
 }
 
-// waiterPool recycles range waiters with their channel: every send needs one,
-// and every code path ends with the channel quiescent — either its single
-// send was received, or the waiter was forgotten before any send.
-var waiterPool = sync.Pool{New: func() any { return &rangeWaiter{ch: make(chan error, 1)} }}
+// newRangeWaiter is a waiter for a compiled update step to own: every send
+// needs one, and sendGroup returns with it quiescent — its channel's single
+// send received, or the waiter forgotten before any send — so the step's
+// next firing reuses it.
+func newRangeWaiter() *rangeWaiter { return &rangeWaiter{ch: make(chan error, 1)} }
 
 // coverTo advances the range's cumulative coverage to c (lo <= c < hi) and
 // returns how many updates that newly acknowledges.
@@ -637,8 +639,11 @@ func (wt *rangeWaiter) markExtra(seq uint64) bool {
 type ackWindow struct {
 	// sendMu serializes sequence assignment with the substrate send, so the
 	// wire order on the pair matches the sequence order — the per-pair FIFO
-	// guarantee the receiver's cumulative frontier depends on.
+	// guarantee the receiver's cumulative frontier depends on. It also guards
+	// buf, the group encoding the send lends the substrate: Network.Send
+	// returns with the bytes free again, so the next send rewrites them.
 	sendMu sync.Mutex
+	buf    []byte
 
 	// to and timeout parameterize the watchdog's failure (set at creation,
 	// immutable after).
@@ -797,6 +802,23 @@ func (s *System) junctionWindow(j *Junction, to string) *ackWindow {
 	return w
 }
 
+// ackedWindow is the window an ack from to acknowledges: junctionWindow's
+// cache without creating one. Only a miss takes winMu — the first ack a
+// junction incarnation sees on the pair, as after a migration — and an ack
+// for a pair that never sent has no window (nil).
+func (s *System) ackedWindow(j *Junction, to string) *ackWindow {
+	if v, ok := j.winCache.Load(to); ok {
+		return v.(*ackWindow)
+	}
+	s.winMu.Lock()
+	w := s.windows[pairKey{j.FQName, to}]
+	s.winMu.Unlock()
+	if w != nil {
+		j.winCache.Store(to, w)
+	}
+	return w
+}
+
 // pendingAcks reports how many updates are awaiting acknowledgment on the
 // directed pair (test hook: the ctx-cancel and window-failure regression
 // tests assert waiters never leak).
@@ -816,17 +838,11 @@ func (s *System) pendingAcks(from, to string) int {
 	return n
 }
 
-// ackPair processes one cumulative/vectored ack frame on the sender side:
-// every range at or below cum completes from the head of the queue, a range
-// the frontier cuts through is credited up to it, and each listed
-// out-of-order extra is credited to the range holding it.
-func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
-	s.winMu.Lock()
-	w := s.windows[pairKey{from, to}]
-	s.winMu.Unlock()
-	if w == nil {
-		return
-	}
+// ack processes one cumulative/vectored ack frame on the sender side: every
+// range at or below cum completes from the head of the queue, a range the
+// frontier cuts through is credited up to it, and each listed out-of-order
+// extra is credited to the range holding it.
+func (w *ackWindow) ack(cum uint64, extras []uint64) {
 	var doneBuf [4]*rangeWaiter
 	done := doneBuf[:0]
 	acked := 0
@@ -881,17 +897,13 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 //
 // acked is how many leading updates of the group were acknowledged: all of
 // them on success, and on failure the position of the first unacknowledged
-// one — where a sequence of single statements would have failed.
-func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []remoteUpdate) (acked int, err error) {
+// one — where a sequence of single statements would have failed. wt is the
+// caller's waiter, quiescent again when sendGroup returns.
+func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []remoteUpdate, wt *rangeWaiter) (acked int, err error) {
 	n := len(ups)
 	from := j.FQName
 	w := s.junctionWindow(j, to)
-	wt := waiterPool.Get().(*rangeWaiter)
 	tracing := s.obs.Tracing()
-
-	// The group is encoded before the sequence range is known, outside the
-	// window's locks; lo is written into its header once assigned.
-	payload := appendGroup(0, ups)
 
 	w.sendMu.Lock()
 	w.mu.Lock()
@@ -902,7 +914,7 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	w.pushLocked(wt)
 	w.armLocked()
 	w.mu.Unlock()
-	binary.BigEndian.PutUint64(payload, lo)
+	w.buf = appendGroup(w.buf[:0], lo, ups)
 	// Ack latency is sampled for the groups holding every 8th sequence (the
 	// histogram is a sample, not a census): at pipelined rates two time.Now
 	// calls per send are a measurable share of the send path. Tracing still
@@ -912,7 +924,10 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	if timing {
 		start = time.Now()
 	}
-	serr := j.net.Send(compart.Message{From: from, To: to, Kind: compart.KindGroup, Payload: payload})
+	serr := j.net.Send(compart.Message{From: from, To: to, Kind: compart.KindGroup, Payload: w.buf})
+	if cap(w.buf) > keepSendBuf {
+		w.buf = nil
+	}
 	w.sendMu.Unlock()
 
 	var werr error
@@ -954,7 +969,6 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	if werr != nil {
 		acked = int(wt.base - (lo - 1))
 	}
-	waiterPool.Put(wt)
 	j.met.RemoteAcked.Add(uint64(acked))
 	var d time.Duration
 	if timing && werr == nil {
@@ -973,9 +987,20 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 // contig is the contiguous frontier (every seq <= contig delivered), oo the
 // delivered seqs above contig+1 that arrived out of order (reordering on
 // jittered in-process links, or deliveries outliving a peer restart).
+//
+// ack is the buffer the sender's acks are encoded into and lent to the
+// substrate for one Send (compart.Handler), under ackMu: deliveries from one
+// sender rarely overlap, so the lock is all but uncontended. Holding it
+// across the Send is safe because nothing an ack's delivery runs delivers to
+// this receiver again: the sender's handler only completes its waiters, and
+// a proxy, an uplink, a parked endpoint or a delayed link takes the frame
+// and returns.
 type recvTrack struct {
 	contig uint64
 	oo     map[uint64]struct{}
+
+	ackMu sync.Mutex
+	ack   []byte
 }
 
 // maxRecvGap bounds the out-of-order set per sender. A gap this wide means
@@ -1045,15 +1070,18 @@ func written(u *kv.Update) string {
 	return wrote(u.Bool)
 }
 
-// appendAck encodes a cumulative ack payload: the 8-byte frontier followed
-// by any vectored out-of-order extras.
-func appendAck(cum uint64, extras []uint64) []byte {
-	body := make([]byte, 8, 8+8*len(extras))
-	binary.BigEndian.PutUint64(body, cum)
+// keepSendBuf is the largest encoding buffer a window keeps between sends;
+// one grown past it by a group of large writes is released.
+const keepSendBuf = 64 << 10
+
+// appendAck appends a cumulative ack payload to dst: the 8-byte frontier
+// followed by any vectored out-of-order extras.
+func appendAck(dst []byte, cum uint64, extras []uint64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, cum)
 	for _, e := range extras {
-		body = binary.BigEndian.AppendUint64(body, e)
+		dst = binary.BigEndian.AppendUint64(dst, e)
 	}
-	return body
+	return dst
 }
 
 // handleMessage is installed per junction endpoint; defined here because it
@@ -1067,12 +1095,16 @@ func (j *Junction) handleMessage(m compart.Message) {
 		}
 		// Cumulative frontier first, then vectored extras; the window is
 		// keyed by (this junction, acking peer).
+		w := j.sys.ackedWindow(j, m.From)
+		if w == nil {
+			return
+		}
 		cum := binary.BigEndian.Uint64(m.Payload)
 		var extras []uint64
 		for off := 8; off+8 <= len(m.Payload); off += 8 {
 			extras = append(extras, binary.BigEndian.Uint64(m.Payload[off:]))
 		}
-		j.sys.ackPair(j.FQName, m.From, cum, extras)
+		w.ack(cum, extras)
 	case compart.KindGroup:
 		j.handleGroup(&m)
 	}
@@ -1177,7 +1209,10 @@ func (j *Junction) deliverGroup(from string, lo uint64, updates []kv.Update) {
 	// follow — this junction is mid-scheduling, or the delivery woke one of
 	// its waits — so a TCP uplink yields once before writing it, for that
 	// frame to carry it.
+	tr.ackMu.Lock()
+	tr.ack = appendAck(tr.ack[:0], cum, extras)
 	_ = j.net.Send(compart.Message{
-		From: j.FQName, To: from, Kind: compart.KindAck, Flag: woke || j.scheduling.Load(), Payload: appendAck(cum, extras),
+		From: j.FQName, To: from, Kind: compart.KindAck, Flag: woke || j.scheduling.Load(), Payload: tr.ack,
 	})
+	tr.ackMu.Unlock()
 }
