@@ -131,8 +131,15 @@ func main() {
 		fmt.Printf("  types:     %d (%v)\n", len(p.Types), p.TypeNames())
 		fmt.Printf("  instances: %d (%v)\n", len(p.Instances), p.InstanceNames())
 		fmt.Printf("  junctions: %d, communication edges: %d\n", len(t.Nodes), len(t.Edges))
-		event, polled, invoked := schedulingModes(pp)
-		fmt.Printf("  scheduling: %d event-driven, %d with poll fallback, %d app-invoked\n", event, polled, invoked)
+		// A guarded junction is driven by wakes from what its guard reads; any
+		// other runs when the application invokes it.
+		event := 0
+		for _, pj := range pp.Junctions {
+			if pj.Guard != nil {
+				event++
+			}
+		}
+		fmt.Printf("  scheduling: %d event-driven, %d app-invoked\n", event, len(pp.Junctions)-event)
 		s, err := events.DenoteProgram(pp, events.Budget{Unfold: 1})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "csawc: semantics: %v\n", err)
@@ -154,25 +161,6 @@ func findEntry(name string) (patterns.CatalogueEntry, bool) {
 		}
 	}
 	return patterns.CatalogueEntry{}, false
-}
-
-// schedulingModes classifies each junction by how the runtime will drive it,
-// from the compiled plan's guard read-sets: a local-only guard schedules
-// purely on keyed KV subscription wakes; a guard consulting remote state
-// keeps the poll timer as a fallback; an unguarded junction only runs when
-// the application invokes it.
-func schedulingModes(pp *plan.Program) (event, polled, invoked int) {
-	for _, pj := range pp.Junctions {
-		switch {
-		case pj.Guard == nil:
-			invoked++
-		case pj.Guard.LocalOnly():
-			event++
-		default:
-			polled++
-		}
-	}
-	return event, polled, invoked
 }
 
 // vetArchitectures runs the full pass suite over each entry (honouring its

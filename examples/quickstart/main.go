@@ -63,12 +63,10 @@ func main() {
 	p.Instance("f", "tau_f").Instance("g", "tau_g")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
 
-	// Poll is deliberately huge: g's guard reads only local state, so its
-	// driver is scheduled by the keyed-subscription wake from the arriving
-	// assertion, never by the poll timer — the three invocations below
-	// complete in milliseconds regardless. New checks the program and lowers
-	// it once (plan.Compile); sys.Plan() is that lowering.
-	sys, err := runtime.New(p, runtime.Options{Poll: 30 * time.Second})
+	// g's driver is woken by the arriving assertion: a guard wakes when
+	// something it reads changes, and nothing polls. New checks the program
+	// and lowers it once (plan.Compile); sys.Plan() is that lowering.
+	sys, err := runtime.New(p, runtime.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,8 +81,7 @@ func main() {
 	// The compiled execution plan exposes what each guard depends on.
 	for fq, pj := range sys.Plan().Junctions {
 		if pj.Guard != nil {
-			fmt.Printf("compiled guard read-set of %s: props=%v localOnly=%t\n",
-				fq, pj.Guard.Props, pj.Guard.LocalOnly())
+			fmt.Printf("compiled guard read-set of %s: props=%v\n", fq, pj.Guard.Props)
 		}
 	}
 

@@ -49,8 +49,8 @@ type CostReport struct {
 type JunctionCost struct {
 	FQ string `json:"fq"`
 	// Guard classifies how the junction schedules: "invoked" (unguarded or
-	// manual), "event" (local-only guard, keyed-subscription wakes), or
-	// "poll" (guard consults remote state and keeps the poll fallback).
+	// manual) or "event" (guarded: woken when a table or liveness cell the
+	// guard reads changes).
 	Guard string `json:"guard"`
 	// Activation is the predicted firings per drive unit.
 	Activation float64 `json:"activation"`

@@ -16,7 +16,7 @@ import (
 // directly (no guard, or manually scheduled), when its guard is already true
 // under the declared initial proposition values, or when the guard consults
 // state outside its own table (a remote γ@P read or an @-predicate such as
-// @running) — those guards are polled by the driver and can flip without any
+// @running) — the driver wakes on that state, which can flip without any
 // incoming communication. Every other guarded junction only ever runs after
 // a reachable junction writes to it, i.e. when it has an incoming topology
 // edge from a reachable node.
@@ -107,8 +107,8 @@ func isEntry(ji *plan.Junction) bool {
 	env := formula.MapEnv{}
 	for _, pr := range formula.Props(ji.Def.Guard) {
 		if pr.Junction != "" || strings.HasPrefix(pr.Name, "@") {
-			// Remote or runtime-provided state: the driver polls it, so the
-			// guard can become true without an incoming write.
+			// Another junction's table or liveness: it changes without an
+			// incoming write, and the driver wakes on it.
 			return true
 		}
 		name := ji.ResolveName(pr.Name)

@@ -17,8 +17,8 @@
 // TCP, and the optimizer's moves against the traffic they save once applied
 // live (ApplyMove).
 //
-// On top of the model sit the cost passes (passes.go) — poll-bound and
-// cross-location guard reads, txn ping-pong, coalescing-defeating fan-out,
+// On top of the model sit the cost passes (passes.go) — cross-location
+// guard and condition reads, txn ping-pong, coalescing-defeating fan-out,
 // unbounded idx families — and a greedy placement optimizer (placement.go).
 package cost
 
@@ -34,7 +34,6 @@ import (
 const (
 	GuardInvoked = "invoked"
 	GuardEvent   = "event"
-	GuardPoll    = "poll"
 )
 
 // activationCap bounds activation propagation so guard-trigger cycles cannot
@@ -60,7 +59,7 @@ type Model struct {
 // Junction is the per-(instance, junction) cost summary.
 type Junction struct {
 	Info *plan.Junction
-	// Guard classifies scheduling (GuardInvoked/Event/Poll).
+	// Guard classifies scheduling (GuardInvoked/Event).
 	Guard string
 	// GuardReads lists the guard's remote-qualified reads with their
 	// resolved declaring junction (nil Target for an unqualified
@@ -175,7 +174,7 @@ func (m *Model) classifyGuard(j *Junction) {
 	}
 	pos := ji.FQ + "/guard"
 	for _, o := range rs.Origins {
-		if !o.Remote {
+		if o.Junction == "" && !o.Liveness {
 			continue
 		}
 		j.GuardReads = append(j.GuardReads, GuardRead{
@@ -184,11 +183,7 @@ func (m *Model) classifyGuard(j *Junction) {
 			Target: m.Prog.Lookup(o.Junction),
 		})
 	}
-	if rs.Remote {
-		j.Guard = GuardPoll
-	} else {
-		j.Guard = GuardEvent
-	}
+	j.Guard = GuardEvent
 }
 
 // update is one remote update statement, resolved and weighted.
@@ -467,7 +462,7 @@ func (c *charger) fanout(pos string, sending int, peers map[string]bool) {
 func (c *charger) bodyReads(pos string, f formula.Formula) {
 	rs := plan.FormulaReadSet(c.j.Info, f)
 	for _, o := range rs.Origins {
-		if !o.Remote || o.Junction == "" {
+		if o.Junction == "" {
 			continue
 		}
 		c.j.BodyReads = append(c.j.BodyReads, GuardRead{

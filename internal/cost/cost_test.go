@@ -2,6 +2,7 @@ package cost
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -277,8 +278,8 @@ func TestGuardClassesWatchedFailover(t *testing.T) {
 	}))
 	for _, jn := range []string{"w::cs", "w::co", "w::cunrecov"} {
 		j := m.Junctions[jn]
-		if j == nil || j.Guard != GuardPoll {
-			t.Fatalf("%s guard = %+v, want poll (reads @running of other instances)", jn, j)
+		if j == nil || j.Guard != GuardEvent {
+			t.Fatalf("%s guard = %+v, want event (reads @running of other instances, woken by their liveness cells)", jn, j)
 		}
 		if len(j.GuardReads) == 0 {
 			t.Fatalf("%s records no guard reads", jn)
@@ -372,5 +373,42 @@ func TestReportCrossAccounting(t *testing.T) {
 	rep = m.Report(nil)
 	if rep.CrossUpdatesPerDrive != 0 {
 		t.Fatalf("co-located cross per drive = %v, want 0", rep.CrossUpdatesPerDrive)
+	}
+}
+
+// TestCrossLocationReadsAreErrors: costpoll reports a qualified read only
+// when its junction sits at another location — an error, worded for a guard
+// or a body condition, with the value the read collapses to — and nothing
+// when the two share a location, where the runtime watches the table it reads.
+func TestCrossLocationReadsAreErrors(t *testing.T) {
+	p := patterns.WatchedFailover(patterns.WatchedFailoverConfig{
+		Timeout:        time.Second,
+		PrepareRequest: nopSrc, HandleRequest: nopHandle, DeliverResponse: nopSink,
+	})
+	analyze := func(placement map[string]string) []analysis.Diagnostic {
+		rep, err := analysis.Analyze(p, &analysis.Config{Passes: []*analysis.Pass{CrossReads}, Placement: placement})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Diagnostics
+	}
+	if ds := analyze(map[string]string{"f": "site", "o": "site", "s": "site", "w": "site"}); len(ds) != 0 {
+		t.Fatalf("same-location reads reported: %+v", ds)
+	}
+	want := map[string]string{
+		"w::cs/guard":                  `liveness predicate "@running" of o::junction is read across locations: over a transport bridge the read evaluates False, so the guard can never become definitely true`,
+		"o::junction/body[3]/scope[1]": `proposition "Reply" of s::junction is read across locations: over a transport bridge the read evaluates Unknown, so this condition can never become definitely true`,
+	}
+	ds := analyze(map[string]string{"f": "site", "o": "far", "s": "site", "w": "site"})
+	for _, d := range ds {
+		if d.Severity != analysis.SevError {
+			t.Errorf("cross-location read graded %v, want error: %+v", d.Severity, d)
+		}
+		if prefix, ok := want[d.Pos]; ok && strings.HasPrefix(d.Msg, prefix) {
+			delete(want, d.Pos)
+		}
+	}
+	for pos, msg := range want {
+		t.Errorf("no finding at %s reading %q in %+v", pos, msg, ds)
 	}
 }

@@ -11,105 +11,49 @@ import (
 	"strings"
 
 	"csaw/internal/analysis"
-	"csaw/internal/plan"
 )
 
 // Passes returns the cost suite in canonical order.
 func Passes() []*analysis.Pass {
-	return []*analysis.Pass{Poll, Fanouts, PingPongs}
+	return []*analysis.Pass{CrossReads, Fanouts, PingPongs}
 }
 
-// Poll flags guards (and body formulas) whose remote-qualified reads defeat
-// event scheduling: keyed subscriptions cannot wake on another junction's
-// table or on liveness, so the scheduler keeps a poll fallback — and across
-// a transport bridge such reads never evaluate definitely true at all.
-var Poll = &analysis.Pass{
+// CrossReads flags guards and body conditions that read another junction's
+// table or liveness across locations: over a transport bridge such a read
+// never evaluates definitely true. At one location the runtime watches the
+// table it reads, so the read costs nothing here. The pass keeps the name
+// costpoll, which suppressions and goldens refer to.
+var CrossReads = &analysis.Pass{
 	Name: "costpoll",
-	Doc:  "guards poll-bound by remote-qualified reads; cross-location reads that can never wake",
+	Doc:  "cross-location reads that can never wake",
 	Run: func(ctx *analysis.Context) []analysis.Diagnostic {
 		m := Build(ctx.Program)
 		var ds []analysis.Diagnostic
 		for _, fq := range m.Order {
 			j := m.Junctions[fq]
-			for _, gr := range j.GuardReads {
-				ds = append(ds, pollDiag(ctx, j, gr, true)...)
-			}
-			for _, gr := range j.BodyReads {
-				ds = append(ds, pollDiag(ctx, j, gr, false)...)
+			what := "the guard"
+			for _, reads := range [][]GuardRead{j.GuardReads, j.BodyReads} {
+				for _, gr := range reads {
+					if gr.Target == nil || ctx.Location(gr.Target.Inst) == ctx.Location(j.Info.Inst) {
+						continue
+					}
+					// Over a bridge a proposition reads Unknown and liveness False.
+					read, value := fmt.Sprintf("proposition %q of %s", gr.Origin.Key, gr.Target.FQ), "Unknown"
+					if gr.Origin.Liveness {
+						read, value = fmt.Sprintf("liveness predicate %q of %s", gr.Origin.Key, gr.Target.FQ), "False"
+					}
+					ds = append(ds, analysis.Diagnostic{
+						Severity: analysis.SevError,
+						Pos:      gr.Pos,
+						Msg: read + " is read across locations: over a transport bridge the read evaluates " + value +
+							", so " + what + " can never become definitely true — co-locate the instances or pass the fact by update",
+					})
+				}
+				what = "this condition"
 			}
 		}
 		return ds
 	},
-}
-
-// pollDiag grades one remote-qualified read. guard selects the harsher
-// wording: a poll-bound guard costs scheduler wakeups forever, a body
-// formula only stalls its own firing.
-func pollDiag(ctx *analysis.Context, j *Junction, gr GuardRead, guard bool) []analysis.Diagnostic {
-	o := gr.Origin
-	if o.Junction == "" && !o.Liveness {
-		return nil
-	}
-	here := ctx.Location(j.Info.Inst)
-	cross := false
-	peer := o.Junction
-	if gr.Target != nil {
-		cross = ctx.Location(gr.Target.Inst) != here
-		peer = gr.Target.FQ
-	}
-	what := fmt.Sprintf("proposition %q of %s", o.Key, peer)
-	if o.Liveness {
-		what = fmt.Sprintf("liveness predicate %q of %s", o.Key, peer)
-	}
-	switch {
-	case cross && guard:
-		return []analysis.Diagnostic{{
-			Severity: analysis.SevError,
-			Pos:      gr.Pos,
-			Msg: what + " is read across locations: over a transport bridge the read evaluates " +
-				unknownWord(o) + ", so the guard can never become definitely true — co-locate the instances or pass the fact by update",
-		}}
-	case cross:
-		return []analysis.Diagnostic{{
-			Severity: analysis.SevError,
-			Pos:      gr.Pos,
-			Msg: what + " is read across locations: over a transport bridge the read evaluates " +
-				unknownWord(o) + ", so this condition can never become definitely true — co-locate the instances or pass the fact by update",
-		}}
-	case guard && o.Liveness:
-		return []analysis.Diagnostic{{
-			Severity: analysis.SevWarning,
-			Pos:      gr.Pos,
-			Msg:      "guard reads " + what + ": liveness changes emit no KV updates, so the junction is poll-bound — pace the poll with a backoff if this is a watchdog",
-		}}
-	case guard && gr.Target != nil && gr.Target.Inst != j.Info.Inst:
-		return []analysis.Diagnostic{{
-			Severity: analysis.SevWarning,
-			Pos:      gr.Pos,
-			Msg:      "guard reads " + what + ": keyed subscriptions cannot wake on another instance's table, so the junction is poll-bound — prefer having the peer assert into this junction",
-		}}
-	case guard:
-		return []analysis.Diagnostic{{
-			Severity: analysis.SevWarning,
-			Pos:      gr.Pos,
-			Msg:      "guard reads " + what + ": junction-qualified reads bypass keyed subscriptions, so the junction is poll-bound",
-		}}
-	default:
-		return []analysis.Diagnostic{{
-			Severity: analysis.SevInfo,
-			Pos:      gr.Pos,
-			Msg:      "condition reads " + what + ": re-evaluated by polling, not woken by updates",
-		}}
-	}
-}
-
-// unknownWord names the three-valued outcome a bridged read collapses to:
-// liveness of a non-local instance reads False, table reads read Unknown.
-func unknownWord(o plan.ReadOrigin) string {
-	if o.Liveness {
-		return "False"
-	}
-	return "Unknown"
 }
 
 // Fanouts flags par statements whose arms update several distinct peers.

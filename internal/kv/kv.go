@@ -311,6 +311,13 @@ func NewSubscription(ks *Keys) *Subscription {
 	return &Subscription{ch: make(chan struct{}, 1), keys: ks}
 }
 
+// Share returns a subscription to ks, bound on this table or another, that
+// wakes s's channel, for a holder that waits on several tables at once. Arm
+// each on its keys' table before looking: arming drops a pending wake.
+func (s *Subscription) Share(ks *Keys) *Subscription {
+	return &Subscription{ch: s.ch, keys: ks}
+}
+
 // Arm registers s, which is not armed, with the table: until Unsubscribe, a
 // change to one of its keys wakes it. A wake left from an earlier arming is
 // dropped first, so the holder starts from what the table now reads.

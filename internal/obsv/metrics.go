@@ -144,9 +144,10 @@ type JunctionMetrics struct {
 	RemoteAcked   atomic.Uint64 // this junction's sends acknowledged
 	RemoteBatches atomic.Uint64 // delivery groups absorbed via the batched path
 
-	// Driver wake counters (event = subscription/notify, poll = timer).
+	// Driver wake counters (event = a watched table changed, retry = a retry
+	// after a failed body).
 	WakesEvent atomic.Uint64
-	WakesPoll  atomic.Uint64
+	WakesRetry atomic.Uint64
 
 	// SubWakes counts keyed KV subscription wakes delivered by this
 	// junction's table.
@@ -177,7 +178,7 @@ func (m *JunctionMetrics) reset() {
 	m.RemoteAcked.Store(0)
 	m.RemoteBatches.Store(0)
 	m.WakesEvent.Store(0)
-	m.WakesPoll.Store(0)
+	m.WakesRetry.Store(0)
 	m.SubWakes.Store(0)
 	m.Sched.reset()
 	m.Ack.reset()
@@ -208,7 +209,7 @@ type JunctionSnapshot struct {
 	RemoteBatches uint64
 
 	WakesEvent uint64
-	WakesPoll  uint64
+	WakesRetry uint64
 	SubWakes   uint64
 
 	SchedLatency LatencyQuantiles
@@ -234,7 +235,7 @@ func (m *JunctionMetrics) snapshot() JunctionSnapshot {
 		RemoteAcked:    m.RemoteAcked.Load(),
 		RemoteBatches:  m.RemoteBatches.Load(),
 		WakesEvent:     m.WakesEvent.Load(),
-		WakesPoll:      m.WakesPoll.Load(),
+		WakesRetry:     m.WakesRetry.Load(),
 		SubWakes:       m.SubWakes.Load(),
 		SchedLatency:   m.Sched.digest(),
 		AckLatency:     m.Ack.digest(),

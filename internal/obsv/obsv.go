@@ -77,10 +77,10 @@ const (
 	EvEndpointDown
 	EvTableInit
 
-	// Driver wakes: event (a keyed subscription fired) vs poll (the fallback
-	// timer fired).
+	// Driver wakes: event (a watched table changed) vs retry (a failed body's
+	// retry pause ended).
 	EvDriverWakeEvent
-	EvDriverWakePoll
+	EvDriverWakeRetry
 
 	// EvSubWake: a keyed KV subscription wake was delivered (Key = the
 	// table key that changed).
@@ -147,7 +147,7 @@ var kindNames = map[Kind]string{
 	EvEndpointDown:        "endpoint.down",
 	EvTableInit:           "table.init",
 	EvDriverWakeEvent:     "driver.wake.event",
-	EvDriverWakePoll:      "driver.wake.poll",
+	EvDriverWakeRetry:     "driver.wake.retry",
 	EvSubWake:             "sub.wake",
 	EvCheckEnvInject:      "check.env-inject",
 	EvCheckDeadlock:       "check.deadlock",

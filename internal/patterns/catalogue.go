@@ -158,14 +158,6 @@ func Catalogue() []CatalogueEntry {
 			CostPlacement: map[string]string{FrontEnd: "site", "b1": "site", "b2": "site"},
 			CostPins:      map[string]bool{FrontEnd: true, "b1": true, "b2": true},
 			CostSuppressions: []analysis.Suppression{{
-				Pass:   "costpoll",
-				Match:  "::startup/guard",
-				Reason: "the backend's startup guard reads its own instance's serve table (me::instance::serve), never a remote one; the poll is paced by the junction backoff",
-			}, {
-				Pass:   "costpoll",
-				Match:  "f::c/body[7]",
-				Reason: "the warm-all engage probes each backend's Active/@running state before committing to it; the probes are same-site (placement pins every instance together) and bounded by the engage timeout",
-			}, {
 				Pass:   "costfanout",
 				Match:  "f::c/body[7]",
 				Reason: "engaging every warm replica in parallel is the §7.3 design: the arms must target distinct backends",
@@ -203,7 +195,7 @@ func Catalogue() []CatalogueEntry {
 				PrimaryBackend: true, StandbyBackend: true,
 			},
 			CostVerdict: "findings",
-			CostNote:    "the watchdog junctions are poll-bound on @running by design — crash detection cannot be event-driven (costpoll warnings) — and the backends' Reply mutual-exclusion probes poll the peer's table (§7.4); the findings are the pattern's documented price",
+			CostNote:    "the front sends each request to the primary and the standby in one par (costfanout): two distinct peers by design (§7.4); the watchdogs' @running guards and the backends' Reply probes are same-site reads, woken by the liveness and peer tables they read",
 		},
 	}
 }

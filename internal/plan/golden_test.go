@@ -110,7 +110,7 @@ func dumpAccesses(buf *bytes.Buffer, what string, m map[string][]plan.Access) {
 func readSet(rs plan.ReadSet) string {
 	var os []string
 	for _, o := range rs.Origins {
-		os = append(os, fmt.Sprintf("{%q %q r=%t l=%t i=%q}", o.Key, o.Junction, o.Remote, o.Liveness, o.IdxFamily))
+		os = append(os, fmt.Sprintf("{%q %q r=%t l=%t i=%q}", o.Key, o.Junction, o.Junction != "" || o.Liveness, o.Liveness, o.IdxFamily))
 	}
 	return fmt.Sprintf("props=%v data=%v remote=%t idx=%t origins=[%s]",
 		rs.Props, rs.Data, rs.Remote, rs.Idx, strings.Join(os, " "))

@@ -33,19 +33,17 @@ type ReadSet struct {
 	Props []string
 	// Data are data keys read-waited alongside the formula (wait's n⃗).
 	Data []string
-	// Remote is true when the formula also consults state the local table
-	// cannot observe: junction-qualified propositions or the @running
-	// liveness predicate. Keyed subscriptions cannot wake on those changes,
-	// so schedulers keep a fallback poll for such formulas.
+	// Remote is true when the formula also consults state outside the local
+	// table: junction-qualified propositions or the @running liveness
+	// predicate (Origins says which). The runtime watches those tables and
+	// liveness cells too, so such a formula wakes on their changes as well.
 	Remote bool
 	// Idx is true when the formula reads through an idx variable, i.e. its
 	// concrete keys depend on runtime idx state.
 	Idx bool
 	// Origins records where each read came from, one entry per distinct
 	// (key, qualifier) pair — including the remote-qualified reads that
-	// contribute no Props key. Consumers that only care about
-	// subscription keys can ignore it; the cost analysis uses it to attribute
-	// poll-bound reads to their declaring junction.
+	// contribute no Props key, whose junctions the runtime watches.
 	Origins []ReadOrigin
 }
 
@@ -58,9 +56,6 @@ type ReadOrigin struct {
 	// tokens substituted (Compile rejects a qualifier that names no
 	// junction). Empty for local reads.
 	Junction string
-	// Remote mirrors the ReadSet classification for this one read: true when
-	// the local table's keyed subscriptions cannot observe it.
-	Remote bool
 	// Liveness is true for @-prefixed runtime predicates (@running), which
 	// read scheduler liveness state rather than any table.
 	Liveness bool
@@ -68,10 +63,6 @@ type ReadOrigin struct {
 	// direct reads.
 	IdxFamily string
 }
-
-// LocalOnly reports whether every input of the formula is observable through
-// the local table's keyed subscriptions — the "never poll" case.
-func (rs ReadSet) LocalOnly() bool { return !rs.Remote }
 
 // WriteSet lists the local table keys a statement or a transaction body can
 // modify.
@@ -268,7 +259,7 @@ func FormulaReadSet(j *Junction, f formula.Formula) ReadSet {
 			if q != "" {
 				q = j.Qualifier(q) // "" is an unqualified @-predicate
 			}
-			origin(ReadOrigin{Key: key, Junction: q, Remote: true, Liveness: live})
+			origin(ReadOrigin{Key: key, Junction: q, Liveness: live})
 			continue
 		}
 		keys, idx, _ := j.formulaKeys(p.Name) // Compile rejects an undeclared idx

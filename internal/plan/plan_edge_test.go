@@ -84,7 +84,7 @@ func TestCompileInvariants(t *testing.T) {
 
 // me:: self tokens resolve to concrete local keys at lowering time: a prop
 // family indexed by me::instance reads the local table, so the read-set must
-// stay LocalOnly — only junction-qualified props and @-predicates are Remote.
+// stay local — only junction-qualified props and @-predicates are Remote.
 func TestMeResolvedReadsStayLocal(t *testing.T) {
 	ji := infoOf(t,
 		dsl.Decls(dsl.InitProp{Name: dsl.IndexedName("Init", "me::instance"), Init: false}),
@@ -129,17 +129,17 @@ func TestFormulaReadSetOrigins(t *testing.T) {
 		{
 			name: "junction-qualified",
 			f:    formula.At("other::j", "Work"),
-			want: []plan.ReadOrigin{{Key: "Work", Junction: "other::j", Remote: true}},
+			want: []plan.ReadOrigin{{Key: "Work", Junction: "other::j"}},
 		},
 		{
 			name: "me-qualified",
 			f:    formula.At("me::instance::j", "Work"),
-			want: []plan.ReadOrigin{{Key: "Work", Junction: "a::j", Remote: true}},
+			want: []plan.ReadOrigin{{Key: "Work", Junction: "a::j"}},
 		},
 		{
 			name: "liveness",
 			f:    formula.At("other::j", "@running"),
-			want: []plan.ReadOrigin{{Key: "@running", Junction: "other::j", Remote: true, Liveness: true}},
+			want: []plan.ReadOrigin{{Key: "@running", Junction: "other::j", Liveness: true}},
 		},
 		{
 			name: "idx-family-expanded",
@@ -157,7 +157,7 @@ func TestFormulaReadSetOrigins(t *testing.T) {
 			),
 			want: []plan.ReadOrigin{
 				{Key: "Local"},
-				{Key: "Work", Junction: "other::j", Remote: true},
+				{Key: "Work", Junction: "other::j"},
 			},
 		},
 	}
@@ -177,13 +177,13 @@ func TestFormulaReadSetOrigins(t *testing.T) {
 					t.Fatalf("origin[%d] = %+v, want %+v", i, got[i], want[i])
 				}
 			}
-			// Each origin with a key and no Remote flag must appear in Props.
+			// Each local origin (no junction, no liveness) must appear in Props.
 			keys := map[string]bool{}
 			for _, k := range rs.Props {
 				keys[k] = true
 			}
 			for _, o := range got {
-				if !o.Remote && !keys[o.Key] {
+				if o.Junction == "" && !o.Liveness && !keys[o.Key] {
 					t.Fatalf("local origin %+v missing from Props %v", o, rs.Props)
 				}
 			}

@@ -64,7 +64,7 @@ func TestLocalGuardReadSet(t *testing.T) {
 	if back == nil || back.Guard == nil {
 		t.Fatal("back junction or its guard read-set missing")
 	}
-	if !back.Guard.LocalOnly() {
+	if back.Guard.Remote {
 		t.Fatalf("back guard (local prop Work) classified Remote: %+v", back.Guard)
 	}
 	if len(back.Guard.Props) != 1 || back.Guard.Props[0] != "Work" {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"csaw/internal/compart"
 	"csaw/internal/dsl"
@@ -750,11 +749,10 @@ func (j *Junction) idxProps(idx string, keys []string) map[string]boundProp {
 // compileWait lowers a wait op. What the wait admits is plan's
 // (plan.Admits): bound once when the formula reads no idx variables, taken at
 // wait entry otherwise, over the formula with its idx bindings captured
-// (plan.SubstIdx). The subscription covers the formula's read-set and the
-// waited data keys, so a local-only wait blocks without polling. It belongs
-// to the step, which runs one firing at a time (DESIGN.md, "A compiled step
-// owns its scratch"): each entry re-arms it and each exit disarms it, so a
-// wait allocates none.
+// (plan.SubstIdx). The watch (wake.go) covers the formula's read-set and the
+// waited data keys. It belongs to the step, which runs one firing at a time
+// (DESIGN.md, "A compiled step owns its scratch"): each entry re-arms it and
+// each exit disarms it, so a wait that reads only its own table allocates none.
 func (j *Junction) compileWait(o *plan.Op) step {
 	n := o.Stmt.(dsl.Wait)
 	wp := *o.Wait
@@ -765,7 +763,7 @@ func (j *Junction) compileWait(o *plan.Op) step {
 		eval = j.compileFormula(n.Cond)
 		admit = j.table.Bind(wp.Admit.Props, wp.Admit.Data)
 	}
-	sub := kv.NewSubscription(j.table.Bind(wp.Reads.Props, wp.Reads.Data))
+	w := j.newWatch(j.table.Bind(wp.Reads.Props, wp.Reads.Data), &wp.Reads)
 	return func(ctx context.Context) (plan.Signal, error) {
 		ks := admit
 		ev := eval
@@ -777,29 +775,20 @@ func (j *Junction) compileWait(o *plan.Op) step {
 		}
 		handle := j.table.BeginWait(ks)
 		defer j.table.EndWait(handle)
-		j.table.Arm(sub)
-		defer j.table.Unsubscribe(sub)
+		w.arm(j)
+		defer w.disarm(j)
 		armed := j.noteWaitArmed(condText)
 		for {
 			if ev() == formula.True {
 				j.noteWaitAdmitted(condText, armed)
 				return plan.SigNone, nil
 			}
-			if wp.Reads.Remote {
-				select {
-				case <-ctx.Done():
-					j.noteWaitTimeout(condText)
-					return plan.SigNone, fmt.Errorf("%w: wait %s", ErrTimeout, n.Cond)
-				case <-sub.Ch():
-				case <-time.After(j.sys.opts.Poll):
-				}
-			} else {
-				select {
-				case <-ctx.Done():
-					j.noteWaitTimeout(condText)
-					return plan.SigNone, fmt.Errorf("%w: wait %s", ErrTimeout, n.Cond)
-				case <-sub.Ch():
-				}
+			select {
+			case <-ctx.Done():
+				j.noteWaitTimeout(condText)
+				return plan.SigNone, fmt.Errorf("%w: wait %s", ErrTimeout, n.Cond)
+			case <-w.ch():
+				w.woke(j)
 			}
 		}
 	}
@@ -880,37 +869,36 @@ func (j *Junction) compileProp(p formula.Prop) func() formula.Truth {
 	// of the program (plan.Compile rejects a qualifier that names none).
 	inst, jn, _ := strings.Cut(j.pj.Qualifier(p.Junction), "::")
 	isRunning := p.Name == dsl.RunningProp
-	var resolveName func() (string, bool)
-	if base, idxVar, idxed := dsl.SplitIdxProp(p.Name); idxed {
-		// Only the precomputed keys are used: the cells belong to the other
-		// junction, and which incarnation of it answers can change between
-		// evaluations (migration), so that read stays by name.
-		keys, _ := j.pj.Family(base, idxVar)
-		byElem := j.idxProps(idxVar, keys)
-		resolveName = func() (string, bool) {
-			elem, err := j.Idx(idxVar)
-			return byElem[elem].name, err == nil
-		}
-	} else {
-		name := j.pj.ResolveName(p.Name)
-		resolveName = func() (string, bool) { return name, true }
+	away := formula.Unknown // what the read gives while other is down or elsewhere
+	if isRunning {
+		away = formula.False
+	}
+	name, idxVar := j.pj.ResolveName(p.Name), ""
+	var byElem map[string]boundProp
+	if base, v, idxed := dsl.SplitIdxProp(p.Name); idxed {
+		// Only the precomputed keys are used: the cells belong to whichever
+		// incarnation of the other junction answers (migration), so the read
+		// stays by name.
+		keys, _ := j.pj.Family(base, v)
+		byElem, idxVar = j.idxProps(v, keys), v
 	}
 	return func() formula.Truth {
 		other := j.sys.junctionQuiet(inst, jn)
 		if other == nil || !other.inst.running.Load() || !j.sys.deploy.colocated(j.inst.Name, inst) {
-			if isRunning {
-				return formula.False
-			}
-			return formula.Unknown
+			return away
 		}
 		if isRunning {
 			return formula.True
 		}
-		name, ok := resolveName()
-		if !ok {
-			return formula.Unknown
+		key := name
+		if idxVar != "" {
+			elem, err := j.Idx(idxVar)
+			if err != nil {
+				return formula.Unknown
+			}
+			key = byElem[elem].name
 		}
-		v, err := other.table.Prop(name)
+		v, err := other.table.Prop(key)
 		if err != nil {
 			return formula.Unknown
 		}

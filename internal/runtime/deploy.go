@@ -214,9 +214,10 @@ func (d *Deployment) setLoc(inst, loc string) {
 }
 
 // colocated reports whether two instances currently share a location. Its one
-// caller, compileProp, uses it to keep a qualified read of a junction at
-// another location Unknown and its @running False: a formula cannot read
-// another machine's table in process.
+// caller, compileProp, keeps a qualified read of a junction at another
+// location Unknown and its @running False, as on two machines; the reader's
+// watch stays armed on that table (wake.go), so a migration that joins them
+// wakes it.
 func (d *Deployment) colocated(a, b string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

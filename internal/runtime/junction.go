@@ -352,19 +352,19 @@ func (j *Junction) startDriver() {
 	go j.runDriverEvent(root, stop)
 }
 
-// runDriverEvent schedules on keyed wakes: the driver subscribes to the
-// guard's read-set and blocks until one of those keys changes. The poll
-// timer survives only as a fallback, armed when the guard consults remote
-// state the local table cannot observe, or after a body failure (so crash
-// loops keep retrying and transient remote failures recover).
+// retryPause paces a driver's next scheduling after a failed body, which
+// may succeed again although nothing its guard reads changed: a crash loop
+// keeps retrying, and a transient remote failure recovers.
+const retryPause = 2 * time.Millisecond
+
+// runDriverEvent schedules on wakes: the driver watches every table the
+// guard reads (wake.go) and blocks until one of them changes, or, after a
+// failed body, until retryPause has passed.
 func (j *Junction) runDriverEvent(ctx context.Context, stop <-chan struct{}) {
 	defer j.driverWG.Done()
-	rs := j.comp.guardRS
-	sub := kv.NewSubscription(j.comp.guardKeys)
-	j.table.Arm(sub)
-	defer j.table.Unsubscribe(sub)
-	timer := time.NewTimer(j.sys.opts.Poll)
-	defer timer.Stop()
+	w := j.newWatch(j.comp.guardKeys, j.comp.guardRS)
+	w.arm(j)
+	defer w.disarm(j)
 	for {
 		select {
 		case <-stop:
@@ -384,52 +384,31 @@ func (j *Junction) runDriverEvent(ctx context.Context, stop <-chan struct{}) {
 			// with it: neither is a failure of the body.
 			return
 		}
-		notSched := errors.Is(err, ErrNotSchedulable)
-		if !notSched && !errors.Is(err, ErrNotRunning) {
-			// A failed scheduling must not kill the junction: record and go on.
-			j.sys.noteDriverError(j.FQName, err)
-		}
-		if rs.Remote || !notSched {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		var retry <-chan time.Time // nil, and never ready, unless the body failed
+		if !errors.Is(err, ErrNotSchedulable) {
+			if !errors.Is(err, ErrNotRunning) {
+				// A failed scheduling must not kill the junction: record and go on.
+				j.sys.noteDriverError(j.FQName, err)
 			}
-			timer.Reset(j.sys.opts.Poll)
-			select {
-			case <-stop:
-				return
-			case <-sub.Ch():
-				j.noteWake(true)
-			case <-timer.C:
-				j.noteWake(false)
-			}
-			continue
+			retry = time.After(retryPause)
 		}
-		// Local-only guard, not schedulable: pure event wait — no polling.
 		select {
 		case <-stop:
 			return
-		case <-sub.Ch():
-			j.noteWake(true)
+		case <-w.ch():
+			j.noteWake(obsv.EvDriverWakeEvent, &j.met.WakesEvent)
+			w.woke(j)
+		case <-retry:
+			j.noteWake(obsv.EvDriverWakeRetry, &j.met.WakesRetry)
 		}
 	}
 }
 
-// noteWake records one driver wake-up: event-driven (a subscription
-// delivery) or poll-driven (the fallback timer).
-func (j *Junction) noteWake(event bool) {
-	if event {
-		j.met.WakesEvent.Add(1)
-	} else {
-		j.met.WakesPoll.Add(1)
-	}
+// noteWake records one driver wake-up of kind k, counted in n: a watched
+// table changed (event), or a failed body's retryPause ended (retry).
+func (j *Junction) noteWake(k obsv.Kind, n *atomic.Uint64) {
+	n.Add(1)
 	if j.sys.obs.Tracing() {
-		k := obsv.EvDriverWakePoll
-		if event {
-			k = obsv.EvDriverWakeEvent
-		}
 		j.sys.obs.Emit(obsv.Event{Kind: k, Junction: j.FQName})
 	}
 }
@@ -527,7 +506,7 @@ type DriverError struct {
 }
 
 // driverLogCap bounds the driver error log: a crash-looping junction retries
-// every poll interval and must not grow the log without bound. The
+// every retryPause and must not grow the log without bound. The
 // per-junction latest-error map is unaffected by the cap.
 const driverLogCap = 256
 

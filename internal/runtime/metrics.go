@@ -45,8 +45,8 @@ func (m Metrics) Render(w io.Writer) {
 			j.Schedulings, j.Fires, j.NotSchedulable, j.Errors, j.Retries)
 		fmt.Fprintf(w, "  txn: commits=%d rollbacks=%d  wait: armed=%d admitted=%d timed-out=%d\n",
 			j.TxnCommits, j.TxnRollbacks, j.WaitsArmed, j.WaitsAdmitted, j.WaitsTimedOut)
-		fmt.Fprintf(w, "  remote: queued=%d applied=%d acked=%d batches=%d  wakes: event=%d poll=%d sub=%d\n",
-			j.RemoteQueued, j.RemoteApplied, j.RemoteAcked, j.RemoteBatches, j.WakesEvent, j.WakesPoll, j.SubWakes)
+		fmt.Fprintf(w, "  remote: queued=%d applied=%d acked=%d batches=%d  wakes: event=%d retry=%d sub=%d\n",
+			j.RemoteQueued, j.RemoteApplied, j.RemoteAcked, j.RemoteBatches, j.WakesEvent, j.WakesRetry, j.SubWakes)
 		if q := j.SchedLatency; q.Count > 0 {
 			fmt.Fprintf(w, "  latency: n=%d mean=%v p50=%v p95=%v p99=%v max=%v\n",
 				q.Count, q.Mean, q.P50, q.P95, q.P99, q.Max)

@@ -278,10 +278,15 @@ func TestAbandonReachesNestedOtherwise(t *testing.T) {
 
 // TestDeadlineExpiryRacingDisarm runs firings whose try takes about t, so
 // the timer fires just before, during or just after the disarm. Each firing
-// must begin with a live deadline (its first statement runs) and end exactly
-// one way: the try finished, or a handler ran. In the nested case the inner
-// scope's t is longer, so only the outer expiry ends it: the parent's cancel
-// races the child's disarm, and a child it reached must not be re-armed.
+// must begin with a live deadline and end exactly one way: the try finished,
+// or a handler ran. In the nested case the inner scope's t is longer, so only
+// the outer expiry ends it: the parent's cancel races the child's disarm, and
+// a child it reached must not be re-armed.
+//
+// A firing whose first statement never ran began with its deadline ended. On
+// a loaded host that can be a late start: the goroutine got no CPU until t had
+// passed. A stale deadline, one a firing re-armed after it ended, ends sooner:
+// its handler runs before t has passed since Invoke began, and that fails.
 func TestDeadlineExpiryRacingDisarm(t *testing.T) {
 	const timeout = 2 * time.Millisecond
 	const rounds = 300
@@ -292,6 +297,8 @@ func TestDeadlineExpiryRacingDisarm(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var began, finished, innerHandled, outerHandled atomic.Int32
+			epoch := time.Now()
+			var handledAt atomic.Int64 // when the last outer handler ran, since epoch
 			rng := rand.New(rand.NewSource(1))
 			var try dsl.Expr = dsl.Seq{
 				dsl.Host{Label: "begin", Fn: func(dsl.HostCtx) error { began.Add(1); return nil }},
@@ -306,20 +313,29 @@ func TestDeadlineExpiryRacingDisarm(t *testing.T) {
 					dsl.Host{Label: "inner", Fn: func(dsl.HostCtx) error { innerHandled.Add(1); return nil }})
 			}
 			s := oneJunction(t, dsl.Def(nil, dsl.OtherwiseT(try, timeout,
-				dsl.Host{Label: "outer", Fn: func(dsl.HostCtx) error { outerHandled.Add(1); return nil }})))
+				dsl.Host{Label: "outer", Fn: func(dsl.HostCtx) error {
+					handledAt.Store(int64(time.Since(epoch)))
+					outerHandled.Add(1)
+					return nil
+				}})))
+			late := int32(0) // firings that started after their t had passed
 			for i := 1; i <= rounds; i++ {
+				invoked := time.Since(epoch)
 				if err := s.Invoke(context.Background(), "i", "j"); err != nil {
 					t.Fatalf("firing %d: %v", i, err)
 				}
-				if began.Load() != int32(i) {
-					t.Fatalf("firing %d began with its deadline already ended", i)
+				if began.Load() != int32(i)-late {
+					if ended := time.Duration(handledAt.Load()) - invoked; ended < timeout {
+						t.Fatalf("firing %d began with its deadline already ended: its handler ran %v after Invoke began, within its %v", i, ended, timeout)
+					}
+					late++
 				}
 				if n := finished.Load() + innerHandled.Load() + outerHandled.Load(); n != int32(i) {
 					t.Fatalf("after %d firings: %d finished, %d inner and %d outer handlers ran",
 						i, finished.Load(), innerHandled.Load(), outerHandled.Load())
 				}
 			}
-			t.Logf("%d finished, %d inner and %d outer handlers ran", finished.Load(), innerHandled.Load(), outerHandled.Load())
+			t.Logf("%d finished, %d inner and %d outer handlers ran, %d firings started late", finished.Load(), innerHandled.Load(), outerHandled.Load(), late)
 		})
 	}
 }

@@ -95,7 +95,7 @@ func BenchmarkSchedulingObsvOn(b *testing.B) {
 
 // BenchmarkGuardWakeEvent measures injection-to-body latency of a guarded
 // junction's driver on the keyed subscription path (TestLocalGuardWakesWithoutPoll
-// pins that the driver never arms the poll timer at all for local guards).
+// pins its latency bound).
 func BenchmarkGuardWakeEvent(b *testing.B) {
 	ran := make(chan struct{}, 1)
 	p := dsl.NewProgram()
@@ -108,7 +108,7 @@ func BenchmarkGuardWakeEvent(b *testing.B) {
 	).Guarded(formula.P("Work")))
 	p.Instance("w", "tau")
 	p.SetMain(dsl.Start{Instance: "w"})
-	s, err := New(p, Options{Poll: 5 * time.Millisecond})
+	s, err := New(p, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,9 +40,6 @@ type Options struct {
 	// AckTimeout bounds how long a remote update waits for its delivery
 	// acknowledgment when no otherwise[t] deadline is in force.
 	AckTimeout time.Duration
-	// Poll is the driver loop's fallback wake interval, needed for guards
-	// that reference remote junction state.
-	Poll time.Duration
 	// Trace installs a structured trace sink (internal/obsv): every
 	// scheduling decision, guard evaluation, transaction outcome, wait
 	// transition, remote-update hop and instance lifecycle event is emitted
@@ -60,15 +57,6 @@ type Options struct {
 	// counterexample replay (internal/check) depends on this — a driver racing
 	// the replayed schedule would perturb the very interleaving under test.
 	DisableDrivers bool
-}
-
-func (o *Options) fill() {
-	if o.AckTimeout <= 0 {
-		o.AckTimeout = time.Second
-	}
-	if o.Poll <= 0 {
-		o.Poll = 2 * time.Millisecond
-	}
 }
 
 // System is a running C-Saw program.
@@ -91,6 +79,11 @@ type System struct {
 	mu        sync.Mutex
 	instances atomic.Pointer[map[string]*Instance]
 	apps      map[string]any
+
+	// live holds one proposition per declared instance, true while it runs,
+	// set after a start is published and at a stop or crash: the cell a
+	// formula naming the instance watches (wake.go).
+	live *kv.Table
 
 	// Ack plumbing: one window per directed (sender,receiver) junction pair,
 	// acknowledged cumulatively.
@@ -138,7 +131,9 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.fill()
+	if opts.AckTimeout <= 0 {
+		opts.AckTimeout = time.Second
+	}
 	dep := opts.Deploy
 	if dep == nil {
 		dep = NewDeployment().AddLocation("local", compart.NewNetwork(1))
@@ -150,7 +145,11 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		plan:    pp,
 		obs:     obsv.NewObserver(),
 		apps:    map[string]any{},
+		live:    kv.NewTable(),
 		windows: map[pairKey]*ackWindow{},
+	}
+	for name := range p.Instances {
+		s.live.DeclareProp(name, false)
 	}
 	s.instances.Store(&map[string]*Instance{})
 	if err := dep.bind(s); err != nil {
@@ -337,6 +336,7 @@ func (s *System) startLocked(name string, args any) error {
 	insts := maps.Clone(s.instanceMap())
 	insts[name] = inst
 	s.instances.Store(&insts)
+	s.live.PropCell(name).Set(true)
 	// Junctions are started concurrently in an arbitrary order (paper §6):
 	// guarded junctions get driver loops; unguarded junctions are scheduled
 	// by application logic through Invoke.
@@ -356,6 +356,7 @@ func (s *System) StopInstance(name string) error {
 		return fmt.Errorf("%w: %q", ErrNotRunning, name)
 	}
 	inst.running.Store(false)
+	s.live.PropCell(name).Set(false)
 	for _, j := range inst.junctionMap() {
 		fq := j.FQName
 		s.deploy.eachNet(func(n *compart.Network) { n.Deregister(fq) })
@@ -385,6 +386,7 @@ func (s *System) CrashInstance(name string) {
 		return
 	}
 	inst.running.Store(false)
+	s.live.PropCell(name).Set(false)
 	tracing := s.obs.Tracing()
 	if tracing {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvInstanceCrash, Junction: name})
@@ -473,8 +475,8 @@ func (s *System) Invoke(ctx context.Context, instance, junction string) error {
 }
 
 // InvokeWhenReady blocks until the junction's guard is true (or ctx ends),
-// then schedules it. It subscribes to the guard's read-set and wakes only when
-// one of those keys changes — with no polling at all for local-only guards.
+// then schedules it. It watches every table the guard reads (wake.go) and
+// wakes only when one of them changes.
 func (s *System) InvokeWhenReady(ctx context.Context, instance, junction string) error {
 	for {
 		err := s.invokeWhenReadyOnce(ctx, instance, junction)
@@ -496,25 +498,21 @@ func (s *System) invokeWhenReadyOnce(ctx context.Context, instance, junction str
 		// No guard, so nothing to wait for: one scheduling.
 		return j.Schedule(ctx)
 	}
-	// Subscribe before the first guard check so a wake racing the check is
-	// retained in the subscription's buffer, never lost.
-	sub := kv.NewSubscription(j.comp.guardKeys)
-	j.Table().Arm(sub)
-	defer j.Table().Unsubscribe(sub)
-	var poll <-chan time.Time // stays nil, and never fires, for a local-only guard
+	// Arm before the first guard check so a wake racing the check is
+	// retained in the channel's buffer, never lost.
+	w := j.newWatch(j.comp.guardKeys, j.comp.guardRS)
+	w.arm(j)
+	defer w.disarm(j)
 	for {
 		err := j.Schedule(ctx)
 		if !errors.Is(err, ErrNotSchedulable) {
 			return err
 		}
-		if !j.comp.guardRS.LocalOnly() {
-			poll = time.After(s.opts.Poll)
-		}
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("%w: %w", ErrTimeout, ctx.Err())
-		case <-sub.Ch():
-		case <-poll:
+		case <-w.ch():
+			w.woke(j)
 		}
 	}
 }
