@@ -41,6 +41,12 @@ const (
 
 // Update is one remote modification pushed at this table by another
 // junction's assert/retract/write statement.
+//
+// Data is lent to Enqueue and EnqueueBatch for the call, as a compart.Message
+// payload is lent to its handler: the table copies what it keeps, into
+// buffers of its own, and the caller may reuse the slice once the call
+// returns. An Update the table hands out (TableState.Pending, PendingSince)
+// carries a copy of its own.
 type Update struct {
 	Kind UpdateKind
 	Key  string
@@ -67,15 +73,77 @@ type cell struct {
 	name string
 	b    atomic.Bool // the value of a proposition
 	d    Value       // the slot of a data variable; guarded by t.mu
+
+	// A data variable's storage, guarded by t.mu. owned is set when d.Data
+	// is a buffer the table copied into, which it may rewrite; a slice a
+	// local write adopted is the host's and is never written into. spare is
+	// an owned buffer the value no longer uses, kept for the next queued
+	// copy to the name: one per cell.
+	owned bool
+	spare []byte
+	// loans counts the DataCell.Ref borrowers of d.Data: raised under t.mu,
+	// dropped by DataCell.Release without it. A buffer lent when the value
+	// is replaced is neither rewritten nor kept.
+	loans atomic.Int32
 }
 
-// storeLocked gives the cell the value a remote update carries.
-func (c *cell) storeLocked(u Update) {
+// keepData is the largest buffer a cell keeps for reuse once its value is
+// replaced, as the transport keeps its send and outbound buffers: a burst of
+// large values must not pin their size on every quiet period after.
+const keepData = 64 << 10
+
+// fill returns src's bytes in buf when buf may keep them, in a new buffer
+// when it is too small or too large to keep.
+func fill(buf, src []byte) []byte {
+	if cap(buf) > keepData {
+		buf = nil
+	}
+	return append(buf[:0], src...)
+}
+
+// admitLocked gives the cell the value a remote update carries, admitted by
+// a blocked wait. The update's data is lent: it is copied into the cell's
+// own buffer when nobody borrows it, else into the spare or a new one.
+func (c *cell) admitLocked(u Update) {
+	switch {
+	case c.kind == UpdateProp:
+		c.b.Store(u.Bool)
+	case c.owned && c.loans.Load() == 0:
+		c.d = Value{Defined: true, Data: fill(c.d.Data, u.Data)}
+	default:
+		c.setLocked(Value{Defined: true, Data: fill(c.takeSpareLocked(), u.Data)}, true)
+	}
+}
+
+// applyLocked gives the cell the value of a queued update, whose data the
+// queue copied: its buffer passes to the cell.
+func (c *cell) applyLocked(u Update) {
 	if c.kind == UpdateProp {
 		c.b.Store(u.Bool)
 	} else {
-		c.d = Value{Defined: true, Data: u.Data}
+		c.setLocked(Value{Defined: true, Data: u.Data}, true)
 	}
+}
+
+// setLocked replaces a data variable's value. The buffer it replaces becomes
+// the spare when the table owns it, nobody borrows it, it is small enough to
+// keep and there is no spare yet.
+func (c *cell) setLocked(v Value, owned bool) {
+	if c.owned && c.spare == nil && c.d.Data != nil && cap(c.d.Data) <= keepData && c.loans.Load() == 0 {
+		c.spare = c.d.Data[:0]
+	}
+	c.d, c.owned = v, owned
+}
+
+// takeSpareLocked hands the spare out; nil when there is none, and for the
+// nil cell of a name the table does not declare.
+func (c *cell) takeSpareLocked() []byte {
+	if c == nil {
+		return nil
+	}
+	b := c.spare
+	c.spare = nil
+	return b
 }
 
 // PropCell is a declared proposition's cell, as Table.PropCell hands it to a
@@ -136,14 +204,25 @@ func (c *PropCell) Swap(v bool) PropUndo {
 // value is wider than a word, so reads take the table lock too.
 type DataCell cell
 
-// Ref returns the table's own bytes of the bound variable, without the copy
-// Get makes: the caller must treat them as read-only, because writing through
-// them would mutate table state without the lock.
+// Ref lends the table's own bytes of the bound variable, without the copy
+// Get makes. The caller treats them as read-only and calls Release once it
+// no longer reads them — after a sink's call, after a group's encoding. A
+// successful Ref raises the cell's loan count, and until the matching
+// Release the table rewrites no buffer of the variable's: a value stored
+// meanwhile goes to another buffer, and the lent one is not kept. A Ref that
+// fails lends nothing and needs no Release.
 func (c *DataCell) Ref() ([]byte, error) {
 	c.t.mu.Lock()
 	defer c.t.mu.Unlock()
-	return (*cell)(c).refLocked()
+	b, err := (*cell)(c).refLocked()
+	if err == nil {
+		c.loans.Add(1)
+	}
+	return b, err
 }
+
+// Release ends a loan Ref began. It takes no lock.
+func (c *DataCell) Release() { c.loans.Add(-1) }
 
 func (c *cell) refLocked() ([]byte, error) {
 	if !c.d.Defined {
@@ -152,11 +231,12 @@ func (c *cell) refLocked() ([]byte, error) {
 	return c.d.Data, nil
 }
 
-// Get is Table.Data on the bound variable.
-func (c *DataCell) Get() ([]byte, error) { return owned(c.Ref()) }
-
-// owned turns a Ref result into a Get result: a copy the caller owns.
-func owned(b []byte, err error) ([]byte, error) {
+// Get is Table.Data on the bound variable: a copy the caller owns, made
+// under the lock, so it lends nothing.
+func (c *DataCell) Get() ([]byte, error) {
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
+	b, err := (*cell)(c).refLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +245,8 @@ func owned(b []byte, err error) ([]byte, error) {
 	return cp, nil
 }
 
-// Set is Table.SetData on the bound variable.
+// Set is Table.SetData on the bound variable. The table adopts data, which
+// stays the caller's: it is never written into.
 func (c *DataCell) Set(data []byte) {
 	t := c.t
 	t.mu.Lock()
@@ -400,7 +481,7 @@ func (t *Table) DeclareProp(name string, init bool) {
 func (t *Table) DeclareData(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.declareLocked(UpdateData, name).d = Value{}
+	t.declareLocked(UpdateData, name).setLocked(Value{}, false)
 }
 
 // index returns the name→cell map of one kind (nil, which resolves no name,
@@ -537,7 +618,8 @@ func (t *Table) Defined(name string) bool {
 }
 
 // SetData performs a *local* save. Per the local-priority rule it discards
-// pending remote updates to the same key.
+// pending remote updates to the same key. The table adopts data without
+// copying it and never writes into it.
 func (t *Table) SetData(name string, data []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -550,7 +632,7 @@ func (t *Table) SetData(name string, data []byte) error {
 }
 
 func (t *Table) setDataLocked(c *cell, data []byte) {
-	c.d = Value{Defined: true, Data: data}
+	c.setLocked(Value{Defined: true, Data: data}, false)
 	t.afterLocalWriteLocked(c, nil)
 }
 
@@ -578,6 +660,11 @@ func (t *Table) dropPendingLocked(kind UpdateKind, name string, dropped *[]Updat
 // of both. Only that adjacent entry merges, so an interleaving of keys stays
 // in the queue as it arrived.
 //
+// u.Data is lent. Admitted, it is copied into the cell's storage; queued, into
+// the entry's: a new entry takes the cell's spare, a coalesced one rewrites
+// the buffer it holds. Either way a delivered write allocates only while the
+// cell has not yet grown the buffers it cycles through.
+//
 // Coalescing is sound because the queue means, per key, only whether the key
 // has entries and what its last one holds: a drain applies every entry under
 // t.mu, leaving each key its last entry's value; a local write, keep or
@@ -594,13 +681,20 @@ func (t *Table) deliverLocked(u Update, n int) *cell {
 	u.n = uint32(n)
 	c := t.index(u.Kind)[u.Key]
 	if c != nil && t.admittedLocked(c) {
-		c.storeLocked(u)
+		c.admitLocked(u)
 		return c
 	}
 	if last := len(t.pending) - 1; last >= 0 && t.pending[last].Kind == u.Kind && t.pending[last].Key == u.Key {
-		u.n += t.pending[last].n
-		t.pending[last] = u
+		p := &t.pending[last]
+		if u.Kind == UpdateData {
+			u.Data = fill(p.Data, u.Data)
+		}
+		u.n += p.n
+		*p = u
 	} else {
+		if u.Kind == UpdateData {
+			u.Data = fill(c.takeSpareLocked(), u.Data)
+		}
 		t.setPendingLocked(append(t.pending, u))
 	}
 	return c
@@ -614,7 +708,8 @@ func (t *Table) setPendingLocked(p []Update) {
 
 // Enqueue delivers a remote update. If the junction is currently blocked in
 // a wait whose admission set covers the update, the update is applied
-// immediately; otherwise it queues until the next scheduling. Keyed
+// immediately; otherwise it queues until the next scheduling. u.Data is lent
+// for the call: the table copies it into storage it owns and reuses. Keyed
 // subscribers of the key are woken either way: a queued update becomes
 // visible at the junction's next ApplyPending, so a guard watcher must
 // re-evaluate (which is what triggers that scheduling).
@@ -633,7 +728,9 @@ func (t *Table) Enqueue(u Update) {
 // the one whose value the run leaves, is stored or queued. Keyed subscribers
 // are woken once per distinct key instead of once per update — the
 // subscription-wake sweep cost of absorbing a batch is bounded by its key
-// set, not its length. It reports whether it woke any subscriber.
+// set, not its length. It reports whether it woke any subscriber. The
+// updates' data is lent for the call, as to Enqueue, and only a run's last
+// update is copied.
 func (t *Table) EnqueueBatch(us []Update) bool {
 	if len(us) == 0 {
 		return false
@@ -686,7 +783,7 @@ func (t *Table) EnqueueBatch(us []Update) bool {
 // an update to an undeclared name changes nothing.
 func (t *Table) applyLocked(u Update) {
 	if c := t.index(u.Kind)[u.Key]; c != nil {
-		c.storeLocked(u)
+		c.applyLocked(u)
 		t.wakeLocked(c)
 	}
 }
@@ -847,7 +944,7 @@ func (t *Table) restorePropLocked(name string, v bool) {
 
 func (t *Table) restoreDataLocked(name string, v Value) {
 	if c := t.data[name]; c != nil {
-		c.d = copyValue(v)
+		c.setLocked(copyValue(v), true)
 		t.wakeLocked(c)
 	}
 }

@@ -54,7 +54,8 @@ func (t *Table) SnapshotAll() TableState {
 // arrival number into that entry, so it is found too. The result is exact
 // only while nothing has drained, kept or locally overwritten the queue since
 // the export — the migration quiesce holding the junction's schedMu
-// guarantees that.
+// guarantees that. The updates carry copies of their data: a queued entry's
+// buffer is the table's, rewritten when a later delivery coalesces into it.
 func (t *Table) PendingSince(st TableState) []Update {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -65,7 +66,13 @@ func (t *Table) PendingSince(st TableState) []Update {
 	if i == len(t.pending) {
 		return nil
 	}
-	return append([]Update(nil), t.pending[i:]...)
+	out := append([]Update(nil), t.pending[i:]...)
+	for k := range out {
+		if out[k].Data != nil {
+			out[k].Data = append([]byte(nil), out[k].Data...)
+		}
+	}
+	return out
 }
 
 // RestoreAll installs an exported state: every value st carries and the
@@ -85,7 +92,7 @@ func (t *Table) RestoreAll(st TableState) {
 		t.declareLocked(UpdateProp, k).b.Store(v)
 	}
 	for k, v := range st.Data {
-		t.declareLocked(UpdateData, k).d = copyValue(v)
+		t.declareLocked(UpdateData, k).setLocked(copyValue(v), true)
 	}
 	pending := t.pending[:0]
 	for _, u := range st.Pending {

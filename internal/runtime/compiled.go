@@ -195,14 +195,17 @@ func (j *Junction) compileOp(o *plan.Op) step {
 		return func(context.Context) (plan.Signal, error) {
 			// The sink borrows the table's own bytes for the call
 			// (dsl.SinkFunc): read-only, and copied by a sink that keeps them.
+			// The loan ends with the call, so the table rewrites no buffer the
+			// sink reads.
 			payload, err := cell.Ref()
 			if err != nil {
 				return plan.SigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 			}
-			if n.Into == nil {
-				return plan.SigNone, nil
+			if n.Into != nil {
+				err = n.Into(hc, payload)
 			}
-			if err := n.Into(hc, payload); err != nil {
+			cell.Release()
+			if err != nil {
 				return plan.SigNone, fmt.Errorf("restore %s: %w", n.Data, err)
 			}
 			return plan.SigNone, nil
@@ -587,6 +590,7 @@ func (r *updateRun) run(ctx context.Context) error {
 				// The deadline passed between two groups, where it would
 				// have stopped the sequence before statement k began.
 				j.table.UndoProp(m.undo)
+				m.up.release()
 				return fmt.Errorf("%w: %w", ErrTimeout, cerr)
 			}
 		}
@@ -622,21 +626,22 @@ func (j *Junction) compileWrite(o *plan.Op) updateArm {
 	resolveTo := j.compileTarget(o)
 	cell := j.table.DataCell(data) // declared: Compile rejects undeclared data
 	return func(m *armedUpdate) error {
-		// The table's internal slice is safe here: sendGroup encodes the
-		// payload into its group buffer before handing it off, and the step
-		// clears its slots when the firing ends.
+		// The table's own bytes, borrowed: sendGroup encodes the payload
+		// into its group buffer and ends the loan before handing the group
+		// off. An arm that fails holds no loan.
 		payload, err := cell.Ref()
 		if err != nil {
 			return fmt.Errorf("write %s: %w", data, err)
 		}
 		to, err := resolveTo()
+		if err == nil && to == j.FQName {
+			err = fmt.Errorf("runtime: %s: write to self", j.FQName)
+		}
 		if err != nil {
+			cell.Release()
 			return err
 		}
-		if to == j.FQName {
-			return fmt.Errorf("runtime: %s: write to self", j.FQName)
-		}
-		m.to, m.up = to, remoteUpdate{kind: compart.KindData, key: data, payload: payload}
+		m.to, m.up = to, remoteUpdate{kind: compart.KindData, key: data, payload: payload, lent: cell}
 		return nil
 	}
 }

@@ -641,7 +641,8 @@ func (j *Junction) InjectProp(name string, value bool) {
 }
 
 // InjectData delivers externally-originated named data, as a remote write
-// would.
+// would. The payload is lent for the call: the table keeps a copy of its
+// own, and the caller may overwrite the slice once InjectData returns.
 func (j *Junction) InjectData(name string, payload []byte) {
 	j.table.Enqueue(kv.Update{Kind: kv.UpdateData, Key: name, Data: payload, From: "external"})
 }

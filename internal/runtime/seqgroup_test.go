@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,14 +217,27 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 // for a par. A sequence adds a fate to check: when the deadline wins, the
 // group failed at its first member, so the second member's local half must be
 // gone; when the ack wins, both stand.
+//
+// A firing whose try only began after its t had passed — the goroutine held
+// off a processor between arming the deadline and the try's first step, as
+// TestDeadlineExpiryRacingDisarm also sees — finds its deadline over, so the
+// group is never formed and neither local half is applied. That is a late
+// start, not a wrong fate, when the handler ran at least t after Invoke
+// began; one that ran sooner had a deadline that ended early, and fails the
+// test.
 func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 	const timeout = 4 * time.Millisecond
+	epoch := time.Now()
+	var handledAt atomic.Int64 // when the last handler ran, since epoch
 	p := groupProgram(dsl.Decls(dsl.InitProp{Name: "Late", Init: false}, dsl.InitProp{Name: "U", Init: false}, dsl.InitProp{Name: "W", Init: false}),
 		dsl.Retract{Prop: dsl.PR("Late")}, dsl.Retract{Prop: dsl.PR("U")}, dsl.Retract{Prop: dsl.PR("W")},
 		dsl.OtherwiseT(
 			dsl.Seq{dsl.Assert{Target: g(1), Prop: dsl.PR("U")}, dsl.Assert{Target: g(1), Prop: dsl.PR("W")}},
 			timeout,
-			dsl.Assert{Prop: dsl.PR("Late")},
+			dsl.Seq{
+				dsl.Host{Label: "handled", Fn: func(dsl.HostCtx) error { handledAt.Store(int64(time.Since(epoch))); return nil }},
+				dsl.Assert{Prop: dsl.PR("Late")},
+			},
 		))
 	s := mustSystem(t, p, Options{AckTimeout: 5 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -233,16 +247,22 @@ func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 	}
 	s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: timeout / 2})
 	tb := s.junctionQuiet("f", "j").Table()
-	late := 0
+	late, lateStarts := 0, 0
 	const rounds = 60
 	for i := 0; i < rounds; i++ {
+		invoked := time.Since(epoch)
 		if err := s.Invoke(ctx, "f", "j"); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		isLate, _ := tb.Prop("Late")
 		u, _ := tb.Prop("U")
 		w, _ := tb.Prop("W")
-		if !u || w == isLate {
+		if isLate && !u && !w {
+			if ended := time.Duration(handledAt.Load()) - invoked; ended < timeout {
+				t.Fatalf("round %d: the group never started and its handler ran %v after Invoke began, within its %v", i, ended, timeout)
+			}
+			lateStarts++
+		} else if !u || w == isLate {
 			t.Fatalf("round %d: late=%v leaves U=%v W=%v at the sender", i, isLate, u, w)
 		}
 		if isLate {
@@ -252,13 +272,15 @@ func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 			t.Fatalf("round %d: %d updates left awaiting acks", i, n)
 		}
 	}
-	t.Logf("%d of %d groups lost the race to otherwise[t]", late, rounds)
-	// Every group was delivered whether or not its statements waited for it.
+	t.Logf("%d of %d groups lost the race to otherwise[t]; %d of those never started, their firing late", late, rounds, lateStarts)
+	// Every group was delivered whether or not its statements waited for it;
+	// a group that never started was never sent.
 	s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{})
 	sink := s.junctionQuiet("g1", "j").met
-	for deadline := time.Now().Add(5 * time.Second); sink.RemoteQueued.Load() != 2*rounds; time.Sleep(time.Millisecond) {
+	want := uint64(2 * (rounds - lateStarts))
+	for deadline := time.Now().Add(5 * time.Second); sink.RemoteQueued.Load() != want; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("sink queued %d updates, want %d", sink.RemoteQueued.Load(), 2*rounds)
+			t.Fatalf("sink queued %d updates, want %d", sink.RemoteQueued.Load(), want)
 		}
 	}
 }

@@ -563,8 +563,19 @@ type pairKey struct{ from, to string }
 type remoteUpdate struct {
 	key     string
 	payload []byte
-	kind    compart.MessageKind
-	flag    bool
+	// lent is the cell a write's payload is borrowed from (DataCell.Ref):
+	// sendGroup releases it once the group is encoded.
+	lent *kv.DataCell
+	kind compart.MessageKind
+	flag bool
+}
+
+// release ends the loan of a write's payload, once nothing reads it.
+func (u *remoteUpdate) release() {
+	if u.lent != nil {
+		u.lent.Release()
+		u.lent = nil
+	}
 }
 
 // rangeWaiter is one group send awaiting its delivery acks: the consecutive
@@ -913,6 +924,9 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 	w.armLocked()
 	w.mu.Unlock()
 	w.buf = appendGroup(w.buf[:0], lo, ups)
+	for i := range ups {
+		ups[i].release()
+	}
 	// Ack latency is sampled for the groups holding every 8th sequence (the
 	// histogram is a sample, not a census): at pipelined rates two time.Now
 	// calls per send are a measurable share of the send path. Tracing still
@@ -1116,7 +1130,9 @@ var updatePool = sync.Pool{New: func() any { return new([]kv.Update) }}
 // handleGroup absorbs a delivery group: its members are decoded straight into
 // an update slice, its sequences recorded under one recvMu, its updates
 // enqueued under one KV lock (kv.EnqueueBatch) and its sender acknowledged
-// with one frame. Every member's sender is the message's From. A payload that
+// with one frame. Every member's sender is the message's From. A write's data
+// is a view of the payload, lent to the table for EnqueueBatch as the payload
+// is lent to this handler: the table copies what it keeps. A payload that
 // does not decode exactly is dropped whole and not acknowledged, so its
 // sender's window times out as for a lost frame.
 func (j *Junction) handleGroup(m *compart.Message) {
@@ -1154,7 +1170,7 @@ func (j *Junction) handleGroup(m *compart.Message) {
 		if gm.kind == compart.KindProp {
 			u.Kind, u.Bool = kv.UpdateProp, gm.flag
 		} else {
-			u.Kind, u.Data = kv.UpdateData, append([]byte(nil), gm.data...)
+			u.Kind, u.Data = kv.UpdateData, gm.data
 		}
 	}
 	if ok && len(p) == 0 {
