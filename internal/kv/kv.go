@@ -40,7 +40,12 @@ const (
 )
 
 // Update is one remote modification pushed at this table by another
-// junction's assert/retract/write statement.
+// junction's assert/retract/write statement, or a run of N identical ones.
+//
+// N is how many delivered updates the Update stands for; 0 counts as 1. A
+// caller delivers a run of identical updates (a delivery group's run member)
+// as one Update with its count, and a queued entry counts every delivery it
+// coalesced (EnqueueBatch), which ApplyPending reports.
 //
 // Data is lent to Enqueue and EnqueueBatch for the call, as a compart.Message
 // payload is lent to its handler: the table copies what it keeps, into
@@ -51,11 +56,14 @@ type Update struct {
 	Kind UpdateKind
 	Key  string
 	Bool bool   // proposition value for UpdateProp
-	n    uint32 // queued: how many delivered updates the entry stands for
+	N    uint32 // how many delivered updates this stands for; 0 counts as 1
 	Data []byte // serialized payload for UpdateData
 	From string // fully-qualified name of the originating junction
 	seq  uint64 // arrival order
 }
+
+// count is how many delivered updates u stands for.
+func (u *Update) count() int { return int(max(u.N, 1)) }
 
 // Value is a named-data slot. Defined is false while the slot holds undef.
 type Value struct {
@@ -678,7 +686,7 @@ func (t *Table) dropPendingLocked(kind UpdateKind, name string, dropped *[]Updat
 func (t *Table) deliverLocked(u Update, n int) *cell {
 	t.nextSeq += uint64(n)
 	u.seq = t.nextSeq - 1
-	u.n = uint32(n)
+	u.N = uint32(n)
 	c := t.index(u.Kind)[u.Key]
 	if c != nil && t.admittedLocked(c) {
 		c.admitLocked(u)
@@ -689,7 +697,7 @@ func (t *Table) deliverLocked(u Update, n int) *cell {
 		if u.Kind == UpdateData {
 			u.Data = fill(p.Data, u.Data)
 		}
-		u.n += p.n
+		u.N += p.N
 		*p = u
 	} else {
 		if u.Kind == UpdateData {
@@ -706,16 +714,17 @@ func (t *Table) setPendingLocked(p []Update) {
 	t.npending.Store(int64(len(p)))
 }
 
-// Enqueue delivers a remote update. If the junction is currently blocked in
-// a wait whose admission set covers the update, the update is applied
-// immediately; otherwise it queues until the next scheduling. u.Data is lent
-// for the call: the table copies it into storage it owns and reuses. Keyed
-// subscribers of the key are woken either way: a queued update becomes
-// visible at the junction's next ApplyPending, so a guard watcher must
-// re-evaluate (which is what triggers that scheduling).
+// Enqueue delivers a remote update, or a run of u.N identical ones. If the
+// junction is currently blocked in a wait whose admission set covers the
+// update, the update is applied immediately; otherwise it queues until the
+// next scheduling. u.Data is lent for the call: the table copies it into
+// storage it owns and reuses. Keyed subscribers of the key are woken either
+// way: a queued update becomes visible at the junction's next ApplyPending,
+// so a guard watcher must re-evaluate (which is what triggers that
+// scheduling).
 func (t *Table) Enqueue(u Update) {
 	t.mu.Lock()
-	if c := t.deliverLocked(u, 1); c != nil {
+	if c := t.deliverLocked(u, u.count()); c != nil {
 		t.wakeLocked(c)
 	}
 	t.mu.Unlock()
@@ -725,7 +734,9 @@ func (t *Table) Enqueue(u Update) {
 // decoded transport batch) under a single lock acquisition. The updates are
 // admitted or queued exactly as Enqueue would, in slice order, but per run of
 // same-key updates: the run's key is resolved once and only its last update,
-// the one whose value the run leaves, is stored or queued. Keyed subscribers
+// the one whose value the run leaves, is stored or queued, standing for the
+// deliveries of the whole run — the sum of its updates' counts, so a delivery
+// group's run member arrives as one Update with its N. Keyed subscribers
 // are woken once per distinct key instead of once per update — the
 // subscription-wake sweep cost of absorbing a batch is bounded by its key
 // set, not its length. It reports whether it woke any subscriber. The
@@ -744,11 +755,12 @@ func (t *Table) EnqueueBatch(us []Update) bool {
 	var seen map[*cell]struct{}
 	t.mu.Lock()
 	for len(us) > 0 {
-		run := 1
+		run, n := 1, us[0].count()
 		for run < len(us) && us[run].Kind == us[0].Kind && us[run].Key == us[0].Key {
+			n += us[run].count()
 			run++
 		}
-		k := t.deliverLocked(us[run-1], run)
+		k := t.deliverLocked(us[run-1], n)
 		us = us[run:]
 		if k == nil {
 			continue
@@ -806,7 +818,7 @@ func (t *Table) ApplyPending() int {
 	n := 0
 	for _, u := range t.pending {
 		t.applyLocked(u)
-		n += int(u.n)
+		n += int(u.N)
 	}
 	// The queue keeps its backing array (emptied, so no payload stays
 	// reachable through it): a junction that absorbs a few updates per

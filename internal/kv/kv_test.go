@@ -409,7 +409,7 @@ func TestEnqueueBatchOrderPreserved(t *testing.T) {
 // arrives as one batch or update by update, and a drain still counts every
 // delivery. Only adjacent updates merge: U, V, U stays three entries. An
 // update a blocked wait admits is applied at delivery and merges with
-// nothing.
+// nothing. An update's count N is how many deliveries it stands for.
 func TestSameKeyRunQueuesOneEntry(t *testing.T) {
 	tb := NewTable()
 	tb.DeclareProp("U", false)
@@ -465,12 +465,34 @@ func TestSameKeyRunQueuesOneEntry(t *testing.T) {
 	if v, _ := tb.Prop("U"); v {
 		t.Fatal("an update the wait admits was not applied at delivery")
 	}
-	if len(tb.pending) != 1 || tb.pending[0].From != "v" || tb.pending[0].n != 1 {
+	if len(tb.pending) != 1 || tb.pending[0].From != "v" || tb.pending[0].N != 1 {
 		t.Fatalf("queue = %+v, want only V's entry, standing for one delivery", tb.pending)
 	}
 	tb.EndWait(h)
 	if n := tb.ApplyPending(); n != 1 {
 		t.Fatalf("ApplyPending = %d, want 1: admitted updates were never queued", n)
+	}
+
+	// An update with a count N stands for N deliveries (0 for one), in a
+	// batch, alone, and in the state a migration carries.
+	tb.EnqueueBatch([]Update{
+		{Kind: UpdateProp, Key: "U", Bool: true, From: "r", N: 5},
+		{Kind: UpdateProp, Key: "U", Bool: true, From: "r"},
+		{Kind: UpdateProp, Key: "V", Bool: true, From: "r", N: 3},
+	})
+	tb.Enqueue(Update{Kind: UpdateProp, Key: "V", Bool: false, From: "r", N: 4})
+	if len(tb.pending) != 2 || tb.pending[0].N != 6 || tb.pending[1].N != 7 {
+		t.Fatalf("queue = %+v, want U standing for 6 deliveries and V for 7", tb.pending)
+	}
+	moved := NewTable()
+	moved.DeclareProp("U", false)
+	moved.DeclareProp("V", false)
+	moved.RestoreAll(tb.SnapshotAll())
+	if n := tb.ApplyPending(); n != 13 {
+		t.Fatalf("ApplyPending = %d, want 13", n)
+	}
+	if n := moved.ApplyPending(); n != 13 {
+		t.Fatalf("ApplyPending after the state moved = %d, want 13", n)
 	}
 }
 

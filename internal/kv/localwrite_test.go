@@ -212,7 +212,7 @@ func TestLocalWriteRacesDeliveryAndSubscription(t *testing.T) {
 	queuedFor := func(key string) (n int64) {
 		for _, u := range tb.SnapshotAll().Pending {
 			if u.Kind == UpdateProp && u.Key == key {
-				n += int64(u.n)
+				n += int64(u.N)
 			}
 		}
 		return n

@@ -7,8 +7,8 @@ package kv
 // them at migration would silently lose updates the protocol promised.
 // All fields are exported so the state rides internal/serial's compiled
 // codec plans (the same fast path remote writes use). An Update's unexported
-// arrival sequence is not encoded; RestoreAll re-sequences the queue in
-// slice order, preserving application order.
+// arrival sequence is not encoded (its count N is); RestoreAll re-sequences
+// the queue in slice order, preserving application order.
 type TableState struct {
 	Props   map[string]bool
 	Data    map[string]Value
@@ -84,8 +84,8 @@ func (t *Table) PendingSince(st TableState) []Update {
 // the installed values; a name st carries and the table lacks is declared; a
 // declared name st does not carry keeps its value, the key set being fixed by
 // the declarations. Waiters and subscriptions survive, and every subscriber is
-// woken since any key may have changed. Each installed queue entry counts as
-// one delivered update.
+// woken since any key may have changed. Each installed queue entry counts the
+// deliveries it stood for (Update.N).
 func (t *Table) RestoreAll(st TableState) {
 	t.mu.Lock()
 	for k, v := range st.Props {
@@ -99,9 +99,9 @@ func (t *Table) RestoreAll(st TableState) {
 		if u.Data != nil {
 			u.Data = append([]byte(nil), u.Data...)
 		}
-		u.seq = t.nextSeq
-		u.n = 1
-		t.nextSeq++
+		u.N = uint32(u.count())
+		t.nextSeq += uint64(u.N)
+		u.seq = t.nextSeq - 1
 		pending = append(pending, u)
 	}
 	t.setPendingLocked(pending)

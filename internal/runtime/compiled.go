@@ -298,8 +298,10 @@ func (j *Junction) compileOp(o *plan.Op) step {
 // goroutine of their own and become one step that applies their local halves
 // in arm order, groups them by destination (first use first) and hands each
 // group to sendGroup — one sequence range, one delivery group and one ack
-// wait per destination, with seq order = arm order = wire order. Every other
-// arm still runs on its own goroutine beside it.
+// wait per destination, with seq order = arm order = wire order. Consecutive
+// identical updates to one destination fold into one run member (foldUpdate),
+// each still taking its own sequence. Every other arm still runs on its own
+// goroutine beside it.
 func (j *Junction) compilePar(arms []*plan.Op) step {
 	if len(arms) == 0 {
 		return func(context.Context) (plan.Signal, error) { return plan.SigNone, nil }
@@ -339,10 +341,10 @@ type otherBranch struct {
 	run step
 }
 
-// destGroup is the updates one firing sends to one destination, and the
-// waiter the send waits on; a failed send fails all of them alike, so the
-// first arm's position stands for the group when errors are ranked by arm
-// order.
+// destGroup is the updates one firing sends to one destination, a run of
+// identical ones folded into one entry (foldUpdate), and the waiter the send
+// waits on; a failed send fails all of them alike, so the first arm's
+// position stands for the group when errors are ranked by arm order.
 type destGroup struct {
 	to    string
 	first int
@@ -380,6 +382,7 @@ func (p *compiledPar) fire(ctx context.Context) (plan.Signal, error) {
 		}()
 	}
 	m := &p.m
+	var g *destGroup // the previous arm's group, which the next arm most likely joins
 	for _, u := range p.updates {
 		*m = armedUpdate{}
 		err := u.run(m)
@@ -390,8 +393,10 @@ func (p *compiledPar) fire(ctx context.Context) (plan.Signal, error) {
 			p.errs[u.idx] = err
 			continue
 		}
-		g := p.group(m.to, u.idx)
-		g.ups = append(g.ups, m.up)
+		if g == nil || g.to != m.to {
+			g = p.group(m.to, u.idx)
+		}
+		g.ups = foldUpdate(g.ups, &m.up)
 	}
 	// A par's group stands or falls as one statement: only the error counts.
 	// The last group waits on this goroutine.
@@ -519,21 +524,24 @@ func (j *Junction) updateArm(o *plan.Op) updateArm {
 
 // updateStep lowers a straight-line run of remote updates — one statement, or
 // the adjacent ones of one plan step — to one step. The arms run in
-// statement order; consecutive members with the same resolved destination
-// leave as one group (sendGroup), and a change of destination closes the open
-// group and awaits it before the next one opens.
+// statement order; consecutive updates with the same resolved destination
+// leave as one group (sendGroup), identical ones folded into a run
+// (foldUpdate), and a change of destination closes the open group and awaits
+// it before the next one opens.
 //
 // The step's fate is the fate the statements would have had one at a time. A
-// group that fails fails at its first unacknowledged member p: the error is
-// the one statement p would have returned, members before p were delivered
-// and acknowledged, and the local halves of the members after p — applied
+// group that fails fails at its first unacknowledged update p: the error is
+// the one statement p would have returned, updates before p were delivered
+// and acknowledged, and the local halves of the updates after p — applied
 // when their arms ran, ahead of p's outcome — are taken back, so the table
-// reads as if they had never started. An arm that fails to resolve first
-// sends and awaits the members before it, and then fails as its statement
-// would have, its local half standing. The one thing a group widens: when
-// acknowledgments (not updates) are lost, members after p may have reached
-// the receiver although the sender reports p failed — every such receiver
-// state is one the statements reach one at a time when a later ack is lost.
+// reads as if they had never started. A run does not change this: each of
+// its updates has a sequence, and so an acknowledgment, of its own. An arm
+// that fails to resolve first sends and awaits the updates before it, and
+// then fails as its statement would have, its local half standing. The one
+// thing a group widens: when acknowledgments (not updates) are lost, updates
+// after p may have reached the receiver although the sender reports p
+// failed — every such receiver state is one the statements reach one at a
+// time when a later ack is lost.
 //
 // The step owns its scratch, one slot per arm and the open group, and clears
 // it when a firing ends (DESIGN.md, "A compiled step owns its scratch"): a
@@ -546,7 +554,7 @@ type updateRun struct {
 	j    *Junction
 	arms []updateArm
 	ran  []armedUpdate  // arm k's slot is ran[k]
-	ups  []remoteUpdate // the open group; room for every arm
+	ups  []remoteUpdate // the open group, folded (foldUpdate); room for every arm
 	wt   *rangeWaiter   // what each group's send waits on
 }
 
@@ -565,7 +573,7 @@ func (r *updateRun) run(ctx context.Context) error {
 	j := r.j
 	ups := r.ups[:0]   // the open group
 	ran := r.ran[:0]   // the slots of the arms run so far
-	to, first := "", 0 // the open group's destination and first member
+	to, first := "", 0 // the open group's destination and first arm
 	for k := 0; ; k++ {
 		var m *armedUpdate
 		var err error
@@ -584,7 +592,7 @@ func (r *updateRun) run(ctx context.Context) error {
 				j.noteLocalHalves(ran[first : first+acked+1])
 				return serr
 			}
-			j.noteLocalHalves(ran[first : first+len(ups)])
+			j.noteLocalHalves(ran[first:k])
 			ups = ups[:0]
 			if cerr := ctx.Err(); cerr != nil && !last {
 				// The deadline passed between two groups, where it would
@@ -603,7 +611,7 @@ func (r *updateRun) run(ctx context.Context) error {
 		if len(ups) == 0 {
 			to, first = m.to, k
 		}
-		ups = append(ups, m.up)
+		ups = foldUpdate(ups, &m.up)
 	}
 }
 

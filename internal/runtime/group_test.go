@@ -424,7 +424,7 @@ func TestMigrateSinkBetweenGroups(t *testing.T) {
 	netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
 	defer netA.Close()
 	defer netB.Close()
-	var frames []int // members per frame on the A->B uplink
+	var frames []int // updates per frame on the A->B uplink
 	dep := NewDeployment().AddLocation("A", netA).AddLocation("B", netB)
 	dep.Connect("A", "B", countingUplink(netB, &frames))
 	ring := obsv.NewRingSink(4096)
@@ -444,7 +444,7 @@ func TestMigrateSinkBetweenGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(frames) != fmt.Sprint([]int{width}) {
-		t.Fatalf("uplink frames after the move carried %v members, want one group of %d", frames, width)
+		t.Fatalf("uplink frames after the move carried %v updates, want one group of %d", frames, width)
 	}
 	if n := s.junctionQuiet("g1", "j").Table().PendingLen(); n != 2*width {
 		t.Fatalf("migrated sink holds %d updates, want %d", n, 2*width)
@@ -474,7 +474,7 @@ func countingUplink(dst *compart.Network, frames *[]int) Uplink {
 			if !ok {
 				return fmt.Errorf("malformed group from %s", m.From)
 			}
-			*frames = append(*frames, len(members))
+			*frames = append(*frames, seqsOf(members))
 		}
 		return dst.Send(m)
 	}

@@ -12,6 +12,8 @@ import (
 
 	"csaw/internal/compart"
 	"csaw/internal/dsl"
+	"csaw/internal/events"
+	"csaw/internal/obsv"
 )
 
 // TestLossyLinkDeliversGroupsWholeOrNot: a group is one message, so a lossy
@@ -174,4 +176,232 @@ func TestGroupOverFrameLimitSplits(t *testing.T) {
 	if err := s.Invoke(hctx, "f", "huge"); err == nil {
 		t.Fatal("a single 17 MiB write completed")
 	}
+}
+
+// recordingUplink forwards into dst and keeps a copy of every group payload
+// it carries.
+func recordingUplink(dst *compart.Network, mu *sync.Mutex, groups *[][]byte) Uplink {
+	return func(m compart.Message) error {
+		if m.Kind == compart.KindGroup {
+			mu.Lock()
+			*groups = append(*groups, append([]byte(nil), m.Payload...))
+			mu.Unlock()
+		}
+		return dst.Send(m)
+	}
+}
+
+// TestParRunCountsEverySequence: a traced par of 96 identical asserts crosses
+// as one group of one run member, and yet every update is accounted for on
+// its own: 96 remote.queued and 96 remote.acked events under contiguous
+// sequences, a trace the §8 denotation allows, 96 more on the sink's
+// RemoteQueued and the sender's RemoteAcked, and 96 absorbed when the sink
+// applies its queue — the second firing's under the next 96 sequences.
+func TestParRunCountsEverySequence(t *testing.T) {
+	const width = 96
+	var mu sync.Mutex
+	var groups [][]byte
+	netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
+	defer netA.Close()
+	defer netB.Close()
+	dep := NewDeployment().AddLocation("A", netA).AddLocation("B", netB)
+	dep.Connect("A", "B", recordingUplink(netB, &mu, &groups))
+	dep.Place("f", "A").Place("g2", "A").Place("g1", "B")
+	ring := obsv.NewRingSink(1 << 12)
+	p := groupProgram(nil, dsl.Par(assertsToG1(width)))
+	s := mustSystem(t, p, Options{Deploy: dep, AckTimeout: 5 * time.Second, DisableDrivers: true, Trace: ring})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	src, sink := s.junctionQuiet("f", "j"), s.junctionQuiet("g1", "j")
+	for round := 1; round <= 2; round++ {
+		if err := s.Invoke(ctx, "f", "j"); err != nil {
+			t.Fatal(err)
+		}
+		if n := sink.Table().ApplyPending(); n != width {
+			t.Fatalf("round %d: the sink absorbed %d updates, want %d", round, n, width)
+		}
+		if q, a := sink.met.RemoteQueued.Load(), src.met.RemoteAcked.Load(); q != uint64(round*width) || a != uint64(round*width) {
+			t.Fatalf("round %d: %d updates queued at the sink, %d acked at the sender; want %d each", round, q, a, round*width)
+		}
+	}
+	mu.Lock()
+	for i, g := range groups {
+		lo, members, ok := decodeGroup(g)
+		if !ok || lo != uint64(i*width+1) || len(members) != 1 || members[0].n != width {
+			t.Fatalf("group %d: lo %d, %d members (ok=%v); want lo %d and one run of %d", i, lo, len(members), ok, i*width+1, width)
+		}
+	}
+	if len(groups) != 2 {
+		t.Fatalf("the uplink carried %d groups for two firings", len(groups))
+	}
+	mu.Unlock()
+	var queued, acked []int64
+	for _, e := range ring.Events() {
+		switch e.Kind {
+		case obsv.EvRemoteQueued:
+			queued = append(queued, e.N)
+		case obsv.EvRemoteAcked:
+			acked = append(acked, e.N)
+		}
+	}
+	for _, seqs := range [][]int64{queued, acked} {
+		if len(seqs) != 2*width {
+			t.Fatalf("%d remote.queued and %d remote.acked events, want %d each", len(queued), len(acked), 2*width)
+		}
+		for i, seq := range seqs {
+			if seq != int64(i+1) {
+				t.Fatalf("sequences %v, want 1..%d in order", seqs, 2*width)
+			}
+		}
+	}
+	if err := events.ConformsProgram(p, ring.Events()); err != nil {
+		t.Fatalf("the run is not one the §8 denotation allows: %v", err)
+	}
+}
+
+// TestAssertRetractAssertIsNotFolded: only an update identical to the one
+// before it folds. `assert U; retract U; assert U`, straight-line or as a
+// par, crosses as three members, and the sink, applying its queue, counts
+// three and holds U.
+func TestAssertRetractAssertIsNotFolded(t *testing.T) {
+	arms := []dsl.Expr{
+		dsl.Assert{Target: g(1), Prop: dsl.PR("U")},
+		dsl.Retract{Target: g(1), Prop: dsl.PR("U")},
+		dsl.Assert{Target: g(1), Prop: dsl.PR("U")},
+	}
+	for _, sc := range []struct {
+		name string
+		body dsl.Expr
+	}{{"straight-line", dsl.Seq(arms)}, {"par", dsl.Par(arms)}} {
+		t.Run(sc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var groups [][]byte
+			netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
+			defer netA.Close()
+			defer netB.Close()
+			dep := NewDeployment().AddLocation("A", netA).AddLocation("B", netB)
+			dep.Connect("A", "B", recordingUplink(netB, &mu, &groups))
+			dep.Place("f", "A").Place("g2", "A").Place("g1", "B")
+			s := mustSystem(t, groupProgram(nil, sc.body), Options{Deploy: dep, AckTimeout: 5 * time.Second, DisableDrivers: true})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.RunMain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Invoke(ctx, "f", "j"); err != nil {
+				t.Fatal(err)
+			}
+			sink := s.junctionQuiet("g1", "j").Table()
+			if n := sink.ApplyPending(); n != 3 {
+				t.Fatalf("the sink absorbed %d updates, want 3", n)
+			}
+			if u, _ := sink.Prop("U"); !u {
+				t.Fatal("the sink holds U false after assert; retract; assert")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(groups) != 1 {
+				t.Fatalf("the uplink carried %d groups, want 1", len(groups))
+			}
+			if _, members, ok := decodeGroup(groups[0]); !ok || len(members) != 3 || seqsOf(members) != 3 {
+				t.Fatalf("the group decodes to %d members (ok=%v), want three plain ones", len(members), ok)
+			}
+		})
+	}
+}
+
+// TestRunRangesOutOfOrderAckExactly: a range that arrives ahead of the
+// frontier, or again, is acknowledged sequence by sequence — the frontier and
+// each out-of-order sequence as an extra — and the range that closes the gap
+// moves the frontier past both. Only an in-order range with nothing out of
+// order ahead of it is passed at once.
+func TestRunRangesOutOfOrderAckExactly(t *testing.T) {
+	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var acks []string
+	s.Net().Register("a::j", func(m compart.Message) { acks = append(acks, fmt.Sprint(ackSeqs(m.Payload))) })
+	sink := s.junctionQuiet("g1", "j")
+	run := func(lo uint64, ups ...remoteUpdate) {
+		sink.handleMessage(compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(nil, lo, ups)})
+	}
+	u := remoteUpdate{kind: compart.KindProp, key: "U", flag: true, n: 3}
+	w := remoteUpdate{kind: compart.KindProp, key: "W", flag: true}
+	run(4, u)    // ahead of the frontier
+	run(4, u)    // again
+	run(1, u)    // closes the gap
+	run(1, u)    // a duplicate behind the frontier
+	run(7, w, u) // in order
+	want := "[[0 4 5 6] [0 4 5 6] [6] [6] [10]]"
+	if got := fmt.Sprint(acks); got != want {
+		t.Fatalf("acks %s, want %s", got, want)
+	}
+	sink.recvMu.Lock()
+	tr := sink.recvFrom["a::j"]
+	contig, oo := tr.contig, len(tr.oo)
+	sink.recvMu.Unlock()
+	if contig != 10 || oo != 0 {
+		t.Fatalf("the sink's frontier is %d with %d sequences out of order, want 10 and none", contig, oo)
+	}
+}
+
+// TestJitteredRunsAckExactly is TestJitteredLinkCompletesRangesOutOfOrder
+// with runs: a par whose arms send runs of identical asserts, as par groups
+// and as straight-line groups on their own goroutines, over a link that
+// reorders them. Every range completes, the window's frontier reaches every
+// sequence it issued, and the sink counts every update once.
+func TestJitteredRunsAckExactly(t *testing.T) {
+	u, w := dsl.Assert{Target: g(1), Prop: dsl.PR("U")}, dsl.Assert{Target: g(1), Prop: dsl.PR("W")}
+	v := dsl.Retract{Target: g(1), Prop: dsl.PR("V")}
+	p := groupProgram(nil, dsl.Par{dsl.Seq{u, u, u}, w, w, w, dsl.Seq{v, v}, w})
+	const perFiring = 9
+	ring := obsv.NewRingSink(1 << 14)
+	s := mustSystem(t, p, Options{AckTimeout: 5 * time.Second, Trace: ring})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.RunMain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.Net().SetLink("f::j", "g1::j", compart.LinkConfig{Jitter: 2 * time.Millisecond})
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		if err := s.Invoke(ctx, "f", "j"); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	if n := s.pendingAcks("f::j", "g1::j"); n != 0 {
+		t.Fatalf("%d updates left awaiting acks", n)
+	}
+	win := s.window("f::j", "g1::j")
+	win.mu.Lock()
+	cum, next := win.cum, win.nextSeq
+	win.mu.Unlock()
+	if next != perFiring*rounds || cum != next {
+		t.Fatalf("window issued %d sequences (want %d), frontier at %d", next, perFiring*rounds, cum)
+	}
+	if q := s.junctionQuiet("g1", "j").met.RemoteQueued.Load(); q != perFiring*rounds {
+		t.Fatalf("the sink queued %d updates, want %d", q, perFiring*rounds)
+	}
+	reordered, queued := 0, 0
+	var last int64
+	for _, e := range ring.Events() {
+		if e.Kind == obsv.EvRemoteQueued {
+			queued++
+			if e.N < last {
+				reordered++
+			}
+			last = e.N
+		}
+	}
+	if queued != perFiring*rounds {
+		t.Fatalf("%d remote.queued events, want %d", queued, perFiring*rounds)
+	}
+	if reordered == 0 {
+		t.Skip("the jitter never reordered two sends in this run")
+	}
+	t.Logf("%d arrivals overtook an earlier sequence", reordered)
 }

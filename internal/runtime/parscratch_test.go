@@ -8,6 +8,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -76,6 +77,41 @@ func BenchmarkParFiring(b *testing.B) {
 		if err := s.Invoke(ctx, "f", "j"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParFiringDistinct is BenchmarkParFiring with 96 distinct keys:
+// nothing repeats, so every update is a member of its own and the group
+// pays the fold's comparison per arm without folding anything. Distinct keys
+// do not coalesce in the sink's queue, so the sink applies it after every
+// firing, as its scheduling would.
+func BenchmarkParFiringDistinct(b *testing.B) {
+	const width = 96
+	decls := []dsl.Decl{dsl.InitProp{Name: "Go"}} // never true: the sink only queues
+	arms := make(dsl.Par, width)
+	for i := range arms {
+		name := fmt.Sprintf("P%d", i)
+		decls = append(decls, dsl.InitProp{Name: name})
+		arms[i] = dsl.Assert{Target: dsl.J("g", "j"), Prop: dsl.PR(name)}
+	}
+	p := dsl.NewProgram()
+	p.Type("srcT").Junction("j", dsl.Def(nil, arms))
+	p.Type("sinkT").Junction("j", dsl.Def(decls, dsl.Skip{}).Guarded(formula.P("Go")))
+	p.Instance("f", "srcT").Instance("g", "sinkT")
+	p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
+	s := mustSystem(b, p, Options{})
+	ctx := context.Background()
+	if err := s.RunMain(ctx); err != nil {
+		b.Fatal(err)
+	}
+	sink := s.junctionQuiet("g", "j").Table()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Invoke(ctx, "f", "j"); err != nil {
+			b.Fatal(err)
+		}
+		sink.ApplyPending()
 	}
 }
 

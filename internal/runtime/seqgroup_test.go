@@ -293,7 +293,7 @@ func TestMigrateSinkBetweenSeqGroups(t *testing.T) {
 	netA, netB := compart.NewNetwork(1), compart.NewNetwork(2)
 	defer netA.Close()
 	defer netB.Close()
-	var frames []int // members per frame on the A->B uplink
+	var frames []int // updates per frame on the A->B uplink
 	dep := NewDeployment().AddLocation("A", netA).AddLocation("B", netB)
 	dep.Connect("A", "B", countingUplink(netB, &frames))
 	ring := obsv.NewRingSink(1024)
@@ -316,7 +316,7 @@ func TestMigrateSinkBetweenSeqGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(frames) != "[2]" {
-		t.Fatalf("uplink frames after the move carried %v members, want one group of 2", frames)
+		t.Fatalf("uplink frames after the move carried %v updates, want one group of 2", frames)
 	}
 	var seqs []int64
 	for _, e := range ring.Events() {

@@ -559,15 +559,38 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 // pairKey identifies a directed (sender,receiver) junction pair.
 type pairKey struct{ from, to string }
 
-// remoteUpdate is one assert/retract/write bound for a remote junction.
+// remoteUpdate is one assert/retract/write bound for a remote junction, or,
+// in a group, a run of n identical ones (foldUpdate).
 type remoteUpdate struct {
 	key     string
 	payload []byte
 	// lent is the cell a write's payload is borrowed from (DataCell.Ref):
 	// sendGroup releases it once the group is encoded.
 	lent *kv.DataCell
+	// n is how many consecutive updates of the group the entry stands for,
+	// each taking a sequence of its own; 0 counts as 1.
+	n    int
 	kind compart.MessageKind
 	flag bool
+}
+
+// count is how many updates u stands for.
+func (u *remoteUpdate) count() int { return max(u.n, 1) }
+
+// foldUpdate adds up to a group's updates ups: when up repeats the last
+// entry — same kind, flag, key and data — that entry's count rises and up's
+// loan ends, so a run of identical updates is one entry and one group member
+// (group.go); otherwise up is appended. Only what crosses the wire folds:
+// every arm still applies its own local half and keeps its own undo.
+func foldUpdate(ups []remoteUpdate, up *remoteUpdate) []remoteUpdate {
+	if last := len(ups) - 1; last >= 0 {
+		if p := &ups[last]; p.kind == up.kind && p.flag == up.flag && p.key == up.key && bytes.Equal(p.payload, up.payload) {
+			p.n = p.count() + 1
+			up.release()
+			return ups
+		}
+	}
+	return append(ups, *up)
 }
 
 // release ends the loan of a write's payload, once nothing reads it.
@@ -896,7 +919,8 @@ func (w *ackWindow) ack(cum uint64, extras []uint64) {
 }
 
 // sendGroup is the one remote-update send of the pipelined plane. The group
-// takes consecutive sequences on the pair's window in slice order, crosses
+// takes consecutive sequences on the pair's window in slice order, one per
+// update an entry stands for (a run's count, remoteUpdate.n), crosses
 // the substrate as one KindGroup message (group.go: one frame on a wire, one
 // KV batch and one cumulative ack at the receiver) and waits on one range
 // waiter, so a par's updates to one destination, or a straight-line run of
@@ -909,7 +933,10 @@ func (w *ackWindow) ack(cum uint64, extras []uint64) {
 // one — where a sequence of single statements would have failed. wt is the
 // caller's waiter, quiescent again when sendGroup returns.
 func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []remoteUpdate, wt *rangeWaiter) (acked int, err error) {
-	n := len(ups)
+	n := 0
+	for i := range ups {
+		n += ups[i].count()
+	}
 	from := j.FQName
 	w := s.junctionWindow(j, to)
 	tracing := s.obs.Tracing()
@@ -1123,12 +1150,13 @@ func (j *Junction) handleMessage(m compart.Message) {
 }
 
 // updatePool holds the update slices of groups wider than handleGroup's stack
-// array: a 96-member fan-out group would otherwise allocate ~8 KB per
+// array: a group of 96 distinct updates would otherwise allocate ~8 KB per
 // message. Pooled slices are kept cleared, so their slots are zero Updates.
 var updatePool = sync.Pool{New: func() any { return new([]kv.Update) }}
 
 // handleGroup absorbs a delivery group: its members are decoded straight into
-// an update slice, its sequences recorded under one recvMu, its updates
+// an update slice, one update per member, a run member's carrying its count
+// (kv.Update.N), its sequences recorded under one recvMu, its updates
 // enqueued under one KV lock (kv.EnqueueBatch) and its sender acknowledged
 // with one frame. Every member's sender is the message's From. A write's data
 // is a view of the payload, lent to the table for EnqueueBatch as the payload
@@ -1141,76 +1169,91 @@ func (j *Junction) handleGroup(m *compart.Message) {
 		return
 	}
 	// A request hop is a group of two: its updates live on the stack, and a
-	// wide fan-out takes a pooled slice with room for every member.
+	// wide group takes a pooled slice with room for every member. There are
+	// no more members than updates, nor than the bytes hold.
+	size := min(n, len(p)/minGroupMember)
 	var updateBuf [4]kv.Update
 	var updates []kv.Update
 	var pooled *[]kv.Update
-	if n <= len(updateBuf) {
-		updates = updateBuf[:n]
+	if size <= len(updateBuf) {
+		updates = updateBuf[:size]
 	} else {
 		pooled = updatePool.Get().(*[]kv.Update)
-		if cap(*pooled) < n {
-			*pooled = make([]kv.Update, n)
+		if cap(*pooled) < size {
+			*pooled = make([]kv.Update, size)
 		}
-		updates = (*pooled)[:n]
+		updates = (*pooled)[:size]
 	}
 	// A fan-out repeats one key: the previous member's name serves again.
 	var key []byte
 	var name string
-	for i := range updates {
+	members, seqs := 0, 0
+	for ; len(p) > 0 && members < size; members++ {
 		var gm groupMember
 		if gm, p, ok = nextMember(p); !ok {
 			break
 		}
-		if i == 0 || !bytes.Equal(gm.key, key) {
+		seqs += gm.n
+		if members == 0 || !bytes.Equal(gm.key, key) {
 			key, name = gm.key, j.declaredName(gm.key)
 		}
-		u := &updates[i]
-		u.Key, u.From = name, m.From
+		u := &updates[members]
+		u.Key, u.From, u.N = name, m.From, uint32(gm.n)
 		if gm.kind == compart.KindProp {
 			u.Kind, u.Bool = kv.UpdateProp, gm.flag
 		} else {
 			u.Kind, u.Data = kv.UpdateData, gm.data
 		}
 	}
-	if ok && len(p) == 0 {
-		j.deliverGroup(m.From, lo, updates)
+	if ok && len(p) == 0 && seqs == n {
+		j.deliverGroup(m.From, lo, n, updates[:members])
 	}
 	if pooled != nil {
 		// updates is a prefix of *pooled's array; putting updates itself back
 		// would let the stack array escape.
-		clear((*pooled)[:n])
+		clear((*pooled)[:size])
 		updatePool.Put(pooled)
 	}
 }
 
-// deliverGroup records the arrival of the sequences lo.. of a decoded group
-// from one sender, enqueues its updates and acknowledges it.
-func (j *Junction) deliverGroup(from string, lo uint64, updates []kv.Update) {
-	n := uint64(len(updates))
+// deliverGroup records the arrival of the n sequences lo.. of a decoded group
+// from one sender, whose updates stand for them in order (a run for N of
+// them), enqueues the updates and acknowledges them.
+func (j *Junction) deliverGroup(from string, lo uint64, n int, updates []kv.Update) {
 	tracing := j.sys.obs.Tracing()
 	if tracing {
 		// Emitted before the updates are visible, so no trace can show one
-		// applied ahead of its arrival; the sink runs outside recvMu.
+		// applied ahead of its arrival; the sink runs outside recvMu. A run
+		// is traced update by update, as it was sent.
+		seq := lo
 		for i := range updates {
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: updates[i].Key, Truth: written(&updates[i]), Peer: from, N: int64(lo + uint64(i))})
+			u := &updates[i]
+			for end := seq + uint64(u.N); seq < end; seq++ {
+				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: u.Key, Truth: written(u), Peer: from, N: int64(seq)})
+			}
 		}
 	}
 	var cum uint64
 	var extras []uint64
 	j.recvMu.Lock()
 	tr := j.recvTrackLocked(from)
-	for i := uint64(0); i < n; i++ {
-		seq := lo + i
-		c, extra := tr.deliver(seq)
-		cum = c
-		if extra {
-			extras = append(extras, seq)
+	if lo == tr.contig+1 && len(tr.oo) == 0 {
+		// In order with nothing out of order: the frontier passes the whole
+		// range at once.
+		tr.contig += uint64(n)
+		cum = tr.contig
+	} else {
+		for seq := lo; seq < lo+uint64(n); seq++ {
+			c, extra := tr.deliver(seq)
+			cum = c
+			if extra {
+				extras = append(extras, seq)
+			}
 		}
 	}
 	j.recvMu.Unlock()
 	woke := j.table.EnqueueBatch(updates)
-	j.met.RemoteQueued.Add(n)
+	j.met.RemoteQueued.Add(uint64(n))
 	if n > 1 {
 		j.met.RemoteBatches.Add(1)
 		if tracing {
