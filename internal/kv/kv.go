@@ -93,6 +93,9 @@ type cell struct {
 	// dropped by DataCell.Release without it. A buffer lent when the value
 	// is replaced is neither rewritten nor kept.
 	loans atomic.Int32
+	// batch is the number of the last EnqueueBatch that listed the cell for
+	// its wake sweep; guarded by t.mu.
+	batch uint64
 }
 
 // keepData is the largest buffer a cell keeps for reuse once its value is
@@ -324,6 +327,10 @@ type Table struct {
 	data    map[string]*cell
 	pending []Update
 	nextSeq uint64
+	// batch numbers the EnqueueBatch calls, and batchCells is the scratch
+	// each lists its distinct cells in; both guarded by mu.
+	batch      uint64
+	batchCells []*cell
 	// npending is len(pending), republished under mu at every change, for
 	// the lock-free checks of PropCell.Set and ApplyPending.
 	npending atomic.Int64
@@ -746,14 +753,12 @@ func (t *Table) EnqueueBatch(us []Update) bool {
 	if len(us) == 0 {
 		return false
 	}
-	// Distinct keys in first-appearance order. A group rarely names more than
-	// a few (a request's data and its proposition; one proposition 96 times),
-	// so they are found by scanning a small array; only a group with more
-	// distinct keys than that pays for a set.
-	var few [8]*cell
-	distinct := few[:0]
-	var seen map[*cell]struct{}
+	// Distinct keys in first-appearance order: a cell is listed when the
+	// batch first reaches it (its mark is not yet this batch's number), in the
+	// table's own scratch, so a batch of any width allocates nothing.
 	t.mu.Lock()
+	t.batch++
+	distinct := t.batchCells[:0]
 	for len(us) > 0 {
 		run, n := 1, us[0].count()
 		for run < len(us) && us[run].Kind == us[0].Kind && us[run].Key == us[0].Key {
@@ -762,25 +767,13 @@ func (t *Table) EnqueueBatch(us []Update) bool {
 		}
 		k := t.deliverLocked(us[run-1], n)
 		us = us[run:]
-		if k == nil {
+		if k == nil || k.batch == t.batch {
 			continue
 		}
-		if seen != nil {
-			if _, known := seen[k]; known {
-				continue
-			}
-			seen[k] = struct{}{}
-		} else if slices.Contains(distinct, k) {
-			continue
-		}
+		k.batch = t.batch
 		distinct = append(distinct, k)
-		if seen == nil && len(distinct) > len(few) {
-			seen = make(map[*cell]struct{}, 2*len(distinct))
-			for _, d := range distinct {
-				seen[d] = struct{}{}
-			}
-		}
 	}
+	t.batchCells = distinct
 	woke := false
 	for _, k := range distinct {
 		if t.wakeLocked(k) > 0 {

@@ -531,6 +531,46 @@ func TestEnqueueBatchWakeSweep(t *testing.T) {
 	}
 }
 
+// TestEnqueueBatchDistinctKeysAllocateNothing: a batch naming 96 distinct
+// keys wakes each key's subscriber once, also when every key comes twice, and
+// allocates nothing once the table's queue and scratch have grown.
+func TestEnqueueBatchDistinctKeysAllocateNothing(t *testing.T) {
+	const keys = 96
+	tb := NewTable()
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("K%02d", i)
+		tb.DeclareProp(names[i], false)
+	}
+	sub := tb.Subscribe(names, nil)
+	defer tb.Unsubscribe(sub)
+	wakes := make(map[string]int, keys)
+	for _, n := range names {
+		wakes[n] = 0
+	}
+	tb.SetWakeHook(func(_ UpdateKind, key string, _ int) { wakes[key]++ })
+	us := make([]Update, 0, 2*keys)
+	for round := 0; round < 2; round++ {
+		for _, n := range names {
+			us = append(us, Update{Kind: UpdateProp, Key: n, Bool: round == 0, From: "x"})
+		}
+	}
+	tb.EnqueueBatch(us)
+	for _, n := range names {
+		if wakes[n] != 1 {
+			t.Fatalf("key %s woken %d times by one batch, want once", n, wakes[n])
+		}
+	}
+	tb.ApplyPending()
+	distinct := us[:keys]
+	if allocs := testing.AllocsPerRun(100, func() {
+		tb.EnqueueBatch(distinct)
+		tb.ApplyPending()
+	}); allocs != 0 {
+		t.Fatalf("a batch of %d distinct keys allocates %.1f times, want 0", keys, allocs)
+	}
+}
+
 // TestEnqueueBatchWaitSetAdmission checks that batch absorption honours the
 // in-progress wait exactly as per-update Enqueue does: wait-set members are
 // applied immediately, everything else queues.

@@ -349,6 +349,80 @@ func TestRunRangesOutOfOrderAckExactly(t *testing.T) {
 	}
 }
 
+// TestSeenRangesAreNotQueuedAgain: sequences a sink has seen — behind its
+// frontier or held out of order — are acknowledged as before but not queued
+// again, and a run that is partly seen keeps only its unseen updates. Two
+// ranges of 3 delivered twice and then 4 new updates queue, absorb and trace
+// 10 updates, one per sequence.
+func TestSeenRangesAreNotQueuedAgain(t *testing.T) {
+	ring := obsv.NewRingSink(64)
+	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true, Trace: ring})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Net().Register("a::j", func(compart.Message) {})
+	sink := s.junctionQuiet("g1", "j")
+	run := func(lo uint64, ups ...remoteUpdate) {
+		sink.handleMessage(compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindGroup, Payload: appendGroup(nil, lo, ups)})
+	}
+	u := remoteUpdate{kind: compart.KindProp, key: "U", flag: true, n: 3}
+	w := remoteUpdate{kind: compart.KindProp, key: "W", flag: true}
+	run(4, u)
+	run(4, u)
+	run(1, u)
+	run(1, u)
+	run(7, w, u)
+	if q := sink.met.RemoteQueued.Load(); q != 10 {
+		t.Fatalf("the sink queued %d updates, want 10", q)
+	}
+	if n := sink.Table().ApplyPending(); n != 10 {
+		t.Fatalf("the sink absorbed %d updates, want 10", n)
+	}
+	var seqs []int64
+	for _, e := range ring.Events() {
+		if e.Kind == obsv.EvRemoteQueued {
+			seqs = append(seqs, e.N)
+		}
+	}
+	if got, want := fmt.Sprint(seqs), "[4 5 6 1 2 3 7 8 9 10]"; got != want {
+		t.Fatalf("remote.queued traced sequences %s, want %s", got, want)
+	}
+
+	// A run of 3 whose middle sequence arrived ahead of it queues 2.
+	run(12, w)
+	run(11, u)
+	if q := sink.met.RemoteQueued.Load(); q != 13 {
+		t.Fatalf("the sink queued %d updates in all, want 13", q)
+	}
+	if n := sink.Table().ApplyPending(); n != 3 {
+		t.Fatalf("the sink absorbed %d updates, want 3", n)
+	}
+}
+
+// TestReplayedAssertDoesNotUndoLaterRetract: an `assert U` delivered again
+// after the same sender's `retract U` leaves U false.
+func TestReplayedAssertDoesNotUndoLaterRetract(t *testing.T) {
+	s := mustSystem(t, groupProgram(nil), Options{DisableDrivers: true})
+	if err := s.RunMain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var acks []string
+	s.Net().Register("a::j", func(m compart.Message) { acks = append(acks, fmt.Sprint(ackSeqs(m.Payload))) })
+	sink := s.junctionQuiet("g1", "j")
+	assert := appendGroup(nil, 1, []remoteUpdate{{kind: compart.KindProp, key: "U", flag: true}})
+	retract := appendGroup(nil, 2, []remoteUpdate{{kind: compart.KindProp, key: "U", flag: false}})
+	for _, p := range [][]byte{assert, retract, assert} {
+		sink.handleMessage(compart.Message{From: "a::j", To: "g1::j", Kind: compart.KindGroup, Payload: p})
+	}
+	if got, want := fmt.Sprint(acks), "[[1] [2] [2]]"; got != want {
+		t.Fatalf("acks %s, want %s", got, want)
+	}
+	sink.Table().ApplyPending()
+	if u, _ := sink.Table().Prop("U"); u {
+		t.Fatal("the replayed assert U undid the later retract U")
+	}
+}
+
 // TestJitteredRunsAckExactly is TestJitteredLinkCompletesRangesOutOfOrder
 // with runs: a par whose arms send runs of identical asserts, as par groups
 // and as straight-line groups on their own goroutines, over a link that

@@ -1064,6 +1064,16 @@ func (j *Junction) recvTrackLocked(from string) *recvTrack {
 	return tr
 }
 
+// unseen reports whether sequence seq has not arrived before: it is ahead of
+// the frontier and not held out of order. Callers hold the junction's recvMu.
+func (tr *recvTrack) unseen(seq uint64) bool {
+	if seq <= tr.contig {
+		return false
+	}
+	_, held := tr.oo[seq]
+	return !held
+}
+
 // deliver records the arrival of per-pair sequence seq and returns the ack to
 // emit: the cumulative frontier, plus whether seq landed out of order and
 // must be acknowledged as a vectored extra. Callers hold the junction's
@@ -1218,23 +1228,13 @@ func (j *Junction) handleGroup(m *compart.Message) {
 
 // deliverGroup records the arrival of the n sequences lo.. of a decoded group
 // from one sender, whose updates stand for them in order (a run for N of
-// them), enqueues the updates and acknowledges them.
+// them), enqueues the updates of the sequences not seen before and
+// acknowledges them all.
 func (j *Junction) deliverGroup(from string, lo uint64, n int, updates []kv.Update) {
 	tracing := j.sys.obs.Tracing()
-	if tracing {
-		// Emitted before the updates are visible, so no trace can show one
-		// applied ahead of its arrival; the sink runs outside recvMu. A run
-		// is traced update by update, as it was sent.
-		seq := lo
-		for i := range updates {
-			u := &updates[i]
-			for end := seq + uint64(u.N); seq < end; seq++ {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: u.Key, Truth: written(u), Peer: from, N: int64(seq)})
-			}
-		}
-	}
 	var cum uint64
-	var extras []uint64
+	var extras, fresh []uint64
+	queued := n
 	j.recvMu.Lock()
 	tr := j.recvTrackLocked(from)
 	if lo == tr.contig+1 && len(tr.oo) == 0 {
@@ -1243,17 +1243,56 @@ func (j *Junction) deliverGroup(from string, lo uint64, n int, updates []kv.Upda
 		tr.contig += uint64(n)
 		cum = tr.contig
 	} else {
-		for seq := lo; seq < lo+uint64(n); seq++ {
-			c, extra := tr.deliver(seq)
-			cum = c
-			if extra {
-				extras = append(extras, seq)
+		// Every sequence is acknowledged, but one seen before — behind the
+		// frontier or held out of order — is not enqueued again: a replayed
+		// update must not undo a later one. A run keeps the count of its
+		// unseen sequences, updates keep only the runs that have any, and
+		// fresh lists the unseen sequences for the trace.
+		queued = 0
+		kept := updates[:0]
+		seq := lo
+		for _, u := range updates {
+			unseen := uint32(0)
+			for end := seq + uint64(u.N); seq < end; seq++ {
+				if tr.unseen(seq) {
+					unseen++
+					if tracing {
+						fresh = append(fresh, seq)
+					}
+				}
+				c, extra := tr.deliver(seq)
+				cum = c
+				if extra {
+					extras = append(extras, seq)
+				}
+			}
+			if unseen > 0 {
+				u.N = unseen
+				kept = append(kept, u)
+				queued += int(unseen)
+			}
+		}
+		updates = kept
+	}
+	j.recvMu.Unlock()
+	if tracing {
+		// Emitted before the updates are visible, so no trace can show one
+		// applied ahead of its arrival. A run is traced update by update, as
+		// it was sent.
+		i := 0
+		for k := range updates {
+			u := &updates[k]
+			for end := i + int(u.N); i < end; i++ {
+				seq := lo + uint64(i)
+				if fresh != nil {
+					seq = fresh[i]
+				}
+				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: u.Key, Truth: written(u), Peer: from, N: int64(seq)})
 			}
 		}
 	}
-	j.recvMu.Unlock()
 	woke := j.table.EnqueueBatch(updates)
-	j.met.RemoteQueued.Add(uint64(n))
+	j.met.RemoteQueued.Add(uint64(queued))
 	if n > 1 {
 		j.met.RemoteBatches.Add(1)
 		if tracing {

@@ -11,20 +11,20 @@
 // datatypes up to a maximum, though configurable, recursion depth".
 //
 // The paper's serializer is *generated ahead of time* from analyzed type
-// definitions; this package recovers that performance model with compiled
-// codec plans: the first encounter of a reflect.Type compiles a closure tree
-// that bakes in the kind switch, the exported-field index list, element
-// codecs and the byte-slice fast path, and caches it per type (see
-// plan_encode.go / plan_decode.go). Steady-state Marshal/Unmarshal therefore
-// performs no per-value type introspection, and pooled buffers plus the
-// AppendMarshal entry point let hot callers amortize allocation across
-// calls. The wire format is unchanged from the original reflect-walk codec,
-// whose output is frozen in testdata/reference.golden as the golden
-// reference.
+// definitions; this package recovers that performance model with codec
+// plans: the first encounter of a reflect.Type builds a plan, plain data
+// holding the wire tag, the exported-field index list, element and key plans
+// and the byte-slice fast path, and caches it per type (see plan.go). One
+// recursive encoder and one recursive decoder walk a value against its plan
+// (encode.go, decode.go), so steady-state Marshal/Unmarshal performs no
+// per-value type introspection, and because the encoder never stores the
+// reflect.Value it is handed, the argument of Marshal and AppendMarshal stays
+// on its caller's stack. The wire format is unchanged from
+// the original reflect-walk codec, whose output is frozen in
+// testdata/reference.golden as the golden reference.
 package serial
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -101,61 +101,33 @@ const (
 	tagTrunc // depth-truncated subtree (decodes to the zero value)
 )
 
-// encoder carries the traversal configuration and the retained scratch
-// capacity between pooled rounds. The output buffer itself is threaded
-// through the plans (see plan_encode.go), so steady-state Marshal performs a
-// single exact-size allocation for the returned slice.
-type encoder struct {
-	cfg Config
-	buf []byte
-}
-
-// truncate encodes a value at exhausted depth as the one-byte truncation
-// marker.
-func (e *encoder) truncate(buf []byte) ([]byte, error) {
-	return append(buf, tagTrunc), nil
-}
-
-// maxPooledBuf caps the buffer capacity retained by pooled encoders so one
+// maxPooledBuf caps the scratch capacity kept between rounds so one
 // oversized value does not pin memory for the process lifetime.
 const maxPooledBuf = 1 << 20
 
-var encPool = sync.Pool{New: func() any { return new(encoder) }}
+// scratch holds the byte buffers Marshal encodes into before its exact-size
+// copy, and that a map's keys are encoded into before they are sorted.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-func putEncoder(e *encoder) {
-	if cap(e.buf) > maxPooledBuf {
-		e.buf = nil
+func putScratch(b *[]byte, buf []byte) {
+	if cap(buf) > maxPooledBuf {
+		buf = nil
 	}
-	encPool.Put(e)
+	*b = buf[:0]
+	scratch.Put(b)
 }
 
-// encodeRoot dispatches the top-level value to its compiled plan.
-func (e *encoder) encodeRoot(buf []byte, v any, depth int) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if !rv.IsValid() {
-		return append(buf, tagNil), nil
-	}
-	return encPlanFor(rv.Type())(e, buf, rv, depth)
-}
-
-// Marshal encodes a value using its compiled codec plan.
+// Marshal encodes a value using its codec plan.
 func (c Config) Marshal(v any) ([]byte, error) {
-	e := encPool.Get().(*encoder)
-	e.cfg = c
-	buf, err := e.encodeRoot(e.buf[:0], v, c.maxDepth())
-	e.buf = buf // retain the grown capacity for the next round
-	if err != nil {
-		putEncoder(e)
-		return nil, err
+	b := scratch.Get().(*[]byte)
+	buf, err := c.AppendMarshal(*b, v)
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(buf))
+		copy(out, buf)
 	}
-	if len(buf) > c.maxBytes() {
-		putEncoder(e)
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
-	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	putEncoder(e)
-	return out, nil
+	putScratch(b, buf)
+	return out, err
 }
 
 // AppendMarshal appends the encoding of v to dst and returns the extended
@@ -163,10 +135,11 @@ func (c Config) Marshal(v any) ([]byte, error) {
 // snapshot images) reuse one buffer across calls. On error dst is returned
 // unchanged. MaxBytes bounds only the appended encoding, not len(dst).
 func (c Config) AppendMarshal(dst []byte, v any) ([]byte, error) {
-	e := encPool.Get().(*encoder)
-	e.cfg = c
-	out, err := e.encodeRoot(dst, v, c.maxDepth())
-	putEncoder(e)
+	rv := reflect.ValueOf(v)
+	if !rv.IsValid() {
+		return append(dst, tagNil), nil
+	}
+	out, err := encode(dst, planFor(rv.Type()), rv, c.maxDepth())
 	if err != nil {
 		return dst, err
 	}
@@ -174,63 +147,6 @@ func (c Config) AppendMarshal(dst []byte, v any) ([]byte, error) {
 		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(out)-len(dst))
 	}
 	return out, nil
-}
-
-// decoder consumes the wire encoding.
-type decoder struct{ buf []byte }
-
-var decPool = sync.Pool{New: func() any { return new(decoder) }}
-
-func (d *decoder) take(n int) ([]byte, error) {
-	if len(d.buf) < n {
-		return nil, fmt.Errorf("%w: need %d bytes, have %d", ErrCorrupt, n, len(d.buf))
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b, nil
-}
-
-func (d *decoder) tag() (byte, error) {
-	b, err := d.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	u, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	d.buf = d.buf[n:]
-	return u, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	i, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	d.buf = d.buf[n:]
-	return i, nil
-}
-
-// length reads a container/byte length and validates it against the
-// remaining input, charging at least minBytes of wire data per element.
-// This makes allocation proportional to the input: a short corrupt frame
-// declaring a gigabyte-scale length fails with ErrCorrupt before any
-// MakeSlice/MakeMapWithSize, and lengths beyond int range can never reach an
-// int conversion.
-func (d *decoder) length(minBytes int) (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(d.buf)/minBytes) {
-		return 0, fmt.Errorf("%w: length %d exceeds %d remaining bytes", ErrCorrupt, n, len(d.buf))
-	}
-	return int(n), nil
 }
 
 // Unmarshal decodes into dst, which must be a non-nil pointer. The
@@ -244,18 +160,12 @@ func (c Config) Unmarshal(data []byte, dst any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("%w: destination must be a non-nil pointer", ErrType)
 	}
-	plan := decPlanFor(rv.Type().Elem())
-	d := decPool.Get().(*decoder)
-	d.buf = data
-	err := plan(d, rv.Elem(), c.maxDepth())
-	rest := len(d.buf)
-	d.buf = nil
-	decPool.Put(d)
+	rest, err := decode(data, planFor(rv.Type().Elem()), rv.Elem(), c.maxDepth())
 	if err != nil {
 		return err
 	}
-	if rest != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, rest)
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return nil
 }
