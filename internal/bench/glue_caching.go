@@ -77,8 +77,8 @@ func NewCachedRedis(enabled bool, timeout time.Duration) (*CachedRedis, error) {
 			return b, nil
 		},
 		DeliverResponse: func(_ dsl.HostCtx, b []byte) error {
-			var op wireOp
-			if err := serial.Unmarshal(b, &op); err != nil {
+			op, err := decodeWireOp(b)
+			if err != nil {
 				return err
 			}
 			cr.mu.Lock()
@@ -99,8 +99,8 @@ func NewCachedRedis(enabled bool, timeout time.Duration) (*CachedRedis, error) {
 			return nil
 		},
 		ComputeF: func(_ dsl.HostCtx, req []byte) ([]byte, error) {
-			var op wireOp
-			if err := serial.Unmarshal(req, &op); err != nil {
+			op, err := decodeWireOp(req)
+			if err != nil {
 				return nil, err
 			}
 			if op.Get {

@@ -102,8 +102,8 @@ func NewShardedRedisClasses(n int, mode ShardMode, classes []workload.SizeClass,
 			return b, nil
 		},
 		HandleRequest: func(ctx dsl.HostCtx, req []byte) ([]byte, error) {
-			var op wireOp
-			if err := serial.Unmarshal(req, &op); err != nil {
+			op, err := decodeWireOp(req)
+			if err != nil {
 				return nil, err
 			}
 			srv := ctx.App().(*miniredis.Server)
@@ -120,8 +120,8 @@ func NewShardedRedisClasses(n int, mode ShardMode, classes []workload.SizeClass,
 			return serial.Marshal(wireOp{Key: op.Key, Found: true})
 		},
 		DeliverResponse: func(_ dsl.HostCtx, b []byte) error {
-			var op wireOp
-			if err := serial.Unmarshal(b, &op); err != nil {
+			op, err := decodeWireOp(b)
+			if err != nil {
 				return err
 			}
 			sr.mu.Lock()

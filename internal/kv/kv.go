@@ -815,11 +815,15 @@ func (t *Table) ApplyPending() int {
 	}
 	// The queue keeps its backing array (emptied, so no payload stays
 	// reachable through it): a junction that absorbs a few updates per
-	// scheduling would otherwise regrow it from nothing every time. An array
-	// that grew past keepPending is given back — it is the high-water mark of
-	// a junction that went unscheduled for a long stretch, and keeping it
-	// would charge every quiet period after for that one backlog.
-	if cap(t.pending) > keepPending {
+	// scheduling would otherwise regrow it from nothing every time. A drain
+	// of more than keepPending entries gives the array back — it is the
+	// high-water mark of a junction that went unscheduled for a long stretch,
+	// and keeping it would charge every quiet period after for that one
+	// backlog. The bound is on what the queue held, not on its capacity:
+	// append rounds a queue of 154–256 entries up to more than keepPending
+	// slots, and a table that absorbs that many per scheduling must not
+	// regrow its queue every time.
+	if len(t.pending) > keepPending {
 		t.setPendingLocked(nil)
 		return n
 	}
@@ -828,8 +832,8 @@ func (t *Table) ApplyPending() int {
 	return n
 }
 
-// keepPending is the largest pending-queue array ApplyPending holds on to: a
-// few delivery groups' worth of updates.
+// keepPending is the most entries a drained queue may have held for
+// ApplyPending to keep its array: a few delivery groups' worth of updates.
 const keepPending = 256
 
 // PendingLen reports how many entries the queue holds; a run of same-key

@@ -571,6 +571,46 @@ func TestEnqueueBatchDistinctKeysAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestQueueBelowBoundKeepsItsArray: a table that absorbs 192 entries per
+// scheduling keeps its queue's array although append rounded it past
+// keepPending slots, and a drain past keepPending entries still gives its
+// array back.
+func TestQueueBelowBoundKeepsItsArray(t *testing.T) {
+	const keys = 96
+	tb := NewTable()
+	us := make([]Update, 0, 2*keys)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < keys; i++ {
+			name := fmt.Sprintf("K%02d", i)
+			if round == 0 {
+				tb.DeclareProp(name, false)
+			}
+			us = append(us, Update{Kind: UpdateProp, Key: name, Bool: round == 0, From: "x"})
+		}
+	}
+	tb.EnqueueBatch(us)
+	if tb.PendingLen() != 2*keys {
+		t.Fatalf("queued %d entries, want %d", tb.PendingLen(), 2*keys)
+	}
+	tb.ApplyPending()
+	if allocs := testing.AllocsPerRun(100, func() {
+		tb.EnqueueBatch(us)
+		tb.ApplyPending()
+	}); allocs != 0 {
+		t.Fatalf("a batch of %d entries allocates %.1f times per scheduling, want 0", len(us), allocs)
+	}
+	for i := 0; i < 2*keepPending; i++ {
+		tb.Enqueue(Update{Kind: UpdateProp, Key: fmt.Sprintf("K%02d", i%keys), Bool: i%2 == 0, From: "y"})
+	}
+	if tb.PendingLen() <= keepPending {
+		t.Fatalf("queued %d entries, want more than %d", tb.PendingLen(), keepPending)
+	}
+	tb.ApplyPending()
+	if cap(tb.pending) != 0 {
+		t.Fatalf("a drain of more than %d entries kept its array of %d slots", keepPending, cap(tb.pending))
+	}
+}
+
 // TestEnqueueBatchWaitSetAdmission checks that batch absorption honours the
 // in-progress wait exactly as per-update Enqueue does: wait-set members are
 // applied immediately, everything else queues.

@@ -1,13 +1,14 @@
 package serial
 
 // The codec's allocation contract, and its plan cache under concurrent first
-// use. The encoder never stores the value it is
-// handed, so the argument of Marshal and AppendMarshal stays on its caller's
-// stack: boxing a struct into the `any` parameter costs nothing, and Marshal
-// allocates only its result. The decoder allocates what the decoded value
-// keeps. Its destination does escape: a decoded slice, map or pointer is
-// stored with reflect.Value.Set, whose receiver escapes, so a local
-// destination moves to the heap.
+// use. The encoder never stores the value it is handed, so the argument of
+// Marshal and AppendMarshal stays on its caller's stack: boxing a struct into
+// the `any` parameter costs nothing, and Marshal allocates only its result.
+// The typed Unmarshal allocates only what the decoded value keeps: its
+// destination never reaches reflect (the walker decodes into a pooled
+// scratch value of the type), so a local destination stays on its caller's
+// stack. Config.Unmarshal's `any` destination still escapes, as a decoded
+// slice, map or pointer is stored with reflect.Value.Set.
 
 import (
 	"bytes"
@@ -72,6 +73,9 @@ func TestMarshalAllocatesOnlyItsResult(t *testing.T) {
 }
 
 func TestUnmarshalAllocatesWhatTheValueKeeps(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops scratch values at random under -race")
+	}
 	h := newAllocHolder()
 	enc, err := Marshal(h.op)
 	if err != nil {
@@ -84,6 +88,41 @@ func TestUnmarshalAllocatesWhatTheValueKeeps(t *testing.T) {
 	}
 	if h.out.Key != h.op.Key || !bytes.Equal(h.out.Value, h.op.Value) || !h.out.Found {
 		t.Fatalf("decoded %+v, want %+v", h.out, h.op)
+	}
+}
+
+// TestUnmarshalKeepsDestinationOnStack: a record decoded into a local
+// variable costs only what it keeps — a GET its Key, a SET its Key and its
+// Value — and not the record itself.
+func TestUnmarshalKeepsDestinationOnStack(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops scratch values at random under -race")
+	}
+	h := newAllocHolder()
+	for _, c := range []struct {
+		name string
+		op   allocOp
+		want float64
+	}{
+		{"GET", allocOp{Get: true, Key: h.op.Key}, 1},
+		{"SET", allocOp{Key: h.op.Key, Value: h.op.Value}, 2},
+	} {
+		enc, err := Marshal(c.op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := true
+		allocs := testing.AllocsPerRun(100, func() {
+			var op allocOp
+			err := Unmarshal(enc, &op)
+			ok = ok && err == nil && op.Get == c.op.Get && op.Key == c.op.Key && bytes.Equal(op.Value, c.op.Value)
+		})
+		if !ok {
+			t.Fatalf("%s: the local record did not decode to %+v", c.name, c.op)
+		}
+		if allocs != c.want {
+			t.Fatalf("%s: decoding into a local record allocates %.1f times, want %.0f", c.name, allocs, c.want)
+		}
 	}
 }
 
@@ -135,7 +174,7 @@ func TestPlansBuiltConcurrently(t *testing.T) {
 				return
 			}
 			out := reflect.New(typ)
-			if err := Unmarshal(enc, out.Interface()); err != nil {
+			if err := Default.Unmarshal(enc, out.Interface()); err != nil {
 				t.Error(err)
 				return
 			}

@@ -4,9 +4,10 @@ package serial
 // mirroring encode.go. The unread input is threaded through the walk as a
 // parameter/return pair, as the encoder threads its output: no decoder state
 // lives in memory, so advancing through the input stores no pointer and
-// takes no GC write barrier. The destination still escapes (DESIGN.md,
-// "Compiled codec plans"): Value.Set, which stores a decoded slice, map or
-// pointer, keeps its receiver.
+// takes no GC write barrier. The value the walker writes escapes: Value.Set,
+// which stores a decoded slice, map or pointer, keeps its receiver. The typed
+// Unmarshal therefore hands it a pooled scratch value, never the caller's
+// destination (DESIGN.md, "Compiled codec plans").
 //
 // Two hardenings over the original reflect-walk decoder (wire format
 // unchanged — they only reject inputs no conforming encoder can produce):

@@ -5,10 +5,11 @@ package serial
 // output, see golden_test.go), and each corpus entry must still encode and
 // decode as the reference did. FuzzUnmarshal drives arbitrary bytes through
 // every ErrCorrupt path (seeded with golden encodings and corrupt length-bomb
-// stubs) and requires every accepted input to round-trip: the decoded value's
-// encoding decodes to a value with the same encoding. FuzzMarshalUnmarshal
-// fuzzes values instead of bytes and asserts the full round-trip contract:
-// the decoder reproduces the original value.
+// stubs), requires the typed entry and Default.Unmarshal to agree on the
+// value and the error of every input, and requires every accepted input to
+// round-trip: the decoded value's encoding decodes to a value with the same
+// encoding. FuzzMarshalUnmarshal fuzzes values instead of bytes and asserts
+// the full round-trip contract: the decoder reproduces the original value.
 
 import (
 	"bytes"
@@ -74,6 +75,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{tagPtr, tagPtr, tagPtr, tagPtr, tagNil})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		entriesAgree(t, data, fuzzRec{})
 		var out fuzzRec
 		if err := Unmarshal(data, &out); err != nil {
 			return // rejected input: the absence of panics/bombs is the property

@@ -132,42 +132,51 @@ type goldenComposite struct {
 	priv int
 }
 
-func goldenFixtures() []struct {
-	name string
-	cfg  Config
-	v    any
-} {
-	return []struct {
-		name string
-		cfg  Config
-		v    any
-	}{
-		{"nilRoot", Config{}, nil},
-		{"bool", Config{}, true},
-		{"int", Config{}, int32(-77)},
-		{"uint", Config{}, uint64(math.MaxUint64)},
-		{"float", Config{}, -math.Pi},
-		{"negZero", Config{}, math.Copysign(0, -1)},
-		{"inf", Config{}, math.Inf(1)},
-		{"string", Config{}, "héllo\x00world"},
-		{"emptyString", Config{}, ""},
-		{"bytes", Config{}, []byte{0, 1, 2, 255}},
-		{"namedBytes", Config{}, namedBytes("nb")},
-		{"emptyBytes", Config{}, []byte{}},
-		{"nilBytes", Config{}, []byte(nil)},
-		{"slice", Config{}, []string{"a", "", "c"}},
-		{"emptySlice", Config{}, []int{}},
-		{"array", Config{}, [4]int8{-1, 0, 1, 2}},
-		{"map", Config{}, map[string]int{"b": 2, "a": 1, "c": -3}},
-		{"emptyMap", Config{}, map[uint8]bool{}},
-		{"nilMap", Config{}, map[string]int(nil)},
-		{"intKeyMap", Config{}, map[int16][]byte{-2: {9}, 4: nil, 1: {}}},
-		{"wireOp", Config{}, goldenWireOp{Get: true, Key: "k1", Value: []byte{0xde, 0xad}, Found: true}},
-		{"flat", Config{}, flat{B: true, I: -42, U: 7, F: 3.5, S: "héllo", Raw: []byte{0, 1, 255}}},
-		{"list3", Config{}, goldenList(1, 2, 3)},
-		{"list3depth5", Config{MaxDepth: 5}, goldenList(1, 2, 3)},
-		{"list100depth21", Config{MaxDepth: 21}, goldenList(make([]int, 100)...)},
-		{"composite", Config{}, goldenComposite{
+// goldenFixture is one value of the frozen file, and a check that decodes
+// an encoding into the value's type through both Unmarshal entry points.
+type goldenFixture struct {
+	name  string
+	cfg   Config
+	v     any
+	agree func(testing.TB, []byte)
+}
+
+func fixture[T any](name string, cfg Config, v T) goldenFixture {
+	return goldenFixture{name, cfg, v, func(tb testing.TB, data []byte) {
+		tb.Helper()
+		var zero T
+		entriesAgree(tb, data, zero)
+	}}
+}
+
+func goldenFixtures() []goldenFixture {
+	return []goldenFixture{
+		fixture[any]("nilRoot", Config{}, nil),
+		fixture("bool", Config{}, true),
+		fixture("int", Config{}, int32(-77)),
+		fixture("uint", Config{}, uint64(math.MaxUint64)),
+		fixture("float", Config{}, -math.Pi),
+		fixture("negZero", Config{}, math.Copysign(0, -1)),
+		fixture("inf", Config{}, math.Inf(1)),
+		fixture("string", Config{}, "héllo\x00world"),
+		fixture("emptyString", Config{}, ""),
+		fixture("bytes", Config{}, []byte{0, 1, 2, 255}),
+		fixture("namedBytes", Config{}, namedBytes("nb")),
+		fixture("emptyBytes", Config{}, []byte{}),
+		fixture("nilBytes", Config{}, []byte(nil)),
+		fixture("slice", Config{}, []string{"a", "", "c"}),
+		fixture("emptySlice", Config{}, []int{}),
+		fixture("array", Config{}, [4]int8{-1, 0, 1, 2}),
+		fixture("map", Config{}, map[string]int{"b": 2, "a": 1, "c": -3}),
+		fixture("emptyMap", Config{}, map[uint8]bool{}),
+		fixture("nilMap", Config{}, map[string]int(nil)),
+		fixture("intKeyMap", Config{}, map[int16][]byte{-2: {9}, 4: nil, 1: {}}),
+		fixture("wireOp", Config{}, goldenWireOp{Get: true, Key: "k1", Value: []byte{0xde, 0xad}, Found: true}),
+		fixture("flat", Config{}, flat{B: true, I: -42, U: 7, F: 3.5, S: "héllo", Raw: []byte{0, 1, 255}}),
+		fixture("list3", Config{}, goldenList(1, 2, 3)),
+		fixture("list3depth5", Config{MaxDepth: 5}, goldenList(1, 2, 3)),
+		fixture("list100depth21", Config{MaxDepth: 21}, goldenList(make([]int, 100)...)),
+		fixture("composite", Config{}, goldenComposite{
 			Flat:        flat{S: "s", Raw: []byte("r")},
 			Nodes:       []*goldenNode{nil, goldenList(5)},
 			Attrs:       map[string]map[int8]string{"m": {1: "x", -1: "y"}, "": nil},
@@ -175,9 +184,9 @@ func goldenFixtures() []struct {
 			Arr:         [3]uint16{7, 8, 9},
 			goldenEmbed: goldenEmbed{X: 11},
 			priv:        3,
-		}},
-		{"deepMapDepth4", Config{MaxDepth: 4}, map[string][]*goldenNode{"k": {goldenList(1, 2, 3)}}},
-		{"snapshotCfg", Snapshot, map[string][]byte{"user:1": []byte("alice")}},
+		}),
+		fixture("deepMapDepth4", Config{MaxDepth: 4}, map[string][]*goldenNode{"k": {goldenList(1, 2, 3)}}),
+		fixture("snapshotCfg", Snapshot, map[string][]byte{"user:1": []byte("alice")}),
 	}
 }
 
@@ -335,7 +344,7 @@ func TestCorruptLengthNoAllocationBomb(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dst := c.dst()
 			var err error
-			alloc := allocDelta(func() { err = Unmarshal(c.frame, dst) })
+			alloc := allocDelta(func() { err = Default.Unmarshal(c.frame, dst) })
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}

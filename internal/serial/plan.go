@@ -34,6 +34,9 @@ type plan struct {
 	key    *plan // map key
 	fields []field
 	n      int // array length
+	// scratch holds *typ values the typed Unmarshal decodes into, so the
+	// caller's destination never reaches reflect.
+	scratch sync.Pool
 }
 
 // field is one exported struct field: its index and its plan.
@@ -76,6 +79,7 @@ func addPlan(ps map[reflect.Type]*plan, t reflect.Type) *plan {
 		return p // cached, or a recursive type closing its cycle
 	}
 	p := &plan{typ: t}
+	p.scratch.New = func() any { return reflect.New(t).Interface() }
 	ps[t] = p
 	switch t.Kind() {
 	case reflect.Bool:

@@ -17,9 +17,13 @@
 // and the byte-slice fast path, and caches it per type (see plan.go). One
 // recursive encoder and one recursive decoder walk a value against its plan
 // (encode.go, decode.go), so steady-state Marshal/Unmarshal performs no
-// per-value type introspection, and because the encoder never stores the
+// per-value type introspection. Because the encoder never stores the
 // reflect.Value it is handed, the argument of Marshal and AppendMarshal stays
-// on its caller's stack. The wire format is unchanged from
+// on its caller's stack. Unmarshal is generic, so the compiler knows its
+// destination's type: the walker decodes into a pooled scratch value of that
+// type, which reaches *dst by a typed assignment, and a local destination
+// stays on its caller's stack too. Config.Unmarshal takes an `any`
+// destination and writes it in place. The wire format is unchanged from
 // the original reflect-walk codec, whose output is frozen in
 // testdata/reference.golden as the golden reference.
 package serial
@@ -81,8 +85,26 @@ func Marshal(v any) ([]byte, error) { return Default.Marshal(v) }
 // configuration and returns the extended buffer.
 func AppendMarshal(dst []byte, v any) ([]byte, error) { return Default.AppendMarshal(dst, v) }
 
-// Unmarshal decodes data into the pointer dst with the default configuration.
-func Unmarshal(data []byte, dst any) error { return Default.Unmarshal(data, dst) }
+// Unmarshal decodes data into *dst with the default configuration. The
+// compiler knows dst's type, so dst never reaches reflect and a local
+// destination stays on its caller's stack: the walker decodes into a pooled
+// scratch value of the type, which starts as a copy of *dst and is assigned
+// back to *dst whole, also on error, so *dst ends exactly as a field-wise
+// decode (Config.Unmarshal) leaves it. Because *dst is written whole, never
+// decode into a value another goroutine reads or writes meanwhile.
+func Unmarshal[T any](data []byte, dst *T) error {
+	if dst == nil {
+		return errNilDst
+	}
+	p := planFor(reflect.TypeFor[T]())
+	s := p.scratch.Get().(*T)
+	*s = *dst
+	rest, err := decode(data, p, reflect.ValueOf(s).Elem(), Default.maxDepth())
+	*dst = *s
+	*s = *new(T)
+	p.scratch.Put(s)
+	return trailing(rest, err)
+}
 
 // Tags of the wire format.
 const (
@@ -154,18 +176,24 @@ func (c Config) AppendMarshal(dst []byte, v any) ([]byte, error) {
 // serializers in the paper are driven by the analyzed type definitions.
 // Decoding enforces the same MaxDepth bound as encoding, so hostile inputs
 // cannot drive unbounded recursion; a valid encoding always decodes under
-// the configuration that produced it.
+// the configuration that produced it. The walker writes *dst in place, field
+// by field, so dst escapes to the heap; the package-level Unmarshal keeps a
+// typed destination on its caller's stack.
 func (c Config) Unmarshal(data []byte, dst any) error {
 	rv := reflect.ValueOf(dst)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("%w: destination must be a non-nil pointer", ErrType)
+		return errNilDst
 	}
-	rest, err := decode(data, planFor(rv.Type().Elem()), rv.Elem(), c.maxDepth())
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
+	return trailing(decode(data, planFor(rv.Type().Elem()), rv.Elem(), c.maxDepth()))
+}
+
+var errNilDst = fmt.Errorf("%w: destination must be a non-nil pointer", ErrType)
+
+// trailing is a decode's result: its error, or input left over after the
+// value.
+func trailing(rest []byte, err error) error {
+	if err == nil && len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
-	return nil
+	return err
 }

@@ -179,7 +179,7 @@ func TestUnsupportedType(t *testing.T) {
 func TestUnmarshalNeedsPointer(t *testing.T) {
 	data, _ := Marshal(1)
 	var x int
-	if err := Unmarshal(data, x); !errors.Is(err, ErrType) {
+	if err := Default.Unmarshal(data, x); !errors.Is(err, ErrType) {
 		t.Fatalf("non-pointer dst: %v", err)
 	}
 	if err := Unmarshal(data, (*int)(nil)); !errors.Is(err, ErrType) {
