@@ -1,9 +1,14 @@
 package bench
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"csaw/internal/loc"
 )
 
 // quickCfg shrinks the experiments for test time while keeping the shapes
@@ -260,6 +265,45 @@ func TestTable2(t *testing.T) {
 		if !strings.Contains(out, feature) {
 			t.Errorf("missing feature row %s", feature)
 		}
+	}
+}
+
+// TestExperimentsTable2IsLive: the Table 2 rows in EXPERIMENTS.md are the
+// live count, so a change to a counted file must regenerate them (go run
+// ./cmd/csaw-bench -run Table2).
+func TestExperimentsTable2IsLive(t *testing.T) {
+	root, err := loc.ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Table 2 — Effort (LoC)\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Table 2 section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var got []string
+	for _, line := range strings.Split(section, "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "|") && !strings.HasPrefix(line, "| Feature ") && !strings.HasPrefix(line, "|---") {
+			got = append(got, line)
+		}
+	}
+	rows, err := loc.Table2(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, r := range rows {
+		total := r.DSL + r.RedisGlue
+		want = append(want, fmt.Sprintf("| %s | %d | %d | %d | %d | %.1f× |",
+			r.Feature, r.DSL, r.RedisGlue, total, r.DirectGo, float64(r.DirectGo)/float64(total)))
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+		t.Errorf("EXPERIMENTS.md Table 2 rows:\n%s\nthe live count:\n%s", g, w)
 	}
 }
 

@@ -414,9 +414,6 @@ func TestStatsCounters(t *testing.T) {
 	if es := n.EndpointStats("b"); es.Delivered != 1 {
 		t.Fatalf("endpoint b stats = %+v", es)
 	}
-	if all := n.AllLinkStats(); len(all) != 2 {
-		t.Fatalf("AllLinkStats = %+v", all)
-	}
 }
 
 // TestLinkLatencySamples: an undelayed delivery is counted as a zero sample,

@@ -16,9 +16,6 @@ import "time"
 // holds at any quiescent point (no sends racing, pending deliveries
 // drained), which fault-injection experiments assert on directly.
 
-// Link identifies a directed link for per-link stats lookups.
-type Link struct{ From, To string }
-
 // LatencySummary summarizes observed delivery latencies.
 type LatencySummary struct {
 	Count uint64
@@ -91,17 +88,6 @@ func (n *Network) LinkStats(from, to string) LinkStats {
 		return *ls
 	}
 	return LinkStats{}
-}
-
-// AllLinkStats returns a snapshot of every link that has carried traffic.
-func (n *Network) AllLinkStats() map[Link]LinkStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[Link]LinkStats, len(n.linkStats))
-	for k, ls := range n.linkStats {
-		out[Link{From: k.from, To: k.to}] = *ls
-	}
-	return out
 }
 
 // EndpointStats returns a snapshot of the counters for a destination

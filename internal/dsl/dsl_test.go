@@ -194,9 +194,6 @@ func TestInstanceOrderAndTypes(t *testing.T) {
 	if got := p.TypeNames(); len(got) != 2 || got[0] != "tau_f" {
 		t.Fatalf("TypeNames = %v", got)
 	}
-	if got := p.InstancesOfType("tau_f"); len(got) != 1 || got[0] != "f" {
-		t.Fatalf("InstancesOfType = %v", got)
-	}
 }
 
 func TestTerminatorString(t *testing.T) {

@@ -2,7 +2,6 @@ package dsl
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"csaw/internal/formula"
@@ -214,18 +213,6 @@ func (p *Program) TypeNames() []string { return append([]string(nil), p.typeOrde
 
 // InstanceNames returns the declared instance names in declaration order.
 func (p *Program) InstanceNames() []string { return append([]string(nil), p.instanceOrder...) }
-
-// InstancesOfType returns the instances of a given type, sorted.
-func (p *Program) InstancesOfType(typeName string) []string {
-	var out []string
-	for inst, tn := range p.Instances {
-		if tn == typeName {
-			out = append(out, inst)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // --- Builder helpers -------------------------------------------------------
 

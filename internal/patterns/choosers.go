@@ -1,8 +1,6 @@
 package patterns
 
 import (
-	"fmt"
-
 	"csaw/internal/dsl"
 	"csaw/internal/workload"
 )
@@ -48,20 +46,5 @@ func SizeClassChooser(
 			}
 		}
 		return (len(classes) - 1) % n, nil
-	}
-}
-
-// RoundRobinChooser cycles through shards (useful for load-balancing
-// computations rather than storage, §5.2: "This architecture could be
-// repurposed to load-balance computations").
-func RoundRobinChooser(n int) func(ctx dsl.HostCtx) (int, error) {
-	next := 0
-	return func(dsl.HostCtx) (int, error) {
-		if n <= 0 {
-			return 0, fmt.Errorf("patterns: round robin over %d shards", n)
-		}
-		i := next % n
-		next++
-		return i, nil
 	}
 }

@@ -248,7 +248,27 @@ func TestVectorisedParMatchesPerArmPar(t *testing.T) {
 // the pair's window keeps working: an ack that arrives for a forgotten range
 // must be ignored, and one that raced the cancel must complete the statement
 // normally.
-func TestOtherwiseExpiryRacingAck(t *testing.T) {
+//
+// In a bubble the ack lands exactly when its latency says, so each round's
+// fate is known (racingLatency): an ack due before t completes the statement
+// with Late unset, one due after t loses to the handler, and only a tie may
+// go either way.
+func TestOtherwiseExpiryRacingAck(t *testing.T) { bubble(t, otherwiseExpiryRacingAck) }
+
+// racingLatency is the one-way link latency of round i of a test that races
+// a group's ack against its otherwise[t] deadline. In real time it is t/2, so
+// the ack is due at t and scheduling decides each round. In a bubble a due
+// ack is never late, and timers due at one instant fire in no set order, so
+// the rounds cycle through t/2 - t/8, t/2 and t/2 + t/8: the ack is due
+// strictly before t, at t, and strictly after t.
+func racingLatency(i int, t time.Duration) time.Duration {
+	if !bubbled {
+		return t / 2
+	}
+	return t/2 + time.Duration(i%3-1)*t/8
+}
+
+func otherwiseExpiryRacingAck(t *testing.T) {
 	const timeout = 4 * time.Millisecond
 	p := groupProgram(dsl.Decls(dsl.InitProp{Name: "Late", Init: false}),
 		dsl.OtherwiseT(
@@ -263,19 +283,24 @@ func TestOtherwiseExpiryRacingAck(t *testing.T) {
 	if err := s.RunMain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: timeout / 2})
 	f := s.junctionQuiet("f", "j")
 	late := 0
 	const rounds = 60
 	for i := 0; i < rounds; i++ {
+		lat := racingLatency(i, timeout)
+		s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: lat})
 		if err := f.Table().SetProp("Late", false); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Invoke(ctx, "f", "j"); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if v, _ := f.Table().Prop("Late"); v {
+		v, _ := f.Table().Prop("Late")
+		if v {
 			late++
+		}
+		if due := 2 * lat; bubbled && due != timeout && v != (due > timeout) {
+			t.Fatalf("round %d: the ack was due after %v against a deadline of %v, yet Late = %v", i, due, timeout, v)
 		}
 		if n := s.pendingAcks("f::j", "g1::j"); n != 0 {
 			t.Fatalf("round %d: %d updates left awaiting acks", i, n)

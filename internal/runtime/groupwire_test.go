@@ -24,6 +24,10 @@ import (
 // of each firing, and every ledger balances: each network conserves and no
 // update is left awaiting its ack.
 func TestLossyLinkDeliversGroupsWholeOrNot(t *testing.T) {
+	bubble(t, lossyLinkDeliversGroupsWholeOrNot)
+}
+
+func lossyLinkDeliversGroupsWholeOrNot(t *testing.T) {
 	const firings = 500
 	var stamp atomic.Int64
 	saveD := dsl.Save{Data: "d", From: func(dsl.HostCtx) ([]byte, error) {

@@ -414,7 +414,9 @@ func migrateAfterAbort(t *testing.T, between func(netB *compart.Network, held co
 // TestMigrateStaleRoundIsIgnored: round 1's frame reaches the destination
 // during round 2, ahead of round 2's own frame, which is delayed. It must
 // neither complete round 2 nor be imported by it.
-func TestMigrateStaleRoundIsIgnored(t *testing.T) {
+func TestMigrateStaleRoundIsIgnored(t *testing.T) { bubble(t, migrateStaleRoundIsIgnored) }
+
+func migrateStaleRoundIsIgnored(t *testing.T) {
 	var delayed sync.WaitGroup
 	defer delayed.Wait()
 	migrateAfterAbort(t, nil, func(netB *compart.Network, held, own compart.Message) error {
@@ -433,7 +435,9 @@ func TestMigrateStaleRoundIsIgnored(t *testing.T) {
 // TestMigrateLateFrameAfterAbort: round 1's frame, released after round 1
 // aborted, finds no round and is dropped; released again during round 2,
 // behind round 2's own frame, it must not replace that frame.
-func TestMigrateLateFrameAfterAbort(t *testing.T) {
+func TestMigrateLateFrameAfterAbort(t *testing.T) { bubble(t, migrateLateFrameAfterAbort) }
+
+func migrateLateFrameAfterAbort(t *testing.T) {
 	migrateAfterAbort(t, func(netB *compart.Network, held compart.Message) {
 		if err := netB.Send(held); err != nil {
 			t.Fatal(err)

@@ -287,7 +287,13 @@ func TestAbandonReachesNestedOtherwise(t *testing.T) {
 // a loaded host that can be a late start: the goroutine got no CPU until t had
 // passed. A stale deadline, one a firing re-armed after it ended, ends sooner:
 // its handler runs before t has passed since Invoke began, and that fails.
-func TestDeadlineExpiryRacingDisarm(t *testing.T) {
+//
+// In a bubble no firing starts late, and each firing's fate is exact: time
+// stands still while the try runs, so its sleep alone decides whether it
+// finishes (the sleep ends before t) or the outer handler runs (after t).
+func TestDeadlineExpiryRacingDisarm(t *testing.T) { bubble(t, deadlineExpiryRacingDisarm) }
+
+func deadlineExpiryRacingDisarm(t *testing.T) {
 	const timeout = 2 * time.Millisecond
 	const rounds = 300
 	for _, nested := range []bool{false, true} {
@@ -299,11 +305,14 @@ func TestDeadlineExpiryRacingDisarm(t *testing.T) {
 			var began, finished, innerHandled, outerHandled atomic.Int32
 			epoch := time.Now()
 			var handledAt atomic.Int64 // when the last outer handler ran, since epoch
+			var slept atomic.Int64     // the last try's work
 			rng := rand.New(rand.NewSource(1))
 			var try dsl.Expr = dsl.Seq{
 				dsl.Host{Label: "begin", Fn: func(dsl.HostCtx) error { began.Add(1); return nil }},
 				dsl.Host{Label: "work", Fn: func(dsl.HostCtx) error {
-					time.Sleep(timeout/4 + time.Duration(rng.Int63n(int64(timeout))))
+					d := timeout/4 + time.Duration(rng.Int63n(int64(timeout)))
+					slept.Store(int64(d))
+					time.Sleep(d)
 					return nil
 				}},
 				dsl.Host{Label: "end", Fn: func(dsl.HostCtx) error { finished.Add(1); return nil }},
@@ -321,8 +330,14 @@ func TestDeadlineExpiryRacingDisarm(t *testing.T) {
 			late := int32(0) // firings that started after their t had passed
 			for i := 1; i <= rounds; i++ {
 				invoked := time.Since(epoch)
+				wasFinished, wasOuter := finished.Load(), outerHandled.Load()
 				if err := s.Invoke(context.Background(), "i", "j"); err != nil {
 					t.Fatalf("firing %d: %v", i, err)
+				}
+				if d := time.Duration(slept.Load()); bubbled && (began.Load() != int32(i) ||
+					d < timeout && finished.Load() == wasFinished || d > timeout && outerHandled.Load() == wasOuter) {
+					t.Fatalf("firing %d slept %v in a try with %v to run: %d began, %d finished, %d inner and %d outer handlers ran",
+						i, d, timeout, began.Load(), finished.Load(), innerHandled.Load(), outerHandled.Load())
 				}
 				if began.Load() != int32(i)-late {
 					if ended := time.Duration(handledAt.Load()) - invoked; ended < timeout {

@@ -225,7 +225,16 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 // start, not a wrong fate, when the handler ran at least t after Invoke
 // began; one that ran sooner had a deadline that ended early, and fails the
 // test.
+//
+// In a bubble no firing starts late, since time stands still while one is
+// runnable, and each round's fate is exact (racingLatency): an ack due
+// before t leaves Late unset with both local halves standing, one due after
+// t runs the handler and leaves W's half gone, and a tie may end either way.
 func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
+	bubble(t, groupedSeqOtherwiseExpiryRacingAck)
+}
+
+func groupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 	const timeout = 4 * time.Millisecond
 	epoch := time.Now()
 	var handledAt atomic.Int64 // when the last handler ran, since epoch
@@ -245,11 +254,12 @@ func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 	if err := s.RunMain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: timeout / 2})
 	tb := s.junctionQuiet("f", "j").Table()
 	late, lateStarts := 0, 0
 	const rounds = 60
 	for i := 0; i < rounds; i++ {
+		lat := racingLatency(i, timeout)
+		s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: lat})
 		invoked := time.Since(epoch)
 		if err := s.Invoke(ctx, "f", "j"); err != nil {
 			t.Fatalf("round %d: %v", i, err)
@@ -257,6 +267,9 @@ func TestGroupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 		isLate, _ := tb.Prop("Late")
 		u, _ := tb.Prop("U")
 		w, _ := tb.Prop("W")
+		if due := 2 * lat; bubbled && (!u || w == isLate || due != timeout && isLate != (due > timeout)) {
+			t.Fatalf("round %d: the ack was due after %v against a deadline of %v, yet late=%v leaves U=%v W=%v at the sender", i, due, timeout, isLate, u, w)
+		}
 		if isLate && !u && !w {
 			if ended := time.Duration(handledAt.Load()) - invoked; ended < timeout {
 				t.Fatalf("round %d: the group never started and its handler ran %v after Invoke began, within its %v", i, ended, timeout)
