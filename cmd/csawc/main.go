@@ -17,12 +17,12 @@
 //	csawc -arch snapshot -check       # bounded model checking of one architecture
 //	csawc -check-all                  # check catalogue + negative examples
 //	                                  # against their annotated verdicts
-//	csawc -arch x -check -check-bound 64 -check-json
+//	csawc -arch x -check -check-bound 64 -json
 //	csawc -arch sharding -cost        # static traffic model + cost findings
 //	csawc -arch sharding -placement   # suggested instance relocations
 //	csawc -cost-all                   # cost-vet the catalogue against its
 //	                                  # annotated verdicts
-//	csawc -cost-all -cost-json        # ... as a JSON report (ArchReport.Cost)
+//	csawc -cost-all -json             # ... as a JSON report (ArchReport.Cost)
 //
 // -vet and -vet-all exit non-zero when any error-severity diagnostic
 // survives the catalogue's recorded suppressions. -check exits non-zero on
@@ -30,8 +30,8 @@
 // -check-all additionally when an entry's verdict drifts from its
 // annotation. -cost prices each entry under its recorded CostPlacement and
 // exits non-zero on unsuppressed error-severity cost findings; -cost-all
-// additionally enforces the annotated CostVerdict. All JSON modes share the
-// analysis.ArchReport schema.
+// additionally enforces the annotated CostVerdict. -json turns the report of
+// any of these modes into JSON; all share the analysis.ArchReport schema.
 package main
 
 import (
@@ -56,14 +56,12 @@ func main() {
 		eventsOut  = flag.Bool("events", false, "print event-structure semantics (Graphviz DOT)")
 		vet        = flag.Bool("vet", false, "run the static-analysis pass suite on -arch")
 		vetAll     = flag.Bool("vet-all", false, "run the static-analysis pass suite on every catalogue architecture")
-		jsonOut    = flag.Bool("json", false, "with -vet/-vet-all: emit the report as JSON")
+		jsonOut    = flag.Bool("json", false, "with -vet/-check/-cost and their -all forms: emit the report as JSON")
 		checkOne   = flag.Bool("check", false, "run the bounded model checker on -arch")
 		checkAll   = flag.Bool("check-all", false, "model-check the catalogue and negative examples against their annotated verdicts")
 		checkBound = flag.Int("check-bound", 0, "with -check/-check-all: schedule-length bound (0 = default)")
-		checkJSON  = flag.Bool("check-json", false, "with -check/-check-all: emit the report as JSON")
 		costOne    = flag.Bool("cost", false, "run the communication-cost suite on -arch")
 		costAll    = flag.Bool("cost-all", false, "cost-vet every catalogue architecture against its annotated verdict")
-		costJSON   = flag.Bool("cost-json", false, "with -cost/-cost-all: emit the report as JSON")
 		placeOut   = flag.Bool("placement", false, "with -arch: print the optimizer's suggested instance relocations")
 	)
 	flag.Parse()
@@ -77,10 +75,10 @@ func main() {
 	}
 	if *checkAll {
 		entries := append(patterns.Catalogue(), patterns.Negatives()...)
-		os.Exit(checkArchitectures(os.Stdout, entries, *checkBound, *checkJSON, true))
+		os.Exit(checkArchitectures(os.Stdout, entries, *checkBound, *jsonOut, true))
 	}
 	if *costAll {
-		os.Exit(costArchitectures(os.Stdout, patterns.Catalogue(), *costJSON, true, false))
+		os.Exit(costArchitectures(os.Stdout, patterns.Catalogue(), *jsonOut, true, false))
 	}
 
 	if *list || *arch == "" {
@@ -102,10 +100,10 @@ func main() {
 		os.Exit(vetArchitectures(os.Stdout, []patterns.CatalogueEntry{entry}, *jsonOut))
 	}
 	if *checkOne {
-		os.Exit(checkArchitectures(os.Stdout, []patterns.CatalogueEntry{entry}, *checkBound, *checkJSON, false))
+		os.Exit(checkArchitectures(os.Stdout, []patterns.CatalogueEntry{entry}, *checkBound, *jsonOut, false))
 	}
 	if *costOne || *placeOut {
-		os.Exit(costArchitectures(os.Stdout, []patterns.CatalogueEntry{entry}, *costJSON, false, *placeOut))
+		os.Exit(costArchitectures(os.Stdout, []patterns.CatalogueEntry{entry}, *jsonOut, false, *placeOut))
 	}
 
 	p := entry.Build()

@@ -129,9 +129,6 @@ type Config struct {
 	Passes []*Pass
 	// Suppress mutes matching findings (kept in Report.Suppressed).
 	Suppress []Suppression
-	// Unfold is the event-structure unfolding budget for the semantic
-	// cross-check (0 means the events package default).
-	Unfold int
 	// Placement maps instance names to deployment locations for
 	// placement-aware passes (the cost suite): two instances mapped to
 	// different non-empty locations are assumed to live on different machines
@@ -198,7 +195,7 @@ func AnalyzePlan(pp *plan.Program, cfg *Config) *Report {
 	if passes == nil {
 		passes = All()
 	}
-	ctx := &Context{Program: pp, Unfold: cfg.Unfold, Placement: cfg.Placement}
+	ctx := &Context{Program: pp, Placement: cfg.Placement}
 	var all []Diagnostic
 	for _, pass := range passes {
 		ds := pass.Run(ctx)

@@ -58,7 +58,7 @@ func TestParConflictAgreesWithEventStructures(t *testing.T) {
 						semantic[cd.Key] = true
 					}
 				}
-				races := analysis.EventRaces(tj.FQ(), tj.Def, 0)
+				races := analysis.EventRaces(tj.FQ(), tj.Def)
 				for k := range races {
 					if !semantic[k] {
 						t.Errorf("%s: event structure races on %s but the syntactic pass has no candidate", tj.FQ(), k)
@@ -101,7 +101,7 @@ func TestParConflictAgreementOnSeededRace(t *testing.T) {
 	if len(cands) == 0 {
 		t.Fatal("no syntactic candidates for a seeded race")
 	}
-	races := analysis.EventRaces(j, def, 0)
+	races := analysis.EventRaces(j, def)
 	want := analysis.RaceKey{Junction: j, Key: "P"}
 	if !races[want] {
 		keys := make([]string, 0, len(races))

@@ -7,8 +7,6 @@ import "csaw/internal/plan"
 // §8.7 topology) and the run's parameters. Passes must not mutate it.
 type Context struct {
 	*plan.Program
-	// Unfold is the event-structure budget for semantic cross-checks.
-	Unfold int
 	// Placement maps instance names to deployment locations (from
 	// Config.Placement); nil means everything is co-located. Location("")
 	// sharing means co-located.

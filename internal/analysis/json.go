@@ -1,7 +1,7 @@
 // Machine-readable report encoding shared by every csawc JSON mode
-// (-vet -json, -check-json): one ArchReport per analyzed architecture, a
-// stable schema downstream tooling can decode without knowing which tool
-// produced it.
+// (-json with -vet, -check or -cost): one ArchReport per analyzed
+// architecture, a stable schema downstream tooling can decode without knowing
+// which tool produced it.
 package analysis
 
 import (
@@ -14,14 +14,14 @@ import (
 // architecture name, a build/validation error (exclusive with findings), and
 // the findings themselves in the Diagnostic schema. The model checker reports
 // through the same shape (its violations rendered as pass "check"
-// diagnostics), so -vet -json and -check-json consumers share one decoder.
+// diagnostics), so the consumers of every -json mode share one decoder.
 type ArchReport struct {
 	Arch        string                 `json:"arch"`
 	Error       string                 `json:"error,omitempty"`
 	Diagnostics []Diagnostic           `json:"diagnostics"`
 	Suppressed  []SuppressedDiagnostic `json:"suppressed,omitempty"`
 	// Cost carries the static traffic model when the report was produced by
-	// the cost suite (csawc -cost-json); nil otherwise.
+	// the cost suite (csawc -cost -json); nil otherwise.
 	Cost *CostReport `json:"cost,omitempty"`
 }
 

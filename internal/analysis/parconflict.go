@@ -171,9 +171,10 @@ func crossBranch(parPos string, a, b []writeEffect, cands *[]parCandidate) {
 // EventRaces computes the semantic race set for one junction: pairs of Wr
 // events on the same (junction, key) with possibly-different values that are
 // concurrent in the §8 event structure (incomparable under ≤, not in
-// conflict). Exported for the cross-check test.
-func EventRaces(j string, def *dsl.JunctionDef, unfold int) map[RaceKey]bool {
-	s := events.DenoteJunction(j, def, events.Budget{Unfold: unfold})
+// conflict), at the events package's default unfolding. Exported for the
+// cross-check test.
+func EventRaces(j string, def *dsl.JunctionDef) map[RaceKey]bool {
+	s := events.DenoteJunction(j, def, events.Budget{})
 	ids := s.IDs()
 	var wrs []events.EventID
 	for _, id := range ids {
@@ -210,7 +211,7 @@ func runParConflict(c *Context) []Diagnostic {
 		if len(cands) == 0 {
 			continue // no syntactic candidates: skip the denotation entirely
 		}
-		races := EventRaces(j, tj.Def, c.Unfold)
+		races := EventRaces(j, tj.Def)
 		seen := map[string]bool{}
 		emit := func(d Diagnostic) {
 			k := d.Pos + "\x00" + d.Msg

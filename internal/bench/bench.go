@@ -26,21 +26,24 @@ type Config struct {
 	Ticks int
 	// Keys is the Redis keyspace size.
 	Keys int
-	// ValueSize is the Redis value size in bytes.
-	ValueSize int
 	// CheckpointEvery is the checkpoint interval in ticks (paper: 15 s).
 	CheckpointEvery int
 	// CrashAt is the tick at which the crash is injected (paper: mid-run).
 	CrashAt int
-	// Shards is the number of back-ends (paper: 4).
-	Shards int
 	// CDFSamples is the number of latency samples per CDF variant.
 	CDFSamples int
 	// Timeout is the C-Saw failure deadline used by the architectures.
 	Timeout time.Duration
-	// Seed fixes the workloads.
-	Seed int64
 }
+
+const (
+	// shards is the number of back-ends (paper: 4).
+	shards = 4
+	// valueSize is the Redis value size in bytes.
+	valueSize = 64
+	// seed fixes the workloads.
+	seed = 1
+)
 
 // Defaults returns the laptop-fast configuration used by tests and the
 // default CLI run.
@@ -49,13 +52,10 @@ func Defaults() Config {
 		Tick:            10 * time.Millisecond,
 		Ticks:           120,
 		Keys:            5000,
-		ValueSize:       64,
 		CheckpointEvery: 15,
 		CrashAt:         60,
-		Shards:          4,
 		CDFSamples:      2000,
 		Timeout:         500 * time.Millisecond,
-		Seed:            1,
 	}
 }
 
@@ -70,17 +70,11 @@ func (c *Config) fill() {
 	if c.Keys <= 0 {
 		c.Keys = d.Keys
 	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = d.ValueSize
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = d.CheckpointEvery
 	}
 	if c.CrashAt <= 0 {
 		c.CrashAt = d.CrashAt
-	}
-	if c.Shards <= 0 {
-		c.Shards = d.Shards
 	}
 	if c.CDFSamples <= 0 {
 		c.CDFSamples = d.CDFSamples

@@ -16,8 +16,8 @@ import (
 func redisCDF(cfg Config, get bool) (Result, error) {
 	cfg.fill()
 	ctx := context.Background()
-	val := make([]byte, cfg.ValueSize)
-	stream := workload.NewKVStream(workload.KVConfig{Keys: cfg.Keys, ValueSize: cfg.ValueSize, Seed: cfg.Seed})
+	val := make([]byte, valueSize)
+	stream := workload.NewKVStream(workload.KVConfig{Keys: cfg.Keys, ValueSize: valueSize, Seed: seed})
 	keys := make([]string, cfg.CDFSamples)
 	for i := range keys {
 		keys[i] = stream.Next().Key
@@ -38,7 +38,7 @@ func redisCDF(cfg Config, get bool) (Result, error) {
 	// Baseline: unmodified server.
 	base := miniredis.NewServer()
 	defer base.Close()
-	if err := prepopulate(base, cfg.Keys, cfg.ValueSize); err != nil {
+	if err := prepopulate(base, cfg.Keys, valueSize); err != nil {
 		return Result{}, err
 	}
 	baseLat, err := measure(func(k string) error {
@@ -56,7 +56,7 @@ func redisCDF(cfg Config, get bool) (Result, error) {
 	// architecture runs in the background while the client measures.
 	repl := miniredis.NewServer()
 	defer repl.Close()
-	if err := prepopulate(repl, cfg.Keys, cfg.ValueSize); err != nil {
+	if err := prepopulate(repl, cfg.Keys, valueSize); err != nil {
 		return Result{}, err
 	}
 	ck, err := NewCheckpointedApp(repl, cfg.Timeout)
@@ -89,12 +89,12 @@ func redisCDF(cfg Config, get bool) (Result, error) {
 	// Sharded variants.
 	shardLat := map[ShardMode][]time.Duration{}
 	for _, mode := range []ShardMode{ShardByKey, ShardBySize} {
-		sr, err := NewShardedRedis(cfg.Shards, mode, cfg.Timeout)
+		sr, err := NewShardedRedis(shards, mode, cfg.Timeout)
 		if err != nil {
 			return Result{}, err
 		}
 		// Pre-populate through the front so the size table fills.
-		rng := newRng(cfg.Seed)
+		rng := newRng(seed)
 		classes := workload.PaperSizeClasses()
 		for i := 0; i < cfg.Keys/10; i++ {
 			k := fmt.Sprintf("key:%06d", i)
@@ -173,19 +173,19 @@ func Fig26c(cfg Config) (Result, error) {
 		{Name: ">256KB", MinBytes: 256<<10 + 1, MaxBytes: 512 << 10},
 	}
 	weights := []float64{4, 3, 2, 1}
-	rng := newRng(cfg.Seed)
+	rng := newRng(seed)
 
-	sr, err := NewShardedRedisClasses(cfg.Shards, ShardBySize, classes, cfg.Timeout)
+	sr, err := NewShardedRedisClasses(shards, ShardBySize, classes, cfg.Timeout)
 	if err != nil {
 		return Result{}, err
 	}
 	defer sr.Close()
 
-	series := make([]Series, cfg.Shards)
+	series := make([]Series, shards)
 	for i := range series {
 		series[i] = Series{Name: fmt.Sprintf("Shard %d", i+1)}
 	}
-	cum := make([]float64, cfg.Shards)
+	cum := make([]float64, shards)
 	reqPerTick := 20
 	keyID := 0
 	for tick := 0; tick < cfg.Ticks; tick++ {
@@ -200,7 +200,7 @@ func Fig26c(cfg Config) (Result, error) {
 			if err := sr.Set(ctx, key, v); err != nil {
 				return Result{}, err
 			}
-			cum[class%cfg.Shards]++
+			cum[class%shards]++
 		}
 		for i := range series {
 			series[i].X = append(series[i].X, float64(tick))

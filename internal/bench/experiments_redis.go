@@ -28,7 +28,7 @@ func Fig23a(cfg Config) (Result, error) {
 	ctx := context.Background()
 
 	srv := miniredis.NewServer()
-	if err := prepopulate(srv, cfg.Keys, cfg.ValueSize); err != nil {
+	if err := prepopulate(srv, cfg.Keys, valueSize); err != nil {
 		return Result{}, err
 	}
 	ck, err := NewCheckpointedApp(srv, cfg.Timeout)
@@ -39,7 +39,7 @@ func Fig23a(cfg Config) (Result, error) {
 	defer func() { srv.Close() }()
 
 	stream := workload.NewKVStream(workload.KVConfig{
-		Keys: cfg.Keys, ReadFraction: 0.9, ValueSize: cfg.ValueSize, Seed: cfg.Seed,
+		Keys: cfg.Keys, ReadFraction: 0.9, ValueSize: valueSize, Seed: seed,
 	})
 
 	rates := Series{Name: "Query Rate"}
@@ -108,7 +108,7 @@ func Fig23b(cfg Config) (Result, error) {
 	cfg.fill()
 	ctx := context.Background()
 
-	sr, err := NewShardedRedis(cfg.Shards, ShardByKey, cfg.Timeout)
+	sr, err := NewShardedRedis(shards, ShardByKey, cfg.Timeout)
 	if err != nil {
 		return Result{}, err
 	}
@@ -117,39 +117,39 @@ func Fig23b(cfg Config) (Result, error) {
 	// Build per-shard key pools so the uneven class weights land on distinct
 	// shards (the paper "confirmed that the ratio between shards matches
 	// that of the workload").
-	pools := make([][]string, cfg.Shards)
-	for i := 0; len(pools[0]) < 64 || len(pools[1]) < 64 || len(pools[2]) < 64 || len(pools[3%cfg.Shards]) < 64; i++ {
+	pools := make([][]string, shards)
+	for i := 0; len(pools[0]) < 64 || len(pools[1]) < 64 || len(pools[2]) < 64 || len(pools[3]) < 64; i++ {
 		key := fmt.Sprintf("key:%06d", i)
-		s := int(workload.Djb2(key)) % cfg.Shards
+		s := int(workload.Djb2(key)) % shards
 		pools[s] = append(pools[s], key)
 		if i > cfg.Keys*100 {
 			break
 		}
 	}
 	weights := []float64{4, 3, 2, 1}
-	stream := workload.NewKVStream(workload.KVConfig{Keys: cfg.Keys, Seed: cfg.Seed})
+	stream := workload.NewKVStream(workload.KVConfig{Keys: cfg.Keys, Seed: seed})
 	_ = stream
 
-	series := make([]Series, cfg.Shards)
+	series := make([]Series, shards)
 	for i := range series {
 		series[i] = Series{Name: fmt.Sprintf("Shard %d", i+1)}
 	}
-	val := make([]byte, cfg.ValueSize)
-	rng := newRng(cfg.Seed)
+	val := make([]byte, valueSize)
+	rng := newRng(seed)
 	reqPerTick := 40
-	cum := make([]float64, cfg.Shards)
+	cum := make([]float64, shards)
 	for tick := 0; tick < cfg.Ticks; tick++ {
 		for r := 0; r < reqPerTick; r++ {
 			shard := weightedPick(rng, weights)
 			if shard < 0 {
 				return Result{}, fmt.Errorf("bench: no positive shard weight in %v", weights)
 			}
-			pool := pools[shard%cfg.Shards]
+			pool := pools[shard%shards]
 			key := pool[rng.Intn(len(pool))]
 			if err := sr.Set(ctx, key, val); err != nil {
 				return Result{}, err
 			}
-			cum[shard%cfg.Shards]++
+			cum[shard%shards]++
 		}
 		for i := range series {
 			series[i].X = append(series[i].X, float64(tick))
@@ -182,13 +182,13 @@ func Fig23c(cfg Config) (Result, error) {
 			return Series{}, 0, 0, err
 		}
 		defer cr.Close()
-		if err := prepopulate(cr.Server(), cfg.Keys, cfg.ValueSize); err != nil {
+		if err := prepopulate(cr.Server(), cfg.Keys, valueSize); err != nil {
 			return Series{}, 0, 0, err
 		}
 		stream := workload.NewKVStream(workload.KVConfig{
 			Keys: cfg.Keys, ReadFraction: 1,
 			HotFraction: 0.1, HotProbability: 0.9,
-			ValueSize: cfg.ValueSize, Seed: cfg.Seed,
+			ValueSize: valueSize, Seed: seed,
 		})
 		s := Series{Name: name}
 		for tick := 0; tick < cfg.Ticks; tick++ {

@@ -14,7 +14,7 @@ func newTrace(cfg Config) *workload.FlowTrace {
 	return workload.NewFlowTrace(workload.FlowTraceConfig{
 		Flows:              400,
 		MeanPackets:        1 << 20, // effectively endless; experiments stop at Ticks
-		Seed:               cfg.Seed,
+		Seed:               seed,
 		SuspiciousFraction: 0.05,
 	})
 }
@@ -75,14 +75,14 @@ func Fig24b(cfg Config) (Result, error) {
 	cfg.fill()
 	ctx := context.Background()
 
-	ss, err := NewShardedSuricata(cfg.Shards, cfg.Timeout)
+	ss, err := NewShardedSuricata(shards, cfg.Timeout)
 	if err != nil {
 		return Result{}, err
 	}
 	defer ss.Close()
 
 	trace := newTrace(cfg)
-	series := make([]Series, cfg.Shards)
+	series := make([]Series, shards)
 	for i := range series {
 		series[i] = Series{Name: fmt.Sprintf("Shard %d", i+1)}
 	}
@@ -228,7 +228,7 @@ func SuricataShardingOverhead(cfg Config) (Result, error) {
 	bare := time.Since(start)
 
 	// Sharded.
-	ss, err := NewShardedSuricata(cfg.Shards, cfg.Timeout)
+	ss, err := NewShardedSuricata(shards, cfg.Timeout)
 	if err != nil {
 		return Result{}, err
 	}

@@ -18,13 +18,10 @@ func quickCfg() Config {
 		Tick:            4 * time.Millisecond,
 		Ticks:           40,
 		Keys:            1500,
-		ValueSize:       64,
 		CheckpointEvery: 8,
 		CrashAt:         20,
-		Shards:          4,
 		CDFSamples:      300,
 		Timeout:         time.Second,
-		Seed:            1,
 	}
 }
 
@@ -63,12 +60,12 @@ func TestFig23bShardRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != cfg.Shards {
+	if len(r.Series) != shards {
 		t.Fatalf("series = %d", len(r.Series))
 	}
 	// Cumulative curves are nondecreasing and ordered by workload weight:
 	// shard 1 (weight 4) ends above shard 4 (weight 1).
-	finals := make([]float64, cfg.Shards)
+	finals := make([]float64, shards)
 	for i, s := range r.Series {
 		for k := 1; k < len(s.Y); k++ {
 			if s.Y[k] < s.Y[k-1] {

@@ -17,7 +17,7 @@
 // explicit (§4, §6): propositions are concrete booleans, named data is
 // ternary presence (defined/undef), idx and subset variables are concrete.
 // Host blocks are havoc: every combination of writes to their declared
-// write-set V⃗ is explored (capped by Options.MaxHavoc), and host blocks
+// write-set V⃗ is explored (capped at maxHavoc), and host blocks
 // never fail. Timing is abstracted: a wait blocked under an otherwise[t]
 // deadline may time out at any moment.
 //
@@ -66,33 +66,27 @@ type Options struct {
 	// Bound is the maximum schedule length (transitions per path).
 	// Default 48.
 	Bound int
-	// MaxStates caps the number of distinct states explored. Default 20000.
-	MaxStates int
 	// MaxEnv is the environment budget: how many times the environment may
 	// act (inject an externally-writable proposition or invoke an unguarded
-	// junction). Default 2.
+	// junction). Default 2; negative turns the environment off.
 	MaxEnv int
-	// MaxHavoc caps the write combinations explored per host block.
-	// Default 16.
-	MaxHavoc int
-	// NoShrink skips counterexample minimization.
-	NoShrink bool
 }
+
+const (
+	// maxStates caps the number of distinct states explored.
+	maxStates = 20000
+	// maxHavoc caps the write combinations explored per host block.
+	maxHavoc = 16
+)
 
 func (o *Options) fill() {
 	if o.Bound <= 0 {
 		o.Bound = 48
 	}
-	if o.MaxStates <= 0 {
-		o.MaxStates = 20000
-	}
 	if o.MaxEnv < 0 {
 		o.MaxEnv = 0
 	} else if o.MaxEnv == 0 {
 		o.MaxEnv = 2
-	}
-	if o.MaxHavoc <= 0 {
-		o.MaxHavoc = 16
 	}
 }
 

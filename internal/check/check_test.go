@@ -48,7 +48,7 @@ func TestNegativeDeadlockFoundAndReplayed(t *testing.T) {
 	if !v.Trace[0].Blocks {
 		t.Fatalf("the deadlocking scheduling should be marked blocking, got %v", v.Trace)
 	}
-	rr, err := check.Replay(p, *v, check.ReplayOptions{})
+	rr, err := check.Replay(p, *v)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestNegativeInvariantFoundAndReplayed(t *testing.T) {
 	if len(v.Trace) == 0 {
 		t.Fatalf("invariant violation has empty trace")
 	}
-	rr, err := check.Replay(p, *v, check.ReplayOptions{})
+	rr, err := check.Replay(p, *v)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestTxnRollbackSparesSiblingArmInTheModel(t *testing.T) {
 
 	res := mustCheck(t, p, check.Options{})
 	if v := findViolation(res, check.Invariant); v != nil {
-		rr, err := check.Replay(p, *v, check.ReplayOptions{})
+		rr, err := check.Replay(p, *v)
 		if err != nil {
 			t.Fatalf("Replay: %v", err)
 		}
@@ -301,7 +301,7 @@ func TestIdxAssignOfSelfElement(t *testing.T) {
 			if got := check.VerdictOf(res); got != "invariant" {
 				t.Fatalf("verdict %q, want invariant (violations %v)", got, res.Violations)
 			}
-			rr, err := check.Replay(p, *findViolation(res, check.Invariant), check.ReplayOptions{})
+			rr, err := check.Replay(p, *findViolation(res, check.Invariant))
 			if err != nil {
 				t.Fatalf("Replay: %v", err)
 			}

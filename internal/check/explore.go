@@ -232,7 +232,7 @@ func (c *checker) explore() *Result {
 			if _, dup := visited[string(key)]; dup {
 				continue
 			}
-			if len(nodes) >= c.opts.MaxStates {
+			if len(nodes) >= maxStates {
 				res.Truncated = true
 				continue
 			}
@@ -319,9 +319,6 @@ func (c *checker) replaySteps(steps []Step) (*state, bool) {
 // minimize greedily drops steps (last first) while the remaining schedule
 // still replays to a state satisfying the violation predicate.
 func (c *checker) minimize(steps []Step, pred func(*state) bool) []Step {
-	if c.opts.NoShrink {
-		return steps
-	}
 	cur := append([]Step(nil), steps...)
 	for i := len(cur) - 1; i >= 0; i-- {
 		cand := append(append([]Step(nil), cur[:i]...), cur[i+1:]...)

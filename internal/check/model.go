@@ -362,7 +362,7 @@ func (c *checker) buildStaticFacts() {
 		// Sibling-branch race keys, confirmed concurrent by the §8 event
 		// structure (exercises the memoized Consistent relation).
 		rk := newObsKeys()
-		for race := range analysis.EventRaces(j.fq, ji.Def, 0) {
+		for race := range analysis.EventRaces(j.fq, ji.Def) {
 			if race.Junction != j.fq {
 				continue
 			}
@@ -423,17 +423,12 @@ func (c *checker) buildStaticFacts() {
 func (c *checker) initialState() *state {
 	st := &state{tab: make(words, c.width)}
 	st.tab.put(c.env, c.envWidth, c.opts.MaxEnv)
-	// Main is executed as a sequential prefix: start/stop effects in walk
-	// order (the driver of every catalogue pattern is a sequence of starts).
-	dsl.WalkBody(c.prog.Main, func(e dsl.Expr) {
-		switch n := e.(type) {
-		case dsl.Start:
-			if inst := c.insts[n.Instance]; !st.running(inst) {
-				c.startInstance(st, inst)
-			}
-		case dsl.Stop:
-			st.tab.set(2*c.insts[n.Instance], false)
-		}
+	// Main runs as it does at run time (plan.RunMain); a main that fails
+	// leaves the state it made before it failed.
+	_ = plan.ModelMain(c.prog.Main, func(inst string) {
+		c.startInstance(st, c.insts[inst])
+	}, func(inst string) {
+		st.tab.set(2*c.insts[inst], false)
 	})
 	return st
 }

@@ -13,14 +13,13 @@ import (
 	"csaw/internal/runtime"
 )
 
-// ReplayOptions bounds a counterexample replay.
-type ReplayOptions struct {
-	// Timeout is the overall replay deadline. Default 5s.
-	Timeout time.Duration
-	// Grace is the settle window before confirming a deadlock (time for any
-	// in-flight scheduling to make progress if it were going to). Default 300ms.
-	Grace time.Duration
-}
+const (
+	// replayTimeout is the overall replay deadline.
+	replayTimeout = 5 * time.Second
+	// replayGrace is the settle window before confirming a deadlock (time for
+	// any in-flight scheduling to make progress if it were going to).
+	replayGrace = 300 * time.Millisecond
+)
 
 // ReplayResult reports whether the real runtime reproduced the violation.
 type ReplayResult struct {
@@ -43,15 +42,9 @@ func (s *chanSink) Emit(e obsv.Event) {
 // evaluates to false over the real KV tables, or every blocked scheduling is
 // still blocked and every guarded junction refuses to schedule. Liveness
 // findings are bound-relative diagnostics and have no replayable schedule.
-func Replay(p *dsl.Program, v Violation, opts ReplayOptions) (*ReplayResult, error) {
+func Replay(p *dsl.Program, v Violation) (*ReplayResult, error) {
 	if v.Kind == Liveness {
 		return nil, fmt.Errorf("check: liveness findings carry no replayable schedule")
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	if opts.Grace <= 0 {
-		opts.Grace = 300 * time.Millisecond
 	}
 	sink := &chanSink{ch: make(chan obsv.Event, 4096)}
 	sys, err := runtime.New(p, runtime.Options{DisableDrivers: true, Trace: sink})
@@ -60,13 +53,13 @@ func Replay(p *dsl.Program, v Violation, opts ReplayOptions) (*ReplayResult, err
 	}
 	defer sys.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), replayTimeout)
 	defer cancel()
 	if err := sys.RunMain(ctx); err != nil {
 		return nil, fmt.Errorf("check: replay main: %w", err)
 	}
 
-	deadline := time.Now().Add(opts.Timeout)
+	deadline := time.Now().Add(replayTimeout)
 	waitEvent := func(kind obsv.Kind, junction string) error {
 		for {
 			select {
@@ -155,7 +148,7 @@ func Replay(p *dsl.Program, v Violation, opts ReplayOptions) (*ReplayResult, err
 		return &ReplayResult{Confirmed: true, Detail: fmt.Sprintf("invariant %q false over the real tables", v.Invariant)}, nil
 
 	default: // Deadlock
-		time.Sleep(opts.Grace)
+		time.Sleep(replayGrace)
 		for fq, ch := range outstanding {
 			select {
 			case err := <-ch:
@@ -179,7 +172,7 @@ func Replay(p *dsl.Program, v Violation, opts ReplayOptions) (*ReplayResult, err
 				if _, blocked := outstanding[fq]; blocked {
 					continue
 				}
-				ictx, icancel := context.WithTimeout(ctx, opts.Grace)
+				ictx, icancel := context.WithTimeout(ctx, replayGrace)
 				err := sys.Invoke(ictx, inst, jn)
 				icancel()
 				if !errors.Is(err, runtime.ErrNotSchedulable) && !errors.Is(err, runtime.ErrNotRunning) {

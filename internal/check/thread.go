@@ -286,7 +286,7 @@ func (c *checker) classifyStmt(st *state, t *thread, o *plan.Op, multi bool) act
 // havocsFor enumerates the write combinations of a host block over its
 // declared write-set: propositions take {unchanged, tt, ff}, data
 // {unchanged, defined}, idx {unchanged} ∪ valid elements, subsets
-// {unchanged, full parent, singletons}. Capped at Options.MaxHavoc with the
+// {unchanged, full parent, singletons}. Capped at maxHavoc with the
 // all-unchanged combination always first.
 func (c *checker) havocsFor(st *state, j *junc, writes []string) []havoc {
 	ji := j.info
@@ -319,7 +319,7 @@ func (c *checker) havocsFor(st *state, j *junc, writes []string) []havoc {
 	var out []havoc
 	var build func(i int, cur []havocWrite, parts []string)
 	build = func(i int, cur []havocWrite, parts []string) {
-		if len(out) >= c.opts.MaxHavoc {
+		if len(out) >= maxHavoc {
 			return
 		}
 		if i == len(perName) {
@@ -343,8 +343,8 @@ func (c *checker) havocsFor(st *state, j *junc, writes []string) []havoc {
 	for _, opts := range perName {
 		total *= len(opts)
 	}
-	if total > c.opts.MaxHavoc {
-		c.unsup[fmt.Sprintf("%s: host havoc truncated to %d of %d combinations", j.fq, c.opts.MaxHavoc, total)] = true
+	if total > maxHavoc {
+		c.unsup[fmt.Sprintf("%s: host havoc truncated to %d of %d combinations", j.fq, maxHavoc, total)] = true
 	}
 	return out
 }

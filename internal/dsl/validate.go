@@ -72,13 +72,15 @@ func Validate(p *Program) error {
 		}
 	}
 
-	// main must start at least one instance (paper §6 "Start and stop").
+	// main must start at least one instance (paper §6 "Start and stop"), and
+	// holds only the forms plan.RunMain runs.
 	if len(p.Main) == 0 {
 		fail("main is empty")
 	}
 	starts := 0
 	WalkBody(p.Main, func(e Expr) {
 		switch n := e.(type) {
+		case Seq, Par, Scope, Otherwise, Skip:
 		case Start:
 			starts++
 			if _, ok := p.Instances[n.Instance]; !ok {
@@ -88,8 +90,8 @@ func Validate(p *Program) error {
 			if _, ok := p.Instances[n.Instance]; !ok {
 				fail("main stops undeclared instance %q", n.Instance)
 			}
-		case Host, Save, Restore, Wait, Assert, Retract, Write:
-			fail("main may not contain junction-state statement %s", e)
+		default:
+			fail("main may not contain statement %s", e)
 		}
 	})
 	if starts == 0 && len(p.Main) > 0 {

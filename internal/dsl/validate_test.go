@@ -89,7 +89,7 @@ func TestValidateRejections(t *testing.T) {
 				p.SetMain(dsl.Seq{dsl.Start{Instance: "f"}, dsl.Assert{Prop: dsl.PR("Work")}})
 				return p
 			},
-			want: "junction-state statement",
+			want: "main may not contain statement assert",
 		},
 		{
 			name: "instance of unknown type",

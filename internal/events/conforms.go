@@ -7,11 +7,12 @@ import (
 
 	"csaw/internal/dsl"
 	"csaw/internal/obsv"
+	"csaw/internal/plan"
 )
 
 // Conforms checks a traced run against the denotation of one junction: s is
-// DenoteJunction's structure for "instance::junction", trace the events of a
-// run of the whole system. It returns nil when, scheduling by scheduling, what
+// DenoteJunction's structure for j, trace the events of a run of the whole
+// system. It returns nil when, scheduling by scheduling, what
 // the trace shows of the junction maps injectively, in trace order, onto events
 // of one configuration of s; otherwise an error naming the first observation
 // that has no place in any. DESIGN.md, "Conformance to the §8 denotation", has
@@ -22,8 +23,8 @@ import (
 //     junction, Wr_J(K,v) a local.write when J declares K, Wait a
 //     wait.admitted that uses up an earlier wait.armed. Rd, Synch, Start, Stop,
 //     ⊥, ε, host writes (v = *) and writes of undeclared names may occur
-//     unobserved. Labels unify with resolved names: me:: tokens, idx variables
-//     over their sets, "inst::" over inst's junctions.
+//     unobserved. Labels unify with the names plan resolved for j: me::
+//     tokens, idx variables over their sets, "inst::" over inst's junctions.
 //   - The structure is read as a flow event structure: an event can occur once
 //     every immediate predecessor has occurred or can no longer occur, and one
 //     has. An event can no longer occur once one in minimal conflict with it
@@ -37,14 +38,14 @@ import (
 //     run's fate has kept them, so a delivery may precede the local.write of an
 //     earlier member it depends on: that write is owed, and sched.fire is
 //     refused while one is.
-func Conforms(s *Structure, trace []obsv.Event) error {
-	m := newMatcher(s)
+func Conforms(j *plan.Junction, s *Structure, trace []obsv.Event) error {
+	m := newMatcher(j, s)
 	var cur []obsv.Event
 	n := 0
 	check := func() error {
 		n++
 		if err := m.scheduling(cur); err != nil {
-			return fmt.Errorf("%s, scheduling %d: %w", m.fq, n, err)
+			return fmt.Errorf("%s, scheduling %d: %w", m.j.FQ, n, err)
 		}
 		cur = cur[:0]
 		return nil
@@ -54,7 +55,7 @@ func Conforms(s *Structure, trace []obsv.Event) error {
 			continue
 		}
 		if start, open := ev.Kind == obsv.EvSchedStart, len(cur) > 0; start == open {
-			return fmt.Errorf("%s, after scheduling %d: %s outside a scheduling's sched.start … sched.fire", m.fq, n, describe(ev))
+			return fmt.Errorf("%s, after scheduling %d: %s outside a scheduling's sched.start … sched.fire", m.j.FQ, n, describe(ev))
 		}
 		cur = append(cur, ev)
 		if ev.Kind == obsv.EvSchedFire || ev.Kind == obsv.EvSchedError {
@@ -70,25 +71,21 @@ func Conforms(s *Structure, trace []obsv.Event) error {
 	return nil
 }
 
-// ConformsProgram checks trace against every junction of every instance of p.
-// The unfolding budget grows, up to a bound, until a junction's schedulings
-// fit: the denotation is infinitary in retry and reconsider and Budget only
-// curtails it (§8.5), so a run is wrong when no unfolding has it.
-func ConformsProgram(p *dsl.Program, trace []obsv.Event) error {
+// ConformsProgram checks trace against every junction of the compiled
+// program. The unfolding budget grows, up to a bound, until a junction's
+// schedulings fit: the denotation is infinitary in retry and reconsider and
+// Budget only curtails it (§8.5), so a run is wrong when no unfolding has it.
+func ConformsProgram(pp *plan.Program, trace []obsv.Event) error {
 	const maxUnfold = 4
-	for _, inst := range p.InstanceNames() {
-		t := p.Types[p.Instances[inst]]
-		for _, jn := range t.JunctionNames() {
-			var err error
-			for unfold := 1; unfold <= maxUnfold; unfold++ {
-				s := DenoteJunction(inst+"::"+jn, t.Junctions[jn], Budget{Unfold: unfold})
-				if err = Conforms(s, trace); err == nil {
-					break
-				}
+	for _, j := range pp.Juncs {
+		var err error
+		for unfold := 1; unfold <= maxUnfold; unfold++ {
+			if err = Conforms(j, DenoteJunction(j.FQ, j.Def, Budget{Unfold: unfold}), trace); err == nil {
+				break
 			}
-			if err != nil {
-				return err
-			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -110,13 +107,11 @@ type node struct {
 }
 
 type matcher struct {
-	s        *Structure
-	fq, inst string
-	ids      []EventID
-	n        []node
-	entries  map[int][]int       // handler group → the first events of all its copies
-	declared map[string]bool     // the names the junction's table holds
-	idx      map[string][]string // idx variable → the elements it ranges over
+	s       *Structure
+	j       *plan.Junction // declared names, idx universes and me:: resolution
+	ids     []EventID
+	n       []node
+	entries map[int][]int // handler group → the first events of all its copies
 
 	obs     []obsv.Event
 	cands   [][]int
@@ -128,26 +123,8 @@ type matcher struct {
 // as not conforming rather than left to run.
 const maxSteps = 1 << 18
 
-func newMatcher(s *Structure) *matcher {
-	m := &matcher{s: s, fq: s.junction, ids: s.IDs(), entries: map[int][]int{}, declared: map[string]bool{}, idx: map[string][]string{}}
-	m.inst, _, _ = strings.Cut(m.fq, "::")
-	if s.def != nil {
-		sets := map[string][]string{}
-		for _, d := range s.def.Decls {
-			switch n := d.(type) {
-			case dsl.InitProp:
-				m.declared[m.self(n.Name)] = true
-			case dsl.InitData:
-				m.declared[n.Name] = true
-			case dsl.DeclSet:
-				sets[n.Name] = n.Elems
-			case dsl.DeclSubset:
-				sets[n.Name] = sets[n.Of]
-			case dsl.DeclIdx:
-				m.idx[n.Name] = sets[n.Of]
-			}
-		}
-	}
+func newMatcher(j *plan.Junction, s *Structure) *matcher {
+	m := &matcher{s: s, j: j, ids: s.IDs(), entries: map[int][]int{}}
 	at := make(map[EventID]int, len(m.ids))
 	for i, id := range m.ids {
 		at[id] = i
@@ -156,7 +133,7 @@ func newMatcher(s *Structure) *matcher {
 	for i, id := range m.ids {
 		e, n := s.Events[id], &m.n[i]
 		n.Label, n.isolated, n.handler = e.Label, !e.Outward, e.handler
-		n.Key, n.Junction = m.self(n.Key), m.self(n.Junction)
+		n.Key, n.Junction = j.ResolveName(n.Key), j.ResolveName(n.Junction)
 		if e.handler.group != 0 {
 			m.entries[e.handler.group] = append(m.entries[e.handler.group], i)
 		}
@@ -173,7 +150,7 @@ func newMatcher(s *Structure) *matcher {
 		switch n.Kind {
 		case KindSched, KindUnsched, KindWait:
 		case KindWr:
-			n.quiet = n.Junction == m.fq && (n.Value == "*" || !m.declares(n.Key))
+			n.quiet = n.Junction == m.j.FQ && (n.Value == "*" || !m.declares(n.Key))
 		default:
 			n.quiet = true
 		}
@@ -186,17 +163,13 @@ func newMatcher(s *Structure) *matcher {
 	return m
 }
 
-// self resolves the me:: tokens as the runtime does.
-func (m *matcher) self(name string) string {
-	name = strings.ReplaceAll(name, "me::junction", m.fq)
-	return strings.ReplaceAll(name, "me::instance", m.inst)
-}
-
 // declares reports whether the junction's table holds a name key can stand for.
 func (m *matcher) declares(key string) bool {
-	for name := range m.declared {
-		if m.keyUnifies(key, name) {
-			return true
+	for _, names := range [][]string{m.j.Props(), m.j.Data()} {
+		for _, name := range names {
+			if m.keyUnifies(key, name) {
+				return true
+			}
 		}
 	}
 	return false
@@ -207,8 +180,9 @@ func (m *matcher) declares(key string) bool {
 // of idx variable ix.
 func (m *matcher) keyUnifies(sym, actual string) bool {
 	if open := strings.LastIndexByte(sym, '['); open > 0 && strings.HasSuffix(sym, "]") {
-		for _, e := range m.idx[sym[open+1:len(sym)-1]] {
-			if dsl.IndexedName(sym[:open], m.self(e)) == actual {
+		universe, _ := m.j.IdxUniverse(sym[open+1 : len(sym)-1])
+		for _, e := range universe {
+			if dsl.IndexedName(sym[:open], e) == actual {
 				return true
 			}
 		}
@@ -218,8 +192,9 @@ func (m *matcher) keyUnifies(sym, actual string) bool {
 
 // junctionUnifies is keyUnifies for a label's junction subscript.
 func (m *matcher) junctionUnifies(sym, actual string) bool {
-	for _, e := range m.idx[sym] {
-		if e = m.self(e); e == actual || strings.HasPrefix(actual, e+"::") {
+	universe, _ := m.j.IdxUniverse(sym)
+	for _, e := range universe {
+		if e == actual || strings.HasPrefix(actual, e+"::") {
 			return true
 		}
 	}
@@ -230,10 +205,10 @@ func (m *matcher) junctionUnifies(sym, actual string) bool {
 func (m *matcher) observes(ev obsv.Event) bool {
 	switch ev.Kind {
 	case obsv.EvRemoteQueued:
-		return ev.Peer == m.fq
+		return ev.Peer == m.j.FQ
 	case obsv.EvSchedStart, obsv.EvSchedFire, obsv.EvSchedError, obsv.EvLocalWrite,
 		obsv.EvWaitArmed, obsv.EvWaitAdmitted, obsv.EvWaitTimeout, obsv.EvTxnRollback:
-		return ev.Junction == m.fq
+		return ev.Junction == m.j.FQ
 	}
 	return false
 }
@@ -248,9 +223,9 @@ func (m *matcher) unifies(i int, ev obsv.Event) bool {
 	case obsv.EvSchedFire:
 		return l.Kind == KindUnsched
 	case obsv.EvLocalWrite:
-		return write && l.Junction == m.fq
+		return write && l.Junction == m.j.FQ
 	case obsv.EvRemoteQueued:
-		return write && l.Junction != m.fq && m.junctionUnifies(l.Junction, ev.Junction)
+		return write && l.Junction != m.j.FQ && m.junctionUnifies(l.Junction, ev.Junction)
 	case obsv.EvWaitAdmitted:
 		return l.Kind == KindWait && l.Formula == ev.Key
 	}
@@ -391,7 +366,7 @@ func (m *matcher) occur(c config, e, root int, then func(config) bool) bool {
 	// another that did; which comes first matters only among alternatives. A
 	// delivery may assume the sender's own writes before it (see Conforms).
 	for _, p := range open {
-		assumable := m.n[p].quiet || root >= 0 && m.n[root].Junction != m.fq && m.n[p].Kind == KindWr && m.n[p].Junction == m.fq
+		assumable := m.n[p].quiet || root >= 0 && m.n[root].Junction != m.j.FQ && m.n[p].Kind == KindWr && m.n[p].Junction == m.j.FQ
 		if assumable && m.occur(c, p, root, func(c config) bool { return m.occur(c, e, root, then) }) {
 			return true
 		}

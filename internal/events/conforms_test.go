@@ -11,6 +11,7 @@ import (
 	"csaw/internal/events"
 	"csaw/internal/formula"
 	"csaw/internal/obsv"
+	"csaw/internal/plan"
 	"csaw/internal/runtime"
 )
 
@@ -50,10 +51,20 @@ func tracedRun(t *testing.T, p *dsl.Program) []obsv.Event {
 		t.Fatal(err)
 	}
 	trace := ring.Events()
-	if err := events.ConformsProgram(p, trace); err != nil {
+	if err := events.ConformsProgram(s.Plan(), trace); err != nil {
 		t.Fatalf("the unmutated run does not conform: %v", err)
 	}
 	return trace
+}
+
+// compile lowers p, which must compile.
+func compile(t *testing.T, p *dsl.Program) *plan.Program {
+	t.Helper()
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
 }
 
 // at returns the position of the n-th (from 0) event of the kind with the key.
@@ -200,7 +211,7 @@ func TestConformsRejectsMutants(t *testing.T) {
 	for _, m := range mutants {
 		t.Run(m.name, func(t *testing.T) {
 			mutant, offender := m.mutate(t, traces[m.prog])
-			err := events.ConformsProgram(m.prog, mutant)
+			err := events.ConformsProgram(compile(t, m.prog), mutant)
 			if err == nil {
 				t.Fatal("the mutant was accepted")
 			}
@@ -214,7 +225,7 @@ func TestConformsRejectsMutants(t *testing.T) {
 	t.Run("two par arms in either order", func(t *testing.T) {
 		tr := traces[par]
 		u, v := at(t, tr, obsv.EvRemoteQueued, "U", 0), at(t, tr, obsv.EvRemoteQueued, "V", 0)
-		if err := events.ConformsProgram(par, swap(tr, u, v)); err != nil {
+		if err := events.ConformsProgram(compile(t, par), swap(tr, u, v)); err != nil {
 			t.Fatalf("the arms of a par are unordered, yet: %v", err)
 		}
 	})

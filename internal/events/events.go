@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"csaw/internal/dsl"
 	"csaw/internal/formula"
 )
 
@@ -120,11 +119,6 @@ type Structure struct {
 	Conflicts map[EventID]map[EventID]bool
 
 	nextID EventID
-
-	// junction and def are what DenoteJunction denoted, kept for Conforms:
-	// the names a run reports are resolved against them.
-	junction string
-	def      *dsl.JunctionDef
 
 	// m caches derived relations (reverse adjacency, causes sets, consistency
 	// verdicts). The model checker asks Consistent the same joint-history

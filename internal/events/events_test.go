@@ -153,7 +153,11 @@ func TestStartUpPortion(t *testing.T) {
 	p.Instance("Act", "tA").Instance("Aud", "tB")
 	p.SetMain(dsl.Par{dsl.Start{Instance: "Act"}, dsl.Start{Instance: "Aud"}})
 
-	s := StartUp(p)
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := StartUp(pp)
 	if err := s.CheckAxioms(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +185,31 @@ func TestStartUpPortion(t *testing.T) {
 		if !s.Leq(pair[0], pair[1]) {
 			t.Errorf("missing startup enablement %v", pair)
 		}
+	}
+}
+
+// TestStartUpFollowsMain: the start-up portion has a Start_init event for each
+// start main makes as it runs, so an otherwise whose try succeeded starts
+// nothing, and a Wr event for each proposition declared, named as declared.
+func TestStartUpFollowsMain(t *testing.T) {
+	p := dsl.NewProgram()
+	p.Type("T").Junction("junction", dsl.Def(
+		dsl.Decls(dsl.InitProp{Name: "Work[me::junction]", Init: true}),
+		dsl.Skip{},
+	))
+	p.Instance("a", "T").Instance("b", "T")
+	p.SetMain(dsl.OtherwiseT(dsl.Start{Instance: "a"}, 50*time.Millisecond, dsl.Start{Instance: "b"}))
+	pp, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := StartUp(pp)
+	var got []string
+	for _, id := range s.IDs() {
+		got = append(got, s.Events[id].Label.String())
+	}
+	if want := "main Start_init(a) Wr_a(Work[me::junction],tt)"; strings.Join(got, " ") != want {
+		t.Fatalf("start-up events %v, want %s", got, want)
 	}
 }
 

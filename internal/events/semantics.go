@@ -82,7 +82,6 @@ func DenoteJunction(j string, def *dsl.JunctionDef, b Budget) *Structure {
 	body := dsl.Seq(def.Body)
 	d := &denoter{junction: j, body: body, budget: b.Unfold}
 	s := NewStructure()
-	s.junction, s.def = j, def
 	sched := s.Add(Label{Kind: KindSched, Junction: j})
 	bodyS := d.denote(body, initialEnv(), b.Unfold)
 	tr := s.Merge(bodyS)
@@ -669,38 +668,29 @@ func removeEvent(s *Structure, id EventID) {
 // --- program-level semantics ---------------------------------------------------
 
 // StartUp builds the start-up portion of a program's semantics (§8.4): the
-// externally-occurring main event enables Start_init(ι) events, which enable
-// the Wr events initializing each started instance's declared propositions.
-func StartUp(p *dsl.Program) *Structure {
+// externally-occurring main event enables a Start_init(ι) event per start main
+// makes as it runs (plan.ModelMain), which enables the Wr events initializing
+// the started instance's declared propositions, named as declared.
+func StartUp(pp *plan.Program) *Structure {
 	s := NewStructure()
 	main := s.Add(Label{Kind: KindAdHoc, Junction: "init", Key: "main"})
-	dsl.WalkBody(p.Main, func(e dsl.Expr) {
-		st, ok := e.(dsl.Start)
-		if !ok {
-			return
-		}
-		ev := s.Add(Label{Kind: KindStart, Junction: "init", Key: st.Instance})
+	_ = plan.ModelMain(pp.Prog.Main, func(inst string) {
+		ev := s.Add(Label{Kind: KindStart, Junction: "init", Key: inst})
 		s.Enable(main.ID, ev.ID)
-		tn := p.Instances[st.Instance]
-		t := p.Types[tn]
-		if t == nil {
-			return
-		}
-		for _, jn := range t.JunctionNames() {
-			for _, dec := range t.Junctions[jn].Decls {
-				ip, ok := dec.(dsl.InitProp)
-				if !ok {
-					continue
-				}
+		for _, j := range pp.Juncs {
+			if j.Inst != inst {
+				continue
+			}
+			for _, ip := range j.InitProps() {
 				v := "ff"
 				if ip.Init {
 					v = "tt"
 				}
-				wr := s.Add(Label{Kind: KindWr, Junction: displayName(p, st.Instance, jn), Key: ip.Name, Value: v})
+				wr := s.Add(Label{Kind: KindWr, Junction: displayName(pp.Prog, inst, j.Jn), Key: ip.Name, Value: v})
 				s.Enable(ev.ID, wr.ID)
 			}
 		}
-	})
+	}, func(string) {})
 	return s
 }
 
@@ -719,15 +709,9 @@ func displayName(p *dsl.Program, inst, jn string) string {
 // the start-up portion plus each started instance's junction structures, with
 // waits expanded.
 func DenoteProgram(pp *plan.Program, b Budget) (*Structure, error) {
-	p := pp.Prog
-	out := StartUp(p)
-	for _, inst := range p.InstanceNames() {
-		tn := p.Instances[inst]
-		t := p.Types[tn]
-		for _, jn := range t.JunctionNames() {
-			js := DenoteJunction(displayName(p, inst, jn), t.Junctions[jn], b)
-			out.Merge(js)
-		}
+	out := StartUp(pp)
+	for _, j := range pp.Juncs {
+		out.Merge(DenoteJunction(displayName(pp.Prog, j.Inst, j.Jn), j.Def, b))
 	}
 	ExpandWaits(out)
 	if err := out.CheckAxioms(); err != nil {

@@ -115,11 +115,11 @@ func (s *Server) apply(c Command) Reply {
 	s.ops.Add(1)
 	switch c.Name {
 	case cmdSnapshot:
-		img, err := serial.Snapshot.Marshal(s.snapshotImage())
+		img, err := serial.Marshal(s.snapshotImage())
 		return Reply{Value: img, Err: err}
 	case cmdRestore:
 		var img snapshotImage
-		if err := serial.Snapshot.Unmarshal(c.Value, &img); err != nil {
+		if err := serial.Unmarshal(c.Value, &img); err != nil {
 			return Reply{Err: err}
 		}
 		s.data = make(map[string][]byte, len(img.Entries))

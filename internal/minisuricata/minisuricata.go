@@ -278,13 +278,13 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	for _, f := range e.flows {
 		img.Flows = append(img.Flows, *f)
 	}
-	return serial.Snapshot.Marshal(img)
+	return serial.Marshal(img)
 }
 
 // Restore replaces the engine state from a snapshot.
 func (e *Engine) Restore(data []byte) error {
 	var img engineImage
-	if err := serial.Snapshot.Unmarshal(data, &img); err != nil {
+	if err := serial.Unmarshal(data, &img); err != nil {
 		return err
 	}
 	e.stats = img.Stats

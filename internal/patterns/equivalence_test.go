@@ -14,6 +14,7 @@ import (
 	"csaw/internal/events"
 	"csaw/internal/formula"
 	"csaw/internal/obsv"
+	"csaw/internal/plan"
 	"csaw/internal/runtime"
 )
 
@@ -180,12 +181,12 @@ func checkFrozen(t *testing.T, name, got string) {
 }
 
 // conforms holds a traced run to the denotation of the program it ran.
-func conforms(t *testing.T, p *dsl.Program, ring *obsv.RingSink) {
+func conforms(t *testing.T, pp *plan.Program, ring *obsv.RingSink) {
 	t.Helper()
 	if n := ring.Dropped(); n > 0 {
 		t.Fatalf("trace ring dropped %d events: the run cannot be checked", n)
 	}
-	if err := events.ConformsProgram(p, ring.Events()); err != nil {
+	if err := events.ConformsProgram(pp, ring.Events()); err != nil {
 		t.Errorf("the run is not one the §8 denotation allows: %v", err)
 	}
 }
@@ -210,7 +211,7 @@ func runEntryOnce(t *testing.T, entry CatalogueEntry) string {
 	}
 	driveEntry(ctx, t, entry.Name, sys)
 	state := quiesce(t, sys)
-	conforms(t, prog, ring)
+	conforms(t, sys.Plan(), ring)
 	out := state + "drivers: " + strings.Join(driverErrorJunctions(sys), ",") + "\n"
 	if !deterministicTransport[entry.Name] {
 		return out
@@ -322,7 +323,7 @@ func TestKitchenSinkEquivalence(t *testing.T) {
 		}
 	}
 	state := quiesce(t, sys)
-	conforms(t, prog, ring)
+	conforms(t, sys.Plan(), ring)
 	checkFrozen(t, "kitchen-sink", state)
 	if !strings.Contains(state, "C=true") || !strings.Contains(state, "n=73756e6b") {
 		t.Errorf("kitchen-sink did not reach the expected final state:\n%s", state)

@@ -49,14 +49,10 @@ type FailoverConfig struct {
 	N int
 	// Mode selects the engagement strategy (default WarmAll).
 	Mode FailoverMode
-	// Timeout is the t parameter: the failure-detection deadline.
+	// Timeout is the t parameter: the failure-detection deadline. It also
+	// paces a not-yet-active back-end's registration attempts, and 3·t is the
+	// back-end inactivity timeout (main passes 3·t in Fig. 12).
 	Timeout time.Duration
-	// ReactivateTimeout is the back-end inactivity timeout (main passes 3·t
-	// in Fig. 12). Zero means 3·Timeout.
-	ReactivateTimeout time.Duration
-	// RegistrationBackoff paces a not-yet-active back-end's registration
-	// attempts. Zero means Timeout.
-	RegistrationBackoff time.Duration
 
 	// InitialState produces the canonical system state at cold start
 	// (evaluated at τf::b while Starting).
@@ -83,22 +79,12 @@ type FailoverConfig struct {
 	Complain dsl.HostFunc
 }
 
-func (cfg *FailoverConfig) fill() {
-	if cfg.ReactivateTimeout <= 0 {
-		cfg.ReactivateTimeout = 3 * cfg.Timeout
-	}
-	if cfg.RegistrationBackoff <= 0 {
-		cfg.RegistrationBackoff = cfg.Timeout
-	}
-}
-
 // Failover builds the §7.3 program: a front-end with client- and
 // backend-facing junctions, and N warm back-end replicas that register,
 // serve and re-register after inactivity. Every registered back-end receives
 // every request (implicit fail-over between warm replicas); the system
 // answers as long as at least one back-end responds.
 func Failover(cfg FailoverConfig) *dsl.Program {
-	cfg.fill()
 	p := dsl.NewProgram()
 
 	backends := make([]string, cfg.N)
@@ -411,7 +397,7 @@ func Failover(cfg FailoverConfig) *dsl.Program {
 		),
 		// Pace re-registration attempts: sleep(backoff) expressed in the DSL
 		// as a wait on false with a timeout.
-		dsl.OtherwiseT(dsl.Wait{Cond: formula.FalseF{}}, cfg.RegistrationBackoff, dsl.Skip{}),
+		dsl.OtherwiseT(dsl.Wait{Cond: formula.FalseF{}}, cfg.Timeout, dsl.Skip{}),
 	).Guarded(formula.Not(formula.At("me::instance::serve", "Active"))))
 
 	// --- τb::reactivate (Fig. 14) ----------------------------------------------
@@ -424,7 +410,7 @@ func Failover(cfg FailoverConfig) *dsl.Program {
 		dsl.Retract{Prop: dsl.PR("RecentlyActive")},
 		dsl.OtherwiseT(
 			dsl.Wait{Cond: formula.P("RecentlyActive")},
-			cfg.ReactivateTimeout,
+			3*cfg.Timeout,
 			dsl.Scope{Body: []dsl.Expr{
 				dsl.Retract{Target: dsl.MeI(ServeJunction), Prop: dsl.PR("Active")},
 				dsl.Retract{Target: dsl.MeI(ServeJunction), Prop: dsl.PR("Activating")},

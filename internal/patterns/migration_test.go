@@ -129,7 +129,7 @@ func TestMigrationEquivalence(t *testing.T) {
 				state := quiesce(t, sys)
 				// A migration moves tables between schedulings, never inside one:
 				// each scheduling is still a run of its junction's denotation.
-				conforms(t, prog, ring)
+				conforms(t, sys.Plan(), ring)
 				for _, loc := range dep.Locations() {
 					if st := dep.Net(loc).Stats(); !st.Conserved() {
 						t.Fatalf("location %s transport counters not conserved: %+v", loc, st)

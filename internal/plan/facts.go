@@ -66,6 +66,7 @@ type declIndex struct {
 	props     map[string]int // slot: the position in propOrder
 	propOrder []string
 	propInit  map[string]bool
+	initProps []dsl.InitProp
 	data      map[string]int // slot: the position in dataOrder
 	dataOrder []string
 	sets      map[string][]string
@@ -87,6 +88,7 @@ func (j *Junction) indexDecls() {
 	for _, dec := range j.Def.Decls {
 		switch n := dec.(type) {
 		case dsl.InitProp:
+			di.initProps = append(di.initProps, n)
 			name := j.ResolveName(n.Name)
 			if _, ok := di.props[name]; !ok {
 				di.props[name] = len(di.propOrder)
@@ -132,6 +134,10 @@ func (di declIndex) setElems(name string) ([]string, bool) {
 
 // Props returns the resolved declared proposition names in order.
 func (j *Junction) Props() []string { return j.decls.propOrder }
+
+// InitProps returns the proposition declarations as written, in order: the
+// §8 start-up semantics names a junction's initial writes as declared.
+func (j *Junction) InitProps() []dsl.InitProp { return j.decls.initProps }
 
 // PropInit returns the initial value of a declared proposition.
 func (j *Junction) PropInit(name string) bool { return j.decls.propInit[name] }

@@ -13,7 +13,7 @@
 // touch), so the runtime can subscribe to exactly the keys a guard reads and
 // snapshot exactly the keys a transaction can modify. Names resolve through
 // one resolver (facts.go), the runtime's own rule. Case expressions run one
-// terminator machine (case.go).
+// terminator machine (case.go), and main one interpreter (main.go).
 package plan
 
 import (
@@ -130,7 +130,8 @@ type Program struct {
 	// TypeJuncs is one entry per (type, junction) with a representative
 	// instance.
 	TypeJuncs []*TypeJunction
-	// Started is the set of instances started anywhere (main or any body).
+	// Started is the set of instances main starts (ModelMain) or any body
+	// can start.
 	Started    map[string]bool
 	Invariants []Invariant
 
@@ -177,11 +178,8 @@ func Compile(p *dsl.Program) (*Program, error) {
 			}
 		}
 	}
-	dsl.WalkBody(p.Main, func(e dsl.Expr) {
-		if s, ok := e.(dsl.Start); ok {
-			out.Started[s.Instance] = true
-		}
-	})
+	// A main that fails leaves started what it started before it failed.
+	_ = ModelMain(p.Main, func(inst string) { out.Started[inst] = true }, func(string) {})
 	for _, j := range out.Juncs {
 		out.record(j)
 	}

@@ -165,7 +165,7 @@ func TestAckRidesReplyOverTCP(t *testing.T) {
 	if batches < rounds {
 		t.Fatalf("%d writes carried an ack with another frame over %d invocations, want at least %d", batches, rounds, rounds)
 	}
-	if err := events.ConformsProgram(p, ring.Events()); err != nil {
+	if err := events.ConformsProgram(s.Plan(), ring.Events()); err != nil {
 		t.Fatalf("the run is not one the §8 denotation allows: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"csaw/internal/events"
 	"csaw/internal/formula"
 	"csaw/internal/obsv"
+	"csaw/internal/plan"
 )
 
 // The vectorised par step (compilePar) sends a par's remote updates as
@@ -27,7 +28,7 @@ import (
 
 // checkFrozen compares one scenario's outcome with testdata/<table>/<row>.golden
 // and its trace with the denotation of the program it ran.
-func checkFrozen(t *testing.T, table, got string, p *dsl.Program, ring *obsv.RingSink) {
+func checkFrozen(t *testing.T, table, got string, pp *plan.Program, ring *obsv.RingSink) {
 	t.Helper()
 	_, row, _ := strings.Cut(t.Name(), "/")
 	path := filepath.Join("testdata", table, row+".golden")
@@ -38,7 +39,7 @@ func checkFrozen(t *testing.T, table, got string, p *dsl.Program, ring *obsv.Rin
 	if got+"\n" != string(want) {
 		t.Errorf("outcome diverges from %s:\n  got:    %s\n  frozen: %s", path, got, want)
 	}
-	if err := events.ConformsProgram(p, ring.Events()); err != nil {
+	if err := events.ConformsProgram(pp, ring.Events()); err != nil {
 		t.Errorf("the run is not one the §8 denotation allows: %v", err)
 	}
 }
@@ -236,7 +237,7 @@ func TestVectorisedParMatchesPerArmPar(t *testing.T) {
 			}
 			outcome := observe(t, s, ring, err)
 			s.Close()
-			checkFrozen(t, "par", outcome.String(), sc.prog, ring)
+			checkFrozen(t, "par", outcome.String(), s.Plan(), ring)
 		})
 	}
 }

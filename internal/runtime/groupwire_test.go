@@ -261,7 +261,7 @@ func TestParRunCountsEverySequence(t *testing.T) {
 			}
 		}
 	}
-	if err := events.ConformsProgram(p, ring.Events()); err != nil {
+	if err := events.ConformsProgram(s.Plan(), ring.Events()); err != nil {
 		t.Fatalf("the run is not one the §8 denotation allows: %v", err)
 	}
 }

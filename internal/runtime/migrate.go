@@ -405,7 +405,9 @@ func (s *System) MigrateInstance(name, dest string) error {
 }
 
 // startDrivers starts the driver loop of every guarded junction of inst that
-// is not Manual, unless the system runs without drivers.
+// is not Manual, unless the system runs without drivers. The loops start in
+// no particular order (paper §6); an unguarded junction is scheduled by
+// application logic through Invoke.
 func (s *System) startDrivers(inst *Instance) {
 	if s.opts.DisableDrivers {
 		return

@@ -207,7 +207,7 @@ func TestGroupedSeqMatchesPerStatementSeq(t *testing.T) {
 				}
 			}
 			s.Close()
-			checkFrozen(t, "seq", outcome.String(), sc.prog, ring)
+			checkFrozen(t, "seq", outcome.String(), s.Plan(), ring)
 		})
 	}
 }

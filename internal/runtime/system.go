@@ -226,69 +226,31 @@ func (s *System) SetApp(instance string, app any) {
 	s.apps[instance] = app
 }
 
-// RunMain executes the program's main body (start/stop compositions).
-func (s *System) RunMain(ctx context.Context) error {
-	_, err := s.execMain(ctx, dsl.Seq(s.prog.Main))
-	return err
-}
-
-// execMain interprets the restricted statement forms allowed in main.
-func (s *System) execMain(ctx context.Context, e dsl.Expr) (plan.Signal, error) {
-	switch n := e.(type) {
-	case dsl.Seq:
-		for _, c := range n {
-			if sig, err := s.execMain(ctx, c); err != nil || sig != plan.SigNone {
-				return sig, err
-			}
-		}
-		return plan.SigNone, nil
-	case dsl.Par:
-		var wg sync.WaitGroup
-		errs := make([]error, len(n))
-		for i, c := range n {
-			wg.Add(1)
-			go func(i int, c dsl.Expr) {
-				defer wg.Done()
-				_, errs[i] = s.execMain(ctx, c)
-			}(i, c)
-		}
-		wg.Wait()
-		// All branch failures matter: a parallel start composition can fail
-		// several ways at once, and dropping all but the first hides them.
-		if err := errors.Join(errs...); err != nil {
-			return plan.SigNone, err
-		}
-		return plan.SigNone, nil
-	case dsl.Start:
-		return plan.SigNone, s.StartInstance(n.Instance, n.Args)
-	case dsl.Stop:
-		return plan.SigNone, s.StopInstance(n.Instance)
-	case dsl.Skip:
-		return plan.SigNone, nil
-	case dsl.Scope:
-		return s.execMain(ctx, dsl.Seq(n.Body))
-	case dsl.Otherwise:
-		// Main's par arms run concurrently under the try's deadline, so every
-		// execution builds a fresh one: only a compiled step, which runs one
-		// firing at a time, reuses its own.
-		sub := ctx
-		var dl *deadline
-		if n.Timeout > 0 {
-			dl = newDeadline()
-			dl.arm(ctx, n.Timeout)
-			sub = dl
-		}
-		_, err := s.execMain(sub, n.Try)
-		if dl != nil {
-			dl.disarm()
-		}
+// RunMain executes the program's main body (start/stop compositions)
+// through plan.RunMain. No junction is scheduled before main has finished:
+// the drivers of the instances main started launch once it returns, so main
+// sets up the initial configuration in one step, the state the model checker
+// explores from, whatever order a par's starts take. No start or stop blocks,
+// so the context is not read.
+func (s *System) RunMain(context.Context) error {
+	var started []*Instance
+	err := plan.RunMain(s.prog.Main, func(name string, args any) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		inst, err := s.startLocked(name, args)
 		if err == nil {
-			return plan.SigNone, nil
+			started = append(started, inst)
 		}
-		return s.execMain(ctx, n.Handler)
-	default:
-		return plan.SigNone, fmt.Errorf("runtime: statement %s not allowed in main", e)
+		return err
+	}, s.StopInstance)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, inst := range started {
+		if inst.running.Load() {
+			s.startDrivers(inst)
+		}
 	}
+	return err
 }
 
 // StartInstance starts an instance: its junction tables are (re)initialized,
@@ -296,16 +258,21 @@ func (s *System) execMain(ctx context.Context, e dsl.Expr) (plan.Signal, error) 
 func (s *System) StartInstance(name string, args any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.startLocked(name, args)
+	inst, err := s.startLocked(name, args)
+	if err == nil {
+		s.startDrivers(inst)
+	}
+	return err
 }
 
-func (s *System) startLocked(name string, args any) error {
+// startLocked starts an instance without its drivers.
+func (s *System) startLocked(name string, args any) (*Instance, error) {
 	tn, ok := s.prog.Instances[name]
 	if !ok {
-		return fmt.Errorf("runtime: unknown instance %q", name)
+		return nil, fmt.Errorf("runtime: unknown instance %q", name)
 	}
 	if inst, ok := s.instanceMap()[name]; ok && inst.running.Load() {
-		return fmt.Errorf("%w: %q", ErrAlreadyStarted, name)
+		return nil, fmt.Errorf("%w: %q", ErrAlreadyStarted, name)
 	}
 	t := s.prog.Types[tn]
 	inst := &Instance{sys: s, Name: name, TypeName: tn}
@@ -337,11 +304,7 @@ func (s *System) startLocked(name string, args any) error {
 	insts[name] = inst
 	s.instances.Store(&insts)
 	s.live.PropCell(name).Set(true)
-	// Junctions are started concurrently in an arbitrary order (paper §6):
-	// guarded junctions get driver loops; unguarded junctions are scheduled
-	// by application logic through Invoke.
-	s.startDrivers(inst)
-	return nil
+	return inst, nil
 }
 
 // StopInstance gracefully stops a running instance: endpoints deregister and

@@ -186,7 +186,7 @@ func goldenFixtures() []goldenFixture {
 			priv:        3,
 		}),
 		fixture("deepMapDepth4", Config{MaxDepth: 4}, map[string][]*goldenNode{"k": {goldenList(1, 2, 3)}}),
-		fixture("snapshotCfg", Snapshot, map[string][]byte{"user:1": []byte("alice")}),
+		fixture("snapshotCfg", Config{MaxDepth: 64}, map[string][]byte{"user:1": []byte("alice")}),
 	}
 }
 

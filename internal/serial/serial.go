@@ -72,12 +72,6 @@ func (c Config) maxBytes() int {
 // Default is the zero-config codec used by Marshal/Unmarshal.
 var Default = Config{}
 
-// Snapshot is the shared configuration for application snapshot images
-// (mini-Redis data sets, mini-Suricata flow tables). Snapshots are flat
-// record collections, but the deeper bound leaves headroom for nested
-// attributes without touching every snapshot call site.
-var Snapshot = Config{MaxDepth: 64}
-
 // Marshal encodes v with the default configuration.
 func Marshal(v any) ([]byte, error) { return Default.Marshal(v) }
 

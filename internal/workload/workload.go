@@ -41,9 +41,6 @@ type KVConfig struct {
 	HotProbability float64
 	// ValueSize is the SET payload size in bytes.
 	ValueSize int
-	// KeyWeights optionally skews key-class frequencies for the uneven
-	// sharding workloads; nil means uniform.
-	KeyWeights []float64
 	// Seed makes the stream deterministic.
 	Seed int64
 }
@@ -52,7 +49,6 @@ type KVConfig struct {
 type KVStream struct {
 	cfg     KVConfig
 	rng     *rand.Rand
-	cumW    []float64
 	hotKeys int
 	value   []byte
 }
@@ -73,17 +69,6 @@ func NewKVStream(cfg KVConfig) *KVStream {
 	if s.hotKeys <= 0 {
 		s.hotKeys = 1
 	}
-	if len(cfg.KeyWeights) > 0 {
-		total := 0.0
-		for _, w := range cfg.KeyWeights {
-			total += w
-		}
-		acc := 0.0
-		for _, w := range cfg.KeyWeights {
-			acc += w / total
-			s.cumW = append(s.cumW, acc)
-		}
-	}
 	s.value = make([]byte, cfg.ValueSize)
 	for i := range s.value {
 		s.value[i] = byte('a' + i%26)
@@ -94,24 +79,9 @@ func NewKVStream(cfg KVConfig) *KVStream {
 // Next produces the next operation.
 func (s *KVStream) Next() Op {
 	var idx int
-	switch {
-	case len(s.cumW) > 0:
-		// Weighted key classes: pick a class, then a key within it. Keys of
-		// class c are those with k % len(weights) == c, so class membership
-		// survives hashing.
-		u := s.rng.Float64()
-		class := len(s.cumW) - 1
-		for i, c := range s.cumW {
-			if u <= c {
-				class = i
-				break
-			}
-		}
-		n := len(s.cumW)
-		idx = class + n*s.rng.Intn(s.cfg.Keys/n)
-	case s.cfg.HotProbability > 0 && s.rng.Float64() < s.cfg.HotProbability:
+	if s.cfg.HotProbability > 0 && s.rng.Float64() < s.cfg.HotProbability {
 		idx = s.rng.Intn(s.hotKeys)
-	default:
+	} else {
 		idx = s.rng.Intn(s.cfg.Keys)
 	}
 	key := fmt.Sprintf("key:%06d", idx)

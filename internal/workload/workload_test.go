@@ -83,29 +83,6 @@ func sscanf(k string, idx *int) (int, error) {
 	return 1, nil
 }
 
-// TestKVStreamWeights verifies that weighted key classes reproduce the
-// uneven sharding workload: class frequencies must track the weights.
-func TestKVStreamWeights(t *testing.T) {
-	weights := []float64{4, 3, 2, 1}
-	s := NewKVStream(KVConfig{Keys: 1000, KeyWeights: weights, Seed: 3})
-	counts := make([]int, 4)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		var idx int
-		if _, err := sscanf(s.Next().Key, &idx); err != nil {
-			t.Fatal(err)
-		}
-		counts[idx%4]++
-	}
-	// Expect roughly 40/30/20/10.
-	for c, want := range []float64{0.4, 0.3, 0.2, 0.1} {
-		got := float64(counts[c]) / n
-		if got < want-0.05 || got > want+0.05 {
-			t.Errorf("class %d frequency %.3f, want ≈%.2f", c, got, want)
-		}
-	}
-}
-
 func TestSizeClasses(t *testing.T) {
 	classes := PaperSizeClasses()
 	if len(classes) != 3 {
