@@ -256,3 +256,22 @@ func TestValidateRejections(t *testing.T) {
 		})
 	}
 }
+
+// The liveness proposition S(x) renders with one '@', alone and inside a
+// formula, while a qualified ordinary proposition keeps its separator.
+func TestRunningRendersWithOneAt(t *testing.T) {
+	cases := []struct {
+		f    formula.Formula
+		want string
+	}{
+		{dsl.Running("x"), "x@running"},
+		{formula.Not(dsl.Running("b::j")), "¬b::j@running"},
+		{formula.At("x", "Work"), "x@Work"},
+		{formula.P(dsl.RunningProp), "@running"},
+	}
+	for _, c := range cases {
+		if got := c.f.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -144,12 +144,16 @@ func At(junction, name string) Prop { return Prop{Junction: junction, Name: name
 // Eval implements Formula.
 func (p Prop) Eval(env Env) Truth { return env.Prop(p.Junction, p.Name) }
 
-// String implements Formula.
+// String implements Formula. A name that starts with '@' (the liveness
+// proposition "@running") already carries the separator.
 func (p Prop) String() string {
-	if p.Junction != "" {
-		return p.Junction + "@" + p.Name
+	switch {
+	case p.Junction == "":
+		return p.Name
+	case strings.HasPrefix(p.Name, "@"):
+		return p.Junction + p.Name
 	}
-	return p.Name
+	return p.Junction + "@" + p.Name
 }
 
 func (p Prop) walk(f func(Formula)) { f(p) }

@@ -3,7 +3,10 @@
 // NoSQL database that is implemented as a single-threaded server").
 //
 // All commands execute on one command loop goroutine, so operations are
-// totally ordered exactly as in Redis. The server exposes a direct API for
+// totally ordered exactly as in Redis; the object-size query SizeOf is
+// answered there too, from the store itself. A GET or SET through the direct
+// API allocates nothing: each command's one-slot reply channel is recycled
+// once its reply was received. The server exposes a direct API for
 // embedding behind C-Saw junctions (the paper's typified instances), a
 // minimal RESP wire protocol for TCP clients, and whole-store
 // snapshot/restore built on the serial framework — the primitive behind the
@@ -30,6 +33,7 @@ var ErrClosed = errors.New("miniredis: server closed")
 const (
 	cmdSnapshot = "\x00SNAPSHOT"
 	cmdRestore  = "\x00RESTORE"
+	cmdSizeOf   = "\x00SIZEOF"
 )
 
 // Command names.
@@ -64,6 +68,11 @@ type request struct {
 	resp chan Reply
 }
 
+// replyChans recycles the one-slot reply channels of Do. A channel goes back
+// only after its one reply was received, so every channel in the pool is
+// empty.
+var replyChans = sync.Pool{New: func() any { return make(chan Reply, 1) }}
+
 // snapshotEntry is the serialized form of one key.
 type snapshotEntry struct {
 	Key   string
@@ -79,18 +88,18 @@ type snapshotImage struct {
 
 // Server is a single-threaded KV server.
 type Server struct {
-	reqs   chan request
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	reqs chan request
+	wg   sync.WaitGroup
 
-	// Loop-owned state — touched only by the command loop.
+	// mu orders every send on reqs before Close closes it: Do sends under
+	// the read lock, Close sets closed and closes reqs under the write lock.
+	mu     sync.RWMutex
+	closed bool
+
+	// Loop-owned state — touched only by the command loop. SizeOf reads an
+	// object's size from data on the loop too.
 	data map[string][]byte
 	ops  atomic.Uint64
-
-	// sizes is a read-mostly object-size lookup published by the loop; the
-	// size-based sharding front-end consults it without entering the loop
-	// (the paper's "custom table that maps keys to object sizes", §5.2).
-	sizes sync.Map // string -> int
 }
 
 // NewServer starts the command loop.
@@ -112,6 +121,10 @@ func (s *Server) loop() {
 }
 
 func (s *Server) apply(c Command) Reply {
+	if c.Name == cmdSizeOf { // a query, not a command: Ops does not count it
+		v, ok := s.data[c.Key]
+		return Reply{Int: int64(len(v)), Nil: !ok}
+	}
 	s.ops.Add(1)
 	switch c.Name {
 	case cmdSnapshot:
@@ -123,10 +136,8 @@ func (s *Server) apply(c Command) Reply {
 			return Reply{Err: err}
 		}
 		s.data = make(map[string][]byte, len(img.Entries))
-		s.sizes.Range(func(k, _ any) bool { s.sizes.Delete(k); return true })
 		for _, e := range img.Entries {
 			s.data[e.Key] = e.Value
-			s.sizes.Store(e.Key, len(e.Value))
 		}
 		return Reply{OK: true}
 	case CmdGet:
@@ -137,12 +148,10 @@ func (s *Server) apply(c Command) Reply {
 		return Reply{Value: v}
 	case CmdSet:
 		s.data[c.Key] = c.Value
-		s.sizes.Store(c.Key, len(c.Value))
 		return Reply{OK: true}
 	case CmdDel:
 		if _, ok := s.data[c.Key]; ok {
 			delete(s.data, c.Key)
-			s.sizes.Delete(c.Key)
 			return Reply{Int: 1}
 		}
 		return Reply{Int: 0}
@@ -162,19 +171,20 @@ func (s *Server) apply(c Command) Reply {
 	}
 }
 
-// Do executes one command on the command loop.
+// Do executes one command on the command loop. A command that races Close
+// either runs before the loop stops or returns ErrClosed.
 func (s *Server) Do(c Command) Reply {
-	if s.closed.Load() {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
 		return Reply{Err: ErrClosed}
 	}
-	req := request{cmd: c, resp: make(chan Reply, 1)}
-	defer func() {
-		if recover() != nil {
-			// The loop channel closed concurrently.
-		}
-	}()
-	s.reqs <- req
-	return <-req.resp
+	resp := replyChans.Get().(chan Reply)
+	s.reqs <- request{cmd: c, resp: resp}
+	s.mu.RUnlock()
+	rep := <-resp
+	replyChans.Put(resp)
+	return rep
 }
 
 // Get is a convenience wrapper.
@@ -191,16 +201,16 @@ func (s *Server) Set(key string, value []byte) error {
 	return s.Do(Command{Name: CmdSet, Key: key, Value: value}).Err
 }
 
-// SizeOf consults the object-size table without entering the command loop.
+// SizeOf returns the size of key's value, answered on the command loop (the
+// paper's "custom table that maps keys to object sizes", §5.2, is the store
+// itself). It is not counted in Ops.
 func (s *Server) SizeOf(key string) (int, bool) {
-	v, ok := s.sizes.Load(key)
-	if !ok {
-		return 0, false
-	}
-	return v.(int), true
+	r := s.Do(Command{Name: cmdSizeOf, Key: key})
+	return int(r.Int), r.Err == nil && !r.Nil
 }
 
-// Ops returns the number of commands applied so far.
+// Ops returns the number of commands applied so far; SizeOf queries are not
+// commands.
 func (s *Server) Ops() uint64 { return s.ops.Load() }
 
 // snapshotImage builds the serializable image; loop-owned.
@@ -228,10 +238,14 @@ func (s *Server) Restore(img []byte) error {
 
 // Close stops the command loop. In-flight commands complete first.
 func (s *Server) Close() {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return
 	}
+	s.closed = true
 	close(s.reqs)
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 

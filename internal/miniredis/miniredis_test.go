@@ -84,6 +84,91 @@ func TestSizeTable(t *testing.T) {
 	}
 }
 
+// A warm GET, an overwriting SET and a size query go through the command
+// loop without allocating: the reply channel is recycled and no second index
+// is kept beside the store.
+func TestCommandPathAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops recycled reply channels at random under -race")
+	}
+	s := NewServer()
+	defer s.Close()
+	v := make([]byte, 64)
+	if err := s.Set("k", v); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"GET", func() { _, _, _ = s.Get("k") }},
+		{"SET", func() { _ = s.Set("k", v) }},
+		{"SizeOf", func() { _, _ = s.SizeOf("k") }},
+	} {
+		if n := testing.AllocsPerRun(200, c.op); n != 0 {
+			t.Errorf("%s allocates %.1f times per command, want 0", c.name, n)
+		}
+	}
+}
+
+// SizeOf answers on the command loop but is not a command: Ops, which the
+// ledger's oracle compares with its model, does not count it.
+func TestSizeOfIsNotCounted(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	if err := s.Set("k", make([]byte, 7)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Ops()
+	for i := 0; i < 10; i++ {
+		if n, ok := s.SizeOf("k"); !ok || n != 7 {
+			t.Fatalf("SizeOf(k) = %d %v", n, ok)
+		}
+		if _, ok := s.SizeOf("missing"); ok {
+			t.Fatal("missing key has size")
+		}
+	}
+	if got := s.Ops(); got != before {
+		t.Fatalf("ops = %d after size queries, want %d", got, before)
+	}
+}
+
+// A command racing Close either runs or fails with ErrClosed; it never comes
+// back as a zero Reply, which would read as a found key with a nil value or as
+// a write that succeeded.
+func TestDoRacingCloseReturnsErrClosed(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		s := NewServer()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					v, ok, err := s.Get("never-set")
+					if err == nil && (ok || v != nil) {
+						t.Errorf("Get of a never-set key = %q, found %v, no error", v, ok)
+						return
+					}
+					if err != nil && err != ErrClosed {
+						t.Errorf("Get: %v", err)
+						return
+					}
+					if err := s.Set("k", nil); err != nil && err != ErrClosed {
+						t.Errorf("Set: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		s.Close()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
