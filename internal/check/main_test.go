@@ -3,6 +3,7 @@ package check_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,20 +15,21 @@ import (
 
 // TestMainRunsAsAtRunTime: the checker's initial state is what main leaves at
 // run time, because both run it through plan.RunMain. An otherwise runs its
-// handler only when its try failed, and a failed start ends main's sequence,
-// so in both programs b never starts: the runtime leaves it stopped and the
-// invariant that says so holds in every state the checker explores.
+// handler only when its try failed, so b never starts: the runtime leaves it
+// stopped and the invariant that says so holds in every state the checker
+// explores. A main that fails at run time (a second start of a) is refused
+// before either runs it: runtime.New and the checker both name the start.
 func TestMainRunsAsAtRunTime(t *testing.T) {
 	for name, tc := range map[string]struct {
 		main    []dsl.Expr
-		wantErr error
+		wantErr string
 	}{
 		"start a otherwise start b": {
 			main: []dsl.Expr{dsl.OtherwiseT(dsl.Start{Instance: "a"}, 50*time.Millisecond, dsl.Start{Instance: "b"})},
 		},
 		"start a; start a; start b": {
 			main:    []dsl.Expr{dsl.Start{Instance: "a"}, dsl.Start{Instance: "a"}, dsl.Start{Instance: "b"}},
-			wantErr: runtime.ErrAlreadyStarted,
+			wantErr: "main: start a: instance already started",
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -38,12 +40,21 @@ func TestMainRunsAsAtRunTime(t *testing.T) {
 			p.Invariant("b-stopped", formula.Not(dsl.Running("b::j")))
 
 			s, err := runtime.New(p, runtime.Options{DisableDrivers: true})
+			if tc.wantErr != "" {
+				if !errors.Is(err, dsl.ErrInvalid) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("runtime.New: %v, want an invalid program naming %q", err, tc.wantErr)
+				}
+				if _, err := check.Check(p, check.Options{}); !errors.Is(err, dsl.ErrInvalid) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Check: %v, want an invalid program naming %q", err, tc.wantErr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if err := s.RunMain(context.Background()); !errors.Is(err, tc.wantErr) {
-				t.Fatalf("RunMain: %v, want %v", err, tc.wantErr)
+			if err := s.RunMain(context.Background()); err != nil {
+				t.Fatalf("RunMain: %v", err)
 			}
 			if !s.InstanceRunning("a") || s.InstanceRunning("b") {
 				t.Fatalf("running after main: a %v, b %v; want a only", s.InstanceRunning("a"), s.InstanceRunning("b"))

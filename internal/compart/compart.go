@@ -36,8 +36,7 @@ var (
 // MessageKind tags the payload so receivers can dispatch without decoding.
 type MessageKind uint8
 
-// Message kinds used by the C-Saw runtime. Applications may define their own
-// above KindUser.
+// Message kinds used by the C-Saw runtime.
 const (
 	// KindProp carries an assert/retract of a proposition.
 	KindProp MessageKind = iota
@@ -55,8 +54,6 @@ const (
 	// ReconnectClient's sender yields once before writing it, so that frame
 	// can carry it in the same write.
 	KindAck
-	// KindUser is the first kind available to applications.
-	KindUser MessageKind = 64
 )
 
 // Message is one unit of communication between endpoints.
@@ -89,6 +86,24 @@ type LinkConfig struct {
 
 type linkKey struct{ from, to string }
 
+// link is one directed pair's entry: its counters, and its own configuration
+// once SetLink, Partition or Heal gave it one. Until then the pair follows the
+// network's default link. An entry is made at the pair's first Send or
+// configuration and is never removed.
+type link struct {
+	cfg   LinkConfig
+	own   bool
+	stats LinkStats
+}
+
+// config is the configuration the pair's next message sees.
+func (l *link) config(def LinkConfig) LinkConfig {
+	if l.own {
+		return l.cfg
+	}
+	return def
+}
+
 type endpoint struct {
 	name    string
 	handler Handler
@@ -114,8 +129,7 @@ type Stats struct {
 type Network struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpoint
-	links     map[linkKey]LinkConfig
-	linkStats map[linkKey]*LinkStats
+	links     map[linkKey]*link
 	def       LinkConfig
 	rng       *rand.Rand
 	closed    bool
@@ -128,8 +142,7 @@ type Network struct {
 func NewNetwork(seed int64) *Network {
 	return &Network{
 		endpoints: map[string]*endpoint{},
-		links:     map[linkKey]LinkConfig{},
-		linkStats: map[linkKey]*LinkStats{},
+		links:     map[linkKey]*link{},
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
@@ -200,7 +213,8 @@ func (n *Network) SetDefaultLink(cfg LinkConfig) {
 func (n *Network) SetLink(from, to string, cfg LinkConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.links[linkKey{from, to}] = cfg
+	l := n.linkLocked(linkKey{from, to})
+	l.cfg, l.own = cfg, true
 }
 
 // SetBidiLink configures both directions between two endpoints.
@@ -213,29 +227,34 @@ func (n *Network) SetBidiLink(a, b string, cfg LinkConfig) {
 func (n *Network) Partition(a, b string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, k := range []linkKey{{a, b}, {b, a}} {
-		cfg := n.linkLocked(k)
-		cfg.Partitioned = true
-		n.links[k] = cfg
-	}
+	n.setPartitionedLocked(a, b, true)
 }
 
 // Heal removes a partition between two endpoints.
 func (n *Network) Heal(a, b string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, k := range []linkKey{{a, b}, {b, a}} {
-		cfg := n.linkLocked(k)
-		cfg.Partitioned = false
-		n.links[k] = cfg
+	n.setPartitionedLocked(a, b, false)
+}
+
+// setPartitionedLocked sets Partitioned on both directions between a and b;
+// a direction without a configuration of its own gets the default's.
+func (n *Network) setPartitionedLocked(a, b string, on bool) {
+	for _, k := range [2]linkKey{{a, b}, {b, a}} {
+		l := n.linkLocked(k)
+		l.cfg, l.own = l.config(n.def), true
+		l.cfg.Partitioned = on
 	}
 }
 
-func (n *Network) linkLocked(k linkKey) LinkConfig {
-	if cfg, ok := n.links[k]; ok {
-		return cfg
+// linkLocked is the pair's entry, made on first use.
+func (n *Network) linkLocked(k linkKey) *link {
+	l, ok := n.links[k]
+	if !ok {
+		l = &link{}
+		n.links[k] = l
 	}
-	return n.def
+	return l
 }
 
 // Stats returns a snapshot of the network counters.
@@ -261,13 +280,13 @@ func (n *Network) Stats() Stats {
 // the handler inside the call; a delayed one, which outlives the call,
 // delivers a copy.
 func (n *Network) Send(msg Message) error {
-	key := linkKey{msg.From, msg.To}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return ErrNetworkClosed
 	}
-	ls := n.linkStatsLocked(key)
+	l := n.linkLocked(linkKey{msg.From, msg.To})
+	ls := &l.stats
 	n.stats.Sent++
 	ls.Sent++
 	ep, ok := n.endpoints[msg.To]
@@ -280,7 +299,7 @@ func (n *Network) Send(msg Message) error {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrEndpointDown, msg.To)
 	}
-	cfg := n.linkLocked(key)
+	cfg := l.config(n.def)
 	if cfg.Partitioned {
 		n.stats.Rejected++
 		ls.Rejected++
@@ -312,14 +331,14 @@ func (n *Network) Send(msg Message) error {
 	}
 	n.pending.Add(1)
 	n.mu.Unlock()
-	n.deliverLater(key, msg, delay)
+	n.deliverLater(ls, msg, delay)
 	return nil
 }
 
 // deliverLater delivers msg after delay, unless its endpoint is gone by then.
 // The delivery outlives Send's call, so it carries its own copy of the lent
 // payload.
-func (n *Network) deliverLater(key linkKey, msg Message, delay time.Duration) {
+func (n *Network) deliverLater(ls *LinkStats, msg Message, delay time.Duration) {
 	start := time.Now()
 	msg.Payload = bytes.Clone(msg.Payload)
 	time.AfterFunc(delay, func() {
@@ -328,7 +347,6 @@ func (n *Network) deliverLater(key linkKey, msg Message, delay time.Duration) {
 		// flight loses the message — counted, not silently forgotten.
 		n.mu.Lock()
 		ep, ok := n.endpoints[msg.To]
-		ls := n.linkStatsLocked(key)
 		if n.closed || !ok || !ep.up {
 			n.stats.LostInFlight++
 			ls.LostInFlight++

@@ -416,6 +416,55 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestLinkConfigAfterTraffic: a pair's entry, made at its first Send, holds
+// both its counters and its configuration, and a configuration made after
+// traffic takes effect on the next Send: SetLink, Partition and Heal on the
+// pair itself, and SetDefaultLink on a pair with no configuration of its
+// own, while a pair with one keeps it. Every message is counted on its pair
+// and the network's counters sum up.
+func TestLinkConfigAfterTraffic(t *testing.T) {
+	n := newTestNetwork(t, 1)
+	var got atomic.Int32
+	n.Register("b", func(Message) { got.Add(1) })
+	send := func(from string) error { return n.Send(Message{From: from, To: "b"}) }
+	expect := func(step, from string, wantErr error, wantGot int32) {
+		t.Helper()
+		if err := send(from); !errors.Is(err, wantErr) {
+			t.Fatalf("%s: Send %s→b = %v, want %v", step, from, err, wantErr)
+		}
+		if g := got.Load(); g != wantGot {
+			t.Fatalf("%s: %d delivered, want %d", step, g, wantGot)
+		}
+	}
+	expect("first send", "a", nil, 1)
+	expect("first send", "c", nil, 2)
+
+	n.SetLink("a", "b", LinkConfig{DropProb: 1})
+	expect("SetLink drop", "a", nil, 2)
+	n.SetLink("a", "b", LinkConfig{})
+	expect("SetLink clear", "a", nil, 3)
+	n.Partition("a", "b")
+	expect("Partition", "a", ErrPartitioned, 3)
+	n.Heal("a", "b")
+	expect("Heal", "a", nil, 4)
+
+	n.SetDefaultLink(LinkConfig{Partitioned: true})
+	expect("default on an unconfigured pair", "c", ErrPartitioned, 4)
+	expect("default on a configured pair", "a", nil, 5)
+	n.SetDefaultLink(LinkConfig{})
+	expect("default cleared", "c", nil, 6)
+
+	if ls := n.LinkStats("a", "b"); ls.Sent != 6 || ls.Delivered != 4 || ls.Dropped != 1 || ls.Rejected != 1 {
+		t.Fatalf("a→b stats = %+v, want 6 sent: 4 delivered, 1 dropped, 1 rejected", ls)
+	}
+	if ls := n.LinkStats("c", "b"); ls.Sent != 3 || ls.Delivered != 2 || ls.Rejected != 1 {
+		t.Fatalf("c→b stats = %+v, want 3 sent: 2 delivered, 1 rejected", ls)
+	}
+	if st := n.Stats(); !st.Conserved() || st.Sent != 9 {
+		t.Fatalf("network stats = %+v, want 9 sent and conserved", st)
+	}
+}
+
 // TestLinkLatencySamples: an undelayed delivery is counted as a zero sample,
 // and a delayed link still measures send to delivery.
 func TestLinkLatencySamples(t *testing.T) {

@@ -84,8 +84,8 @@ func (s Stats) Conserved() bool {
 func (n *Network) LinkStats(from, to string) LinkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if ls, ok := n.linkStats[linkKey{from, to}]; ok {
-		return *ls
+	if l, ok := n.links[linkKey{from, to}]; ok {
+		return l.stats
 	}
 	return LinkStats{}
 }
@@ -99,13 +99,4 @@ func (n *Network) EndpointStats(name string) EndpointStats {
 		return ep.stats
 	}
 	return EndpointStats{}
-}
-
-func (n *Network) linkStatsLocked(k linkKey) *LinkStats {
-	ls, ok := n.linkStats[k]
-	if !ok {
-		ls = &LinkStats{}
-		n.linkStats[k] = ls
-	}
-	return ls
 }

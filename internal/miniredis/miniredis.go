@@ -272,18 +272,28 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(args) == 0 {
 			continue
 		}
-		cmd := Command{Name: string(args[0])}
-		if len(args) > 1 {
-			cmd.Key = string(args[1])
-		}
-		if len(args) > 2 {
-			cmd.Value = args[2]
-		}
-		writeReply(w, s.Do(cmd))
+		writeReply(w, s.doWire(args))
 		if err := w.Flush(); err != nil {
 			return
 		}
 	}
+}
+
+// doWire runs one command a RESP client sent. The NUL-prefixed names are the
+// server's own (snapshot, restore, size), never a wire client's: they are
+// refused as unknown, and the store is not touched.
+func (s *Server) doWire(args [][]byte) Reply {
+	if len(args[0]) > 0 && args[0][0] == 0 {
+		return Reply{Err: fmt.Errorf("miniredis: unknown command %q", args[0])}
+	}
+	cmd := Command{Name: string(args[0])}
+	if len(args) > 1 {
+		cmd.Key = string(args[1])
+	}
+	if len(args) > 2 {
+		cmd.Value = args[2]
+	}
+	return s.Do(cmd)
 }
 
 // readRESP parses one RESP array of bulk strings.

@@ -327,6 +327,74 @@ func TestRESPOverTCP(t *testing.T) {
 	}
 }
 
+// TestRESPRefusesInternalCommands: the NUL-prefixed names the direct API
+// uses for snapshot, restore and size are refused over the wire with an error
+// reply, and the store is what it was: a client cannot read the whole store
+// or replace it.
+func TestRESPRefusesInternalCommands(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	if err := s.Set("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	other := NewServer()
+	defer other.Close()
+	if err := other.Set("other", []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	img, err := other.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := s.Ops()
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go s.ServeTCP(l)
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	for _, args := range [][]string{
+		{cmdSnapshot},
+		{cmdRestore, "", string(img)},
+		{cmdSizeOf, "k"},
+	} {
+		if _, err := conn.Write(respCmd(args...)); err != nil {
+			t.Fatal(err)
+		}
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("-ERR miniredis: unknown command %q\r\n", args[0]); line != want {
+			t.Fatalf("%q over RESP → %q, want %q", args[0], line, want)
+		}
+	}
+	// The connection still serves ordinary commands after a refusal.
+	if _, err := conn.Write(respCmd("DBSIZE")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := r.ReadString('\n'); err != nil || line != ":1\r\n" {
+		t.Fatalf("DBSIZE after the refusals → %q, %v; want :1", line, err)
+	}
+	if v, ok, err := s.Get("k"); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("k after the refusals = %q %v %v, want \"v\"", v, ok, err)
+	}
+	if _, ok, _ := s.Get("other"); ok {
+		t.Fatal("a RESP \\x00RESTORE replaced the store")
+	}
+	// DBSIZE and the two GETs above ran; none of the refused commands did.
+	if got := s.Ops(); got != ops+3 {
+		t.Fatalf("Ops = %d after the refusals, want %d", got, ops+3)
+	}
+}
+
 func TestRESPMalformedInput(t *testing.T) {
 	s := NewServer()
 	defer s.Close()

@@ -70,19 +70,57 @@ func TestRunMainOrder(t *testing.T) {
 }
 
 // TestStartedIsWhatMainStarts: Compile's Started runs main over which
-// instances run, so a handler whose try succeeded starts nothing and a start
-// of a running instance ends main's sequence.
+// instances run, so a handler whose try succeeded starts nothing.
 func TestStartedIsWhatMainStarts(t *testing.T) {
 	p := dsl.NewProgram()
 	p.Type("T").Junction("j", dsl.Def(nil, dsl.Skip{}))
 	p.Instance("a", "T").Instance("b", "T").Instance("c", "T")
 	p.SetMain(
 		dsl.Otherwise{Try: dsl.Start{Instance: "a"}, Handler: dsl.Start{Instance: "b"}},
-		dsl.Start{Instance: "a"},
 		dsl.Start{Instance: "c"},
 	)
 	pp := compile(t, p)
-	if !pp.Started["a"] || pp.Started["b"] || pp.Started["c"] {
-		t.Fatalf("Started = %v, want a only", pp.Started)
+	if !pp.Started["a"] || pp.Started["b"] || !pp.Started["c"] {
+		t.Fatalf("Started = %v, want a and c", pp.Started)
+	}
+}
+
+// TestCompileRejectsFailingMain: a main that fails when it runs is a fault,
+// one line per start or stop that fails it, as System.RunMain would report
+// it; a failure an otherwise handles is not.
+func TestCompileRejectsFailingMain(t *testing.T) {
+	st := func(inst string) dsl.Expr { return dsl.Start{Instance: inst} }
+	for _, tc := range []struct {
+		name string
+		main []dsl.Expr
+		want []string // nil: compiles
+	}{
+		{"start a; start a; start b", []dsl.Expr{st("a"), st("a"), st("b")},
+			[]string{"main: start a: instance already started"}},
+		{"stop of a stopped instance", []dsl.Expr{st("a"), dsl.Stop{Instance: "b"}},
+			[]string{"main: stop b: instance not running"}},
+		{"two failing par arms", []dsl.Expr{st("a"), dsl.Par{st("a"), st("b"), dsl.Stop{Instance: "c"}}},
+			[]string{"main: start a: instance already started", "main: stop c: instance not running"}},
+		{"a handled failure", []dsl.Expr{st("a"), dsl.Otherwise{Try: st("a"), Handler: st("b")}}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := dsl.NewProgram()
+			p.Type("T").Junction("j", dsl.Def(nil, dsl.Skip{}))
+			p.Instance("a", "T").Instance("b", "T").Instance("c", "T")
+			p.SetMain(tc.main...)
+			_, err := plan.Compile(p)
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("Compile: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, dsl.ErrInvalid) {
+				t.Fatalf("Compile: %v, want an invalid program", err)
+			}
+			if got, want := err.Error(), dsl.Invalid(tc.want).Error(); got != want {
+				t.Fatalf("Compile says\n%s\nwant\n%s", got, want)
+			}
+		})
 	}
 }

@@ -178,8 +178,13 @@ func Compile(p *dsl.Program) (*Program, error) {
 			}
 		}
 	}
-	// A main that fails leaves started what it started before it failed.
-	_ = ModelMain(p.Main, func(inst string) { out.Started[inst] = true }, func(string) {})
+	// A main that fails at run time is a fault here: every start or stop
+	// that fails it is named, one line each (a par joins its arms' failures).
+	if err := ModelMain(p.Main, func(inst string) { out.Started[inst] = true }, func(string) {}); err != nil {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			out.reject(nil, "main", line, "%s", line)
+		}
+	}
 	for _, j := range out.Juncs {
 		out.record(j)
 	}

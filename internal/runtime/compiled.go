@@ -148,7 +148,7 @@ func (j *Junction) compileOp(o *plan.Op) step {
 			var err error
 			if timeout > 0 {
 				if dl == nil {
-					dl = newDeadline()
+					dl = newDeadline(j.clock)
 				}
 				dl.arm(ctx, timeout)
 				sig, err = try(dl)

@@ -85,6 +85,10 @@ type Junction struct {
 	pj   *plan.Junction
 	comp *compiledJunction
 
+	// clock keeps the time limits of the incarnation's otherwise[t]
+	// deadlines (deadline.go); retired with the incarnation.
+	clock *clock
+
 	// Driver lifecycle. driverOn + a fresh stopCh per start make the driver
 	// restartable: migration quiesces drivers on the source and the rebuilt
 	// junction starts its own (an abort restarts the source's). root is the
@@ -110,6 +114,7 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 		subsets: make(map[string][]string, len(pj.Subsets())),
 		idxs:    make(map[string]string, len(pj.Idxs())),
 		pj:      pj,
+		clock:   newClock(),
 	}
 	if def.Guard != nil {
 		j.errGuard = fmt.Errorf("%w: %s guard %s", ErrNotSchedulable, j.FQName, def.Guard)
@@ -346,7 +351,7 @@ func (j *Junction) startDriver() {
 	stop := make(chan struct{})
 	// The root is a deadline with no time limit, so a firing's otherwise[t]
 	// links to it without allocating.
-	root := newDeadline()
+	root := newDeadline(nil)
 	j.stopCh, j.root = stop, root
 	j.driverWG.Add(1)
 	go j.runDriverEvent(root, stop)

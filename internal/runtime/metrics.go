@@ -27,10 +27,6 @@ func (s *System) Metrics() Metrics {
 	}
 }
 
-// Observer exposes the system's observability hub, for installing trace
-// sinks (csaw-bench -trace) or enabling latency timing (-metrics).
-func (s *System) Observer() *obsv.Observer { return s.obs }
-
 // Render writes a human-readable metrics report: one transport line, then
 // one block per junction (sorted by name) with scheduling counters and, when
 // timing was on, the body-latency digest.

@@ -385,6 +385,7 @@ func (s *System) MigrateInstance(name, dest string) error {
 	for i, j := range js {
 		parked[i].Release(d.proxyHandler(src))
 		j.moved.Store(true)
+		j.clock.retire()
 	}
 	s.mu.Lock()
 	inst.junctions.Store(&newJs)

@@ -8,7 +8,10 @@ package runtime
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -351,6 +354,294 @@ func deadlineExpiryRacingDisarm(t *testing.T) {
 				}
 			}
 			t.Logf("%d finished, %d inner and %d outer handlers ran, %d firings started late", finished.Load(), innerHandled.Load(), outerHandled.Load(), late)
+		})
+	}
+}
+
+// TestClockExpiresEachDeadlineAtItsOwnT: deadlines with different t on one
+// clock (deadline.go) sit in expiry order, equal t in arming order, and each
+// ends with context.DeadlineExceeded at exactly its own t — in a bubble; in
+// real time no sooner. A head disarmed early leaves the timer set for it
+// pending, and the deadline after it still ends exactly; the disarmed one may
+// be armed again and then has its whole new t.
+func TestClockExpiresEachDeadlineAtItsOwnT(t *testing.T) {
+	bubble(t, clockExpiresEachDeadlineAtItsOwnT)
+}
+
+func clockExpiresEachDeadlineAtItsOwnT(t *testing.T) {
+	const ms = time.Millisecond
+	c := newClock()
+	start := time.Now()
+	early := newDeadline(c)
+	early.arm(context.Background(), 5*ms)
+	ts := []time.Duration{30 * ms, 10 * ms, 20 * ms, 10 * ms, 40 * ms}
+	ds := make([]*deadline, len(ts))
+	for i, d := range ts {
+		ds[i] = newDeadline(c)
+		ds[i].arm(context.Background(), d)
+	}
+	c.mu.Lock()
+	var order []*deadline
+	for d := c.head; d != nil; d = d.later {
+		order = append(order, d)
+	}
+	c.mu.Unlock()
+	if want := []*deadline{early, ds[1], ds[3], ds[2], ds[0], ds[4]}; !slices.Equal(order, want) {
+		t.Fatalf("the clock's list is not in expiry order, equal t in arming order")
+	}
+
+	time.Sleep(2 * ms)
+	if !early.disarm() {
+		t.Fatal("a deadline disarmed before its t may not be armed again")
+	}
+	early.arm(context.Background(), 25*ms) // ends 27 ms after start
+	// Armed once time has passed, a t this long overflows the clock's offset:
+	// it must still sort last and never be due.
+	forever := newDeadline(c)
+	forever.arm(context.Background(), math.MaxInt64)
+	c.mu.Lock()
+	last := c.tail
+	c.mu.Unlock()
+	if last != forever {
+		t.Fatal("a deadline with t = MaxInt64 does not sort last")
+	}
+	ds = append(ds, early)
+	ts = append(ts, 27*ms)
+
+	ended := make([]time.Duration, len(ds))
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-d.Done()
+			ended[i] = time.Since(start)
+		}()
+	}
+	wg.Wait()
+	for i, d := range ds {
+		if ended[i] < ts[i] || bubbled && ended[i] != ts[i] {
+			t.Errorf("deadline %d with t %v ended after %v", i, ts[i], ended[i])
+		}
+		if !errors.Is(d.Err(), context.DeadlineExceeded) {
+			t.Errorf("deadline %d ended with %v, want context.DeadlineExceeded", i, d.Err())
+		}
+		if d.disarm() {
+			t.Errorf("deadline %d may be armed again after it expired", i)
+		}
+	}
+	if forever.Err() != nil || !forever.disarm() {
+		t.Errorf("the deadline with t = MaxInt64 ended: %v", forever.Err())
+	}
+	c.retire()
+	if timerPending(c) {
+		t.Error("the retired clock's timer is pending with nothing armed")
+	}
+}
+
+// timerPending reports whether the clock's runtime timer is pending, and
+// stops it if it was.
+func timerPending(c *clock) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending || c.timer != nil && c.timer.Stop()
+}
+
+// TestNestedOtherwiseExpiresExactly: nested otherwise[t] scopes of one
+// junction share its clock, and each scope's handler runs at exactly its own
+// t after the firing began (in a bubble; in real time no sooner), whichever
+// scope is shorter, also when a shorter scope was disarmed early and the
+// timer was left set for it. Each shape fires twice, so the second firing
+// re-arms what the first left.
+func TestNestedOtherwiseExpiresExactly(t *testing.T) { bubble(t, nestedOtherwiseExpiresExactly) }
+
+func nestedOtherwiseExpiresExactly(t *testing.T) {
+	const inner, outer = 10 * time.Millisecond, 30 * time.Millisecond
+	wait := dsl.Wait{Cond: formula.P("Go")}
+	for _, tc := range []struct {
+		name               string
+		try                func(innerScope func(dsl.Expr, time.Duration) dsl.Expr) dsl.Expr
+		innerAt, outerWant time.Duration // 0: that handler never runs
+	}{
+		{"inner shorter", func(in func(dsl.Expr, time.Duration) dsl.Expr) dsl.Expr {
+			return dsl.Seq{in(wait, inner), wait}
+		}, inner, outer},
+		{"inner longer", func(in func(dsl.Expr, time.Duration) dsl.Expr) dsl.Expr {
+			return in(wait, 2*outer)
+		}, 0, outer},
+		{"inner disarmed early", func(in func(dsl.Expr, time.Duration) dsl.Expr) dsl.Expr {
+			nap := dsl.Host{Label: "nap", Fn: func(dsl.HostCtx) error { time.Sleep(inner / 2); return nil }}
+			return dsl.Seq{in(nap, inner), wait}
+		}, 0, outer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var began time.Time
+			var innerAt, outerAt []time.Duration
+			handler := func(at *[]time.Duration) dsl.Expr {
+				return dsl.Host{Label: "h", Fn: func(dsl.HostCtx) error { *at = append(*at, time.Since(began)); return nil }}
+			}
+			innerScope := func(try dsl.Expr, d time.Duration) dsl.Expr { return dsl.OtherwiseT(try, d, handler(&innerAt)) }
+			s := oneJunction(t, dsl.Def(
+				dsl.Decls(dsl.InitProp{Name: "Go", Init: false}),
+				dsl.OtherwiseT(tc.try(innerScope), outer, handler(&outerAt)),
+			))
+			for round := 1; round <= 2; round++ {
+				began = time.Now()
+				if err := s.Invoke(context.Background(), "i", "j"); err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range []struct {
+					name string
+					at   []time.Duration
+					want time.Duration
+				}{{"inner", innerAt, tc.innerAt}, {"outer", outerAt, tc.outerWant}} {
+					if h.want == 0 {
+						if len(h.at) != 0 {
+							t.Fatalf("round %d: the %s handler ran", round, h.name)
+						}
+						continue
+					}
+					if len(h.at) != round {
+						t.Fatalf("round %d: the %s handler ran %d times", round, h.name, len(h.at))
+					}
+					if got := h.at[round-1]; got < h.want || bubbled && got != h.want {
+						t.Fatalf("round %d: the %s handler ran %v after the firing began, want %v", round, h.name, got, h.want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOtherwiseFiringLeavesTheTimerAlone: a firing that does not expire
+// neither sets nor stops its junction's clock timer. The first firing sets it
+// for its limit; the next ones, all well within t, find it pending for an
+// earlier time and leave it so, and their disarms leave it pending.
+func TestOtherwiseFiringLeavesTheTimerAlone(t *testing.T) {
+	var complained atomic.Int32
+	s := otherwiseSystem(t, &complained)
+	c := s.junctionQuiet("i", "j").clock
+	state := func() (time.Duration, bool, *time.Timer) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.fireAt, c.pending, c.timer
+	}
+	if err := s.Invoke(context.Background(), "i", "j"); err != nil {
+		t.Fatal(err)
+	}
+	at, pending, timer := state()
+	if !pending || timer == nil {
+		t.Fatal("the first firing left no timer pending")
+	}
+	for i := 0; i < 100; i++ {
+		if err := s.Invoke(context.Background(), "i", "j"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at2, pending2, timer2 := state(); at2 != at || !pending2 || timer2 != timer {
+		t.Fatalf("after 100 firings the timer is set for %v (pending %v), want %v as the first firing set it", at2, pending2, at)
+	}
+	if n := complained.Load(); n != 0 {
+		t.Fatalf("the handler ran %d times", n)
+	}
+}
+
+// TestRetiredClockHasNoPendingTimer: an incarnation retired by
+// MigrateInstance, StopInstance, CrashInstance or Close leaves no timer of
+// its clock pending, though its last firing left one set for its limit.
+// A scheduling still in flight when its instance stops keeps its limit: its
+// handler runs at exactly t, or it finishes sooner; either way, no timer is
+// pending once its deadline has ended.
+func TestRetiredClockHasNoPendingTimer(t *testing.T) { bubble(t, retiredClockHasNoPendingTimer) }
+
+func retiredClockHasNoPendingTimer(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	var handled atomic.Int32
+	program := func() *dsl.Program {
+		p := dsl.NewProgram()
+		p.Type("t").Junction("j", dsl.Def(
+			dsl.Decls(dsl.InitProp{Name: "Go", Init: true}),
+			dsl.OtherwiseT(dsl.Wait{Cond: formula.P("Go")}, timeout,
+				dsl.Host{Label: "h", Fn: func(dsl.HostCtx) error { handled.Add(1); return nil }}),
+		))
+		p.Instance("i", "t")
+		p.SetMain(dsl.Start{Instance: "i"})
+		return p
+	}
+	for _, how := range []string{"migrate", "stop", "crash", "close"} {
+		t.Run(how, func(t *testing.T) {
+			dep, netA, netB := twoLocDeployment()
+			dep.Place("i", "A")
+			defer netA.Close()
+			defer netB.Close()
+			s := mustSystem(t, program(), Options{Deploy: dep})
+			if err := s.RunMain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			j := s.junctionQuiet("i", "j")
+			if err := s.Invoke(context.Background(), "i", "j"); err != nil {
+				t.Fatal(err)
+			}
+			j.clock.mu.Lock()
+			pending := j.clock.pending
+			j.clock.mu.Unlock()
+			if !pending {
+				t.Fatal("the firing left no timer pending")
+			}
+			switch how {
+			case "migrate":
+				if err := s.MigrateInstance("i", "B"); err != nil {
+					t.Fatal(err)
+				}
+			case "stop":
+				if err := s.StopInstance("i"); err != nil {
+					t.Fatal(err)
+				}
+			case "crash":
+				s.CrashInstance("i")
+			case "close":
+				s.Close()
+			}
+			if timerPending(j.clock) {
+				t.Fatalf("after %s the retired incarnation's timer is still pending", how)
+			}
+		})
+	}
+	for _, expires := range []bool{true, false} {
+		name := "stop in flight, finishing"
+		if expires {
+			name = "stop in flight, expiring"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := oneJunction(t, program().Types["t"].Junctions["j"])
+			j := s.junctionQuiet("i", "j")
+			j.InjectProp("Go", false)
+			handled.Store(0)
+			began := time.Now()
+			done := make(chan time.Duration, 1)
+			go func() {
+				if err := s.Invoke(context.Background(), "i", "j"); err != nil {
+					t.Error(err)
+				}
+				done <- time.Since(began)
+			}()
+			waitUntil(t, 5*time.Second, "the wait to block", func() bool { return j.met.WaitsArmed.Load() == 1 })
+			if err := s.StopInstance("i"); err != nil {
+				t.Fatal(err)
+			}
+			if !expires {
+				j.InjectProp("Go", true)
+			}
+			took := <-done
+			switch {
+			case expires && (handled.Load() != 1 || took < timeout || bubbled && took != timeout):
+				t.Fatalf("the in-flight firing ended after %v with %d handlers run, want its handler at %v", took, handled.Load(), timeout)
+			case !expires && (handled.Load() != 0 || bubbled && took >= timeout):
+				t.Fatalf("the in-flight firing ended after %v with %d handlers run, want it to finish before %v", took, handled.Load(), timeout)
+			}
+			if timerPending(j.clock) {
+				t.Fatal("the retired clock's timer is pending after its last deadline ended")
+			}
 		})
 	}
 }

@@ -194,17 +194,6 @@ func (s *System) TransportStats() compart.Stats {
 	return total
 }
 
-// LinkStats returns the substrate counters for the directed link between
-// two junction endpoints ("instance::junction" names), read from the
-// sending junction's location network — where its Sends are counted.
-func (s *System) LinkStats(from, to string) compart.LinkStats {
-	loc := s.deploy.defaultLoc()
-	if inst, _, ok := strings.Cut(from, "::"); ok {
-		loc = s.deploy.locOf(inst)
-	}
-	return loc.net.LinkStats(from, to)
-}
-
 // PeerUp reports whether a junction endpoint is currently up at the
 // transport level, checked on the network of the instance's own current
 // location, where its real endpoint lives. A proxy for the junction at
@@ -330,6 +319,7 @@ func (s *System) StopInstance(name string) error {
 	}
 	for _, j := range inst.junctionMap() {
 		j.stopDriver(true)
+		j.clock.retire()
 	}
 	// A stop is deliberate and observable: updates already in flight toward
 	// this instance can never be acknowledged, so fail their windows now
@@ -364,6 +354,7 @@ func (s *System) CrashInstance(name string) {
 	s.mu.Unlock()
 	for _, j := range inst.junctionMap() {
 		j.stopDriver(true)
+		j.clock.retire()
 	}
 	// Crashed endpoints answer new sends with ErrEndpointDown, but updates
 	// already in flight would otherwise wait out the watchdog; fail their
@@ -950,18 +941,12 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 			werr = fmt.Errorf("%w: %v", ErrSendFailed, serr)
 		}
 	default:
+		// In process the receiver's ack completed the waiter inside Send, so
+		// it is usually there already: take it without a select on ctx.
 		select {
 		case werr = <-wt.ch:
-		case <-ctx.Done():
-			if w.forget(wt) {
-				// otherwise[t] expired with the range still pending: what is
-				// left of it is forgotten, and no completer holds the waiter.
-				werr = fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
-			} else {
-				// An ack raced the cancellation: the group was delivered, the
-				// statement completes normally.
-				werr = <-wt.ch
-			}
+		default:
+			werr = w.await(ctx, wt)
 		}
 	}
 	// The waiter is unlinked and its channel quiescent (its one send, if any,
@@ -983,6 +968,24 @@ func (s *System) sendGroup(ctx context.Context, j *Junction, to string, ups []re
 		}
 	}
 	return acked, werr
+}
+
+// await waits for a sent group's ack, or for ctx to end first. An ack that
+// races the end wins: the group was delivered.
+func (w *ackWindow) await(ctx context.Context, wt *rangeWaiter) error {
+	select {
+	case err := <-wt.ch:
+		return err
+	case <-ctx.Done():
+		if w.forget(wt) {
+			// otherwise[t] expired with the range still pending: what is
+			// left of it is forgotten, and no completer holds the waiter.
+			return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, w.to)
+		}
+		// An ack raced the cancellation: the group was delivered, the
+		// statement completes normally.
+		return <-wt.ch
+	}
 }
 
 // recvTrack is the receiver-side delivery tracking for one sending junction:
