@@ -23,7 +23,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -162,16 +161,6 @@ func (r *Report) Errors() int {
 
 // Empty reports whether the run produced no findings at all.
 func (r *Report) Empty() bool { return len(r.Diagnostics) == 0 }
-
-// Format writes the human-readable report.
-func (r *Report) Format(w io.Writer) {
-	for _, d := range r.Diagnostics {
-		fmt.Fprintln(w, d)
-	}
-	for _, s := range r.Suppressed {
-		fmt.Fprintf(w, "%s [suppressed: %s]\n", s.Diagnostic, s.Reason)
-	}
-}
 
 // Analyze compiles p (plan.Compile, which checks it) and runs the configured
 // passes. The returned error is non-nil only for invalid programs (static

@@ -16,9 +16,6 @@ type wireOp struct {
 	Found bool
 }
 
-// encodeWireOp serializes a request/response record.
-func encodeWireOp(op wireOp) ([]byte, error) { return serial.Marshal(op) }
-
 // appendWireOp serializes a record into dst's capacity (serial.AppendMarshal),
 // for adapters that reuse one request buffer across rounds. The runtime
 // retains payloads by reference (kv tables, message payloads), so a buffer

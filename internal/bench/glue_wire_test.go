@@ -23,7 +23,7 @@ func TestDecodeWireOpKeepsRecordOnStack(t *testing.T) {
 		{"GET", wireOp{Get: true, Key: "key:000042"}, 1},
 		{"SET", wireOp{Key: "key:000042", Value: bytes.Repeat([]byte{7}, 64)}, 2},
 	} {
-		enc, err := encodeWireOp(c.op)
+		enc, err := appendWireOp(nil, c.op)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,14 +18,17 @@
 // ternary presence (defined/undef), idx and subset variables are concrete.
 // Host blocks are havoc: every combination of writes to their declared
 // write-set V⃗ is explored (capped at maxHavoc), and host blocks
-// never fail. Timing is abstracted: a wait blocked under an otherwise[t]
-// deadline may time out at any moment.
+// never fail. Timing is abstracted: an otherwise[t] deadline with a wait
+// blocked below it, in its own strand or a par arm under it, may expire at any
+// moment.
 //
-// The checker steps the ops the runtime's executor compiles (plan.Compile) and
-// runs the same case terminator machine (plan.CaseMachine), so statement
-// semantics mirror the executor op by op, including local-priority pending
-// drops, wait admission sets and transaction rollback. Two abstractions
-// remain: remote updates are stepped one statement at a time (the executor's
+// The checker steps the ops the runtime's executor compiles (plan.Compile)
+// with plan's frame machine (plan.FrameMachine), which makes every control
+// decision — signals, failures, scopes, transaction rollback, otherwise,
+// case terminators (plan.CaseMachine), par joins and deadline expiry — so the
+// checker keeps only the leaf statements, which mirror the executor op by op,
+// including local-priority pending drops and wait admission sets. Two
+// abstractions remain: remote updates are stepped one statement at a time (the executor's
 // group sends are not modeled), and threads of a stopped instance keep
 // executing (their sends fail, as at runtime) rather than being killed
 // asynchronously.
@@ -129,8 +132,8 @@ const (
 	StepAbsorb
 	// StepResume: a blocked wait's formula became true and the thread resumed.
 	StepResume
-	// StepTimeout: a deadline expired under a blocked wait and control moved
-	// to the otherwise handler.
+	// StepTimeout: an otherwise[t] deadline expired with a wait blocked below
+	// it: the waits below it failed and control moves to its handler.
 	StepTimeout
 	// StepStrand: one thread ran a visible action (plus fused invisible ones).
 	StepStrand
@@ -166,7 +169,8 @@ type Step struct {
 	Kind StepKind `json:"kind"`
 	// Junction is the acting fully-qualified junction.
 	Junction string `json:"junction,omitempty"`
-	// Thread identifies the acting thread for strand/resume/timeout steps.
+	// Thread identifies the acting thread for strand/resume steps, and for a
+	// timeout the thread whose otherwise frame expired.
 	Thread int `json:"thread,omitempty"`
 	// Key is the injected proposition for inject steps.
 	Key string `json:"key,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"csaw/internal/check"
 	"csaw/internal/dsl"
@@ -296,6 +297,42 @@ func TestIdxAssignOfSelfElement(t *testing.T) {
 			p.Instance("a", "T")
 			p.SetMain(dsl.Start{Instance: "a"})
 			p.Invariant("never-done", formula.Not(formula.At("a::j", "Done")))
+
+			res := mustCheck(t, p, check.Options{})
+			if got := check.VerdictOf(res); got != "invariant" {
+				t.Fatalf("verdict %q, want invariant (violations %v)", got, res.Violations)
+			}
+			rr, err := check.Replay(p, *findViolation(res, check.Invariant))
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if !rr.Confirmed {
+				t.Fatalf("replay refuted the invariant violation: %s", rr.Detail)
+			}
+		})
+	}
+}
+
+// TestDeadlineReachesParArmsInTheModel: an otherwise[t] deadline that expires
+// fails every wait blocked below it, in the arms of a par under it too, and
+// its own handler catches the join's failure, as on the runtime: the handler
+// asserts Done, which the invariant forbids, and Replay confirms it there.
+func TestDeadlineReachesParArmsInTheModel(t *testing.T) {
+	never := dsl.Wait{Cond: formula.FalseF{}}
+	for name, try := range map[string]dsl.Expr{
+		"wait":          never,
+		"par of waits":  dsl.Par{never, never},
+		"par wait skip": dsl.Par{never, dsl.Skip{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := dsl.NewProgram()
+			p.Type("T").Junction("j", dsl.Def(
+				dsl.Decls(dsl.InitProp{Name: "Done", Init: false}),
+				dsl.OtherwiseT(try, 20*time.Millisecond, dsl.Assert{Prop: dsl.PR("Done")}),
+			))
+			p.Instance("i", "T")
+			p.SetMain(dsl.Start{Instance: "i"})
+			p.Invariant("never-done", formula.Not(formula.At("i::j", "Done")))
 
 			res := mustCheck(t, p, check.Options{})
 			if got := check.VerdictOf(res); got != "invariant" {

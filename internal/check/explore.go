@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"csaw/internal/formula"
+	"csaw/internal/plan"
 )
 
 // succ is one outgoing transition of a state.
@@ -15,14 +16,11 @@ type succ struct {
 	st   *state
 }
 
-func spawnRoot(st *state, j *junc) {
-	st.threads = append(st.threads, &thread{
-		id:     st.nextTid,
-		gen:    st.gen,
-		j:      j,
-		parent: -1,
-		frames: []frame{{kind: fBody, role: "body", body: j.info.Body.Ops}},
-	})
+// spawn adds a thread of j running body: a scheduling root (parent -1) or
+// the arm slot of a par of thread parent.
+func (st *state) spawn(j *junc, parent, slot int, body []*plan.Op) {
+	m := plan.FrameMachine[words]{Frames: []plan.Frame[words]{{Body: body}}}
+	st.threads = append(st.threads, &thread{id: st.nextTid, gen: st.gen, j: j, m: m, parent: parent, slot: slot})
 	st.nextTid++
 }
 
@@ -81,7 +79,7 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 			if envLeft > 0 {
 				cp := c.clone(st)
 				applyPending(cp, j)
-				spawnRoot(cp, j)
+				cp.spawn(j, -1, 0, j.info.Body.Ops)
 				cp.tab.put(c.env, c.envWidth, envLeft-1)
 				succs = append(succs, succ{Step{Kind: StepInvoke, Junction: j.fq}, cp})
 			}
@@ -91,7 +89,7 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 		pend := applyPending(cp, j)
 		if c.eval(cp, j, j.info.Def.Guard) == formula.True {
 			j.guardTrue = true
-			spawnRoot(cp, j)
+			cp.spawn(j, -1, 0, j.info.Body.Ops)
 			succs = append(succs, succ{Step{Kind: StepSchedule, Junction: j.fq}, cp})
 		} else if pend {
 			// Not schedulable; the attempt still absorbed pending updates.
@@ -112,18 +110,18 @@ func (c *checker) successors(st *state) ([]succ, bool) {
 		}
 	}
 
-	// Deadline timeouts: a wait blocked under an armed otherwise[t] may time
-	// out at any moment (timing is abstracted).
+	// Deadline expiries: an armed otherwise[t] with a wait blocked below it,
+	// in its thread or an arm of a par under it, may expire at any moment
+	// (timing is abstracted).
 	for _, t := range st.threads {
-		if t.wait == nil {
-			continue
-		}
-		for i, f := range t.frames {
-			if f.kind == fOtherwise && f.deadline && !f.inHandler {
+		for k := range t.m.Frames {
+			if !t.m.Armed(k) {
+				continue
+			}
+			if _, blocked := st.below(t); blocked {
 				cp := c.clone(st)
-				c.unwindToHandler(cp, cp.own(t.id), i)
-				c.fuse(cp, t.id)
-				succs = append(succs, succ{Step{Kind: StepTimeout, Junction: t.j.fq, Thread: t.id, Choice: strconv.Itoa(i)}, cp})
+				c.expire(cp, t.id, k)
+				succs = append(succs, succ{Step{Kind: StepTimeout, Junction: t.j.fq, Thread: t.id, Choice: strconv.Itoa(k)}, cp})
 			}
 		}
 	}
@@ -262,14 +260,7 @@ func (c *checker) explore() *Result {
 }
 
 func (c *checker) isDeadlocked(s *state) bool {
-	blocked := false
-	for _, t := range s.threads {
-		if t.wait != nil {
-			blocked = true
-			break
-		}
-	}
-	if !blocked {
+	if !slices.ContainsFunc(s.threads, func(t *thread) bool { return t.wait != nil }) {
 		return false
 	}
 	succs, wouldEnv := c.successors(s)
@@ -352,11 +343,7 @@ func (c *checker) markBlocks(steps []Step) []Step {
 		}
 		root := t
 		for root.parent >= 0 {
-			p := st.thread(root.parent)
-			if p == nil {
-				break
-			}
-			root = p
+			root = st.thread(root.parent) // a parent outlives its arms
 		}
 		if idx, ok := rootStep[root.id]; ok {
 			steps[idx].Blocks = true

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -172,12 +173,7 @@ func (st *state) thread(id int) *thread {
 }
 
 func (st *state) removeThread(id int) {
-	for i, t := range st.threads {
-		if t.id == id {
-			st.threads = append(st.threads[:i], st.threads[i+1:]...)
-			return
-		}
-	}
+	st.threads = slices.DeleteFunc(st.threads, func(t *thread) bool { return t.id == id })
 }
 
 func (st *state) threadsOf(j *junc) int {
@@ -238,6 +234,7 @@ type checker struct {
 	key   []byte                 // stateKey's buffer
 	gen   uint64                 // the last state generation handed out
 	waits map[*plan.Op]*waitInfo // the waits that read no idx
+	fx    plan.Effects[words]    // the frame machine's effects, on rd's state and junction
 
 	everStarted []bool
 	unsup       map[string]bool
@@ -256,6 +253,7 @@ func newChecker(pp *plan.Program, opts Options) *checker {
 		unsup:    map[string]bool{},
 	}
 	c.rd.c = c
+	c.fx = c.newEffects()
 	for _, inst := range p.InstanceNames() {
 		c.insts[inst] = len(c.insts)
 	}
@@ -661,16 +659,12 @@ func applyPending(st *state, j *junc) bool {
 // stateKey encodes st exactly, into a buffer reused across calls: the table
 // verbatim, then the threads in canonical tree order. Thread identity is
 // structural: roots are ordered by junction (at most one scheduling per
-// junction exists at a time), children by slot, and frames encode as (kind,
-// role, pc, aux) chains — the frame bodies are fully determined by the chain,
-// since every body is located by its creating statement's position. Numbers
-// are varints and strings are length-prefixed, so distinct states never share
-// a key; the key is deliberately not hashed.
+// junction exists at a time), children by slot, and a thread's control state
+// is its frame machine's key (plan.FrameMachine.AppendKey). Numbers are
+// varints and strings are length-prefixed, so distinct states never share a
+// key; the key is deliberately not hashed.
 func (c *checker) stateKey(st *state) []byte {
-	b := c.key[:0]
-	for _, w := range st.tab {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
+	b := appendWords(c.key[:0], st.tab)
 	for _, j := range c.juncs {
 		for _, t := range st.threads {
 			if t.parent < 0 && t.j == j {
@@ -686,60 +680,34 @@ func appendThread(b []byte, st *state, t *thread) []byte {
 	for _, n := range [...]int{t.j.num, t.slot, t.retries, t.waiting} {
 		b = binary.AppendUvarint(b, uint64(n))
 	}
-	b = append(b, flag(t.hasPend), byte(t.pendSig))
-	b = appendString(b, t.pendErr)
-	if b = append(b, flag(t.wait != nil)); t.wait != nil {
-		b = appendString(b, t.wait.condStr)
+	wait := "" // a wait's formula never renders empty
+	if t.wait != nil {
+		wait = t.wait.condStr
 	}
+	b = appendString(b, wait)
 	b = binary.AppendUvarint(b, uint64(len(t.children)))
-	for _, cr := range t.children {
-		b = append(b, flag(cr.done), byte(cr.sig))
-		b = appendString(b, cr.err)
+	for _, o := range t.children {
+		b = appendString(append(b, byte(o.Sig)), o.Err)
 	}
-	b = binary.AppendUvarint(b, uint64(len(t.frames)))
-	for i := range t.frames {
-		f := &t.frames[i]
-		b = appendString(append(b, byte(f.kind)), f.role)
-		b = binary.AppendUvarint(b, uint64(f.pc))
-		switch f.kind {
-		case fCase:
-			m := f.cm
-			for _, n := range [...]int{m.Start, m.Base, m.Cur, m.Rounds, int(m.Phase)} {
-				b = binary.AppendVarint(b, int64(n))
-			}
-			b = append(b, flag(m.InRec))
-		case fOtherwise:
-			b = append(b, flag(f.deadline), flag(f.inHandler))
-		case fTxn:
-			for _, w := range f.snap {
-				b = binary.LittleEndian.AppendUint64(b, w)
-			}
-		}
-	}
-	// Children in slot order: a par's children are created in slot order
-	// with ascending ids, and threads stay in ascending id.
-	kids := 0
+	b = t.m.AppendKey(b, appendWords)
+	// Children in slot order, each after a 1 and the last before a 0: a par's
+	// children are created in slot order with ascending ids, and threads stay
+	// in ascending id.
 	for _, k := range st.threads {
 		if k.parent == t.id {
-			kids++
+			b = appendThread(append(b, 1), st, k)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(kids))
-	for _, k := range st.threads {
-		if k.parent == t.id {
-			b = appendThread(b, st, k)
-		}
+	return append(b, 0)
+}
+
+func appendWords(b []byte, w words) []byte {
+	for _, x := range w {
+		b = binary.LittleEndian.AppendUint64(b, x)
 	}
 	return b
 }
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func flag(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }

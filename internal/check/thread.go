@@ -2,55 +2,13 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"csaw/internal/dsl"
 	"csaw/internal/formula"
 	"csaw/internal/plan"
 )
-
-type frameKind uint8
-
-const (
-	// fBody executes a statement sequence.
-	fBody frameKind = iota
-	// fScope marks a fate scope: a return delivered through it becomes none.
-	fScope
-	// fTxn holds the entry snapshot; an error delivered through it rolls the
-	// table back.
-	fTxn
-	// fOtherwise catches the first error from its try (or a timeout) and runs
-	// the handler.
-	fOtherwise
-	// fCase runs the case terminator machine (plan.CaseMachine).
-	fCase
-	// fCaseTail is the otherwise-after-next tail: only return/retry propagate.
-	fCaseTail
-)
-
-// frame is one activation record over lowered ops (plan.Compile). Bodies are
-// identified structurally (the creating statement's position plus a role),
-// so frames never need stable slice identity.
-type frame struct {
-	kind frameKind
-	role string
-	body []*plan.Op
-	pc   int
-
-	// fTxn: the transaction and the entry snapshot of the junction's prop
-	// and data words (never written after the snapshot, so clones share it).
-	txn  *plan.Op
-	snap words
-
-	// fOtherwise
-	handler   *plan.Op
-	deadline  bool
-	inHandler bool
-
-	// fCase
-	cs *plan.Case
-	cm plan.CaseMachine
-}
 
 // waitInfo is a blocked wait: the substituted formula and its admission sets
 // of prop and data slots, which condStr and the wait op determine.
@@ -60,56 +18,31 @@ type waitInfo struct {
 	admitP, admitD words
 }
 
-type childRes struct {
-	sig  plan.Signal
-	err  string
-	done bool
-}
-
 // thread is one strand of execution inside a scheduling: the root thread runs
-// the junction body; Par branches spawn child threads joined by slot.
+// the junction body; Par branches spawn child threads joined by slot. Its
+// control state is plan's frame machine; what it is blocked on and the tree
+// it sits in are the checker's.
 type thread struct {
 	id       int
 	gen      uint64 // the generation of the state that owns it (state.own)
 	j        *junc
-	frames   []frame
-	hasPend  bool
-	pendSig  plan.Signal
-	pendErr  string
+	m        plan.FrameMachine[words]
 	wait     *waitInfo
 	waiting  int
-	children []childRes
-	parent   int // -1 for the scheduling root
+	children []plan.Outcome // by slot; an arm still running has none yet
+	parent   int            // -1 for the scheduling root
 	slot     int
 	retries  int
 }
 
 func (t *thread) clone() *thread {
 	cp := *t
-	cp.frames = append([]frame(nil), t.frames...)
-	cp.children = append([]childRes(nil), t.children...)
+	cp.m.Frames = append([]plan.Frame[words](nil), t.m.Frames...)
+	cp.children = append([]plan.Outcome(nil), t.children...)
 	return &cp
 }
 
 func (t *thread) runnable() bool { return t.wait == nil && t.waiting == 0 }
-
-// top is the innermost frame, valid until the next push.
-func (t *thread) top() *frame {
-	if len(t.frames) == 0 {
-		return nil
-	}
-	return &t.frames[len(t.frames)-1]
-}
-
-func (t *thread) push(f frame) { t.frames = append(t.frames, f) }
-func (t *thread) pop()         { t.frames = t.frames[:len(t.frames)-1] }
-func (t *thread) setPend(s plan.Signal, err string) {
-	t.hasPend, t.pendSig, t.pendErr = true, s, err
-}
-
-func pushBody(t *thread, role string, body []*plan.Op) {
-	t.push(frame{kind: fBody, role: role, body: body})
-}
 
 // ---- the action classifier (peek) ---------------------------------------
 
@@ -181,48 +114,25 @@ func (c *checker) formulaVisible(st *state, j *junc, f formula.Formula, multi bo
 	return false
 }
 
-func hasTxnFrame(t *thread) bool {
-	for _, f := range t.frames {
-		if f.kind == fTxn {
-			return true
-		}
-	}
-	return false
-}
-
 // peek classifies the next action of a runnable thread without executing it.
 func (c *checker) peek(st *state, t *thread) act {
 	multi := st.threadsOf(t.j) >= 2
-	if t.hasPend {
-		// Signal/error delivery. An error crossing a transaction frame rolls
-		// the table back — a bulk local write.
-		if t.pendErr != "" && hasTxnFrame(t) {
-			return act{visible: multi || t.j.hasShared()}
-		}
-		return act{}
-	}
-	f := t.top()
-	if f == nil {
-		return act{}
-	}
-	switch f.kind {
-	case fCase:
-		if f.cm.Phase != plan.CaseRunning {
-			// Matching evaluates arm formulas.
-			for _, arm := range f.cs.Arms {
-				if c.formulaVisible(st, t.j, arm.Cond, multi) {
-					return act{visible: true}
-				}
+	switch a, o, out := t.m.Next(); a {
+	case plan.ActDeliver:
+		// An error crossing a transaction frame rolls the table back — a bulk
+		// local write.
+		return act{visible: out.Err != "" && (multi || t.j.hasShared()) &&
+			slices.ContainsFunc(t.m.Frames, func(f plan.Frame[words]) bool { return f.Kind == plan.FrameTxn })}
+	case plan.ActMatch:
+		// Matching evaluates arm formulas.
+		for _, arm := range o.Case.Arms {
+			if c.formulaVisible(st, t.j, arm.Cond, multi) {
+				return act{visible: true}
 			}
 		}
 		return act{}
-	case fBody:
-		if f.pc >= len(f.body) {
-			return act{} // end-of-body pop
-		}
-		return c.classifyStmt(st, t, f.body[f.pc], multi)
 	default:
-		return act{}
+		return c.classifyStmt(st, t, o, multi)
 	}
 }
 
@@ -376,42 +286,19 @@ func (c *checker) idxUniverseNow(st *state, x *idxSlot, each func(e int)) (ok bo
 
 const fuseCap = 4096
 
-// execOne performs exactly one action of a runnable thread; hv resolves a
-// host havoc when the action is nondeterministic.
+// execOne performs exactly one action of a runnable thread, a step of its
+// frame machine; hv resolves a host havoc when the action is
+// nondeterministic.
 func (c *checker) execOne(st *state, t *thread, hv *havoc) {
-	if t.hasPend {
-		c.processDelivery(st, t)
-		return
-	}
-	f := t.top()
-	if f == nil {
-		// A thread with no frames and no pending signal completed; deliver
-		// completion (defensive — processDelivery removes such threads).
-		t.setPend(plan.SigNone, "")
-		c.processDelivery(st, t)
-		return
-	}
-	switch f.kind {
-	case fCase:
-		c.caseMatch(st, t, f)
-		return
-	case fBody:
-		if f.pc >= len(f.body) {
-			t.pop()
-			t.setPend(plan.SigNone, "")
-			c.processDelivery(st, t)
-			return
-		}
-		o := f.body[f.pc]
-		f.pc++
-		c.execStmt(st, t, o, hv)
-		return
+	c.rd.st, c.rd.j = st, t.j // what c.fx acts on
+	switch o, out, ended := t.m.Step(&c.fx); {
+	case ended:
+		c.rootComplete(st, t, out)
+	case o == nil:
+	case o.Kind == plan.OpPar:
+		c.spawnPar(st, t, o.Arms)
 	default:
-		// Non-body frames only act on delivery; reaching here is a bug kept
-		// non-fatal: deliver none through them.
-		t.pop()
-		t.setPend(plan.SigNone, "")
-		c.processDelivery(st, t)
+		c.execStmt(st, t, o, hv)
 	}
 }
 
@@ -433,220 +320,117 @@ func (c *checker) fuse(st *state, tid int) {
 	c.unsup["fusion cap hit (runaway invisible loop?)"] = true
 }
 
-// processDelivery propagates a pending (signal, error) through the frame
-// stack until a frame absorbs it or the scheduling root completes. This is
-// the single place the runtime's unwinding semantics (scope return
-// absorption, transaction rollback, otherwise handling, case terminators)
-// are modeled.
-func (c *checker) processDelivery(st *state, t *thread) {
-	sig, errS := t.pendSig, t.pendErr
-	t.hasPend = false
-	at := 0 // the statement that stopped the body popped last
-	for {
-		if len(t.frames) == 0 {
-			c.rootComplete(st, t, sig, errS)
-			return
-		}
-		f := t.top()
-		switch f.kind {
-		case fBody:
-			if errS != "" || sig != plan.SigNone {
-				at = f.pc - 1
-				t.pop() // abort the rest of the sequence
-				continue
+// newEffects acts on the state and junction c.rd is bound to. A transaction
+// snapshots the junction's prop and data words (never written after, so
+// clones share it); a rollback restores the write-set plan hands it, as the
+// runtime's kv.RestoreKeys does, so a key of a step never reached keeps what
+// a sibling par arm may have committed to it.
+func (c *checker) newEffects() plan.Effects[words] {
+	return plan.Effects[words]{
+		Holds: func(f formula.Formula) bool { return f.Eval(&c.rd) == formula.True },
+		Snap: func() words {
+			st, j := c.rd.st, c.rd.j
+			n := j.np + j.nd
+			snap := append(words(nil), st.tab[j.base>>6:(j.base+n+63)>>6]...)
+			if n&63 != 0 {
+				snap[len(snap)-1] &= 1<<(n&63) - 1 // the pending bits that share the last word
 			}
-			return // landed: the body continues at its pc
-		case fScope:
-			t.pop()
-			if sig == plan.SigReturn {
-				sig = plan.SigNone
+			return snap
+		},
+		Restore: func(snap words, ws plan.WriteSet) {
+			st, j := c.rd.st, c.rd.j
+			for _, k := range ws.Props {
+				if s, ok := j.info.PropSlot(k); ok {
+					st.tab.set(j.base+s, snap.has(s))
+				}
 			}
-			continue
-		case fTxn:
-			if errS != "" {
-				// Roll the applied table back; pending updates queued during
-				// the transaction survive (the kv snapshot excludes the queue).
-				rollback(st, t.j, f, at)
-				sig = plan.SigNone
-			} else if sig == plan.SigReturn {
-				sig = plan.SigNone
+			for _, k := range ws.Data {
+				if s, ok := j.info.DataSlot(k); ok {
+					st.tab.set(j.data(s), snap.has(j.np+s))
+				}
 			}
-			t.pop()
-			continue
-		case fOtherwise:
-			if errS != "" && !f.inHandler {
-				f.inHandler = true
-				errS = ""
-				sig = plan.SigNone
-				pushBody(t, "handler", []*plan.Op{f.handler})
-				return // landed in the handler
-			}
-			t.pop()
-			continue
-		case fCaseTail:
-			t.pop()
-			if errS == "" {
-				sig = plan.TailSignal(sig)
-			}
-			continue
-		case fCase:
-			if errS != "" {
-				t.pop()
-				continue
-			}
-			cs := f.cs
-			next, out := f.cm.Done(cs, sig)
-			switch next {
-			case plan.CaseMatch:
-				return // landed: the case matches next
-			case plan.CaseTail:
-				t.pop()
-				t.push(frame{kind: fCaseTail, role: "tail"})
-				pushBody(t, "ow", cs.Otherwise.Ops)
-				return
-			}
-			t.pop()
-			sig = out
-			continue
-		}
+		},
 	}
 }
 
-// rollback restores what the failed transaction of frame f can have written
-// by the time its body stopped at statement at: the write-set of the steps it
-// had started (plan.Op.Wrote), as the runtime restores it (kv.RestoreKeys).
-// A key of a step never reached keeps what a sibling par arm may have
-// committed to it.
-func rollback(st *state, j *junc, f *frame, at int) {
-	restore := func(s int) { st.tab.set(j.base+s, f.snap.has(s)) }
-	w := f.txn.Wrote[f.txn.Body.StepAt(at)]
-	for _, k := range w.Props {
-		if s, ok := j.info.PropSlot(k); ok {
-			restore(s)
-		}
-	}
-	for _, k := range w.Data {
-		if s, ok := j.info.DataSlot(k); ok {
-			restore(j.np + s)
-		}
-	}
-}
-
-// rootComplete handles a thread finishing its last frame: par children post
-// their result to the parent's join slot; scheduling roots retry, fail
-// (driver-error semantics: effects persist, the thread dies), or fire.
-func (c *checker) rootComplete(st *state, t *thread, sig plan.Signal, errS string) {
+// rootComplete handles a thread that ended with out: par children post it to
+// the parent's join slot, and the last one posts the join; scheduling roots
+// retry, fail (driver-error semantics: effects persist, the thread dies), or
+// fire.
+func (c *checker) rootComplete(st *state, t *thread, out plan.Outcome) {
 	if t.parent >= 0 {
-		p := st.own(t.parent)
+		p := st.own(t.parent) // waits for t, so never ends first
 		st.removeThread(t.id)
-		if p == nil {
-			return
+		p.children[t.slot] = out
+		if p.waiting--; p.waiting == 0 {
+			p.m.Out = plan.Join(p.children)
+			p.children = nil
 		}
-		p.children[t.slot] = childRes{sig: sig, err: errS, done: true}
-		p.waiting--
-		if p.waiting > 0 {
-			return
-		}
-		// Join: first error in branch order wins, else the first non-none
-		// signal in branch order (mirrors the runtime's compilePar).
-		for _, cr := range p.children {
-			if cr.err != "" {
-				p.children = nil
-				p.setPend(plan.SigNone, cr.err)
-				return
-			}
-		}
-		joined := plan.SigNone
-		for _, cr := range p.children {
-			if cr.sig != plan.SigNone {
-				joined = cr.sig
-				break
-			}
-		}
-		p.children = nil
-		p.setPend(joined, "")
 		return
 	}
-	j := t.j
-	if errS != "" {
-		if j.bodyErr == "" {
-			j.bodyErr = errS
-		}
-		st.removeThread(t.id)
-		return
-	}
-	if sig == plan.SigRetry {
-		if t.retries+1 >= j.info.Def.RetryLimit {
-			if j.bodyErr == "" {
-				j.bodyErr = "retry limit exhausted"
-			}
-			st.removeThread(t.id)
+	j, err := t.j, out.Err
+	if err == "" && out.Sig == plan.SigRetry {
+		if t.retries+1 < j.info.Def.RetryLimit {
+			t.retries++
+			t.m.Frames = []plan.Frame[words]{{Body: j.info.Body.Ops}}
 			return
 		}
-		t.retries++
-		t.frames = []frame{{kind: fBody, role: "body", body: j.info.Body.Ops}}
-		return
+		err = "retry limit exhausted"
 	}
-	j.fired = true
+	if err == "" {
+		j.fired = true
+	} else if j.bodyErr == "" {
+		j.bodyErr = err
+	}
 	st.removeThread(t.id)
 }
 
-// caseMatch performs one matching step of a case frame's terminator machine;
-// a case that fails there delivers the error past its frame, as in the
-// runtime.
-func (c *checker) caseMatch(st *state, t *thread, f *frame) {
-	arm, err := f.cm.Match(f.cs, func(i int) bool {
-		return c.eval(st, t.j, f.cs.Arms[i].Cond) == formula.True
-	})
-	if err != nil {
-		t.pop()
-		t.setPend(plan.SigNone, err.Error())
-		c.processDelivery(st, t)
-		return
+// below is thread t and the threads of the par arms under it, in id order
+// (an arm's id is above its parent's), and whether a wait blocks one of them.
+func (st *state) below(t *thread) (ids []int, blocked bool) {
+	for _, u := range st.threads {
+		if u == t || u.parent >= 0 && slices.Contains(ids, u.parent) {
+			ids = append(ids, u.id)
+			blocked = blocked || u.wait != nil
+		}
 	}
-	pushBody(t, "arm", f.cs.Body(arm).Ops)
+	return ids, blocked
+}
+
+// expire expires the otherwise[t] deadline of frame k of thread tid, within
+// one transition as at run time: every wait blocked below it fails at once,
+// the arms of a par under it fail at their next statement, and the failures
+// that reach the frame run its handler.
+func (c *checker) expire(st *state, tid, k int) {
+	t := st.own(tid)
+	t.m.Frames[k].Expired = true
+	ids, _ := st.below(t)
+	c.rd.st, c.rd.j = st, t.j
+	for _, id := range ids {
+		u := st.own(id)
+		u.m.Expired = u.m.Expired || u != t
+		if u.wait != nil {
+			u.wait = nil
+			if out, ended := u.m.Deliver(plan.Outcome{Err: plan.ErrDeadline}, &c.fx); ended {
+				c.rootComplete(st, u, out)
+			}
+		}
+	}
+	for _, id := range ids {
+		c.fuse(st, id)
+	}
 }
 
 // ---- statement execution -------------------------------------------------
 
-// execStmt mirrors the runtime's compiled op for one statement. Signals and
-// errors are posted as a pending delivery processed by the thread's next
-// action.
+// execStmt mirrors the runtime's compiled op for one leaf statement. A
+// failure is posted for the thread's next action to deliver.
 func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 	j := t.j
 	fail := func(format string, args ...any) {
-		t.setPend(plan.SigNone, fmt.Sprintf(format, args...))
+		t.m.Out = plan.Outcome{Err: fmt.Sprintf(format, args...)}
 	}
 	switch o.Kind {
-	case plan.OpSkip:
-	case plan.OpSignal:
-		t.setPend(o.Sig, "")
-
-	case plan.OpSeq:
-		pushBody(t, "seq", o.Body.Ops)
-	case plan.OpScope:
-		t.push(frame{kind: fScope, role: "scope"})
-		pushBody(t, "scopebody", o.Body.Ops)
-	case plan.OpTxn:
-		n := j.np + j.nd
-		snap := append(words(nil), st.tab[j.base>>6:(j.base+n+63)>>6]...)
-		if n&63 != 0 {
-			snap[len(snap)-1] &= 1<<(n&63) - 1 // the pending bits that share the last word
-		}
-		t.push(frame{kind: fTxn, role: "txn", txn: o, snap: snap})
-		pushBody(t, "txnbody", o.Body.Ops)
-	case plan.OpOtherwise:
-		t.push(frame{kind: fOtherwise, role: "ow", handler: o.Handler, deadline: o.Timeout > 0})
-		pushBody(t, "try", []*plan.Op{o.Try})
-	case plan.OpCase:
-		t.push(frame{kind: fCase, role: "case", cs: o.Case, cm: plan.NewCaseMachine()})
-
-	case plan.OpIf:
-		if c.eval(st, j, o.Cond) == formula.True {
-			pushBody(t, "then", []*plan.Op{o.Then})
-		} else if o.Else != nil {
-			pushBody(t, "else", []*plan.Op{o.Else})
-		}
 	case plan.OpVerify:
 		switch c.eval(st, j, o.Cond) {
 		case formula.True:
@@ -655,9 +439,6 @@ func (c *checker) execStmt(st *state, t *thread, o *plan.Op, hv *havoc) {
 		default:
 			fail("verify needs state of a junction that is not running: %s", o.Cond)
 		}
-
-	case plan.OpPar:
-		c.spawnPar(st, t, o.Arms)
 
 	case plan.OpWait:
 		w := c.waits[o]
@@ -800,15 +581,16 @@ func (c *checker) setIdx(st *state, j *junc, idx, elem string) error {
 // receive the update through the pending queue or a blocked wait's admission.
 func (c *checker) propUpdate(st *state, t *thread, o *plan.Op) {
 	j, target, val := t.j, o.To, o.Value
+	fail := func(err string) { t.m.Out = plan.Outcome{Err: err} }
 	name, err := c.updateKey(st, j, o)
 	if err != nil {
-		t.setPend(plan.SigNone, err.Error())
+		fail(err.Error())
 		return
 	}
 	if s, declared := j.info.PropSlot(name); declared {
 		setPropLocal(st, j, s, val)
 	} else if target.IsLocal() {
-		t.setPend(plan.SigNone, fmt.Sprintf("local proposition %q not declared", name))
+		fail(fmt.Sprintf("local proposition %q not declared", name))
 		return
 	}
 	if target.IsLocal() {
@@ -816,16 +598,16 @@ func (c *checker) propUpdate(st *state, t *thread, o *plan.Op) {
 	}
 	to, rerr := c.updateDest(st, j, o)
 	if rerr != nil {
-		t.setPend(plan.SigNone, rerr.Error())
+		fail(rerr.Error())
 		return
 	}
 	if to == j.fq {
-		t.setPend(plan.SigNone, fmt.Sprintf("self-targeted update of %q", name))
+		fail(fmt.Sprintf("self-targeted update of %q", name))
 		return
 	}
 	tj := c.byFQ[to]
 	if tj == nil || !st.running(tj.inst) {
-		t.setPend(plan.SigNone, fmt.Sprintf("update %q: %s is not running", name, to))
+		fail(fmt.Sprintf("update %q: %s is not running", name, to))
 		return
 	}
 	if s, ok := tj.info.PropSlot(name); ok {
@@ -833,28 +615,13 @@ func (c *checker) propUpdate(st *state, t *thread, o *plan.Op) {
 	}
 }
 
-// spawnPar runs a par's arms as written (plan.Op.Arms): a nested par is a
-// child that spawns its own.
+// spawnPar runs the two or more arms of a par as written (plan.Op.Arms) as
+// child threads: a nested par is a child that spawns its own.
 func (c *checker) spawnPar(st *state, t *thread, arms []*plan.Op) {
-	switch len(arms) {
-	case 0:
-		return
-	case 1:
-		pushBody(t, "branch", arms)
-		return
-	}
 	t.waiting = len(arms)
-	t.children = make([]childRes, len(arms))
+	t.children = make([]plan.Outcome, len(arms))
 	for i := range arms {
-		st.threads = append(st.threads, &thread{
-			id:     st.nextTid,
-			gen:    st.gen,
-			j:      t.j,
-			parent: t.id,
-			slot:   i,
-			frames: []frame{{kind: fBody, role: "branch", body: arms[i : i+1]}},
-		})
-		st.nextTid++
+		st.spawn(t.j, t.id, i, arms[i:i+1])
 	}
 }
 
@@ -874,25 +641,4 @@ func applyHavoc(st *state, j *junc, hv *havoc) {
 			}
 		}
 	}
-}
-
-// unwindToHandler models a deadline expiring under a blocked wait: frames
-// above the otherwise frame unwind (transactions roll back), and the handler
-// runs — equivalent to the wait returning ErrTimeout and the error
-// propagating to the deadline's otherwise.
-func (c *checker) unwindToHandler(st *state, t *thread, frameIdx int) {
-	t.wait = nil
-	at := 0 // the statement that stopped the body popped last
-	for len(t.frames) > frameIdx+1 {
-		switch f := t.top(); f.kind {
-		case fBody:
-			at = f.pc - 1
-		case fTxn:
-			rollback(st, t.j, f, at)
-		}
-		t.pop()
-	}
-	f := t.top()
-	f.inHandler = true
-	pushBody(t, "handler", []*plan.Op{f.handler})
 }

@@ -217,12 +217,6 @@ func (n *Network) SetLink(from, to string, cfg LinkConfig) {
 	l.cfg, l.own = cfg, true
 }
 
-// SetBidiLink configures both directions between two endpoints.
-func (n *Network) SetBidiLink(a, b string, cfg LinkConfig) {
-	n.SetLink(a, b, cfg)
-	n.SetLink(b, a, cfg)
-}
-
 // Partition severs both directions between two endpoints.
 func (n *Network) Partition(a, b string) {
 	n.mu.Lock()

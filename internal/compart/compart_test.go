@@ -263,7 +263,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		From: "f::junction", To: "g::junction", Kind: KindProp,
 		Key: "Work", Flag: true, Payload: []byte{0, 1, 2, 255},
 	}
-	frame, err := EncodeMessage(m)
+	frame, err := AppendMessage(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 
 func TestMessageCodecProperty(t *testing.T) {
 	roundTrips := func(m Message) bool {
-		frame, err := EncodeMessage(m)
+		frame, err := AppendMessage(nil, m)
 		if err != nil {
 			// Oversized fields must be rejected, never truncated.
 			return len(m.From) > maxFieldLen || len(m.To) > maxFieldLen || len(m.Key) > maxFieldLen
@@ -314,7 +314,7 @@ func TestMessageCodecProperty(t *testing.T) {
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	m := Message{From: "a", To: "b", Key: "k", Payload: []byte("payload")}
-	frame, err := EncodeMessage(m)
+	frame, err := AppendMessage(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}

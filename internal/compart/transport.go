@@ -46,14 +46,11 @@ var (
 	ErrFrameTooLarge = errors.New("compart: frame exceeds 16 MiB limit")
 )
 
-// EncodeMessage serializes a message into a self-delimiting byte frame
-// (excluding the outer length prefix). It fails with ErrFieldTooLong when a
+// AppendMessage appends the frame encoding of m to dst — a self-delimiting
+// byte frame, excluding the outer length prefix — and returns the extended
+// buffer, growing dst at most once. It fails with ErrFieldTooLong when a
 // string field cannot be length-prefixed losslessly, and with
-// ErrFrameTooLarge when the total frame would exceed maxFrame.
-func EncodeMessage(m Message) ([]byte, error) { return AppendMessage(nil, m) }
-
-// AppendMessage appends the frame encoding of m to dst and returns the
-// extended buffer, growing dst at most once. A sender may reuse its buffer
+// ErrFrameTooLarge when the total frame would exceed maxFrame. A sender may reuse its buffer
 // across calls once the frames in it are written; ReconnectClient keeps one
 // such buffer, appending each frame behind the unwritten ones and dropping
 // the written ones from its front. On error dst is returned unchanged.
@@ -108,7 +105,7 @@ func frameSize(m *Message) int {
 	return 1 + 1 + varStrLen(m.From) + varStrLen(m.To) + varStrLen(m.Key) + 4 + len(m.Payload)
 }
 
-// DecodeMessage parses a frame produced by EncodeMessage.
+// DecodeMessage parses a frame produced by AppendMessage.
 func DecodeMessage(buf []byte) (Message, error) {
 	var m Message
 	err := decodeMessageIn(&m, buf, nil, false)
@@ -181,7 +178,7 @@ func (si strIntern) get(b []byte) string {
 func varStrLen(s string) int { return 2 + len(s) }
 
 // appendStr length-prefixes s; callers must have validated
-// len(s) <= maxFieldLen (EncodeMessage does).
+// len(s) <= maxFieldLen (AppendMessage does).
 func appendStr(buf []byte, s string) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)

@@ -21,13 +21,13 @@ func TestEncodeRejectsOversizedFields(t *testing.T) {
 		{To: big},
 		{Key: big},
 	} {
-		if _, err := EncodeMessage(m); !errors.Is(err, ErrFieldTooLong) {
+		if _, err := AppendMessage(nil, m); !errors.Is(err, ErrFieldTooLong) {
 			t.Fatalf("oversized field accepted: %v", err)
 		}
 	}
 	// Exactly at the limit is fine.
 	edge := strings.Repeat("x", maxFieldLen)
-	frame, err := EncodeMessage(Message{From: edge, To: edge, Key: edge})
+	frame, err := AppendMessage(nil, Message{From: edge, To: edge, Key: edge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestEncodeRejectsOversizedFields(t *testing.T) {
 // ErrFrameTooLarge before any bytes hit the socket (previously the
 // receiver killed the whole connection).
 func TestSendRejectsOversizedFrame(t *testing.T) {
-	if _, err := EncodeMessage(Message{Payload: make([]byte, maxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendMessage(nil, Message{Payload: make([]byte, maxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame accepted by codec: %v", err)
 	}
 
@@ -102,7 +102,7 @@ func TestServerCountsDecodeErrorsAndKeepsDraining(t *testing.T) {
 	if err := writeFrame(conn, []byte{0xff}); err != nil {
 		t.Fatal(err)
 	}
-	good, err := EncodeMessage(Message{To: "sink", Key: "ok"})
+	good, err := AppendMessage(nil, Message{To: "sink", Key: "ok"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestServerAnswersHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	ping, err := EncodeMessage(Message{Kind: KindControl, Key: heartbeatKey, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
+	ping, err := AppendMessage(nil, Message{Kind: KindControl, Key: heartbeatKey, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestServerAnswersHeartbeats(t *testing.T) {
 // copied out, and the cache cap degrades to plain allocation instead of
 // growing without bound.
 func TestInternDecodeAliasesAndDedups(t *testing.T) {
-	body, err := EncodeMessage(Message{From: "a::j", To: "b::k", Key: "prop", Kind: KindProp, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
+	body, err := AppendMessage(nil, Message{From: "a::j", To: "b::k", Key: "prop", Kind: KindProp, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

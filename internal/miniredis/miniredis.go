@@ -7,19 +7,14 @@
 // answered there too, from the store itself. A GET or SET through the direct
 // API allocates nothing: each command's one-slot reply channel is recycled
 // once its reply was received. The server exposes a direct API for
-// embedding behind C-Saw junctions (the paper's typified instances), a
-// minimal RESP wire protocol for TCP clients, and whole-store
-// snapshot/restore built on the serial framework — the primitive behind the
-// checkpointing, replication and fail-over architectures.
+// embedding behind C-Saw junctions (the paper's typified instances) and
+// whole-store snapshot/restore built on the serial framework — the primitive
+// behind the checkpointing, replication and fail-over architectures.
 package miniredis
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -29,7 +24,8 @@ import (
 // ErrClosed is returned for commands after Close.
 var ErrClosed = errors.New("miniredis: server closed")
 
-// Reserved internal command names (not reachable over RESP: NUL-prefixed).
+// Reserved internal command names: NUL-prefixed, so no client command
+// collides with them.
 const (
 	cmdSnapshot = "\x00SNAPSHOT"
 	cmdRestore  = "\x00RESTORE"
@@ -247,114 +243,4 @@ func (s *Server) Close() {
 	close(s.reqs)
 	s.mu.Unlock()
 	s.wg.Wait()
-}
-
-// ServeTCP speaks the RESP-subset protocol on the listener until it closes.
-func (s *Server) ServeTCP(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		args, err := readRESP(r)
-		if err != nil {
-			return
-		}
-		if len(args) == 0 {
-			continue
-		}
-		writeReply(w, s.doWire(args))
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// doWire runs one command a RESP client sent. The NUL-prefixed names are the
-// server's own (snapshot, restore, size), never a wire client's: they are
-// refused as unknown, and the store is not touched.
-func (s *Server) doWire(args [][]byte) Reply {
-	if len(args[0]) > 0 && args[0][0] == 0 {
-		return Reply{Err: fmt.Errorf("miniredis: unknown command %q", args[0])}
-	}
-	cmd := Command{Name: string(args[0])}
-	if len(args) > 1 {
-		cmd.Key = string(args[1])
-	}
-	if len(args) > 2 {
-		cmd.Value = args[2]
-	}
-	return s.Do(cmd)
-}
-
-// readRESP parses one RESP array of bulk strings.
-func readRESP(r *bufio.Reader) ([][]byte, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(line) == 0 || line[0] != '*' {
-		return nil, fmt.Errorf("miniredis: expected array, got %q", line)
-	}
-	n, err := strconv.Atoi(string(line[1:]))
-	if err != nil || n < 0 || n > 1024 {
-		return nil, fmt.Errorf("miniredis: bad array length %q", line)
-	}
-	args := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		hdr, err := readLine(r)
-		if err != nil {
-			return nil, err
-		}
-		if len(hdr) == 0 || hdr[0] != '$' {
-			return nil, fmt.Errorf("miniredis: expected bulk string, got %q", hdr)
-		}
-		ln, err := strconv.Atoi(string(hdr[1:]))
-		if err != nil || ln < 0 || ln > 64<<20 {
-			return nil, fmt.Errorf("miniredis: bad bulk length %q", hdr)
-		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		args = append(args, buf[:ln])
-	}
-	return args, nil
-}
-
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, fmt.Errorf("miniredis: malformed line")
-	}
-	return line[:len(line)-2], nil
-}
-
-func writeReply(w *bufio.Writer, rep Reply) {
-	switch {
-	case rep.Err != nil:
-		fmt.Fprintf(w, "-ERR %s\r\n", rep.Err)
-	case rep.OK:
-		w.WriteString("+OK\r\n")
-	case rep.Nil:
-		w.WriteString("$-1\r\n")
-	case rep.Value != nil:
-		fmt.Fprintf(w, "$%d\r\n", len(rep.Value))
-		w.Write(rep.Value)
-		w.WriteString("\r\n")
-	default:
-		fmt.Fprintf(w, ":%d\r\n", rep.Int)
-	}
 }

@@ -1,9 +1,7 @@
 package miniredis
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 )
@@ -261,167 +259,6 @@ func TestConcurrentClients(t *testing.T) {
 		if err != nil || !ok || string(v) != "199" {
 			t.Fatalf("g%d = %q %v %v", g, v, ok, err)
 		}
-	}
-}
-
-func respCmd(args ...string) []byte {
-	out := []byte(fmt.Sprintf("*%d\r\n", len(args)))
-	for _, a := range args {
-		out = append(out, []byte(fmt.Sprintf("$%d\r\n%s\r\n", len(a), a))...)
-	}
-	return out
-}
-
-func TestRESPOverTCP(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go s.ServeTCP(l)
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	send := func(args ...string) string {
-		if _, err := conn.Write(respCmd(args...)); err != nil {
-			t.Fatal(err)
-		}
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return line
-	}
-
-	if got := send("PING"); got != "+OK\r\n" {
-		t.Fatalf("PING → %q", got)
-	}
-	if got := send("SET", "hello", "world"); got != "+OK\r\n" {
-		t.Fatalf("SET → %q", got)
-	}
-	if got := send("GET", "hello"); got != "$5\r\n" {
-		t.Fatalf("GET header → %q", got)
-	}
-	body := make([]byte, 7)
-	if _, err := r.Read(body); err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "world\r\n" {
-		t.Fatalf("GET body → %q", body)
-	}
-	if got := send("GET", "missing"); got != "$-1\r\n" {
-		t.Fatalf("GET missing → %q", got)
-	}
-	if got := send("DEL", "hello"); got != ":1\r\n" {
-		t.Fatalf("DEL → %q", got)
-	}
-	if got := send("BOGUS", "x"); got[0] != '-' {
-		t.Fatalf("BOGUS → %q", got)
-	}
-}
-
-// TestRESPRefusesInternalCommands: the NUL-prefixed names the direct API
-// uses for snapshot, restore and size are refused over the wire with an error
-// reply, and the store is what it was: a client cannot read the whole store
-// or replace it.
-func TestRESPRefusesInternalCommands(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	if err := s.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	other := NewServer()
-	defer other.Close()
-	if err := other.Set("other", []byte("image")); err != nil {
-		t.Fatal(err)
-	}
-	img, err := other.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := s.Ops()
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go s.ServeTCP(l)
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	for _, args := range [][]string{
-		{cmdSnapshot},
-		{cmdRestore, "", string(img)},
-		{cmdSizeOf, "k"},
-	} {
-		if _, err := conn.Write(respCmd(args...)); err != nil {
-			t.Fatal(err)
-		}
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("-ERR miniredis: unknown command %q\r\n", args[0]); line != want {
-			t.Fatalf("%q over RESP → %q, want %q", args[0], line, want)
-		}
-	}
-	// The connection still serves ordinary commands after a refusal.
-	if _, err := conn.Write(respCmd("DBSIZE")); err != nil {
-		t.Fatal(err)
-	}
-	if line, err := r.ReadString('\n'); err != nil || line != ":1\r\n" {
-		t.Fatalf("DBSIZE after the refusals → %q, %v; want :1", line, err)
-	}
-	if v, ok, err := s.Get("k"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("k after the refusals = %q %v %v, want \"v\"", v, ok, err)
-	}
-	if _, ok, _ := s.Get("other"); ok {
-		t.Fatal("a RESP \\x00RESTORE replaced the store")
-	}
-	// DBSIZE and the two GETs above ran; none of the refused commands did.
-	if got := s.Ops(); got != ops+3 {
-		t.Fatalf("Ops = %d after the refusals, want %d", got, ops+3)
-	}
-}
-
-func TestRESPMalformedInput(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go s.ServeTCP(l)
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Garbage instead of an array header: the server must just drop the
-	// connection, never crash.
-	if _, err := conn.Write([]byte("GARBAGE\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected connection close on malformed input")
-	}
-	// Server still alive for direct commands.
-	if r := s.Do(Command{Name: CmdPing}); r.Err != nil {
-		t.Fatal(r.Err)
 	}
 }
 

@@ -60,13 +60,6 @@ type Node interface {
 	Process(ctx *Context, p *workload.Packet) int
 }
 
-// edge connects a node's output port to a successor.
-type edge struct {
-	from string
-	port int
-	to   string
-}
-
 // Graph is the Click-like packet-processing graph: named nodes and
 // port-indexed edges.
 type Graph struct {

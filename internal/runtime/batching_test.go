@@ -258,7 +258,7 @@ func TestHandleGroupAcksEachSenderOnce(t *testing.T) {
 	// frame, one behind another.
 	var run []byte
 	for _, m := range []compart.Message{grp("a::j", 1, "U", "W"), grp("b::j", 1, "U"), bad, grp("a::j", 4, "U"), grp("a::j", 3, "U")} {
-		body, err := compart.EncodeMessage(m)
+		body, err := compart.AppendMessage(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}

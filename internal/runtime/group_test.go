@@ -289,7 +289,8 @@ func otherwiseExpiryRacingAck(t *testing.T) {
 	const rounds = 60
 	for i := 0; i < rounds; i++ {
 		lat := racingLatency(i, timeout)
-		s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: lat})
+		s.Net().SetLink("f::j", "g1::j", compart.LinkConfig{Latency: lat})
+		s.Net().SetLink("g1::j", "f::j", compart.LinkConfig{Latency: lat})
 		if err := f.Table().SetProp("Late", false); err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +310,8 @@ func otherwiseExpiryRacingAck(t *testing.T) {
 	}
 	t.Logf("%d of %d groups lost the race to otherwise[t]", late, rounds)
 	// Every group was delivered whether or not its statement waited for it.
-	s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{})
+	s.Net().SetLink("f::j", "g1::j", compart.LinkConfig{})
+	s.Net().SetLink("g1::j", "f::j", compart.LinkConfig{})
 	deadline := time.Now().Add(5 * time.Second)
 	sink := s.junctionQuiet("g1", "j").met
 	for sink.RemoteQueued.Load() != 3*rounds {

@@ -259,7 +259,8 @@ func groupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 	const rounds = 60
 	for i := 0; i < rounds; i++ {
 		lat := racingLatency(i, timeout)
-		s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{Latency: lat})
+		s.Net().SetLink("f::j", "g1::j", compart.LinkConfig{Latency: lat})
+		s.Net().SetLink("g1::j", "f::j", compart.LinkConfig{Latency: lat})
 		invoked := time.Since(epoch)
 		if err := s.Invoke(ctx, "f", "j"); err != nil {
 			t.Fatalf("round %d: %v", i, err)
@@ -288,7 +289,8 @@ func groupedSeqOtherwiseExpiryRacingAck(t *testing.T) {
 	t.Logf("%d of %d groups lost the race to otherwise[t]; %d of those never started, their firing late", late, rounds, lateStarts)
 	// Every group was delivered whether or not its statements waited for it;
 	// a group that never started was never sent.
-	s.Net().SetBidiLink("f::j", "g1::j", compart.LinkConfig{})
+	s.Net().SetLink("f::j", "g1::j", compart.LinkConfig{})
+	s.Net().SetLink("g1::j", "f::j", compart.LinkConfig{})
 	sink := s.junctionQuiet("g1", "j").met
 	want := uint64(2 * (rounds - lateStarts))
 	for deadline := time.Now().Add(5 * time.Second); sink.RemoteQueued.Load() != want; time.Sleep(time.Millisecond) {
